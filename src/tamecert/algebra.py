@@ -1,10 +1,9 @@
 """Real Lie algebras with exact structure constants and their invariants.
 
 Structure constants are kept as sparse maps over ``Fraction``; every
-structural decision (Jacobi, series, ideals, unimodularity) is made in exact
-arithmetic.  Floating point enters only in the documented fallback for
-adjoint weights beyond the exact-characteristic-polynomial cutoff, and the
-result is then flagged as numeric.
+structural decision (Jacobi, series, ideals, unimodularity, complete
+solvability, the nilradical, adjoint weights and their flag) is made in exact
+rational arithmetic at every dimension.  No floating point is used here.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .errors import DimensionMismatch, JacobiViolation, NotAnIdeal, NotASubalgebra, NotSolvable
+from .errors import DimensionMismatch, JacobiViolation, NoOneDimIdeal, NotAnIdeal, NotASubalgebra, NotSolvable
 from .linalg import (
     Mat,
     Subspace,
@@ -24,6 +21,7 @@ from .linalg import (
     all_roots_real,
     charpoly,
     frac,
+    identity,
     is_zero_vec,
     mat_mul,
     mat_trace,
@@ -34,11 +32,6 @@ from .linalg import (
     vec_add,
     zero_vec,
 )
-
-# Exact weight/eigenvalue extraction is attempted up to this dimension;
-# beyond it the numeric fallback (tolerance 1e-9 on imaginary parts) is used.
-EXACT_WEIGHT_DIM_LIMIT = 8
-NUMERIC_IMAG_TOL = 1e-9
 
 Brackets = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
@@ -211,10 +204,6 @@ class LieAlgebra:
             return Subspace.full(self.dim)
         return Subspace.from_vectors(self.dim, nullspace(rows, ncols=self.dim))
 
-    def killing_matrix(self) -> Mat:
-        ads = [self.adjoint_of_basis(i) for i in range(self.dim)]
-        return [[mat_trace(mat_mul(ads[i], ads[j])) for j in range(self.dim)] for i in range(self.dim)]
-
     def is_ideal(self, h: Subspace) -> bool:
         for i in range(self.dim):
             for b in h.basis:
@@ -244,22 +233,9 @@ def validate(
 
 @dataclass(frozen=True)
 class Weight:
-    """A complex-valued linear functional on the algebra, as two value rows."""
+    """A rational weight of the adjoint representation: its values on the basis."""
 
-    real: tuple
-    imag: tuple
-    exact: bool
-
-    def value(self, x: Sequence) -> complex:
-        xr = [float(c) for c in x]
-        re = sum(float(a) * b for a, b in zip(self.real, xr))
-        im = sum(float(a) * b for a, b in zip(self.imag, xr))
-        return complex(re, im)
-
-    def is_real(self) -> bool:
-        if self.exact:
-            return all(c == 0 for c in self.imag)
-        return all(abs(float(c)) <= NUMERIC_IMAG_TOL for c in self.imag)
+    real: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -267,17 +243,11 @@ class WeightList:
     """Diagonal weights of a triangularized adjoint representation.
 
     ``flag`` is the ascending chain of ad-invariant subspaces realizing the
-    triangularization; it is only available when the computation stayed
-    exact (all weights rational).
+    triangularization; ``weights[k]`` is the weight on ``flag[k] / flag[k-1]``.
     """
 
     weights: tuple[Weight, ...]
-    flag: tuple[Subspace, ...] | None
-    exact: bool
-
-
-class _ExactFlagFailed(Exception):
-    pass
+    flag: tuple[Subspace, ...]
 
 
 def _induced_ops(g: LieAlgebra, flag_space: Subspace) -> tuple[list[Mat], list[int]]:
@@ -321,110 +291,39 @@ def _rational_joint_eigenspaces(ops: list[Mat], n: int) -> list[tuple[Subspace, 
     return branches
 
 
-def _exact_weight_flag(g: LieAlgebra) -> WeightList:
-    """Full flag + weights by iterated rational common-eigenvector extraction."""
+def adjoint_weights(g: LieAlgebra) -> WeightList:
+    """Weights and invariant flag of the adjoint representation.
+
+    The flag is built by iterated rational common-eigenvector extraction on
+    the successive quotients.  Raises NoOneDimIdeal when some quotient has no
+    rational joint eigenvector (complex or irrational weights).
+    """
+    if not g.is_solvable():
+        raise NotSolvable("adjoint weights require a solvable algebra")
     flag: list[Subspace] = []
     weights: list[Weight] = []
     current = Subspace.zero(g.dim)
     while current.dim < g.dim:
         ops, comp = _induced_ops(g, current)
-        m = len(comp)
-        joint = _rational_joint_eigenspaces(ops, m)
+        joint = _rational_joint_eigenspaces(ops, len(comp))
         if not joint:
-            raise _ExactFlagFailed
+            raise NoOneDimIdeal(f"no rational invariant line in the quotient by a {current.dim}-dim flag ideal")
         # deterministic pick: smallest weight tuple, then first echelon line
         joint.sort(key=lambda sw: sw[1])
         space, wt = joint[0]
-        w = space.basis[0]
         ambient = [ZERO] * g.dim
-        for c, x in zip(comp, w):
+        for c, x in zip(comp, space.basis[0]):
             ambient[c] = x
         current = current.add(Subspace.from_vectors(g.dim, [ambient]))
         flag.append(current)
-        weights.append(Weight(real=wt, imag=(ZERO,) * g.dim, exact=True))
-    return WeightList(tuple(weights), tuple(flag), exact=True)
-
-
-def _numeric_weight_flag(g: LieAlgebra) -> WeightList:
-    """Floating flag over the complexification; used beyond the exact cutoff
-    or when weights are irrational/complex."""
-    n = g.dim
-    ads = [np.array([[float(x) for x in row] for row in g.adjoint_of_basis(i)]) for i in range(n)]
-    tol = 1e-8
-
-    def null_basis(mat: np.ndarray) -> np.ndarray:
-        # columns spanning the (numeric) kernel
-        u, s, vh = np.linalg.svd(mat)
-        nullity = sum(1 for x in s if x <= tol * max(1.0, s[0] if len(s) else 1.0))
-        nullity += mat.shape[1] - len(s)
-        return vh.conj().T[:, mat.shape[1] - nullity:] if nullity else np.zeros((mat.shape[1], 0))
-
-    flag_vectors: list[np.ndarray] = []
-    weights: list[Weight] = []
-    basis_change = np.eye(n, dtype=complex)  # columns: flag vectors then complement
-    while len(flag_vectors) < n:
-        k = len(flag_vectors)
-        # complement via QR of current flag
-        if k:
-            q, _ = np.linalg.qr(np.column_stack(flag_vectors))
-            proj = np.eye(n) - q @ q.conj().T
-            cb = np.linalg.svd(proj)[0][:, : n - k]
-        else:
-            cb = np.eye(n, dtype=complex)
-        induced = []
-        for a in ads:
-            # action on quotient in complement coordinates
-            act = cb.conj().T @ a @ cb
-            induced.append(act)
-        m = n - k
-        branches = [(np.eye(m, dtype=complex), ())]
-        for a in induced:
-            nxt = []
-            eigs = np.linalg.eigvals(a)
-            # cluster eigenvalues
-            uniq: list[complex] = []
-            for e in sorted(eigs, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
-                if not any(abs(e - u) <= 1e-7 for u in uniq):
-                    uniq.append(e)
-            for space, wt in branches:
-                for mu in uniq:
-                    mat = (a - mu * np.eye(m)) @ space
-                    nb = null_basis(mat)
-                    if nb.shape[1]:
-                        nxt.append((space @ nb, wt + (mu,)))
-            branches = nxt
-            if not branches:
-                break
-        if not branches:  # pragma: no cover - Lie's theorem guarantees a branch
-            raise RuntimeError("no numeric joint eigenvector found for a solvable algebra")
-        space, wt = branches[0]
-        v = cb @ space[:, 0]
-        v = v / np.linalg.norm(v)
-        flag_vectors.append(v)
-        re = tuple(float(x.real) for x in wt)
-        im = tuple(float(x.imag) for x in wt)
-        weights.append(Weight(real=re, imag=im, exact=False))
-    del basis_change
-    return WeightList(tuple(weights), None, exact=False)
-
-
-def adjoint_weights(g: LieAlgebra) -> WeightList:
-    """Weights and (when exact) the invariant flag of the adjoint representation."""
-    if not g.is_solvable():
-        raise NotSolvable("adjoint weights require a solvable algebra")
-    if g.dim <= EXACT_WEIGHT_DIM_LIMIT:
-        try:
-            return _exact_weight_flag(g)
-        except _ExactFlagFailed:
-            pass
-    return _numeric_weight_flag(g)
+        weights.append(Weight(real=wt))
+    return WeightList(tuple(weights), tuple(flag))
 
 
 @dataclass(frozen=True)
 class CompleteSolvability:
     value: bool
-    exact: bool
-    witness: Weight | None  # an offending (non-real) weight when value is False
+    witness: int | None  # first basis index whose adjoint has a non-real eigenvalue
 
     def __bool__(self) -> bool:
         return self.value
@@ -433,70 +332,55 @@ class CompleteSolvability:
 def is_completely_solvable(g: LieAlgebra) -> CompleteSolvability:
     """Solvable with all adjoint weights real.
 
-    Decided exactly (Sturm real-root count of each basis adjoint's
-    characteristic polynomial) up to the cutoff dimension: the eigenvalues of
-    ad_x are the weight values at x, so realness of all weights is equivalent
-    to realness of every basis adjoint's spectrum.
+    Decided exactly at every dimension by a Sturm real-root count of each
+    basis adjoint's characteristic polynomial: the eigenvalues of ad_x are the
+    weight values at x, and a weight with a nonzero imaginary part has it at
+    some basis vector.
     """
     if not g.is_solvable():
-        return CompleteSolvability(False, True, None)
-    if g.dim <= EXACT_WEIGHT_DIM_LIMIT:
-        for i in range(g.dim):
-            if not all_roots_real(charpoly(g.adjoint_of_basis(i))):
-                return CompleteSolvability(False, True, _offending_weight(g))
-        return CompleteSolvability(True, True, None)
-    wl = _numeric_weight_flag(g)
-    for w in wl.weights:
-        if not w.is_real():
-            return CompleteSolvability(False, False, w)
-    return CompleteSolvability(True, False, None)
+        return CompleteSolvability(False, None)
+    for i in range(g.dim):
+        if not all_roots_real(charpoly(g.adjoint_of_basis(i))):
+            return CompleteSolvability(False, i)
+    return CompleteSolvability(True, None)
 
 
-def _offending_weight(g: LieAlgebra) -> Weight | None:
-    wl = _numeric_weight_flag(g)
-    for w in wl.weights:
-        if not w.is_real():
-            return w
-    return None
+def _associative_closure(ads: list[Mat], n: int) -> list[Mat]:
+    """A basis of the unital associative algebra generated by ads."""
+    basis = [identity(n)]
+    span = Subspace.from_vectors(n * n, [[x for row in basis[0] for x in row]])
+    for m in basis:  # grows while it is walked: closes span under left multiplication
+        for a in ads:
+            prod = mat_mul(a, m)
+            residue = span.reduce_vector([x for row in prod for x in row])
+            if not is_zero_vec(residue):
+                span = Subspace.from_vectors(n * n, list(span.basis) + [residue])
+                basis.append(prod)
+    return basis
 
 
 def nilradical(g: LieAlgebra) -> Subspace:
     """Largest nilpotent ideal of a solvable algebra.
 
-    Characterized as the set of ad-nilpotent elements.  For completely
-    solvable algebras that set is exactly the kernel of the Killing form
-    (the form is positive semidefinite there, being a sum of squares of the
-    real weights), which keeps the computation rational.
+    For solvable g in characteristic 0, nil(g) = {x : tr(ad x . a) = 0 for
+    every a in the unital associative algebra A generated by ad g}
+    (de Graaf, *Lie Algebras: Theory and Algorithms*, North-Holland 2000,
+    section 2.3; the trace criterion goes back to Dickson).  In a basis
+    triangularizing ad g over C, tr(ad x . a) pairs the weights at x with the
+    diagonal of a, and a = (ad x)^k gives their power sums; so the kernel is
+    the common kernel of the weights, i.e. the ad-nilpotent elements.  Every
+    step is a rational linear solve, whatever the weights are.
     """
     if not g.is_solvable():
         raise NotSolvable("nilradical computation requires a solvable algebra")
-    if is_completely_solvable(g).value:
-        kern = nullspace(g.killing_matrix(), ncols=g.dim) if g.dim else []
-        n = Subspace.from_vectors(g.dim, kern)
-    else:
-        n = _nilradical_from_weights(g)
+    ads = [g.adjoint_of_basis(i) for i in range(g.dim)]
+    rows = [
+        [sum((ad[r][s] * a[s][r] for r in range(g.dim) for s in range(g.dim)), ZERO) for ad in ads]
+        for a in _associative_closure(ads, g.dim)
+    ]
+    n = Subspace.from_vectors(g.dim, nullspace(rows, ncols=g.dim))
     _assert_nilradical(g, n)
     return n
-
-
-def _nilradical_from_weights(g: LieAlgebra) -> Subspace:
-    wl = adjoint_weights(g)
-    if wl.exact:
-        rows = [list(w.real) for w in wl.weights] + [list(w.imag) for w in wl.weights]
-        return Subspace.from_vectors(g.dim, nullspace(rows, ncols=g.dim))
-    rows = np.array(
-        [[float(x) for x in w.real] for w in wl.weights]
-        + [[float(x) for x in w.imag] for w in wl.weights]
-    )
-    _, s, vh = np.linalg.svd(rows)
-    r = sum(1 for x in s if x > 1e-8 * max(1.0, s[0]))
-    approx = vh[r:, :]
-    cand = []
-    for row in approx:
-        scale = max(abs(x) for x in row)
-        cand.append([Fraction(x / scale).limit_denominator(10**6) for x in row])
-    space = Subspace.from_vectors(g.dim, [[frac(x) for x in c] for c in cand])
-    return space
 
 
 def _assert_nilradical(g: LieAlgebra, n: Subspace) -> None:

@@ -176,11 +176,7 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     for b in derived.basis:
         push(b, "derived-algebra line")
 
-    nil: Subspace | None = None
-    try:
-        nil = nilradical(g)
-    except NotSolvable:
-        nil = None
+    nil = nilradical(g) if g.is_solvable() else None
     if nil is not None and nil.dim:
         nil_sub_center = _center_of(g, nil)
         for b in nil_sub_center.basis:

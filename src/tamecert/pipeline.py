@@ -140,7 +140,6 @@ def analyze(fixture: Fixture, config: FeasibilityConfig | None = None) -> Analys
         "solvable": solvable,
         "nilpotent": nilpotent,
         "completely_solvable": bool(cs),
-        "completely_solvable_exact": cs.exact,
         "unimodular": unimodular,
         "unimodular_witness": g.basis_labels[witness] if witness is not None else None,
         "abelian": abelian,

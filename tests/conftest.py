@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from tamecert import Fixture, load_fixture
+from tamecert import ComplexStructure, Fixture, LieAlgebra, Subspace, load_fixture
+from tamecert.linalg import det, mat_inverse, mat_mul, mat_vec
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -44,3 +45,37 @@ def random_rational_vector(rng: random.Random, dim: int, span: int = 6) -> tuple
 
 def rational_sampler(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def random_basis_change(rng: random.Random, dim: int) -> list[list[Fraction]]:
+    """An invertible dim x dim matrix with integer entries in [-2, 2]."""
+    while True:
+        P = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
+        if det(P) != 0:
+            return P
+
+
+def conjugate(
+    g: LieAlgebra, P: list[list[Fraction]], J: ComplexStructure | None = None
+) -> tuple[LieAlgebra, ComplexStructure | None]:
+    """(g, J) in the basis given by the columns of P: (P^-1[P., P.], P^-1 J P).
+
+    x -> P x is then an isomorphism from the new algebra onto g.
+    """
+    n = g.dim
+    Pinv = mat_inverse(P)
+    cols = [tuple(P[r][c] for r in range(n)) for c in range(n)]
+    brackets = {
+        (i, j): dict(enumerate(mat_vec(Pinv, g.bracket(cols[i], cols[j]))))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    g2 = LieAlgebra.from_brackets(n, brackets)
+    J2 = None if J is None else ComplexStructure.from_matrix(mat_mul(mat_mul(Pinv, [list(r) for r in J.matrix]), P))
+    return g2, J2
+
+
+def pull_back(s: Subspace, P: list[list[Fraction]]) -> Subspace:
+    """P^-1 s: the subspace s in the basis given by the columns of P."""
+    Pinv = mat_inverse(P)
+    return Subspace.from_vectors(s.ambient_dim, [mat_vec(Pinv, b) for b in s.basis])

@@ -1,13 +1,16 @@
 """Lie algebra invariants against hand-expanded oracles and corpus fixtures."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tamecert import (
     JacobiViolation,
     LieAlgebra,
+    NoOneDimIdeal,
     NotAnIdeal,
     NotASubalgebra,
     NotSolvable,
@@ -21,9 +24,9 @@ from tamecert import (
     validate,
 )
 from tamecert.algebra import scale_structure_constants
-from tamecert.linalg import mat_trace, unit_vec
+from tamecert.linalg import mat_mul, mat_trace
 
-from conftest import random_rational_vector
+from conftest import conjugate, pull_back, random_basis_change, random_rational_vector
 
 F = Fraction
 
@@ -58,6 +61,26 @@ def inoue_s0() -> LieAlgebra:
     )
 
 
+def e2() -> LieAlgebra:
+    # euclidean motions of the plane: ad_{e3} rotates span(e1,e2)
+    return validate(3, {(0, 2): {1: -1}, (1, 2): {0: 1}})
+
+
+def killing_trap() -> LieAlgebra:
+    # R x R^4 with ad_{e5} = blocks [[1,-1],[1,1]] and [[-1,-1],[1,-1]]: the
+    # weights 1 +- i, -1 +- i square-sum to zero, so the Killing form vanishes
+    return validate(
+        5,
+        {(0, 4): {0: -1, 1: -1}, (1, 4): {0: 1, 1: -1}, (2, 4): {2: 1, 3: -1}, (3, 4): {2: 1, 3: 1}},
+    )
+
+
+def shifted_sum(dim: int, g: LieAlgebra) -> LieAlgebra:
+    """R^(dim - g.dim) + g, with g on the last basis vectors."""
+    off = dim - g.dim
+    return validate(dim, {(i + off, j + off): {k + off: c for k, c in comps} for (i, j), comps in g.structure_constants})
+
+
 # --- validation ---
 
 
@@ -89,19 +112,18 @@ def test_dimension_mismatch():
         validate(2, {}, labels=["only-one"])
 
 
-def test_numeric_weight_fallback_beyond_cutoff():
-    # dim 10 exceeds the exact cutoff; the floating lane must still produce
-    # a full weight list with the right multiset of values
-    brackets = {(0, 1): {1: 1}}  # aff(R) + abelian R^8
-    g = validate(10, brackets)
+def test_exact_weights_at_dim_10():
+    # no dimension cutoff: aff(R) + R^8 gets exact weights and an exact flag
+    g = validate(10, {(0, 1): {1: 1}})
     wl = adjoint_weights(g)
-    assert not wl.exact and wl.flag is None
-    assert len(wl.weights) == 10
-    values = sorted(round(w.value(unit_vec(10, 0)).real, 6) for w in wl.weights)
-    assert values == [0.0] * 9 + [1.0]
-    assert all(w.is_real() for w in wl.weights)
+    assert [s.dim for s in wl.flag] == list(range(1, 11))
+    assert all(g.is_ideal(s) for s in wl.flag)
+    assert sorted(w.real[0] for w in wl.weights) == [F(0)] * 9 + [F(1)]
     verdict = is_completely_solvable(g)
-    assert verdict.value and not verdict.exact  # numerically completely solvable
+    assert verdict.value and verdict.witness is None
+    # R^6 + inoue_s0: the rotating e4 of the summand is basis index 9
+    bad = is_completely_solvable(shifted_sum(10, inoue_s0()))
+    assert not bad.value and bad.witness == 9
 
 
 def test_bracket_antisymmetry_and_bilinearity():
@@ -172,51 +194,48 @@ def test_flag_implications_on_corpus(corpus):
 
 def test_weights_abelian_all_zero():
     wl = adjoint_weights(abelian(3))
-    assert wl.exact
-    assert all(all(x == 0 for x in w.real) and all(x == 0 for x in w.imag) for w in wl.weights)
+    assert len(wl.flag) == 3
+    assert all(all(x == 0 for x in w.real) for w in wl.weights)
 
 
 def test_weights_aff():
     wl = adjoint_weights(aff_r())
-    assert wl.exact
     rows = sorted(w.real for w in wl.weights)
     assert rows == [(F(0), F(0)), (F(1), F(0))]  # lambda(H)=1, lambda(X)=0 and zero
-    assert wl.flag is not None
     assert wl.flag[0] == Subspace.from_vectors(2, [(0, 1)])  # span(X) comes first
 
 
 def test_weights_inoue_complex():
-    wl = adjoint_weights(inoue_s0())
-    assert not wl.exact
-    values = sorted((round(w.value(unit_vec(4, 3)).real, 6), round(w.value(unit_vec(4, 3)).imag, 6)) for w in wl.weights)
-    assert values == [(-2.0, 0.0), (0.0, 0.0), (1.0, -1.0), (1.0, 1.0)]
+    # ad_{e4} has eigenvalues 1 +- i on span(e1, e2): no rational flag exists
+    with pytest.raises(NoOneDimIdeal):
+        adjoint_weights(inoue_s0())
+    bad = is_completely_solvable(inoue_s0())
+    assert not bad.value and bad.witness == 3  # e4
 
 
 def test_weights_sum_to_trace_on_corpus(corpus):
     rng = random.Random(23)
     for name, fx in corpus.items():
         g = fx.algebra
+        if name == "inoue_s0":  # complex weights
+            with pytest.raises(NoOneDimIdeal):
+                adjoint_weights(g)
+            continue
         wl = adjoint_weights(g)
         for _ in range(20):
             x = random_rational_vector(rng, g.dim)
-            tr = mat_trace(g.adjoint(x))
-            if wl.exact:
-                total = sum(
-                    sum(a * b for a, b in zip(w.real, x)) for w in wl.weights
-                )
-                assert total == tr, name
-            else:
-                total = sum(w.value(x) for w in wl.weights)
-                assert abs(total.real - float(tr)) < 1e-6, name
-                assert abs(total.imag) < 1e-6, name
+            total = sum(sum(a * b for a, b in zip(w.real, x)) for w in wl.weights)
+            assert total == mat_trace(g.adjoint(x)), name
 
 
 def test_flag_subspaces_are_ideals(corpus):
     for name, fx in corpus.items():
         g = fx.algebra
-        wl = adjoint_weights(g)
-        if wl.flag is None:
+        if name == "inoue_s0":  # complex weights
+            with pytest.raises(NoOneDimIdeal):
+                adjoint_weights(g)
             continue
+        wl = adjoint_weights(g)
         dims = [s.dim for s in wl.flag]
         assert dims == list(range(1, g.dim + 1)), name
         for s in wl.flag:
@@ -226,10 +245,11 @@ def test_flag_subspaces_are_ideals(corpus):
 def test_completely_solvable():
     assert is_completely_solvable(h3_r()).value
     verdict = is_completely_solvable(sol4_1())
-    assert verdict.value and verdict.exact
-    bad = is_completely_solvable(inoue_s0())
-    assert not bad.value and bad.exact  # decided exactly, witness numeric
-    assert bad.witness is not None and not bad.witness.is_real()
+    assert verdict.value and verdict.witness is None
+    bad = is_completely_solvable(e2())
+    assert not bad.value and bad.witness == 2  # ad_{e3} has eigenvalues +- i
+    bad = is_completely_solvable(killing_trap())
+    assert not bad.value and bad.witness == 4
 
 
 def test_irrational_real_weights():
@@ -237,14 +257,11 @@ def test_irrational_real_weights():
     # (3 +- sqrt(5))/2: completely solvable, but no rational invariant line
     g = validate(3, {(0, 1): {1: 2, 2: 1}, (0, 2): {1: 1, 2: 1}})
     verdict = is_completely_solvable(g)
-    assert verdict.value and verdict.exact  # decided exactly by Sturm
+    assert verdict.value and verdict.witness is None  # decided exactly by Sturm
     assert one_dim_ideals(g) == []  # the invariant lines are irrational
-    wl = adjoint_weights(g)
-    assert not wl.exact  # flag had to fall back to the numeric lane
-    values = sorted(w.value((1, 0, 0)).real for w in wl.weights)
-    golden = sorted([0.0, (3 - 5 ** 0.5) / 2, (3 + 5 ** 0.5) / 2])
-    assert all(abs(a - b) < 1e-8 for a, b in zip(values, golden))
-    # the Killing-kernel route keeps the nilradical exact regardless
+    with pytest.raises(NoOneDimIdeal):
+        adjoint_weights(g)
+    # the trace criterion keeps the nilradical exact regardless
     assert nilradical(g) == Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)])
 
 
@@ -266,10 +283,40 @@ def test_nilradical_examples():
     assert nilradical(aff_r()) == Subspace.from_vectors(2, [(0, 1)])
     # derived: ad_H has nonzero eigenvalues, so H is excluded
     assert nilradical(sol4_1()) == Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    # non-completely-solvable branch
+    # complex weights
     assert nilradical(inoue_s0()) == Subspace.from_vectors(
         4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
     )
+    assert nilradical(e2()) == Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
+    # the Killing form vanishes identically, yet nil is only span(e1..e4)
+    g = killing_trap()
+    ads = [g.adjoint_of_basis(i) for i in range(5)]
+    assert all(mat_trace(mat_mul(a, b)) == 0 for a in ads for b in ads)
+    assert nilradical(g) == Subspace.from_vectors(5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
+
+
+def test_nilradical_basis_covariance(corpus):
+    # x -> P x maps the conjugated algebra onto g, so nil must follow P^-1
+    rng = random.Random(41)
+    non_abelian = [name for name, fx in corpus.items() if not fx.algebra.is_abelian()]
+    assert len(non_abelian) == 7
+    for name in non_abelian:
+        g = corpus[name].algebra
+        P = random_basis_change(rng, g.dim)
+        conj, _ = conjugate(g, P)
+        assert nilradical(conj) == pull_back(nilradical(g), P), name
+
+
+def test_algebra_module_imports_no_numpy():
+    # the structural layer is exact: no floating-point library may enter it
+    source = Path(__file__).resolve().parent.parent / "src" / "tamecert" / "algebra.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported
 
 
 def test_nilradical_properties_on_corpus(corpus):

@@ -13,6 +13,7 @@ from tamecert import (
     FeasibilityConfig,
     FeasibilityProblem,
     Infeasible,
+    Subspace,
     TwoForm,
     Unknown,
     build_problem,
@@ -22,11 +23,14 @@ from tamecert import (
     dual_certificate,
     exactify,
     maximize_lambda_min,
+    nilradical,
     standard_complex_structure,
     validate,
 )
 from tamecert.algebra import scale_structure_constants
 from tamecert.forms import leading_minors_positive, taming_gram
+
+from conftest import conjugate, pull_back
 
 F = Fraction
 
@@ -239,6 +243,23 @@ def test_infeasible_soundness(corpus):
                     for j in range(len(vvec))
                 )
                 assert val == 0, name
+
+
+def test_conjugated_inoue_rank_one_certificate(corpus):
+    # a dense basis change of an algebra with complex weights: the nilradical
+    # and the rank-one certificate must both come out exact
+    fx = corpus["inoue_s0"]
+    P = [[F(x) for x in row] for row in [[2, -2, -1, -1], [2, -2, -1, -2], [1, 2, 0, 1], [0, -2, 0, -1]]]
+    g, J = conjugate(fx.algebra, P, fx.J)
+    assert nilradical(g) == pull_back(Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]), P)
+    # the precheck proves the verdict; a short ascent keeps the test fast
+    v = decide(g, J, FeasibilityConfig(restarts=1, iterations=200))
+    assert isinstance(v, Infeasible) and v.residual == 0.0
+    u = v.rank_one_direction
+    assert u is not None
+    assert [list(r) for r in v.dual] == [[u[i] * u[j] / sum(x * x for x in u) for j in range(4)] for i in range(4)]
+    for s in build_problem(g, J).gram_basis:
+        assert sum(u[i] * s[i][j] * u[j] for i in range(4) for j in range(4)) == 0
 
 
 def test_homogeneity_of_verdicts(corpus):
