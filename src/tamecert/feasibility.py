@@ -7,7 +7,10 @@ The decision pipeline:
      and proves infeasibility outright;
   2. projected supgradient ascent maximizing lambda_min(sum c_i S_i) over the
      unit ball of coefficients (S_i = Gram forms of a closed basis), with
-     deterministic multi-start;
+     deterministic multi-start.  The restarts step together, one stacked
+     eigensolve per step, and a restart leaves the stack when it stalls.  The
+     result is the one running the restarts in order gives: the first best
+     point, over the restarts up to the first that clears the stop margin;
   3. on a positive margin, continued-fraction rounding back to an exact
      rational form whose Gram is re-proved positive definite by principal
      minors; on a nonpositive margin, alternating projections between the
@@ -20,7 +23,7 @@ when both certificate searches stall within budget.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -42,6 +45,8 @@ STALL_WINDOW = 300
 STALL_TOL = 1e-13
 
 EXACTIFY_DENOMINATOR_BOUNDS = (10**6, 10**8, 10**10, 10**12)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -107,12 +112,12 @@ def build_problem(
     """Assemble the closed-form basis and its Gram forms, exactly then as floats.
 
     Feasibility is well-defined for any almost complex J; a non-integrable J
-    only triggers a warning.
+    is logged and recorded in j_integrable.
     """
     config = config or FeasibilityConfig()
     integrable = is_integrable(g, J)
     if not integrable:
-        warnings.warn("J is not integrable; the taming decision still applies", stacklevel=2)
+        logger.warning("J is not integrable; the taming decision still applies")
     basis = closed_two_forms(g)
     gram_basis = [taming_gram(b, J) for b in basis]
     grams = np.array(
@@ -235,52 +240,128 @@ def maximize_lambda_min(
 
     Deterministic for a fixed seed: restart 0 starts along the trace
     direction, later restarts draw from per-restart generators seeded by
-    (rng_seed, restart).  Restarts stop early on stall; the outer loop stops
-    once the best value clears stop_above.
+    (rng_seed, restart).  Each restart stops on stall or after `iterations`
+    steps.  Restarts in a group step together, one stacked eigensolve per
+    step, and a stalled restart leaves the stack.  Without stop_above all
+    restarts form one group; with it, restart 0 runs alone and the rest run
+    as one group only if restart 0 did not clear stop_above.
+
+    The result is that of running the restarts one after another: the best
+    point of the first restart, in order, with the largest value, taken over
+    the restarts up to the first whose best clears stop_above.
     """
     m = p.size
     n = p.algebra.dim
     if m == 0 or n == 0:
         return np.zeros(m), float("-inf") if n else float("inf")
+    flat = p.grams.reshape(m, n * n)
     scale = max(float(np.linalg.norm(s)) for s in p.grams)
     scale = scale if scale > 0 else 1.0
+    restarts = range(max(1, p.config.restarts))
+    iterations = p.config.iterations
+    if stop_above is None:
+        results = _ascend_stack(flat, n, scale, _starts(p, restarts), iterations, None)
+    else:
+        results = [_ascend_one(flat, n, scale, _starts(p, restarts[:1])[0], iterations)]
+        if results[0][1] <= stop_above and len(restarts) > 1:
+            results += _ascend_stack(flat, n, scale, _starts(p, restarts[1:]), iterations, stop_above)
     best_c = np.zeros(m)
     best_val = float("-inf")
-    for restart in range(max(1, p.config.restarts)):
-        if restart == 0:
-            c = np.array([float(np.trace(s)) for s in p.grams])
-            if not np.linalg.norm(c):
-                c = np.ones(m)
-        else:
-            rng = np.random.default_rng((p.config.rng_seed, restart))
-            c = rng.standard_normal(m)
-        c = c / np.linalg.norm(c)
-        local_best = float("-inf")
-        since_improve = 0
-        for t in range(p.config.iterations):
-            mat = np.einsum("i,ijk->jk", c, p.grams)
-            vals, vecs = np.linalg.eigh(mat)
-            val = float(vals[0])
-            if val > local_best + STALL_TOL:
-                local_best = val
-                since_improve = 0
-            else:
-                since_improve += 1
-                if since_improve >= STALL_WINDOW:
-                    break
-            if val > best_val:
-                best_val = val
-                best_c = c.copy()
-            u = vecs[:, 0]
-            grad = np.einsum("j,ijk,k->i", u, p.grams, u)
-            step = 1.0 / (scale * np.sqrt(t + 1.0))
-            c = c + step * grad
-            nrm = np.linalg.norm(c)
-            if nrm > 1.0:
-                c = c / nrm
+    for c, val in results:
+        if val > best_val:
+            best_c, best_val = c, val
         if stop_above is not None and best_val > stop_above:
             break
     return best_c, best_val
+
+
+def _starts(p: FeasibilityProblem, restarts: range) -> np.ndarray:
+    """The unit start points of the given restarts, one row each."""
+    rows = []
+    for restart in restarts:
+        if restart == 0:
+            c = np.array([float(np.trace(s)) for s in p.grams])
+            if not np.linalg.norm(c):
+                c = np.ones(p.size)
+        else:
+            c = np.random.default_rng((p.config.rng_seed, restart)).standard_normal(p.size)
+        rows.append(c / np.linalg.norm(c))
+    return np.array(rows)
+
+
+def _ascend_one(
+    flat: np.ndarray, n: int, scale: float, c: np.ndarray, iterations: int
+) -> tuple[np.ndarray, float]:
+    """One restart from c: its first best point and value.
+
+    Restart 0 runs here when it runs alone; a stack of one in _ascend_stack
+    costs about twice as much per step.
+    """
+    best_c, best_val = c, float("-inf")
+    local_best = float("-inf")
+    since_improve = 0
+    for t in range(iterations):
+        vals, vecs = np.linalg.eigh((c @ flat).reshape(n, n))
+        val = float(vals[0])
+        if val > local_best + STALL_TOL:
+            local_best = val
+            since_improve = 0
+        else:
+            since_improve += 1
+            if since_improve >= STALL_WINDOW:
+                break
+        if val > best_val:
+            best_c, best_val = c, val
+        u = vecs[:, 0]
+        c = c + (flat @ np.outer(u, u).ravel()) / (scale * np.sqrt(t + 1.0))
+        nrm = np.linalg.norm(c)
+        if nrm > 1.0:
+            c = c / nrm
+    return best_c, best_val
+
+
+def _ascend_stack(
+    flat: np.ndarray,
+    n: int,
+    scale: float,
+    starts: np.ndarray,
+    iterations: int,
+    stop_above: float | None,
+) -> list[tuple[np.ndarray, float]]:
+    """The restarts from the rows of starts, stepped together.
+
+    Row r follows the trajectory _ascend_one takes from starts[r].  Once the
+    best of some row clears stop_above, the rows after it leave the stack:
+    the caller never reads their results.
+    """
+    best_c = starts.copy()
+    best_val = np.full(len(starts), -np.inf)
+    rows = np.arange(len(starts))  # the restarts still stepping, with their state
+    c = starts
+    local_best = best_val.copy()
+    since_improve = np.zeros(len(starts), dtype=int)
+    for t in range(iterations):
+        if not rows.size:
+            break
+        vals, vecs = np.linalg.eigh((c @ flat).reshape(-1, n, n))
+        val = vals[:, 0]
+        improved = val > local_best + STALL_TOL
+        local_best = np.where(improved, val, local_best)
+        since_improve = np.where(improved, 0, since_improve + 1)
+        keep = since_improve < STALL_WINDOW
+        better = keep & (val > best_val[rows])
+        best_val[rows[better]] = val[better]
+        best_c[rows[better]] = c[better]
+        if stop_above is not None:
+            cleared = best_val > stop_above
+            if cleared.any():
+                keep &= rows <= cleared.argmax()
+        u = vecs[:, :, 0]
+        c = c + ((u[:, :, None] * u[:, None, :]).reshape(-1, n * n) @ flat.T) / (scale * np.sqrt(t + 1.0))
+        c /= np.maximum(np.linalg.norm(c, axis=1), 1.0)[:, None]
+        if not keep.all():
+            rows, c, local_best, since_improve = rows[keep], c[keep], local_best[keep], since_improve[keep]
+    return [(best_c[r], float(best_val[r])) for r in range(len(starts))]
 
 
 def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:

@@ -206,10 +206,13 @@ def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
 def charpoly(m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     """Coefficients [c0, c1, ..., 1] of det(tI - m), ascending in t.
 
-    Faddeev-LeVerrier; exact divisions stay in the rationals.
+    Faddeev-LeVerrier; exact divisions stay in the rationals.  The zero
+    matrix, the adjoint of every central element, gives t^n at once.
     """
     n = len(m)
     coeffs = [ZERO] * n + [ONE]
+    if all(x == 0 for row in m for x in row):
+        return coeffs
     mk = identity(n)
     for k in range(1, n + 1):
         mk = mat_mul(m, mk)

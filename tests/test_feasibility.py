@@ -1,5 +1,6 @@
 """Feasibility lane: precheck, ascent, exactification, dual certificates."""
 
+import logging
 import math
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from tamecert import (
 from tamecert.algebra import scale_structure_constants
 from tamecert.forms import leading_minors_positive, taming_gram
 
-from conftest import conjugate, pull_back
+from conftest import CORPUS_NAMES, conjugate, pull_back, random_basis_change, rational_sampler
 
 F = Fraction
 
@@ -52,6 +53,57 @@ def fake_problem(gram_basis, dim=2):
         config=FeasibilityConfig(),
         j_integrable=True,
     )
+
+
+# the dense basis change of test_conjugated_inoue_rank_one_certificate
+INOUE_P = [[F(x) for x in row] for row in [[2, -2, -1, -1], [2, -2, -1, -2], [1, 2, 0, 1], [0, -2, 0, -1]]]
+
+
+def sequential_maximize_lambda_min(p, stop_above=None):
+    """The ascent with its restarts run one after another, one eigh per step."""
+    m = p.size
+    n = p.algebra.dim
+    if m == 0 or n == 0:
+        return np.zeros(m), float("-inf") if n else float("inf")
+    scale = max(float(np.linalg.norm(s)) for s in p.grams)
+    scale = scale if scale > 0 else 1.0
+    best_c = np.zeros(m)
+    best_val = float("-inf")
+    for restart in range(max(1, p.config.restarts)):
+        if restart == 0:
+            c = np.array([float(np.trace(s)) for s in p.grams])
+            if not np.linalg.norm(c):
+                c = np.ones(m)
+        else:
+            rng = np.random.default_rng((p.config.rng_seed, restart))
+            c = rng.standard_normal(m)
+        c = c / np.linalg.norm(c)
+        local_best = float("-inf")
+        since_improve = 0
+        for t in range(p.config.iterations):
+            mat = np.einsum("i,ijk->jk", c, p.grams)
+            vals, vecs = np.linalg.eigh(mat)
+            val = float(vals[0])
+            if val > local_best + feas_mod.STALL_TOL:
+                local_best = val
+                since_improve = 0
+            else:
+                since_improve += 1
+                if since_improve >= feas_mod.STALL_WINDOW:
+                    break
+            if val > best_val:
+                best_val = val
+                best_c = c.copy()
+            u = vecs[:, 0]
+            grad = np.einsum("j,ijk,k->i", u, p.grams, u)
+            step = 1.0 / (scale * np.sqrt(t + 1.0))
+            c = c + step * grad
+            nrm = np.linalg.norm(c)
+            if nrm > 1.0:
+                c = c / nrm
+        if stop_above is not None and best_val > stop_above:
+            break
+    return best_c, best_val
 
 
 # --- problem assembly ---
@@ -120,6 +172,54 @@ def test_maximize_aff_single_gram():
     p = problem_for(2, {(0, 1): {1: 1}})
     _, value = maximize_lambda_min(p)
     assert value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_maximize_h3_one_stacked_eigh_per_step(monkeypatch):
+    # the 50 restarts step together: one eigh call per step, not per restart
+    calls = 0
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    _, value = maximize_lambda_min(problem_for(4, {(0, 1): {2: 1}}), stop_above=None)
+    assert value <= 1e-9
+    assert calls <= 1000
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["inoue_s0~P"])
+@pytest.mark.parametrize("stop_above", [None, 1e-3])
+def test_maximize_matches_sequential_reference(corpus, name, stop_above):
+    if name == "inoue_s0~P":
+        g, J = conjugate(corpus["inoue_s0"].algebra, INOUE_P, corpus["inoue_s0"].J)
+    else:
+        g, J = corpus[name].algebra, corpus[name].J
+    p = build_problem(g, J, FeasibilityConfig(restarts=5))
+    ref_c, ref_value = sequential_maximize_lambda_min(p, stop_above)
+    c, value = maximize_lambda_min(p, stop_above)
+    if ref_value > p.config.eps_feas:
+        assert value == pytest.approx(ref_value, abs=1e-9)
+        assert exactify(p, c)[0].coeffs == exactify(p, ref_c)[0].coeffs
+    else:
+        assert ref_value <= 1e-9 and value <= 1e-9
+
+
+def test_maximize_stops_after_first_restart_to_clear(corpus):
+    # short restarts on a conjugated aff_r2: restart 0 stays below the
+    # margin, restart 1 is the first to clear it, and restart 5 would go
+    # higher; the stacked group must still return restart 1's best point
+    fx = corpus["aff_r2"]
+    g, J = conjugate(fx.algebra, random_basis_change(rational_sampler(1), 4), fx.J)
+    p = build_problem(g, J, FeasibilityConfig(restarts=6, iterations=100))
+    assert sequential_maximize_lambda_min(build_problem(g, J, FeasibilityConfig(restarts=1, iterations=100)))[1] <= 1e-3
+    ref_c, ref_value = sequential_maximize_lambda_min(p, 1e-3)
+    c, value = maximize_lambda_min(p, 1e-3)
+    assert maximize_lambda_min(p, None)[1] > ref_value > 1e-3
+    assert value == pytest.approx(ref_value, abs=1e-9)
+    assert exactify(p, c)[0].coeffs == exactify(p, ref_c)[0].coeffs
 
 
 # --- exactification ---
@@ -249,9 +349,8 @@ def test_conjugated_inoue_rank_one_certificate(corpus):
     # a dense basis change of an algebra with complex weights: the nilradical
     # and the rank-one certificate must both come out exact
     fx = corpus["inoue_s0"]
-    P = [[F(x) for x in row] for row in [[2, -2, -1, -1], [2, -2, -1, -2], [1, 2, 0, 1], [0, -2, 0, -1]]]
-    g, J = conjugate(fx.algebra, P, fx.J)
-    assert nilradical(g) == pull_back(Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]), P)
+    g, J = conjugate(fx.algebra, INOUE_P, fx.J)
+    assert nilradical(g) == pull_back(Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]), INOUE_P)
     # the precheck proves the verdict; a short ascent keeps the test fast
     v = decide(g, J, FeasibilityConfig(restarts=1, iterations=200))
     assert isinstance(v, Infeasible) and v.residual == 0.0
@@ -260,6 +359,19 @@ def test_conjugated_inoue_rank_one_certificate(corpus):
     assert [list(r) for r in v.dual] == [[u[i] * u[j] / sum(x * x for x in u) for j in range(4)] for i in range(4)]
     for s in build_problem(g, J).gram_basis:
         assert sum(u[i] * s[i][j] * u[j] for i in range(4) for j in range(4)) == 0
+
+
+def test_non_integrable_j_is_logged(corpus, caplog):
+    fx = corpus["sol3_r_nonint"]
+    with caplog.at_level(logging.WARNING, logger="tamecert.feasibility"):
+        p = build_problem(fx.algebra, fx.J)
+    assert not p.j_integrable
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "not integrable" in caplog.records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tamecert.feasibility"):
+        build_problem(corpus["aff_r2"].algebra, corpus["aff_r2"].J)
+    assert not caplog.records
 
 
 def test_homogeneity_of_verdicts(corpus):

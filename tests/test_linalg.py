@@ -71,9 +71,13 @@ def test_charpoly_matches_determinant_oracle():
     # independent oracle: evaluate det(tI - A) by Gaussian elimination at
     # sample points and compare with the Faddeev-LeVerrier coefficients
     rng = random.Random(3)
+    random_inputs = []
     for _ in range(10):
         n = rng.randint(1, 5)
-        a = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        random_inputs.append([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+    zero_inputs = [[[F(0)] * n for _ in range(n)] for n in range(1, 6)]
+    for a in random_inputs + zero_inputs:
+        n = len(a)
         p = charpoly(a)
         for t in (F(0), F(1), F(-2), F(5, 3)):
             shifted = [[(t if i == j else F(0)) - a[i][j] for j in range(n)] for i in range(n)]
