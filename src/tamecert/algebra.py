@@ -396,25 +396,25 @@ def _assert_nilradical(g: LieAlgebra, n: Subspace) -> None:
         raise NotSolvable("internal: nilradical candidate misses the derived algebra")
 
 
+def weight_spaces(g: LieAlgebra) -> list[Subspace]:
+    """The joint eigenspaces of ad g whose weights are rational.
+
+    Each is {x : [y, x] = lambda(y) x for all y} for one rational weight
+    lambda, so the list does not depend on the basis; its order does.
+    """
+    ads = [g.adjoint_of_basis(i) for i in range(g.dim)]
+    return [space for space, _ in _rational_joint_eigenspaces(ads, g.dim)]
+
+
 def one_dim_ideals(g: LieAlgebra) -> list[Subspace]:
     """Rational lines L with [g, L] contained in L.
 
-    Lines are extracted from the joint eigenspaces of the basis adjoints
-    (one line per echelon basis vector) and returned sorted by pivot
-    position and basis entries, so the order is deterministic.
+    Lines are extracted from the rational weight spaces (one line per echelon
+    basis vector) and returned sorted by pivot position and basis entries, so
+    the order is deterministic.
     """
-    ads = [g.adjoint_of_basis(i) for i in range(g.dim)]
-    joint = _rational_joint_eigenspaces(ads, g.dim)
-    lines: list[Subspace] = []
-    seen = set()
-    for space, _ in joint:
-        for b in space.basis:
-            line = Subspace.from_vectors(g.dim, [b])
-            if line.basis not in seen:
-                seen.add(line.basis)
-                lines.append(line)
-    lines.sort(key=lambda l: (l.pivots()[0], l.basis[0]))
-    return lines
+    lines = {Subspace.from_vectors(g.dim, [b]) for space in weight_spaces(g) for b in space.basis}
+    return sorted(lines, key=lambda l: (l.pivots()[0], l.basis[0]))
 
 
 def quotient(g: LieAlgebra, h: Subspace) -> tuple[LieAlgebra, list[Vec], "QuotientMap"]:

@@ -2,9 +2,11 @@
 
 The decision pipeline:
 
-  1. exact rank-one pre-check: search for a vector v with B(v, Jv) = 0 for
-     every closed 2-form B; such a v makes v v^T / |v|^2 a dual certificate
-     and proves infeasibility outright;
+  1. exact rank-one pre-check: on subspaces defined by g and J alone (each
+     rational weight space of ad g inside [g, g], then [g, g] cap J[g, g]),
+     the common radical of the closed Gram forms; a nonzero v in it has
+     B(v, Jv) = 0 for every closed 2-form B, so v v^T / |v|^2 is a dual
+     certificate and proves infeasibility outright;
   2. projected supgradient ascent maximizing lambda_min(sum c_i S_i) over the
      unit ball of coefficients (S_i = Gram forms of a closed basis), with
      deterministic multi-start.  The restarts step together, one stacked
@@ -26,14 +28,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .algebra import LieAlgebra, nilradical, one_dim_ideals
-from .errors import ExactificationFailed, NotSolvable
+from .algebra import LieAlgebra, weight_spaces
+from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, frac, mat_add, mat_scale, nullspace, rational_roots, charpoly, unit_vec, vec
+from .linalg import Mat, Subspace, Vec, ZERO, frac, mat_add, mat_scale, mat_vec, nullspace, transpose, vec_dot
 
 DEFAULT_EPS_FEAS = 1e-7
 DEFAULT_EPS_DUAL = 1e-8
@@ -134,98 +135,34 @@ def build_problem(
     )
 
 
-def _quadratic_values(p: FeasibilityProblem, v: Sequence[Fraction]) -> list[Fraction]:
-    v = vec(v)
-    out = []
-    for s in p.gram_basis:
-        out.append(sum((v[i] * s[i][j] * v[j] for i in range(len(v)) for j in range(len(v))), ZERO))
-    return out
-
-
-def _generalized_eigenspaces(op: Mat, n: int) -> list[Subspace]:
-    spaces = []
-    for mu in rational_roots(charpoly(op)):
-        shifted = [list(row) for row in op]
-        for d in range(n):
-            shifted[d][d] -= mu
-        power = shifted
-        for _ in range(n - 1):
-            power = [
-                [sum((power[i][k] * shifted[k][j] for k in range(n)), ZERO) for j in range(n)]
-                for i in range(n)
-            ]
-        spaces.append(Subspace.from_vectors(n, nullspace(power, ncols=n)))
-    return spaces
-
-
 def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     """Exact search for a universal degeneracy direction.
 
-    Candidates mirror the obstruction loci of the structure theory: invariant
-    lines of the derived algebra, the center of the nilradical, and the
-    generalized eigenspaces of basis adjoints acting on the nilradical.
+    The subspaces searched are defined by g and J alone: each rational weight
+    space of ad g intersected with D = [g, g], then the J-invariant part
+    D cap J D.  On each subspace W the common radical of the closed Gram forms
+    restricted to W is an exact nullspace; any nonzero v in it has
+    B(v, Jv) = 0 for every closed B.  The radical transforms with a basis
+    change, so whether the precheck hits does not depend on the basis.
     """
     g = p.algebra
-    candidates: list[tuple[Vec, str]] = []
-    seen: set[Vec] = set()
-
-    def push(v: Vec, provenance: str) -> None:
-        if any(x != 0 for x in v) and v not in seen:
-            seen.add(v)
-            candidates.append((v, provenance))
-
     derived = g.derived_subalgebra()
-    for line in one_dim_ideals(g):
-        if derived.contains(line):
-            push(line.basis[0], "derived-algebra line")
-    for b in derived.basis:
-        push(b, "derived-algebra line")
-
-    nil = nilradical(g) if g.is_solvable() else None
-    if nil is not None and nil.dim:
-        nil_sub_center = _center_of(g, nil)
-        for b in nil_sub_center.basis:
-            push(b, "nilradical center")
-        for u in range(g.dim):
-            if nil.contains_vector(unit_vec(g.dim, u)):
-                continue
-            op = _restrict_adjoint(g, u, nil)
-            for space in _generalized_eigenspaces(op, nil.dim):
-                for w in space.basis:
-                    amb = [ZERO] * g.dim
-                    for coeff, nb in zip(w, nil.basis):
-                        amb = [x + coeff * y for x, y in zip(amb, nb)]
-                    push(tuple(amb), "generalized eigenspace")
-
-    for v, provenance in candidates:
-        if all(q == 0 for q in _quadratic_values(p, v)):
-            return DegeneracyDirection(vector=v, provenance=provenance)
+    spaces = [(space.intersect(derived), "weight space in [g,g]") for space in weight_spaces(g)]
+    j_derived = Subspace.from_vectors(g.dim, [p.J.apply(b) for b in derived.basis])
+    spaces.append((derived.intersect(j_derived), "J-invariant part of [g,g]"))
+    for w, provenance in spaces:
+        if not w.dim:
+            continue
+        # rows of the stacked restricted Grams B S_i B^T, B the basis rows of w
+        rows = [
+            [vec_dot(sx, y) for y in w.basis]
+            for s in p.gram_basis
+            for sx in [mat_vec(s, x) for x in w.basis]
+        ]
+        radical = nullspace(rows, ncols=w.dim)
+        if radical:
+            return DegeneracyDirection(vector=mat_vec(transpose(w.basis), radical[0]), provenance=provenance)
     return None
-
-
-def _center_of(g: LieAlgebra, sub: Subspace) -> Subspace:
-    """{v in sub : [v, sub] = 0} as an ambient subspace."""
-    rows = []
-    for b in sub.basis:
-        ad = g.adjoint(b)
-        rows.extend([[ad[i][j] for j in range(g.dim)] for i in range(g.dim)])
-    if not rows:
-        return sub
-    kernel = Subspace.from_vectors(g.dim, nullspace(rows, ncols=g.dim))
-    # kernel of the full adjoint restricted to sub elements: vectors commuting
-    # with the chosen basis of sub; intersect with sub itself
-    return kernel.intersect(sub)
-
-
-def _restrict_adjoint(g: LieAlgebra, basis_index: int, sub: Subspace) -> Mat:
-    cols = []
-    for b in sub.basis:
-        w = g.bracket(unit_vec(g.dim, basis_index), b)
-        coords = sub.coordinates_of(w)
-        if coords is None:
-            raise NotSolvable("internal: nilradical is not ad-invariant")
-        cols.append(coords)
-    return [[cols[b][a] for b in range(sub.dim)] for a in range(sub.dim)]
 
 
 def lambda_min_at(p: FeasibilityProblem, c: np.ndarray) -> float:

@@ -4,7 +4,8 @@ The analysis report records structural flags, the feasibility verdict with
 certificates, and a consistency check against the structure theorem: on a
 unimodular completely solvable algebra with integrable J, a Feasible verdict
 on a non-abelian algebra is an inconsistency (numerical false positive or
-bug) and drives a nonzero exit code.
+bug) and drives a nonzero exit code; so is any other verdict on an abelian
+algebra, which is Kaehler for every J.
 """
 
 from __future__ import annotations
@@ -160,7 +161,9 @@ def analyze(fixture: Fixture, config: FeasibilityConfig | None = None) -> Analys
 
     applicable = bool(unimodular and cs and j_present and integrable)
     feasible = isinstance(feas, Feasible)
-    consistent = not (applicable and feasible and not abelian)
+    # the theorem forbids Feasible unless abelian; an abelian algebra is
+    # Kaehler for every J, so there anything but Feasible is wrong too
+    consistent = not applicable or feasible == abelian
     if not j_present:
         detail = "no complex structure supplied; theorem sweep not applicable"
     elif not applicable:
@@ -172,6 +175,8 @@ def analyze(fixture: Fixture, config: FeasibilityConfig | None = None) -> Analys
         if not integrable:
             reasons.append("J not integrable")
         detail = "not applicable: " + "; ".join(reasons)
+    elif not consistent and abelian:
+        detail = "INCONSISTENT: no Feasible verdict on an abelian algebra, which is Kaehler for every J"
     elif not consistent:
         detail = "INCONSISTENT: Feasible taming form on a non-abelian unimodular completely solvable algebra"
     elif isinstance(feas, Unknown):

@@ -14,12 +14,11 @@ error (TamingLost), never a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import LieAlgebra, one_dim_ideals, quotient, subalgebra
 from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
 from .forms import ComplexStructure, TwoForm, ce_d, is_integrable, is_taming
-from .linalg import Subspace, Vec, ZERO, nullspace, vec_sub, vec_scale
+from .linalg import Subspace, Vec, ZERO, nullspace, unit_vec, vec_sub, vec_scale
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def omega_perp(t: TamedTriple, h: Subspace) -> tuple[Subspace, bool | None]:
     """Omega-orthogonal complement of h; also reports, when h is an ideal,
     whether the complement is a subalgebra (it must be)."""
     g = t.algebra
-    rows = [[t.omega(w, _unit(g.dim, c)) for c in range(g.dim)] for w in h.basis]
+    rows = [[t.omega(w, unit_vec(g.dim, c)) for c in range(g.dim)] for w in h.basis]
     perp = (
         Subspace.from_vectors(g.dim, nullspace(rows, ncols=g.dim))
         if rows
@@ -111,10 +110,6 @@ def omega_perp(t: TamedTriple, h: Subspace) -> tuple[Subspace, bool | None]:
     )
     subalg_check = g.is_subalgebra(perp) if g.is_ideal(h) else None
     return perp, subalg_check
-
-
-def _unit(n: int, i: int) -> Vec:
-    return tuple(Fraction(1) if j == i else ZERO for j in range(n))
 
 
 @dataclass(frozen=True)

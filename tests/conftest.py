@@ -79,3 +79,18 @@ def pull_back(s: Subspace, P: list[list[Fraction]]) -> Subspace:
     """P^-1 s: the subspace s in the basis given by the columns of P."""
     Pinv = mat_inverse(P)
     return Subspace.from_vectors(s.ambient_dim, [mat_vec(Pinv, b) for b in s.basis])
+
+
+def direct_sum(
+    g1: LieAlgebra, J1: ComplexStructure, g2: LieAlgebra, J2: ComplexStructure
+) -> tuple[LieAlgebra, ComplexStructure]:
+    """g1 + g2 with the block-diagonal complex structure J1 + J2."""
+    n1, n = g1.dim, g1.dim + g2.dim
+    brackets = g1.bracket_table()
+    for (i, j), comps in g2.bracket_table().items():
+        brackets[(i + n1, j + n1)] = {k + n1: c for k, c in comps.items()}
+    J = [[Fraction(0)] * n for _ in range(n)]
+    for off, Jk in ((0, J1), (n1, J2)):
+        for r, row in enumerate(Jk.matrix):
+            J[off + r][off : off + len(row)] = row
+    return LieAlgebra.from_brackets(n, brackets), ComplexStructure.from_matrix(J)

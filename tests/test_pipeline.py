@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import tamecert.pipeline as pipeline_mod
 from tamecert import (
     Feasible,
     FixtureError,
     Infeasible,
     TamedTriple,
     TripleVerificationError,
+    Unknown,
     analyze,
     corpus_run,
     dumps_report,
@@ -19,7 +21,7 @@ from tamecert import (
 )
 from tamecert.cli import main as cli_main
 from tamecert.linalg import is_zero_vec
-from tamecert.pipeline import EXIT_INPUT_ERROR, EXIT_OK
+from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
 
 F = Fraction
 
@@ -99,6 +101,17 @@ def test_analyze_abelian(corpus):
     assert report.theorem_consistency.applicable
     assert isinstance(report.feasibility, Feasible)
     assert report.theorem_consistency.consistent
+
+
+def test_analyze_abelian_without_feasible_is_inconsistent(corpus, monkeypatch):
+    # an abelian algebra is Kaehler for every J, so the sweep must flag any
+    # other verdict there, just as it flags Feasible on a non-abelian one
+    monkeypatch.setattr(pipeline_mod, "decide", lambda g, J, config=None: Unknown(best_lambda_min=0.0))
+    report = analyze(corpus["abelian_r4"])
+    assert report.theorem_consistency.applicable
+    assert report.theorem_consistency.consistent is False
+    assert "abelian" in report.theorem_consistency.detail
+    assert report.exit_code == EXIT_INCONSISTENT
 
 
 def test_analyze_aff_not_applicable(corpus):
