@@ -2,7 +2,7 @@
 
 Structure constants are kept as sparse maps over ``Fraction``; every
 structural decision (Jacobi, series, ideals, unimodularity, complete
-solvability, the nilradical, adjoint weights and their flag) is made in exact
+solvability, rational weight spaces and invariant lines) is made in exact
 rational arithmetic at every dimension.  No floating point is used here.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, JacobiViolation, NoOneDimIdeal, NotAnIdeal, NotASubalgebra, NotSolvable
+from .errors import DimensionMismatch, JacobiViolation, NotAnIdeal, NotASubalgebra
 from .linalg import (
     Mat,
     Subspace,
@@ -21,9 +21,7 @@ from .linalg import (
     all_roots_real,
     charpoly,
     frac,
-    identity,
     is_zero_vec,
-    mat_mul,
     mat_trace,
     nullspace,
     rational_roots,
@@ -196,14 +194,6 @@ class LieAlgebra:
     def is_nilpotent(self) -> bool:
         return self.lower_central_series()[-1].dim == 0
 
-    def center(self) -> Subspace:
-        rows: list[list[Fraction]] = []
-        for i in range(self.dim):
-            rows.extend(self.adjoint_of_basis(i))
-        if not rows:
-            return Subspace.full(self.dim)
-        return Subspace.from_vectors(self.dim, nullspace(rows, ncols=self.dim))
-
     def is_ideal(self, h: Subspace) -> bool:
         for i in range(self.dim):
             for b in h.basis:
@@ -226,98 +216,6 @@ def validate(
 ) -> LieAlgebra:
     """Construct a LieAlgebra, raising JacobiViolation on the first bad triple."""
     return LieAlgebra.from_brackets(dim, brackets, labels=labels, check=True)
-
-
-# --- weights of the adjoint representation ---
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A rational weight of the adjoint representation: its values on the basis."""
-
-    real: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class WeightList:
-    """Diagonal weights of a triangularized adjoint representation.
-
-    ``flag`` is the ascending chain of ad-invariant subspaces realizing the
-    triangularization; ``weights[k]`` is the weight on ``flag[k] / flag[k-1]``.
-    """
-
-    weights: tuple[Weight, ...]
-    flag: tuple[Subspace, ...]
-
-
-def _induced_ops(g: LieAlgebra, flag_space: Subspace) -> tuple[list[Mat], list[int]]:
-    """Adjoint actions induced on the quotient by flag_space.
-
-    Quotient coordinates are the standard positions outside the pivot set.
-    """
-    comp = flag_space.standard_complement_positions()
-    ops = []
-    for i in range(g.dim):
-        cols = []
-        for c in comp:
-            w = flag_space.reduce_vector(g.bracket(unit_vec(g.dim, i), unit_vec(g.dim, c)))
-            cols.append([w[p] for p in comp])
-        ops.append([[cols[b][a] for b in range(len(comp))] for a in range(len(comp))])
-    return ops, comp
-
-
-def _rational_joint_eigenspaces(ops: list[Mat], n: int) -> list[tuple[Subspace, tuple[Fraction, ...]]]:
-    """All joint eigenspaces of ops with fully rational weight tuples.
-
-    Branches over rational eigenvalues of each operator, intersecting
-    eigenspaces; complete for joint eigenvectors whose weights are rational.
-    """
-    branches: list[tuple[Subspace, tuple[Fraction, ...]]] = [(Subspace.full(n), ())]
-    for a in ops:
-        nxt = []
-        eigs = rational_roots(charpoly(a))
-        for space, wt in branches:
-            for mu in eigs:
-                shifted = [list(row) for row in a]
-                for d in range(n):
-                    shifted[d][d] -= mu
-                eigenspace = Subspace.from_vectors(n, nullspace(shifted, ncols=n))
-                inter = space.intersect(eigenspace)
-                if inter.dim > 0:
-                    nxt.append((inter, wt + (mu,)))
-        branches = nxt
-        if not branches:
-            break
-    return branches
-
-
-def adjoint_weights(g: LieAlgebra) -> WeightList:
-    """Weights and invariant flag of the adjoint representation.
-
-    The flag is built by iterated rational common-eigenvector extraction on
-    the successive quotients.  Raises NoOneDimIdeal when some quotient has no
-    rational joint eigenvector (complex or irrational weights).
-    """
-    if not g.is_solvable():
-        raise NotSolvable("adjoint weights require a solvable algebra")
-    flag: list[Subspace] = []
-    weights: list[Weight] = []
-    current = Subspace.zero(g.dim)
-    while current.dim < g.dim:
-        ops, comp = _induced_ops(g, current)
-        joint = _rational_joint_eigenspaces(ops, len(comp))
-        if not joint:
-            raise NoOneDimIdeal(f"no rational invariant line in the quotient by a {current.dim}-dim flag ideal")
-        # deterministic pick: smallest weight tuple, then first echelon line
-        joint.sort(key=lambda sw: sw[1])
-        space, wt = joint[0]
-        ambient = [ZERO] * g.dim
-        for c, x in zip(comp, space.basis[0]):
-            ambient[c] = x
-        current = current.add(Subspace.from_vectors(g.dim, [ambient]))
-        flag.append(current)
-        weights.append(Weight(real=wt))
-    return WeightList(tuple(weights), tuple(flag))
 
 
 @dataclass(frozen=True)
@@ -345,65 +243,29 @@ def is_completely_solvable(g: LieAlgebra) -> CompleteSolvability:
     return CompleteSolvability(True, None)
 
 
-def _associative_closure(ads: list[Mat], n: int) -> list[Mat]:
-    """A basis of the unital associative algebra generated by ads."""
-    basis = [identity(n)]
-    span = Subspace.from_vectors(n * n, [[x for row in basis[0] for x in row]])
-    for m in basis:  # grows while it is walked: closes span under left multiplication
-        for a in ads:
-            prod = mat_mul(a, m)
-            residue = span.reduce_vector([x for row in prod for x in row])
-            if not is_zero_vec(residue):
-                span = Subspace.from_vectors(n * n, list(span.basis) + [residue])
-                basis.append(prod)
-    return basis
-
-
-def nilradical(g: LieAlgebra) -> Subspace:
-    """Largest nilpotent ideal of a solvable algebra.
-
-    For solvable g in characteristic 0, nil(g) = {x : tr(ad x . a) = 0 for
-    every a in the unital associative algebra A generated by ad g}
-    (de Graaf, *Lie Algebras: Theory and Algorithms*, North-Holland 2000,
-    section 2.3; the trace criterion goes back to Dickson).  In a basis
-    triangularizing ad g over C, tr(ad x . a) pairs the weights at x with the
-    diagonal of a, and a = (ad x)^k gives their power sums; so the kernel is
-    the common kernel of the weights, i.e. the ad-nilpotent elements.  Every
-    step is a rational linear solve, whatever the weights are.
-    """
-    if not g.is_solvable():
-        raise NotSolvable("nilradical computation requires a solvable algebra")
-    ads = [g.adjoint_of_basis(i) for i in range(g.dim)]
-    rows = [
-        [sum((ad[r][s] * a[s][r] for r in range(g.dim) for s in range(g.dim)), ZERO) for ad in ads]
-        for a in _associative_closure(ads, g.dim)
-    ]
-    n = Subspace.from_vectors(g.dim, nullspace(rows, ncols=g.dim))
-    _assert_nilradical(g, n)
-    return n
-
-
-def _assert_nilradical(g: LieAlgebra, n: Subspace) -> None:
-    # exact safety net; a nilpotent ideal consists of ad-nilpotent elements,
-    # so these checks certify the candidate elementwise
-    if not g.is_ideal(n):
-        raise NotSolvable("internal: nilradical candidate is not an ideal")
-    if n.dim:
-        sub, _ = subalgebra(g, n)
-        if not sub.is_nilpotent():
-            raise NotSolvable("internal: nilradical candidate is not nilpotent")
-    if not n.contains(g.derived_subalgebra()):
-        raise NotSolvable("internal: nilradical candidate misses the derived algebra")
-
-
 def weight_spaces(g: LieAlgebra) -> list[Subspace]:
     """The joint eigenspaces of ad g whose weights are rational.
 
     Each is {x : [y, x] = lambda(y) x for all y} for one rational weight
-    lambda, so the list does not depend on the basis; its order does.
+    lambda, so the list does not depend on the basis; its order does.  They
+    are found by branching over the rational eigenvalues of each basis
+    adjoint in turn, in ascending order, and intersecting eigenspaces.
     """
-    ads = [g.adjoint_of_basis(i) for i in range(g.dim)]
-    return [space for space, _ in _rational_joint_eigenspaces(ads, g.dim)]
+    n = g.dim
+    branches = [Subspace.full(n)]
+    for i in range(n):
+        a = g.adjoint_of_basis(i)
+        eigenspaces = []
+        for mu in rational_roots(charpoly(a)):
+            shifted = [list(row) for row in a]
+            for d in range(n):
+                shifted[d][d] -= mu
+            eigenspaces.append(Subspace.from_vectors(n, nullspace(shifted, ncols=n)))
+        branches = [space.intersect(e) for space in branches for e in eigenspaces]
+        branches = [space for space in branches if space.dim > 0]
+        if not branches:
+            break
+    return branches
 
 
 def one_dim_ideals(g: LieAlgebra) -> list[Subspace]:

@@ -24,10 +24,6 @@ class JacobiViolation(TamecertError):
         super().__init__(f"Jacobi identity fails on basis triple {triple}: residual {residual}")
 
 
-class NotSolvable(TamecertError):
-    pass
-
-
 class NotAnIdeal(TamecertError):
     pass
 

@@ -11,6 +11,10 @@ Fixture schema (rationals are integers or "p/q" strings; indices 0-based):
       "omega": [ {"i": int, "j": int, "v": rational} ]   # optional, i < j
     }
 
+``dim`` is capped at ``MAX_FIXTURE_DIM``: the Jacobi check alone costs
+O(dim^4) exact operations, so a larger one-line file is refused before any
+structure is built instead of hanging the run.
+
 Report JSON is emitted with floats at 17 significant digits so parsing it
 back reproduces the exact double values.
 """
@@ -27,6 +31,8 @@ from .algebra import LieAlgebra
 from .errors import FixtureError, NotAComplexStructure
 from .forms import ComplexStructure, TwoForm
 from .linalg import frac
+
+MAX_FIXTURE_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,8 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
         raise FixtureError(f"{source}: 'name' must be a string")
     if not isinstance(dim, int) or dim < 0:
         raise FixtureError(f"{source}: 'dim' must be a nonnegative integer")
+    if dim > MAX_FIXTURE_DIM:
+        raise FixtureError(f"{source}: 'dim' is {dim}, above the cap of {MAX_FIXTURE_DIM}")
     basis = doc.get("basis")
     if basis is not None:
         if not isinstance(basis, list) or len(basis) != dim:
@@ -133,23 +141,6 @@ def load_fixture(path: str | Path) -> Fixture:
     except OSError as exc:
         raise FixtureError(f"{path}: {exc}") from exc
     return parse_fixture(doc, source=str(path))
-
-
-def fixture_to_doc(fx: Fixture) -> dict:
-    doc: dict = {
-        "name": fx.name,
-        "dim": fx.algebra.dim,
-        "basis": list(fx.algebra.basis_labels),
-        "brackets": [
-            {"i": i, "j": j, "v": {str(k): rational_str(c) for k, c in comps}}
-            for (i, j), comps in fx.algebra.structure_constants
-        ],
-    }
-    if fx.J is not None:
-        doc["J"] = [[rational_str(x) for x in row] for row in fx.J.matrix]
-    if fx.omega is not None:
-        doc["omega"] = [{"i": i, "j": j, "v": rational_str(c)} for (i, j), c in fx.omega.coeffs]
-    return doc
 
 
 def rational_str(x: Fraction) -> int | str:

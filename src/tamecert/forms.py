@@ -101,9 +101,6 @@ class TwoForm:
             m[j][i] = -c
         return m
 
-    def coeff_vector(self, pairs: Sequence[tuple[int, int]]) -> Vec:
-        return tuple(self.coeff(i, j) for i, j in pairs)
-
     def add(self, other: "TwoForm") -> "TwoForm":
         entries = dict(self.coeffs)
         for k, c in other.coeffs:

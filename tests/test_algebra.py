@@ -10,21 +10,17 @@ import pytest
 from tamecert import (
     JacobiViolation,
     LieAlgebra,
-    NoOneDimIdeal,
     NotAnIdeal,
     NotASubalgebra,
-    NotSolvable,
     Subspace,
-    adjoint_weights,
     is_completely_solvable,
-    nilradical,
     one_dim_ideals,
     quotient,
     subalgebra,
     validate,
+    weight_spaces,
 )
 from tamecert.algebra import scale_structure_constants
-from tamecert.linalg import mat_mul, mat_trace
 
 from conftest import conjugate, pull_back, random_basis_change, random_rational_vector
 
@@ -112,13 +108,9 @@ def test_dimension_mismatch():
         validate(2, {}, labels=["only-one"])
 
 
-def test_exact_weights_at_dim_10():
-    # no dimension cutoff: aff(R) + R^8 gets exact weights and an exact flag
+def test_completely_solvable_at_dim_10():
+    # no dimension cutoff: aff(R) + R^8 is decided exactly
     g = validate(10, {(0, 1): {1: 1}})
-    wl = adjoint_weights(g)
-    assert [s.dim for s in wl.flag] == list(range(1, 11))
-    assert all(g.is_ideal(s) for s in wl.flag)
-    assert sorted(w.real[0] for w in wl.weights) == [F(0)] * 9 + [F(1)]
     verdict = is_completely_solvable(g)
     assert verdict.value and verdict.witness is None
     # R^6 + inoue_s0: the rotating e4 of the summand is basis index 9
@@ -192,54 +184,10 @@ def test_flag_implications_on_corpus(corpus):
 # --- weights ---
 
 
-def test_weights_abelian_all_zero():
-    wl = adjoint_weights(abelian(3))
-    assert len(wl.flag) == 3
-    assert all(all(x == 0 for x in w.real) for w in wl.weights)
-
-
-def test_weights_aff():
-    wl = adjoint_weights(aff_r())
-    rows = sorted(w.real for w in wl.weights)
-    assert rows == [(F(0), F(0)), (F(1), F(0))]  # lambda(H)=1, lambda(X)=0 and zero
-    assert wl.flag[0] == Subspace.from_vectors(2, [(0, 1)])  # span(X) comes first
-
-
 def test_weights_inoue_complex():
-    # ad_{e4} has eigenvalues 1 +- i on span(e1, e2): no rational flag exists
-    with pytest.raises(NoOneDimIdeal):
-        adjoint_weights(inoue_s0())
+    # ad_{e4} has eigenvalues 1 +- i on span(e1, e2)
     bad = is_completely_solvable(inoue_s0())
     assert not bad.value and bad.witness == 3  # e4
-
-
-def test_weights_sum_to_trace_on_corpus(corpus):
-    rng = random.Random(23)
-    for name, fx in corpus.items():
-        g = fx.algebra
-        if name == "inoue_s0":  # complex weights
-            with pytest.raises(NoOneDimIdeal):
-                adjoint_weights(g)
-            continue
-        wl = adjoint_weights(g)
-        for _ in range(20):
-            x = random_rational_vector(rng, g.dim)
-            total = sum(sum(a * b for a, b in zip(w.real, x)) for w in wl.weights)
-            assert total == mat_trace(g.adjoint(x)), name
-
-
-def test_flag_subspaces_are_ideals(corpus):
-    for name, fx in corpus.items():
-        g = fx.algebra
-        if name == "inoue_s0":  # complex weights
-            with pytest.raises(NoOneDimIdeal):
-                adjoint_weights(g)
-            continue
-        wl = adjoint_weights(g)
-        dims = [s.dim for s in wl.flag]
-        assert dims == list(range(1, g.dim + 1)), name
-        for s in wl.flag:
-            assert g.is_ideal(s), name
 
 
 def test_completely_solvable():
@@ -250,6 +198,11 @@ def test_completely_solvable():
     assert not bad.value and bad.witness == 2  # ad_{e3} has eigenvalues +- i
     bad = is_completely_solvable(killing_trap())
     assert not bad.value and bad.witness == 4
+    # sl2: [e,f] = h, [h,e] = 2e, [h,f] = -2f  (order e,f,h)
+    sl2 = validate(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+    assert not sl2.is_solvable()
+    bad = is_completely_solvable(sl2)
+    assert not bad.value and bad.witness is None
 
 
 def test_irrational_real_weights():
@@ -259,44 +212,11 @@ def test_irrational_real_weights():
     verdict = is_completely_solvable(g)
     assert verdict.value and verdict.witness is None  # decided exactly by Sturm
     assert one_dim_ideals(g) == []  # the invariant lines are irrational
-    with pytest.raises(NoOneDimIdeal):
-        adjoint_weights(g)
-    # the trace criterion keeps the nilradical exact regardless
-    assert nilradical(g) == Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)])
 
 
-def test_adjoint_weights_requires_solvable():
-    # sl2: [e,f] = h, [h,e] = 2e, [h,f] = -2f  (order e,f,h)
-    sl2 = validate(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
-    assert not sl2.is_solvable()
-    with pytest.raises(NotSolvable):
-        adjoint_weights(sl2)
-    with pytest.raises(NotSolvable):
-        nilradical(sl2)
-
-
-# --- nilradical ---
-
-
-def test_nilradical_examples():
-    assert nilradical(h3_r()) == Subspace.full(4)
-    assert nilradical(aff_r()) == Subspace.from_vectors(2, [(0, 1)])
-    # derived: ad_H has nonzero eigenvalues, so H is excluded
-    assert nilradical(sol4_1()) == Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    # complex weights
-    assert nilradical(inoue_s0()) == Subspace.from_vectors(
-        4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
-    )
-    assert nilradical(e2()) == Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
-    # the Killing form vanishes identically, yet nil is only span(e1..e4)
-    g = killing_trap()
-    ads = [g.adjoint_of_basis(i) for i in range(5)]
-    assert all(mat_trace(mat_mul(a, b)) == 0 for a in ads for b in ads)
-    assert nilradical(g) == Subspace.from_vectors(5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
-
-
-def test_nilradical_basis_covariance(corpus):
-    # x -> P x maps the conjugated algebra onto g, so nil must follow P^-1
+def test_weight_spaces_basis_covariance(corpus):
+    # x -> P x maps the conjugated algebra onto g, so each weight space must
+    # follow P^-1; the order of the list depends on the basis, the set does not
     rng = random.Random(41)
     non_abelian = [name for name, fx in corpus.items() if not fx.algebra.is_abelian()]
     assert len(non_abelian) == 7
@@ -304,7 +224,7 @@ def test_nilradical_basis_covariance(corpus):
         g = corpus[name].algebra
         P = random_basis_change(rng, g.dim)
         conj, _ = conjugate(g, P)
-        assert nilradical(conj) == pull_back(nilradical(g), P), name
+        assert set(weight_spaces(conj)) == {pull_back(s, P) for s in weight_spaces(g)}, name
 
 
 def test_algebra_module_imports_no_numpy():
@@ -317,19 +237,6 @@ def test_algebra_module_imports_no_numpy():
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
     assert "numpy" not in imported
-
-
-def test_nilradical_properties_on_corpus(corpus):
-    for name, fx in corpus.items():
-        g = fx.algebra
-        if not g.is_solvable():
-            continue
-        n = nilradical(g)
-        assert g.is_ideal(n), name
-        assert n.contains(g.derived_subalgebra()), name
-        if n.dim:
-            sub, _ = subalgebra(g, n)
-            assert sub.is_nilpotent(), name
 
 
 # --- one-dimensional ideals, quotients, subalgebras ---
@@ -389,4 +296,3 @@ def test_scaling_preserves_structure():
     s = scale_structure_constants(g, F(3, 2))
     assert s.is_unimodular() == (True, None)
     assert bool(is_completely_solvable(s))
-    assert nilradical(s) == nilradical(g)

@@ -14,7 +14,6 @@ from tamecert import (
     FeasibilityConfig,
     FeasibilityProblem,
     Infeasible,
-    Subspace,
     TwoForm,
     Unknown,
     build_problem,
@@ -24,14 +23,14 @@ from tamecert import (
     dual_certificate,
     exactify,
     maximize_lambda_min,
-    nilradical,
     standard_complex_structure,
     validate,
 )
 from tamecert.algebra import scale_structure_constants
-from tamecert.forms import leading_minors_positive, taming_gram
+from tamecert.forms import ComplexStructure, leading_minors_positive, taming_gram
+from tamecert.linalg import mat_inverse, mat_mul
 
-from conftest import CORPUS_NAMES, conjugate, direct_sum, pull_back, random_basis_change, rational_sampler
+from conftest import CORPUS_NAMES, conjugate, direct_sum, random_basis_change, rational_sampler
 
 F = Fraction
 
@@ -367,11 +366,10 @@ def test_infeasible_soundness(corpus):
 
 
 def test_conjugated_inoue_rank_one_certificate(corpus):
-    # a dense basis change of an algebra with complex weights: the nilradical
-    # and the rank-one certificate must both come out exact
+    # a dense basis change of an algebra with complex weights: the rank-one
+    # certificate must come out exact
     fx = corpus["inoue_s0"]
     g, J = conjugate(fx.algebra, INOUE_P, fx.J)
-    assert nilradical(g) == pull_back(Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]), INOUE_P)
     # the precheck proves the verdict; a short ascent keeps the test fast
     v = decide(g, J, FeasibilityConfig(restarts=1, iterations=200))
     assert isinstance(v, Infeasible) and v.residual == 0.0
@@ -380,6 +378,31 @@ def test_conjugated_inoue_rank_one_certificate(corpus):
     assert [list(r) for r in v.dual] == [[u[i] * u[j] / sum(x * x for x in u) for j in range(4)] for i in range(4)]
     for s in build_problem(g, J).gram_basis:
         assert sum(u[i] * s[i][j] * u[j] for i in range(4) for j in range(4)) == 0
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        [[2, 1, 2, -1], [2, 0, -2, 0], [-2, 1, 2, -2], [1, 1, 1, -2]],
+        [[1, 2, 1, 1], [2, -2, -2, 1], [-1, 2, 0, -1], [1, 2, 2, -2]],
+    ],
+)
+def test_float_dual_certificate_on_aff_r2(corpus, P):
+    # a different, non-integrable J = P J0 P^-1 on the same algebra: the
+    # precheck misses, so the verdict comes from the float dual lane
+    fx = corpus["aff_r2"]
+    P = [[F(x) for x in row] for row in P]
+    J = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in fx.J.matrix]), mat_inverse(P)))
+    p = build_problem(fx.algebra, J)
+    assert not p.j_integrable
+    assert degeneracy_precheck(p) is None
+    v = decide(fx.algebra, J)
+    assert isinstance(v, Infeasible) and v.rank_one_direction is None
+    assert v.residual <= FeasibilityConfig.eps_dual
+    dual = np.array(v.dual, dtype=float)
+    assert abs(np.trace(dual) - 1) <= 1e-8
+    for s in p.grams:
+        assert abs(float(np.tensordot(s, dual))) <= 1e-8
 
 
 def test_non_integrable_j_is_logged(corpus, caplog):

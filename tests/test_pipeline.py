@@ -10,6 +10,7 @@ from tamecert import (
     Feasible,
     FixtureError,
     Infeasible,
+    LieAlgebra,
     TamedTriple,
     TripleVerificationError,
     Unknown,
@@ -20,6 +21,7 @@ from tamecert import (
     proof_trace,
 )
 from tamecert.cli import main as cli_main
+from tamecert.fixtures import MAX_FIXTURE_DIM
 from tamecert.linalg import is_zero_vec
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
 
@@ -66,6 +68,23 @@ def test_parse_diagnostics(mutate, fragment):
     with pytest.raises(FixtureError) as err:
         parse_fixture(doc)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("dim", [MAX_FIXTURE_DIM + 1, 10**6])
+def test_parse_rejects_dim_above_cap(dim, monkeypatch):
+    # refused before any structure is built: the Jacobi check is O(dim^4)
+    def build(*args, **kwargs):
+        raise AssertionError("algebra built for an oversized fixture")
+
+    monkeypatch.setattr(LieAlgebra, "from_brackets", build)
+    with pytest.raises(FixtureError) as err:
+        parse_fixture({"name": "big", "dim": dim, "brackets": []})
+    assert f"cap of {MAX_FIXTURE_DIM}" in str(err.value)
+
+
+def test_parse_accepts_dim_at_cap():
+    fx = parse_fixture({"name": "r16", "dim": MAX_FIXTURE_DIM, "brackets": []})
+    assert fx.algebra.dim == MAX_FIXTURE_DIM and fx.algebra.is_abelian()
 
 
 def test_jacobi_failure_reported_as_fixture_error():

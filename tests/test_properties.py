@@ -9,17 +9,15 @@ from fractions import Fraction
 
 from tamecert import (
     OneForm,
-    adjoint_weights,
     ce_d,
     closed_two_forms,
     decide,
     Infeasible,
     Feasible,
     is_completely_solvable,
-    nilradical,
     validate,
 )
-from tamecert.linalg import Subspace, unit_vec
+from tamecert.linalg import unit_vec
 
 from conftest import random_rational_vector
 
@@ -50,10 +48,6 @@ def test_two_step_nilpotent_invariants():
         assert g.is_nilpotent()
         assert bool(is_completely_solvable(g))
         assert g.is_unimodular() == (True, None)
-        assert nilradical(g) == Subspace.full(g.dim)
-        wl = adjoint_weights(g)
-        assert len(wl.flag) == g.dim
-        assert all(all(x == 0 for x in w.real) for w in wl.weights)
         # d-squared and closed-basis exactness
         for i in range(g.dim):
             assert ce_d(g, ce_d(g, OneForm.from_coeffs(unit_vec(g.dim, i)))).is_zero()
