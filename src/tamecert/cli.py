@@ -25,21 +25,15 @@ from .reduction import TamedTriple, reduction_tower
 
 
 def _add_feasibility_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for the multi-start ascent")
     p.add_argument("--eps-feas", type=float, default=FeasibilityConfig.eps_feas)
     p.add_argument("--eps-dual", type=float, default=FeasibilityConfig.eps_dual)
-    p.add_argument("--restarts", type=int, default=FeasibilityConfig.restarts)
-    p.add_argument("--iters", type=int, default=FeasibilityConfig.iterations)
+    # the deterministic barrier solve has no seed, restarts or iteration budget
+    for flag in ("--seed", "--restarts", "--iters"):
+        p.add_argument(flag, type=int, help="kept for compatibility; has no effect")
 
 
 def _config(args) -> FeasibilityConfig:
-    return FeasibilityConfig(
-        eps_feas=args.eps_feas,
-        eps_dual=args.eps_dual,
-        restarts=args.restarts,
-        iterations=args.iters,
-        rng_seed=args.seed,
-    )
+    return FeasibilityConfig(eps_feas=args.eps_feas, eps_dual=args.eps_dual)
 
 
 def build_parser() -> argparse.ArgumentParser:

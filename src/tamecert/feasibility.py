@@ -7,12 +7,12 @@ The decision pipeline:
      the common radical of the closed Gram forms; a nonzero v in it has
      B(v, Jv) = 0 for every closed 2-form B, so v v^T / |v|^2 is a dual
      certificate and proves infeasibility outright;
-  2. projected supgradient ascent maximizing lambda_min(sum c_i S_i) over the
-     unit ball of coefficients (S_i = Gram forms of a closed basis), with
-     deterministic multi-start.  The restarts step together, one stacked
-     eigensolve per step, and a restart leaves the stack when it stalls.  The
-     result is the one running the restarts in order gives: the first best
-     point, over the restarts up to the first that clears the stop margin;
+  2. one deterministic log-barrier path-following solve maximizing
+     lambda_min(sum c_i S_i) over the unit ball of coefficients (S_i = Gram
+     forms of a closed basis): damped Newton steps on the barrier of the
+     small SDP "maximize t with sum c_i S_i - t I > 0, |c| < 1", run until
+     the duality-gap bound is below GAP_TOL.  Over the ball the supremum is
+     never below 0 (c = 0), and it is 0 exactly when no closed form tames J;
   3. on a positive margin, continued-fraction rounding back to an exact
      rational form whose Gram is re-proved positive definite by principal
      minors; on a nonpositive margin, alternating projections between the
@@ -38,12 +38,14 @@ from .linalg import Mat, Subspace, Vec, ZERO, frac, mat_add, mat_scale, mat_vec,
 
 DEFAULT_EPS_FEAS = 1e-7
 DEFAULT_EPS_DUAL = 1e-8
-DEFAULT_RESTARTS = 50
-DEFAULT_ITERATIONS = 5000
 
-# a restart stops early once this many iterations pass without improvement
-STALL_WINDOW = 300
-STALL_TOL = 1e-13
+# the barrier solve: Newton steps are damped while the decrement exceeds
+# DAMPED_DECREMENT, centering ends at NEWTON_TOL, and the path ends once the
+# gap bound (n + 1) / tau is below GAP_TOL
+DAMPED_DECREMENT = 0.25
+NEWTON_TOL = 1e-6
+GAP_TOL = 1e-10
+MAX_CENTERING_STEPS = 100
 
 EXACTIFY_DENOMINATOR_BOUNDS = (10**6, 10**8, 10**10, 10**12)
 
@@ -54,9 +56,6 @@ logger = logging.getLogger(__name__)
 class FeasibilityConfig:
     eps_feas: float = DEFAULT_EPS_FEAS
     eps_dual: float = DEFAULT_EPS_DUAL
-    restarts: int = DEFAULT_RESTARTS
-    iterations: int = DEFAULT_ITERATIONS
-    rng_seed: int = 0
 
 
 @dataclass
@@ -87,7 +86,7 @@ class Infeasible:
     dual: tuple  # symmetric PSD matrix; exact rationals for rank-one, floats otherwise
     residual: float
     rank_one_direction: Vec | None
-    best_primal: float  # best primal margin seen by the ascent
+    best_primal: float  # primal margin of the barrier solve
     kind: str = field(default="infeasible", init=False)
 
 
@@ -173,132 +172,80 @@ def lambda_min_at(p: FeasibilityProblem, c: np.ndarray) -> float:
 def maximize_lambda_min(
     p: FeasibilityProblem, stop_above: float | None = None
 ) -> tuple[np.ndarray, float]:
-    """Projected supgradient ascent of lambda_min over the coefficient ball.
+    """Maximize lambda_min(sum c_i S_i) over the unit ball of coefficients.
 
-    Deterministic for a fixed seed: restart 0 starts along the trace
-    direction, later restarts draw from per-restart generators seeded by
-    (rng_seed, restart).  Each restart stops on stall or after `iterations`
-    steps.  Restarts in a group step together, one stacked eigensolve per
-    step, and a stalled restart leaves the stack.  Without stop_above all
-    restarts form one group; with it, restart 0 runs alone and the rest run
-    as one group only if restart 0 did not clear stop_above.
+    One deterministic log-barrier path-following solve (an interior-point
+    method for this small SDP, as in Helmberg-Rendl-Vanderbei-Wolkowicz 1996)
+    of: maximize t subject to F(c, t) = sum c_i S_i / scale - t I > 0 and
+    |c| < 1.  It starts at c = 0, t = -1, strictly feasible for every
+    problem, and minimizes -tau t - log det F - log(1 - |c|^2) by damped
+    Newton steps for tau = 1, 10, 100, ... until the gap bound (n + 1) / tau
+    falls below GAP_TOL.  A factorization that fails near the boundary keeps
+    the last strictly feasible iterate.
 
-    The result is that of running the restarts one after another: the best
-    point of the first restart, in order, with the largest value, taken over
-    the restarts up to the first whose best clears stop_above.
+    Returns that iterate's c and the float lambda_min of sum c_i S_i there.
+    stop_above is accepted but unused: the solve runs to the same tolerance
+    whatever margin the caller needs.
     """
     m = p.size
     n = p.algebra.dim
     if m == 0 or n == 0:
         return np.zeros(m), float("-inf") if n else float("inf")
-    flat = p.grams.reshape(m, n * n)
     scale = max(float(np.linalg.norm(s)) for s in p.grams)
     scale = scale if scale > 0 else 1.0
-    restarts = range(max(1, p.config.restarts))
-    iterations = p.config.iterations
-    if stop_above is None:
-        results = _ascend_stack(flat, n, scale, _starts(p, restarts), iterations, None)
-    else:
-        results = [_ascend_one(flat, n, scale, _starts(p, restarts[:1])[0], iterations)]
-        if results[0][1] <= stop_above and len(restarts) > 1:
-            results += _ascend_stack(flat, n, scale, _starts(p, restarts[1:]), iterations, stop_above)
-    best_c = np.zeros(m)
-    best_val = float("-inf")
-    for c, val in results:
-        if val > best_val:
-            best_c, best_val = c, val
-        if stop_above is not None and best_val > stop_above:
-            break
-    return best_c, best_val
+    # F(x) = sum_k x_k A_k for x = (c, t), A = (S_1/scale, ..., S_m/scale, -I)
+    c = _barrier_path(np.concatenate([p.grams / scale, -np.eye(n)[None]]))[:m]
+    return c, lambda_min_at(p, c)
 
 
-def _starts(p: FeasibilityProblem, restarts: range) -> np.ndarray:
-    """The unit start points of the given restarts, one row each."""
-    rows = []
-    for restart in restarts:
-        if restart == 0:
-            c = np.array([float(np.trace(s)) for s in p.grams])
-            if not np.linalg.norm(c):
-                c = np.ones(p.size)
-        else:
-            c = np.random.default_rng((p.config.rng_seed, restart)).standard_normal(p.size)
-        rows.append(c / np.linalg.norm(c))
-    return np.array(rows)
-
-
-def _ascend_one(
-    flat: np.ndarray, n: int, scale: float, c: np.ndarray, iterations: int
-) -> tuple[np.ndarray, float]:
-    """One restart from c: its first best point and value.
-
-    Restart 0 runs here when it runs alone; a stack of one in _ascend_stack
-    costs about twice as much per step.
-    """
-    best_c, best_val = c, float("-inf")
-    local_best = float("-inf")
-    since_improve = 0
-    for t in range(iterations):
-        vals, vecs = np.linalg.eigh((c @ flat).reshape(n, n))
-        val = float(vals[0])
-        if val > local_best + STALL_TOL:
-            local_best = val
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= STALL_WINDOW:
+def _barrier_path(a: np.ndarray) -> np.ndarray:
+    """The last strictly feasible iterate x = (c, t) of the path-following solve."""
+    x = np.zeros(len(a))
+    x[-1] = -1.0
+    good = x
+    tau = 1.0
+    while True:
+        last = np.inf
+        for _ in range(MAX_CENTERING_STEPS):
+            try:
+                dx, delta = _newton_step(a, x, tau)
+            except np.linalg.LinAlgError:
+                return good
+            good = x
+            # centered, or a full step no longer shrinks the decrement: roundoff
+            if delta <= NEWTON_TOL or last <= delta <= DAMPED_DECREMENT:
                 break
-        if val > best_val:
-            best_c, best_val = c, val
-        u = vecs[:, 0]
-        c = c + (flat @ np.outer(u, u).ravel()) / (scale * np.sqrt(t + 1.0))
-        nrm = np.linalg.norm(c)
-        if nrm > 1.0:
-            c = c / nrm
-    return best_c, best_val
+            last = delta
+            x = x + (dx / (1.0 + delta) if delta > DAMPED_DECREMENT else dx)
+        if (a.shape[1] + 1) / tau < GAP_TOL:
+            return good
+        tau *= 10.0
 
 
-def _ascend_stack(
-    flat: np.ndarray,
-    n: int,
-    scale: float,
-    starts: np.ndarray,
-    iterations: int,
-    stop_above: float | None,
-) -> list[tuple[np.ndarray, float]]:
-    """The restarts from the rows of starts, stepped together.
+def _newton_step(a: np.ndarray, x: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+    """Newton direction and decrement of -tau t - log det F - log(1 - |c|^2) at x = (c, t).
 
-    Row r follows the trajectory _ascend_one takes from starts[r].  Once the
-    best of some row clears stop_above, the rows after it leave the stack:
-    the caller never reads their results.
+    With F = L L^T and W_k = L^-1 A_k L^-T, the gradient of -log det F is
+    -tr W_k and its Hessian is <W_j, W_k>.  Raises LinAlgError when x is not
+    strictly feasible or the Hessian is singular.
     """
-    best_c = starts.copy()
-    best_val = np.full(len(starts), -np.inf)
-    rows = np.arange(len(starts))  # the restarts still stepping, with their state
-    c = starts
-    local_best = best_val.copy()
-    since_improve = np.zeros(len(starts), dtype=int)
-    for t in range(iterations):
-        if not rows.size:
-            break
-        vals, vecs = np.linalg.eigh((c @ flat).reshape(-1, n, n))
-        val = vals[:, 0]
-        improved = val > local_best + STALL_TOL
-        local_best = np.where(improved, val, local_best)
-        since_improve = np.where(improved, 0, since_improve + 1)
-        keep = since_improve < STALL_WINDOW
-        better = keep & (val > best_val[rows])
-        best_val[rows[better]] = val[better]
-        best_c[rows[better]] = c[better]
-        if stop_above is not None:
-            cleared = best_val > stop_above
-            if cleared.any():
-                keep &= rows <= cleared.argmax()
-        u = vecs[:, :, 0]
-        c = c + ((u[:, :, None] * u[:, None, :]).reshape(-1, n * n) @ flat.T) / (scale * np.sqrt(t + 1.0))
-        c /= np.maximum(np.linalg.norm(c, axis=1), 1.0)[:, None]
-        if not keep.all():
-            rows, c, local_best, since_improve = rows[keep], c[keep], local_best[keep], since_improve[keep]
-    return [(best_c[r], float(best_val[r])) for r in range(len(starts))]
+    c = x[:-1]
+    r = 1.0 - c @ c
+    if not r > 0.0:
+        raise np.linalg.LinAlgError("outside the coefficient ball")
+    linv = np.linalg.inv(np.linalg.cholesky(np.tensordot(x, a, 1)))
+    w = linv @ a @ linv.T
+    grad = -np.einsum("kii->k", w)
+    w = w.reshape(len(x), -1)
+    # einsum, not a BLAS product: one summation order whatever the BLAS thread
+    # count, and no thread wake-ups (with two threads, a first dim-12 solve
+    # took 1 s against 0.1 s)
+    hess = np.einsum("ij,kj->ik", w, w)
+    grad[-1] -= tau
+    grad[:-1] += 2.0 * c / r
+    hess[:-1, :-1] += 2.0 * np.eye(len(c)) / r + 4.0 * np.outer(c, c) / r**2
+    dx = -np.linalg.solve(hess, grad)
+    return dx, float(np.sqrt(max(-(grad @ dx), 0.0)))
 
 
 def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
@@ -394,7 +341,7 @@ def _rank_one_dual(p: FeasibilityProblem, v: Vec) -> Mat:
 def decide(
     g: LieAlgebra, J: ComplexStructure, config: FeasibilityConfig | None = None
 ) -> FeasibilityVerdict:
-    """Full pipeline: pre-check, primal ascent, exactify or dual certificate."""
+    """Full pipeline: pre-check, primal barrier solve, exactify or dual certificate."""
     config = config or FeasibilityConfig()
     p = build_problem(g, J, config)
     if g.dim == 0:

@@ -1,7 +1,8 @@
-"""Feasibility lane: precheck, ascent, exactification, dual certificates."""
+"""Feasibility lane: precheck, barrier solve, exactification, dual certificates."""
 
 import logging
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -58,8 +59,17 @@ def fake_problem(gram_basis, dim=2):
 INOUE_P = [[F(x) for x in row] for row in [[2, -2, -1, -1], [2, -2, -1, -2], [1, 2, 0, 1], [0, -2, 0, -1]]]
 
 
-def sequential_maximize_lambda_min(p, stop_above=None):
-    """The ascent with its restarts run one after another, one eigh per step."""
+# the supgradient ascent that maximize_lambda_min used before the barrier
+# solve, kept here only as an oracle, with its knobs as constants
+REF_RESTARTS = 50
+REF_ITERATIONS = 5000
+REF_SEED = 0
+REF_STALL_WINDOW = 300
+REF_STALL_TOL = 1e-13
+
+
+def sequential_maximize_lambda_min(p, stop_above=None, restarts=REF_RESTARTS):
+    """Projected supgradient ascent with deterministic restarts, one eigh per step."""
     m = p.size
     n = p.algebra.dim
     if m == 0 or n == 0:
@@ -68,27 +78,27 @@ def sequential_maximize_lambda_min(p, stop_above=None):
     scale = scale if scale > 0 else 1.0
     best_c = np.zeros(m)
     best_val = float("-inf")
-    for restart in range(max(1, p.config.restarts)):
+    for restart in range(restarts):
         if restart == 0:
             c = np.array([float(np.trace(s)) for s in p.grams])
             if not np.linalg.norm(c):
                 c = np.ones(m)
         else:
-            rng = np.random.default_rng((p.config.rng_seed, restart))
+            rng = np.random.default_rng((REF_SEED, restart))
             c = rng.standard_normal(m)
         c = c / np.linalg.norm(c)
         local_best = float("-inf")
         since_improve = 0
-        for t in range(p.config.iterations):
+        for t in range(REF_ITERATIONS):
             mat = np.einsum("i,ijk->jk", c, p.grams)
             vals, vecs = np.linalg.eigh(mat)
             val = float(vals[0])
-            if val > local_best + feas_mod.STALL_TOL:
+            if val > local_best + REF_STALL_TOL:
                 local_best = val
                 since_improve = 0
             else:
                 since_improve += 1
-                if since_improve >= feas_mod.STALL_WINDOW:
+                if since_improve >= REF_STALL_WINDOW:
                     break
             if val > best_val:
                 best_val = val
@@ -103,6 +113,17 @@ def sequential_maximize_lambda_min(p, stop_above=None):
         if stop_above is not None and best_val > stop_above:
             break
     return best_c, best_val
+
+
+def pool_draw(corpus, name, k):
+    """(g, J) of the conjugated benchmark item name~Pk, before its rescaling.
+
+    Rescaling P by t rescales the brackets and keeps the closed basis and its
+    Gram forms, so the draw's problem does not depend on the run seed.
+    """
+    fx = corpus[name]
+    P = random_basis_change(random.Random(f"tamecert-conjugated-pool:{name}:{k}"), fx.algebra.dim)
+    return conjugate(fx.algebra, P, fx.J)
 
 
 # --- problem assembly ---
@@ -172,7 +193,7 @@ def test_precheck_is_basis_independent(corpus):
                     assert isinstance(q, Fraction) and q == 0, (name, seed)
 
 
-# --- the ascent ---
+# --- the barrier solve ---
 
 
 def test_maximize_r4_reaches_known_optimum():
@@ -194,19 +215,24 @@ def test_maximize_aff_single_gram():
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_maximize_h3_one_stacked_eigh_per_step(monkeypatch):
-    # the 50 restarts step together: one eigh call per step, not per restart
+def test_maximize_linalg_call_budget(corpus, monkeypatch):
+    # one Newton step costs a cholesky, an inv and a solve, so the bound
+    # allows about 330 steps for the whole central path
     calls = 0
-    eigh = np.linalg.eigh
 
-    def counted(a, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return eigh(a, *args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    _, value = maximize_lambda_min(problem_for(4, {(0, 1): {2: 1}}), stop_above=None)
-    assert value <= 1e-9
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    g, J = conjugate(corpus["inoue_s0"].algebra, INOUE_P, corpus["inoue_s0"].J)
+    _, value = maximize_lambda_min(build_problem(g, J), stop_above=None)
+    assert abs(value) <= 1e-9
     assert calls <= 1000
 
 
@@ -217,8 +243,8 @@ def test_maximize_matches_sequential_reference(corpus, name, stop_above):
         g, J = conjugate(corpus["inoue_s0"].algebra, INOUE_P, corpus["inoue_s0"].J)
     else:
         g, J = corpus[name].algebra, corpus[name].J
-    p = build_problem(g, J, FeasibilityConfig(restarts=5))
-    ref_c, ref_value = sequential_maximize_lambda_min(p, stop_above)
+    p = build_problem(g, J)
+    ref_c, ref_value = sequential_maximize_lambda_min(p, stop_above, restarts=5)
     c, value = maximize_lambda_min(p, stop_above)
     if ref_value > p.config.eps_feas:
         assert value == pytest.approx(ref_value, abs=1e-9)
@@ -227,19 +253,19 @@ def test_maximize_matches_sequential_reference(corpus, name, stop_above):
         assert ref_value <= 1e-9 and value <= 1e-9
 
 
-def test_maximize_stops_after_first_restart_to_clear(corpus):
-    # short restarts on a conjugated aff_r2: restart 0 stays below the
-    # margin, restart 1 is the first to clear it, and restart 5 would go
-    # higher; the stacked group must still return restart 1's best point
-    fx = corpus["aff_r2"]
-    g, J = conjugate(fx.algebra, random_basis_change(rational_sampler(1), 4), fx.J)
-    p = build_problem(g, J, FeasibilityConfig(restarts=6, iterations=100))
-    assert sequential_maximize_lambda_min(build_problem(g, J, FeasibilityConfig(restarts=1, iterations=100)))[1] <= 1e-3
-    ref_c, ref_value = sequential_maximize_lambda_min(p, 1e-3)
+@pytest.mark.parametrize("name", ["aff_r2", "sol3_r_nonint"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_maximize_reaches_reference_on_conjugated_draws(corpus, name, k):
+    # the Feasible conjugated benchmark items, where the precheck misses and
+    # decide asks for a margin; the reference stalls below the optimum on
+    # sol3_r_nonint, so the solve may only match or beat it
+    p = build_problem(*pool_draw(corpus, name, k))
+    _, ref_value = sequential_maximize_lambda_min(p, 1e-3)
     c, value = maximize_lambda_min(p, 1e-3)
-    assert maximize_lambda_min(p, None)[1] > ref_value > 1e-3
-    assert value == pytest.approx(ref_value, abs=1e-9)
-    assert exactify(p, c)[0].coeffs == exactify(p, ref_c)[0].coeffs
+    assert ref_value > 1e-3
+    assert value >= ref_value - 1e-9
+    omega, lam = exactify(p, c)
+    assert leading_minors_positive(taming_gram(omega, p.J)) and lam > 0
 
 
 # --- exactification ---
@@ -370,8 +396,7 @@ def test_conjugated_inoue_rank_one_certificate(corpus):
     # certificate must come out exact
     fx = corpus["inoue_s0"]
     g, J = conjugate(fx.algebra, INOUE_P, fx.J)
-    # the precheck proves the verdict; a short ascent keeps the test fast
-    v = decide(g, J, FeasibilityConfig(restarts=1, iterations=200))
+    v = decide(g, J)
     assert isinstance(v, Infeasible) and v.residual == 0.0
     u = v.rank_one_direction
     assert u is not None
@@ -385,6 +410,10 @@ def test_conjugated_inoue_rank_one_certificate(corpus):
     [
         [[2, 1, 2, -1], [2, 0, -2, 0], [-2, 1, 2, -2], [1, 1, 1, -2]],
         [[1, 2, 1, 1], [2, -2, -2, 1], [-1, 2, 0, -1], [1, 2, 2, -2]],
+        [[1, -1, -1, -2], [0, -1, -2, -2], [0, 0, -2, 0], [2, 1, 2, 0]],
+        [[-2, 0, 0, 2], [2, 1, 0, 2], [-2, 1, -2, 1], [2, -2, 0, 1]],
+        [[2, -1, 1, 2], [0, -1, 1, 1], [0, 2, -1, -1], [0, 1, -1, 2]],
+        [[1, 1, -2, -2], [1, 1, -1, 2], [0, 1, -2, -1], [0, 2, 1, -2]],
     ],
 )
 def test_float_dual_certificate_on_aff_r2(corpus, P):
@@ -428,17 +457,16 @@ def test_homogeneity_of_verdicts(corpus):
 
 def test_determinism(corpus):
     fx = corpus["abelian_r4"]
-    cfg = FeasibilityConfig(rng_seed=12345)
-    v1 = decide(fx.algebra, fx.J, cfg)
-    v2 = decide(fx.algebra, fx.J, cfg)
+    v1 = decide(fx.algebra, fx.J)
+    v2 = decide(fx.algebra, fx.J)
     assert v1 == v2
-    v3 = decide(fx.algebra, fx.J, FeasibilityConfig(rng_seed=999))
-    assert v1.kind == v3.kind
+    assert v1.kind == "feasible"
 
     hx = corpus["h3_r"]
-    w1 = decide(hx.algebra, hx.J, cfg)
-    w2 = decide(hx.algebra, hx.J, cfg)
+    w1 = decide(hx.algebra, hx.J)
+    w2 = decide(hx.algebra, hx.J)
     assert w1 == w2
+    assert w1.kind == "infeasible"
 
 
 def test_feasible_downgrade_when_exactify_fails(monkeypatch):
