@@ -26,14 +26,15 @@ from .reduction import TamedTriple, reduction_tower
 
 def _add_feasibility_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-feas", type=float, default=FeasibilityConfig.eps_feas)
-    p.add_argument("--eps-dual", type=float, default=FeasibilityConfig.eps_dual)
-    # the deterministic barrier solve has no seed, restarts or iteration budget
+    # the deterministic barrier solve has no seed, restarts or iteration
+    # budget, and every dual certificate is exact, so no dual tolerance
+    p.add_argument("--eps-dual", type=float, help="kept for compatibility; has no effect")
     for flag in ("--seed", "--restarts", "--iters"):
         p.add_argument(flag, type=int, help="kept for compatibility; has no effect")
 
 
 def _config(args) -> FeasibilityConfig:
-    return FeasibilityConfig(eps_feas=args.eps_feas, eps_dual=args.eps_dual)
+    return FeasibilityConfig(eps_feas=args.eps_feas)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,8 +111,8 @@ def cmd_analyze(args) -> int:
         elif isinstance(v, Feasible):
             print(f"  feasibility: FEASIBLE  lambda_min={v.lambda_min:.6g} exact_pd={v.exact_pd}")
         elif isinstance(v, Infeasible):
-            tag = "rank-one" if v.rank_one_direction is not None else "numeric"
-            print(f"  feasibility: INFEASIBLE ({tag} dual, residual={v.residual:.3g})")
+            tag = "rank-one" if v.rank_one_direction is not None else "exact"
+            print(f"  feasibility: INFEASIBLE ({tag} dual)")
         elif isinstance(v, Unknown):
             print(f"  feasibility: UNKNOWN (best margin {v.best_lambda_min:.3g})")
         tc = report.theorem_consistency

@@ -15,12 +15,14 @@ The decision pipeline:
      never below 0 (c = 0), and it is 0 exactly when no closed form tames J;
   3. on a positive margin, continued-fraction rounding back to an exact
      rational form whose Gram is re-proved positive definite by principal
-     minors; on a nonpositive margin, alternating projections between the
-     affine set {<S_i, P> = 0, tr P = 1} and the PSD cone to produce a dual
-     certificate.
+     minors; on a nonpositive margin, the solve's own dual iterate
+     X = F^-1 / tr F^-1, rounded to rationals, moved exactly onto the affine
+     set {<S_i, X> = 0, tr X = 1} and re-proved positive definite the same
+     way (the Peyrl-Parrilo pattern, Theor. Comput. Sci. 2008).
 
-Verdicts are Feasible / Infeasible / Unknown; Unknown is an honest outcome
-when both certificate searches stall within budget.
+Verdicts are Feasible / Infeasible / Unknown.  Every Feasible and Infeasible
+verdict carries an exact rational certificate; when the rounding in step 3
+fails to re-prove, the verdict is Unknown.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .algebra import LieAlgebra, weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, frac, mat_add, mat_scale, mat_vec, nullspace, transpose, vec_dot
+from .linalg import Mat, Subspace, Vec, ZERO, frac, identity, mat_add, mat_scale, mat_vec, nullspace, solve, transpose, vec_dot
 
 DEFAULT_EPS_FEAS = 1e-7
 DEFAULT_EPS_DUAL = 1e-8
@@ -48,6 +50,7 @@ GAP_TOL = 1e-10
 MAX_CENTERING_STEPS = 100
 
 EXACTIFY_DENOMINATOR_BOUNDS = (10**6, 10**8, 10**10, 10**12)
+DUAL_DENOMINATOR_BOUND = 1000
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +58,7 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class FeasibilityConfig:
     eps_feas: float = DEFAULT_EPS_FEAS
+    # unread by decide, whose dual certificates are exact; perfbench/ reads it
     eps_dual: float = DEFAULT_EPS_DUAL
 
 
@@ -77,14 +81,14 @@ class FeasibilityProblem:
 class Feasible:
     omega: TwoForm  # exact rational coefficients
     lambda_min: float  # Gram lambda_min after unit-ball normalization
-    exact_pd: bool
+    exact_pd: bool  # always True: decide returns Unknown when exactify fails
     kind: str = field(default="feasible", init=False)
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    dual: tuple  # symmetric PSD matrix; exact rationals for rank-one, floats otherwise
-    residual: float
+    dual: tuple  # symmetric PSD matrix of exact rationals, trace one
+    residual: float  # always 0.0: the dual meets its constraints exactly
     rank_one_direction: Vec | None
     best_primal: float  # primal margin of the barrier solve
     kind: str = field(default="infeasible", init=False)
@@ -164,11 +168,6 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     return None
 
 
-def lambda_min_at(p: FeasibilityProblem, c: np.ndarray) -> float:
-    m = np.einsum("i,ijk->jk", np.asarray(c, dtype=float), p.grams)
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 def maximize_lambda_min(
     p: FeasibilityProblem, stop_above: float | None = None
 ) -> tuple[np.ndarray, float]:
@@ -191,43 +190,55 @@ def maximize_lambda_min(
     n = p.algebra.dim
     if m == 0 or n == 0:
         return np.zeros(m), float("-inf") if n else float("inf")
+    c = _barrier_path(p)[0][:m]
+    return c, float(np.linalg.eigvalsh(np.einsum("i,ijk->jk", c, p.grams))[0])
+
+
+def _barrier_path(p: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The last strictly feasible iterate x = (c, t) of the solve, and its dual iterate.
+
+    The dual iterate is X = F(x)^-1 / tr F(x)^-1.  At a centred point
+    tr F^-1 = tau and <S_k / scale, X> = 2 c_k / (r tau), r = 1 - |c|^2, so X
+    tends to a dual optimum: PSD, trace one, pairing to zero with every S_k.
+    """
     scale = max(float(np.linalg.norm(s)) for s in p.grams)
     scale = scale if scale > 0 else 1.0
     # F(x) = sum_k x_k A_k for x = (c, t), A = (S_1/scale, ..., S_m/scale, -I)
-    c = _barrier_path(np.concatenate([p.grams / scale, -np.eye(n)[None]]))[:m]
-    return c, lambda_min_at(p, c)
-
-
-def _barrier_path(a: np.ndarray) -> np.ndarray:
-    """The last strictly feasible iterate x = (c, t) of the path-following solve."""
+    a = np.concatenate([p.grams / scale, -np.eye(p.algebra.dim)[None]])
     x = np.zeros(len(a))
     x[-1] = -1.0
-    good = x
+    good, good_linv = x, np.eye(p.algebra.dim)  # F(x) = I here
     tau = 1.0
     while True:
         last = np.inf
         for _ in range(MAX_CENTERING_STEPS):
             try:
-                dx, delta = _newton_step(a, x, tau)
+                dx, delta, linv = _newton_step(a, x, tau)
             except np.linalg.LinAlgError:
-                return good
-            good = x
+                return _with_dual(good, good_linv)
+            good, good_linv = x, linv
             # centered, or a full step no longer shrinks the decrement: roundoff
             if delta <= NEWTON_TOL or last <= delta <= DAMPED_DECREMENT:
                 break
             last = delta
             x = x + (dx / (1.0 + delta) if delta > DAMPED_DECREMENT else dx)
         if (a.shape[1] + 1) / tau < GAP_TOL:
-            return good
+            return _with_dual(good, good_linv)
         tau *= 10.0
 
 
-def _newton_step(a: np.ndarray, x: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+def _with_dual(x: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and the dual iterate F(x)^-1 / tr F(x)^-1 from the inverse Cholesky factor of F(x)."""
+    finv = np.einsum("ki,kj->ij", linv, linv)  # F^-1 = L^-T L^-1
+    return x, finv / np.trace(finv)
+
+
+def _newton_step(a: np.ndarray, x: np.ndarray, tau: float) -> tuple[np.ndarray, float, np.ndarray]:
     """Newton direction and decrement of -tau t - log det F - log(1 - |c|^2) at x = (c, t).
 
     With F = L L^T and W_k = L^-1 A_k L^-T, the gradient of -log det F is
-    -tr W_k and its Hessian is <W_j, W_k>.  Raises LinAlgError when x is not
-    strictly feasible or the Hessian is singular.
+    -tr W_k and its Hessian is <W_j, W_k>.  Also returns L^-1.  Raises
+    LinAlgError when x is not strictly feasible or the Hessian is singular.
     """
     c = x[:-1]
     r = 1.0 - c @ c
@@ -245,7 +256,7 @@ def _newton_step(a: np.ndarray, x: np.ndarray, tau: float) -> tuple[np.ndarray, 
     grad[:-1] += 2.0 * c / r
     hess[:-1, :-1] += 2.0 * np.eye(len(c)) / r + 4.0 * np.outer(c, c) / r**2
     dx = -np.linalg.solve(hess, grad)
-    return dx, float(np.sqrt(max(-(grad @ dx), 0.0)))
+    return dx, float(np.sqrt(max(-(grad @ dx), 0.0))), linv
 
 
 def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
@@ -287,50 +298,34 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     raise ExactificationFailed("no denominator bound produced an exactly PD Gram")
 
 
-def dual_certificate(p: FeasibilityProblem, max_iters: int = 5000) -> tuple[np.ndarray, float] | None:
-    """PSD matrix pairing to zero with every closed Gram form, trace one.
+def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
+    """Exact PSD matrix of trace one pairing to zero with every closed Gram form.
 
-    Alternating projections between the affine constraint set and the PSD
-    cone; returns (certificate, residual) where the certificate satisfies the
-    affine constraints exactly (up to solver roundoff) and the residual is
-    its Frobenius distance to the PSD cone.
+    Rounds the dual iterate of the barrier solve to rationals of denominator
+    at most DUAL_DENOMINATOR_BOUND, symmetrizes it, and moves it exactly onto
+    {<S_i, X> = 0, tr X = 1} by the least-squares correction R^T y, with R
+    the rows S_1, ..., S_m, I and (R R^T) y = R X - (0, ..., 0, 1) solved in
+    rationals.  Returns (certificate, 0.0) when exact leading minors prove
+    the corrected matrix positive definite, and None otherwise: when the
+    affine set is empty (I lies in span{S_i}) or the optimum sits on the
+    boundary of the PSD cone, so that only a singular dual exists.
     """
     n = p.algebra.dim
     if n == 0:
         return None
-    rows = [s.reshape(-1) for s in p.grams]
-    rows.append(np.eye(n).reshape(-1))
-    cmat = np.array(rows)
-    b = np.zeros(len(rows))
-    b[-1] = 1.0
-    pinv = np.linalg.pinv(cmat)
-
-    def proj_affine(x: np.ndarray) -> np.ndarray:
-        v = x.reshape(-1)
-        return (v - pinv @ (cmat @ v - b)).reshape(n, n)
-
-    def proj_psd(x: np.ndarray) -> np.ndarray:
-        sym = (x + x.T) / 2.0
-        vals, vecs = np.linalg.eigh(sym)
-        return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-
-    x = np.eye(n) / n
-    residual = float("inf")
-    tol = p.config.eps_dual / 10.0
-    for _ in range(max_iters):
-        q = proj_affine(x)
-        r = proj_psd(q)
-        residual = float(np.linalg.norm(q - r))
-        x = r
-        if residual < tol:
-            break
-    q = proj_affine(x)
-    residual = float(np.linalg.norm(q - proj_psd(q)))
-    if not np.isfinite(residual):
+    x = _barrier_path(p)[1]
+    x = (x + x.T) / 2.0
+    q = [[Fraction(v).limit_denominator(DUAL_DENOMINATOR_BOUND) for v in row] for row in x]
+    rows = p.gram_basis + [identity(n)]
+    flat = [[v for row in r for v in row] for r in rows]
+    qflat = [v for row in q for v in row]
+    rhs = [vec_dot(r, qflat) for r in flat]
+    rhs[-1] -= 1
+    y = solve([[vec_dot(r, t) for t in flat] for r in flat], rhs)
+    if y is None:
         return None
-    if float(np.linalg.norm(cmat @ q.reshape(-1) - b)) > 1e-8:
-        return None  # affine set unreachable (or numerically so)
-    return q, residual
+    cert = [[q[i][j] - sum((yk * r[i][j] for yk, r in zip(y, rows)), ZERO) for j in range(n)] for i in range(n)]
+    return (cert, 0.0) if leading_minors_positive(cert) else None
 
 
 def _rank_one_dual(p: FeasibilityProblem, v: Vec) -> Mat:
@@ -353,34 +348,21 @@ def decide(
     direction = degeneracy_precheck(p)
     stop_above = None if direction is not None else max(10 * config.eps_feas, 1e-3)
     c, value = maximize_lambda_min(p, stop_above=stop_above)
-    if value > config.eps_feas and direction is None:
+    if direction is not None:
+        dual = _rank_one_dual(p, direction.vector)
+        return Infeasible(_freeze_matrix(dual), 0.0, direction.vector, value)
+    if value > config.eps_feas:
         try:
             omega, lam = exactify(p, c)
             return Feasible(omega, lam, True)
         except ExactificationFailed:
-            omega, q = _rounded_form(p, c)
-            qf = np.array([float(x) for x in q])
-            norm = float(np.linalg.norm(qf)) or 1.0
-            return Feasible(omega, lambda_min_at(p, qf) / norm, False)
-    if direction is not None:
-        dual = _rank_one_dual(p, direction.vector)
-        return Infeasible(_freeze_matrix(dual), 0.0, direction.vector, value)
-    cert = dual_certificate(p)
-    if cert is not None and cert[1] <= config.eps_dual:
-        q, residual = cert
-        return Infeasible(_freeze_matrix(q.tolist()), residual, None, value)
-    # near-zero supremum without a certificate: the degenerate boundary case
+            pass
+    else:
+        cert = dual_certificate(p)
+        if cert is not None:
+            return Infeasible(_freeze_matrix(cert[0]), cert[1], None, value)
+    # no certificate re-proved exactly; a near-zero supremum is the degenerate boundary case
     return Unknown(best_lambda_min=value, degenerate_logged=abs(value) <= 10 * config.eps_feas)
-
-
-def _rounded_form(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, list[Fraction]]:
-    top = float(np.max(np.abs(c))) or 1.0
-    q = [Fraction(float(x) / top).limit_denominator(10**6) for x in c]
-    omega = TwoForm.from_dict(p.algebra.dim, {})
-    for qi, b in zip(q, p.z2_basis):
-        if qi != 0:
-            omega = omega.add(b.scale(qi))
-    return omega, q
 
 
 def _freeze_matrix(m) -> tuple:

@@ -110,7 +110,7 @@ def verdict_to_dict(v: FeasibilityVerdict | None) -> dict | None:
                 if v.rank_one_direction is not None
                 else None
             ),
-            "dual": [[_cell(x) for x in row] for row in v.dual],
+            "dual": [[rational_str(x) for x in row] for row in v.dual],
             "best_primal": v.best_primal,
         }
     if isinstance(v, Unknown):
@@ -120,12 +120,6 @@ def verdict_to_dict(v: FeasibilityVerdict | None) -> dict | None:
             "degenerate_logged": v.degenerate_logged,
         }
     raise TypeError(f"unexpected verdict {v!r}")
-
-
-def _cell(x):
-    if isinstance(x, Fraction):
-        return rational_str(x)
-    return float(x)
 
 
 def analyze(fixture: Fixture, config: FeasibilityConfig | None = None) -> AnalysisReport:

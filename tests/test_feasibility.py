@@ -30,6 +30,7 @@ from tamecert import (
 from tamecert.algebra import scale_structure_constants
 from tamecert.forms import ComplexStructure, leading_minors_positive, taming_gram
 from tamecert.linalg import mat_inverse, mat_mul
+from tamecert.pipeline import verdict_to_dict
 
 from conftest import CORPUS_NAMES, conjugate, direct_sum, random_basis_change, rational_sampler
 
@@ -113,6 +114,12 @@ def sequential_maximize_lambda_min(p, stop_above=None, restarts=REF_RESTARTS):
         if stop_above is not None and best_val > stop_above:
             break
     return best_c, best_val
+
+
+def non_integrable_j(fx, P):
+    """The different almost complex structure J = P J0 P^-1 on the fixture's algebra."""
+    P = [[F(x) for x in row] for row in P]
+    return ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in fx.J.matrix]), mat_inverse(P)))
 
 
 def pool_draw(corpus, name, k):
@@ -215,25 +222,30 @@ def test_maximize_aff_single_gram():
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_maximize_linalg_call_budget(corpus, monkeypatch):
-    # one Newton step costs a cholesky, an inv and a solve, so the bound
-    # allows about 330 steps for the whole central path
-    calls = 0
+def count_linalg_calls(monkeypatch) -> list[int]:
+    """Count the numpy.linalg factorizations and solves; the count is the list's one entry."""
+    calls = [0]
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            nonlocal calls
-            calls += 1
+            calls[0] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
     for name in ("eigh", "eigvalsh", "cholesky", "solve", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return calls
+
+
+def test_maximize_linalg_call_budget(corpus, monkeypatch):
+    # one Newton step costs a cholesky, an inv and a solve, so the bound
+    # allows about 330 steps for the whole central path
+    calls = count_linalg_calls(monkeypatch)
     g, J = conjugate(corpus["inoue_s0"].algebra, INOUE_P, corpus["inoue_s0"].J)
     _, value = maximize_lambda_min(build_problem(g, J), stop_above=None)
     assert abs(value) <= 1e-9
-    assert calls <= 1000
+    assert calls[0] <= 1000
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + ["inoue_s0~P"])
@@ -300,11 +312,7 @@ def test_exactify_fails_on_singular_optimum():
 
 def test_dual_certificate_crafted():
     p = fake_problem([[[1, 0], [0, -1]], [[0, 0], [0, 0]]])
-    cert = dual_certificate(p)
-    assert cert is not None
-    q, residual = cert
-    assert residual <= p.config.eps_dual
-    assert np.allclose(q, np.diag([0.5, 0.5]), atol=1e-7)
+    assert dual_certificate(p) == ([[F(1, 2), F(0)], [F(0), F(1, 2)]], 0.0)
 
 
 def test_dual_certificate_unreachable_when_identity_in_span():
@@ -363,9 +371,8 @@ def test_feasible_soundness(corpus):
         v = decide(fx.algebra, fx.J)
         assert isinstance(v, Feasible), name
         assert ce_d(fx.algebra, v.omega).is_zero(), name  # exactly closed
-        if v.exact_pd:
-            gram = taming_gram(v.omega, fx.J)
-            assert leading_minors_positive(gram), name
+        assert v.exact_pd, name
+        assert leading_minors_positive(taming_gram(v.omega, fx.J)), name
 
 
 def test_infeasible_soundness(corpus):
@@ -416,22 +423,43 @@ def test_conjugated_inoue_rank_one_certificate(corpus):
         [[1, 1, -2, -2], [1, 1, -1, 2], [0, 1, -2, -1], [0, 2, 1, -2]],
     ],
 )
-def test_float_dual_certificate_on_aff_r2(corpus, P):
+def test_exact_dual_certificate_on_aff_r2(corpus, P):
     # a different, non-integrable J = P J0 P^-1 on the same algebra: the
-    # precheck misses, so the verdict comes from the float dual lane
+    # precheck misses, so the verdict comes from the rounded dual iterate
     fx = corpus["aff_r2"]
-    P = [[F(x) for x in row] for row in P]
-    J = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in fx.J.matrix]), mat_inverse(P)))
+    J = non_integrable_j(fx, P)
     p = build_problem(fx.algebra, J)
     assert not p.j_integrable
     assert degeneracy_precheck(p) is None
     v = decide(fx.algebra, J)
     assert isinstance(v, Infeasible) and v.rank_one_direction is None
-    assert v.residual <= FeasibilityConfig.eps_dual
-    dual = np.array(v.dual, dtype=float)
-    assert abs(np.trace(dual) - 1) <= 1e-8
-    for s in p.grams:
-        assert abs(float(np.tensordot(s, dual))) <= 1e-8
+    assert v.residual == 0.0
+    dual = [list(row) for row in v.dual]
+    assert all(isinstance(x, Fraction) for row in dual for x in row)
+    assert sum(dual[i][i] for i in range(4)) == 1
+    for s in p.gram_basis:
+        assert sum(s[i][j] * dual[i][j] for i in range(4) for j in range(4)) == 0
+    assert leading_minors_positive(dual)
+    # the report renders the dual exactly
+    assert [[F(x) for x in row] for row in verdict_to_dict(v)["dual"]] == dual
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        [[0, 1, 1, 0], [2, 0, 2, 0], [-1, 1, -2, 0], [-1, 0, 0, -1]],
+        [[0, 2, 0, 0], [0, -2, 2, 2], [0, 2, -2, -1], [2, 0, 2, 1]],
+    ],
+)
+def test_singular_dual_is_unknown_within_budget(corpus, monkeypatch, P):
+    # supremum 0 on the boundary of the PSD cone: only a singular dual exists,
+    # so no rounding re-proves positive definite, and the lane gives up fast
+    fx = corpus["sol3_r_nonint"]
+    J = non_integrable_j(fx, P)
+    calls = count_linalg_calls(monkeypatch)
+    v = decide(fx.algebra, J)
+    assert isinstance(v, Unknown) and v.degenerate_logged
+    assert calls[0] <= 1000
 
 
 def test_non_integrable_j_is_logged(corpus, caplog):
@@ -470,22 +498,22 @@ def test_determinism(corpus):
 
 
 def test_feasible_downgrade_when_exactify_fails(monkeypatch):
+    # a positive margin without an exact form is no certificate: the
+    # Feasible verdict is downgraded to Unknown
     def boom(p, c):
         raise ExactificationFailed("forced")
 
     monkeypatch.setattr(feas_mod, "exactify", boom)
-    g = validate(2, {})
-    v = feas_mod.decide(g, standard_complex_structure(2))
-    assert isinstance(v, Feasible)
-    assert not v.exact_pd
-    assert v.lambda_min > 0
-    assert ce_d(g, v.omega).is_zero()  # the rounded form is still exactly closed
+    v = feas_mod.decide(validate(2, {}), standard_complex_structure(2))
+    assert isinstance(v, Unknown)
+    assert v.best_lambda_min > FeasibilityConfig.eps_feas
+    assert not v.degenerate_logged
 
 
 def test_unknown_when_both_lanes_stall(monkeypatch):
     g = validate(4, {(0, 1): {2: 1}})
     monkeypatch.setattr(feas_mod, "degeneracy_precheck", lambda p: None)
-    monkeypatch.setattr(feas_mod, "dual_certificate", lambda p, max_iters=5000: None)
+    monkeypatch.setattr(feas_mod, "dual_certificate", lambda p: None)
     v = feas_mod.decide(g, standard_complex_structure(4))
     assert isinstance(v, Unknown)
     assert v.best_lambda_min <= FeasibilityConfig.eps_feas

@@ -22,7 +22,7 @@ from tamecert import (
 )
 from tamecert.cli import main as cli_main
 from tamecert.fixtures import MAX_FIXTURE_DIM
-from tamecert.linalg import is_zero_vec
+from tamecert.linalg import is_zero_vec, mat_inverse, mat_mul
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
 
 F = Fraction
@@ -287,6 +287,8 @@ def test_theorem_sweep_invariants(fixtures_dir):
     for e in result.entries:
         r = e.report
         assert r is not None
+        if isinstance(r.feasibility, Feasible):
+            assert r.feasibility.exact_pd, e.name
         if r.theorem_consistency.applicable and isinstance(r.feasibility, Feasible):
             assert r.flags["abelian"], e.name
         # converse: abelian fixtures with J are feasible
@@ -323,6 +325,20 @@ def test_cli_analyze_human(fixtures_dir, capsys):
     out = capsys.readouterr().out
     assert "FEASIBLE" in out
     assert "lattices and solvmanifold topology are out of scope" in out
+
+
+def test_cli_analyze_human_exact_dual(fixtures_dir, tmp_path, capsys):
+    # aff_r2 under the non-integrable J = P J0 P^-1: the verdict comes from
+    # the rounded dual iterate; --eps-dual is accepted and has no effect
+    doc = json.loads((fixtures_dir / "aff_r2.json").read_text())
+    doc.pop("omega", None)
+    P = [[F(x) for x in row] for row in [[2, 1, 2, -1], [2, 0, -2, 0], [-2, 1, 2, -2], [1, 1, 1, -2]]]
+    J = mat_mul(mat_mul(P, [[F(x) for x in row] for row in doc["J"]]), mat_inverse(P))
+    doc["J"] = [[str(x) for x in row] for row in J]
+    path = tmp_path / "aff_r2_nonint.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["analyze", str(path), "--eps-dual", "0.5"]) == EXIT_OK
+    assert "feasibility: INFEASIBLE (exact dual)" in capsys.readouterr().out
 
 
 def test_cli_tame(fixtures_dir, capsys):
