@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, JacobiViolation, NotAnIdeal, NotASubalgebra
@@ -142,7 +143,16 @@ class LieAlgebra:
         return [[cols[j][i] for j in range(len(cols))] for i in range(self.dim)]
 
     def adjoint_of_basis(self, i: int) -> Mat:
-        return self.adjoint(unit_vec(self.dim, i))
+        """ad_{e_i}, read off the structure constants: column j is [e_i, e_j]."""
+        m = [[ZERO] * self.dim for _ in range(self.dim)]
+        for (a, b), comps in self.structure_constants:
+            if a == i:
+                for k, c in comps:
+                    m[k][b] = c
+            elif b == i:
+                for k, c in comps:
+                    m[k][a] = -c
+        return m
 
     # --- structural invariants ---
 
@@ -185,8 +195,9 @@ class LieAlgebra:
         return series
 
     def derived_subalgebra(self) -> Subspace:
-        full = Subspace.full(self.dim)
-        return self.bracket_subspaces(full, full)
+        """[g, g]: the span of the nonzero brackets [e_i, e_j], read off the structure constants."""
+        vecs = [[dict(comps).get(k, ZERO) for k in range(self.dim)] for _, comps in self.structure_constants]
+        return Subspace.from_vectors(self.dim, vecs)
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].dim == 0
@@ -252,14 +263,18 @@ def weight_spaces(g: LieAlgebra) -> list[Subspace]:
     adjoint in turn, in ascending order, and intersecting eigenspaces.
     """
     n = g.dim
+    # with d the common denominator of the structure constants, each d ad_{e_i}
+    # is an integer matrix: its charpoly is monic with integer coefficients, so
+    # its rational eigenvalues are integers, and its eigenspaces are those of ad_{e_i}
+    d = lcm(*(c.denominator for _, comps in g.structure_constants for _, c in comps))
     branches = [Subspace.full(n)]
     for i in range(n):
-        a = g.adjoint_of_basis(i)
+        a = [[d * x for x in row] for row in g.adjoint_of_basis(i)]
         eigenspaces = []
         for mu in rational_roots(charpoly(a)):
             shifted = [list(row) for row in a]
-            for d in range(n):
-                shifted[d][d] -= mu
+            for k in range(n):
+                shifted[k][k] -= mu
             eigenspaces.append(Subspace.from_vectors(n, nullspace(shifted, ncols=n)))
         branches = [space.intersect(e) for space in branches for e in eigenspaces]
         branches = [space for space in branches if space.dim > 0]

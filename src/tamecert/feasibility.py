@@ -36,7 +36,7 @@ import numpy as np
 from .algebra import LieAlgebra, weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, frac, identity, mat_add, mat_scale, mat_vec, nullspace, solve, transpose, vec_dot
+from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, frac, identity, mat_add, mat_scale, mat_vec, nullspace, solve, transpose, vec_dot
 
 DEFAULT_EPS_FEAS = 1e-7
 DEFAULT_EPS_DUAL = 1e-8
@@ -156,12 +156,15 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     for w, provenance in spaces:
         if not w.dim:
             continue
-        # rows of the stacked restricted Grams B S_i B^T, B the basis rows of w
-        rows = [
-            [vec_dot(sx, y) for y in w.basis]
-            for s in p.gram_basis
-            for sx in [mat_vec(s, x) for x in w.basis]
-        ]
+        # rows of the stacked restricted Grams B S_i B^T, B the basis rows of w,
+        # each scaled to ints by positive factors that leave the kernel alone
+        b, _ = clear_denominators(w.basis)
+        rows = []
+        for s in p.gram_basis:
+            s, _ = clear_denominators(s)
+            for x in b:
+                sx = [sum(xk * v for xk, v in zip(x, col)) for col in zip(*s)]
+                rows.append([sum(u * v for u, v in zip(sx, y)) for y in b])
         radical = nullspace(rows, ncols=w.dim)
         if radical:
             return DegeneracyDirection(vector=mat_vec(transpose(w.basis), radical[0]), provenance=provenance)
@@ -362,7 +365,11 @@ def decide(
         if cert is not None:
             return Infeasible(_freeze_matrix(cert[0]), cert[1], None, value)
     # no certificate re-proved exactly; a near-zero supremum is the degenerate boundary case
-    return Unknown(best_lambda_min=value, degenerate_logged=abs(value) <= 10 * config.eps_feas)
+    degenerate = abs(value) <= 10 * config.eps_feas
+    logger.warning(
+        "no exact certificate: verdict Unknown, best margin %.3g, degenerate boundary case: %s", value, degenerate
+    )
+    return Unknown(best_lambda_min=value, degenerate_logged=degenerate)
 
 
 def _freeze_matrix(m) -> tuple:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,9 +26,11 @@ from .linalg import (
     Vec,
     ZERO,
     ONE,
+    clear_denominators,
     det,
     frac,
     identity,
+    leading_minors_positive,
     mat_eq,
     mat_from_rows,
     mat_mul,
@@ -173,14 +176,28 @@ def ce_d(g: LieAlgebra, form: OneForm | TwoForm) -> TwoForm | ThreeForm:
 
 
 def d2_matrix(g: LieAlgebra) -> tuple[list[list[Fraction]], list[tuple[int, int]], list[tuple[int, int, int]]]:
-    """Matrix of d on 2-forms in the lexicographic wedge bases."""
+    """Matrix of d on 2-forms in the lexicographic wedge bases.
+
+    Assembled from the bracket table: row (i, j, k) is
+    d beta(e_i, e_j, e_k) = -beta([e_i,e_j], e_k) + beta([e_i,e_k], e_j) - beta([e_j,e_k], e_i)
+    as a function of the coefficients of beta, so it reads three brackets.
+    ``ce_d`` is the evaluation-based reference.
+    """
     pairs = two_form_pairs(g.dim)
     triples = three_form_triples(g.dim)
-    cols = []
-    for i, j in pairs:
-        image = ce_d(g, TwoForm.from_dict(g.dim, {(i, j): ONE}))
-        cols.append([image.coeff(*t) for t in triples])
-    matrix = [[cols[c][r] for c in range(len(pairs))] for r in range(len(triples))]
+    column = {pair: c for c, pair in enumerate(pairs)}
+    table = g.bracket_table()
+    matrix = []
+    for i, j, k in triples:
+        row = [ZERO] * len(pairs)
+        for key, m, sign in (((i, j), k, -1), ((i, k), j, 1), ((j, k), i, -1)):
+            # beta(e_l, e_m) is the coefficient of e^l ^ e^m, negated when l > m
+            for l, c in table.get(key, {}).items():
+                if l < m:
+                    row[column[(l, m)]] += sign * c
+                elif l > m:
+                    row[column[(m, l)]] -= sign * c
+        matrix.append(row)
     return matrix, pairs, triples
 
 
@@ -236,41 +253,71 @@ def standard_complex_structure(dim: int) -> ComplexStructure:
     return ComplexStructure.from_matrix(rows)
 
 
-def nijenhuis(g: LieAlgebra, J: ComplexStructure) -> dict[tuple[int, int], Vec]:
-    """N(e_i, e_j) = [Je_i,Je_j] - [e_i,e_j] - J[Je_i,e_j] - J[e_i,Je_j]."""
+def _nijenhuis_ints(g: LieAlgebra, J: ComplexStructure):
+    """Yield ((i, j), s N(e_i, e_j) as ints, s) over the pairs i < j, for one integer s > 0.
+
+    With J = J'/e and the brackets [e_a, e_b] = C_ab / c in ints, and
+    T_aj = [e_a, J e_j]:
+    N(e_i, e_j) = sum_a J_ai T_aj - [e_i, e_j] + J (T_ji - T_ij), so s = c e^2.
+    """
     if J.dim != g.dim:
         raise NotAComplexStructure("J dimension does not match the algebra")
-    out = {}
-    for i, j in two_form_pairs(g.dim):
-        ei, ej = unit_vec(g.dim, i), unit_vec(g.dim, j)
-        ji, jj = J.apply(ei), J.apply(ej)
-        n = list(g.bracket(ji, jj))
-        for k, c in enumerate(g.bracket(ei, ej)):
-            n[k] -= c
-        for k, c in enumerate(J.apply(g.bracket(ji, ej))):
-            n[k] -= c
-        for k, c in enumerate(J.apply(g.bracket(ei, jj))):
-            n[k] -= c
-        out[(i, j)] = tuple(n)
-    return out
+    n = g.dim
+    jm, e = clear_denominators(J.matrix)
+    c = lcm(*(x.denominator for _, comps in g.structure_constants for _, x in comps))
+    table = {key: [(k, x.numerator * (c // x.denominator)) for k, x in comps] for key, comps in g.structure_constants}
+    columns = [[(a, jm[a][j]) for a in range(n) if jm[a][j]] for j in range(n)]  # e J e_j
+
+    def bracket(a: int, b: int) -> list[tuple[int, int]]:  # c [e_a, e_b]
+        if a < b:
+            return table.get((a, b), [])
+        return [(k, -x) for k, x in table.get((b, a), [])]
+
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]  # t[a][j] = c e T_aj
+    for a in range(n):
+        for j, col in enumerate(columns):
+            out = t[a][j]
+            for b, y in col:
+                for k, x in bracket(a, b):
+                    out[k] += y * x
+    for i, j in two_form_pairs(n):
+        v = [0] * n
+        for k, x in bracket(i, j):
+            v[k] = -e * e * x
+        for a, y in columns[i]:
+            v = [vk + y * tk for vk, tk in zip(v, t[a][j])]
+        diff = [x - y for x, y in zip(t[j][i], t[i][j])]
+        for k, row in enumerate(jm):
+            v[k] += sum(x * y for x, y in zip(row, diff))
+        yield (i, j), v, c * e * e
+
+
+def nijenhuis(g: LieAlgebra, J: ComplexStructure) -> dict[tuple[int, int], Vec]:
+    """N(e_i, e_j) = [Je_i,Je_j] - [e_i,e_j] - J[Je_i,e_j] - J[e_i,Je_j]."""
+    return {pair: tuple(Fraction(x, s) if x else ZERO for x in v) for pair, v, s in _nijenhuis_ints(g, J)}
 
 
 def is_integrable(g: LieAlgebra, J: ComplexStructure) -> bool:
-    return all(all(x == 0 for x in v) for v in nijenhuis(g, J).values())
+    return not any(any(v) for _, v, _ in _nijenhuis_ints(g, J))
 
 
 def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:
-    """Symmetric Gram matrix G(X,Y) = (Omega(X,JY) + Omega(Y,JX)) / 2."""
+    """Symmetric Gram matrix G(X,Y) = (Omega(X,JY) + Omega(Y,JX)) / 2.
+
+    G = (M + M^T) / 2 with M = Omega J.  Each coefficient c at (a, b) adds
+    c J[b] to row a of M and -c J[a] to row b, so the loop runs over the
+    coefficients only, in ints over the common denominator.
+    """
     n = omega.dim
-    half = Fraction(1, 2)
-    cols = [J.column(j) for j in range(n)]
-    m = omega.matrix()
-    mj = [[sum((m[i][k] * cols[j][k] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
-    return [[half * (mj[i][j] + mj[j][i]) for j in range(n)] for i in range(n)]
-
-
-def leading_minors_positive(m: Mat) -> bool:
-    return all(det([row[: k + 1] for row in m[: k + 1]]) > 0 for k in range(len(m)))
+    jm, e = clear_denominators(J.matrix)
+    w = lcm(*(c.denominator for _, c in omega.coeffs))
+    m = [[0] * n for _ in range(n)]
+    for (a, b), c in omega.coeffs:
+        c = c.numerator * (w // c.denominator)
+        m[a] = [x + c * y for x, y in zip(m[a], jm[b])]
+        m[b] = [x - c * y for x, y in zip(m[b], jm[a])]
+    sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    return [[Fraction(x, 2 * w * e) if x else ZERO for x in row] for row in sym]
 
 
 @dataclass(frozen=True)

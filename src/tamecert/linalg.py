@@ -1,16 +1,22 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: exact rationals; eliminations in integers.
 
-Everything here works on tuples/lists of ``fractions.Fraction`` and is free of
-floating point; the numeric lanes of the package convert at their own
-boundary.  Subspaces are canonicalized to reduced row echelon form so that
-equality of subspaces is equality of representations.
+Every argument and every returned entry is a ``fractions.Fraction`` (or an
+int), and nothing here uses floating point; the numeric lanes of the package
+convert at their own boundary.  The eliminations clear each row's
+denominators once and then work in Python ints: ``rref`` is fraction-free
+Gauss-Jordan on primitive integer rows, ``det`` and
+``leading_minors_positive`` are one Bareiss pass (Math. Comp. 22, 1968), and
+``charpoly`` runs Faddeev-LeVerrier on the integer matrix d*A.  Fractions are
+built once, from the final integers.  Subspaces are canonicalized to reduced
+row echelon form so that equality of subspaces is equality of
+representations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -108,34 +114,61 @@ def mat_trace(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return sum((m[i][i] for i in range(len(m))), ZERO)
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    m = [list(r) for r in rows]
+def _cleared(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times d, the lcm of its denominators, as ints; and d."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def clear_denominators(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """d * m as ints, d the lcm of all the denominators of m; and d."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination.
+
+    Returns the nonzero rows, as primitive integer rows, and the pivot
+    columns; each row's pivot is the only nonzero entry of its column, so
+    dividing each row by its pivot gives the reduced row echelon form.
+    """
+    m = [_primitive(_cleared(r)[0]) for r in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0])):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = _primitive([p * x - f * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return [row for row in m[:r]], pivots
+    return m[:r], pivots
+
+
+def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form; returns nonzero rows and pivot columns."""
+    red, pivots = _echelon(rows)
+    return [[Fraction(x, row[p]) if x else ZERO for x in row] for row, p in zip(red, pivots)], pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
@@ -144,15 +177,19 @@ def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list
         if not m:
             raise ValueError("nullspace of an empty matrix needs an explicit ncols")
         ncols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots = _echelon(m)
+    # one kernel vector per free column f, scaled by the lcm of the pivots to stay integral
+    scale = lcm(*(row[p] for row, p in zip(red, pivots)))
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in zip(red, pivots):
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(v)
     canon, _ = rref(basis)
     return [tuple(row) for row in canon]
 
@@ -174,24 +211,54 @@ def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
     return tuple(x)
 
 
+def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
+    """Eliminate column k below row k; prev is the previous pivot, which divides exactly."""
+    ak = a[k]
+    p = ak[k]
+    for i in range(k + 1, len(a)):
+        ai = a[i]
+        f = ai[k]
+        ai[k + 1 :] = [(x * p - f * y) // prev for x, y in zip(ai[k + 1 :], ak[k + 1 :])]
+
+
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Bareiss elimination on the rows cleared of denominators."""
     n = len(m)
-    a = mat_copy(m)
-    result = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = ONE / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
+    if n == 0:
+        return ONE
+    a, scale = [], 1
+    for row in m:
+        ints, d = _cleared(row)
+        a.append(ints)
+        scale *= d
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return ZERO
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        _bareiss_step(a, k, prev)
+        prev = a[k][k]
+    return Fraction(sign * a[n - 1][n - 1], scale)
+
+
+def leading_minors_positive(m: Sequence[Sequence[Fraction]]) -> bool:
+    """Every leading principal minor is positive: Sylvester's test for positive definiteness.
+
+    Without pivoting, the k-th Bareiss pivot is the k-th leading minor of the
+    matrix cleared of denominators, whose positive row scales keep each
+    minor's sign.
+    """
+    a = [_cleared(row)[0] for row in m]
+    prev = 1
+    for k in range(len(a)):
+        if a[k][k] <= 0:
+            return False
+        _bareiss_step(a, k, prev)
+        prev = a[k][k]
+    return True
 
 
 def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
@@ -206,18 +273,28 @@ def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
 def charpoly(m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     """Coefficients [c0, c1, ..., 1] of det(tI - m), ascending in t.
 
-    Faddeev-LeVerrier; exact divisions stay in the rationals.  The zero
-    matrix, the adjoint of every central element, gives t^n at once.
+    Faddeev-LeVerrier on the integer matrix B = d*m, d the lcm of the
+    denominators of m: every step, and the division of each trace by k, is
+    exact in ints, and the coefficient c_k of det(tI - B) gives c_k / d^k.
+    The zero matrix, the adjoint of every central element, gives t^n at once.
     """
     n = len(m)
     coeffs = [ZERO] * n + [ONE]
     if all(x == 0 for row in m for x in row):
         return coeffs
-    mk = identity(n)
+    ints, d = clear_denominators(m)
+    b = [[(j, x) for j, x in enumerate(row) if x] for row in ints]  # the nonzero entries of B's rows
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        c = -mat_trace(mk) / k
-        coeffs[n - k] = c
+        prod = []
+        for terms in b:
+            out = [0] * n
+            for j, x in terms:
+                out = [o + x * y for o, y in zip(out, mk[j])]
+            prod.append(out)
+        mk = prod
+        c = -sum(mk[i][i] for i in range(n)) // k
+        coeffs[n - k] = Fraction(c, d**k)
         for i in range(n):
             mk[i][i] += c
     return coeffs
@@ -293,24 +370,31 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def count_real_roots(p: Sequence[Fraction]) -> int:
-    """Number of distinct real roots, via a Sturm chain on the squarefree part."""
-    q = squarefree_part(p)
-    d = poly_deg(q)
-    if d <= 0:
-        return 0
-    chain = [q, poly_deriv(q)]
+def _sturm_chain(q: Sequence[Fraction]) -> list[list[Fraction]]:
+    """The Sturm chain q, q', -rem(q, q'), ... of a squarefree q."""
+    chain = [list(q), poly_deriv(q)]
     while poly_deg(chain[-1]) > 0:
         _, r = poly_divmod(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-c for c in r])
-    def variations(signs: list[int]) -> int:
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    at_plus = [_sign(f[-1]) for f in chain if f]
-    at_minus = [_sign(f[-1]) * (-1) ** poly_deg(f) for f in chain if f]
-    return variations(at_minus) - variations(at_plus)
+    return chain
+
+
+def _variations(signs: Iterable[int]) -> int:
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_real_roots(p: Sequence[Fraction]) -> int:
+    """Number of distinct real roots, via a Sturm chain on the squarefree part."""
+    q = squarefree_part(p)
+    if poly_deg(q) <= 0:
+        return 0
+    chain = [f for f in _sturm_chain(q) if f]
+    at_plus = [_sign(f[-1]) for f in chain]
+    at_minus = [_sign(f[-1]) * (-1) ** poly_deg(f) for f in chain]
+    return _variations(at_minus) - _variations(at_plus)
 
 
 def all_roots_real(p: Sequence[Fraction]) -> bool:
@@ -319,6 +403,12 @@ def all_roots_real(p: Sequence[Fraction]) -> bool:
     if d <= 0:
         return True
     return count_real_roots(q) == d
+
+
+# rational_roots tries every divisor quotient of the constant and leading
+# coefficients while both are at most this large; above it, the trial division
+# up to their square roots costs more than a Sturm bisection
+DIVISOR_SEARCH_LIMIT = 10**6
 
 
 def _divisors(n: int) -> list[int]:
@@ -331,8 +421,54 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _int_eval(f: Sequence[int], num: int, den: int) -> int:
+    """den^deg(f) f(num / den) for an integer polynomial f, in ints."""
+    acc, power = 0, 1
+    for c in reversed(f):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def _integer_roots(q: Sequence[int]) -> list[int]:
+    """The integer roots of a monic integer polynomial, by exact Sturm bisection.
+
+    Its rational roots are integers, so no half-integer is a root: the Sturm
+    chain of its squarefree part, scaled to primitive integer polynomials,
+    counts the roots in (lo - 1/2, hi + 1/2] exactly.  Bisecting from the
+    Cauchy bound down to unit intervals leaves one candidate per interval
+    that still holds a real root.
+    """
+    chain = [_primitive(_cleared(f)[0]) for f in _sturm_chain(squarefree_part([Fraction(c) for c in q]))]
+
+    def variations(h: int) -> int:  # sign variations of the chain at h / 2
+        return _variations(_sign(_int_eval(f, h, 2)) for f in chain)
+
+    bound = 1 + max(abs(c) for c in q[:-1])  # every root r has |r| < bound
+    roots = []
+    stack = [(-bound, bound, variations(-2 * bound - 1), variations(2 * bound + 1))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if lo == hi:
+            if _int_eval(chain[0], lo, 1) == 0:
+                roots.append(lo)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(2 * mid + 1)
+        stack += [(lo, mid, v_lo, v_mid), (mid + 1, hi, v_mid, v_hi)]
+    return roots
+
+
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
-    """All distinct rational roots, ascending."""
+    """All distinct rational roots, ascending.
+
+    With the coefficients cleared to integers a_0, ..., a_d, the roots are
+    found among the quotients of divisors of a_0 and a_d while both are small
+    (DIVISOR_SEARCH_LIMIT); otherwise s = a_d t turns the polynomial into a
+    monic integer one, whose integer roots s give the roots s / a_d.
+    """
     p = poly_trim(p)
     if poly_deg(p) < 1:
         return []
@@ -344,14 +480,18 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
         roots.append(ZERO)
         p = p[m:]
     if poly_deg(p) >= 1:
-        denom = lcm(*[c.denominator for c in p])
-        ip = [int(c * denom) for c in p]
+        ip, _ = _cleared(p)
         lead, const = ip[-1], ip[0]
-        for num in _divisors(const):
-            for den in _divisors(lead):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if poly_eval(p, cand) == 0 and cand not in roots:
-                        roots.append(cand)
+        if max(abs(lead), abs(const)) <= DIVISOR_SEARCH_LIMIT:
+            for num in _divisors(const):
+                for den in _divisors(lead):
+                    for sign in (1, -1):
+                        if _int_eval(ip, sign * num, den) == 0:
+                            roots.append(Fraction(sign * num, den))
+        else:
+            deg = len(ip) - 1
+            monic = [c * lead ** (deg - 1 - i) for i, c in enumerate(ip[:-1])] + [1]
+            roots += [Fraction(s, lead) for s in _integer_roots(monic)]
     return sorted(set(roots))
 
 
@@ -412,18 +552,14 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: in an echelon form of the rows (a | a), a in self, and
+        (b | 0), b in other, the rows with a zero left half span the intersection."""
         if not self.basis or not other.basis:
             return Subspace.zero(self.ambient_dim)
-        # columns: coefficients on self.basis then on other.basis
-        cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
-        kernel = nullspace(transpose(cols), ncols=len(cols))
-        vectors = []
-        for k in kernel:
-            v = zero_vec(self.ambient_dim)
-            for c, b in zip(k[: len(self.basis)], self.basis):
-                v = vec_add(v, vec_scale(c, b))
-            vectors.append(v)
-        return Subspace.from_vectors(self.ambient_dim, vectors)
+        n = self.ambient_dim
+        rows = [list(a) + list(a) for a in self.basis] + [list(b) + [0] * n for b in other.basis]
+        red, pivots = _echelon(rows)
+        return Subspace.from_vectors(n, [row[n:] for row, p in zip(red, pivots) if p >= n])
 
     def standard_complement_positions(self) -> list[int]:
         """Standard coordinates not used as pivots; they index a complement."""

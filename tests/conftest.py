@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from tamecert import ComplexStructure, Fixture, LieAlgebra, Subspace, load_fixture
+from tamecert.algebra import scale_structure_constants
 from tamecert.linalg import det, mat_inverse, mat_mul, mat_vec
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -26,6 +27,10 @@ CORPUS_NAMES = [
 # fixtures that ship a verified tamed (omega, J) pair
 TAMED_NAMES = ["abelian_r2", "abelian_r4", "abelian_r6", "abelian_r8", "aff_r", "aff_r2"]
 
+NON_ABELIAN_NAMES = ["aff_r", "aff_r2", "h3_r", "inoue_s0", "iwasawa", "sol3_r_nonint", "sol4_1"]
+# the seed of the conjugated benchmark workload's fixed pool of basis changes
+CONJUGATED_POOL_SEED = "tamecert-conjugated-pool"
+
 
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
@@ -35,6 +40,41 @@ def fixtures_dir() -> Path:
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, Fixture]:
     return {name: load_fixture(FIXTURES_DIR / f"{name}.json") for name in CORPUS_NAMES}
+
+
+@pytest.fixture(scope="session")
+def exact_items(corpus) -> list[tuple[str, LieAlgebra, ComplexStructure]]:
+    """(name, g, J) for the 11 fixtures, the 14 conjugated benchmark pool items
+    (two draws per non-abelian fixture) and the 3 scaling sums R^10, R^12 and
+    aff_r2^3, the last with its summands rescaled by 1, 3/2 and 1/3."""
+    items = [(name, fx.algebra, fx.J) for name, fx in corpus.items()]
+    for name in NON_ABELIAN_NAMES:
+        for k in range(2):
+            items.append((f"{name}~P{k}", *pool_draw(corpus, name, k)))
+    r2 = corpus["abelian_r2"]
+    aff = corpus["aff_r2"]
+    sums = {
+        "r10": [(r2.algebra, r2.J)] * 5,
+        "r12": [(r2.algebra, r2.J)] * 6,
+        "aff_r2^3": [(scale_structure_constants(aff.algebra, Fraction(t)), aff.J) for t in ("1", "3/2", "1/3")],
+    }
+    for name, parts in sums.items():
+        g, J = parts[0]
+        for h, K in parts[1:]:
+            g, J = direct_sum(g, J, h, K)
+        items.append((name, g, J))
+    return items
+
+
+def pool_draw(corpus, name: str, k: int) -> tuple[LieAlgebra, ComplexStructure]:
+    """(g, J) of the conjugated benchmark item name~Pk, before its rescaling.
+
+    Rescaling P by t rescales the brackets and keeps the closed basis and its
+    Gram forms, so the draw's problem does not depend on the run seed.
+    """
+    fx = corpus[name]
+    P = random_basis_change(random.Random(f"{CONJUGATED_POOL_SEED}:{name}:{k}"), fx.algebra.dim)
+    return conjugate(fx.algebra, P, fx.J)
 
 
 def random_rational_vector(rng: random.Random, dim: int, span: int = 6) -> tuple[Fraction, ...]:

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +226,23 @@ def test_weight_spaces_basis_covariance(corpus):
         P = random_basis_change(rng, g.dim)
         conj, _ = conjugate(g, P)
         assert set(weight_spaces(conj)) == {pull_back(s, P) for s in weight_spaces(g)}, name
+
+
+def test_weight_spaces_large_structure_constants():
+    # [e1,e2] = a e2, [e1,e3] = (a+1) e3, [e1,e4] = -(2a+1) e4: the charpoly of
+    # ad e1 has constant term about 2 a^3 after stripping t, far too many
+    # divisors to try at a = 10^6, so its roots come from the Sturm bisection
+    def spaces(a):
+        g = validate(4, {(0, 1): {1: a}, (0, 2): {2: a + 1}, (0, 3): {3: -(2 * a + 1)}})
+        start = time.process_time()
+        ws = weight_spaces(g)
+        return ws, one_dim_ideals(g), time.process_time() - start
+
+    small, small_lines, _ = spaces(10)
+    large, large_lines, seconds = spaces(10**6)
+    assert large == small == [Subspace.from_vectors(4, [e]) for e in ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))]
+    assert large_lines == small_lines
+    assert seconds < 0.5
 
 
 def test_algebra_module_imports_no_numpy():

@@ -2,7 +2,6 @@
 
 import logging
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +31,7 @@ from tamecert.forms import ComplexStructure, leading_minors_positive, taming_gra
 from tamecert.linalg import mat_inverse, mat_mul
 from tamecert.pipeline import verdict_to_dict
 
-from conftest import CORPUS_NAMES, conjugate, direct_sum, random_basis_change, rational_sampler
+from conftest import CORPUS_NAMES, conjugate, direct_sum, pool_draw, random_basis_change, rational_sampler
 
 F = Fraction
 
@@ -120,17 +119,6 @@ def non_integrable_j(fx, P):
     """The different almost complex structure J = P J0 P^-1 on the fixture's algebra."""
     P = [[F(x) for x in row] for row in P]
     return ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in fx.J.matrix]), mat_inverse(P)))
-
-
-def pool_draw(corpus, name, k):
-    """(g, J) of the conjugated benchmark item name~Pk, before its rescaling.
-
-    Rescaling P by t rescales the brackets and keeps the closed basis and its
-    Gram forms, so the draw's problem does not depend on the run seed.
-    """
-    fx = corpus[name]
-    P = random_basis_change(random.Random(f"tamecert-conjugated-pool:{name}:{k}"), fx.algebra.dim)
-    return conjugate(fx.algebra, P, fx.J)
 
 
 # --- problem assembly ---
@@ -444,13 +432,14 @@ def test_exact_dual_certificate_on_aff_r2(corpus, P):
     assert [[F(x) for x in row] for row in verdict_to_dict(v)["dual"]] == dual
 
 
-@pytest.mark.parametrize(
-    "P",
-    [
-        [[0, 1, 1, 0], [2, 0, 2, 0], [-1, 1, -2, 0], [-1, 0, 0, -1]],
-        [[0, 2, 0, 0], [0, -2, 2, 2], [0, 2, -2, -1], [2, 0, 2, 1]],
-    ],
-)
+# non-integrable J = P J0 P^-1 on sol3_r_nonint whose only duals are singular
+SOL3_SINGULAR_P = [
+    [[0, 1, 1, 0], [2, 0, 2, 0], [-1, 1, -2, 0], [-1, 0, 0, -1]],
+    [[0, 2, 0, 0], [0, -2, 2, 2], [0, 2, -2, -1], [2, 0, 2, 1]],
+]
+
+
+@pytest.mark.parametrize("P", SOL3_SINGULAR_P)
 def test_singular_dual_is_unknown_within_budget(corpus, monkeypatch, P):
     # supremum 0 on the boundary of the PSD cone: only a singular dual exists,
     # so no rounding re-proves positive definite, and the lane gives up fast
@@ -460,6 +449,24 @@ def test_singular_dual_is_unknown_within_budget(corpus, monkeypatch, P):
     v = decide(fx.algebra, J)
     assert isinstance(v, Unknown) and v.degenerate_logged
     assert calls[0] <= 1000
+
+
+@pytest.mark.parametrize("P", SOL3_SINGULAR_P)
+def test_unknown_verdict_is_logged(corpus, caplog, P):
+    fx = corpus["sol3_r_nonint"]
+    J = non_integrable_j(fx, P)
+    with caplog.at_level(logging.WARNING, logger="tamecert.feasibility"):
+        v = decide(fx.algebra, J)
+    assert isinstance(v, Unknown)
+    records = [r for r in caplog.records if "Unknown" in r.getMessage()]
+    assert len(records) == 1 and records[0].name == "tamecert.feasibility"
+    message = records[0].getMessage()
+    assert f"best margin {v.best_lambda_min:.3g}" in message
+    assert "degenerate boundary case: True" in message
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tamecert.feasibility"):
+        decide(corpus["aff_r2"].algebra, corpus["aff_r2"].J)
+    assert not caplog.records
 
 
 def test_non_integrable_j_is_logged(corpus, caplog):

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+
+import tamecert.forms as forms_mod
 
 from tamecert import (
     ComplexStructure,
@@ -23,10 +26,11 @@ from tamecert import (
     taming_gram,
     validate,
 )
-from tamecert.forms import d2_matrix, two_form_pairs
-from tamecert.linalg import det, rank, unit_vec
+from tamecert.forms import d2_matrix, leading_minors_positive, two_form_pairs
+from tamecert.linalg import ONE, ZERO, det, mat_inverse, mat_mul, rank, unit_vec
 
-from conftest import random_rational_vector
+from conftest import random_basis_change, random_rational_vector
+from test_linalg import ref_leading_minors_positive
 
 F = Fraction
 
@@ -224,3 +228,89 @@ def test_nondegeneracy_and_pfaffian():
         }
         om = TwoForm.from_dict(4, entries)
         assert pfaffian(om) ** 2 == det(om.matrix())
+
+
+# --- oracles: the evaluation-based versions that d, Nijenhuis and the Gram form replaced ---
+
+
+def ref_d2_matrix(g):
+    pairs = two_form_pairs(g.dim)
+    triples = list(combinations(range(g.dim), 3))
+    cols = []
+    for i, j in pairs:
+        image = ce_d(g, TwoForm.from_dict(g.dim, {(i, j): ONE}))
+        cols.append([image.coeff(*t) for t in triples])
+    matrix = [[cols[c][r] for c in range(len(pairs))] for r in range(len(triples))]
+    return matrix, pairs, triples
+
+
+def ref_nijenhuis(g, J):
+    out = {}
+    for i, j in two_form_pairs(g.dim):
+        ei, ej = unit_vec(g.dim, i), unit_vec(g.dim, j)
+        ji, jj = J.apply(ei), J.apply(ej)
+        n = list(g.bracket(ji, jj))
+        for k, c in enumerate(g.bracket(ei, ej)):
+            n[k] -= c
+        for k, c in enumerate(J.apply(g.bracket(ji, ej))):
+            n[k] -= c
+        for k, c in enumerate(J.apply(g.bracket(ei, jj))):
+            n[k] -= c
+        out[(i, j)] = tuple(n)
+    return out
+
+
+def ref_taming_gram(omega, J):
+    n = omega.dim
+    half = Fraction(1, 2)
+    cols = [J.column(j) for j in range(n)]
+    m = omega.matrix()
+    mj = [[sum((m[i][k] * cols[j][k] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
+    return [[half * (mj[i][j] + mj[j][i]) for j in range(n)] for i in range(n)]
+
+
+def random_two_form(rng, dim):
+    """Mixed signs, denominators up to 10^6, about half the coefficients zero."""
+    return TwoForm.from_dict(
+        dim,
+        {p: F(rng.randint(-999, 999), rng.randint(1, 10**6)) for p in two_form_pairs(dim) if rng.random() < 0.5},
+    )
+
+
+def test_d2_matrix_matches_ce_d_oracle(exact_items):
+    for name, g, _ in exact_items:
+        assert d2_matrix(g) == ref_d2_matrix(g), name
+
+
+def test_nijenhuis_matches_oracle(exact_items):
+    rng = random.Random(5)
+    for name, g, J in exact_items:
+        assert nijenhuis(g, J) == ref_nijenhuis(g, J), name
+        if g.dim <= 6:
+            # a different, generally non-integrable J = P J P^-1
+            P = random_basis_change(rng, g.dim)
+            K = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J.matrix]), mat_inverse(P)))
+            n = nijenhuis(g, K)
+            assert n == ref_nijenhuis(g, K), name
+            assert is_integrable(g, K) == all(all(x == 0 for x in v) for v in n.values())
+
+
+def test_taming_gram_matches_oracle(exact_items):
+    rng = random.Random(8)
+    for name, g, J in exact_items:
+        forms = closed_two_forms(g) + [random_two_form(rng, g.dim) for _ in range(3)]
+        for omega in forms:
+            gram = taming_gram(omega, J)
+            assert gram == ref_taming_gram(omega, J), name
+            assert leading_minors_positive(gram) == ref_leading_minors_positive(gram), name
+
+
+def test_d2_matrix_does_not_evaluate_forms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("d2_matrix must not call ce_d")
+
+    monkeypatch.setattr(forms_mod, "ce_d", refuse)
+    g = validate(12, {})
+    matrix, pairs, triples = d2_matrix(g)
+    assert len(matrix) == len(triples) == 220 and len(pairs) == 66
+    assert all(x == 0 for row in matrix for x in row)
