@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, JacobiViolation, NotAnIdeal, NotASubalgebra
+from .errors import DimensionMismatch, JacobiViolation
 from .linalg import (
     Mat,
     Subspace,
@@ -292,66 +292,6 @@ def one_dim_ideals(g: LieAlgebra) -> list[Subspace]:
     """
     lines = {Subspace.from_vectors(g.dim, [b]) for space in weight_spaces(g) for b in space.basis}
     return sorted(lines, key=lambda l: (l.pivots()[0], l.basis[0]))
-
-
-def quotient(g: LieAlgebra, h: Subspace) -> tuple[LieAlgebra, list[Vec], "QuotientMap"]:
-    """Quotient algebra g/h for an ideal h.
-
-    Returns the quotient, the representative vectors of its basis (the
-    standard coordinates outside h's pivot set), and the projection map.
-    """
-    if not g.is_ideal(h):
-        raise NotAnIdeal("quotient requires an ideal")
-    comp = h.standard_complement_positions()
-    reps = [unit_vec(g.dim, c) for c in comp]
-    proj = QuotientMap(h, tuple(comp))
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(len(comp)):
-        for b in range(a + 1, len(comp)):
-            w = proj.project(g.bracket(reps[a], reps[b]))
-            entry = {k: c for k, c in enumerate(w) if c != 0}
-            if entry:
-                brackets[(a, b)] = entry
-    labels = [g.basis_labels[c] for c in comp]
-    q = LieAlgebra.from_brackets(len(comp), brackets, labels=labels, check=True)
-    return q, reps, proj
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    kernel: Subspace
-    complement_positions: tuple[int, ...]
-
-    def project(self, v: Sequence[Fraction]) -> Vec:
-        w = self.kernel.reduce_vector(v)
-        return tuple(w[p] for p in self.complement_positions)
-
-
-def subalgebra(g: LieAlgebra, s: Subspace) -> tuple[LieAlgebra, list[Vec]]:
-    """Algebra structure induced on a bracket-closed subspace.
-
-    Returns the subalgebra in s's echelon basis together with those basis
-    vectors as ambient representatives.
-    """
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(s.dim):
-        for b in range(a + 1, s.dim):
-            w = g.bracket(s.basis[a], s.basis[b])
-            coords = s.coordinates_of(w)
-            if coords is None:
-                raise NotASubalgebra("subspace is not closed under the bracket")
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                brackets[(a, b)] = entry
-    labels = []
-    for b in s.basis:
-        nonzero = [(i, c) for i, c in enumerate(b) if c != 0]
-        if len(nonzero) == 1 and nonzero[0][1] == 1:
-            labels.append(g.basis_labels[nonzero[0][0]])
-        else:
-            labels.append(f"f{len(labels)+1}")
-    sub = LieAlgebra.from_brackets(s.dim, brackets, labels=labels, check=True)
-    return sub, list(s.basis)
 
 
 def scale_structure_constants(g: LieAlgebra, t: Fraction) -> LieAlgebra:

@@ -28,16 +28,8 @@ class NotAnIdeal(TamecertError):
     pass
 
 
-class NotASubalgebra(TamecertError):
-    pass
-
-
 class NotAComplexStructure(TamecertError):
     """J**2 != -Identity."""
-
-
-class OddDimension(TamecertError):
-    """Pfaffian requested for an odd-dimensional form."""
 
 
 class NoOneDimIdeal(TamecertError):

@@ -20,14 +20,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import LieAlgebra
-from .errors import NotAComplexStructure, OddDimension
+from .errors import NotAComplexStructure
 from .linalg import (
     Mat,
     Vec,
     ZERO,
     ONE,
     clear_denominators,
-    det,
     frac,
     identity,
     leading_minors_positive,
@@ -342,40 +341,3 @@ def is_taming(omega: TwoForm, J: ComplexStructure, exact: bool = True, tol: floa
     margin = float(eigs[0])
     ok = leading_minors_positive(gram) if exact else margin > tol
     return TamingResult(ok, margin)
-
-
-def pfaffian(omega: TwoForm) -> Fraction:
-    if omega.dim % 2 != 0:
-        raise OddDimension("the Pfaffian needs an even-dimensional form")
-    m = omega.matrix()
-
-    def pf(indices: tuple[int, ...]) -> Fraction:
-        if not indices:
-            return ONE
-        i = indices[0]
-        rest = indices[1:]
-        total = ZERO
-        for pos, j in enumerate(rest):
-            if m[i][j] == 0:
-                continue
-            sign = ONE if pos % 2 == 0 else -ONE
-            remaining = rest[:pos] + rest[pos + 1:]
-            total += sign * m[i][j] * pf(remaining)
-        return total
-
-    return pf(tuple(range(omega.dim)))
-
-
-def is_nondegenerate(omega: TwoForm) -> bool:
-    if omega.dim % 2 != 0:
-        return False  # an alternating form on odd dimension is always degenerate
-    return det(omega.matrix()) != 0
-
-
-def is_compatible(omega: TwoForm, J: ComplexStructure) -> bool:
-    """Omega(J.,J.) = Omega plus taming: the Kaehler condition at this level."""
-    for i, j in two_form_pairs(omega.dim):
-        lhs = omega(J.apply(unit_vec(omega.dim, i)), J.apply(unit_vec(omega.dim, j)))
-        if lhs != omega.coeff(i, j):
-            return False
-    return bool(is_taming(omega, J))

@@ -560,8 +560,3 @@ class Subspace:
         rows = [list(a) + list(a) for a in self.basis] + [list(b) + [0] * n for b in other.basis]
         red, pivots = _echelon(rows)
         return Subspace.from_vectors(n, [row[n:] for row, p in zip(red, pivots) if p >= n])
-
-    def standard_complement_positions(self) -> list[int]:
-        """Standard coordinates not used as pivots; they index a complement."""
-        piv = set(self.pivots())
-        return [i for i in range(self.ambient_dim) if i not in piv]

@@ -174,7 +174,7 @@ def analyze(fixture: Fixture, config: FeasibilityConfig | None = None) -> Analys
     elif not consistent:
         detail = "INCONSISTENT: Feasible taming form on a non-abelian unimodular completely solvable algebra"
     elif isinstance(feas, Unknown):
-        detail = "applicable; verdict Unknown (budget exhausted)" + (
+        detail = "applicable; verdict Unknown (no rounding re-proved a certificate)" + (
             "; near-zero supremum logged as degenerate boundary case"
             if feas.degenerate_logged
             else ""
@@ -268,7 +268,7 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
         raise RelationViolation("[X, JX] in span(X)", x, bx)
     h_scalar = h_coords[0]
 
-    perp, _ = omega_perp(t, h)
+    perp = omega_perp(t, h)
     jperp = Subspace.from_vectors(g.dim, [t.J.apply(b) for b in perp.basis])
     vspace = perp.intersect(jperp)
 

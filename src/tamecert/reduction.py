@@ -1,24 +1,26 @@
 """Symplectic reduction along one-dimensional isotropic ideals.
 
-Implements the quotient construction for tamed pairs: given a verified
-triple (g, Omega, J) and a line h = span(X) that is an ideal, the reduction
-produces h^perp / h with the induced form, the induced complex structure
-with its correction term
+Given a verified triple (g, Omega, J) and a line h = span(X) that is an
+ideal, ``reduce`` builds h^perp / h in one change of basis: the echelon
+basis of h^perp without its vector at X's pivot represents a basis of the
+quotient, and a vector of h^perp, less its multiple of X that clears that
+pivot, has its coordinates at the remaining pivots.  The reduced brackets,
+the induced form and the induced complex structure with its correction term
 
-    J~(Y + h) = J(Y - Omega(JY, X)/Omega(JX, X) * X) + h,
+    J~(Y + h) = J(Y - Omega(JY, X)/Omega(JX, X) * X) + h
 
-and re-verifies every flag on the output.  Losing a flag is an internal
-error (TamingLost), never a verdict.
+are read off in that basis, and every flag is re-verified on the output.
+Losing a flag is an internal error (TamingLost), never a verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, one_dim_ideals, quotient, subalgebra
+from .algebra import LieAlgebra, one_dim_ideals
 from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
 from .forms import ComplexStructure, TwoForm, ce_d, is_integrable, is_taming
-from .linalg import Subspace, Vec, ZERO, nullspace, unit_vec, vec_sub, vec_scale
+from .linalg import Subspace, Vec, nullspace, unit_vec, vec_sub, vec_scale
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,6 @@ class ReductionStep:
     complement_witness: Vec  # J X, spanning the complement of h^perp
     reduced: TamedTriple
     section_map: tuple[Vec, ...]  # representatives in h^perp of the reduced basis
-    perp_is_subalgebra: bool
 
 
 @dataclass(frozen=True)
@@ -98,39 +99,11 @@ def find_isotropic_ideal(t: TamedTriple) -> Subspace:
     return lines[0]
 
 
-def omega_perp(t: TamedTriple, h: Subspace) -> tuple[Subspace, bool | None]:
-    """Omega-orthogonal complement of h; also reports, when h is an ideal,
-    whether the complement is a subalgebra (it must be)."""
+def omega_perp(t: TamedTriple, h: Subspace) -> Subspace:
+    """Omega-orthogonal complement of h, in its echelon basis."""
     g = t.algebra
     rows = [[t.omega(w, unit_vec(g.dim, c)) for c in range(g.dim)] for w in h.basis]
-    perp = (
-        Subspace.from_vectors(g.dim, nullspace(rows, ncols=g.dim))
-        if rows
-        else Subspace.full(g.dim)
-    )
-    subalg_check = g.is_subalgebra(perp) if g.is_ideal(h) else None
-    return perp, subalg_check
-
-
-@dataclass(frozen=True)
-class DecompositionCheck:
-    value: bool
-    witness: Vec | None  # a nonzero vector of Jh intersect h^perp when it fails
-
-    def __bool__(self) -> bool:
-        return self.value
-
-
-def check_decomposition(t: TamedTriple, h: Subspace) -> DecompositionCheck:
-    """g = Jh (+) h^perp as vector spaces; taming forces this to hold."""
-    g = t.algebra
-    perp, _ = omega_perp(t, h)
-    jh = Subspace.from_vectors(g.dim, [t.J.apply(b) for b in h.basis])
-    inter = jh.intersect(perp)
-    if inter.dim == 0 and jh.dim + perp.dim == g.dim:
-        return DecompositionCheck(True, None)
-    witness = inter.basis[0] if inter.dim else None
-    return DecompositionCheck(False, witness)
+    return Subspace.from_vectors(g.dim, nullspace(rows, ncols=g.dim)) if rows else Subspace.full(g.dim)
 
 
 def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
@@ -154,47 +127,46 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
         # impossible for a taming form; defensive
         raise TamingLost("Omega(JX, X) vanishes on a supposedly tamed triple")
 
-    perp, perp_is_subalg = omega_perp(t, h)
+    perp = omega_perp(t, h)
     if not perp.contains(h):
         raise TamingLost("isotropic ideal not inside its own perp")
-    if perp_is_subalg is False:
+    if not g.is_subalgebra(perp):
         raise TamingLost("h^perp failed the subalgebra check for an ideal h")
 
-    sub, _ = subalgebra(g, perp)
-    x_in_sub = perp.coordinates_of(x)
-    assert x_in_sub is not None
-    h_in_sub = Subspace.from_vectors(sub.dim, [x_in_sub])
-    red_alg, red_reps_sub, proj = quotient(sub, h_in_sub)
+    # the echelon basis of h^perp has a vector with pivot p, X's pivot, where
+    # x[p] = 1; the others represent a basis of h^perp / h
+    pivots = perp.pivots()
+    p = h.pivots()[0]
+    keep = [c for c in range(perp.dim) if pivots[c] != p]
+    section = [perp.basis[c] for c in keep]
 
-    # representatives of reduced basis vectors inside h^perp (ambient coords)
-    section = []
-    for r in red_reps_sub:
-        amb = [ZERO] * g.dim
-        for c, b in zip(r, perp.basis):
-            if c != 0:
-                amb = [u + c * v for u, v in zip(amb, b)]
-        section.append(tuple(amb))
-
-    def project_ambient(v) -> Vec:
-        coords = perp.coordinates_of(v)
-        if coords is None:
+    def mod_h(v: Vec) -> Vec:
+        """Coordinates of v + h in the reduced basis, for v in h^perp."""
+        if not perp.contains_vector(v):
             raise TamingLost("vector expected in h^perp fell outside it")
-        return proj.project(coords)
+        return tuple(v[pivots[c]] - v[p] * x[pivots[c]] for c in keep)
 
-    m = red_alg.dim
-    omega_entries = {}
+    m = len(section)
+    brackets = {}
     for a in range(m):
         for b in range(a + 1, m):
-            omega_entries[(a, b)] = t.omega(section[a], section[b])
-    red_omega = TwoForm.from_dict(m, omega_entries)
+            w = mod_h(g.bracket(section[a], section[b]))
+            brackets[(a, b)] = {k: c for k, c in enumerate(w) if c != 0}
+    # a unit vector e_i keeps its label; any other basis vector is f<position in h^perp>
+    labels = [
+        g.basis_labels[pivots[c]] if sum(v != 0 for v in perp.basis[c]) == 1 else f"f{c + 1}"
+        for c in keep
+    ]
+    red_alg = LieAlgebra.from_brackets(m, brackets, labels=labels, check=True)
+
+    red_omega = TwoForm.from_dict(
+        m, {(a, b): t.omega(section[a], section[b]) for a in range(m) for b in range(a + 1, m)}
+    )
 
     j_cols = []
-    for a in range(m):
-        y = section[a]
+    for y in section:
         c = t.omega(t.J.apply(y), x) / denom
-        corrected = vec_sub(y, vec_scale(c, x))
-        jy = t.J.apply(corrected)
-        j_cols.append(project_ambient(jy))
+        j_cols.append(mod_h(t.J.apply(vec_sub(y, vec_scale(c, x)))))
     j_rows = [[j_cols[b][a] for b in range(m)] for a in range(m)]
     try:
         red_j = ComplexStructure.from_matrix(j_rows)
@@ -222,7 +194,6 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
         complement_witness=jx,
         reduced=red_triple,
         section_map=tuple(section),
-        perp_is_subalgebra=bool(perp_is_subalg),
     )
 
 

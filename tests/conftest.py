@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from tamecert import ComplexStructure, Fixture, LieAlgebra, Subspace, load_fixture
+from tamecert import ComplexStructure, Fixture, LieAlgebra, Subspace, TwoForm, is_taming, load_fixture
 from tamecert.algebra import scale_structure_constants
-from tamecert.linalg import det, mat_inverse, mat_mul, mat_vec
+from tamecert.forms import two_form_pairs
+from tamecert.linalg import det, mat_inverse, mat_mul, mat_vec, nullspace, unit_vec, vec_scale, vec_sub
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -134,3 +135,83 @@ def direct_sum(
         for r, row in enumerate(Jk.matrix):
             J[off + r][off : off + len(row)] = row
     return LieAlgebra.from_brackets(n, brackets), ComplexStructure.from_matrix(J)
+
+
+def is_compatible(omega: TwoForm, J: ComplexStructure) -> bool:
+    """Omega(J., J.) = Omega plus taming: the Kaehler condition at this level."""
+    n = omega.dim
+    for i, j in two_form_pairs(n):
+        if omega(J.apply(unit_vec(n, i)), J.apply(unit_vec(n, j))) != omega.coeff(i, j):
+            return False
+    return bool(is_taming(omega, J))
+
+
+# --- reference reduction: h^perp as a subalgebra in its echelon basis, then its quotient by h ---
+
+
+def _ref_subalgebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
+    """The algebra induced on a bracket-closed s, in s's echelon basis."""
+    brackets = {}
+    for a in range(s.dim):
+        for b in range(a + 1, s.dim):
+            coords = s.coordinates_of(g.bracket(s.basis[a], s.basis[b]))
+            assert coords is not None, "subspace is not closed under the bracket"
+            brackets[(a, b)] = {k: c for k, c in enumerate(coords) if c != 0}
+    labels = []
+    for b in s.basis:
+        nonzero = [(i, c) for i, c in enumerate(b) if c != 0]
+        if len(nonzero) == 1 and nonzero[0][1] == 1:
+            labels.append(g.basis_labels[nonzero[0][0]])
+        else:
+            labels.append(f"f{len(labels) + 1}")
+    return LieAlgebra.from_brackets(s.dim, brackets, labels=labels, check=True)
+
+
+def _ref_quotient(g: LieAlgebra, h: Subspace):
+    """g/h on the standard coordinates outside h's pivots, and its projection."""
+    assert g.is_ideal(h)
+    piv = set(h.pivots())
+    comp = [i for i in range(g.dim) if i not in piv]
+
+    def project(v):
+        w = h.reduce_vector(v)
+        return tuple(w[p] for p in comp)
+
+    reps = [unit_vec(g.dim, c) for c in comp]
+    brackets = {
+        (a, b): {k: c for k, c in enumerate(project(g.bracket(reps[a], reps[b]))) if c != 0}
+        for a in range(len(comp))
+        for b in range(a + 1, len(comp))
+    }
+    labels = [g.basis_labels[c] for c in comp]
+    return LieAlgebra.from_brackets(len(comp), brackets, labels=labels, check=True), reps, project
+
+
+def reference_reduce(t, h: Subspace):
+    """(algebra, omega, J, section) of h^perp/h built as the quotient of the
+    subalgebra h^perp by the line h; the oracle for ``reduction.reduce``."""
+    g = t.algebra
+    x = h.basis[0]
+    denom = t.omega(t.J.apply(x), x)
+    rows = [[t.omega(x, unit_vec(g.dim, c)) for c in range(g.dim)]]
+    perp = Subspace.from_vectors(g.dim, nullspace(rows, ncols=g.dim))
+    sub = _ref_subalgebra(g, perp)
+    red_alg, reps, project = _ref_quotient(sub, Subspace.from_vectors(sub.dim, [perp.coordinates_of(x)]))
+    section = []
+    for r in reps:
+        amb = [Fraction(0)] * g.dim
+        for c, b in zip(r, perp.basis):
+            if c != 0:
+                amb = [u + c * v for u, v in zip(amb, b)]
+        section.append(tuple(amb))
+    m = red_alg.dim
+    omega = TwoForm.from_dict(
+        m, {(a, b): t.omega(section[a], section[b]) for a in range(m) for b in range(a + 1, m)}
+    )
+    cols = []
+    for y in section:
+        c = t.omega(t.J.apply(y), x) / denom
+        jy = t.J.apply(vec_sub(y, vec_scale(c, x)))
+        cols.append(project(perp.coordinates_of(jy)))
+    J = ComplexStructure.from_matrix([[cols[b][a] for b in range(m)] for a in range(m)])
+    return red_alg, omega, J, tuple(section)

@@ -1,5 +1,6 @@
-"""Tamed symplectic reduction: perp, decomposition, quotient step, towers."""
+"""Tamed symplectic reduction: perp, quotient step, towers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,15 @@ from tamecert import (
     TamedTriple,
     TripleVerificationError,
     TwoForm,
-    check_decomposition,
     find_isotropic_ideal,
-    is_compatible,
     omega_perp,
     reduce,
     reduction_tower,
     standard_complex_structure,
     validate,
 )
+
+from conftest import TAMED_NAMES, conjugate, direct_sum, is_compatible, random_basis_change, reference_reduce
 
 F = Fraction
 
@@ -69,36 +70,21 @@ def test_find_isotropic_ideal_prefers_derived_lines():
 
 def test_omega_perp_examples():
     t = aff_r2_triple()
-    perp, is_sub = omega_perp(t, Subspace.from_vectors(4, [(0, 1, 0, 0)]))
+    perp = omega_perp(t, Subspace.from_vectors(4, [(0, 1, 0, 0)]))
     assert perp == Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    assert is_sub is True
+    assert t.algebra.is_subalgebra(perp)
 
     t2 = kaehler_triple(2)
-    perp2, _ = omega_perp(t2, Subspace.from_vectors(2, [(1, 0)]))
+    perp2 = omega_perp(t2, Subspace.from_vectors(2, [(1, 0)]))
     assert perp2 == Subspace.from_vectors(2, [(1, 0)])
 
     # h3+R with a closed nondegenerate form: e^13 + e^24
     g = validate(4, {(0, 1): {2: 1}})
     omega = TwoForm.from_dict(4, {(0, 2): 1, (1, 3): 1})
     t3 = TamedTriple.build_unverified(g, omega, standard_complex_structure(4))
-    perp3, is_sub3 = omega_perp(t3, Subspace.from_vectors(4, [(0, 0, 1, 0)]))
+    perp3 = omega_perp(t3, Subspace.from_vectors(4, [(0, 0, 1, 0)]))
     assert perp3.dim == 3 and perp3.contains_vector((0, 0, 1, 0))
-    assert is_sub3 is True
-
-
-def test_check_decomposition():
-    t = aff_r2_triple()
-    assert check_decomposition(t, Subspace.from_vectors(4, [(0, 1, 0, 0)]))
-    # every verified tamed fixture satisfies the decomposition
-    for triple in (aff_r_triple(), kaehler_triple(4)):
-        h = find_isotropic_ideal(triple)
-        assert check_decomposition(triple, h)
-    # crafted failure: abelian R^4, Omega = e^13, h = span(e1); J e1 = e2 lies in h^perp
-    g = validate(4, {})
-    bad = TamedTriple.build_unverified(g, TwoForm.from_dict(4, {(0, 2): 1}), standard_complex_structure(4))
-    res = check_decomposition(bad, Subspace.from_vectors(4, [(1, 0, 0, 0)]))
-    assert not res
-    assert res.witness == (F(0), F(1), F(0), F(0))  # JX itself
+    assert g.is_subalgebra(perp3)
 
 
 def test_reduce_aff_r2():
@@ -111,7 +97,7 @@ def test_reduce_aff_r2():
     assert red.algebra.bracket_basis(0, 1) == (F(0), F(1))
     assert red.omega.coeffs == (((0, 1), F(1)),)
     assert red.J.matrix == ((F(0), F(-1)), (F(1), F(0)))
-    assert step.perp_is_subalgebra
+    assert t.algebra.is_subalgebra(step.perp)
 
 
 def test_reduce_aff_r_to_zero():
@@ -136,13 +122,55 @@ def test_reduce_with_nonzero_correction_term():
     omega = TwoForm.from_dict(4, {(0, 1): 2, (2, 3): 2, (0, 2): 1, (1, 3): 1})
     t = TamedTriple.build(g, omega, J)
     h = find_isotropic_ideal(t)
-    perp, _ = omega_perp(t, h)
+    perp = omega_perp(t, h)
     assert any(not perp.contains_vector(J.apply(b)) for b in perp.basis)
     step = reduce(t, h)
     assert step.reduced.verified
     assert step.reduced.J.matrix == ((F(0), F(1, 2)), (F(-2), F(0)))
     tower = reduction_tower(t)
     assert len(tower.steps) == 2 and tower.terminal_dim == 0
+
+
+def oracle_triples(corpus) -> list[tuple[str, TamedTriple]]:
+    """The tamed fixtures, the skewed-Omega R^4, two conjugates of aff_r2 and aff_r2 + aff_r."""
+    tamed = [(name, corpus[name]) for name in TAMED_NAMES]
+    cases = [(name, TamedTriple.build(fx.algebra, fx.omega, fx.J)) for name, fx in tamed]
+    skewed = TwoForm.from_dict(4, {(0, 1): 2, (2, 3): 2, (0, 2): 1, (1, 3): 1})
+    cases.append(("skewed_r4", TamedTriple.build(validate(4, {}), skewed, standard_complex_structure(4))))
+    aff2 = corpus["aff_r2"]
+    m = aff2.omega.matrix()
+    rng = random.Random(11)
+    for k in range(2):
+        P = random_basis_change(rng, 4)
+        g, J = conjugate(aff2.algebra, P, aff2.J)
+        pulled = {
+            (i, j): sum(P[a][i] * m[a][b] * P[b][j] for a in range(4) for b in range(4))
+            for i in range(4)
+            for j in range(i + 1, 4)
+        }
+        cases.append((f"aff_r2~P{k}", TamedTriple.build(g, TwoForm.from_dict(4, pulled), J)))
+    aff = corpus["aff_r"]
+    g, J = direct_sum(aff2.algebra, aff2.J, aff.algebra, aff.J)
+    omega = dict(aff2.omega.coeffs)
+    omega.update({(i + 4, j + 4): c for (i, j), c in aff.omega.coeffs})
+    cases.append(("aff_r2+aff_r", TamedTriple.build(g, TwoForm.from_dict(6, omega), J)))
+    return cases
+
+
+def test_reduce_matches_subalgebra_quotient_reference(corpus):
+    steps = 0
+    for name, t in oracle_triples(corpus):
+        current = t
+        for step in reduction_tower(t).steps:
+            algebra, omega, J, section = reference_reduce(current, step.h)
+            assert step.reduced.algebra == algebra, name  # brackets and labels
+            assert step.reduced.omega == omega, name
+            assert step.reduced.J == J, name
+            assert step.section_map == section, name
+            current = step.reduced
+            steps += 1
+        assert current.algebra.dim == 0, name
+    assert steps == 13 + 2 + 2 * 2 + 3
 
 
 def test_reduce_rejects_non_ideal():
