@@ -171,28 +171,21 @@ class LieAlgebra:
         vecs = [self.bracket(x, y) for x in a.basis for y in b.basis]
         return Subspace.from_vectors(self.dim, vecs)
 
-    def derived_series(self) -> list[Subspace]:
+    def _series(self, left: Subspace | None) -> list[Subspace]:
+        """g, [l, g], [l, [l, g]], ... until it stops shrinking; l is the last term when None."""
         series = [Subspace.full(self.dim)]
-        while True:
-            nxt = self.bracket_subspaces(series[-1], series[-1])
+        while series[-1].dim:
+            nxt = self.bracket_subspaces(series[-1] if left is None else left, series[-1])
             if nxt.dim == series[-1].dim:
                 break
             series.append(nxt)
-            if nxt.dim == 0:
-                break
         return series
 
+    def derived_series(self) -> list[Subspace]:
+        return self._series(None)
+
     def lower_central_series(self) -> list[Subspace]:
-        full = Subspace.full(self.dim)
-        series = [full]
-        while True:
-            nxt = self.bracket_subspaces(full, series[-1])
-            if nxt.dim == series[-1].dim:
-                break
-            series.append(nxt)
-            if nxt.dim == 0:
-                break
-        return series
+        return self._series(Subspace.full(self.dim))
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of the nonzero brackets [e_i, e_j], read off the structure constants."""

@@ -56,6 +56,20 @@ def _rational(value, where: str) -> Fraction:
     raise FixtureError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
 
+def _indexed_entry(entry, where: str, dim: int) -> tuple[int, int, object]:
+    """The fields i, j, v of a bracket or omega entry, with integers 0 <= i < j < dim."""
+    try:
+        i, j, v = entry["i"], entry["j"], entry["v"]
+    except (TypeError, KeyError) as exc:
+        raise FixtureError(f"{where}: needs fields i, j, v") from exc
+    for field, x in (("i", i), ("j", j)):
+        if type(x) is not int:  # JSON true and false are Python ints
+            raise FixtureError(f"{where}: '{field}' must be an integer, got {x!r}")
+    if not 0 <= i < j < dim:
+        raise FixtureError(f"{where}: need 0 <= i < j < dim, got i={i}, j={j}")
+    return i, j, v
+
+
 def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
     if not isinstance(doc, dict):
         raise FixtureError(f"{source}: top level must be an object")
@@ -66,7 +80,7 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
         raise FixtureError(f"{source}: missing required field {exc}") from exc
     if not isinstance(name, str):
         raise FixtureError(f"{source}: 'name' must be a string")
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise FixtureError(f"{source}: 'dim' must be a nonnegative integer")
     if dim > MAX_FIXTURE_DIM:
         raise FixtureError(f"{source}: 'dim' is {dim}, above the cap of {MAX_FIXTURE_DIM}")
@@ -77,12 +91,7 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
     brackets = {}
     for idx, entry in enumerate(doc.get("brackets", [])):
         where = f"{source}: brackets[{idx}]"
-        try:
-            i, j, v = entry["i"], entry["j"], entry["v"]
-        except (TypeError, KeyError) as exc:
-            raise FixtureError(f"{where}: needs fields i, j, v") from exc
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
-            raise FixtureError(f"{where}: need 0 <= i < j < dim, got i={i}, j={j}")
+        i, j, v = _indexed_entry(entry, where, dim)
         if not isinstance(v, dict):
             raise FixtureError(f"{where}: 'v' must map component index to rational")
         comps = {}
@@ -120,12 +129,7 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
         entries = {}
         for idx, entry in enumerate(doc["omega"]):
             where = f"{source}: omega[{idx}]"
-            try:
-                i, j, v = entry["i"], entry["j"], entry["v"]
-            except (TypeError, KeyError) as exc:
-                raise FixtureError(f"{where}: needs fields i, j, v") from exc
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
-                raise FixtureError(f"{where}: need 0 <= i < j < dim, got i={i}, j={j}")
+            i, j, v = _indexed_entry(entry, where, dim)
             entries[(i, j)] = _rational(v, f"{where}.v")
         omega = TwoForm.from_dict(dim, entries)
 

@@ -6,17 +6,19 @@ convert at their own boundary.  The eliminations clear each row's
 denominators once and then work in Python ints: ``rref`` is fraction-free
 Gauss-Jordan on primitive integer rows, ``det`` and
 ``leading_minors_positive`` are one Bareiss pass (Math. Comp. 22, 1968), and
-``charpoly`` runs Faddeev-LeVerrier on the integer matrix d*A.  Fractions are
-built once, from the final integers.  Subspaces are canonicalized to reduced
-row echelon form so that equality of subspaces is equality of
-representations.
+``charpoly`` runs Faddeev-LeVerrier on the integer matrix d*A.  The root
+functions take one Sturm chain of primitive integer polynomials, with no
+squarefree part: it counts the distinct real and complex roots, and a Sturm
+bisection finds the rational roots.  Fractions are built once, from the
+final integers.  Subspaces are canonicalized to reduced row echelon form so
+that equality of subspaces is equality of representations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -300,84 +302,44 @@ def charpoly(m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     return coeffs
 
 
-# --- dense polynomials over Fraction, ascending coefficients ---
+# --- integer polynomials, ascending coefficients: Sturm chains and rational roots ---
 
 
-def poly_trim(p: Sequence[Fraction]) -> list[Fraction]:
-    q = list(p)
-    while q and q[-1] == 0:
+def _integer_poly(p: Sequence[Fraction]) -> list[int]:
+    """A primitive integer polynomial with the roots of p, without trailing zeros; [] for 0."""
+    q = _primitive(_cleared(p)[0])
+    while q and not q[-1]:
         q.pop()
     return q
 
 
-def poly_deg(p: Sequence[Fraction]) -> int:
-    q = poly_trim(p)
-    return len(q) - 1 if q else -1
-
-
-def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc
-
-
-def poly_deriv(p: Sequence[Fraction]) -> list[Fraction]:
-    return [k * c for k, c in enumerate(p)][1:]
-
-
-def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = poly_trim(a)
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and poly_trim(r):
-        shift = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[shift] = c
-        for i, bc in enumerate(b):
-            r[shift + i] -= c * bc
-        r = poly_trim(r)
-        if not r:
-            break
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def squarefree_part(p: Sequence[Fraction]) -> list[Fraction]:
-    p = poly_trim(p)
-    if poly_deg(p) < 1:
-        return list(p)
-    g = poly_gcd(p, poly_deriv(p))
-    q, r = poly_divmod(p, g)
-    assert not r
-    return q
-
-
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sturm_chain(q: Sequence[Fraction]) -> list[list[Fraction]]:
-    """The Sturm chain q, q', -rem(q, q'), ... of a squarefree q."""
-    chain = [list(q), poly_deriv(q)]
-    while poly_deg(chain[-1]) > 0:
-        _, r = poly_divmod(chain[-2], chain[-1])
+def _sturm_chain(q: list[int]) -> list[list[int]]:
+    """The Sturm chain q, q', -rem(q, q'), ... of an integer q of degree >= 1.
+
+    Each remainder is taken after scaling by |lead(b)|, never by lead(b),
+    and each element is divided by its content: only positive factors, so
+    the sign variations and Sturm's theorem are those of the rational chain.
+    The chain ends at a multiple of gcd(q, q'): its variations count the
+    distinct real roots of q in (a, b] wherever q(a) and q(b) are nonzero,
+    without taking a squarefree part.
+    """
+    chain = [_primitive(q), _primitive([k * c for k, c in enumerate(q)][1:])]
+    while len(chain[-1]) > 1:
+        r, b = chain[-2], chain[-1]
+        while len(r) >= len(b):  # r <- |lead(b)| r - sign(lead(b)) lead(r) t^shift b
+            c, shift = _sign(b[-1]) * r[-1], len(r) - len(b)
+            r = [abs(b[-1]) * x for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            while r and not r[-1]:
+                r.pop()
         if not r:
             break
-        chain.append([-c for c in r])
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
@@ -386,73 +348,68 @@ def _variations(signs: Iterable[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(p: Sequence[Fraction]) -> int:
-    """Number of distinct real roots, via a Sturm chain on the squarefree part."""
-    q = squarefree_part(p)
-    if poly_deg(q) <= 0:
-        return 0
-    chain = [f for f in _sturm_chain(q) if f]
+def _variations_at_infinity(chain: list[list[int]]) -> tuple[int, int]:
+    """V(-inf) and V(+inf), read off the leading terms."""
     at_plus = [_sign(f[-1]) for f in chain]
-    at_minus = [_sign(f[-1]) * (-1) ** poly_deg(f) for f in chain]
-    return _variations(at_minus) - _variations(at_plus)
+    return _variations(s * (-1) ** (len(f) - 1) for s, f in zip(at_plus, chain)), _variations(at_plus)
+
+
+def _root_counts(p: Sequence[Fraction]) -> tuple[int, int]:
+    """The numbers of distinct real and of distinct complex roots of p.
+
+    The real ones are V(-inf) - V(+inf) on the Sturm chain; the complex ones
+    are deg q - deg gcd(q, q'), read off the chain's last element.
+    """
+    q = _integer_poly(p)
+    if len(q) < 2:
+        return 0, 0
+    chain = _sturm_chain(q)
+    at_minus, at_plus = _variations_at_infinity(chain)
+    return at_minus - at_plus, len(q) - len(chain[-1])
+
+
+def count_real_roots(p: Sequence[Fraction]) -> int:
+    """Number of distinct real roots, via an integer Sturm chain."""
+    return _root_counts(p)[0]
 
 
 def all_roots_real(p: Sequence[Fraction]) -> bool:
-    q = squarefree_part(p)
-    d = poly_deg(q)
-    if d <= 0:
-        return True
-    return count_real_roots(q) == d
+    real, distinct = _root_counts(p)
+    return real == distinct
 
 
-# rational_roots tries every divisor quotient of the constant and leading
-# coefficients while both are at most this large; above it, the trial division
-# up to their square roots costs more than a Sturm bisection
-DIVISOR_SEARCH_LIMIT = 10**6
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
-
-
-def _int_eval(f: Sequence[int], num: int, den: int) -> int:
-    """den^deg(f) f(num / den) for an integer polynomial f, in ints."""
-    acc, power = 0, 1
+def _horner(f: Sequence[int], x: int) -> int:
+    acc = 0
     for c in reversed(f):
-        acc = acc * num + c * power
-        power *= den
+        acc = acc * x + c
     return acc
 
 
-def _integer_roots(q: Sequence[int]) -> list[int]:
+def _integer_roots(q: list[int]) -> list[int]:
     """The integer roots of a monic integer polynomial, by exact Sturm bisection.
 
     Its rational roots are integers, so no half-integer is a root: the Sturm
-    chain of its squarefree part, scaled to primitive integer polynomials,
-    counts the roots in (lo - 1/2, hi + 1/2] exactly.  Bisecting from the
-    Cauchy bound down to unit intervals leaves one candidate per interval
-    that still holds a real root.
+    chain of q itself, with no squarefree part, counts the distinct roots in
+    (lo - 1/2, hi + 1/2] exactly.  Every root r has |r| <= 2 max
+    |q_i|^(1/(deg - i)) (Fujiwara), and rounding each term up to a power of
+    two gives the bound; bisecting from it down to unit intervals leaves one
+    candidate per interval that still holds a real root.
     """
-    chain = [_primitive(_cleared(f)[0]) for f in _sturm_chain(squarefree_part([Fraction(c) for c in q]))]
+    # 2^deg(f) f(h / 2) is the integer polynomial with coefficients f_i 2^(deg(f) - i), at h
+    halved = [[c << (len(f) - 1 - i) for i, c in enumerate(f)] for f in _sturm_chain(q)]
 
     def variations(h: int) -> int:  # sign variations of the chain at h / 2
-        return _variations(_sign(_int_eval(f, h, 2)) for f in chain)
+        return _variations(_sign(_horner(f, h)) for f in halved)
 
-    bound = 1 + max(abs(c) for c in q[:-1])  # every root r has |r| < bound
+    bound = 2 * max(1 << -(-c.bit_length() // (len(q) - 1 - i)) for i, c in enumerate(q[:-1]))
     roots = []
-    stack = [(-bound, bound, variations(-2 * bound - 1), variations(2 * bound + 1))]
+    stack = [(-bound, bound, *_variations_at_infinity(halved))]  # no root lies beyond the bound
     while stack:
         lo, hi, v_lo, v_hi = stack.pop()
         if v_lo == v_hi:
             continue
         if lo == hi:
-            if _int_eval(chain[0], lo, 1) == 0:
+            if _horner(q, lo) == 0:
                 roots.append(lo)
             continue
         mid = (lo + hi) // 2
@@ -464,35 +421,16 @@ def _integer_roots(q: Sequence[int]) -> list[int]:
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     """All distinct rational roots, ascending.
 
-    With the coefficients cleared to integers a_0, ..., a_d, the roots are
-    found among the quotients of divisors of a_0 and a_d while both are small
-    (DIVISOR_SEARCH_LIMIT); otherwise s = a_d t turns the polynomial into a
-    monic integer one, whose integer roots s give the roots s / a_d.
+    With p cleared to integers a_0, ..., a_d, the substitution s = a_d t
+    turns a_d^(d-1) p into a monic integer polynomial, whose integer roots s
+    give the roots s / a_d.
     """
-    p = poly_trim(p)
-    if poly_deg(p) < 1:
+    q = _integer_poly(p)
+    if len(q) < 2:
         return []
-    roots = []
-    m = 0  # strip t^m so the constant term is nonzero
-    while p[m] == 0:
-        m += 1
-    if m:
-        roots.append(ZERO)
-        p = p[m:]
-    if poly_deg(p) >= 1:
-        ip, _ = _cleared(p)
-        lead, const = ip[-1], ip[0]
-        if max(abs(lead), abs(const)) <= DIVISOR_SEARCH_LIMIT:
-            for num in _divisors(const):
-                for den in _divisors(lead):
-                    for sign in (1, -1):
-                        if _int_eval(ip, sign * num, den) == 0:
-                            roots.append(Fraction(sign * num, den))
-        else:
-            deg = len(ip) - 1
-            monic = [c * lead ** (deg - 1 - i) for i, c in enumerate(ip[:-1])] + [1]
-            roots += [Fraction(s, lead) for s in _integer_roots(monic)]
-    return sorted(set(roots))
+    lead, deg = q[-1], len(q) - 1
+    monic = [c * lead ** (deg - 1 - i) for i, c in enumerate(q[:-1])] + [1]
+    return sorted(Fraction(s, lead) for s in _integer_roots(monic))
 
 
 @dataclass(frozen=True)

@@ -411,7 +411,8 @@ def corpus_run(
     paths = sorted(Path(directory).glob("*.json"))
     tasks = [(str(p), config) for p in paths]
     if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under fork every worker starts at the first submit: no more than there are files
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             entries = list(pool.map(_analyze_path, tasks))
     else:
         entries = [_analyze_path(t) for t in tasks]

@@ -24,7 +24,6 @@ from tamecert.linalg import (
     mat_trace,
     mat_vec,
     nullspace,
-    poly_eval,
     rank,
     rational_roots,
     rref,
@@ -33,6 +32,13 @@ from tamecert.linalg import (
 )
 
 F = Fraction
+
+
+def poly_eval(p, x):
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def test_frac_rejects_floats():
@@ -325,7 +331,7 @@ def poly_from_roots(*roots):
 
 
 def test_rational_roots_large_coefficients_by_bisection():
-    # far above DIVISOR_SEARCH_LIMIT: the roots come from the Sturm bisection
+    # coefficients up to 10^36: the bisection's depth grows with their size, not their divisors
     a = 10**9
     p = poly_from_roots(0, a, a + 1, -(2 * a + 1))
     assert rational_roots(p) == [F(-(2 * a + 1)), F(0), F(a), F(a + 1)]
@@ -335,3 +341,33 @@ def test_rational_roots_large_coefficients_by_bisection():
     # a double root next to a simple one
     b = 10**7
     assert rational_roots(poly_from_roots(b, b, b + 1)) == [F(b), F(b + 1)]
+
+
+NON_SQUARES = [k for k in range(2, 40) if k not in {1, 4, 9, 16, 25, 36}]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_root_functions_by_construction(seed):
+    # c prod (den t - num)^mult prod (t^2 - k) prod (t^2 + k'): the roots are known
+    rng = random.Random(seed)
+    for _ in range(40):
+        rationals = {F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))}
+        ks = rng.sample(NON_SQUARES, rng.randint(0, 2))
+        kps = rng.sample(range(1, 40), rng.randint(0, 2))
+        p = [F(rng.choice([-1, -3, 2, 6, F(-5, 7)]))]
+        for r in rationals:
+            for _ in range(rng.randint(1, 3)):
+                p = poly_mul(p, [F(-r.numerator), F(r.denominator)])
+        for k in ks:
+            p = poly_mul(p, [F(-k), F(0), F(1)])
+        for k in kps:
+            p = poly_mul(p, [F(k), F(0), F(1)])
+        if rng.random() < 0.3:
+            p.append(F(0))  # a zero leading coefficient is ignored
+        assert count_real_roots(p) == len(rationals) + 2 * len(ks)
+        assert all_roots_real(p) == (not kps)
+        assert rational_roots(p) == sorted(rationals)
+    for constant in ([], [F(0)], [F(0), F(0)], [F(-4)], [F(3, 2), F(0)]):
+        assert count_real_roots(constant) == 0
+        assert all_roots_real(constant)
+        assert rational_roots(constant) == []

@@ -21,6 +21,15 @@ REMOVED_NAMES = [
     "is_nondegenerate",
     "is_compatible",
     "OddDimension",
+    "poly_trim",
+    "poly_deg",
+    "poly_eval",
+    "poly_deriv",
+    "poly_divmod",
+    "poly_gcd",
+    "squarefree_part",
+    "DIVISOR_SEARCH_LIMIT",
+    "_divisors",
 ]
 
 

@@ -60,6 +60,10 @@ def test_parse_fraction_strings(tmp_path):
         (lambda d: d.update(J=[[1, 0], [0, 1]]), "complex structure"),
         (lambda d: d.update(J=[[0, -1]]), "2x2"),
         (lambda d: d.update(omega=[{"i": 1, "j": 1, "v": 1}]), "i < j"),
+        # JSON booleans are Python ints; they are not dimensions or indices
+        (lambda d: d.update(dim=True), "'dim' must be a nonnegative integer"),
+        (lambda d: d["brackets"].append({"i": False, "j": True, "v": {}}), "'i' must be an integer"),
+        (lambda d: d.update(omega=[{"i": 0, "j": True, "v": 1}]), "'j' must be an integer"),
     ],
 )
 def test_parse_diagnostics(mutate, fragment):
@@ -280,6 +284,30 @@ def test_corpus_run_parallel_matches_serial(fixtures_dir):
         assert (a.report is None) == (b.report is None)
         if a.report is not None:
             assert a.report.to_dict() == b.report.to_dict()
+
+
+def test_corpus_run_pool_no_larger_than_corpus(fixtures_dir, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(pipeline_mod.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    n_files = len(list(fixtures_dir.glob("*.json")))
+    result = corpus_run(fixtures_dir, jobs=5000)
+    assert sizes == [n_files] and len(result.entries) == n_files
+    corpus_run(fixtures_dir, jobs=3)
+    assert sizes == [n_files, 3]
 
 
 def test_theorem_sweep_invariants(fixtures_dir):
