@@ -10,9 +10,13 @@ The decision pipeline:
   2. one deterministic log-barrier path-following solve maximizing
      lambda_min(sum c_i S_i) over the unit ball of coefficients (S_i = Gram
      forms of a closed basis): damped Newton steps on the barrier of the
-     small SDP "maximize t with sum c_i S_i - t I > 0, |c| < 1", run until
-     the duality-gap bound is below GAP_TOL.  Over the ball the supremum is
-     never below 0 (c = 0), and it is 0 exactly when no closed form tames J;
+     small SDP "maximize t with sum c_i S_i - t I > 0, |c| < 1" for the
+     barrier weights tau = 1, TAU_STEP, TAU_STEP^2, ...; before the last tau
+     each centering stops inside the region of quadratic convergence, and at
+     the last tau, the first with duality-gap bound below GAP_TOL, it runs to
+     NEWTON_TOL.  The path is solved once per problem and read by both
+     branches of step 3.  Over the ball the supremum is never below 0
+     (c = 0), and it is 0 exactly when no closed form tames J;
   3. on a positive margin, continued-fraction rounding back to an exact
      rational form whose Gram is re-proved positive definite by principal
      minors; on a nonpositive margin, the solve's own dual iterate
@@ -30,6 +34,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +46,14 @@ from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, frac, identity
 DEFAULT_EPS_FEAS = 1e-7
 DEFAULT_EPS_DUAL = 1e-8
 
-# the barrier solve: Newton steps are damped while the decrement exceeds
-# DAMPED_DECREMENT, centering ends at NEWTON_TOL, and the path ends once the
-# gap bound (n + 1) / tau is below GAP_TOL
+# the barrier solve: tau grows by TAU_STEP until the gap bound (n + 1) / tau
+# is below GAP_TOL.  Newton steps are damped while the decrement exceeds
+# DAMPED_DECREMENT; centering stops there at every tau but the last, and at
+# NEWTON_TOL at the last
 DAMPED_DECREMENT = 0.25
 NEWTON_TOL = 1e-6
 GAP_TOL = 1e-10
+TAU_STEP = 100.0
 MAX_CENTERING_STEPS = 100
 
 EXACTIFY_DENOMINATOR_BOUNDS = (10**6, 10**8, 10**10, 10**12)
@@ -75,6 +82,15 @@ class FeasibilityProblem:
     @property
     def size(self) -> int:
         return len(self.z2_basis)
+
+    @cached_property
+    def barrier_path(self) -> tuple[np.ndarray, np.ndarray]:
+        """The barrier solve's last iterate (c, t) and its dual iterate, solved once per problem.
+
+        maximize_lambda_min and dual_certificate both read it; the fields are
+        not to be changed once it is read.
+        """
+        return _barrier_path(self)
 
 
 @dataclass(frozen=True)
@@ -181,9 +197,11 @@ def maximize_lambda_min(
     of: maximize t subject to F(c, t) = sum c_i S_i / scale - t I > 0 and
     |c| < 1.  It starts at c = 0, t = -1, strictly feasible for every
     problem, and minimizes -tau t - log det F - log(1 - |c|^2) by damped
-    Newton steps for tau = 1, 10, 100, ... until the gap bound (n + 1) / tau
-    falls below GAP_TOL.  A factorization that fails near the boundary keeps
-    the last strictly feasible iterate.
+    Newton steps for tau = 1, TAU_STEP, TAU_STEP^2, ..., centering fully
+    only at the final tau, the first with gap bound (n + 1) / tau below
+    GAP_TOL.  A factorization that fails near the boundary keeps the last
+    strictly feasible iterate.  The path is solved once per problem
+    (FeasibilityProblem.barrier_path), and dual_certificate reuses it.
 
     Returns that iterate's c and the float lambda_min of sum c_i S_i there.
     stop_above is accepted but unused: the solve runs to the same tolerance
@@ -193,41 +211,49 @@ def maximize_lambda_min(
     n = p.algebra.dim
     if m == 0 or n == 0:
         return np.zeros(m), float("-inf") if n else float("inf")
-    c = _barrier_path(p)[0][:m]
+    c = p.barrier_path[0][:m].copy()
     return c, float(np.linalg.eigvalsh(np.einsum("i,ijk->jk", c, p.grams))[0])
 
 
 def _barrier_path(p: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray]:
     """The last strictly feasible iterate x = (c, t) of the solve, and its dual iterate.
 
-    The dual iterate is X = F(x)^-1 / tr F(x)^-1.  At a centred point
-    tr F^-1 = tau and <S_k / scale, X> = 2 c_k / (r tau), r = 1 - |c|^2, so X
-    tends to a dual optimum: PSD, trace one, pairing to zero with every S_k.
+    Before the final tau, centering stops once the decrement is at most
+    DAMPED_DECREMENT, where full Newton steps converge quadratically; only
+    the final tau is centred to NEWTON_TOL, and the gap bound and the dual
+    iterate are read there.  The dual iterate is X = F(x)^-1 / tr F(x)^-1.
+    At a centred point tr F^-1 = tau and <S_k / scale, X> = 2 c_k / (r tau),
+    r = 1 - |c|^2, so X tends to a dual optimum: PSD, trace one, pairing to
+    zero with every S_k.
     """
+    n = p.algebra.dim
     scale = max(float(np.linalg.norm(s)) for s in p.grams)
     scale = scale if scale > 0 else 1.0
     # F(x) = sum_k x_k A_k for x = (c, t), A = (S_1/scale, ..., S_m/scale, -I)
-    a = np.concatenate([p.grams / scale, -np.eye(p.algebra.dim)[None]])
+    a = np.concatenate([p.grams / scale, -np.eye(n)[None]])
+    a_flat = a.reshape(len(a), n * n)
     x = np.zeros(len(a))
     x[-1] = -1.0
-    good, good_linv = x, np.eye(p.algebra.dim)  # F(x) = I here
+    good, good_linv = x, np.eye(n)  # F(x) = I here
     tau = 1.0
     while True:
+        final = (n + 1) / tau < GAP_TOL
+        tol = NEWTON_TOL if final else DAMPED_DECREMENT
         last = np.inf
         for _ in range(MAX_CENTERING_STEPS):
             try:
-                dx, delta, linv = _newton_step(a, x, tau)
+                dx, delta, linv = _newton_step(a, a_flat, x, tau)
             except np.linalg.LinAlgError:
                 return _with_dual(good, good_linv)
             good, good_linv = x, linv
             # centered, or a full step no longer shrinks the decrement: roundoff
-            if delta <= NEWTON_TOL or last <= delta <= DAMPED_DECREMENT:
+            if delta <= tol or last <= delta <= DAMPED_DECREMENT:
                 break
             last = delta
             x = x + (dx / (1.0 + delta) if delta > DAMPED_DECREMENT else dx)
-        if (a.shape[1] + 1) / tau < GAP_TOL:
+        if final:
             return _with_dual(good, good_linv)
-        tau *= 10.0
+        tau *= TAU_STEP
 
 
 def _with_dual(x: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,9 +262,12 @@ def _with_dual(x: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return x, finv / np.trace(finv)
 
 
-def _newton_step(a: np.ndarray, x: np.ndarray, tau: float) -> tuple[np.ndarray, float, np.ndarray]:
+def _newton_step(
+    a: np.ndarray, a_flat: np.ndarray, x: np.ndarray, tau: float
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Newton direction and decrement of -tau t - log det F - log(1 - |c|^2) at x = (c, t).
 
+    a is the stack A_k, and a_flat the same stack as rows of length n^2.
     With F = L L^T and W_k = L^-1 A_k L^-T, the gradient of -log det F is
     -tr W_k and its Hessian is <W_j, W_k>.  Also returns L^-1.  Raises
     LinAlgError when x is not strictly feasible or the Hessian is singular.
@@ -247,7 +276,7 @@ def _newton_step(a: np.ndarray, x: np.ndarray, tau: float) -> tuple[np.ndarray, 
     r = 1.0 - c @ c
     if not r > 0.0:
         raise np.linalg.LinAlgError("outside the coefficient ball")
-    linv = np.linalg.inv(np.linalg.cholesky(np.tensordot(x, a, 1)))
+    linv = np.linalg.inv(np.linalg.cholesky((x @ a_flat).reshape(a.shape[1:])))
     w = linv @ a @ linv.T
     grad = -np.einsum("kii->k", w)
     w = w.reshape(len(x), -1)
@@ -257,7 +286,8 @@ def _newton_step(a: np.ndarray, x: np.ndarray, tau: float) -> tuple[np.ndarray, 
     hess = np.einsum("ij,kj->ik", w, w)
     grad[-1] -= tau
     grad[:-1] += 2.0 * c / r
-    hess[:-1, :-1] += 2.0 * np.eye(len(c)) / r + 4.0 * np.outer(c, c) / r**2
+    hess[:-1, :-1] += (4.0 / r**2) * np.outer(c, c)
+    hess.flat[: -1 : len(x) + 1] += 2.0 / r  # the diagonal of the c block
     dx = -np.linalg.solve(hess, grad)
     return dx, float(np.sqrt(max(-(grad @ dx), 0.0))), linv
 
@@ -316,7 +346,7 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     n = p.algebra.dim
     if n == 0:
         return None
-    x = _barrier_path(p)[1]
+    x = p.barrier_path[1]
     x = (x + x.T) / 2.0
     q = [[Fraction(v).limit_denominator(DUAL_DENOMINATOR_BOUND) for v in row] for row in x]
     rows = p.gram_basis + [identity(n)]

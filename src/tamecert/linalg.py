@@ -421,16 +421,22 @@ def _integer_roots(q: list[int]) -> list[int]:
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     """All distinct rational roots, ascending.
 
-    With p cleared to integers a_0, ..., a_d, the substitution s = a_d t
-    turns a_d^(d-1) p into a monic integer polynomial, whose integer roots s
-    give the roots s / a_d.
+    With p cleared to integers, a factor t^k gives the root 0 and is divided
+    out, so that the Sturm chain is built for the rest, a_0, ..., a_d with
+    a_0 != 0.  The substitution s = a_d t turns a_d^(d-1) times it into a
+    monic integer polynomial, whose integer roots s give the roots s / a_d.
     """
     q = _integer_poly(p)
     if len(q) < 2:
         return []
+    k = next(i for i, c in enumerate(q) if c)  # q = t^k (a_0 + ... + a_d t^d)
+    zero = [ZERO] if k else []
+    q = q[k:]
+    if len(q) < 2:
+        return zero
     lead, deg = q[-1], len(q) - 1
     monic = [c * lead ** (deg - 1 - i) for i, c in enumerate(q[:-1])] + [1]
-    return sorted(Fraction(s, lead) for s in _integer_roots(monic))
+    return sorted(zero + [Fraction(s, lead) for s in _integer_roots(monic)])
 
 
 @dataclass(frozen=True)

@@ -371,3 +371,18 @@ def test_root_functions_by_construction(seed):
         assert count_real_roots(constant) == 0
         assert all_roots_real(constant)
         assert rational_roots(constant) == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_roots_of_power_of_t_times_f(seed):
+    # t^k f, the shape of the charpoly of ad x when x has a kernel: the roots
+    # are 0 and those of f, which may have the root 0 itself
+    rng = random.Random(seed)
+    for _ in range(40):
+        roots = {F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))}
+        f = poly_mul(poly_from_roots(*roots), rng.choice([[F(1)], [F(-2), F(0), F(1)], [F(3), F(0), F(1)]]))
+        lead = rng.choice([-3, 2, F(-5, 7)])
+        p = [F(0)] * rng.randint(1, 12) + [lead * c for c in f]
+        assert rational_roots(p) == sorted(roots | {F(0)})
+    assert rational_roots([F(0)] * 11 + [F(-9), F(1)]) == [F(0), F(9)]
+    assert rational_roots([F(0), F(0), F(5)]) == [F(0)]
