@@ -3,13 +3,18 @@
 Structure constants are kept as sparse maps over ``Fraction``; every
 structural decision (Jacobi, series, ideals, unimodularity, complete
 solvability, rational weight spaces and invariant lines) is made in exact
-rational arithmetic at every dimension.  No floating point is used here.
+arithmetic at every dimension.  These decisions read one integer bracket
+table, c [e_i, e_j] with c the common denominator of the structure
+constants, and bracket integer vectors through it, so that ``Fraction``s
+are built only for the results.  The evaluation-based ``bracket`` stays as
+the reference.  No floating point is used here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -19,12 +24,13 @@ from .linalg import (
     Subspace,
     Vec,
     ZERO,
+    _cleared,
+    _kernel,
+    _primitive,
     all_roots_real,
     charpoly,
     frac,
-    is_zero_vec,
     mat_trace,
-    nullspace,
     rational_roots,
     unit_vec,
     vec,
@@ -51,6 +57,31 @@ def _normalize_brackets(dim: int, brackets: Brackets) -> dict[tuple[int, int], d
         if entry:
             out[(i, j)] = entry
     return out
+
+
+IntTable = dict[tuple[int, int], list[tuple[int, int]]]
+
+
+def _cleared_brackets(g: "LieAlgebra") -> tuple[int, IntTable]:
+    """(c, table): c the lcm of the structure constants' denominators, and
+    table[(i, j)] = c [e_i, e_j] as (k, int) pairs, for i < j and [e_i, e_j] != 0."""
+    c = lcm(*(x.denominator for _, comps in g.structure_constants for _, x in comps))
+    return c, {key: [(k, x.numerator * (c // x.denominator)) for k, x in comps] for key, comps in g.structure_constants}
+
+
+def _bracket_ints(table: IntTable, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """c [x, y] for integer vectors x and y, by bilinear expansion over the table."""
+    out = [0] * len(x)
+    for (i, j), comps in table.items():
+        coeff = x[i] * y[j] - x[j] * y[i]
+        if coeff:
+            for k, c in comps:
+                out[k] += coeff * c
+    return out
+
+
+def _units(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -129,30 +160,19 @@ class LieAlgebra:
         return r
 
     def check_jacobi(self) -> None:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    r = self.jacobi_residual(i, j, k)
-                    if not is_zero_vec(r):
-                        raise JacobiViolation((i, j, k), r)
+        _, table = _cleared_brackets(self)
+        units = _units(self.dim)
+        for i, j, k in combinations(range(self.dim), 3):
+            a, b, c = units[i], units[j], units[k]
+            cyclic = [_bracket_ints(table, _bracket_ints(table, x, y), z) for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+            if any(map(sum, zip(*cyclic))):
+                raise JacobiViolation((i, j, k), self.jacobi_residual(i, j, k))
 
     def adjoint(self, x: Sequence[Fraction]) -> Mat:
         """Matrix of ad_x = [x, .] acting on column coordinates."""
         x = vec(x)
         cols = [self.bracket(x, unit_vec(self.dim, j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(len(cols))] for i in range(self.dim)]
-
-    def adjoint_of_basis(self, i: int) -> Mat:
-        """ad_{e_i}, read off the structure constants: column j is [e_i, e_j]."""
-        m = [[ZERO] * self.dim for _ in range(self.dim)]
-        for (a, b), comps in self.structure_constants:
-            if a == i:
-                for k, c in comps:
-                    m[k][b] = c
-            elif b == i:
-                for k, c in comps:
-                    m[k][a] = -c
-        return m
 
     # --- structural invariants ---
 
@@ -161,15 +181,16 @@ class LieAlgebra:
 
     def is_unimodular(self) -> tuple[bool, int | None]:
         """True iff every basis adjoint is traceless; else (False, witness index)."""
-        for i in range(self.dim):
-            if mat_trace(self.adjoint_of_basis(i)) != 0:
-                return False, i
-        return True, None
+        _, table = _cleared_brackets(self)
+        witness = next((i for i, e in enumerate(_units(self.dim)) if mat_trace(_adjoint_ints(table, e))), None)
+        return witness is None, witness
 
     def bracket_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of [a, b]."""
-        vecs = [self.bracket(x, y) for x in a.basis for y in b.basis]
-        return Subspace.from_vectors(self.dim, vecs)
+        """Span of [a, b], bracketing the basis rows cleared to integers."""
+        _, table = _cleared_brackets(self)
+        xs = [_cleared(x)[0] for x in a.basis]
+        pairs = combinations(xs, 2) if a == b else product(xs, [_cleared(y)[0] for y in b.basis])
+        return Subspace._span(self.dim, [_bracket_ints(table, x, y) for x, y in pairs])
 
     def _series(self, left: Subspace | None) -> list[Subspace]:
         """g, [l, g], [l, [l, g]], ... until it stops shrinking; l is the last term when None."""
@@ -188,9 +209,9 @@ class LieAlgebra:
         return self._series(Subspace.full(self.dim))
 
     def derived_subalgebra(self) -> Subspace:
-        """[g, g]: the span of the nonzero brackets [e_i, e_j], read off the structure constants."""
-        vecs = [[dict(comps).get(k, ZERO) for k in range(self.dim)] for _, comps in self.structure_constants]
-        return Subspace.from_vectors(self.dim, vecs)
+        """[g, g]: the span of the nonzero brackets [e_i, e_j], read off the integer table."""
+        rows = [[dict(comps).get(k, 0) for k in range(self.dim)] for comps in _cleared_brackets(self)[1].values()]
+        return Subspace._span(self.dim, rows)
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].dim == 0
@@ -199,18 +220,14 @@ class LieAlgebra:
         return self.lower_central_series()[-1].dim == 0
 
     def is_ideal(self, h: Subspace) -> bool:
-        for i in range(self.dim):
-            for b in h.basis:
-                if not h.contains_vector(self.bracket(unit_vec(self.dim, i), b)):
-                    return False
-        return True
+        _, table = _cleared_brackets(self)
+        basis = [_cleared(b)[0] for b in h.basis]
+        return all(h.contains_vector(_bracket_ints(table, e, b)) for e in _units(self.dim) for b in basis)
 
     def is_subalgebra(self, s: Subspace) -> bool:
-        for a in s.basis:
-            for b in s.basis:
-                if not s.contains_vector(self.bracket(a, b)):
-                    return False
-        return True
+        _, table = _cleared_brackets(self)
+        basis = [_cleared(b)[0] for b in s.basis]
+        return all(s.contains_vector(_bracket_ints(table, a, b)) for a, b in combinations(basis, 2))
 
 
 def validate(
@@ -234,56 +251,99 @@ class CompleteSolvability:
 def is_completely_solvable(g: LieAlgebra) -> CompleteSolvability:
     """Solvable with all adjoint weights real.
 
-    Decided exactly at every dimension by a Sturm real-root count of each
-    basis adjoint's characteristic polynomial: the eigenvalues of ad_x are the
-    weight values at x, and a weight with a nonzero imaginary part has it at
-    some basis vector.
+    Decided exactly at every dimension by a Sturm real-root count of the
+    characteristic polynomial of each basis adjoint, c ad_{e_i} read off the
+    integer table: the eigenvalues of ad_x are the weight values at x, and a
+    weight with a nonzero imaginary part has it at some basis vector.
     """
     if not g.is_solvable():
         return CompleteSolvability(False, None)
-    for i in range(g.dim):
-        if not all_roots_real(charpoly(g.adjoint_of_basis(i))):
+    _, table = _cleared_brackets(g)
+    for i, e in enumerate(_units(g.dim)):
+        if not all_roots_real(charpoly(_adjoint_ints(table, e))):
             return CompleteSolvability(False, i)
     return CompleteSolvability(True, None)
+
+
+def _adjoint_ints(table: IntTable, x: Sequence[int]) -> list[list[int]]:
+    """c ad_x for an integer vector x: column j is c [x, e_j]."""
+    n = len(x)
+    m = [[0] * n for _ in range(n)]
+    for (i, j), comps in table.items():
+        for k, c in comps:
+            m[k][j] += x[i] * c
+            m[k][i] -= x[j] * c
+    return m
 
 
 def weight_spaces(g: LieAlgebra) -> list[Subspace]:
     """The joint eigenspaces of ad g whose weights are rational.
 
     Each is {x : [y, x] = lambda(y) x for all y} for one rational weight
-    lambda, so the list does not depend on the basis; its order does.  They
-    are found by branching over the rational eigenvalues of each basis
-    adjoint in turn, in ascending order, and intersecting eigenspaces.
+    lambda, so the list does not depend on the basis; it is sorted by the
+    weight vector (lambda(e_1), ..., lambda(e_n)).
+
+    A weight vanishes on D = [g, g]: lambda([y, z]) x = [y, [z, x]] - [z, [y, x]]
+    = 0.  So every joint eigenvector lies in Z = {x : [D, x] = 0}, an ideal
+    on which the ad_y commute, as [ad_y, ad_z] = ad_[y, z] vanishes there;
+    and lambda is fixed by its values at the basis vectors outside D's
+    pivots, since each echelon row of D, e_p plus a combination of those,
+    has weight 0.  The search branches over those vectors only, in integers:
+    for each one, over the rational eigenvalues mu of c ad_{e_i} on Z (c the
+    common denominator of the structure constants), taking in each branch W
+    the kernel of (c ad_{e_i} - mu) W.  An operator that vanishes on a
+    branch keeps it, at weight 0, without a characteristic polynomial.
     """
     n = g.dim
-    # with d the common denominator of the structure constants, each d ad_{e_i}
-    # is an integer matrix: its charpoly is monic with integer coefficients, so
-    # its rational eigenvalues are integers, and its eigenspaces are those of ad_{e_i}
-    d = lcm(*(c.denominator for _, comps in g.structure_constants for _, c in comps))
-    branches = [Subspace.full(n)]
-    for i in range(n):
-        a = [[d * x for x in row] for row in g.adjoint_of_basis(i)]
-        eigenspaces = []
-        for mu in rational_roots(charpoly(a)):
-            shifted = [list(row) for row in a]
-            for k in range(n):
-                shifted[k][k] -= mu
-            eigenspaces.append(Subspace.from_vectors(n, nullspace(shifted, ncols=n)))
-        branches = [space.intersect(e) for space in branches for e in eigenspaces]
-        branches = [space for space in branches if space.dim > 0]
-        if not branches:
-            break
-    return branches
+    if not n:
+        return [Subspace.full(0)]
+    _, table = _cleared_brackets(g)
+    units = _units(n)
+    derived = g.derived_subalgebra()
+    # Z: the kernel of the stacked c ad_b over the echelon basis b of D
+    stacked = [row for b in derived.basis for row in _adjoint_ints(table, _cleared(b)[0])]
+    z, z_cols = _kernel(stacked, n) if stacked else (units, range(n))
+    pivots = derived.pivots()
+    free = [i for i in range(n) if i not in pivots]
+    branches = [((), z)] if z else []  # (c lambda at free[:len], integer basis rows)
+    for i in free:
+        roots = None  # the rational eigenvalues of c ad_{e_i} on Z, once a branch needs them
+        nxt = []
+        for mus, rows in branches:
+            images = [_bracket_ints(table, units[i], w) for w in rows]
+            if not any(map(any, images)):
+                nxt.append((mus + (0,), rows))
+                continue
+            if roots is None:
+                # column j of the restriction: the coordinates of c [e_i, z_j], read at z's free columns
+                zimg = [_bracket_ints(table, units[i], w) for w in z]
+                roots = rational_roots(charpoly([[Fraction(v[f], w[f]) for v in zimg] for w, f in zip(z, z_cols)]))
+            for mu in roots:
+                p, q = mu.numerator, mu.denominator
+                shifted = [[q * v[r] - p * w[r] for v, w in zip(images, rows)] for r in range(n)]
+                kernel, _ = _kernel(shifted, len(rows))
+                if kernel:
+                    combos = [[sum(y * w[k] for y, w in zip(ys, rows)) for k in range(n)] for ys in kernel]
+                    nxt.append((mus + (mu,), [_primitive(v) for v in combos]))
+        branches = nxt
+
+    def weight(mus: tuple) -> list:  # c lambda(e_1), ..., c lambda(e_n)
+        lam = dict(zip(free, mus))
+        for row, p in zip(derived.basis, pivots):
+            lam[p] = -sum(row[f] * lam[f] for f in free)
+        return [lam[i] for i in range(n)]
+
+    return [Subspace._span(n, rows) for mus, rows in sorted(branches, key=lambda b: weight(b[0]))]
 
 
 def one_dim_ideals(g: LieAlgebra) -> list[Subspace]:
     """Rational lines L with [g, L] contained in L.
 
     Lines are extracted from the rational weight spaces (one line per echelon
-    basis vector) and returned sorted by pivot position and basis entries, so
-    the order is deterministic.
+    basis vector, already the echelon basis of its line) and returned sorted
+    by pivot position and basis entries, so the order is deterministic.
     """
-    lines = {Subspace.from_vectors(g.dim, [b]) for space in weight_spaces(g) for b in space.basis}
+    lines = {Subspace(g.dim, (b,)) for space in weight_spaces(g) for b in space.basis}
     return sorted(lines, key=lambda l: (l.pivots()[0], l.basis[0]))
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, _cleared_brackets
 from .errors import NotAComplexStructure
 from .linalg import (
     Mat,
@@ -28,11 +28,8 @@ from .linalg import (
     ONE,
     clear_denominators,
     frac,
-    identity,
     leading_minors_positive,
-    mat_eq,
     mat_from_rows,
-    mat_mul,
     mat_vec,
     nullspace,
     unit_vec,
@@ -228,9 +225,9 @@ class ComplexStructure:
             raise NotAComplexStructure("J must be square")
         if n % 2 != 0:
             raise NotAComplexStructure("J^2 = -I forces an even dimension")
-        square = mat_mul(m, m)
-        minus_id = [[-x for x in row] for row in identity(n)]
-        if not mat_eq(square, minus_id):
+        ints, e = clear_denominators(m)  # J = ints / e, so J^2 = -I iff ints^2 = -e^2 I
+        square = [[sum(x * y for x, y in zip(row, col)) for col in zip(*ints)] for row in ints]
+        if any(x != -e * e * (i == j) for i, row in enumerate(square) for j, x in enumerate(row)):
             raise NotAComplexStructure("J^2 != -I")
         return cls(n, tuple(tuple(r) for r in m))
 
@@ -263,8 +260,7 @@ def _nijenhuis_ints(g: LieAlgebra, J: ComplexStructure):
         raise NotAComplexStructure("J dimension does not match the algebra")
     n = g.dim
     jm, e = clear_denominators(J.matrix)
-    c = lcm(*(x.denominator for _, comps in g.structure_constants for _, x in comps))
-    table = {key: [(k, x.numerator * (c // x.denominator)) for k, x in comps] for key, comps in g.structure_constants}
+    c, table = _cleared_brackets(g)
     columns = [[(a, jm[a][j]) for a in range(n) if jm[a][j]] for j in range(n)]  # e J e_j
 
     def bracket(a: int, b: int) -> list[tuple[int, int]]:  # c [e_a, e_b]

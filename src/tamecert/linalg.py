@@ -108,10 +108,6 @@ def mat_scale(c: Fraction, m) -> Mat:
     return [[c * x for x in row] for row in m]
 
 
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
-
-
 def mat_trace(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return sum((m[i][i] for i in range(len(m))), ZERO)
 
@@ -173,26 +169,35 @@ def rank(rows) -> int:
     return len(_echelon(rows)[1])
 
 
+def _kernel(m: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """A basis of {v : m @ v = 0} as primitive integer rows, and the free columns.
+
+    There is one row per free column f of the echelon form of m: it is
+    nonzero at f and zero at every other free column, so a kernel vector's
+    coordinates in this basis are read off at the free columns.
+    """
+    red, pivots = _echelon(m)
+    # scaled by the lcm of the pivots to stay integral
+    scale = lcm(*(row[p] for row, p in zip(red, pivots)))
+    pivot_set = set(pivots)
+    free = [f for f in range(ncols) if f not in pivot_set]
+    basis = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in zip(red, pivots):
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(_primitive(v))
+    return basis, free
+
+
 def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
     """Echelon-canonical basis of {v : m @ v = 0}."""
     if ncols is None:
         if not m:
             raise ValueError("nullspace of an empty matrix needs an explicit ncols")
         ncols = len(m[0])
-    red, pivots = _echelon(m)
-    # one kernel vector per free column f, scaled by the lcm of the pivots to stay integral
-    scale = lcm(*(row[p] for row, p in zip(red, pivots)))
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [0] * ncols
-        v[f] = scale
-        for row, p in zip(red, pivots):
-            v[p] = -row[f] * (scale // row[p])
-        basis.append(v)
-    canon, _ = rref(basis)
+    canon, _ = rref(_kernel(m, ncols)[0])
     return [tuple(row) for row in canon]
 
 
@@ -423,8 +428,9 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
 
     With p cleared to integers, a factor t^k gives the root 0 and is divided
     out, so that the Sturm chain is built for the rest, a_0, ..., a_d with
-    a_0 != 0.  The substitution s = a_d t turns a_d^(d-1) times it into a
-    monic integer polynomial, whose integer roots s give the roots s / a_d.
+    a_0 != 0; if d = 1 its root is -a_0 / a_1, with no chain.  Otherwise the
+    substitution s = a_d t turns a_d^(d-1) times it into a monic integer
+    polynomial, whose integer roots s give the roots s / a_d.
     """
     q = _integer_poly(p)
     if len(q) < 2:
@@ -434,6 +440,8 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     q = q[k:]
     if len(q) < 2:
         return zero
+    if len(q) == 2:
+        return sorted(zero + [Fraction(-q[0], q[1])])
     lead, deg = q[-1], len(q) - 1
     monic = [c * lead ** (deg - 1 - i) for i, c in enumerate(q[:-1])] + [1]
     return sorted(zero + [Fraction(s, lead) for s in _integer_roots(monic)])
@@ -452,6 +460,11 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError(f"vector length {len(r)} != ambient dim {ambient_dim}")
+        return cls._span(ambient_dim, rows)
+
+    @classmethod
+    def _span(cls, ambient_dim: int, rows: Iterable[Sequence[Fraction]]) -> "Subspace":
+        """The span of rows of ints or Fractions, each of length ambient_dim, unchecked."""
         red, _ = rref(rows)
         return cls(ambient_dim, tuple(tuple(r) for r in red))
 
@@ -461,7 +474,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(ambient_dim, identity(ambient_dim))
+        return cls(ambient_dim, tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -470,17 +483,14 @@ class Subspace:
     def pivots(self) -> list[int]:
         return [next(i for i, x in enumerate(row) if x != 0) for row in self.basis]
 
-    def reduce_vector(self, v: Sequence[Fraction]) -> Vec:
-        """Residue of v after eliminating this subspace's pivot coordinates."""
-        w = list(vec(v))
-        for row, p in zip(self.basis, self.pivots()):
-            if w[p] != 0:
-                c = w[p]
-                w = [x - c * y for x, y in zip(w, row)]
-        return tuple(w)
-
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vec(self.reduce_vector(v))
+        """Whether v lies here, by eliminating in integers: v and each basis row used are cleared."""
+        w = _cleared(v)[0]
+        for row, p in zip(self.basis, self.pivots()):
+            if w[p]:
+                f, row = w[p], _cleared(row)[0]
+                w = [row[p] * x - f * y for x, y in zip(w, row)]
+        return not any(w)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(b) for b in other.basis)

@@ -10,17 +10,25 @@ the induced form and the induced complex structure with its correction term
     J~(Y + h) = J(Y - Omega(JY, X)/Omega(JX, X) * X) + h
 
 are read off in that basis, and every flag is re-verified on the output.
-Losing a flag is an internal error (TamingLost), never a verdict.
+Losing a flag is an internal error (TamingLost), never a verdict.  The
+vectors, Omega and J are cleared to integers once, brackets go through the
+integer table, and each reduced entry becomes a ``Fraction`` only at the
+end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .algebra import LieAlgebra, one_dim_ideals
+from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, one_dim_ideals
 from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
-from .forms import ComplexStructure, TwoForm, ce_d, is_integrable, is_taming
-from .linalg import Subspace, Vec, nullspace, unit_vec, vec_sub, vec_scale
+from .forms import ComplexStructure, TwoForm, d2_matrix, is_integrable, is_taming
+from .linalg import Subspace, Vec, _cleared, clear_denominators, nullspace
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,10 @@ class TamedTriple:
     def build_unverified(cls, algebra: LieAlgebra, omega: TwoForm, J: ComplexStructure) -> "TamedTriple":
         if omega.dim != algebra.dim or J.dim != algebra.dim:
             raise TripleVerificationError(["dimension mismatch"])
-        closed = algebra.dim == 0 or ce_d(algebra, omega).is_zero()
+        # d Omega = 0: the matrix of d on 2-forms applied to Omega's coefficients
+        matrix, pairs, _ = d2_matrix(algebra)
+        column = {pair: c for c, pair in enumerate(pairs)}
+        closed = not any(sum(row[column[key]] * c for key, c in omega.coeffs) for row in matrix)
         integrable = is_integrable(algebra, J)
         taming = bool(is_taming(omega, J, exact=True))
         return cls(algebra, omega, J, closed, integrable, taming)
@@ -101,9 +112,12 @@ def find_isotropic_ideal(t: TamedTriple) -> Subspace:
 
 def omega_perp(t: TamedTriple, h: Subspace) -> Subspace:
     """Omega-orthogonal complement of h, in its echelon basis."""
-    g = t.algebra
-    rows = [[t.omega(w, unit_vec(g.dim, c)) for c in range(g.dim)] for w in h.basis]
-    return Subspace.from_vectors(g.dim, nullspace(rows, ncols=g.dim)) if rows else Subspace.full(g.dim)
+    n = t.algebra.dim
+    if not h.dim:
+        return Subspace.full(n)
+    W, _ = clear_denominators(t.omega.matrix())
+    rows = [[_dot(b, col) for col in zip(*W)] for b in clear_denominators(h.basis)[0]]
+    return Subspace(n, tuple(nullspace(rows, ncols=n)))
 
 
 def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
@@ -113,17 +127,23 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
         raise TripleVerificationError(["reduce requires a verified triple"])
     if not g.is_ideal(h):
         raise NotAnIdeal("reduction requires an ideal")
-    for a in h.basis:
-        for b in h.basis:
-            if t.omega(a, b) != 0:
-                raise NotIsotropic("the ideal is not isotropic for omega")
+    W, w = clear_denominators(t.omega.matrix())  # Omega = W / w
+    hb = clear_denominators(h.basis)[0]
+    if any(_dot(a, [_dot(row, b) for row in W]) for a in hb for b in hb):
+        raise NotIsotropic("the ideal is not isotropic for omega")
     if h.dim != 1:
         raise NotAnIdeal("only 1-dimensional isotropic ideals are supported")
 
+    jm, e = clear_denominators(t.J.matrix)  # J = jm / e
+    c, table = _cleared_brackets(g)  # [., .] = table / c
     x = h.basis[0]
-    jx = t.J.apply(x)
-    denom = t.omega(jx, x)
-    if denom == 0:
+    xi = hb[0]  # xi = s_x x, with s_x = xi[p] at X's pivot p
+    p = h.pivots()[0]
+    sx = xi[p]
+    w_xi = [_dot(row, xi) for row in W]
+    j_xi = [_dot(row, xi) for row in jm]  # e s_x J X
+    beta = _dot(j_xi, w_xi)  # e w s_x^2 Omega(JX, X)
+    if beta == 0:
         # impossible for a taming form; defensive
         raise TamingLost("Omega(JX, X) vanishes on a supposedly tamed triple")
 
@@ -133,40 +153,46 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     if not g.is_subalgebra(perp):
         raise TamingLost("h^perp failed the subalgebra check for an ideal h")
 
-    # the echelon basis of h^perp has a vector with pivot p, X's pivot, where
-    # x[p] = 1; the others represent a basis of h^perp / h
+    # the echelon basis of h^perp has a vector with pivot p, where x[p] = 1;
+    # the others represent a basis of h^perp / h
     pivots = perp.pivots()
-    p = h.pivots()[0]
-    keep = [c for c in range(perp.dim) if pivots[c] != p]
-    section = [perp.basis[c] for c in keep]
+    keep = [k for k in range(perp.dim) if pivots[k] != p]
+    section = [perp.basis[k] for k in keep]
+    kept_pivots = [pivots[k] for k in keep]
+    us = [_cleared(y)[0] for y in section]  # u = s y, with s = u at y's pivot
+    ss = [u[q] for u, q in zip(us, kept_pivots)]
 
-    def mod_h(v: Vec) -> Vec:
-        """Coordinates of v + h in the reduced basis, for v in h^perp."""
+    def mod_h(v: list[int], scale: int) -> Vec:
+        """Coordinates of v / scale + h in the reduced basis, for v / scale in h^perp."""
         if not perp.contains_vector(v):
             raise TamingLost("vector expected in h^perp fell outside it")
-        return tuple(v[pivots[c]] - v[p] * x[pivots[c]] for c in keep)
+        return tuple(Fraction(v[q] * sx - v[p] * xi[q], sx * scale) for q in kept_pivots)
 
     m = len(section)
     brackets = {}
     for a in range(m):
         for b in range(a + 1, m):
-            w = mod_h(g.bracket(section[a], section[b]))
-            brackets[(a, b)] = {k: c for k, c in enumerate(w) if c != 0}
+            v = mod_h(_bracket_ints(table, us[a], us[b]), c * ss[a] * ss[b])
+            brackets[(a, b)] = {k: y for k, y in enumerate(v) if y != 0}
     # a unit vector e_i keeps its label; any other basis vector is f<position in h^perp>
     labels = [
-        g.basis_labels[pivots[c]] if sum(v != 0 for v in perp.basis[c]) == 1 else f"f{c + 1}"
-        for c in keep
+        g.basis_labels[pivots[k]] if sum(v != 0 for v in perp.basis[k]) == 1 else f"f{k + 1}"
+        for k in keep
     ]
     red_alg = LieAlgebra.from_brackets(m, brackets, labels=labels, check=True)
 
+    w_us = [[_dot(row, u) for row in W] for u in us]
     red_omega = TwoForm.from_dict(
-        m, {(a, b): t.omega(section[a], section[b]) for a in range(m) for b in range(a + 1, m)}
+        m, {(a, b): Fraction(_dot(us[a], w_us[b]), w * ss[a] * ss[b]) for a in range(m) for b in range(a + 1, m)}
     )
 
+    # with y = u / s, alpha = e w s s_x Omega(JY, X), J(Y - alpha s_x / (s beta) X) is
+    # jm (beta u - alpha xi) / (e s beta)
     j_cols = []
-    for y in section:
-        c = t.omega(t.J.apply(y), x) / denom
-        j_cols.append(mod_h(t.J.apply(vec_sub(y, vec_scale(c, x)))))
+    for u, s_u in zip(us, ss):
+        alpha = _dot([_dot(row, u) for row in jm], w_xi)
+        shifted = [beta * y - alpha * z for y, z in zip(u, xi)]
+        j_cols.append(mod_h([_dot(row, shifted) for row in jm], e * s_u * beta))
     j_rows = [[j_cols[b][a] for b in range(m)] for a in range(m)]
     try:
         red_j = ComplexStructure.from_matrix(j_rows)
@@ -191,7 +217,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
         h=h,
         generator=x,
         perp=perp,
-        complement_witness=jx,
+        complement_witness=tuple(Fraction(y, e * sx) for y in j_xi),
         reduced=red_triple,
         section_map=tuple(section),
     )

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,19 @@ import pytest
 from tamecert import ComplexStructure, Fixture, LieAlgebra, Subspace, TwoForm, is_taming, load_fixture
 from tamecert.algebra import scale_structure_constants
 from tamecert.forms import two_form_pairs
-from tamecert.linalg import det, mat_inverse, mat_mul, mat_vec, nullspace, unit_vec, vec_scale, vec_sub
+from tamecert.linalg import (
+    charpoly,
+    det,
+    identity,
+    mat_inverse,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    rational_roots,
+    unit_vec,
+    vec_scale,
+    vec_sub,
+)
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -174,7 +187,9 @@ def _ref_quotient(g: LieAlgebra, h: Subspace):
     comp = [i for i in range(g.dim) if i not in piv]
 
     def project(v):
-        w = h.reduce_vector(v)
+        w = list(v)
+        for row, p in zip(h.basis, h.pivots()):
+            w = [x - w[p] * y for x, y in zip(w, row)]
         return tuple(w[p] for p in comp)
 
     reps = [unit_vec(g.dim, c) for c in comp]
@@ -215,3 +230,42 @@ def reference_reduce(t, h: Subspace):
         cols.append(project(perp.coordinates_of(jy)))
     J = ComplexStructure.from_matrix([[cols[b][a] for b in range(m)] for a in range(m)])
     return red_alg, omega, J, tuple(section)
+
+
+# --- reference weight spaces and series: evaluation-based, over all of g ---
+
+
+def reference_weight_spaces(g: LieAlgebra) -> list[Subspace]:
+    """The rational joint eigenspaces of ad g by branching over every basis
+    adjoint in turn, its rational eigenvalues ascending, and intersecting
+    eigenspaces; the oracle for ``algebra.weight_spaces``."""
+    n = g.dim
+    d = lcm(*(c.denominator for _, comps in g.structure_constants for _, c in comps))
+    branches = [Subspace.from_vectors(n, identity(n))]
+    for i in range(n):
+        a = [[d * x for x in row] for row in g.adjoint(unit_vec(n, i))]
+        eigenspaces = []
+        for mu in rational_roots(charpoly(a)):
+            shifted = [list(row) for row in a]
+            for k in range(n):
+                shifted[k][k] -= mu
+            eigenspaces.append(Subspace.from_vectors(n, nullspace(shifted, ncols=n)))
+        branches = [space.intersect(e) for space in branches for e in eigenspaces]
+        branches = [space for space in branches if space.dim > 0]
+        if not branches:
+            break
+    return branches
+
+
+def reference_series(g: LieAlgebra, lower: bool) -> list[Subspace]:
+    """The lower central (lower=True) or derived series, bracketing every pair
+    of basis vectors through the evaluation-based ``bracket``."""
+    full = Subspace.from_vectors(g.dim, identity(g.dim))
+    series = [full]
+    while series[-1].dim:
+        left = full if lower else series[-1]
+        nxt = Subspace.from_vectors(g.dim, [g.bracket(x, y) for x in left.basis for y in series[-1].basis])
+        if nxt.dim == series[-1].dim:
+            break
+        series.append(nxt)
+    return series

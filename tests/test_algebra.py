@@ -12,14 +12,25 @@ from tamecert import (
     JacobiViolation,
     LieAlgebra,
     Subspace,
+    TamedTriple,
     is_completely_solvable,
     one_dim_ideals,
+    reduction_tower,
     validate,
     weight_spaces,
 )
 from tamecert.algebra import scale_structure_constants
 
-from conftest import conjugate, pull_back, random_basis_change, random_rational_vector
+from conftest import (
+    NON_ABELIAN_NAMES,
+    TAMED_NAMES,
+    conjugate,
+    pull_back,
+    random_basis_change,
+    random_rational_vector,
+    reference_series,
+    reference_weight_spaces,
+)
 
 F = Fraction
 
@@ -132,9 +143,9 @@ def test_bracket_antisymmetry_and_bilinearity():
 
 def test_adjoint_examples():
     assert abelian(3).adjoint((1, 2, 3)) == [[F(0)] * 3 for _ in range(3)]
-    ad_h = aff_r().adjoint_of_basis(0)
+    ad_h = aff_r().adjoint((1, 0))
     assert ad_h == [[F(0), F(0)], [F(0), F(1)]]  # X maps to X
-    ad_e1 = h3_r().adjoint_of_basis(0)
+    ad_e1 = h3_r().adjoint((1, 0, 0, 0))
     expected = [[F(0)] * 4 for _ in range(4)]
     expected[2][1] = F(1)  # e2 -> e3
     assert ad_e1 == expected
@@ -239,6 +250,39 @@ def test_weight_spaces_large_structure_constants():
     assert large == small == [Subspace.from_vectors(4, [e]) for e in ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))]
     assert large_lines == small_lines
     assert seconds < 0.5
+
+
+def oracle_algebras(corpus, exact_items) -> list[tuple[str, LieAlgebra]]:
+    """Every exact item, every algebra of the six tamed fixtures' towers, three
+    seeded conjugates of each non-abelian fixture, and the a = 10^6 algebra."""
+    algebras = [(name, g) for name, g, _ in exact_items]
+    for name in TAMED_NAMES:
+        fx = corpus[name]
+        tower = reduction_tower(TamedTriple.build(fx.algebra, fx.omega, fx.J))
+        algebras += [(f"{name}/{k}", step.reduced.algebra) for k, step in enumerate(tower.steps, 1)]
+    rng = random.Random(53)
+    for name in NON_ABELIAN_NAMES:
+        g = corpus[name].algebra
+        algebras += [(f"{name}~Q{k}", conjugate(g, random_basis_change(rng, g.dim))[0]) for k in range(3)]
+    a = 10**6
+    algebras.append(("a=10^6", validate(4, {(0, 1): {1: a}, (0, 2): {2: a + 1}, (0, 3): {3: -(2 * a + 1)}})))
+    return algebras
+
+
+def test_weight_spaces_and_series_match_reference(corpus, exact_items):
+    # weight_spaces works inside the centralizer of [g, g] and the series
+    # bracket through the integer table; the references branch over every
+    # basis adjoint and bracket by evaluation.  Lists and order must agree.
+    algebras = oracle_algebras(corpus, exact_items)
+    assert len(algebras) == 28 + 13 + 21 + 1
+    with_weights = 0
+    for name, g in algebras:
+        spaces = weight_spaces(g)
+        assert spaces == reference_weight_spaces(g), name
+        assert g.derived_series() == reference_series(g, lower=False), name
+        assert g.lower_central_series() == reference_series(g, lower=True), name
+        with_weights += len(spaces) > 1
+    assert with_weights >= 10  # the order of several weight spaces is compared too
 
 
 def test_algebra_module_imports_no_numpy():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import tamecert.linalg as linalg_mod
 from tamecert.forms import d2_matrix
 from tamecert.linalg import (
     ONE,
@@ -29,6 +30,7 @@ from tamecert.linalg import (
     rref,
     solve,
     transpose,
+    unit_vec,
 )
 
 F = Fraction
@@ -267,7 +269,7 @@ def item_matrices(exact_items):
     """The adjoints, J matrices and d on 2-forms of every benchmark item."""
     out = []
     for _, g, J in exact_items:
-        out += [g.adjoint_of_basis(i) for i in range(g.dim)]
+        out += [g.adjoint(unit_vec(g.dim, i)) for i in range(g.dim)]
         out.append([list(r) for r in J.matrix])
         out.append(d2_matrix(g)[0])
     return [m for m in out if m]
@@ -386,3 +388,41 @@ def test_rational_roots_of_power_of_t_times_f(seed):
         assert rational_roots(p) == sorted(roots | {F(0)})
     assert rational_roots([F(0)] * 11 + [F(-9), F(1)]) == [F(0), F(9)]
     assert rational_roots([F(0), F(0), F(5)]) == [F(0)]
+
+
+def bisection_rational_roots(p):
+    """Every rational root by the Sturm bisection of ``_integer_roots``, with no
+    shortcut for a linear remainder: rational_roots as it was before one."""
+    q = linalg_mod._integer_poly(p)
+    if len(q) < 2:
+        return []
+    k = next(i for i, c in enumerate(q) if c)
+    zero = [F(0)] if k else []
+    q = q[k:]
+    if len(q) < 2:
+        return zero
+    lead, deg = q[-1], len(q) - 1
+    monic = [c * lead ** (deg - 1 - i) for i, c in enumerate(q[:-1])] + [1]
+    return sorted(zero + [F(s, lead) for s in linalg_mod._integer_roots(monic)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_roots_linear_remainder_matches_bisection(seed, monkeypatch):
+    # c t^k (a_1 t + a_0): once t^k is divided out the root is -a_0 / a_1,
+    # read off directly; products of linear factors still take the bisection
+    rng = random.Random(seed)
+    linear, products = [], []
+    for _ in range(40):
+        root = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+        factor = [F(-root.numerator), F(root.denominator)]
+        c = F(rng.choice([-7, -1, 1, 3]), rng.choice([1, 2, 5]))
+        k = rng.randint(0, 4)
+        linear.append(([F(0)] * k + [c * x for x in factor], sorted({root} | ({F(0)} if k else set()))))
+        roots = [root] + [F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+        products.append(([F(0)] * k + [c * x for x in poly_from_roots(*roots)], sorted(set(roots) | ({F(0)} if k else set()))))
+    for p, roots in linear + products:
+        assert rational_roots(p) == bisection_rational_roots(p) == roots
+    # the linear remainders never reach the bisection
+    monkeypatch.setattr(linalg_mod, "_integer_roots", lambda q: pytest.fail("bisected a linear remainder"))
+    for p, roots in linear:
+        assert rational_roots(p) == roots

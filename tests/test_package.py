@@ -30,6 +30,7 @@ REMOVED_NAMES = [
     "squarefree_part",
     "DIVISOR_SEARCH_LIMIT",
     "_divisors",
+    "mat_eq",
 ]
 
 
@@ -45,6 +46,8 @@ def test_public_surface():
         for module in (tamecert, algebra, errors, forms, linalg, reduction):
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(tamecert.Subspace, "standard_complement_positions")
+    assert not hasattr(tamecert.Subspace, "reduce_vector")
+    assert not hasattr(tamecert.LieAlgebra, "adjoint_of_basis")
 
 
 def test_readme_library_snippet(monkeypatch):

@@ -1,11 +1,17 @@
 """Reports, proof trace, corpus runs, fixture parsing, CLI."""
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
 
+import tamecert.algebra
+import tamecert.feasibility
+import tamecert.forms
+import tamecert.linalg
 import tamecert.pipeline as pipeline_mod
+import tamecert.reduction
 from tamecert import (
     Feasible,
     FixtureError,
@@ -17,6 +23,7 @@ from tamecert import (
     analyze,
     corpus_run,
     dumps_report,
+    load_fixture,
     parse_fixture,
     proof_trace,
 )
@@ -24,6 +31,8 @@ from tamecert.cli import main as cli_main
 from tamecert.fixtures import MAX_FIXTURE_DIM
 from tamecert.linalg import is_zero_vec, mat_inverse, mat_mul
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
+
+from conftest import CORPUS_NAMES
 
 F = Fraction
 
@@ -165,6 +174,47 @@ def test_analyze_reduction_summary(corpus):
         "all_steps_verified": True,
         "unimodular_preserved": None,  # input is not unimodular
     }
+
+
+# charpoly and _echelon calls over one analyze of each corpus fixture: 61 and
+# 272 with weight spaces inside the centralizer of [g, g] and the series and
+# reduction on the integer bracket table (144 and 900 before)
+MAX_CHARPOLY_CALLS = 64
+MAX_ECHELON_CALLS = 285
+
+
+def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
+    counts = {"charpoly": 0, "_echelon": 0}
+    for name in counts:
+        original = getattr(tamecert.linalg, name)
+
+        def counted(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        modules = (tamecert.linalg, tamecert.algebra, tamecert.forms, tamecert.feasibility, tamecert.reduction, pipeline_mod)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    def run(fx) -> dict:
+        before = dict(counts)
+        analyze(fx)
+        return {name: counts[name] - before[name] for name in counts}
+
+    first_total = {name: 0 for name in counts}
+    for name in CORPUS_NAMES:
+        fx = load_fixture(fixtures_dir / f"{name}.json")
+        inputs = [x for x in (fx.algebra, fx.J, fx.omega) if x is not None]
+        state = [copy.deepcopy(vars(x)) for x in inputs]
+        first, second = run(fx), run(fx)
+        # a second call on the same objects does the same work: nothing is memoized on them
+        assert first == second, name
+        assert [vars(x) for x in inputs] == state, name
+        for key in counts:
+            first_total[key] += first[key]
+    assert 0 < first_total["charpoly"] <= MAX_CHARPOLY_CALLS
+    assert 0 < first_total["_echelon"] <= MAX_ECHELON_CALLS
 
 
 def test_report_round_trip(corpus):

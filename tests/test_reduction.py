@@ -20,6 +20,7 @@ from tamecert import (
     standard_complex_structure,
     validate,
 )
+from tamecert.forms import ce_d, closed_two_forms, two_form_pairs
 
 from conftest import TAMED_NAMES, conjugate, direct_sum, is_compatible, random_basis_change, reference_reduce
 
@@ -243,3 +244,22 @@ def test_isotropic_ideal_is_abelian(corpus):
         h = find_isotropic_ideal(triple)
         x = h.basis[0]
         assert fx.algebra.bracket(x, x) == (F(0),) * fx.algebra.dim, name
+
+
+def test_closed_flag_matches_ce_d(corpus):
+    # build_unverified reads closedness off d2_matrix; ce_d is the
+    # evaluation-based reference.  Each fixture's own omega, two closed
+    # forms and three seeded random forms, most of them not closed.
+    rng = random.Random(59)
+    seen = []
+    for name, fx in corpus.items():
+        g, n = fx.algebra, fx.algebra.dim
+        forms = ([fx.omega] if fx.omega is not None else []) + closed_two_forms(g)[:2]
+        for _ in range(3):
+            pairs = rng.sample(two_form_pairs(n), min(3, n * (n - 1) // 2))
+            forms.append(TwoForm.from_dict(n, {pair: F(rng.randint(-3, 3), rng.randint(1, 3)) for pair in pairs}))
+        for omega in forms:
+            closed = TamedTriple.build_unverified(g, omega, fx.J).closed
+            assert closed == ce_d(g, omega).is_zero(), name
+            seen.append(closed)
+    assert seen.count(False) >= 10 and seen.count(True) >= 10
