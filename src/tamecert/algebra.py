@@ -102,7 +102,6 @@ class LieAlgebra:
         dim: int,
         brackets: Brackets,
         labels: Sequence[str] | None = None,
-        check: bool = True,
     ) -> "LieAlgebra":
         if dim < 0:
             raise DimensionMismatch("dimension must be nonnegative")
@@ -116,8 +115,7 @@ class LieAlgebra:
             (key, tuple(sorted(norm[key].items()))) for key in sorted(norm)
         )
         alg = cls(dim, labels, frozen)
-        if check:
-            alg.check_jacobi()
+        alg.check_jacobi()
         return alg
 
     # --- bracket machinery ---
@@ -236,7 +234,7 @@ def validate(
     labels: Sequence[str] | None = None,
 ) -> LieAlgebra:
     """Construct a LieAlgebra, raising JacobiViolation on the first bad triple."""
-    return LieAlgebra.from_brackets(dim, brackets, labels=labels, check=True)
+    return LieAlgebra.from_brackets(dim, brackets, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -354,4 +352,4 @@ def scale_structure_constants(g: LieAlgebra, t: Fraction) -> LieAlgebra:
         key: {k: t * c for k, c in comps.items()}
         for key, comps in g.bracket_table().items()
     }
-    return LieAlgebra.from_brackets(g.dim, table, labels=g.basis_labels, check=True)
+    return LieAlgebra.from_brackets(g.dim, table, labels=g.basis_labels)

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success/consistent, 1 input error, 2 inconsistency detected,
-3 Unknown verdict present (partial result).
+3 Unknown verdict present (partial result).  Every command but ``validate``
+lets a ``TamecertError`` reach ``main``, which prints it and exits 1.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import FixtureError, JacobiViolation, TamecertError
-from .feasibility import Feasible, FeasibilityConfig, Infeasible, Unknown
+from .errors import FixtureError, TamecertError
+from .feasibility import Feasible, FeasibilityConfig, Infeasible, Unknown, decide
 from .fixtures import dumps_report, load_fixture
 from .pipeline import (
     EXIT_INPUT_ERROR,
@@ -81,21 +82,13 @@ def cmd_validate(args) -> int:
     except FixtureError as exc:
         print(f"INVALID: {exc}")
         return EXIT_INPUT_ERROR
-    except JacobiViolation as exc:
-        print(f"INVALID: {exc}")
-        return EXIT_INPUT_ERROR
     print(f"OK: {fx.name} (dim {fx.algebra.dim}, J {'present' if fx.J else 'absent'}, "
           f"omega {'present' if fx.omega else 'absent'})")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    try:
-        fx = load_fixture(args.file)
-        report = analyze(fx, _config(args))
-    except (FixtureError, TamecertError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    report = analyze(load_fixture(args.file), _config(args))
     if args.json:
         print(dumps_report(report.to_dict()))
     else:
@@ -124,20 +117,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        fx = load_fixture(args.file)
-    except FixtureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    fx = load_fixture(args.file)
     if fx.J is None or fx.omega is None:
-        print("error: reduce needs both 'J' and 'omega' in the fixture", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        triple = TamedTriple.build(fx.algebra, fx.omega, fx.J)
-        tower = reduction_tower(triple)
-    except TamecertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise FixtureError("reduce needs both 'J' and 'omega' in the fixture")
+    tower = reduction_tower(TamedTriple.build(fx.algebra, fx.omega, fx.J))
     doc = {
         "name": fx.name,
         "steps": [
@@ -165,16 +148,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_tame(args) -> int:
-    try:
-        fx = load_fixture(args.file)
-    except FixtureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    fx = load_fixture(args.file)
     if fx.J is None:
-        print("error: tame needs a 'J' entry in the fixture", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    from .feasibility import decide
-
+        raise FixtureError("tame needs a 'J' entry in the fixture")
     verdict = decide(fx.algebra, fx.J, _config(args))
     if args.json:
         print(dumps_report({"name": fx.name, "feasibility": verdict_to_dict(verdict)}))
@@ -228,7 +204,11 @@ def main(argv: list[str] | None = None) -> int:
         "tame": cmd_tame,
         "corpus": cmd_corpus,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except TamecertError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

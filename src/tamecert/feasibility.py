@@ -379,8 +379,7 @@ def decide(
         eye = [[frac(int(i == j)) / g.dim for j in range(g.dim)] for i in range(g.dim)]
         return Infeasible(_freeze_matrix(eye), 0.0, None, float("-inf"))
     direction = degeneracy_precheck(p)
-    stop_above = None if direction is not None else max(10 * config.eps_feas, 1e-3)
-    c, value = maximize_lambda_min(p, stop_above=stop_above)
+    c, value = maximize_lambda_min(p)
     if direction is not None:
         dual = _rank_one_dual(p, direction.vector)
         return Infeasible(_freeze_matrix(dual), 0.0, direction.vector, value)

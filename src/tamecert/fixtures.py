@@ -15,14 +15,14 @@ Fixture schema (rationals are integers or "p/q" strings; indices 0-based):
 O(dim^4) exact operations, so a larger one-line file is refused before any
 structure is built instead of hanging the run.
 
-Report JSON is emitted with floats at 17 significant digits so parsing it
-back reproduces the exact double values.
+Reports are written by ``json.dumps``: a float is written as its ``repr``,
+which parses back to the same double and stays a float (1.0, not 1; -0.0
+keeps its sign), and a ``Fraction`` as ``rational_str`` gives it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -154,47 +154,6 @@ def rational_str(x: Fraction) -> int | str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# --- report JSON with pinned float formatting ---
-
-
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "NaN"
-        if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return format(obj, ".17g")
-    if isinstance(obj, Fraction):
-        return json.dumps(rational_str(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad_in}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{pad_in}{_render(v, indent, level + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps_report(obj, indent: int = 2) -> str:
-    """JSON text with floats rendered at 17 significant digits."""
-    return _render(obj, indent, 0)
+    """Report JSON: rationals as ``rational_str`` gives them, floats as ``repr``."""
+    return json.dumps(obj, indent=indent, default=rational_str)

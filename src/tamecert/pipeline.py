@@ -124,7 +124,6 @@ def verdict_to_dict(v: FeasibilityVerdict | None) -> dict | None:
 
 def analyze(fixture: Fixture, config: FeasibilityConfig | None = None) -> AnalysisReport:
     g = fixture.algebra
-    config = config or FeasibilityConfig()
 
     solvable = g.is_solvable()
     nilpotent = g.is_nilpotent()
@@ -407,7 +406,6 @@ def corpus_run(
 
     Entries are ordered by fixture name regardless of completion order.
     """
-    config = config or FeasibilityConfig()
     paths = sorted(Path(directory).glob("*.json"))
     tasks = [(str(p), config) for p in paths]
     if jobs > 1 and len(tasks) > 1:

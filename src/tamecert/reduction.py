@@ -46,16 +46,15 @@ class TamedTriple:
     def verified(self) -> bool:
         return self.closed and self.integrable and self.taming
 
+    @property
+    def failed_flags(self) -> tuple[str, ...]:
+        return tuple(name for name in ("closed", "integrable", "taming") if not getattr(self, name))
+
     @classmethod
     def build(cls, algebra: LieAlgebra, omega: TwoForm, J: ComplexStructure) -> "TamedTriple":
         t = cls.build_unverified(algebra, omega, J)
         if not t.verified:
-            failed = [
-                name
-                for name, ok in (("closed", t.closed), ("integrable", t.integrable), ("taming", t.taming))
-                if not ok
-            ]
-            raise TripleVerificationError(failed)
+            raise TripleVerificationError(t.failed_flags)
         return t
 
     @classmethod
@@ -179,7 +178,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
         g.basis_labels[pivots[k]] if sum(v != 0 for v in perp.basis[k]) == 1 else f"f{k + 1}"
         for k in keep
     ]
-    red_alg = LieAlgebra.from_brackets(m, brackets, labels=labels, check=True)
+    red_alg = LieAlgebra.from_brackets(m, brackets, labels=labels)
 
     w_us = [[_dot(row, u) for row in W] for u in us]
     red_omega = TwoForm.from_dict(
@@ -201,18 +200,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
 
     red_triple = TamedTriple.build_unverified(red_alg, red_omega, red_j)
     if not red_triple.verified:
-        raise TamingLost(
-            "reduction lost a verified property: "
-            + ", ".join(
-                name
-                for name, ok in (
-                    ("closed", red_triple.closed),
-                    ("integrable", red_triple.integrable),
-                    ("taming", red_triple.taming),
-                )
-                if not ok
-            )
-        )
+        raise TamingLost("reduction lost a verified property: " + ", ".join(red_triple.failed_flags))
     return ReductionStep(
         h=h,
         generator=x,

@@ -177,7 +177,7 @@ def _ref_subalgebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
             labels.append(g.basis_labels[nonzero[0][0]])
         else:
             labels.append(f"f{len(labels) + 1}")
-    return LieAlgebra.from_brackets(s.dim, brackets, labels=labels, check=True)
+    return LieAlgebra.from_brackets(s.dim, brackets, labels=labels)
 
 
 def _ref_quotient(g: LieAlgebra, h: Subspace):
@@ -199,7 +199,7 @@ def _ref_quotient(g: LieAlgebra, h: Subspace):
         for b in range(a + 1, len(comp))
     }
     labels = [g.basis_labels[c] for c in comp]
-    return LieAlgebra.from_brackets(len(comp), brackets, labels=labels, check=True), reps, project
+    return LieAlgebra.from_brackets(len(comp), brackets, labels=labels), reps, project
 
 
 def reference_reduce(t, h: Subspace):

@@ -1,11 +1,12 @@
 """The public surface of the package and the README's library example."""
 
+import inspect
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import tamecert
-from tamecert import algebra, errors, forms, linalg, reduction
+from tamecert import algebra, errors, fixtures, forms, linalg, reduction
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,6 +49,9 @@ def test_public_surface():
     assert not hasattr(tamecert.Subspace, "standard_complement_positions")
     assert not hasattr(tamecert.Subspace, "reduce_vector")
     assert not hasattr(tamecert.LieAlgebra, "adjoint_of_basis")
+    # the Jacobi check always runs, and reports are written by json.dumps
+    assert "check" not in inspect.signature(tamecert.LieAlgebra.from_brackets).parameters
+    assert not hasattr(fixtures, "_render")
 
 
 def test_readme_library_snippet(monkeypatch):

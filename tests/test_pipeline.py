@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -217,10 +218,27 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
     assert 0 < first_total["_echelon"] <= MAX_ECHELON_CALLS
 
 
+def _floats(obj) -> list[tuple[float, float]]:
+    """Each float of a JSON-like value, depth first, with its sign (so -0.0 differs from 0.0)."""
+    if isinstance(obj, float):
+        return [(obj, math.copysign(1, obj))]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [f for x in obj for f in _floats(x)]
+    return []
+
+
 def test_report_round_trip(corpus):
-    for name in ("h3_r", "abelian_r4", "aff_r2", "inoue_s0"):
-        d = analyze(corpus[name]).to_dict()
-        assert json.loads(dumps_report(d)) == d
+    names = ("h3_r", "abelian_r4", "aff_r2", "inoue_s0", "aff_r", "abelian_r2")
+    cases = [(d, d) for d in (analyze(corpus[name]).to_dict() for name in names)]
+    literal = {"one": 1.0, "neg_zero": -0.0, "big": 1e16, "inf": float("inf"), "q": F(3, 4)}
+    cases.append((literal, {**literal, "q": "3/4"}))
+    for obj, expected in cases:
+        parsed = json.loads(dumps_report(obj))
+        assert parsed == expected
+        # 1.0 must not come back as the integer 1, nor -0.0 as 0
+        assert _floats(parsed) == _floats(expected), dumps_report(obj)
 
 
 def test_report_field_names_are_stable(corpus):
@@ -387,6 +405,12 @@ def test_cli_validate_rejects_bad(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli_main(["validate", str(bad)]) == EXIT_INPUT_ERROR
     assert "INVALID" in capsys.readouterr().out
+    # a Jacobi violation reaches the CLI as a FixtureError, like any other bad input
+    brackets = [{"i": 0, "j": 1, "v": {"2": 1}}, {"i": 0, "j": 2, "v": {"1": 1}}, {"i": 1, "j": 2, "v": {"1": 1}}]
+    bad.write_text(json.dumps({"name": "bad", "dim": 3, "brackets": brackets}))
+    assert cli_main(["validate", str(bad)]) == EXIT_INPUT_ERROR
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID") and "Jacobi identity fails" in out
 
 
 def test_cli_analyze_json(fixtures_dir, capsys):
