@@ -228,15 +228,6 @@ class LieAlgebra:
         return all(s.contains_vector(_bracket_ints(table, a, b)) for a, b in combinations(basis, 2))
 
 
-def validate(
-    dim: int,
-    brackets: Brackets,
-    labels: Sequence[str] | None = None,
-) -> LieAlgebra:
-    """Construct a LieAlgebra, raising JacobiViolation on the first bad triple."""
-    return LieAlgebra.from_brackets(dim, brackets, labels=labels)
-
-
 @dataclass(frozen=True)
 class CompleteSolvability:
     value: bool

@@ -186,12 +186,7 @@ def cmd_corpus(args) -> int:
                 str(r.theorem_consistency.consistent),
             )
             print("  " + "".join(c.ljust(w) for c, w in zip(row, widths)))
-        bad = sum(
-            1
-            for e in result.entries
-            if e.report is not None and not e.report.theorem_consistency.consistent
-        )
-        print(f"  inconsistencies: {bad}")
+        print(f"  inconsistencies: {result.inconsistencies}")
     return result.exit_code
 
 

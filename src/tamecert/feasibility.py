@@ -316,13 +316,11 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
             gram = term if gram is None else mat_add(gram, term)
         if gram is None or not leading_minors_positive(gram):
             continue
-        omega = None
+        coeffs = {}
         for qi, b in zip(q, p.z2_basis):
-            if qi == 0:
-                continue
-            term = b.scale(qi)
-            omega = term if omega is None else omega.add(term)
-        assert omega is not None
+            for key, v in b.coeffs:
+                coeffs[key] = coeffs.get(key, ZERO) + qi * v
+        omega = TwoForm.from_dict(p.algebra.dim, coeffs)
         norm = float(np.sqrt(sum(float(x) ** 2 for x in q)))
         lam = float(
             np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in gram]))[0]

@@ -75,10 +75,6 @@ def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> Mat:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
 def mat_from_rows(rows: Iterable[Sequence]) -> Mat:
     return [[frac(x) for x in row] for row in rows]
 

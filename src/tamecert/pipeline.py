@@ -33,8 +33,8 @@ from .feasibility import (
 )
 from .fixtures import Fixture, load_fixture, rational_str
 from .forms import TwoForm, is_integrable
-from .linalg import Subspace, Vec, ZERO, is_zero_vec, mat_inverse, mat_mul, mat_from_rows, vec_sub, vec_scale
-from .reduction import TamedTriple, find_isotropic_ideal, omega_perp, reduction_tower
+from .linalg import Subspace, Vec, is_zero_vec, mat_trace, vec_scale, vec_sub, zero_vec
+from .reduction import TamedTriple, find_isotropic_ideal, omega_perp, reduce, reduction_tower
 
 # exit codes: CI-friendly contract
 EXIT_OK = 0
@@ -248,8 +248,11 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
         [X, Y]  = a X,   [X, JY] = b X,
         [JX, Y] = -2b X - a JX + Z1,   [JX, JY] = 2a X - b JX + J Z1,
 
-    with a = Omega([X,Y], JX) / Omega(X, JX) and b likewise for JY, and Z1
-    the v-component of [JX, Y].  A nonzero residual is a bug, not a verdict.
+    with a = Omega([X,Y], JX) / Omega(X, JX) and b likewise for JY.  Z1 is
+    what the third relation leaves over, [JX, Y] + 2b X + a JX, and the
+    relation holds iff Z1 lies in v.  On a unimodular input trace(ad_Y | v)
+    is checked to vanish; it equals tr ad_Y.  A nonzero residual is a bug,
+    not a verdict.
     """
     g = t.algebra
     if not t.verified:
@@ -271,33 +274,16 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     jperp = Subspace.from_vectors(g.dim, [t.J.apply(b) for b in perp.basis])
     vspace = perp.intersect(jperp)
 
-    if vspace.dim:
-        basis_mat = mat_from_rows([list(col) for col in zip(x, jx, *vspace.basis)])
-        inv = mat_inverse(basis_mat)
-
-    def decompose(w: Vec) -> tuple[Fraction, Fraction, Vec]:
-        """coefficients on X, JX and the v-component (ambient coords)."""
-        coords = [sum(inv[r][c] * w[c] for c in range(g.dim)) for r in range(g.dim)]
-        z = [ZERO] * g.dim
-        for coeff, vb in zip(coords[2:], vspace.basis):
-            z = [u + coeff * vv for u, vv in zip(z, vb)]
-        return coords[0], coords[1], tuple(z)
-
     rows = []
-    unimodular, _ = g.is_unimodular()
-    trace_checked = False
     for y in vspace.basis:
         jy = t.J.apply(y)
         a = t.omega(g.bracket(x, y), jx) / denom
         b = t.omega(g.bracket(x, jy), jx) / denom
         r1 = vec_sub(g.bracket(x, y), vec_scale(a, x))
         r2 = vec_sub(g.bracket(x, jy), vec_scale(b, x))
-        bxy = g.bracket(jx, y)
-        p, q, z1 = decompose(bxy)
-        expected3 = [(-2) * b * xi - a * ji + zi for xi, ji, zi in zip(x, jx, z1)]
-        r3 = vec_sub(bxy, expected3)
-        jz1 = t.J.apply(z1)
-        expected4 = [2 * a * xi - b * ji + zi for xi, ji, zi in zip(x, jx, jz1)]
+        z1 = tuple(zi + 2 * b * xi + a * ji for zi, xi, ji in zip(g.bracket(jx, y), x, jx))
+        r3 = zero_vec(g.dim) if vspace.contains_vector(z1) else z1
+        expected4 = [2 * a * xi - b * ji + zi for xi, ji, zi in zip(x, jx, t.J.apply(z1))]
         r4 = vec_sub(g.bracket(jx, jy), expected4)
         residuals = {
             "[X,Y] = aX": r1,
@@ -310,21 +296,16 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
                 raise RelationViolation(relation, y, res)
         rows.append(ProofTraceRow(y=y, a=a, b=b, z1=z1, residuals=residuals))
 
-    if unimodular and vspace.dim:
-        for y in vspace.basis:
-            ad = g.adjoint(y)
-            conj = mat_mul(mat_mul(inv, ad), basis_mat)
-            block_trace = sum((conj[i][i] for i in range(2, g.dim)), ZERO)
-            if block_trace != 0:
-                raise RelationViolation("trace(ad_Y | v) = 0", y, (block_trace,))
-        trace_checked = True
-
+    unimodular, _ = g.is_unimodular()
     reduced_unimodular = None
     if unimodular:
-        from .reduction import reduce as reduce_step
-
-        step = reduce_step(t, h)
-        reduced_unimodular = step.reduced.algebra.is_unimodular()[0]
+        # the first and third relations put -a and a on ad_Y's diagonal at X
+        # and JX, so the trace of ad_Y on v is tr ad_Y
+        for y in vspace.basis:
+            trace = mat_trace(g.adjoint(y))
+            if trace != 0:
+                raise RelationViolation("trace(ad_Y | v) = 0", y, (trace,))
+        reduced_unimodular = reduce(t, h).reduced.algebra.is_unimodular()[0]
         if not reduced_unimodular:
             raise RelationViolation("reduced algebra unimodular", x, ())
 
@@ -333,7 +314,7 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
         h_scalar=h_scalar,
         v_space=vspace,
         rows=tuple(rows),
-        trace_zero_checked=trace_checked,
+        trace_zero_checked=bool(unimodular and vspace.dim),
         reduced_unimodular=reduced_unimodular,
     )
 
@@ -354,8 +335,12 @@ class CorpusResult:
     entries: tuple[CorpusEntry, ...]
 
     @property
+    def inconsistencies(self) -> int:
+        return sum(e.report is not None and not e.report.theorem_consistency.consistent for e in self.entries)
+
+    @property
     def exit_code(self) -> int:
-        if any(e.report is not None and not e.report.theorem_consistency.consistent for e in self.entries):
+        if self.inconsistencies:
             return EXIT_INCONSISTENT
         if any(e.error is not None for e in self.entries):
             return EXIT_INPUT_ERROR
@@ -375,11 +360,7 @@ class CorpusResult:
                 }
                 for e in self.entries
             ],
-            "inconsistencies": sum(
-                1
-                for e in self.entries
-                if e.report is not None and not e.report.theorem_consistency.consistent
-            ),
+            "inconsistencies": self.inconsistencies,
             "exit_code": self.exit_code,
         }
 

@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, one_dim_ideals
 from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
-from .forms import ComplexStructure, TwoForm, d2_matrix, is_integrable, is_taming
-from .linalg import Subspace, Vec, _cleared, clear_denominators, nullspace
+from .forms import ComplexStructure, TwoForm, d2_matrix, is_integrable, taming_gram
+from .linalg import Subspace, Vec, _cleared, clear_denominators, leading_minors_positive, nullspace
 
 
 def _dot(a, b) -> int:
@@ -66,7 +66,7 @@ class TamedTriple:
         column = {pair: c for c, pair in enumerate(pairs)}
         closed = not any(sum(row[column[key]] * c for key, c in omega.coeffs) for row in matrix)
         integrable = is_integrable(algebra, J)
-        taming = bool(is_taming(omega, J, exact=True))
+        taming = leading_minors_positive(taming_gram(omega, J))
         return cls(algebra, omega, J, closed, integrable, taming)
 
 

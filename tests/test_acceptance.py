@@ -15,6 +15,7 @@ import numpy as np
 from tamecert import (
     Feasible,
     Infeasible,
+    LieAlgebra,
     OneForm,
     Subspace,
     TamedTriple,
@@ -29,7 +30,6 @@ from tamecert import (
     proof_trace,
     reduction_tower,
     standard_complex_structure,
-    validate,
 )
 from tamecert.forms import ComplexStructure
 from tamecert.linalg import is_zero_vec, unit_vec
@@ -51,7 +51,7 @@ def test_criterion_1_torus_direction():
     for n in (1, 2, 3, 4):
         dim = 2 * n
         start = time.perf_counter()
-        v = decide(validate(dim, {}), standard_complex_structure(dim))
+        v = decide(LieAlgebra.from_brackets(dim, {}), standard_complex_structure(dim))
         elapsed = time.perf_counter() - start
         assert isinstance(v, Feasible), f"R^{dim} not Feasible"
         assert v.exact_pd, f"R^{dim} lacked an exact PD certificate"
@@ -62,7 +62,7 @@ def test_criterion_1_torus_direction():
 
 
 def test_criterion_2_nilpotent_obstruction():
-    g = validate(4, {(0, 1): {2: 1}})  # h3 + R
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})  # h3 + R
     J = standard_complex_structure(4)
     # derived precondition: Z^2 excludes e^3 ^ e^4
     basis = closed_two_forms(g)

@@ -16,7 +16,6 @@ from tamecert import (
     is_completely_solvable,
     one_dim_ideals,
     reduction_tower,
-    validate,
     weight_spaces,
 )
 from tamecert.algebra import scale_structure_constants
@@ -36,21 +35,21 @@ F = Fraction
 
 
 def abelian(dim: int) -> LieAlgebra:
-    return validate(dim, {})
+    return LieAlgebra.from_brackets(dim, {})
 
 
 def h3_r() -> LieAlgebra:
-    return validate(4, {(0, 1): {2: 1}})
+    return LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
 
 
 def aff_r() -> LieAlgebra:
     # [H, X] = X
-    return validate(2, {(0, 1): {1: 1}}, labels=["H", "X"])
+    return LieAlgebra.from_brackets(2, {(0, 1): {1: 1}}, labels=["H", "X"])
 
 
 def sol4_1() -> LieAlgebra:
     # [H,X] = X, [H,Y] = -Y, [X,Y] = Z
-    return validate(
+    return LieAlgebra.from_brackets(
         4,
         {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {3: 1}},
         labels=["H", "X", "Y", "Z"],
@@ -59,7 +58,7 @@ def sol4_1() -> LieAlgebra:
 
 def inoue_s0() -> LieAlgebra:
     # ad_{e4} acts on span(e1,e2,e3) by [[1,-1,0],[1,1,0],[0,0,-2]]
-    return validate(
+    return LieAlgebra.from_brackets(
         4,
         {(0, 3): {0: -1, 1: -1}, (1, 3): {0: 1, 1: -1}, (2, 3): {2: 2}},
     )
@@ -67,13 +66,13 @@ def inoue_s0() -> LieAlgebra:
 
 def e2() -> LieAlgebra:
     # euclidean motions of the plane: ad_{e3} rotates span(e1,e2)
-    return validate(3, {(0, 2): {1: -1}, (1, 2): {0: 1}})
+    return LieAlgebra.from_brackets(3, {(0, 2): {1: -1}, (1, 2): {0: 1}})
 
 
 def killing_trap() -> LieAlgebra:
     # R x R^4 with ad_{e5} = blocks [[1,-1],[1,1]] and [[-1,-1],[1,-1]]: the
     # weights 1 +- i, -1 +- i square-sum to zero, so the Killing form vanishes
-    return validate(
+    return LieAlgebra.from_brackets(
         5,
         {(0, 4): {0: -1, 1: -1}, (1, 4): {0: 1, 1: -1}, (2, 4): {2: 1, 3: -1}, (3, 4): {2: 1, 3: 1}},
     )
@@ -82,7 +81,7 @@ def killing_trap() -> LieAlgebra:
 def shifted_sum(dim: int, g: LieAlgebra) -> LieAlgebra:
     """R^(dim - g.dim) + g, with g on the last basis vectors."""
     off = dim - g.dim
-    return validate(dim, {(i + off, j + off): {k + off: c for k, c in comps} for (i, j), comps in g.structure_constants})
+    return LieAlgebra.from_brackets(dim, {(i + off, j + off): {k + off: c for k, c in comps} for (i, j), comps in g.structure_constants})
 
 
 # --- validation ---
@@ -100,7 +99,7 @@ def test_jacobi_violation_with_hand_oracle():
     #   [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = 0 + [e2,e1] + [-e2,e2]
     #                                              = -e3
     with pytest.raises(JacobiViolation) as err:
-        validate(3, {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}})
+        LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}})
     assert err.value.triple == (0, 1, 2)
     assert err.value.residual == (F(0), F(0), F(-1))
 
@@ -109,16 +108,16 @@ def test_dimension_mismatch():
     from tamecert import DimensionMismatch
 
     with pytest.raises(DimensionMismatch):
-        validate(2, {(0, 2): {1: 1}})  # j out of range
+        LieAlgebra.from_brackets(2, {(0, 2): {1: 1}})  # j out of range
     with pytest.raises(DimensionMismatch):
-        validate(2, {(0, 1): {5: 1}})  # target component out of range
+        LieAlgebra.from_brackets(2, {(0, 1): {5: 1}})  # target component out of range
     with pytest.raises(DimensionMismatch):
-        validate(2, {}, labels=["only-one"])
+        LieAlgebra.from_brackets(2, {}, labels=["only-one"])
 
 
 def test_completely_solvable_at_dim_10():
     # no dimension cutoff: aff(R) + R^8 is decided exactly
-    g = validate(10, {(0, 1): {1: 1}})
+    g = LieAlgebra.from_brackets(10, {(0, 1): {1: 1}})
     verdict = is_completely_solvable(g)
     assert verdict.value and verdict.witness is None
     # R^6 + inoue_s0: the rotating e4 of the summand is basis index 9
@@ -207,7 +206,7 @@ def test_completely_solvable():
     bad = is_completely_solvable(killing_trap())
     assert not bad.value and bad.witness == 4
     # sl2: [e,f] = h, [h,e] = 2e, [h,f] = -2f  (order e,f,h)
-    sl2 = validate(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+    sl2 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
     assert not sl2.is_solvable()
     bad = is_completely_solvable(sl2)
     assert not bad.value and bad.witness is None
@@ -216,7 +215,7 @@ def test_completely_solvable():
 def test_irrational_real_weights():
     # ad_H = [[2,1],[1,1]] on span(X,Y) has real irrational eigenvalues
     # (3 +- sqrt(5))/2: completely solvable, but no rational invariant line
-    g = validate(3, {(0, 1): {1: 2, 2: 1}, (0, 2): {1: 1, 2: 1}})
+    g = LieAlgebra.from_brackets(3, {(0, 1): {1: 2, 2: 1}, (0, 2): {1: 1, 2: 1}})
     verdict = is_completely_solvable(g)
     assert verdict.value and verdict.witness is None  # decided exactly by Sturm
     assert one_dim_ideals(g) == []  # the invariant lines are irrational
@@ -240,7 +239,7 @@ def test_weight_spaces_large_structure_constants():
     # ad e1 has constant term about 2 a^3 after stripping t, far too many
     # divisors to try at a = 10^6, so its roots come from the Sturm bisection
     def spaces(a):
-        g = validate(4, {(0, 1): {1: a}, (0, 2): {2: a + 1}, (0, 3): {3: -(2 * a + 1)}})
+        g = LieAlgebra.from_brackets(4, {(0, 1): {1: a}, (0, 2): {2: a + 1}, (0, 3): {3: -(2 * a + 1)}})
         start = time.process_time()
         ws = weight_spaces(g)
         return ws, one_dim_ideals(g), time.process_time() - start
@@ -265,7 +264,7 @@ def oracle_algebras(corpus, exact_items) -> list[tuple[str, LieAlgebra]]:
         g = corpus[name].algebra
         algebras += [(f"{name}~Q{k}", conjugate(g, random_basis_change(rng, g.dim))[0]) for k in range(3)]
     a = 10**6
-    algebras.append(("a=10^6", validate(4, {(0, 1): {1: a}, (0, 2): {2: a + 1}, (0, 3): {3: -(2 * a + 1)}})))
+    algebras.append(("a=10^6", LieAlgebra.from_brackets(4, {(0, 1): {1: a}, (0, 2): {2: a + 1}, (0, 3): {3: -(2 * a + 1)}})))
     return algebras
 
 

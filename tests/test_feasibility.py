@@ -14,6 +14,7 @@ from tamecert import (
     FeasibilityConfig,
     FeasibilityProblem,
     Infeasible,
+    LieAlgebra,
     TwoForm,
     Unknown,
     build_problem,
@@ -24,7 +25,6 @@ from tamecert import (
     exactify,
     maximize_lambda_min,
     standard_complex_structure,
-    validate,
 )
 from tamecert.algebra import scale_structure_constants
 from tamecert.forms import ComplexStructure, leading_minors_positive, taming_gram
@@ -37,7 +37,7 @@ F = Fraction
 
 
 def problem_for(dim, brackets, config=None):
-    return build_problem(validate(dim, brackets), standard_complex_structure(dim), config)
+    return build_problem(LieAlgebra.from_brackets(dim, brackets), standard_complex_structure(dim), config)
 
 
 def fake_problem(gram_basis, dim=2):
@@ -45,7 +45,7 @@ def fake_problem(gram_basis, dim=2):
     z2 = [TwoForm.from_dict(dim, {(0, 1): 1}) for _ in gram_basis]
     grams = np.array([[[float(x) for x in row] for row in m] for m in gram_basis])
     return FeasibilityProblem(
-        algebra=validate(dim, {}),
+        algebra=LieAlgebra.from_brackets(dim, {}),
         J=standard_complex_structure(dim),
         z2_basis=z2,
         gram_basis=[[[F(x) for x in row] for row in m] for m in gram_basis],
@@ -354,7 +354,7 @@ def test_dual_certificate_unreachable_when_identity_in_span():
 
 def test_decide_kaehler_all_dims():
     for n in (1, 2, 3, 4):
-        v = decide(validate(2 * n, {}), standard_complex_structure(2 * n))
+        v = decide(LieAlgebra.from_brackets(2 * n, {}), standard_complex_structure(2 * n))
         assert isinstance(v, Feasible)
         assert v.exact_pd
         assert v.lambda_min >= 0.1
@@ -368,13 +368,13 @@ def test_decide_kaehler_non_standard_j():
     p = mat_from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
     j_std = mat_from_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     conjugated = ComplexStructure.from_matrix(mat_mul(mat_mul(p, j_std), mat_inverse(p)))
-    v = decide(validate(4, {}), conjugated)
+    v = decide(LieAlgebra.from_brackets(4, {}), conjugated)
     assert isinstance(v, Feasible)
     assert v.exact_pd
 
 
 def test_decide_h3_rank_one_certificate():
-    g = validate(4, {(0, 1): {2: 1}})
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
     v = decide(g, standard_complex_structure(4))
     assert isinstance(v, Infeasible)
     assert v.rank_one_direction == (F(0), F(0), F(1), F(0))
@@ -386,7 +386,7 @@ def test_decide_h3_rank_one_certificate():
 
 
 def test_decide_aff_feasible_nonunimodular():
-    g = validate(2, {(0, 1): {1: 1}})
+    g = LieAlgebra.from_brackets(2, {(0, 1): {1: 1}})
     v = decide(g, standard_complex_structure(2))
     assert isinstance(v, Feasible)
     assert v.exact_pd
@@ -571,14 +571,14 @@ def test_feasible_downgrade_when_exactify_fails(monkeypatch):
         raise ExactificationFailed("forced")
 
     monkeypatch.setattr(feas_mod, "exactify", boom)
-    v = feas_mod.decide(validate(2, {}), standard_complex_structure(2))
+    v = feas_mod.decide(LieAlgebra.from_brackets(2, {}), standard_complex_structure(2))
     assert isinstance(v, Unknown)
     assert v.best_lambda_min > FeasibilityConfig.eps_feas
     assert not v.degenerate_logged
 
 
 def test_unknown_when_both_lanes_stall(monkeypatch):
-    g = validate(4, {(0, 1): {2: 1}})
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
     monkeypatch.setattr(feas_mod, "degeneracy_precheck", lambda p: None)
     monkeypatch.setattr(feas_mod, "dual_certificate", lambda p: None)
     v = feas_mod.decide(g, standard_complex_structure(4))
@@ -589,7 +589,7 @@ def test_unknown_when_both_lanes_stall(monkeypatch):
 
 def test_decide_no_closed_forms_is_infeasible(monkeypatch):
     # force an empty closed basis; any trace-one PSD matrix certifies
-    g = validate(2, {})
+    g = LieAlgebra.from_brackets(2, {})
     monkeypatch.setattr(feas_mod, "closed_two_forms", lambda alg: [])
     v = feas_mod.decide(g, standard_complex_structure(2))
     assert isinstance(v, Infeasible)

@@ -10,6 +10,7 @@ import tamecert.forms as forms_mod
 
 from tamecert import (
     ComplexStructure,
+    LieAlgebra,
     NotAComplexStructure,
     OneForm,
     TwoForm,
@@ -20,7 +21,6 @@ from tamecert import (
     nijenhuis,
     standard_complex_structure,
     taming_gram,
-    validate,
 )
 from tamecert.forms import d2_matrix, leading_minors_positive, two_form_pairs
 from tamecert.linalg import ONE, ZERO, det, mat_inverse, mat_mul, rank, unit_vec
@@ -32,15 +32,15 @@ F = Fraction
 
 
 def h3_r():
-    return validate(4, {(0, 1): {2: 1}})
+    return LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
 
 
 def aff_r():
-    return validate(2, {(0, 1): {1: 1}}, labels=["H", "X"])
+    return LieAlgebra.from_brackets(2, {(0, 1): {1: 1}}, labels=["H", "X"])
 
 
 def sol3_r():
-    return validate(4, {(0, 1): {1: 1}, (0, 2): {2: -1}})
+    return LieAlgebra.from_brackets(4, {(0, 1): {1: 1}, (0, 2): {2: -1}})
 
 
 # --- differential ---
@@ -54,7 +54,7 @@ def test_d_one_form_h3():
 
 
 def test_d_vanishes_on_abelian():
-    g = validate(4, {})
+    g = LieAlgebra.from_brackets(4, {})
     assert ce_d(g, OneForm.from_coeffs((1, 2, 3, 4))).is_zero()
     assert ce_d(g, TwoForm.from_dict(4, {(0, 1): 5, (2, 3): -2})).is_zero()
 
@@ -80,7 +80,7 @@ def test_d_squared_zero_on_corpus(corpus):
 
 
 def test_closed_two_forms_examples():
-    assert len(closed_two_forms(validate(4, {}))) == 6
+    assert len(closed_two_forms(LieAlgebra.from_brackets(4, {}))) == 6
     basis = closed_two_forms(h3_r())
     assert [f.coeffs for f in basis] == [
         (((0, 1), F(1)),),
@@ -123,7 +123,7 @@ def test_nijenhuis_h3_integrable():
 
 
 def test_nijenhuis_abelian_any_j():
-    g = validate(4, {})
+    g = LieAlgebra.from_brackets(4, {})
     J = ComplexStructure.from_matrix(
         [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, "1/2", 0]]
     )
@@ -287,7 +287,7 @@ def test_d2_matrix_does_not_evaluate_forms(monkeypatch):
         raise AssertionError("d2_matrix must not call ce_d")
 
     monkeypatch.setattr(forms_mod, "ce_d", refuse)
-    g = validate(12, {})
+    g = LieAlgebra.from_brackets(12, {})
     matrix, pairs, triples = d2_matrix(g)
     assert len(matrix) == len(triples) == 220 and len(pairs) == 66
     assert all(x == 0 for row in matrix for x in row)

@@ -32,6 +32,8 @@ REMOVED_NAMES = [
     "DIVISOR_SEARCH_LIMIT",
     "_divisors",
     "mat_eq",
+    "validate",
+    "zeros",
 ]
 
 

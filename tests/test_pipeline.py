@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import tamecert.algebra
@@ -18,8 +19,10 @@ from tamecert import (
     FixtureError,
     Infeasible,
     LieAlgebra,
+    RelationViolation,
     TamedTriple,
     TripleVerificationError,
+    TwoForm,
     Unknown,
     analyze,
     corpus_run,
@@ -27,13 +30,15 @@ from tamecert import (
     load_fixture,
     parse_fixture,
     proof_trace,
+    reduction_tower,
+    standard_complex_structure,
 )
 from tamecert.cli import main as cli_main
 from tamecert.fixtures import MAX_FIXTURE_DIM
 from tamecert.linalg import is_zero_vec, mat_inverse, mat_mul
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
 
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, TAMED_NAMES
 
 F = Fraction
 
@@ -285,23 +290,58 @@ def test_proof_trace_aff_r(corpus):
     assert rec.h_scalar == F(1)  # [X, JX] = [X, -H] = X
 
 
+def tower_triples(fx) -> list[TamedTriple]:
+    """The fixture's tamed triple, then every reduced triple of its tower above dimension 0."""
+    t = TamedTriple.build(fx.algebra, fx.omega, fx.J)
+    return [t] + [step.reduced for step in reduction_tower(t).steps if step.reduced.algebra.dim]
+
+
 def test_proof_trace_zero_residuals_everywhere(corpus):
+    checked = 0
     for name, fx in corpus.items():
         if fx.omega is None or fx.J is None:
             continue
-        rec = proof_trace(TamedTriple.build(fx.algebra, fx.omega, fx.J))
-        for row in rec.rows:
-            assert all(is_zero_vec(r) for r in row.residuals.values()), name
+        for k, t in enumerate(tower_triples(fx)):
+            rec = proof_trace(t)
+            for row in rec.rows:
+                assert all(is_zero_vec(r) for r in row.residuals.values()), (name, k)
+            checked += 1
+    assert checked == 6 + 7  # the tamed fixtures and their reduced triples above dimension 0
+
+
+def test_proof_trace_reports_relation_violation(corpus):
+    # a taming but non-closed omega on sol4_1, its flags forced to True:
+    # for Y = e1 - e4, Z1 = [JX, Y] + 2bX + aJX = e3 falls outside v
+    fx = corpus["sol4_1"]
+    omega = TwoForm.from_dict(4, {(0, 1): 1, (1, 3): -2, (2, 3): -2})
+    flags = TamedTriple.build_unverified(fx.algebra, omega, fx.J)
+    assert flags.failed_flags == ("closed",)
+    with pytest.raises(RelationViolation) as info:
+        proof_trace(TamedTriple(fx.algebra, omega, fx.J, True, True, True))
+    assert info.value.relation == "[JX,Y] = -2bX - aJX + Z1"
+    assert info.value.generator == (F(1), F(0), F(0), F(-1))
+    assert info.value.residual == (F(0), F(0), F(1), F(0))
+
+
+def test_reduction_layer_is_float_free(corpus, monkeypatch):
+    # taming is decided by exact leading minors, and the proof trace uses
+    # membership tests and traces: no floating-point eigensolver may run
+    def refuse(*args, **kwargs):
+        raise AssertionError("a floating-point eigensolver ran in the reduction layer")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for name in TAMED_NAMES:
+        for t in tower_triples(corpus[name]):
+            proof_trace(t)
 
 
 def test_proof_trace_requires_verified():
-    import tamecert
-
-    g = tamecert.validate(2, {})
+    g = LieAlgebra.from_brackets(2, {})
     bad = TamedTriple.build_unverified(
         g,
-        tamecert.TwoForm.from_dict(2, {(0, 1): -1}),
-        tamecert.standard_complex_structure(2),
+        TwoForm.from_dict(2, {(0, 1): -1}),
+        standard_complex_structure(2),
     )
     with pytest.raises(TripleVerificationError):
         proof_trace(bad)

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 from tamecert import (
+    LieAlgebra,
     OneForm,
     ce_d,
     closed_two_forms,
@@ -15,7 +16,6 @@ from tamecert import (
     Infeasible,
     Feasible,
     is_completely_solvable,
-    validate,
 )
 from tamecert.linalg import unit_vec
 
@@ -38,7 +38,7 @@ def random_two_step(rng: random.Random, base: int, central: int):
                 entry = {k: c for k, c in entry.items() if c != 0}
                 if entry:
                     brackets[(i, j)] = entry
-    return validate(dim, brackets)
+    return LieAlgebra.from_brackets(dim, brackets)
 
 
 def test_two_step_nilpotent_invariants():
@@ -71,7 +71,7 @@ def test_verdicts_are_certified_on_random_kaehler_rotations():
     from tamecert.linalg import mat_from_rows, mat_inverse, mat_mul
 
     rng = random.Random(7)
-    g = validate(4, {})
+    g = LieAlgebra.from_brackets(4, {})
     j_std = mat_from_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     found = 0
     while found < 5:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tamecert import (
+    LieAlgebra,
     NoOneDimIdeal,
     NotAnIdeal,
     NotIsotropic,
@@ -18,7 +19,6 @@ from tamecert import (
     reduce,
     reduction_tower,
     standard_complex_structure,
-    validate,
 )
 from tamecert.forms import ce_d, closed_two_forms, two_form_pairs
 
@@ -28,37 +28,37 @@ F = Fraction
 
 
 def aff_r2_triple() -> TamedTriple:
-    g = validate(4, {(0, 1): {1: 1}, (2, 3): {3: 1}}, labels=["H1", "X1", "H2", "X2"])
+    g = LieAlgebra.from_brackets(4, {(0, 1): {1: 1}, (2, 3): {3: 1}}, labels=["H1", "X1", "H2", "X2"])
     omega = TwoForm.from_dict(4, {(0, 1): 1, (2, 3): 1})
     return TamedTriple.build(g, omega, standard_complex_structure(4))
 
 
 def aff_r_triple() -> TamedTriple:
-    g = validate(2, {(0, 1): {1: 1}}, labels=["H", "X"])
+    g = LieAlgebra.from_brackets(2, {(0, 1): {1: 1}}, labels=["H", "X"])
     return TamedTriple.build(g, TwoForm.from_dict(2, {(0, 1): 1}), standard_complex_structure(2))
 
 
 def kaehler_triple(dim: int) -> TamedTriple:
-    g = validate(dim, {})
+    g = LieAlgebra.from_brackets(dim, {})
     omega = TwoForm.from_dict(dim, {(2 * k, 2 * k + 1): 1 for k in range(dim // 2)})
     return TamedTriple.build(g, omega, standard_complex_structure(dim))
 
 
 def test_triple_verification_failures():
-    g = validate(4, {(0, 1): {2: 1}})  # h3 + R
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})  # h3 + R
     J = standard_complex_structure(4)
     with pytest.raises(TripleVerificationError) as err:
         # e3^e4 is not closed on h3+R
         TamedTriple.build(g, TwoForm.from_dict(4, {(0, 1): 1, (2, 3): 1}), J)
     assert "closed" in err.value.failed_flags or "taming" in err.value.failed_flags
     with pytest.raises(TripleVerificationError) as err2:
-        TamedTriple.build(validate(2, {}), TwoForm.from_dict(2, {(0, 1): -1}), standard_complex_structure(2))
+        TamedTriple.build(LieAlgebra.from_brackets(2, {}), TwoForm.from_dict(2, {(0, 1): -1}), standard_complex_structure(2))
     assert err2.value.failed_flags == ("taming",)
 
 
 def test_find_isotropic_ideal_prefers_derived_lines():
     # h3 + R: span(e3) lies inside [g,g]
-    g = validate(4, {(0, 1): {2: 1}})
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
     t = TamedTriple.build_unverified(g, TwoForm.from_dict(4, {(0, 1): 1}), standard_complex_structure(4))
     assert find_isotropic_ideal(t) == Subspace.from_vectors(4, [(0, 0, 1, 0)])
 
@@ -80,7 +80,7 @@ def test_omega_perp_examples():
     assert perp2 == Subspace.from_vectors(2, [(1, 0)])
 
     # h3+R with a closed nondegenerate form: e^13 + e^24
-    g = validate(4, {(0, 1): {2: 1}})
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
     omega = TwoForm.from_dict(4, {(0, 2): 1, (1, 3): 1})
     t3 = TamedTriple.build_unverified(g, omega, standard_complex_structure(4))
     perp3 = omega_perp(t3, Subspace.from_vectors(4, [(0, 0, 1, 0)]))
@@ -118,7 +118,7 @@ def test_reduce_kaehler_r4():
 def test_reduce_with_nonzero_correction_term():
     # skewed taming form on abelian R^4: J no longer preserves h^perp, so the
     # induced J~ must use the corrected representative
-    g = validate(4, {})
+    g = LieAlgebra.from_brackets(4, {})
     J = standard_complex_structure(4)
     omega = TwoForm.from_dict(4, {(0, 1): 2, (2, 3): 2, (0, 2): 1, (1, 3): 1})
     t = TamedTriple.build(g, omega, J)
@@ -137,7 +137,7 @@ def oracle_triples(corpus) -> list[tuple[str, TamedTriple]]:
     tamed = [(name, corpus[name]) for name in TAMED_NAMES]
     cases = [(name, TamedTriple.build(fx.algebra, fx.omega, fx.J)) for name, fx in tamed]
     skewed = TwoForm.from_dict(4, {(0, 1): 2, (2, 3): 2, (0, 2): 1, (1, 3): 1})
-    cases.append(("skewed_r4", TamedTriple.build(validate(4, {}), skewed, standard_complex_structure(4))))
+    cases.append(("skewed_r4", TamedTriple.build(LieAlgebra.from_brackets(4, {}), skewed, standard_complex_structure(4))))
     aff2 = corpus["aff_r2"]
     m = aff2.omega.matrix()
     rng = random.Random(11)
@@ -192,7 +192,7 @@ def test_reduce_rejects_non_isotropic_and_multidim():
 def test_no_rational_invariant_line():
     # ad_H acts on an abelian R^3 by a companion matrix with char poly t^3 - 2:
     # no rational eigenvalue, hence no rational invariant line anywhere
-    g = validate(4, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {1: 2}})
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {1: 2}})
     assert g.is_solvable()
     t = TamedTriple.build_unverified(
         g, TwoForm.from_dict(4, {(0, 1): 1}), standard_complex_structure(4)
@@ -202,7 +202,7 @@ def test_no_rational_invariant_line():
 
 
 def test_reduce_requires_verified_triple():
-    g = validate(2, {})
+    g = LieAlgebra.from_brackets(2, {})
     bad = TamedTriple.build_unverified(g, TwoForm.from_dict(2, {(0, 1): -1}), standard_complex_structure(2))
     with pytest.raises(TripleVerificationError):
         reduce(bad, Subspace.from_vectors(2, [(1, 0)]))
