@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import LieAlgebra, weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, frac, identity, mat_add, mat_scale, mat_vec, nullspace, solve, transpose, vec_dot
+from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, frac, identity, mat_vec, nullspace, solve, transpose, vec_dot
 
 DEFAULT_EPS_FEAS = 1e-7
 DEFAULT_EPS_DUAL = 1e-8
@@ -169,6 +169,7 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     spaces = [(space.intersect(derived), "weight space in [g,g]") for space in weight_spaces(g)]
     j_derived = Subspace.from_vectors(g.dim, [p.J.apply(b) for b in derived.basis])
     spaces.append((derived.intersect(j_derived), "J-invariant part of [g,g]"))
+    gram_cols = [list(zip(*clear_denominators(s)[0])) for s in p.gram_basis]  # each S_i, cleared, by columns
     for w, provenance in spaces:
         if not w.dim:
             continue
@@ -176,10 +177,9 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
         # each scaled to ints by positive factors that leave the kernel alone
         b, _ = clear_denominators(w.basis)
         rows = []
-        for s in p.gram_basis:
-            s, _ = clear_denominators(s)
+        for cols in gram_cols:
             for x in b:
-                sx = [sum(xk * v for xk, v in zip(x, col)) for col in zip(*s)]
+                sx = [sum(xk * v for xk, v in zip(x, col)) for col in cols]
                 rows.append([sum(u * v for u, v in zip(sx, y)) for y in b])
         radical = nullspace(rows, ncols=w.dim)
         if radical:
@@ -308,19 +308,14 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
         q = [Fraction(x).limit_denominator(bound) for x in scaled]
         if all(x == 0 for x in q):
             continue
-        gram = None
-        for qi, s in zip(q, p.gram_basis):
-            if qi == 0:
-                continue
-            term = mat_scale(qi, s)
-            gram = term if gram is None else mat_add(gram, term)
-        if gram is None or not leading_minors_positive(gram):
-            continue
         coeffs = {}
         for qi, b in zip(q, p.z2_basis):
             for key, v in b.coeffs:
                 coeffs[key] = coeffs.get(key, ZERO) + qi * v
         omega = TwoForm.from_dict(p.algebra.dim, coeffs)
+        gram = taming_gram(omega, p.J)  # = sum q_i S_i, as the Gram is linear in omega
+        if not leading_minors_positive(gram):
+            continue
         norm = float(np.sqrt(sum(float(x) ** 2 for x in q)))
         lam = float(
             np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in gram]))[0]

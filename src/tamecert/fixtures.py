@@ -13,7 +13,10 @@ Fixture schema (rationals are integers or "p/q" strings; indices 0-based):
 
 ``dim`` is capped at ``MAX_FIXTURE_DIM``: the Jacobi check alone costs
 O(dim^4) exact operations, so a larger one-line file is refused before any
-structure is built instead of hanging the run.
+structure is built instead of hanging the run.  ``brackets`` and ``omega``
+must be lists (an ``omega`` of null is absent), and a pair (i, j) listed
+twice, or a component key repeated once read as an integer ("1" and "01"),
+is refused rather than letting the last entry win.
 
 Reports are written by ``json.dumps``: a float is written as its ``repr``,
 which parses back to the same double and stays a float (1.0, not 1; -0.0
@@ -56,18 +59,27 @@ def _rational(value, where: str) -> Fraction:
     raise FixtureError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
 
-def _indexed_entry(entry, where: str, dim: int) -> tuple[int, int, object]:
-    """The fields i, j, v of a bracket or omega entry, with integers 0 <= i < j < dim."""
-    try:
-        i, j, v = entry["i"], entry["j"], entry["v"]
-    except (TypeError, KeyError) as exc:
-        raise FixtureError(f"{where}: needs fields i, j, v") from exc
-    for field, x in (("i", i), ("j", j)):
-        if type(x) is not int:  # JSON true and false are Python ints
-            raise FixtureError(f"{where}: '{field}' must be an integer, got {x!r}")
-    if not 0 <= i < j < dim:
-        raise FixtureError(f"{where}: need 0 <= i < j < dim, got i={i}, j={j}")
-    return i, j, v
+def _indexed_entries(entries, key: str, source: str, dim: int):
+    """Yield (where, i, j, v) over the list of bracket or omega entries under key,
+    with integers 0 <= i < j < dim and no pair (i, j) listed twice."""
+    if not isinstance(entries, list):
+        raise FixtureError(f"{source}: '{key}' must be a list")
+    seen = set()
+    for idx, entry in enumerate(entries):
+        where = f"{source}: {key}[{idx}]"
+        try:
+            i, j, v = entry["i"], entry["j"], entry["v"]
+        except (TypeError, KeyError) as exc:
+            raise FixtureError(f"{where}: needs fields i, j, v") from exc
+        for field, x in (("i", i), ("j", j)):
+            if type(x) is not int:  # JSON true and false are Python ints
+                raise FixtureError(f"{where}: '{field}' must be an integer, got {x!r}")
+        if not 0 <= i < j < dim:
+            raise FixtureError(f"{where}: need 0 <= i < j < dim, got i={i}, j={j}")
+        if (i, j) in seen:
+            raise FixtureError(f"{where}: pair ({i}, {j}) is listed twice")
+        seen.add((i, j))
+        yield where, i, j, v
 
 
 def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
@@ -89,9 +101,7 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
         if not isinstance(basis, list) or len(basis) != dim:
             raise FixtureError(f"{source}: 'basis' must list {dim} labels")
     brackets = {}
-    for idx, entry in enumerate(doc.get("brackets", [])):
-        where = f"{source}: brackets[{idx}]"
-        i, j, v = _indexed_entry(entry, where, dim)
+    for where, i, j, v in _indexed_entries(doc.get("brackets", []), "brackets", source, dim):
         if not isinstance(v, dict):
             raise FixtureError(f"{where}: 'v' must map component index to rational")
         comps = {}
@@ -102,6 +112,8 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
                 raise FixtureError(f"{where}: component key {k!r} is not an integer") from exc
             if not 0 <= ki < dim:
                 raise FixtureError(f"{where}: component {ki} outside dimension {dim}")
+            if ki in comps:
+                raise FixtureError(f"{where}: component key {k!r} repeats component {ki}")
             comps[ki] = _rational(c, f"{where}.v[{k}]")
         brackets[(i, j)] = comps
     try:
@@ -126,12 +138,8 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
 
     omega = None
     if "omega" in doc and doc["omega"] is not None:
-        entries = {}
-        for idx, entry in enumerate(doc["omega"]):
-            where = f"{source}: omega[{idx}]"
-            i, j, v = _indexed_entry(entry, where, dim)
-            entries[(i, j)] = _rational(v, f"{where}.v")
-        omega = TwoForm.from_dict(dim, entries)
+        entries = _indexed_entries(doc["omega"], "omega", source, dim)
+        omega = TwoForm.from_dict(dim, {(i, j): _rational(v, f"{where}.v") for where, i, j, v in entries})
 
     return Fixture(name=name, algebra=algebra, J=J, omega=omega)
 

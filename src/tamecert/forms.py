@@ -100,12 +100,6 @@ class TwoForm:
             m[j][i] = -c
         return m
 
-    def add(self, other: "TwoForm") -> "TwoForm":
-        entries = dict(self.coeffs)
-        for k, c in other.coeffs:
-            entries[k] = entries.get(k, ZERO) + c
-        return TwoForm.from_dict(self.dim, entries)
-
     def scale(self, c) -> "TwoForm":
         c = frac(c)
         return TwoForm.from_dict(self.dim, {k: c * v for k, v in self.coeffs})
@@ -200,13 +194,9 @@ def d2_matrix(g: LieAlgebra) -> tuple[list[list[Fraction]], list[tuple[int, int]
 def closed_two_forms(g: LieAlgebra) -> list[TwoForm]:
     """Echelon-canonical basis of the closed 2-forms."""
     matrix, pairs, _ = d2_matrix(g)
-    if not matrix:
-        kernel = [unit_vec(len(pairs), i) for i in range(len(pairs))]
-    else:
-        kernel = nullspace(matrix, ncols=len(pairs))
     return [
         TwoForm.from_dict(g.dim, {pairs[c]: v for c, v in enumerate(k) if v != 0})
-        for k in kernel
+        for k in nullspace(matrix, ncols=len(pairs))
     ]
 
 

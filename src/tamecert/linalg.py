@@ -79,10 +79,6 @@ def mat_from_rows(rows: Iterable[Sequence]) -> Mat:
     return [[frac(x) for x in row] for row in rows]
 
 
-def mat_copy(m: Sequence[Sequence[Fraction]]) -> Mat:
-    return [list(row) for row in m]
-
-
 def transpose(m: Sequence[Sequence[Fraction]]) -> Mat:
     return [list(col) for col in zip(*m)] if m else []
 
@@ -94,14 +90,6 @@ def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
     bt = transpose(b)
     return [[vec_dot(row, col) for col in bt] for row in a]
-
-
-def mat_add(a, b) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c: Fraction, m) -> Mat:
-    return [[c * x for x in row] for row in m]
 
 
 def mat_trace(m: Sequence[Sequence[Fraction]]) -> Fraction:

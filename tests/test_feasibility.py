@@ -329,10 +329,11 @@ def test_exactify_aff():
 
 
 def test_exactify_fails_on_singular_optimum():
-    # Gram [[1,1],[1,1]] is PSD singular: no rounding can make it PD
-    p = fake_problem([[[1, 1], [1, 1]]])
+    # on h3 + R the optimum margin is 0: the best Gram is PSD singular, and no
+    # rounding of the optimizer makes it PD
+    p = problem_for(4, {(0, 1): {2: 1}})
     with pytest.raises(ExactificationFailed):
-        exactify(p, np.array([1.0]))
+        exactify(p, maximize_lambda_min(p)[0])
 
 
 # --- dual certificates ---

@@ -18,8 +18,6 @@ from tamecert.linalg import (
     frac,
     identity,
     leading_minors_positive,
-    mat_add,
-    mat_copy,
     mat_inverse,
     mat_mul,
     mat_trace,
@@ -187,7 +185,7 @@ def ref_rref(rows):
 
 def ref_det(m):
     n = len(m)
-    a = mat_copy(m)
+    a = [list(row) for row in m]
     result = ONE
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
@@ -301,7 +299,8 @@ def test_det_charpoly_minors_match_fraction_oracle(seed):
     for m in squares:
         assert det(m) == ref_det(m)
         assert charpoly(m) == ref_charpoly(m)
-        sym = mat_add(mat_mul(transpose(m), m), identity(len(m))) if m else m  # positive definite
+        mtm = mat_mul(transpose(m), m)
+        sym = [[x + int(i == j) for j, x in enumerate(row)] for i, row in enumerate(mtm)]  # m^T m + I: positive definite
         for s in (m, sym, [[-x for x in row] for row in sym]):
             assert leading_minors_positive(s) == ref_leading_minors_positive(s)
         if det(m) != 0:

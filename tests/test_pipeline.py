@@ -79,6 +79,22 @@ def test_parse_fraction_strings(tmp_path):
         (lambda d: d.update(dim=True), "'dim' must be a nonnegative integer"),
         (lambda d: d["brackets"].append({"i": False, "j": True, "v": {}}), "'i' must be an integer"),
         (lambda d: d.update(omega=[{"i": 0, "j": True, "v": 1}]), "'j' must be an integer"),
+        # a container that is not a list
+        (lambda d: d.update(brackets=5), "'brackets' must be a list"),
+        (lambda d: d.update(brackets=None), "'brackets' must be a list"),
+        (lambda d: d.update(brackets=True), "'brackets' must be a list"),
+        (lambda d: d.update(omega=5), "'omega' must be a list"),
+        (lambda d: d.update(omega=True), "'omega' must be a list"),
+        # a repeated entry is refused, not overwritten by the last one
+        (
+            lambda d: d["brackets"].extend([{"i": 0, "j": 1, "v": {"1": 1}}, {"i": 0, "j": 1, "v": {"0": 1}}]),
+            "brackets[1]: pair (0, 1) is listed twice",
+        ),
+        (
+            lambda d: d.update(omega=[{"i": 0, "j": 1, "v": 1}, {"i": 0, "j": 1, "v": 2}]),
+            "omega[1]: pair (0, 1) is listed twice",
+        ),
+        (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"1": 1, "01": 2}}), "key '01' repeats component 1"),
     ],
 )
 def test_parse_diagnostics(mutate, fragment):
@@ -87,6 +103,11 @@ def test_parse_diagnostics(mutate, fragment):
     with pytest.raises(FixtureError) as err:
         parse_fixture(doc)
     assert fragment in str(err.value)
+
+
+def test_parse_null_omega_is_absent():
+    fx = parse_fixture({"name": "t", "dim": 2, "brackets": [], "omega": None})
+    assert fx.omega is None
 
 
 @pytest.mark.parametrize("dim", [MAX_FIXTURE_DIM + 1, 10**6])
@@ -183,15 +204,19 @@ def test_analyze_reduction_summary(corpus):
 
 
 # charpoly and _echelon calls over one analyze of each corpus fixture: 61 and
-# 272 with weight spaces inside the centralizer of [g, g] and the series and
-# reduction on the integer bracket table (144 and 900 before)
+# 257 with weight spaces inside the centralizer of [g, g], the series and
+# reduction on the integer bracket table, and each exact flag decided once
+# (144 and 900, then 61 and 272, before)
 MAX_CHARPOLY_CALLS = 64
-MAX_ECHELON_CALLS = 285
+MAX_ECHELON_CALLS = 270
+# one derived series per fixture, inside is_completely_solvable (22 when
+# analyze also called is_solvable)
+MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
 
 
 def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
-    counts = {"charpoly": 0, "_echelon": 0}
-    for name in counts:
+    counts = {"charpoly": 0, "_echelon": 0, "derived_series": 0}
+    for name in ("charpoly", "_echelon"):
         original = getattr(tamecert.linalg, name)
 
         def counted(*args, _original=original, _name=name):
@@ -202,6 +227,12 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+
+    def derived_series(self, _original=LieAlgebra.derived_series):
+        counts["derived_series"] += 1
+        return _original(self)
+
+    monkeypatch.setattr(LieAlgebra, "derived_series", derived_series)
 
     def run(fx) -> dict:
         before = dict(counts)
@@ -221,6 +252,7 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
             first_total[key] += first[key]
     assert 0 < first_total["charpoly"] <= MAX_CHARPOLY_CALLS
     assert 0 < first_total["_echelon"] <= MAX_ECHELON_CALLS
+    assert 0 < first_total["derived_series"] <= MAX_DERIVED_SERIES_CALLS
 
 
 def _floats(obj) -> list[tuple[float, float]]:
@@ -376,10 +408,12 @@ def test_corpus_run_collects_errors(tmp_path, fixtures_dir):
         "brackets": [],
         "J": [[1, 0], [0, 1]],
     }))
+    (tmp_path / "bad.json").write_text(json.dumps({"name": "bad", "dim": 2, "brackets": 5}))
     result = corpus_run(tmp_path)
-    assert len(result.entries) == 2
+    assert len(result.entries) == 3
     by_name = {e.name: e for e in result.entries}
     assert by_name["bad_j"].error is not None and "complex structure" in by_name["bad_j"].error
+    assert by_name["bad"].error is not None and "'brackets' must be a list" in by_name["bad"].error
     assert by_name["aff_r"].report is not None
     assert result.exit_code == EXIT_INPUT_ERROR
 

@@ -12,6 +12,7 @@ from tamecert import (
     NotIsotropic,
     Subspace,
     TamedTriple,
+    TamingLost,
     TripleVerificationError,
     TwoForm,
     find_isotropic_ideal,
@@ -206,6 +207,18 @@ def test_reduce_requires_verified_triple():
     bad = TamedTriple.build_unverified(g, TwoForm.from_dict(2, {(0, 1): -1}), standard_complex_structure(2))
     with pytest.raises(TripleVerificationError):
         reduce(bad, Subspace.from_vectors(2, [(1, 0)]))
+
+
+def test_reduce_loses_taming_when_perp_is_not_a_subalgebra(corpus):
+    # sol4_1 with a taming but non-closed omega, its flags forced to True: h^perp
+    # is not a subalgebra, so a bracket of two section vectors falls outside it
+    fx = corpus["sol4_1"]
+    omega = TwoForm.from_dict(4, {(0, 1): 1, (1, 3): -2, (2, 3): -2})
+    t = TamedTriple(fx.algebra, omega, fx.J, True, True, True)
+    h = find_isotropic_ideal(t)
+    assert not t.algebra.is_subalgebra(omega_perp(t, h))
+    with pytest.raises(TamingLost):
+        reduce(t, h)
 
 
 def test_towers():
