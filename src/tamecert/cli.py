@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .errors import FixtureError, TamecertError
-from .feasibility import Feasible, FeasibilityConfig, Infeasible, Unknown, decide
+from .feasibility import Feasible, Infeasible, Unknown, decide
 from .fixtures import dumps_report, load_fixture
 from .pipeline import (
     EXIT_INPUT_ERROR,
@@ -26,16 +26,12 @@ from .reduction import TamedTriple, reduction_tower
 
 
 def _add_feasibility_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-feas", type=float, default=FeasibilityConfig.eps_feas)
     # the deterministic barrier solve has no seed, restarts or iteration
-    # budget, and every dual certificate is exact, so no dual tolerance
-    p.add_argument("--eps-dual", type=float, help="kept for compatibility; has no effect")
+    # budget, and both certificate lanes re-prove exactly, so no tolerances
+    for flag in ("--eps-feas", "--eps-dual"):
+        p.add_argument(flag, type=float, help="kept for compatibility; has no effect")
     for flag in ("--seed", "--restarts", "--iters"):
         p.add_argument(flag, type=int, help="kept for compatibility; has no effect")
-
-
-def _config(args) -> FeasibilityConfig:
-    return FeasibilityConfig(eps_feas=args.eps_feas)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +84,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    report = analyze(load_fixture(args.file), _config(args))
+    report = analyze(load_fixture(args.file))
     if args.json:
         print(dumps_report(report.to_dict()))
     else:
@@ -151,7 +147,7 @@ def cmd_tame(args) -> int:
     fx = load_fixture(args.file)
     if fx.J is None:
         raise FixtureError("tame needs a 'J' entry in the fixture")
-    verdict = decide(fx.algebra, fx.J, _config(args))
+    verdict = decide(fx.algebra, fx.J)
     if args.json:
         print(dumps_report({"name": fx.name, "feasibility": verdict_to_dict(verdict)}))
     else:
@@ -163,7 +159,7 @@ def cmd_tame(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    result = corpus_run(args.directory, _config(args), jobs=args.jobs)
+    result = corpus_run(args.directory, jobs=args.jobs)
     if args.json:
         print(dumps_report(result.to_dict()))
     else:

@@ -15,18 +15,20 @@ The decision pipeline:
      each centering stops inside the region of quadratic convergence, and at
      the last tau, the first with duality-gap bound below GAP_TOL, it runs to
      NEWTON_TOL.  The path is solved once per problem and read by both
-     branches of step 3.  Over the ball the supremum is never below 0
+     lanes of step 3.  Over the ball the supremum is never below 0
      (c = 0), and it is 0 exactly when no closed form tames J;
   3. on a positive margin, continued-fraction rounding back to an exact
      rational form whose Gram is re-proved positive definite by principal
-     minors; on a nonpositive margin, the solve's own dual iterate
+     minors; when that gives no Feasible, the solve's own dual iterate
      X = F^-1 / tr F^-1, rounded to rationals, moved exactly onto the affine
      set {<S_i, X> = 0, tr X = 1} and re-proved positive definite the same
-     way (the Peyrl-Parrilo pattern, Theor. Comput. Sci. 2008).
+     way (the Peyrl-Parrilo pattern, Theor. Comput. Sci. 2008).  A PD closed
+     Gram and a PSD trace-one matrix pairing to zero with every closed Gram
+     cannot both exist, so the lane order can never change a verdict.
 
 Verdicts are Feasible / Infeasible / Unknown.  Every Feasible and Infeasible
-verdict carries an exact rational certificate; when the rounding in step 3
-fails to re-prove, the verdict is Unknown.
+verdict carries an exact rational certificate; when neither lane of step 3
+re-proves, the verdict is Unknown.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
 from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, frac, identity, mat_vec, nullspace, solve, transpose, vec_dot
 
-DEFAULT_EPS_FEAS = 1e-7
-DEFAULT_EPS_DUAL = 1e-8
+DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
 # the barrier solve: tau grows by TAU_STEP until the gap bound (n + 1) / tau
 # is below GAP_TOL.  Newton steps are damped while the decrement exceeds
@@ -64,9 +65,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FeasibilityConfig:
-    eps_feas: float = DEFAULT_EPS_FEAS
-    # unread by decide, whose dual certificates are exact; perfbench/ reads it
-    eps_dual: float = DEFAULT_EPS_DUAL
+    """Unread, as decide has no tolerance; kept with FeasibilityProblem.config
+    only because perfbench/spans.py builds FeasibilityProblem positionally."""
+
+    eps_feas: float = 1e-7
+    eps_dual: float = 1e-8
 
 
 @dataclass
@@ -76,7 +79,7 @@ class FeasibilityProblem:
     z2_basis: list[TwoForm]
     gram_basis: list[Mat]  # exact symmetric matrices, one per closed basis form
     grams: np.ndarray  # float stack, shape (m, n, n)
-    config: FeasibilityConfig
+    config: FeasibilityConfig  # unread; see FeasibilityConfig
     j_integrable: bool
 
     @property
@@ -126,15 +129,12 @@ class DegeneracyDirection:
     provenance: str
 
 
-def build_problem(
-    g: LieAlgebra, J: ComplexStructure, config: FeasibilityConfig | None = None
-) -> FeasibilityProblem:
+def build_problem(g: LieAlgebra, J: ComplexStructure) -> FeasibilityProblem:
     """Assemble the closed-form basis and its Gram forms, exactly then as floats.
 
     Feasibility is well-defined for any almost complex J; a non-integrable J
     is logged and recorded in j_integrable.
     """
-    config = config or FeasibilityConfig()
     integrable = is_integrable(g, J)
     if not integrable:
         logger.warning("J is not integrable; the taming decision still applies")
@@ -149,7 +149,7 @@ def build_problem(
         z2_basis=basis,
         gram_basis=gram_basis,
         grams=grams,
-        config=config,
+        config=FeasibilityConfig(),
         j_integrable=integrable,
     )
 
@@ -359,12 +359,10 @@ def _rank_one_dual(p: FeasibilityProblem, v: Vec) -> Mat:
     return [[v[i] * v[j] / norm for j in range(len(v))] for i in range(len(v))]
 
 
-def decide(
-    g: LieAlgebra, J: ComplexStructure, config: FeasibilityConfig | None = None
-) -> FeasibilityVerdict:
-    """Full pipeline: pre-check, primal barrier solve, exactify or dual certificate."""
-    config = config or FeasibilityConfig()
-    p = build_problem(g, J, config)
+def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:
+    """Pre-check, barrier solve, then exactify on a positive margin and, failing a
+    Feasible, dual_certificate; both re-prove exactly, so no threshold picks a lane."""
+    p = build_problem(g, J)
     if g.dim == 0:
         return Feasible(TwoForm.from_dict(0, {}), float("inf"), True)
     if p.size == 0:
@@ -376,18 +374,17 @@ def decide(
     if direction is not None:
         dual = _rank_one_dual(p, direction.vector)
         return Infeasible(_freeze_matrix(dual), 0.0, direction.vector, value)
-    if value > config.eps_feas:
+    if value > 0:
         try:
             omega, lam = exactify(p, c)
             return Feasible(omega, lam, True)
         except ExactificationFailed:
             pass
-    else:
-        cert = dual_certificate(p)
-        if cert is not None:
-            return Infeasible(_freeze_matrix(cert[0]), cert[1], None, value)
+    cert = dual_certificate(p)
+    if cert is not None:
+        return Infeasible(_freeze_matrix(cert[0]), cert[1], None, value)
     # no certificate re-proved exactly; a near-zero supremum is the degenerate boundary case
-    degenerate = abs(value) <= 10 * config.eps_feas
+    degenerate = abs(value) <= DEGENERATE_MARGIN
     logger.warning(
         "no exact certificate: verdict Unknown, best margin %.3g, degenerate boundary case: %s", value, degenerate
     )

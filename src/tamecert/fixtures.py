@@ -16,7 +16,8 @@ O(dim^4) exact operations, so a larger one-line file is refused before any
 structure is built instead of hanging the run.  ``brackets`` and ``omega``
 must be lists (an ``omega`` of null is absent), and a pair (i, j) listed
 twice, or a component key repeated once read as an integer ("1" and "01"),
-is refused rather than letting the last entry win.
+is refused rather than letting the last entry win.  So is a file that is
+unreadable, not UTF-8, or holds an over-long integer or over-deep nesting.
 
 Reports are written by ``json.dumps``: a float is written as its ``repr``,
 which parses back to the same double and stays a float (1.0, not 1; -0.0
@@ -147,10 +148,10 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
 def load_fixture(path: str | Path) -> Fixture:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FixtureError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except OSError as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise FixtureError(f"{path}: {exc}") from exc
     return parse_fixture(doc, source=str(path))
 

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .feasibility import (
     Feasible,
-    FeasibilityConfig,
     FeasibilityVerdict,
     Infeasible,
     Unknown,
@@ -122,7 +121,7 @@ def verdict_to_dict(v: FeasibilityVerdict | None) -> dict | None:
     raise TypeError(f"unexpected verdict {v!r}")
 
 
-def analyze(fixture: Fixture, config: FeasibilityConfig | None = None) -> AnalysisReport:
+def analyze(fixture: Fixture) -> AnalysisReport:
     g = fixture.algebra
 
     cs = is_completely_solvable(g)
@@ -150,7 +149,7 @@ def analyze(fixture: Fixture, config: FeasibilityConfig | None = None) -> Analys
     if j_present:
         integrable = is_integrable(g, fixture.J)
         j_status["integrable"] = integrable
-        feas = decide(g, fixture.J, config)
+        feas = decide(g, fixture.J)
 
     applicable = bool(unimodular and cs and j_present and integrable)
     feasible = isinstance(feas, Feasible)
@@ -359,30 +358,28 @@ class CorpusResult:
         }
 
 
-def _analyze_path(path_and_config) -> CorpusEntry:
-    path, config = path_and_config
+def _analyze_path(path: str) -> CorpusEntry:
     try:
         fx = load_fixture(path)
     except FixtureError as exc:
         return CorpusEntry(name=Path(path).stem, path=str(path), report=None, error=str(exc))
     try:
-        report = analyze(fx, config)
+        report = analyze(fx)
     except TamecertError as exc:
         return CorpusEntry(name=fx.name, path=str(path), report=None, error=str(exc))
     return CorpusEntry(name=fx.name, path=str(path), report=report, error=None)
 
 
-def corpus_run(
-    directory: str | Path,
-    config: FeasibilityConfig | None = None,
-    jobs: int = 1,
-) -> CorpusResult:
+def corpus_run(directory: str | Path, jobs: int = 1) -> CorpusResult:
     """Analyze every *.json fixture in a directory; errors are collected, not fatal.
 
-    Entries are ordered by fixture name regardless of completion order.
+    Entries are ordered by fixture name regardless of completion order.  A path
+    that is not a directory is a FixtureError, not an empty corpus.
     """
-    paths = sorted(Path(directory).glob("*.json"))
-    tasks = [(str(p), config) for p in paths]
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise FixtureError(f"{directory}: not a directory")
+    tasks = [str(p) for p in sorted(directory.glob("*.json"))]
     if jobs > 1 and len(tasks) > 1:
         # under fork every worker starts at the first submit: no more than there are files
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

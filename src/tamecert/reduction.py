@@ -75,7 +75,6 @@ class ReductionStep:
     h: Subspace
     generator: Vec
     perp: Subspace
-    complement_witness: Vec  # J X, spanning the complement of h^perp
     reduced: TamedTriple
     section_map: tuple[Vec, ...]  # representatives in h^perp of the reduced basis
 
@@ -203,7 +202,6 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
         h=h,
         generator=x,
         perp=perp,
-        complement_witness=tuple(Fraction(y, e * sx) for y in j_xi),
         reduced=red_triple,
         section_map=tuple(section),
     )

@@ -11,7 +11,6 @@ import tamecert.feasibility as feas_mod
 from tamecert import (
     ExactificationFailed,
     Feasible,
-    FeasibilityConfig,
     FeasibilityProblem,
     Infeasible,
     LieAlgebra,
@@ -27,6 +26,7 @@ from tamecert import (
     standard_complex_structure,
 )
 from tamecert.algebra import scale_structure_constants
+from tamecert.feasibility import DEGENERATE_MARGIN, FeasibilityConfig
 from tamecert.forms import ComplexStructure, leading_minors_positive, taming_gram
 from tamecert.linalg import mat_inverse, mat_mul
 from tamecert.pipeline import verdict_to_dict
@@ -35,9 +35,14 @@ from conftest import CORPUS_NAMES, conjugate, direct_sum, pool_draw, random_basi
 
 F = Fraction
 
+# float tolerances of these tests: a reference margin above MARGIN_TOL is
+# rounded to a taming form, and a float dual check is read up to DUAL_TOL
+MARGIN_TOL = 1e-7
+DUAL_TOL = 1e-8
 
-def problem_for(dim, brackets, config=None):
-    return build_problem(LieAlgebra.from_brackets(dim, brackets), standard_complex_structure(dim), config)
+
+def problem_for(dim, brackets):
+    return build_problem(LieAlgebra.from_brackets(dim, brackets), standard_complex_structure(dim))
 
 
 def fake_problem(gram_basis, dim=2):
@@ -286,7 +291,7 @@ def test_maximize_matches_sequential_reference(corpus, name, stop_above):
     p = build_problem(g, J)
     ref_c, ref_value = sequential_maximize_lambda_min(p, stop_above, restarts=5)
     c, value = maximize_lambda_min(p, stop_above)
-    if ref_value > p.config.eps_feas:
+    if ref_value > MARGIN_TOL:
         assert value == pytest.approx(ref_value, abs=1e-9)
         assert exactify(p, c)[0].coeffs == exactify(p, ref_c)[0].coeffs
     else:
@@ -411,10 +416,10 @@ def test_infeasible_soundness(corpus):
         assert isinstance(v, Infeasible), name
         dual = np.array([[float(x) for x in row] for row in v.dual])
         assert abs(np.trace(dual) - 1.0) <= 1e-9, name
-        assert np.linalg.eigvalsh(dual)[0] >= -FeasibilityConfig.eps_dual, name
+        assert np.linalg.eigvalsh(dual)[0] >= -DUAL_TOL, name
         p = build_problem(fx.algebra, fx.J)
         for s in p.grams:
-            assert abs(float(np.tensordot(s, dual))) <= FeasibilityConfig.eps_dual, name
+            assert abs(float(np.tensordot(s, dual))) <= DUAL_TOL, name
         if v.rank_one_direction is not None:
             # rank-one certificates pair to exactly zero, in exact arithmetic
             vvec = v.rank_one_direction
@@ -489,6 +494,30 @@ def test_decide_solves_the_path_once(corpus, monkeypatch):
     v = decide(fx.algebra, non_integrable_j(fx, AFF_R2_NONINT_P[0]))
     assert isinstance(v, Infeasible) and v.rank_one_direction is None
     assert runs[0] == 1
+
+
+def test_dual_lane_runs_after_exactify_fails(corpus, monkeypatch):
+    # a positive margin sends the solve's point to exactify first; when no
+    # rounding is PD the dual lane still runs, since both lanes re-prove exactly
+    fx = corpus["aff_r2"]
+    maximize = feas_mod.maximize_lambda_min
+    exactify_calls = []
+
+    def positive_margin(p):
+        return maximize(p)[0], 1e-3
+
+    def counted_exactify(p, c):
+        exactify_calls.append(1)
+        return exactify(p, c)
+
+    monkeypatch.setattr(feas_mod, "maximize_lambda_min", positive_margin)
+    monkeypatch.setattr(feas_mod, "exactify", counted_exactify)
+    v = decide(fx.algebra, non_integrable_j(fx, AFF_R2_NONINT_P[0]))
+    assert exactify_calls == [1]
+    assert isinstance(v, Infeasible) and v.rank_one_direction is None
+    assert v.best_primal == 1e-3
+    assert all(isinstance(x, Fraction) for row in v.dual for x in row)
+    assert leading_minors_positive([list(row) for row in v.dual])
 
 
 # non-integrable J = P J0 P^-1 on sol3_r_nonint whose only duals are singular
@@ -566,15 +595,15 @@ def test_determinism(corpus):
 
 
 def test_feasible_downgrade_when_exactify_fails(monkeypatch):
-    # a positive margin without an exact form is no certificate: the
-    # Feasible verdict is downgraded to Unknown
+    # a positive margin without an exact form is no certificate: the dual
+    # lane runs next, finds no dual on a Kaehler algebra, and the verdict is Unknown
     def boom(p, c):
         raise ExactificationFailed("forced")
 
     monkeypatch.setattr(feas_mod, "exactify", boom)
     v = feas_mod.decide(LieAlgebra.from_brackets(2, {}), standard_complex_structure(2))
     assert isinstance(v, Unknown)
-    assert v.best_lambda_min > FeasibilityConfig.eps_feas
+    assert v.best_lambda_min > DEGENERATE_MARGIN
     assert not v.degenerate_logged
 
 
@@ -584,7 +613,7 @@ def test_unknown_when_both_lanes_stall(monkeypatch):
     monkeypatch.setattr(feas_mod, "dual_certificate", lambda p: None)
     v = feas_mod.decide(g, standard_complex_structure(4))
     assert isinstance(v, Unknown)
-    assert v.best_lambda_min <= FeasibilityConfig.eps_feas
+    assert v.best_lambda_min <= DEGENERATE_MARGIN
     assert v.degenerate_logged  # supremum is exactly 0 here
 
 

@@ -1,5 +1,6 @@
 """The public surface of the package and the README's library example."""
 
+import dataclasses
 import inspect
 import re
 from fractions import Fraction
@@ -37,6 +38,7 @@ REMOVED_NAMES = [
     "mat_add",
     "mat_scale",
     "mat_copy",
+    "FeasibilityConfig",
 ]
 
 
@@ -55,6 +57,10 @@ def test_public_surface():
     assert not hasattr(tamecert.Subspace, "reduce_vector")
     assert not hasattr(tamecert.LieAlgebra, "adjoint_of_basis")
     assert not hasattr(tamecert.TwoForm, "add")
+    assert "complement_witness" not in {f.name for f in dataclasses.fields(tamecert.ReductionStep)}
+    # decide has no tolerance knob: both certificate lanes re-prove exactly
+    for fn in (tamecert.decide, tamecert.build_problem, tamecert.analyze, tamecert.corpus_run):
+        assert "config" not in inspect.signature(fn).parameters, fn.__name__
     # the Jacobi check always runs, and reports are written by json.dumps
     assert "check" not in inspect.signature(tamecert.LieAlgebra.from_brackets).parameters
     assert not hasattr(fixtures, "_render")

@@ -127,6 +127,24 @@ def test_parse_accepts_dim_at_cap():
     assert fx.algebra.dim == MAX_FIXTURE_DIM and fx.algebra.is_abelian()
 
 
+HOSTILE_FILES = {
+    "not_utf8": b'\xff\xfe{"name": "x", "dim": 2}',
+    # past Python's 4,300-digit limit on int parsing; a Python without the
+    # limit reads a dim above the cap instead
+    "long_int": b'{"name": "x", "dim": 1' + b"0" * 4999 + b"}",
+    "deep": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HOSTILE_FILES))
+def test_load_fixture_diagnostics(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(HOSTILE_FILES[kind])
+    with pytest.raises(FixtureError) as err:
+        load_fixture(path)
+    assert str(path) in str(err.value)
+
+
 def test_jacobi_failure_reported_as_fixture_error():
     doc = {
         "name": "bad",
@@ -165,7 +183,7 @@ def test_analyze_abelian(corpus):
 def test_analyze_abelian_without_feasible_is_inconsistent(corpus, monkeypatch):
     # an abelian algebra is Kaehler for every J, so the sweep must flag any
     # other verdict there, just as it flags Feasible on a non-abelian one
-    monkeypatch.setattr(pipeline_mod, "decide", lambda g, J, config=None: Unknown(best_lambda_min=0.0))
+    monkeypatch.setattr(pipeline_mod, "decide", lambda g, J: Unknown(best_lambda_min=0.0))
     report = analyze(corpus["abelian_r4"])
     assert report.theorem_consistency.applicable
     assert report.theorem_consistency.consistent is False
@@ -409,13 +427,25 @@ def test_corpus_run_collects_errors(tmp_path, fixtures_dir):
         "J": [[1, 0], [0, 1]],
     }))
     (tmp_path / "bad.json").write_text(json.dumps({"name": "bad", "dim": 2, "brackets": 5}))
+    (tmp_path / "deep.json").write_bytes(HOSTILE_FILES["deep"])
     result = corpus_run(tmp_path)
-    assert len(result.entries) == 3
+    assert len(result.entries) == 4
     by_name = {e.name: e for e in result.entries}
     assert by_name["bad_j"].error is not None and "complex structure" in by_name["bad_j"].error
     assert by_name["bad"].error is not None and "'brackets' must be a list" in by_name["bad"].error
+    assert by_name["deep"].error is not None and by_name["deep"].report is None
     assert by_name["aff_r"].report is not None
     assert result.exit_code == EXIT_INPUT_ERROR
+
+
+def test_corpus_run_refuses_a_path_that_is_not_a_directory(tmp_path, fixtures_dir, capsys):
+    # a mistyped path must not read as an empty, passing corpus
+    for path in (tmp_path / "absent", fixtures_dir / "h3_r.json"):
+        with pytest.raises(FixtureError) as err:
+            corpus_run(path)
+        assert "not a directory" in str(err.value)
+        assert cli_main(["corpus", str(path)]) == EXIT_INPUT_ERROR
+        assert "not a directory" in capsys.readouterr().err
 
 
 def test_corpus_run_parallel_matches_serial(fixtures_dir):
@@ -485,6 +515,9 @@ def test_cli_validate_rejects_bad(tmp_path, capsys):
     assert cli_main(["validate", str(bad)]) == EXIT_INPUT_ERROR
     out = capsys.readouterr().out
     assert out.startswith("INVALID") and "Jacobi identity fails" in out
+    bad.write_bytes(HOSTILE_FILES["not_utf8"])
+    assert cli_main(["validate", str(bad)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().out.startswith("INVALID")
 
 
 def test_cli_analyze_json(fixtures_dir, capsys):
@@ -541,6 +574,13 @@ def test_cli_corpus(fixtures_dir, capsys):
     assert cli_main(["corpus", str(fixtures_dir)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "inconsistencies: 0" in out
+
+
+def test_cli_eps_feas_has_no_effect(fixtures_dir, capsys):
+    # a large threshold once sent the abelian fixtures' positive margins to
+    # the dual lane, so they ended Unknown and the sweep flagged them
+    assert cli_main(["corpus", str(fixtures_dir), "--eps-feas", "0.9"]) == EXIT_OK
+    assert "inconsistencies: 0" in capsys.readouterr().out
 
 
 def test_cli_corpus_parallel(fixtures_dir, capsys):
