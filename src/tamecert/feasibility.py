@@ -17,7 +17,7 @@ The decision pipeline:
      NEWTON_TOL.  The path is solved once per problem and read by both
      lanes of step 3.  Over the ball the supremum is never below 0
      (c = 0), and it is 0 exactly when no closed form tames J;
-  3. on a positive margin, continued-fraction rounding back to an exact
+  3. on a positive margin, one continued-fraction rounding back to an exact
      rational form whose Gram is re-proved positive definite by principal
      minors; when that gives no Feasible, the solve's own dual iterate
      X = F^-1 / tr F^-1, rounded to rationals, moved exactly onto the affine
@@ -43,7 +43,7 @@ import numpy as np
 from .algebra import LieAlgebra, weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, frac, identity, mat_vec, nullspace, solve, transpose, vec_dot
+from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, identity, mat_vec, nullspace, solve, transpose, vec_dot
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
@@ -57,7 +57,7 @@ GAP_TOL = 1e-10
 TAU_STEP = 100.0
 MAX_CENTERING_STEPS = 100
 
-EXACTIFY_DENOMINATOR_BOUNDS = (10**6, 10**8, 10**10, 10**12)
+EXACTIFY_DENOMINATOR_BOUND = 10**6
 DUAL_DENOMINATOR_BOUND = 1000
 
 logger = logging.getLogger(__name__)
@@ -295,33 +295,28 @@ def _newton_step(
 def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     """Round optimizer coefficients to an exact closed form with a PD Gram.
 
-    Rounds by continued fractions at increasing denominator bounds; the Gram
-    positivity is re-proved with exact principal minors.  Raises
-    ExactificationFailed when no bound produces a PD certificate.
+    Rounds c / max|c_i|, whose largest entry stays +-1, once by continued
+    fractions at EXACTIFY_DENOMINATOR_BOUND and re-proves the Gram positive
+    definite with exact principal minors, else raises ExactificationFailed.
     """
     c = np.asarray(c, dtype=float)
     top = float(np.max(np.abs(c)))
     if top == 0.0:
         raise ExactificationFailed("zero coefficient vector")
-    scaled = c / top
-    for bound in EXACTIFY_DENOMINATOR_BOUNDS:
-        q = [Fraction(x).limit_denominator(bound) for x in scaled]
-        if all(x == 0 for x in q):
-            continue
-        coeffs = {}
-        for qi, b in zip(q, p.z2_basis):
-            for key, v in b.coeffs:
-                coeffs[key] = coeffs.get(key, ZERO) + qi * v
-        omega = TwoForm.from_dict(p.algebra.dim, coeffs)
-        gram = taming_gram(omega, p.J)  # = sum q_i S_i, as the Gram is linear in omega
-        if not leading_minors_positive(gram):
-            continue
-        norm = float(np.sqrt(sum(float(x) ** 2 for x in q)))
-        lam = float(
-            np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in gram]))[0]
-        )
-        return omega, lam / norm
-    raise ExactificationFailed("no denominator bound produced an exactly PD Gram")
+    q = [Fraction(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in c / top]
+    coeffs = {}
+    for qi, b in zip(q, p.z2_basis):
+        for key, v in b.coeffs:
+            coeffs[key] = coeffs.get(key, ZERO) + qi * v
+    omega = TwoForm.from_dict(p.algebra.dim, coeffs)
+    gram = taming_gram(omega, p.J)  # = sum q_i S_i, as the Gram is linear in omega
+    if not leading_minors_positive(gram):
+        raise ExactificationFailed("the rounded Gram is not exactly positive definite")
+    norm = float(np.sqrt(sum(float(x) ** 2 for x in q)))
+    lam = float(
+        np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in gram]))[0]
+    )
+    return omega, lam / norm
 
 
 def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
@@ -354,7 +349,7 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     return (cert, 0.0) if leading_minors_positive(cert) else None
 
 
-def _rank_one_dual(p: FeasibilityProblem, v: Vec) -> Mat:
+def _rank_one_dual(v: Vec) -> Mat:
     norm = sum((x * x for x in v), ZERO)
     return [[v[i] * v[j] / norm for j in range(len(v))] for i in range(len(v))]
 
@@ -362,17 +357,18 @@ def _rank_one_dual(p: FeasibilityProblem, v: Vec) -> Mat:
 def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:
     """Pre-check, barrier solve, then exactify on a positive margin and, failing a
     Feasible, dual_certificate; both re-prove exactly, so no threshold picks a lane."""
-    p = build_problem(g, J)
-    if g.dim == 0:
+    return _decide(build_problem(g, J))
+
+
+def _decide(p: FeasibilityProblem) -> FeasibilityVerdict:
+    """decide on a built problem; for n >= 1 the closed basis is never empty, as
+    it holds d(g*) when [g, g] != 0 and every 2-form when g is abelian."""
+    if p.algebra.dim == 0:
         return Feasible(TwoForm.from_dict(0, {}), float("inf"), True)
-    if p.size == 0:
-        # no closed 2-forms at all: any trace-one PSD matrix is a certificate
-        eye = [[frac(int(i == j)) / g.dim for j in range(g.dim)] for i in range(g.dim)]
-        return Infeasible(_freeze_matrix(eye), 0.0, None, float("-inf"))
     direction = degeneracy_precheck(p)
     c, value = maximize_lambda_min(p)
     if direction is not None:
-        dual = _rank_one_dual(p, direction.vector)
+        dual = _rank_one_dual(direction.vector)
         return Infeasible(_freeze_matrix(dual), 0.0, direction.vector, value)
     if value > 0:
         try:

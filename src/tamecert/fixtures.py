@@ -11,13 +11,13 @@ Fixture schema (rationals are integers or "p/q" strings; indices 0-based):
       "omega": [ {"i": int, "j": int, "v": rational} ]   # optional, i < j
     }
 
-``dim`` is capped at ``MAX_FIXTURE_DIM``: the Jacobi check alone costs
+``dim`` runs from 1 to ``MAX_FIXTURE_DIM``: the Jacobi check alone costs
 O(dim^4) exact operations, so a larger one-line file is refused before any
 structure is built instead of hanging the run.  ``brackets`` and ``omega``
 must be lists (an ``omega`` of null is absent), and a pair (i, j) listed
-twice, or a component key repeated once read as an integer ("1" and "01"),
-is refused rather than letting the last entry win.  So is a file that is
-unreadable, not UTF-8, or holds an over-long integer or over-deep nesting.
+twice, a component key repeated once read as an integer ("1" and "01") or
+any key repeated in one JSON object is refused, not read last-wins.  So is
+a file that is unreadable, not UTF-8, or holds a huge integer or deep nesting.
 
 Reports are written by ``json.dumps``: a float is written as its ``repr``,
 which parses back to the same double and stays a float (1.0, not 1; -0.0
@@ -95,6 +95,8 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
         raise FixtureError(f"{source}: 'name' must be a string")
     if type(dim) is not int or dim < 0:
         raise FixtureError(f"{source}: 'dim' must be a nonnegative integer")
+    if dim == 0:
+        raise FixtureError(f"{source}: 'dim' is 0; an algebra needs at least one basis vector")
     if dim > MAX_FIXTURE_DIM:
         raise FixtureError(f"{source}: 'dim' is {dim}, above the cap of {MAX_FIXTURE_DIM}")
     basis = doc.get("basis")
@@ -119,8 +121,6 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
         brackets[(i, j)] = comps
     try:
         algebra = LieAlgebra.from_brackets(dim, brackets, labels=basis)
-    except FixtureError:
-        raise
     except Exception as exc:
         raise FixtureError(f"{source}: invalid algebra: {exc}") from exc
 
@@ -145,10 +145,20 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
     return Fixture(name=name, algebra=algebra, J=J, omega=omega)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a repeated key raises ValueError instead of the last one winning."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is repeated in one JSON object")
+        doc[key] = value
+    return doc
+
+
 def load_fixture(path: str | Path) -> Fixture:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FixtureError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except (OSError, ValueError, RecursionError) as exc:

@@ -230,8 +230,6 @@ class ComplexStructure:
 
 def standard_complex_structure(dim: int) -> ComplexStructure:
     """J e_{2k} = e_{2k+1}, J e_{2k+1} = -e_{2k} (0-indexed pairs)."""
-    if dim % 2 != 0:
-        raise NotAComplexStructure("even dimension required")
     rows = [[ZERO] * dim for _ in range(dim)]
     for k in range(dim // 2):
         rows[2 * k + 1][2 * k] = ONE

@@ -191,9 +191,6 @@ def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
     ncols = len(m[0]) if nrows else 0
     aug = [list(m[i]) + [b[i]] for i in range(nrows)]
     red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
     x = [ZERO] * ncols
     for r, p in enumerate(pivots):
         if p == ncols:

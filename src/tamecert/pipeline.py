@@ -28,10 +28,11 @@ from .feasibility import (
     FeasibilityVerdict,
     Infeasible,
     Unknown,
-    decide,
+    _decide,
+    build_problem,
 )
 from .fixtures import Fixture, load_fixture, rational_str
-from .forms import TwoForm, is_integrable
+from .forms import TwoForm
 from .linalg import Subspace, Vec, is_zero_vec, vec_scale, vec_sub, zero_vec
 from .reduction import TamedTriple, find_isotropic_ideal, omega_perp, reduce, reduction_tower
 
@@ -147,9 +148,10 @@ def analyze(fixture: Fixture) -> AnalysisReport:
     feas: FeasibilityVerdict | None = None
     integrable = False
     if j_present:
-        integrable = is_integrable(g, fixture.J)
+        p = build_problem(g, fixture.J)
+        integrable = p.j_integrable
         j_status["integrable"] = integrable
-        feas = decide(g, fixture.J)
+        feas = _decide(p)
 
     applicable = bool(unimodular and cs and j_present and integrable)
     feasible = isinstance(feas, Feasible)

@@ -333,12 +333,22 @@ def test_exactify_aff():
     assert omega.coeffs == (((0, 1), F(1)),)
 
 
-def test_exactify_fails_on_singular_optimum():
+def test_exactify_fails_on_singular_optimum(monkeypatch):
     # on h3 + R the optimum margin is 0: the best Gram is PSD singular, and no
-    # rounding of the optimizer makes it PD
+    # rounding of the optimizer makes it PD.  exactify rounds once, so one
+    # exact PD check decides (a ladder of four denominator bounds made four)
     p = problem_for(4, {(0, 1): {2: 1}})
+    c = maximize_lambda_min(p)[0]
+    checks = []
+
+    def counted(m):
+        checks.append(1)
+        return leading_minors_positive(m)
+
+    monkeypatch.setattr(feas_mod, "leading_minors_positive", counted)
     with pytest.raises(ExactificationFailed):
-        exactify(p, maximize_lambda_min(p)[0])
+        exactify(p, c)
+    assert len(checks) == 1
 
 
 # --- dual certificates ---
@@ -617,10 +627,15 @@ def test_unknown_when_both_lanes_stall(monkeypatch):
     assert v.degenerate_logged  # supremum is exactly 0 here
 
 
-def test_decide_no_closed_forms_is_infeasible(monkeypatch):
-    # force an empty closed basis; any trace-one PSD matrix certifies
-    g = LieAlgebra.from_brackets(2, {})
-    monkeypatch.setattr(feas_mod, "closed_two_forms", lambda alg: [])
-    v = feas_mod.decide(g, standard_complex_structure(2))
-    assert isinstance(v, Infeasible)
-    assert [[float(x) for x in row] for row in v.dual] == [[0.5, 0.0], [0.0, 0.5]]
+def test_closed_basis_is_never_empty(corpus, exact_items):
+    # why decide has no empty-basis verdict: for n >= 1 the closed 2-forms
+    # hold d(g*), of dimension dim [g, g], and every 2-form when g is abelian
+    structures = list(exact_items)
+    for name, ps in (("aff_r2", AFF_R2_NONINT_P), ("sol3_r_nonint", SOL3_SINGULAR_P)):
+        fx = corpus[name]
+        structures += [(f"{name}~J{k}", fx.algebra, non_integrable_j(fx, P)) for k, P in enumerate(ps)]
+    for name, g, J in structures:
+        size = build_problem(g, J).size
+        assert size >= max(1, g.derived_subalgebra().dim), name
+        if g.is_abelian():
+            assert size == g.dim * (g.dim - 1) // 2, name

@@ -112,6 +112,8 @@ def test_not_a_complex_structure():
         ComplexStructure.from_matrix([[1, 0], [0, 1]])
     with pytest.raises(NotAComplexStructure):
         ComplexStructure.from_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(NotAComplexStructure):
+        standard_complex_structure(3)
 
 
 def test_nijenhuis_h3_integrable():

@@ -68,6 +68,7 @@ def test_parse_fraction_strings(tmp_path):
     [
         (lambda d: d.pop("dim"), "missing required field"),
         (lambda d: d.update(dim=-1), "nonnegative"),
+        (lambda d: d.update(dim=0), "'dim' is 0"),
         (lambda d: d.update(basis=["one"]), "labels"),
         (lambda d: d["brackets"].append({"i": 1, "j": 0, "v": {}}), "i < j"),
         (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"9": 1}}), "outside dimension"),
@@ -133,6 +134,10 @@ HOSTILE_FILES = {
     # limit reads a dim above the cap instead
     "long_int": b'{"name": "x", "dim": 1' + b"0" * 4999 + b"}",
     "deep": b"[" * 200_000,
+    # a key repeated inside one JSON object, which json.loads alone reads last-wins
+    "repeated_component": b'{"name": "x", "dim": 3, "brackets": [{"i": 0, "j": 1, "v": {"2": 1, "2": 5}}]}',
+    "repeated_dim": b'{"name": "x", "dim": 2, "dim": 4}',
+    "repeated_omega_v": b'{"name": "x", "dim": 2, "J": [[0, -1], [1, 0]], "omega": [{"i": 0, "j": 1, "v": 1, "v": -1}]}',
 }
 
 
@@ -143,6 +148,8 @@ def test_load_fixture_diagnostics(tmp_path, kind):
     with pytest.raises(FixtureError) as err:
         load_fixture(path)
     assert str(path) in str(err.value)
+    if kind.startswith("repeated_"):
+        assert "is repeated in one JSON object" in str(err.value)
 
 
 def test_jacobi_failure_reported_as_fixture_error():
@@ -183,7 +190,7 @@ def test_analyze_abelian(corpus):
 def test_analyze_abelian_without_feasible_is_inconsistent(corpus, monkeypatch):
     # an abelian algebra is Kaehler for every J, so the sweep must flag any
     # other verdict there, just as it flags Feasible on a non-abelian one
-    monkeypatch.setattr(pipeline_mod, "decide", lambda g, J: Unknown(best_lambda_min=0.0))
+    monkeypatch.setattr(pipeline_mod, "_decide", lambda p: Unknown(best_lambda_min=0.0))
     report = analyze(corpus["abelian_r4"])
     assert report.theorem_consistency.applicable
     assert report.theorem_consistency.consistent is False
@@ -230,12 +237,16 @@ MAX_ECHELON_CALLS = 270
 # one derived series per fixture, inside is_completely_solvable (22 when
 # analyze also called is_solvable)
 MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
+# one Nijenhuis test per fixture with J, read from the problem, plus one per
+# tamed triple, the input's and each reduced one's: 11 + 6 + 13 (41 when
+# analyze ran its own beside build_problem's)
+MAX_IS_INTEGRABLE_CALLS = 30
 
 
 def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
-    counts = {"charpoly": 0, "_echelon": 0, "derived_series": 0}
-    for name in ("charpoly", "_echelon"):
-        original = getattr(tamecert.linalg, name)
+    counts = {"charpoly": 0, "_echelon": 0, "is_integrable": 0, "derived_series": 0}
+    for home, name in ((tamecert.linalg, "charpoly"), (tamecert.linalg, "_echelon"), (tamecert.forms, "is_integrable")):
+        original = getattr(home, name)
 
         def counted(*args, _original=original, _name=name):
             counts[_name] += 1
@@ -270,6 +281,7 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
             first_total[key] += first[key]
     assert 0 < first_total["charpoly"] <= MAX_CHARPOLY_CALLS
     assert 0 < first_total["_echelon"] <= MAX_ECHELON_CALLS
+    assert 0 < first_total["is_integrable"] <= MAX_IS_INTEGRABLE_CALLS
     assert 0 < first_total["derived_series"] <= MAX_DERIVED_SERIES_CALLS
 
 
