@@ -9,14 +9,16 @@ The decision pipeline:
      certificate and proves infeasibility outright;
   2. one deterministic log-barrier path-following solve maximizing
      lambda_min(sum c_i S_i) over the unit ball of coefficients (S_i = Gram
-     forms of a closed basis): damped Newton steps on the barrier of the
-     small SDP "maximize t with sum c_i S_i - t I > 0, |c| < 1" for the
-     barrier weights tau = 1, TAU_STEP, TAU_STEP^2, ...; before the last tau
-     each centering stops inside the region of quadratic convergence, and at
-     the last tau, the first with duality-gap bound below GAP_TOL, it runs to
-     NEWTON_TOL.  The path is solved once per problem and read by both
-     lanes of step 3.  Over the ball the supremum is never below 0
-     (c = 0), and it is 0 exactly when no closed form tames J;
+     forms of a closed basis): Newton steps on the barrier of the small SDP
+     "maximize t with sum c_i S_i - t I > 0, |c| < 1" for the barrier
+     weights tau = 1, 1e6, 1e12; far from the central path a step goes
+     STEP_FRACTION of the way to the boundary along the Newton direction,
+     never less than the damped step; before the last tau each centering
+     stops inside the region of quadratic convergence, and at the last tau,
+     the first with duality-gap bound below GAP_TOL, it runs to NEWTON_TOL.
+     The path is solved once per problem and read by both lanes of step 3.
+     Over the ball the supremum is never below 0 (c = 0), and it is 0
+     exactly when no closed form tames J;
   3. on a positive margin, one continued-fraction rounding back to an exact
      rational form whose Gram is re-proved positive definite by principal
      minors; when that gives no Feasible, the solve's own dual iterate
@@ -48,13 +50,15 @@ from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, identity, mat_
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
 # the barrier solve: tau grows by TAU_STEP until the gap bound (n + 1) / tau
-# is below GAP_TOL.  Newton steps are damped while the decrement exceeds
-# DAMPED_DECREMENT; centering stops there at every tau but the last, and at
-# NEWTON_TOL at the last
+# is below GAP_TOL, so tau = 1, 1e6, 1e12 for every n up to 16.  While the
+# decrement exceeds DAMPED_DECREMENT a Newton step goes STEP_FRACTION of the
+# way to the boundary, but never less than the damped step 1 / (1 + decrement);
+# centering stops there at every tau but the last, and at NEWTON_TOL at the last
 DAMPED_DECREMENT = 0.25
+STEP_FRACTION = 0.9
 NEWTON_TOL = 1e-6
 GAP_TOL = 1e-10
-TAU_STEP = 100.0
+TAU_STEP = 1e6
 MAX_CENTERING_STEPS = 100
 
 EXACTIFY_DENOMINATOR_BOUND = 10**6
@@ -196,11 +200,11 @@ def maximize_lambda_min(
     method for this small SDP, as in Helmberg-Rendl-Vanderbei-Wolkowicz 1996)
     of: maximize t subject to F(c, t) = sum c_i S_i / scale - t I > 0 and
     |c| < 1.  It starts at c = 0, t = -1, strictly feasible for every
-    problem, and minimizes -tau t - log det F - log(1 - |c|^2) by damped
-    Newton steps for tau = 1, TAU_STEP, TAU_STEP^2, ..., centering fully
-    only at the final tau, the first with gap bound (n + 1) / tau below
-    GAP_TOL.  A factorization that fails near the boundary keeps the last
-    strictly feasible iterate.  The path is solved once per problem
+    problem, and minimizes -tau t - log det F - log(1 - |c|^2) by Newton
+    steps for tau = 1, TAU_STEP, TAU_STEP^2, centering fully only at the
+    final tau, the first with gap bound (n + 1) / tau below GAP_TOL.  A
+    factorization that fails near the boundary keeps the last strictly
+    feasible iterate.  The path is solved once per problem
     (FeasibilityProblem.barrier_path), and dual_certificate reuses it.
 
     Returns that iterate's c and the float lambda_min of sum c_i S_i there.
@@ -218,10 +222,14 @@ def maximize_lambda_min(
 def _barrier_path(p: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray]:
     """The last strictly feasible iterate x = (c, t) of the solve, and its dual iterate.
 
-    Before the final tau, centering stops once the decrement is at most
-    DAMPED_DECREMENT, where full Newton steps converge quadratically; only
-    the final tau is centred to NEWTON_TOL, and the gap bound and the dual
-    iterate are read there.  The dual iterate is X = F(x)^-1 / tr F(x)^-1.
+    While the decrement delta exceeds DAMPED_DECREMENT, x moves by alpha dx
+    with alpha = max(min(1, STEP_FRACTION alpha_max), 1 / (1 + delta)):
+    STEP_FRACTION of the distance alpha_max to the boundary (_max_step),
+    with the damped Newton step, which needs no alpha_max, as its floor.
+    Below DAMPED_DECREMENT full Newton steps converge quadratically.
+    Before the final tau, centering stops there; only the final tau is
+    centred to NEWTON_TOL, and the gap bound and the dual iterate are read
+    there.  The dual iterate is X = F(x)^-1 / tr F(x)^-1.
     At a centred point tr F^-1 = tau and <S_k / scale, X> = 2 c_k / (r tau),
     r = 1 - |c|^2, so X tends to a dual optimum: PSD, trace one, pairing to
     zero with every S_k.
@@ -242,7 +250,7 @@ def _barrier_path(p: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray]:
         last = np.inf
         for _ in range(MAX_CENTERING_STEPS):
             try:
-                dx, delta, linv = _newton_step(a, a_flat, x, tau)
+                dx, delta, linv, w = _newton_step(a, a_flat, x, tau)
             except np.linalg.LinAlgError:
                 return _with_dual(good, good_linv)
             good, good_linv = x, linv
@@ -250,7 +258,9 @@ def _barrier_path(p: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray]:
             if delta <= tol or last <= delta <= DAMPED_DECREMENT:
                 break
             last = delta
-            x = x + (dx / (1.0 + delta) if delta > DAMPED_DECREMENT else dx)
+            if delta > DAMPED_DECREMENT:
+                dx = dx * max(min(1.0, STEP_FRACTION * _max_step(w, x[:-1], dx)), 1.0 / (1.0 + delta))
+            x = x + dx
         if final:
             return _with_dual(good, good_linv)
         tau *= TAU_STEP
@@ -264,13 +274,14 @@ def _with_dual(x: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _newton_step(
     a: np.ndarray, a_flat: np.ndarray, x: np.ndarray, tau: float
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Newton direction and decrement of -tau t - log det F - log(1 - |c|^2) at x = (c, t).
 
     a is the stack A_k, and a_flat the same stack as rows of length n^2.
     With F = L L^T and W_k = L^-1 A_k L^-T, the gradient of -log det F is
-    -tr W_k and its Hessian is <W_j, W_k>.  Also returns L^-1.  Raises
-    LinAlgError when x is not strictly feasible or the Hessian is singular.
+    -tr W_k and its Hessian is <W_j, W_k>.  Also returns L^-1 and the stack
+    W_k.  Raises LinAlgError when x is not strictly feasible or the Hessian
+    is singular.
     """
     c = x[:-1]
     r = 1.0 - c @ c
@@ -279,17 +290,35 @@ def _newton_step(
     linv = np.linalg.inv(np.linalg.cholesky((x @ a_flat).reshape(a.shape[1:])))
     w = linv @ a @ linv.T
     grad = -np.einsum("kii->k", w)
-    w = w.reshape(len(x), -1)
+    w_flat = w.reshape(len(x), -1)
     # einsum, not a BLAS product: one summation order whatever the BLAS thread
     # count, and no thread wake-ups (with two threads, a first dim-12 solve
     # took 1 s against 0.1 s)
-    hess = np.einsum("ij,kj->ik", w, w)
+    hess = np.einsum("ij,kj->ik", w_flat, w_flat)
     grad[-1] -= tau
     grad[:-1] += 2.0 * c / r
     hess[:-1, :-1] += (4.0 / r**2) * np.outer(c, c)
     hess.flat[: -1 : len(x) + 1] += 2.0 / r  # the diagonal of the c block
     dx = -np.linalg.solve(hess, grad)
-    return dx, float(np.sqrt(max(-(grad @ dx), 0.0))), linv
+    return dx, float(np.sqrt(max(-(grad @ dx), 0.0))), linv, w
+
+
+def _max_step(w: np.ndarray, c: np.ndarray, dx: np.ndarray) -> float:
+    """The distance alpha_max to the boundary from x = (c, t) along dx.
+
+    w holds the W_k of _newton_step at x, so F(x + alpha dx) =
+    L (I + alpha W(dx)) L^T with W(dx) = sum dx_k W_k: F stays PD up to
+    -1 / lambda_min(W(dx)).  The ball |c + alpha dc| < 1 ends at the
+    positive root of |dc|^2 alpha^2 + 2 (c . dc) alpha - (1 - |c|^2) = 0.
+    Returns the smaller of the two, inf when neither bounds the step.
+    """
+    lam = float(np.linalg.eigvalsh((dx @ w.reshape(len(dx), -1)).reshape(w.shape[1:]))[0])
+    alpha = -1.0 / lam if lam < 0.0 else np.inf
+    dc = dx[:-1]
+    dd, cd = dc @ dc, c @ dc
+    if dd > 0.0:
+        alpha = min(alpha, float((np.sqrt(cd * cd + dd * (1.0 - c @ c)) - cd) / dd))
+    return alpha
 
 
 def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:

@@ -1,7 +1,10 @@
 """Feasibility lane: precheck, barrier solve, exactification, dual certificates."""
 
+import hashlib
+import json
 import logging
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -249,9 +252,47 @@ def test_newton_step_matches_finite_differences():
         [[(phi(x + u + v) - phi(x + u - v) - phi(x - u + v) + phi(x - u - v)) / 4e-6 for v in e] for u in e]
     )
     newton = -np.linalg.solve(hess, grad)
-    dx, delta, _ = feas_mod._newton_step(a, a.reshape(m + 1, -1), x, tau)
+    dx, delta, *_ = feas_mod._newton_step(a, a.reshape(m + 1, -1), x, tau)
     assert dx == pytest.approx(newton, rel=1e-5)
     assert delta == pytest.approx(np.sqrt(-(grad @ newton)), rel=1e-5)
+
+
+def test_max_step_is_the_distance_to_the_boundary():
+    # F(c, t) = (c - t) I on R^2 is I at x = (3/4, -1/4), so W_k = A_k and
+    # W(dx) = (dc - dt) I: F stays PD up to alpha = 1 / (dt - dc), and the
+    # ball |c| < 1 ends at alpha = 1/4 / dc for dc > 0 and 7/4 / -dc for
+    # dc < 0.  Every number is dyadic, so _max_step must return alpha_max exactly
+    a = np.array([np.eye(2), -np.eye(2)])
+    x = np.array([0.75, -0.25])
+    *_, w = feas_mod._newton_step(a, a.reshape(2, -1), x, 1.0)
+    assert w.tolist() == a.tolist()
+    cases = [
+        ((0.5, 4.5), 0.25),  # the PSD boundary comes first
+        ((0.5, 0.75), 0.5),  # the ball comes first
+        ((-0.5, -1.0), 3.5),  # the ball alone bounds the step
+        ((-0.5, 0.0), 2.0),  # the PSD boundary comes first, dc < 0
+        ((0.0, -1.0), math.inf),  # neither bounds it
+    ]
+    for dx, alpha_max in cases:
+        assert feas_mod._max_step(w, x[:-1], np.array(dx)) == alpha_max, dx
+
+
+def test_iterates_stay_strictly_feasible_at_dimension_cap(monkeypatch):
+    # a long step stops short of the boundary: at every iterate of the R^16
+    # solve F has a Cholesky factor and |c| < 1
+    newton_step = feas_mod._newton_step
+    iterates = []
+
+    def recorded(a, a_flat, x, tau):
+        iterates.append((a, x))
+        return newton_step(a, a_flat, x, tau)
+
+    monkeypatch.setattr(feas_mod, "_newton_step", recorded)
+    maximize_lambda_min(problem_for(16, {}))
+    assert iterates
+    for a, x in iterates:
+        np.linalg.cholesky(np.tensordot(x, a, 1))
+        assert x[:-1] @ x[:-1] < 1.0
 
 
 def count_linalg_calls(monkeypatch) -> list[int]:
@@ -271,14 +312,14 @@ def count_linalg_calls(monkeypatch) -> list[int]:
 
 
 def test_maximize_linalg_call_budget(corpus, monkeypatch):
-    # one Newton step costs a cholesky, an inv and a solve: the path takes 51
-    # steps here (154 calls with the final eigvalsh); full centering at every
-    # tau = 1, 10, 100, ... took 91 (274 calls)
+    # one Newton step costs a cholesky, an inv and a solve, and a long step an
+    # eigvalsh more: the path takes 26 steps here, 19 of them long (98 calls
+    # with the final eigvalsh); damped steps with tau x100 took 51 (154 calls)
     calls = count_linalg_calls(monkeypatch)
     g, J = conjugate(corpus["inoue_s0"].algebra, INOUE_P, corpus["inoue_s0"].J)
     _, value = maximize_lambda_min(build_problem(g, J), stop_above=None)
     assert abs(value) <= 1e-9
-    assert calls[0] <= 200
+    assert calls[0] <= 108
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + ["inoue_s0~P"])
@@ -541,14 +582,15 @@ SOL3_SINGULAR_P = [
 def test_singular_dual_is_unknown_within_budget(corpus, monkeypatch, P):
     # supremum 0 on the boundary of the PSD cone: only a singular dual exists,
     # so no rounding re-proves positive definite, and the lane gives up fast:
-    # one shared path of 49 Newton steps (148 calls; 541 when the solve ran
-    # to full centering at every tau and once per lane)
+    # one shared path of 26 Newton steps, 19 of them long (98 calls; 148 with
+    # damped steps and tau x100, 541 with full centering at every tau and one
+    # solve per lane)
     fx = corpus["sol3_r_nonint"]
     J = non_integrable_j(fx, P)
     calls = count_linalg_calls(monkeypatch)
     v = decide(fx.algebra, J)
     assert isinstance(v, Unknown) and v.degenerate_logged
-    assert calls[0] <= 200
+    assert calls[0] <= 108
 
 
 @pytest.mark.parametrize("P", SOL3_SINGULAR_P)
@@ -627,15 +669,149 @@ def test_unknown_when_both_lanes_stall(monkeypatch):
     assert v.degenerate_logged  # supremum is exactly 0 here
 
 
-def test_closed_basis_is_never_empty(corpus, exact_items):
-    # why decide has no empty-basis verdict: for n >= 1 the closed 2-forms
-    # hold d(g*), of dimension dim [g, g], and every 2-form when g is abelian
-    structures = list(exact_items)
+@pytest.fixture(scope="module")
+def structures(corpus, exact_items) -> list[tuple[str, LieAlgebra, ComplexStructure]]:
+    """The 28 exact_items and the 8 non-integrable J above, as (name, g, J)."""
+    items = list(exact_items)
     for name, ps in (("aff_r2", AFF_R2_NONINT_P), ("sol3_r_nonint", SOL3_SINGULAR_P)):
         fx = corpus[name]
-        structures += [(f"{name}~J{k}", fx.algebra, non_integrable_j(fx, P)) for k, P in enumerate(ps)]
+        items += [(f"{name}~J{k}", fx.algebra, non_integrable_j(fx, P)) for k, P in enumerate(ps)]
+    return items
+
+
+def test_closed_basis_is_never_empty(structures):
+    # why decide has no empty-basis verdict: for n >= 1 the closed 2-forms
+    # hold d(g*), of dimension dim [g, g], and every 2-form when g is abelian
     for name, g, J in structures:
         size = build_problem(g, J).size
         assert size >= max(1, g.derived_subalgebra().dim), name
         if g.is_abelian():
             assert size == g.dim * (g.dim - 1) // 2, name
+
+
+@pytest.fixture(scope="module")
+def decided(structures) -> dict[str, tuple[object, Counter, int]]:
+    """decide on each structure, with its Newton steps per tau and the number
+    of LinAlgError fallbacks it took: {name: (verdict, steps, fallbacks)}."""
+    newton_step = feas_mod._newton_step
+    out = {}
+
+    def counted(a, a_flat, x, tau):
+        steps[tau] += 1
+        try:
+            return newton_step(a, a_flat, x, tau)
+        except np.linalg.LinAlgError:
+            fallbacks[0] += 1
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feas_mod, "_newton_step", counted)
+        for name, g, J in structures:
+            steps, fallbacks = Counter(), [0]
+            out[name] = (decide(g, J), steps, fallbacks[0])
+    return out
+
+
+# Newton steps of decide over the 36 structures: 1108 with long steps and
+# tau x10^6, 2285 with damped steps and tau x100
+NEWTON_STEP_BUDGET = 1165
+
+
+def test_newton_step_budget(decided):
+    assert sum(sum(steps.values()) for _, steps, _ in decided.values()) <= NEWTON_STEP_BUDGET
+    for name, (_, steps, fallbacks) in decided.items():
+        assert max(steps.values()) < feas_mod.MAX_CENTERING_STEPS, name
+        assert fallbacks == 0, name
+
+
+def certificate_digest(v) -> str:
+    """sha256 prefix of the verdict's report without its float fields: the kind
+    and the exact certificate."""
+    exact = {k: x for k, x in verdict_to_dict(v).items() if not isinstance(x, float)}
+    return hashlib.sha256(json.dumps(exact, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# certificate_digest of decide on each structure, as computed with damped
+# steps and tau x100; the solver may move its floats, never a certificate
+CERTIFICATE_DIGESTS = {
+    "abelian_r2": "725b36660261600f",  # feasible
+    "abelian_r4": "f34be8f8bba96781",  # feasible
+    "abelian_r6": "26ab6f659888070f",  # feasible
+    "abelian_r8": "e377e69bda85603f",  # feasible
+    "aff_r": "725b36660261600f",  # feasible
+    "aff_r2": "f34be8f8bba96781",  # feasible
+    "h3_r": "2682bcaa5eebb423",  # infeasible
+    "inoue_s0": "240901be8347c610",  # infeasible
+    "iwasawa": "84b79e99ff99facc",  # infeasible
+    "sol3_r_nonint": "e67fefe4987f72ed",  # feasible
+    "sol4_1": "aa82875475d9c006",  # infeasible
+    "aff_r~P0": "154685d1ff1c8446",  # feasible
+    "aff_r~P1": "154685d1ff1c8446",  # feasible
+    "aff_r2~P0": "5492056dfd449b6a",  # feasible
+    "aff_r2~P1": "d13433e9847f2296",  # feasible
+    "h3_r~P0": "033578fe02205182",  # infeasible
+    "h3_r~P1": "15ef562a9302fdca",  # infeasible
+    "inoue_s0~P0": "9b4a81e1b2eeb997",  # infeasible
+    "inoue_s0~P1": "b204dfa8c7618b98",  # infeasible
+    "iwasawa~P0": "07cc5f9184faa241",  # infeasible
+    "iwasawa~P1": "5a42647ccd6e0eeb",  # infeasible
+    "sol3_r_nonint~P0": "c12686cfca7f5b04",  # feasible
+    "sol3_r_nonint~P1": "d245eec1f541eb59",  # feasible
+    "sol4_1~P0": "211f317dabace82a",  # infeasible
+    "sol4_1~P1": "73b9f982a59b8b93",  # infeasible
+    "r10": "04d9be8f2883c1ef",  # feasible
+    "r12": "2e1f39e3ae6714c4",  # feasible
+    "aff_r2^3": "2e1f39e3ae6714c4",  # feasible
+    "aff_r2~J0": "45293921c389b714",  # infeasible
+    "aff_r2~J1": "400ec58d4aa68320",  # infeasible
+    "aff_r2~J2": "5fb17c9a1548819f",  # infeasible
+    "aff_r2~J3": "57aa8095b1360f02",  # infeasible
+    "aff_r2~J4": "45d83d6447c4aefa",  # infeasible
+    "aff_r2~J5": "b9ff82b7d6787b2e",  # infeasible
+    "sol3_r_nonint~J0": "cc93445794e9a336",  # unknown
+    "sol3_r_nonint~J1": "cc93445794e9a336",  # unknown
+}
+
+# the Feasible conjugated draws whose optimum is irrational: exactify rounds
+# a point of the central path, so a move of c by ~1e-12 changes these
+IRRATIONAL_OPTIMUM_OMEGA = {
+    "aff_r2~P0": [
+        ((0, 1), "-544038/674753"),
+        ((0, 2), "-713698/851719"),
+        ((0, 3), "1"),
+        ((1, 2), "-472468683958/574699950407"),
+        ((1, 3), "-356849/851719"),
+        ((2, 3), "2279115/1703438"),
+    ],
+    "aff_r2~P1": [
+        ((0, 1), "-1"),
+        ((0, 2), "-1"),
+        ((0, 3), "-10825/46251"),
+        ((1, 2), "-1"),
+        ((1, 3), "-28264/989681"),
+        ((2, 3), "-100953530423/45773735931"),
+    ],
+    "sol3_r_nonint~P0": [
+        ((0, 1), "1"),
+        ((0, 2), "-63443/718917"),
+        ((0, 3), "165723/263048"),
+        ((1, 2), "346389/985631"),
+        ((1, 3), "-26768/985631"),
+        ((2, 3), "210480568249756313/186392362038219096"),
+    ],
+    "sol3_r_nonint~P1": [
+        ((0, 1), "-425369/995646"),
+        ((0, 2), "199766/874435"),
+        ((0, 3), "88478/652913"),
+        ((1, 2), "1"),
+        ((1, 3), "-1172850888899567407/1136888300051518260"),
+        ((2, 3), "-158301/874435"),
+    ],
+}
+
+
+def test_certificates_are_pinned(decided):
+    assert {name: certificate_digest(v) for name, (v, _, _) in decided.items()} == CERTIFICATE_DIGESTS
+    for name, omega in IRRATIONAL_OPTIMUM_OMEGA.items():
+        v = decided[name][0]
+        assert [(k, str(x)) for k, x in v.omega.coeffs] == omega, name
