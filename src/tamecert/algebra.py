@@ -283,12 +283,16 @@ def weight_spaces(g: LieAlgebra) -> list[Subspace]:
     the kernel of (c ad_{e_i} - mu) W.  An operator that vanishes on a
     branch keeps it, at weight 0, without a characteristic polynomial.
     """
+    return _weight_spaces(g, g.derived_subalgebra())
+
+
+def _weight_spaces(g: LieAlgebra, derived: Subspace) -> list[Subspace]:
+    """weight_spaces for a caller that already holds derived = [g, g]."""
     n = g.dim
     if not n:
         return [Subspace.full(0)]
     _, table = _cleared_brackets(g)
     units = _units(n)
-    derived = g.derived_subalgebra()
     # Z: the kernel of the stacked c ad_b over the echelon basis b of D
     stacked = [row for b in derived.basis for row in _adjoint_ints(table, _cleared(b)[0])]
     z, z_cols = _kernel(stacked, n) if stacked else (units, range(n))

@@ -7,9 +7,13 @@ The decision pipeline:
      the common radical of the closed Gram forms; a nonzero v in it has
      B(v, Jv) = 0 for every closed 2-form B, so v v^T / |v|^2 is a dual
      certificate and proves infeasibility outright;
-  2. one deterministic log-barrier path-following solve maximizing
-     lambda_min(sum c_i S_i) over the unit ball of coefficients (S_i = Gram
-     forms of a closed basis): Newton steps on the barrier of the small SDP
+  2. when the pre-check finds nothing, the Frobenius projection of I onto
+     span{S_i} (S_i = Gram forms of a closed basis), one least-squares solve
+     scaled onto the unit sphere; a lambda_min above PROJECTION_MARGIN goes
+     to step 3 without a barrier solve.  Otherwise, and after a pre-check
+     hit, one deterministic log-barrier path-following solve maximizing
+     lambda_min(sum c_i S_i) over the unit ball of coefficients: Newton
+     steps on the barrier of the small SDP
      "maximize t with sum c_i S_i - t I > 0, |c| < 1" for the barrier
      weights tau = 1, 1e6, 1e12; far from the central path a step goes
      STEP_FRACTION of the way to the boundary along the Newton direction,
@@ -21,10 +25,12 @@ The decision pipeline:
      exactly when no closed form tames J;
   3. on a positive margin, one continued-fraction rounding back to an exact
      rational form whose Gram is re-proved positive definite by principal
-     minors; when that gives no Feasible, the solve's own dual iterate
-     X = F^-1 / tr F^-1, rounded to rationals, moved exactly onto the affine
-     set {<S_i, X> = 0, tr X = 1} and re-proved positive definite the same
-     way (the Peyrl-Parrilo pattern, Theor. Comput. Sci. 2008).  A PD closed
+     minors (a projection point that fails it gives way to the solve's
+     point, rounded the same way); when that gives no Feasible, the
+     solve's own dual iterate X = F^-1 / tr F^-1, rounded to rationals,
+     moved exactly onto the affine set {<S_i, X> = 0, tr X = 1} and
+     re-proved positive definite the same way (the Peyrl-Parrilo pattern,
+     Theor. Comput. Sci. 2008).  A PD closed
      Gram and a PSD trace-one matrix pairing to zero with every closed Gram
      cannot both exist, so the lane order can never change a verdict.
 
@@ -42,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebra, weight_spaces
+from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
 from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, identity, mat_vec, nullspace, solve, transpose, vec_dot
@@ -60,6 +66,11 @@ NEWTON_TOL = 1e-6
 GAP_TOL = 1e-10
 TAU_STEP = 1e6
 MAX_CENTERING_STEPS = 100
+
+# on a precheck miss decide asks maximize_lambda_min for a margin above this,
+# so that a projection of I clearing it skips the solve; perfbench/spans.py
+# replays that same call.  It never picks a verdict: exactify re-proves the point
+PROJECTION_MARGIN = 1e-3
 
 EXACTIFY_DENOMINATOR_BOUND = 10**6
 DUAL_DENOMINATOR_BOUND = 1000
@@ -170,7 +181,7 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     """
     g = p.algebra
     derived = g.derived_subalgebra()
-    spaces = [(space.intersect(derived), "weight space in [g,g]") for space in weight_spaces(g)]
+    spaces = [(space.intersect(derived), "weight space in [g,g]") for space in _weight_spaces(g, derived)]
     j_derived = Subspace.from_vectors(g.dim, [p.J.apply(b) for b in derived.basis])
     spaces.append((derived.intersect(j_derived), "J-invariant part of [g,g]"))
     gram_cols = [list(zip(*clear_denominators(s)[0])) for s in p.gram_basis]  # each S_i, cleared, by columns
@@ -208,15 +219,27 @@ def maximize_lambda_min(
     (FeasibilityProblem.barrier_path), and dual_certificate reuses it.
 
     Returns that iterate's c and the float lambda_min of sum c_i S_i there.
-    stop_above is accepted but unused: the solve runs to the same tolerance
-    whatever margin the caller needs.
+    With stop_above set, the Frobenius projection of I onto span{S_i}, one
+    least-squares solve scaled onto the unit sphere, is tried first and
+    returned without a barrier solve when its lambda_min exceeds stop_above:
+    a point the caller re-proves, not the maximizer.
     """
     m = p.size
     n = p.algebra.dim
     if m == 0 or n == 0:
         return np.zeros(m), float("-inf") if n else float("inf")
+    if stop_above is not None:
+        c = np.linalg.lstsq(p.grams.reshape(m, n * n).T, np.eye(n).ravel(), rcond=None)[0]
+        c = c / (np.linalg.norm(c) or 1.0)
+        value = _lambda_min(p, c)
+        if value > stop_above:
+            return c, value
     c = p.barrier_path[0][:m].copy()
-    return c, float(np.linalg.eigvalsh(np.einsum("i,ijk->jk", c, p.grams))[0])
+    return c, _lambda_min(p, c)
+
+
+def _lambda_min(p: FeasibilityProblem, c: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(np.einsum("i,ijk->jk", c, p.grams))[0])
 
 
 def _barrier_path(p: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -384,8 +407,9 @@ def _rank_one_dual(v: Vec) -> Mat:
 
 
 def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:
-    """Pre-check, barrier solve, then exactify on a positive margin and, failing a
-    Feasible, dual_certificate; both re-prove exactly, so no threshold picks a lane."""
+    """Pre-check, projection or barrier solve, then exactify on a positive margin
+    and, failing a Feasible, dual_certificate; both re-prove exactly, so no
+    threshold picks a verdict."""
     return _decide(build_problem(g, J))
 
 
@@ -395,16 +419,18 @@ def _decide(p: FeasibilityProblem) -> FeasibilityVerdict:
     if p.algebra.dim == 0:
         return Feasible(TwoForm.from_dict(0, {}), float("inf"), True)
     direction = degeneracy_precheck(p)
-    c, value = maximize_lambda_min(p)
+    c, value = maximize_lambda_min(p, None if direction is not None else PROJECTION_MARGIN)
     if direction is not None:
         dual = _rank_one_dual(direction.vector)
         return Infeasible(_freeze_matrix(dual), 0.0, direction.vector, value)
-    if value > 0:
-        try:
-            omega, lam = exactify(p, c)
-            return Feasible(omega, lam, True)
-        except ExactificationFailed:
-            pass
+    feasible = _exactified(p, c, value)
+    if feasible is None:
+        solved = maximize_lambda_min(p)  # a projection point that did not round gives way to the solve's
+        if not np.array_equal(solved[0], c):
+            c, value = solved
+            feasible = _exactified(p, c, value)
+    if feasible is not None:
+        return feasible
     cert = dual_certificate(p)
     if cert is not None:
         return Infeasible(_freeze_matrix(cert[0]), cert[1], None, value)
@@ -414,6 +440,17 @@ def _decide(p: FeasibilityProblem) -> FeasibilityVerdict:
         "no exact certificate: verdict Unknown, best margin %.3g, degenerate boundary case: %s", value, degenerate
     )
     return Unknown(best_lambda_min=value, degenerate_logged=degenerate)
+
+
+def _exactified(p: FeasibilityProblem, c: np.ndarray, value: float) -> Feasible | None:
+    """Feasible with exactify's form on a positive margin, else None."""
+    if value > 0:
+        try:
+            omega, lam = exactify(p, c)
+            return Feasible(omega, lam, True)
+        except ExactificationFailed:
+            pass
+    return None
 
 
 def _freeze_matrix(m) -> tuple:

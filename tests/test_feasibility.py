@@ -342,16 +342,21 @@ def test_maximize_matches_sequential_reference(corpus, name, stop_above):
 @pytest.mark.parametrize("name", ["aff_r2", "sol3_r_nonint"])
 @pytest.mark.parametrize("k", [0, 1])
 def test_maximize_reaches_reference_on_conjugated_draws(corpus, name, k):
-    # the Feasible conjugated benchmark items, where the precheck misses and
-    # decide asks for a margin; the reference stalls below the optimum on
-    # sol3_r_nonint, so the solve may only match or beat it
+    # the Feasible conjugated benchmark items, where the precheck misses; the
+    # reference stalls below the optimum on sol3_r_nonint, so the solve may
+    # only match or beat it.  decide asks for a margin above
+    # PROJECTION_MARGIN, which the projection of I meets here without a
+    # solve, and exactify re-proves both points
     p = build_problem(*pool_draw(corpus, name, k))
     _, ref_value = sequential_maximize_lambda_min(p, 1e-3)
-    c, value = maximize_lambda_min(p, 1e-3)
+    solved, value = maximize_lambda_min(p)
     assert ref_value > 1e-3
     assert value >= ref_value - 1e-9
-    omega, lam = exactify(p, c)
-    assert leading_minors_positive(taming_gram(omega, p.J)) and lam > 0
+    projected, margin = maximize_lambda_min(p, feas_mod.PROJECTION_MARGIN)
+    assert feas_mod.PROJECTION_MARGIN < margin <= value + 1e-9
+    for c in (solved, projected):
+        omega, lam = exactify(p, c)
+        assert leading_minors_positive(taming_gram(omega, p.J)) and lam > 0
 
 
 # --- exactification ---
@@ -554,7 +559,7 @@ def test_dual_lane_runs_after_exactify_fails(corpus, monkeypatch):
     maximize = feas_mod.maximize_lambda_min
     exactify_calls = []
 
-    def positive_margin(p):
+    def positive_margin(p, stop_above=None):
         return maximize(p)[0], 1e-3
 
     def counted_exactify(p, c):
@@ -690,10 +695,12 @@ def test_closed_basis_is_never_empty(structures):
 
 
 @pytest.fixture(scope="module")
-def decided(structures) -> dict[str, tuple[object, Counter, int]]:
-    """decide on each structure, with its Newton steps per tau and the number
-    of LinAlgError fallbacks it took: {name: (verdict, steps, fallbacks)}."""
+def decided(structures) -> dict[str, tuple[object, Counter, int, int]]:
+    """decide on each structure, with its Newton steps per tau, the number of
+    LinAlgError fallbacks it took and the number of barrier solves it ran:
+    {name: (verdict, steps, fallbacks, solves)}."""
     newton_step = feas_mod._newton_step
+    barrier_path = feas_mod._barrier_path
     out = {}
 
     def counted(a, a_flat, x, tau):
@@ -704,24 +711,74 @@ def decided(structures) -> dict[str, tuple[object, Counter, int]]:
             fallbacks[0] += 1
             raise
 
+    def counted_path(p):
+        solves[0] += 1
+        return barrier_path(p)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(feas_mod, "_newton_step", counted)
+        mp.setattr(feas_mod, "_barrier_path", counted_path)
         for name, g, J in structures:
-            steps, fallbacks = Counter(), [0]
-            out[name] = (decide(g, J), steps, fallbacks[0])
+            steps, fallbacks, solves = Counter(), [0], [0]
+            out[name] = (decide(g, J), steps, fallbacks[0], solves[0])
     return out
 
 
-# Newton steps of decide over the 36 structures: 1108 with long steps and
-# tau x10^6, 2285 with damped steps and tau x100
-NEWTON_STEP_BUDGET = 1165
+# Newton steps of decide over the 36 structures: 561 when the projection of I
+# decides every Feasible one, 1108 with a solve on each, 2285 with damped
+# steps and tau x100
+NEWTON_STEP_BUDGET = 590
 
 
 def test_newton_step_budget(decided):
-    assert sum(sum(steps.values()) for _, steps, _ in decided.values()) <= NEWTON_STEP_BUDGET
-    for name, (_, steps, fallbacks) in decided.items():
-        assert max(steps.values()) < feas_mod.MAX_CENTERING_STEPS, name
+    assert sum(sum(steps.values()) for _, steps, _, _ in decided.values()) <= NEWTON_STEP_BUDGET
+    for name, (_, steps, fallbacks, _) in decided.items():
+        assert max(steps.values(), default=0) < feas_mod.MAX_CENTERING_STEPS, name
         assert fallbacks == 0, name
+
+
+def test_projection_lane_skips_the_solve(decided, structures):
+    # a precheck hit still runs its one solve; a miss whose projection of I
+    # clears PROJECTION_MARGIN is decided by exactify on that point alone,
+    # and here that is every Feasible structure
+    skipped = 0
+    for name, g, J in structures:
+        v, _, _, solves = decided[name]
+        p = build_problem(g, J)
+        if degeneracy_precheck(p) is not None:
+            assert solves == 1, name
+            continue
+        projected = np.linalg.lstsq(p.grams.reshape(p.size, -1).T, np.eye(g.dim).ravel(), rcond=None)[0]
+        margin = np.linalg.eigvalsh(np.einsum("i,ijk->jk", projected / np.linalg.norm(projected), p.grams))[0]
+        if margin > feas_mod.PROJECTION_MARGIN:
+            assert isinstance(v, Feasible) and solves == 0, name
+            skipped += 1
+        if isinstance(v, Feasible):
+            assert ce_d(g, v.omega).is_zero(), name
+            assert leading_minors_positive(taming_gram(v.omega, J)), name
+    assert skipped == sum(isinstance(v, Feasible) for v, _, _, _ in decided.values()) == 16
+
+
+def test_projection_point_falls_back_to_the_solve(corpus, monkeypatch):
+    # exactify fails once, on the projection point; the solve's point then
+    # rounds, so no input loses the Feasible the solve gives it
+    g, J = pool_draw(corpus, "aff_r2", 0)
+    projected, margin = maximize_lambda_min(build_problem(g, J), feas_mod.PROJECTION_MARGIN)
+    assert margin > feas_mod.PROJECTION_MARGIN
+    tried = []
+
+    def fails_once(p, c):
+        tried.append(np.array(c))
+        if len(tried) == 1:
+            raise ExactificationFailed("forced")
+        return exactify(p, c)
+
+    monkeypatch.setattr(feas_mod, "exactify", fails_once)
+    v = decide(g, J)
+    assert isinstance(v, Feasible)
+    assert len(tried) == 2 and np.array_equal(tried[0], projected)
+    assert not np.array_equal(tried[1], projected)
+    assert ce_d(g, v.omega).is_zero() and leading_minors_positive(taming_gram(v.omega, J))
 
 
 def certificate_digest(v) -> str:
@@ -731,8 +788,10 @@ def certificate_digest(v) -> str:
     return hashlib.sha256(json.dumps(exact, sort_keys=True).encode()).hexdigest()[:16]
 
 
-# certificate_digest of decide on each structure, as computed with damped
-# steps and tau x100; the solver may move its floats, never a certificate
+# certificate_digest of decide on each structure.  The solver may move its
+# floats and never an Infeasible certificate; a Feasible omega moves only when
+# the point exactify rounds does (four did when the projection of I replaced
+# the solve's point)
 CERTIFICATE_DIGESTS = {
     "abelian_r2": "725b36660261600f",  # feasible
     "abelian_r4": "f34be8f8bba96781",  # feasible
@@ -747,16 +806,16 @@ CERTIFICATE_DIGESTS = {
     "sol4_1": "aa82875475d9c006",  # infeasible
     "aff_r~P0": "154685d1ff1c8446",  # feasible
     "aff_r~P1": "154685d1ff1c8446",  # feasible
-    "aff_r2~P0": "5492056dfd449b6a",  # feasible
-    "aff_r2~P1": "d13433e9847f2296",  # feasible
+    "aff_r2~P0": "6d3d7557e7f16cfe",  # feasible
+    "aff_r2~P1": "91ec199be5045044",  # feasible
     "h3_r~P0": "033578fe02205182",  # infeasible
     "h3_r~P1": "15ef562a9302fdca",  # infeasible
     "inoue_s0~P0": "9b4a81e1b2eeb997",  # infeasible
     "inoue_s0~P1": "b204dfa8c7618b98",  # infeasible
     "iwasawa~P0": "07cc5f9184faa241",  # infeasible
     "iwasawa~P1": "5a42647ccd6e0eeb",  # infeasible
-    "sol3_r_nonint~P0": "c12686cfca7f5b04",  # feasible
-    "sol3_r_nonint~P1": "d245eec1f541eb59",  # feasible
+    "sol3_r_nonint~P0": "77cc1435dfd4a35d",  # feasible
+    "sol3_r_nonint~P1": "e473d7a32796b1aa",  # feasible
     "sol4_1~P0": "211f317dabace82a",  # infeasible
     "sol4_1~P1": "73b9f982a59b8b93",  # infeasible
     "r10": "04d9be8f2883c1ef",  # feasible
@@ -773,45 +832,45 @@ CERTIFICATE_DIGESTS = {
 }
 
 # the Feasible conjugated draws whose optimum is irrational: exactify rounds
-# a point of the central path, so a move of c by ~1e-12 changes these
+# the projection of I there, not the optimum, so these pin that projection
 IRRATIONAL_OPTIMUM_OMEGA = {
     "aff_r2~P0": [
-        ((0, 1), "-544038/674753"),
-        ((0, 2), "-713698/851719"),
-        ((0, 3), "1"),
-        ((1, 2), "-472468683958/574699950407"),
-        ((1, 3), "-356849/851719"),
-        ((2, 3), "2279115/1703438"),
+        ((0, 1), "-283/6370"),
+        ((0, 2), "-1"),
+        ((0, 3), "-473/3185"),
+        ((1, 2), "-6653/12740"),
+        ((1, 3), "-1/2"),
+        ((2, 3), "5897/6370"),
     ],
     "aff_r2~P1": [
-        ((0, 1), "-1"),
-        ((0, 2), "-1"),
-        ((0, 3), "-10825/46251"),
-        ((1, 2), "-1"),
-        ((1, 3), "-28264/989681"),
-        ((2, 3), "-100953530423/45773735931"),
+        ((0, 1), "-10139/26128"),
+        ((0, 2), "-10139/26128"),
+        ((0, 3), "1"),
+        ((1, 2), "-10139/26128"),
+        ((1, 3), "41425/52256"),
+        ((2, 3), "-29725/52256"),
     ],
     "sol3_r_nonint~P0": [
-        ((0, 1), "1"),
-        ((0, 2), "-63443/718917"),
-        ((0, 3), "165723/263048"),
-        ((1, 2), "346389/985631"),
-        ((1, 3), "-26768/985631"),
-        ((2, 3), "210480568249756313/186392362038219096"),
+        ((0, 1), "1/17"),
+        ((0, 2), "-1679/3281"),
+        ((0, 3), "1"),
+        ((1, 2), "2037/3281"),
+        ((1, 3), "-2959/3281"),
+        ((2, 3), "1038/3281"),
     ],
     "sol3_r_nonint~P1": [
-        ((0, 1), "-425369/995646"),
-        ((0, 2), "199766/874435"),
-        ((0, 3), "88478/652913"),
+        ((0, 1), "2420/2873"),
+        ((0, 2), "796/2873"),
+        ((0, 3), "548/2873"),
         ((1, 2), "1"),
-        ((1, 3), "-1172850888899567407/1136888300051518260"),
-        ((2, 3), "-158301/874435"),
+        ((1, 3), "-991/2873"),
+        ((2, 3), "-427/2873"),
     ],
 }
 
 
 def test_certificates_are_pinned(decided):
-    assert {name: certificate_digest(v) for name, (v, _, _) in decided.items()} == CERTIFICATE_DIGESTS
+    assert {name: certificate_digest(v) for name, (v, _, _, _) in decided.items()} == CERTIFICATE_DIGESTS
     for name, omega in IRRATIONAL_OPTIMUM_OMEGA.items():
         v = decided[name][0]
         assert [(k, str(x)) for k, x in v.omega.coeffs] == omega, name

@@ -229,11 +229,12 @@ def test_analyze_reduction_summary(corpus):
 
 
 # charpoly and _echelon calls over one analyze of each corpus fixture: 61 and
-# 257 with weight spaces inside the centralizer of [g, g], the series and
-# reduction on the integer bracket table, and each exact flag decided once
-# (144 and 900, then 61 and 272, before)
+# 246 with weight spaces inside the centralizer of [g, g], the series and
+# reduction on the integer bracket table, each exact flag decided once and
+# [g, g] echeloned once per precheck (144 and 900, then 61 and 272, then 61
+# and 257 when the precheck's weight spaces echeloned [g, g] again)
 MAX_CHARPOLY_CALLS = 64
-MAX_ECHELON_CALLS = 270
+MAX_ECHELON_CALLS = 246
 # one derived series per fixture, inside is_completely_solvable (22 when
 # analyze also called is_solvable)
 MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
