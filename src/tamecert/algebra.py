@@ -24,7 +24,6 @@ from .linalg import (
     Subspace,
     Vec,
     ZERO,
-    _cleared,
     _kernel,
     _primitive,
     all_roots_real,
@@ -184,10 +183,9 @@ class LieAlgebra:
         return witness is None, witness
 
     def bracket_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of [a, b], bracketing the basis rows cleared to integers."""
+        """Span of [a, b], bracketing the integer echelon rows."""
         _, table = _cleared_brackets(self)
-        xs = [_cleared(x)[0] for x in a.basis]
-        pairs = combinations(xs, 2) if a == b else product(xs, [_cleared(y)[0] for y in b.basis])
+        pairs = combinations(a.rows, 2) if a == b else product(a.rows, b.rows)
         return Subspace._span(self.dim, [_bracket_ints(table, x, y) for x, y in pairs])
 
     def _series(self, left: Subspace | None) -> list[Subspace]:
@@ -219,13 +217,11 @@ class LieAlgebra:
 
     def is_ideal(self, h: Subspace) -> bool:
         _, table = _cleared_brackets(self)
-        basis = [_cleared(b)[0] for b in h.basis]
-        return all(h.contains_vector(_bracket_ints(table, e, b)) for e in _units(self.dim) for b in basis)
+        return all(h.contains_vector(_bracket_ints(table, e, b)) for e in _units(self.dim) for b in h.rows)
 
     def is_subalgebra(self, s: Subspace) -> bool:
         _, table = _cleared_brackets(self)
-        basis = [_cleared(b)[0] for b in s.basis]
-        return all(s.contains_vector(_bracket_ints(table, a, b)) for a, b in combinations(basis, 2))
+        return all(s.contains_vector(_bracket_ints(table, a, b)) for a, b in combinations(s.rows, 2))
 
 
 @dataclass(frozen=True)
@@ -293,8 +289,8 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace) -> list[Subspace]:
         return [Subspace.full(0)]
     _, table = _cleared_brackets(g)
     units = _units(n)
-    # Z: the kernel of the stacked c ad_b over the echelon basis b of D
-    stacked = [row for b in derived.basis for row in _adjoint_ints(table, _cleared(b)[0])]
+    # Z: the kernel of the stacked c ad_b over the integer echelon rows b of D
+    stacked = [row for b in derived.rows for row in _adjoint_ints(table, b)]
     z, z_cols = _kernel(stacked, n) if stacked else (units, range(n))
     pivots = derived.pivots()
     free = [i for i in range(n) if i not in pivots]
@@ -322,8 +318,8 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace) -> list[Subspace]:
 
     def weight(mus: tuple) -> list:  # c lambda(e_1), ..., c lambda(e_n)
         lam = dict(zip(free, mus))
-        for row, p in zip(derived.basis, pivots):
-            lam[p] = -sum(row[f] * lam[f] for f in free)
+        for row, p in zip(derived.rows, pivots):
+            lam[p] = Fraction(-sum(row[f] * lam[f] for f in free), row[p])
         return [lam[i] for i in range(n)]
 
     return [Subspace._span(n, rows) for mus, rows in sorted(branches, key=lambda b: weight(b[0]))]
@@ -333,10 +329,10 @@ def one_dim_ideals(g: LieAlgebra) -> list[Subspace]:
     """Rational lines L with [g, L] contained in L.
 
     Lines are extracted from the rational weight spaces (one line per echelon
-    basis vector, already the echelon basis of its line) and returned sorted
-    by pivot position and basis entries, so the order is deterministic.
+    row, already the echelon row of its line) and returned sorted by pivot
+    position and reduced-echelon basis entries, so the order is deterministic.
     """
-    lines = {Subspace(g.dim, (b,)) for space in weight_spaces(g) for b in space.basis}
+    lines = {Subspace(g.dim, (r,)) for space in weight_spaces(g) for r in space.rows}
     return sorted(lines, key=lambda l: (l.pivots()[0], l.basis[0]))
 
 

@@ -25,15 +25,6 @@ from .pipeline import (
 from .reduction import TamedTriple, reduction_tower
 
 
-def _add_feasibility_flags(p: argparse.ArgumentParser) -> None:
-    # the deterministic barrier solve has no seed, restarts or iteration
-    # budget, and both certificate lanes re-prove exactly, so no tolerances
-    for flag in ("--eps-feas", "--eps-dual"):
-        p.add_argument(flag, type=float, help="kept for compatibility; has no effect")
-    for flag in ("--seed", "--restarts", "--iters"):
-        p.add_argument(flag, type=int, help="kept for compatibility; has no effect")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tamecert",
@@ -48,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="full structural + feasibility report")
     p_analyze.add_argument("file")
     p_analyze.add_argument("--json", action="store_true")
-    _add_feasibility_flags(p_analyze)
 
     p_reduce = sub.add_parser("reduce", help="run the symplectic reduction tower")
     p_reduce.add_argument("file")
@@ -57,13 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tame = sub.add_parser("tame", help="feasibility verdict only")
     p_tame.add_argument("file")
     p_tame.add_argument("--json", action="store_true")
-    _add_feasibility_flags(p_tame)
 
     p_corpus = sub.add_parser("corpus", help="analyze every fixture in a directory")
     p_corpus.add_argument("directory")
     p_corpus.add_argument("--jobs", type=int, default=1)
     p_corpus.add_argument("--json", action="store_true")
-    _add_feasibility_flags(p_corpus)
 
     return parser
 

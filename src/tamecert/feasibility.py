@@ -45,13 +45,14 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, identity, mat_vec, nullspace, solve, transpose, vec_dot
+from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, identity, nullspace, solve, vec_dot
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
@@ -182,15 +183,18 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     g = p.algebra
     derived = g.derived_subalgebra()
     spaces = [(space.intersect(derived), "weight space in [g,g]") for space in _weight_spaces(g, derived)]
-    j_derived = Subspace.from_vectors(g.dim, [p.J.apply(b) for b in derived.basis])
+    jd = [[sum(x * y for x, y in zip(row, r)) for row in p.J.ints] for r in derived.rows]  # den J [g, g], in ints
+    j_derived = Subspace._span(g.dim, jd)
     spaces.append((derived.intersect(j_derived), "J-invariant part of [g,g]"))
     gram_cols = [list(zip(*clear_denominators(s)[0])) for s in p.gram_basis]  # each S_i, cleared, by columns
     for w, provenance in spaces:
         if not w.dim:
             continue
-        # rows of the stacked restricted Grams B S_i B^T, B the basis rows of w,
+        # rows of the stacked restricted Grams B S_i B^T, B = scale * w.basis in ints,
         # each scaled to ints by positive factors that leave the kernel alone
-        b, _ = clear_denominators(w.basis)
+        pivots = w.pivots()
+        scale = lcm(*(row[q] for row, q in zip(w.rows, pivots)))
+        b = [[x * (scale // row[q]) for x in row] for row, q in zip(w.rows, pivots)]
         rows = []
         for cols in gram_cols:
             for x in b:
@@ -198,7 +202,8 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
                 rows.append([sum(u * v for u, v in zip(sx, y)) for y in b])
         radical = nullspace(rows, ncols=w.dim)
         if radical:
-            return DegeneracyDirection(vector=mat_vec(transpose(w.basis), radical[0]), provenance=provenance)
+            vector = tuple(vec_dot(col, radical[0]) / scale for col in zip(*b))
+            return DegeneracyDirection(vector=vector, provenance=provenance)
     return None
 
 

@@ -20,17 +20,17 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import LieAlgebra, _cleared_brackets
-from .errors import NotAComplexStructure
+from .errors import DimensionMismatch, NotAComplexStructure
 from .linalg import (
     Mat,
     Vec,
     ZERO,
     ONE,
+    _cleared,
     clear_denominators,
     frac,
     leading_minors_positive,
     mat_from_rows,
-    mat_vec,
     nullspace,
     unit_vec,
     vec,
@@ -202,10 +202,12 @@ def closed_two_forms(g: LieAlgebra) -> list[TwoForm]:
 
 @dataclass(frozen=True)
 class ComplexStructure:
-    """An endomorphism with J^2 = -I, row-major, acting on column coordinates."""
+    """An endomorphism with J^2 = -I, row-major, acting on column coordinates,
+    stored uniquely as J = ints / den, den the lcm of the entries' denominators."""
 
     dim: int
-    matrix: tuple[Vec, ...]
+    ints: tuple[tuple[int, ...], ...]
+    den: int
 
     @classmethod
     def from_matrix(cls, rows: Iterable[Sequence]) -> "ComplexStructure":
@@ -215,21 +217,25 @@ class ComplexStructure:
             raise NotAComplexStructure("J must be square")
         if n % 2 != 0:
             raise NotAComplexStructure("J^2 = -I forces an even dimension")
-        ints, e = clear_denominators(m)  # J = ints / e, so J^2 = -I iff ints^2 = -e^2 I
+        ints, e = clear_denominators(m)  # J^2 = -I iff ints^2 = -e^2 I
         square = [[sum(x * y for x, y in zip(row, col)) for col in zip(*ints)] for row in ints]
         if any(x != -e * e * (i == j) for i, row in enumerate(square) for j, x in enumerate(row)):
             raise NotAComplexStructure("J^2 != -I")
-        return cls(n, tuple(tuple(r) for r in m))
+        return cls(n, tuple(map(tuple, ints)), e)
+
+    @property
+    def matrix(self) -> tuple[Vec, ...]:
+        return tuple(tuple(Fraction(x, self.den) if x else ZERO for x in row) for row in self.ints)
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
-        return mat_vec(self.matrix, vec(v))
-
-    def column(self, j: int) -> Vec:
-        return tuple(self.matrix[i][j] for i in range(self.dim))
+        w, d = _cleared(vec(v))
+        return tuple(Fraction(sum(x * y for x, y in zip(row, w)), d * self.den) for row in self.ints)
 
 
 def standard_complex_structure(dim: int) -> ComplexStructure:
     """J e_{2k} = e_{2k+1}, J e_{2k+1} = -e_{2k} (0-indexed pairs)."""
+    if dim < 0:
+        raise DimensionMismatch("dimension must be nonnegative")
     rows = [[ZERO] * dim for _ in range(dim)]
     for k in range(dim // 2):
         rows[2 * k + 1][2 * k] = ONE
@@ -247,7 +253,7 @@ def _nijenhuis_ints(g: LieAlgebra, J: ComplexStructure):
     if J.dim != g.dim:
         raise NotAComplexStructure("J dimension does not match the algebra")
     n = g.dim
-    jm, e = clear_denominators(J.matrix)
+    jm, e = J.ints, J.den
     c, table = _cleared_brackets(g)
     columns = [[(a, jm[a][j]) for a in range(n) if jm[a][j]] for j in range(n)]  # e J e_j
 
@@ -292,7 +298,7 @@ def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:
     coefficients only, in ints over the common denominator.
     """
     n = omega.dim
-    jm, e = clear_denominators(J.matrix)
+    jm, e = J.ints, J.den
     w = lcm(*(c.denominator for _, c in omega.coeffs))
     m = [[0] * n for _ in range(n)]
     for (a, b), c in omega.coeffs:

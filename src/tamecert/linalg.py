@@ -10,8 +10,8 @@ Gauss-Jordan on primitive integer rows, ``det`` and
 functions take one Sturm chain of primitive integer polynomials, with no
 squarefree part: it counts the distinct real and complex roots, and a Sturm
 bisection finds the rational roots.  Fractions are built once, from the
-final integers.  Subspaces are canonicalized to reduced row echelon form so
-that equality of subspaces is equality of representations.
+final integers.  A subspace is stored as the integer rows ``_echelon``
+returns, unique per subspace, so equality of subspaces is equality of rows.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ def _primitive(row: list[int]) -> list[int]:
 def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination.
 
-    Returns the nonzero rows, as primitive integer rows, and the pivot
-    columns; each row's pivot is the only nonzero entry of its column, so
-    dividing each row by its pivot gives the reduced row echelon form.
+    Returns the nonzero rows, as primitive integer rows with positive
+    pivots, and the pivot columns; each pivot is the only nonzero entry of
+    its column, so the rows are the reduced row echelon form, each cleared.
     """
     m = [_primitive(_cleared(r)[0]) for r in rows]
     if not m:
@@ -140,7 +140,7 @@ def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [row if row[p] > 0 else [-x for x in row] for row, p in zip(m, pivots)], pivots
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
@@ -430,10 +430,11 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, stored by its unique reduced-echelon basis."""
+    """A subspace of Q^n, stored by its unique ``_echelon`` rows; ``basis``, the
+    reduced-echelon basis, divides each row by its pivot."""
 
     ambient_dim: int
-    basis: tuple[Vec, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -446,8 +447,7 @@ class Subspace:
     @classmethod
     def _span(cls, ambient_dim: int, rows: Iterable[Sequence[Fraction]]) -> "Subspace":
         """The span of rows of ints or Fractions, each of length ambient_dim, unchecked."""
-        red, _ = rref(rows)
-        return cls(ambient_dim, tuple(tuple(r) for r in red))
+        return cls(ambient_dim, tuple(map(tuple, _echelon(rows)[0])))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -455,43 +455,48 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim)))
+        return cls(ambient_dim, tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple[Vec, ...]:
+        """The reduced row echelon basis, in Fractions."""
+        return tuple(tuple(Fraction(x, row[p]) if x else ZERO for x in row) for row, p in zip(self.rows, self.pivots()))
 
     def pivots(self) -> list[int]:
-        return [next(i for i, x in enumerate(row) if x != 0) for row in self.basis]
+        return [next(i for i, x in enumerate(row) if x) for row in self.rows]
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        """Whether v lies here, by eliminating in integers: v and each basis row used are cleared."""
+        """Whether v lies here, by eliminating v, cleared to ints, with the integer rows."""
         w = _cleared(v)[0]
-        for row, p in zip(self.basis, self.pivots()):
+        for row, p in zip(self.rows, self.pivots()):
             if w[p]:
-                f, row = w[p], _cleared(row)[0]
+                f = w[p]
                 w = [row[p] * x - f * y for x, y in zip(w, row)]
         return not any(w)
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(b) for b in other.basis)
+        return all(self.contains_vector(r) for r in other.rows)
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Vec | None:
-        """Coefficients of v in this basis, or None if v is outside."""
+        """Coefficients of v in the reduced-echelon basis, or None if v is outside."""
         if not self.contains_vector(v):
             return None
         v = vec(v)
         return tuple(v[p] for p in self.pivots())
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace.from_vectors(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: in an echelon form of the rows (a | a), a in self, and
         (b | 0), b in other, the rows with a zero left half span the intersection."""
-        if not self.basis or not other.basis:
+        if not self.rows or not other.rows:
             return Subspace.zero(self.ambient_dim)
         n = self.ambient_dim
-        rows = [list(a) + list(a) for a in self.basis] + [list(b) + [0] * n for b in other.basis]
+        rows = [a + a for a in self.rows] + [b + (0,) * n for b in other.rows]
         red, pivots = _echelon(rows)
-        return Subspace.from_vectors(n, [row[n:] for row, p in zip(red, pivots) if p >= n])
+        return Subspace._span(n, [row[n:] for row, p in zip(red, pivots) if p >= n])

@@ -10,10 +10,10 @@ the induced form and the induced complex structure with its correction term
     J~(Y + h) = J(Y - Omega(JY, X)/Omega(JX, X) * X) + h
 
 are read off in that basis, and every flag is re-verified on the output.
-Losing a flag is an internal error (TamingLost), never a verdict.  The
-vectors, Omega and J are cleared to integers once, brackets go through the
-integer table, and each reduced entry becomes a ``Fraction`` only at the
-end.
+Losing a flag is an internal error (TamingLost), never a verdict.  Omega
+is cleared to integers once, the vectors and J are read in the integer form
+that ``Subspace`` and ``ComplexStructure`` store, brackets go through the
+integer table, and each reduced entry becomes a ``Fraction`` only at the end.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, one_dim_ideals
 from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
 from .forms import ComplexStructure, TwoForm, d2_matrix, is_integrable, taming_gram
-from .linalg import Subspace, Vec, _cleared, clear_denominators, leading_minors_positive, nullspace
+from .linalg import Subspace, Vec, _kernel, clear_denominators, leading_minors_positive
 
 
 def _dot(a, b) -> int:
@@ -109,11 +109,10 @@ def find_isotropic_ideal(t: TamedTriple) -> Subspace:
 
 
 def omega_perp(t: TamedTriple, h: Subspace) -> Subspace:
-    """Omega-orthogonal complement of h, in its echelon basis."""
+    """Omega-orthogonal complement of h: the kernel of h's integer rows times Omega."""
     n = t.algebra.dim
     W, _ = clear_denominators(t.omega.matrix())
-    rows = [[_dot(b, col) for col in zip(*W)] for b in clear_denominators(h.basis)[0]]
-    return Subspace(n, tuple(nullspace(rows, ncols=n)))
+    return Subspace._span(n, _kernel([[_dot(b, col) for col in zip(*W)] for b in h.rows], n)[0])
 
 
 def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
@@ -124,16 +123,15 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     if not g.is_ideal(h):
         raise NotAnIdeal("reduction requires an ideal")
     W, w = clear_denominators(t.omega.matrix())  # Omega = W / w
-    hb = clear_denominators(h.basis)[0]
-    if any(_dot(a, [_dot(row, b) for row in W]) for a in hb for b in hb):
+    if any(_dot(a, [_dot(row, b) for row in W]) for a in h.rows for b in h.rows):
         raise NotIsotropic("the ideal is not isotropic for omega")
     if h.dim != 1:
         raise NotAnIdeal("only 1-dimensional isotropic ideals are supported")
 
-    jm, e = clear_denominators(t.J.matrix)  # J = jm / e
+    jm, e = t.J.ints, t.J.den  # J = jm / e
     c, table = _cleared_brackets(g)  # [., .] = table / c
     x = h.basis[0]
-    xi = hb[0]  # xi = s_x x, with s_x = xi[p] at X's pivot p
+    xi = h.rows[0]  # xi = s_x x, with s_x = xi[p] at X's pivot p
     p = h.pivots()[0]
     sx = xi[p]
     w_xi = [_dot(row, xi) for row in W]
@@ -153,7 +151,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     keep = [k for k in range(perp.dim) if pivots[k] != p]
     section = [perp.basis[k] for k in keep]
     kept_pivots = [pivots[k] for k in keep]
-    us = [_cleared(y)[0] for y in section]  # u = s y, with s = u at y's pivot
+    us = [perp.rows[k] for k in keep]  # u = s y, with s = u at y's pivot
     ss = [u[q] for u, q in zip(us, kept_pivots)]
 
     def mod_h(v: list[int], scale: int) -> Vec:
@@ -170,7 +168,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
             brackets[(a, b)] = {k: y for k, y in enumerate(v) if y != 0}
     # a unit vector e_i keeps its label; any other basis vector is f<position in h^perp>
     labels = [
-        g.basis_labels[pivots[k]] if sum(v != 0 for v in perp.basis[k]) == 1 else f"f{k + 1}"
+        g.basis_labels[pivots[k]] if sum(v != 0 for v in perp.rows[k]) == 1 else f"f{k + 1}"
         for k in keep
     ]
     red_alg = LieAlgebra.from_brackets(m, brackets, labels=labels)

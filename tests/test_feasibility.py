@@ -31,7 +31,7 @@ from tamecert import (
 from tamecert.algebra import scale_structure_constants
 from tamecert.feasibility import DEGENERATE_MARGIN, FeasibilityConfig
 from tamecert.forms import ComplexStructure, leading_minors_positive, taming_gram
-from tamecert.linalg import mat_inverse, mat_mul
+from tamecert.linalg import identity, mat_inverse, mat_mul, solve
 from tamecert.pipeline import verdict_to_dict
 
 from conftest import CORPUS_NAMES, conjugate, direct_sum, pool_draw, random_basis_change, rational_sampler
@@ -574,6 +574,53 @@ def test_dual_lane_runs_after_exactify_fails(corpus, monkeypatch):
     assert v.best_primal == 1e-3
     assert all(isinstance(x, Fraction) for row in v.dual for x in row)
     assert leading_minors_positive([list(row) for row in v.dual])
+
+
+# J = P J0 P^-1 on aff_r + aff_r2, where only the rounded dual iterate certifies
+AFF_SUM_NONINT_P = [
+    [0, -2, 0, -2, 0, -2],
+    [-2, -2, 0, 1, 1, -2],
+    [-2, -2, -2, 1, 0, 0],
+    [0, -1, -1, 0, 2, 2],
+    [1, 0, -1, -2, 0, 0],
+    [-1, 2, -2, 2, 1, -2],
+]
+
+
+def exact_projection_of_identity(p) -> list[list[Fraction]]:
+    """The Frobenius projection of I/n onto {<S_i, X> = 0, tr X = 1}, in rationals:
+    I/n - R^T y with R the rows S_1, ..., S_m, I and (R R^T) y = R I/n - (0, ..., 0, 1)."""
+    n = p.algebra.dim
+    flat = [[x for row in m for x in row] for m in p.gram_basis + [identity(n)]]
+    start = [F(int(i == j), n) for i in range(n) for j in range(n)]
+    rhs = [sum(a * b for a, b in zip(r, start)) for r in flat]
+    rhs[-1] -= 1
+    y = solve([[sum(a * b for a, b in zip(r, t)) for t in flat] for r in flat], rhs)
+    x = [start[k] - sum(yk * r[k] for yk, r in zip(y, flat)) for k in range(n * n)]
+    return [x[i * n : (i + 1) * n] for i in range(n)]
+
+
+def test_dual_lane_needs_the_rounded_iterate(corpus):
+    # the precheck misses and the rounded dual iterate certifies Infeasible,
+    # while the exact projection of I/n, the start that would skip the solve,
+    # is not positive definite: the dual lane cannot drop its solve here
+    g, J0 = direct_sum(corpus["aff_r"].algebra, corpus["aff_r"].J, corpus["aff_r2"].algebra, corpus["aff_r2"].J)
+    P = [[F(x) for x in row] for row in AFF_SUM_NONINT_P]
+    J = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J0.matrix]), mat_inverse(P)))
+    p = build_problem(g, J)
+    assert degeneracy_precheck(p) is None
+    v = decide(g, J)
+    assert isinstance(v, Infeasible) and v.rank_one_direction is None
+    dual = [list(row) for row in v.dual]
+    assert sum(dual[i][i] for i in range(6)) == 1
+    for s in p.gram_basis:
+        assert sum(s[i][j] * dual[i][j] for i in range(6) for j in range(6)) == 0
+    assert leading_minors_positive(dual)
+    projection = exact_projection_of_identity(p)
+    assert sum(projection[i][i] for i in range(6)) == 1
+    for s in p.gram_basis:
+        assert sum(s[i][j] * projection[i][j] for i in range(6) for j in range(6)) == 0
+    assert not leading_minors_positive(projection)
 
 
 # non-integrable J = P J0 P^-1 on sol3_r_nonint whose only duals are singular

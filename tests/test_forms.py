@@ -1,5 +1,6 @@
 """Chevalley-Eilenberg differential, Nijenhuis, taming Gram."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ import tamecert.forms as forms_mod
 
 from tamecert import (
     ComplexStructure,
+    DimensionMismatch,
     LieAlgebra,
     NotAComplexStructure,
     OneForm,
@@ -114,6 +116,33 @@ def test_not_a_complex_structure():
         ComplexStructure.from_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(NotAComplexStructure):
         standard_complex_structure(3)
+
+
+def test_standard_complex_structure_refuses_negative_dimensions():
+    # range(-2) is empty, so a negative dim once gave a 0-dimensional J
+    for dim in (-1, -2, -3):
+        with pytest.raises(DimensionMismatch):
+            standard_complex_structure(dim)
+    assert standard_complex_structure(0).dim == 0
+
+
+def test_complex_structure_is_stored_uniquely(exact_items):
+    # the same J written with ints, reduced Fractions or unreduced "p/q" strings
+    # is one stored (ints, den): equal, with one hash, and the same derived matrix
+    for name, _, J in exact_items:
+        written = [
+            [[x.numerator if x.denominator == 1 else x for x in row] for row in J.matrix],
+            [[f"{3 * x.numerator}/{3 * x.denominator}" for x in row] for row in J.matrix],
+            [[F(-x.numerator, -x.denominator) for x in row] for row in J.matrix],
+        ]
+        for rows in written:
+            K = ComplexStructure.from_matrix(rows)
+            assert K == J and hash(K) == hash(J), name
+            assert K.matrix == J.matrix and K.ints == J.ints and K.den == J.den, name
+        assert all(isinstance(x, int) for row in J.ints for x in row), name
+        assert J.den == math.lcm(*(x.denominator for row in J.matrix for x in row)), name
+        v = tuple(F(k - 2, k + 1) for k in range(J.dim))
+        assert J.apply(v) == tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in J.matrix), name
 
 
 def test_nijenhuis_h3_integrable():
@@ -242,7 +271,7 @@ def ref_nijenhuis(g, J):
 def ref_taming_gram(omega, J):
     n = omega.dim
     half = Fraction(1, 2)
-    cols = [J.column(j) for j in range(n)]
+    cols = list(zip(*J.matrix))
     m = omega.matrix()
     mj = [[sum((m[i][k] * cols[j][k] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
     return [[half * (mj[i][j] + mj[j][i]) for j in range(n)] for i in range(n)]

@@ -1,5 +1,6 @@
 """Exact kernel: echelon forms, kernels, characteristic polynomials, Sturm."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -290,6 +291,36 @@ def test_rref_and_nullspace_match_fraction_oracle_on_items(exact_items):
     for m in item_matrices(exact_items):
         assert rref(m) == ref_rref(m)
         assert nullspace(m, ncols=len(m[0])) == ref_nullspace(m, len(m[0]))
+
+
+def test_subspace_rows_are_canonical(exact_items):
+    # a Subspace stores primitive integer echelon rows with positive pivots:
+    # one representation per subspace, whose basis is the Fraction oracle's rref
+    rng = random.Random(17)
+    matrices = [m for m in item_matrices(exact_items) + random_matrices(4) if m and m[0]]
+    for m in matrices:
+        n = len(m[0])
+        s = Subspace.from_vectors(n, m)
+        red, pivots = ref_rref(m)
+        assert s.basis == tuple(map(tuple, red)) and s.pivots() == pivots
+        assert all(isinstance(x, int) for row in s.rows for x in row)
+        assert all(math.gcd(*row) == 1 and row[p] > 0 for row, p in zip(s.rows, pivots))
+        factors = [F(rng.choice([-3, -1, 2, 5]), rng.choice([1, 4, 7])) for _ in m]
+        scaled = [[c * x for x in row] for c, row in zip(factors, m)]
+        variants = [scaled[::-1] + [[0] * n], s.rows, s.basis]  # scaled, negated and reordered; ints; Fractions
+        for rows in variants:
+            t = Subspace.from_vectors(n, rows)
+            assert t == s and hash(t) == hash(s)
+        # int and Fraction inputs agree; members have their reduced-echelon coordinates
+        probes = list(s.rows[:3]) + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+        if s.rows:
+            probes.append([sum(row[k] for row in s.rows) for k in range(n)])
+        for v in probes:
+            fv = tuple(F(x) for x in v)
+            # v lies in the span iff it is the combination of the rref basis read off at the pivots
+            inside = tuple(sum((fv[p] * b[k] for p, b in zip(pivots, red)), ZERO) for k in range(n)) == fv
+            assert s.contains_vector(v) == s.contains_vector(fv) == inside
+            assert s.coordinates_of(v) == s.coordinates_of(fv) == (tuple(fv[p] for p in pivots) if inside else None)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

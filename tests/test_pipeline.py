@@ -235,6 +235,10 @@ def test_analyze_reduction_summary(corpus):
 # and 257 when the precheck's weight spaces echeloned [g, g] again)
 MAX_CHARPOLY_CALLS = 64
 MAX_ECHELON_CALLS = 246
+# clear_denominators calls over the same pass: 153 once Subspace and
+# ComplexStructure store their integer forms (338 when every kernel cleared
+# subspace bases and J.matrix again)
+MAX_CLEAR_DENOMINATORS_CALLS = 170
 # one derived series per fixture, inside is_completely_solvable (22 when
 # analyze also called is_solvable)
 MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
@@ -245,8 +249,9 @@ MAX_IS_INTEGRABLE_CALLS = 30
 
 
 def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
-    counts = {"charpoly": 0, "_echelon": 0, "is_integrable": 0, "derived_series": 0}
-    for home, name in ((tamecert.linalg, "charpoly"), (tamecert.linalg, "_echelon"), (tamecert.forms, "is_integrable")):
+    counts = {"charpoly": 0, "_echelon": 0, "clear_denominators": 0, "is_integrable": 0, "derived_series": 0}
+    homes = [(tamecert.linalg, name) for name in ("charpoly", "_echelon", "clear_denominators")]
+    for home, name in homes + [(tamecert.forms, "is_integrable")]:
         original = getattr(home, name)
 
         def counted(*args, _original=original, _name=name):
@@ -282,6 +287,7 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
             first_total[key] += first[key]
     assert 0 < first_total["charpoly"] <= MAX_CHARPOLY_CALLS
     assert 0 < first_total["_echelon"] <= MAX_ECHELON_CALLS
+    assert 0 < first_total["clear_denominators"] <= MAX_CLEAR_DENOMINATORS_CALLS
     assert 0 < first_total["is_integrable"] <= MAX_IS_INTEGRABLE_CALLS
     assert 0 < first_total["derived_series"] <= MAX_DERIVED_SERIES_CALLS
 
@@ -534,8 +540,11 @@ def test_cli_validate_rejects_bad(tmp_path, capsys):
 
 
 def test_cli_analyze_json(fixtures_dir, capsys):
-    code = cli_main(["analyze", str(fixtures_dir / "h3_r.json"), "--json", "--seed", "7"])
-    assert code == EXIT_OK
+    with pytest.raises(SystemExit) as exc:  # the solve is deterministic: there is no --seed
+        cli_main(["analyze", str(fixtures_dir / "h3_r.json"), "--json", "--seed", "7"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli_main(["analyze", str(fixtures_dir / "h3_r.json"), "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["feasibility"]["verdict"] == "infeasible"
     assert doc["feasibility"]["rank_one_direction"] == [0, 0, 1, 0]
@@ -551,7 +560,7 @@ def test_cli_analyze_human(fixtures_dir, capsys):
 
 def test_cli_analyze_human_exact_dual(fixtures_dir, tmp_path, capsys):
     # aff_r2 under the non-integrable J = P J0 P^-1: the verdict comes from
-    # the rounded dual iterate; --eps-dual is accepted and has no effect
+    # the rounded dual iterate, re-proved exactly, so there is no --eps-dual
     doc = json.loads((fixtures_dir / "aff_r2.json").read_text())
     doc.pop("omega", None)
     P = [[F(x) for x in row] for row in [[2, 1, 2, -1], [2, 0, -2, 0], [-2, 1, 2, -2], [1, 1, 1, -2]]]
@@ -559,7 +568,11 @@ def test_cli_analyze_human_exact_dual(fixtures_dir, tmp_path, capsys):
     doc["J"] = [[str(x) for x in row] for row in J]
     path = tmp_path / "aff_r2_nonint.json"
     path.write_text(json.dumps(doc))
-    assert cli_main(["analyze", str(path), "--eps-dual", "0.5"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["analyze", str(path), "--eps-dual", "0.5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli_main(["analyze", str(path)]) == EXIT_OK
     assert "feasibility: INFEASIBLE (exact dual)" in capsys.readouterr().out
 
 
@@ -589,11 +602,16 @@ def test_cli_corpus(fixtures_dir, capsys):
     assert "inconsistencies: 0" in out
 
 
-def test_cli_eps_feas_has_no_effect(fixtures_dir, capsys):
-    # a large threshold once sent the abelian fixtures' positive margins to
-    # the dual lane, so they ended Unknown and the sweep flagged them
-    assert cli_main(["corpus", str(fixtures_dir), "--eps-feas", "0.9"]) == EXIT_OK
-    assert "inconsistencies: 0" in capsys.readouterr().out
+def test_cli_refuses_feasibility_flags(fixtures_dir, capsys):
+    # the five flags that once tuned the search had no effect, and are gone
+    flags = (("--eps-feas", "0.9"), ("--eps-dual", "0.5"), ("--seed", "7"), ("--restarts", "3"), ("--iters", "10"))
+    targets = (("analyze", "h3_r.json"), ("tame", "h3_r.json"), ("corpus", ""))
+    for command, name in targets:
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                cli_main([command, str(fixtures_dir / name), *flag])
+            assert exc.value.code == 2, (command, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_corpus_parallel(fixtures_dir, capsys):
