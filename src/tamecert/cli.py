@@ -2,7 +2,9 @@
 
 Exit codes: 0 success/consistent, 1 input error, 2 inconsistency detected,
 3 Unknown verdict present (partial result).  Every command but ``validate``
-lets a ``TamecertError`` reach ``main``, which prints it and exits 1.
+lets a ``TamecertError`` reach ``main``, which prints it and exits 1.  A
+usage error is an input error too: it prints the usage to stderr and exits
+1, where argparse alone would exit 2.
 """
 
 from __future__ import annotations
@@ -25,8 +27,16 @@ from .pipeline import (
 from .reduction import TamedTriple, reduction_tower
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit EXIT_INPUT_ERROR, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tamecert",
         description="Certified decisions on closed 2-forms taming a complex structure "
         "on a real Lie algebra. " + SCOPE_NOTE,

@@ -6,12 +6,14 @@ The decision pipeline:
      rational weight space of ad g inside [g, g], then [g, g] cap J[g, g]),
      the common radical of the closed Gram forms; a nonzero v in it has
      B(v, Jv) = 0 for every closed 2-form B, so v v^T / |v|^2 is a dual
-     certificate and proves infeasibility outright;
+     certificate and proves infeasibility outright.  It also caps every
+     lambda_min(sum c_i S_i) at 0, so the maximum of step 2 is exactly 0,
+     at c = 0: a hit is returned at once, with no solve;
   2. when the pre-check finds nothing, the Frobenius projection of I onto
      span{S_i} (S_i = Gram forms of a closed basis), one least-squares solve
      scaled onto the unit sphere; a lambda_min above PROJECTION_MARGIN goes
-     to step 3 without a barrier solve.  Otherwise, and after a pre-check
-     hit, one deterministic log-barrier path-following solve maximizing
+     to step 3 without a barrier solve.  Otherwise one deterministic
+     log-barrier path-following solve maximizing
      lambda_min(sum c_i S_i) over the unit ball of coefficients: Newton
      steps on the barrier of the small SDP
      "maximize t with sum c_i S_i - t I > 0, |c| < 1" for the barrier
@@ -52,7 +54,7 @@ import numpy as np
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, clear_denominators, identity, nullspace, solve, vec_dot
+from .linalg import Mat, Subspace, Vec, ZERO, _cleared, _int_nullspace, clear_denominators, solve, vec_dot
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
@@ -103,11 +105,20 @@ class FeasibilityProblem:
         return len(self.z2_basis)
 
     @cached_property
+    def degeneracy_direction(self) -> DegeneracyDirection | None:
+        """The exact rank-one search of degeneracy_precheck, run once per problem.
+
+        degeneracy_precheck returns it, and maximize_lambda_min reads it first.
+        """
+        return _degeneracy_search(self)
+
+    @cached_property
     def barrier_path(self) -> tuple[np.ndarray, np.ndarray]:
         """The barrier solve's last iterate (c, t) and its dual iterate, solved once per problem.
 
-        maximize_lambda_min and dual_certificate both read it; the fields are
-        not to be changed once it is read.
+        Only a precheck miss reaches it: maximize_lambda_min and
+        dual_certificate both read it; the fields are not to be changed once
+        it is read.
         """
         return _barrier_path(self)
 
@@ -125,7 +136,7 @@ class Infeasible:
     dual: tuple  # symmetric PSD matrix of exact rationals, trace one
     residual: float  # always 0.0: the dual meets its constraints exactly
     rank_one_direction: Vec | None
-    best_primal: float  # primal margin of the barrier solve
+    best_primal: float  # 0.0 on a rank-one verdict, the exact maximum; else the solve's margin
     kind: str = field(default="infeasible", init=False)
 
 
@@ -178,8 +189,13 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     D cap J D.  On each subspace W the common radical of the closed Gram forms
     restricted to W is an exact nullspace; any nonzero v in it has
     B(v, Jv) = 0 for every closed B.  The radical transforms with a basis
-    change, so whether the precheck hits does not depend on the basis.
+    change, so whether the precheck hits does not depend on the basis.  The
+    search runs once per problem (FeasibilityProblem.degeneracy_direction).
     """
+    return p.degeneracy_direction
+
+
+def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     g = p.algebra
     derived = g.derived_subalgebra()
     spaces = [(space.intersect(derived), "weight space in [g,g]") for space in _weight_spaces(g, derived)]
@@ -200,7 +216,7 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
             for x in b:
                 sx = [sum(xk * v for xk, v in zip(x, col)) for col in cols]
                 rows.append([sum(u * v for u, v in zip(sx, y)) for y in b])
-        radical = nullspace(rows, ncols=w.dim)
+        radical = _int_nullspace(rows, w.dim)
         if radical:
             vector = tuple(vec_dot(col, radical[0]) / scale for col in zip(*b))
             return DegeneracyDirection(vector=vector, provenance=provenance)
@@ -224,15 +240,19 @@ def maximize_lambda_min(
     (FeasibilityProblem.barrier_path), and dual_certificate reuses it.
 
     Returns that iterate's c and the float lambda_min of sum c_i S_i there.
-    With stop_above set, the Frobenius projection of I onto span{S_i}, one
-    least-squares solve scaled onto the unit sphere, is tried first and
-    returned without a barrier solve when its lambda_min exceeds stop_above:
-    a point the caller re-proves, not the maximizer.
+    When the precheck has a direction (FeasibilityProblem.degeneracy_direction),
+    the maximum is exactly 0, at c = 0, and that is returned with no solve.
+    Otherwise, with stop_above set, the Frobenius projection of I onto
+    span{S_i}, one least-squares solve scaled onto the unit sphere, is tried
+    first and returned without a barrier solve when its lambda_min exceeds
+    stop_above: a point the caller re-proves, not the maximizer.
     """
     m = p.size
     n = p.algebra.dim
     if m == 0 or n == 0:
         return np.zeros(m), float("-inf") if n else float("inf")
+    if p.degeneracy_direction is not None:
+        return np.zeros(m), 0.0
     if stop_above is not None:
         c = np.linalg.lstsq(p.grams.reshape(m, n * n).T, np.eye(n).ravel(), rcond=None)[0]
         c = c / (np.linalg.norm(c) or 1.0)
@@ -383,27 +403,34 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     at most DUAL_DENOMINATOR_BOUND, symmetrizes it, and moves it exactly onto
     {<S_i, X> = 0, tr X = 1} by the least-squares correction R^T y, with R
     the rows S_1, ..., S_m, I and (R R^T) y = R X - (0, ..., 0, 1) solved in
-    rationals.  Returns (certificate, 0.0) when exact leading minors prove
-    the corrected matrix positive definite, and None otherwise: when the
-    affine set is empty (I lies in span{S_i}) or the optimum sits on the
-    boundary of the PSD cone, so that only a singular dual exists.
+    rationals.  Each S_i and the rounded X are cleared to ints once, and the
+    normal equations are formed on those rows; positive row scales leave the
+    correction, the unique projection onto that affine set, unchanged.
+    Returns (certificate, 0.0) when exact leading minors prove the corrected
+    matrix positive definite, and None otherwise: when the affine set is
+    empty (I lies in span{S_i}) or the optimum sits on the boundary of the
+    PSD cone, so that only a singular dual exists.
     """
     n = p.algebra.dim
     if n == 0:
         return None
     x = p.barrier_path[1]
     x = (x + x.T) / 2.0
-    q = [[Fraction(v).limit_denominator(DUAL_DENOMINATOR_BOUND) for v in row] for row in x]
-    rows = p.gram_basis + [identity(n)]
-    flat = [[v for row in r for v in row] for r in rows]
-    qflat = [v for row in q for v in row]
-    rhs = [vec_dot(r, qflat) for r in flat]
-    rhs[-1] -= 1
-    y = solve([[vec_dot(r, t) for t in flat] for r in flat], rhs)
+    q, e = clear_denominators([[Fraction(v).limit_denominator(DUAL_DENOMINATOR_BOUND) for v in row] for row in x])
+    q = [v for row in q for v in row]  # e X, flattened
+    rows = [[v for row in clear_denominators(s)[0] for v in row] for s in p.gram_basis]  # d_i S_i
+    rows.append([int(i == j) for i in range(n) for j in range(n)])
+    rhs = [sum(a * b for a, b in zip(r, q)) for r in rows]
+    rhs[-1] -= e
+    y = solve([[sum(a * b for a, b in zip(r, t)) for t in rows] for r in rows], rhs)  # e times the multipliers of these rows
     if y is None:
         return None
-    cert = [[q[i][j] - sum((yk * r[i][j] for yk, r in zip(y, rows)), ZERO) for j in range(n)] for i in range(n)]
-    return (cert, 0.0) if leading_minors_positive(cert) else None
+    y, f = _cleared(y)
+    flat = [f * v - sum(yk * r[k] for yk, r in zip(y, rows)) for k, v in enumerate(q)]  # e f times the certificate
+    cert = [flat[i * n : (i + 1) * n] for i in range(n)]
+    if not leading_minors_positive(cert):
+        return None
+    return [[Fraction(v, e * f) for v in row] for row in cert], 0.0
 
 
 def _rank_one_dual(v: Vec) -> Mat:
@@ -424,10 +451,9 @@ def _decide(p: FeasibilityProblem) -> FeasibilityVerdict:
     if p.algebra.dim == 0:
         return Feasible(TwoForm.from_dict(0, {}), float("inf"), True)
     direction = degeneracy_precheck(p)
-    c, value = maximize_lambda_min(p, None if direction is not None else PROJECTION_MARGIN)
-    if direction is not None:
-        dual = _rank_one_dual(direction.vector)
-        return Infeasible(_freeze_matrix(dual), 0.0, direction.vector, value)
+    if direction is not None:  # the exact maximum is 0: nothing is left to solve
+        return Infeasible(_freeze_matrix(_rank_one_dual(direction.vector)), 0.0, direction.vector, 0.0)
+    c, value = maximize_lambda_min(p, PROJECTION_MARGIN)
     feasible = _exactified(p, c, value)
     if feasible is None:
         solved = maximize_lambda_min(p)  # a projection point that did not round gives way to the solve's

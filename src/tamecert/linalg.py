@@ -2,9 +2,10 @@
 
 Every argument and every returned entry is a ``fractions.Fraction`` (or an
 int), and nothing here uses floating point; the numeric lanes of the package
-convert at their own boundary.  The eliminations clear each row's
-denominators once and then work in Python ints: ``rref`` is fraction-free
-Gauss-Jordan on primitive integer rows, ``det`` and
+convert at their own boundary.  The eliminations work in Python ints on
+rows cleared of denominators once; a caller that already holds integer rows,
+as every subspace and bracket kernel does, hands them over uncleared.
+``rref`` is fraction-free Gauss-Jordan on primitive integer rows, ``det`` and
 ``leading_minors_positive`` are one Bareiss pass (Math. Comp. 22, 1968), and
 ``charpoly`` runs Faddeev-LeVerrier on the integer matrix d*A.  The root
 functions take one Sturm chain of primitive integer polynomials, with no
@@ -113,14 +114,15 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination.
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
 
     Returns the nonzero rows, as primitive integer rows with positive
     pivots, and the pivot columns; each pivot is the only nonzero entry of
     its column, so the rows are the reduced row echelon form, each cleared.
+    Callers holding Fractions clear each row first (``_cleared``).
     """
-    m = [_primitive(_cleared(r)[0]) for r in rows]
+    m = [_primitive(list(r)) for r in rows]
     if not m:
         return [], []
     pivots: list[int] = []
@@ -143,18 +145,23 @@ def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[
     return [row if row[p] > 0 else [-x for x in row] for row, p in zip(m, pivots)], pivots
 
 
+def _reduced(red: Sequence[Sequence[int]], pivots: list[int]) -> Mat:
+    """The reduced row echelon rows, in Fractions, of _echelon's integer rows."""
+    return [[Fraction(x, row[p]) if x else ZERO for x in row] for row, p in zip(red, pivots)]
+
+
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    red, pivots = _echelon(rows)
-    return [[Fraction(x, row[p]) if x else ZERO for x in row] for row, p in zip(red, pivots)], pivots
+    red, pivots = _echelon(_cleared(r)[0] for r in rows)
+    return _reduced(red, pivots), pivots
 
 
 def rank(rows) -> int:
-    return len(_echelon(rows)[1])
+    return len(_echelon(_cleared(r)[0] for r in rows)[1])
 
 
-def _kernel(m: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """A basis of {v : m @ v = 0} as primitive integer rows, and the free columns.
+def _kernel(m: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """A basis of {v : m @ v = 0}, m of integer rows, as primitive integer rows, and the free columns.
 
     There is one row per free column f of the echelon form of m: it is
     nonzero at f and zero at every other free column, so a kernel vector's
@@ -181,8 +188,12 @@ def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list
         if not m:
             raise ValueError("nullspace of an empty matrix needs an explicit ncols")
         ncols = len(m[0])
-    canon, _ = rref(_kernel(m, ncols)[0])
-    return [tuple(row) for row in canon]
+    return _int_nullspace([_cleared(r)[0] for r in m], ncols)
+
+
+def _int_nullspace(m: Sequence[Sequence[int]], ncols: int) -> list[Vec]:
+    """nullspace of integer rows, which need no clearing."""
+    return [tuple(row) for row in _reduced(*_echelon(_kernel(m, ncols)[0]))]
 
 
 def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
@@ -442,11 +453,11 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError(f"vector length {len(r)} != ambient dim {ambient_dim}")
-        return cls._span(ambient_dim, rows)
+        return cls._span(ambient_dim, [_cleared(r)[0] for r in rows])
 
     @classmethod
-    def _span(cls, ambient_dim: int, rows: Iterable[Sequence[Fraction]]) -> "Subspace":
-        """The span of rows of ints or Fractions, each of length ambient_dim, unchecked."""
+    def _span(cls, ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Subspace":
+        """The span of integer rows, each of length ambient_dim, unchecked."""
         return cls(ambient_dim, tuple(map(tuple, _echelon(rows)[0])))
 
     @classmethod
@@ -464,7 +475,7 @@ class Subspace:
     @property
     def basis(self) -> tuple[Vec, ...]:
         """The reduced row echelon basis, in Fractions."""
-        return tuple(tuple(Fraction(x, row[p]) if x else ZERO for x in row) for row, p in zip(self.rows, self.pivots()))
+        return tuple(map(tuple, _reduced(self.rows, self.pivots())))
 
     def pivots(self) -> list[int]:
         return [next(i for i, x in enumerate(row) if x) for row in self.rows]
@@ -489,7 +500,7 @@ class Subspace:
         return tuple(v[p] for p in self.pivots())
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(self.ambient_dim, self.rows + other.rows)
+        return Subspace._span(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: in an echelon form of the rows (a | a), a in self, and

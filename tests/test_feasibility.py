@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -314,10 +315,12 @@ def count_linalg_calls(monkeypatch) -> list[int]:
 def test_maximize_linalg_call_budget(corpus, monkeypatch):
     # one Newton step costs a cholesky, an inv and a solve, and a long step an
     # eigvalsh more: the path takes 26 steps here, 19 of them long (98 calls
-    # with the final eigvalsh); damped steps with tau x100 took 51 (154 calls)
+    # with the final eigvalsh); damped steps with tau x100 took 51 (154 calls).
+    # The precheck hits here, so maximize_lambda_min solves nothing: the
+    # path is read directly
+    p = build_problem(*conjugate(corpus["inoue_s0"].algebra, INOUE_P, corpus["inoue_s0"].J))
     calls = count_linalg_calls(monkeypatch)
-    g, J = conjugate(corpus["inoue_s0"].algebra, INOUE_P, corpus["inoue_s0"].J)
-    _, value = maximize_lambda_min(build_problem(g, J), stop_above=None)
+    value = feas_mod._lambda_min(p, p.barrier_path[0][: p.size])
     assert abs(value) <= 1e-9
     assert calls[0] <= 108
 
@@ -383,8 +386,9 @@ def test_exactify_fails_on_singular_optimum(monkeypatch):
     # on h3 + R the optimum margin is 0: the best Gram is PSD singular, and no
     # rounding of the optimizer makes it PD.  exactify rounds once, so one
     # exact PD check decides (a ladder of four denominator bounds made four)
+    # (c is read off the path: maximize_lambda_min returns c = 0 after the precheck's proof)
     p = problem_for(4, {(0, 1): {2: 1}})
-    c = maximize_lambda_min(p)[0]
+    c = p.barrier_path[0][: p.size]
     checks = []
 
     def counted(m):
@@ -623,6 +627,29 @@ def test_dual_lane_needs_the_rounded_iterate(corpus):
     assert not leading_minors_positive(projection)
 
 
+def test_dual_certificate_on_a_16_dim_sum_is_fast(corpus):
+    # the normal equations of the dual lane are formed on integer rows: on
+    # the sum of aff_r2 under the first four J above (n = 16, m = 36)
+    # dual_certificate took 1.7 s with Fraction rows and takes about 0.05 s
+    fx = corpus["aff_r2"]
+    parts = [(fx.algebra, non_integrable_j(fx, P)) for P in AFF_R2_NONINT_P[:4]]
+    g, J = parts[0]
+    for h, K in parts[1:]:
+        g, J = direct_sum(g, J, h, K)
+    p = build_problem(g, J)
+    assert (g.dim, p.size) == (16, 36) and degeneracy_precheck(p) is None
+    p.barrier_path  # solved before the clock starts
+    start = time.process_time()
+    cert = dual_certificate(p)
+    elapsed = time.process_time() - start
+    assert cert is not None and cert[1] == 0.0
+    dual = cert[0]
+    assert sum(dual[i][i] for i in range(16)) == 1 and leading_minors_positive(dual)
+    for s in p.gram_basis:
+        assert sum(s[i][j] * dual[i][j] for i in range(16) for j in range(16)) == 0
+    assert elapsed < 0.5, f"dual_certificate took {elapsed:.2f} s"
+
+
 # non-integrable J = P J0 P^-1 on sol3_r_nonint whose only duals are singular
 SOL3_SINGULAR_P = [
     [[0, 1, 1, 0], [2, 0, 2, 0], [-1, 1, -2, 0], [-1, 0, 0, -1]],
@@ -712,8 +739,9 @@ def test_feasible_downgrade_when_exactify_fails(monkeypatch):
 
 
 def test_unknown_when_both_lanes_stall(monkeypatch):
+    # the precheck is made to miss, so the solve runs and finds the supremum 0
     g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
-    monkeypatch.setattr(feas_mod, "degeneracy_precheck", lambda p: None)
+    monkeypatch.setattr(feas_mod, "_degeneracy_search", lambda p: None)
     monkeypatch.setattr(feas_mod, "dual_certificate", lambda p: None)
     v = feas_mod.decide(g, standard_complex_structure(4))
     assert isinstance(v, Unknown)
@@ -771,10 +799,11 @@ def decided(structures) -> dict[str, tuple[object, Counter, int, int]]:
     return out
 
 
-# Newton steps of decide over the 36 structures: 561 when the projection of I
-# decides every Feasible one, 1108 with a solve on each, 2285 with damped
+# Newton steps of decide over the 36 structures: 257 when a precheck hit runs
+# no solve and the projection of I decides every Feasible one, 561 with a
+# solve after each hit, 1108 with a solve on each structure, 2285 with damped
 # steps and tau x100
-NEWTON_STEP_BUDGET = 590
+NEWTON_STEP_BUDGET = 270
 
 
 def test_newton_step_budget(decided):
@@ -785,15 +814,15 @@ def test_newton_step_budget(decided):
 
 
 def test_projection_lane_skips_the_solve(decided, structures):
-    # a precheck hit still runs its one solve; a miss whose projection of I
-    # clears PROJECTION_MARGIN is decided by exactify on that point alone,
-    # and here that is every Feasible structure
+    # a precheck hit runs no solve; a miss whose projection of I clears
+    # PROJECTION_MARGIN is decided by exactify on that point alone, and here
+    # that is every Feasible structure
     skipped = 0
     for name, g, J in structures:
         v, _, _, solves = decided[name]
         p = build_problem(g, J)
         if degeneracy_precheck(p) is not None:
-            assert solves == 1, name
+            assert solves == 0, name
             continue
         projected = np.linalg.lstsq(p.grams.reshape(p.size, -1).T, np.eye(g.dim).ravel(), rcond=None)[0]
         margin = np.linalg.eigvalsh(np.einsum("i,ijk->jk", projected / np.linalg.norm(projected), p.grams))[0]
@@ -804,6 +833,44 @@ def test_projection_lane_skips_the_solve(decided, structures):
             assert ce_d(g, v.omega).is_zero(), name
             assert leading_minors_positive(taming_gram(v.omega, J)), name
     assert skipped == sum(isinstance(v, Feasible) for v, _, _, _ in decided.values()) == 16
+
+
+def test_rank_one_verdicts_report_the_exact_maximum(decided):
+    # the precheck's direction caps every lambda_min at 0, and c = 0 attains
+    # it: best_primal is that exact maximum, not a solver's float
+    rank_one = [v for v, _, _, _ in decided.values() if isinstance(v, Infeasible) and v.rank_one_direction is not None]
+    assert len(rank_one) == 12
+    for v in rank_one:
+        assert type(v.best_primal) is float and v.best_primal == 0.0
+
+
+def test_precheck_search_runs_once_per_problem(corpus, monkeypatch):
+    # the rank-one search is memoized on the problem: whichever of the
+    # precheck and maximize_lambda_min asks first, it runs once, and after a
+    # hit maximize_lambda_min returns the exact maximizer with no solve
+    search = feas_mod._degeneracy_search
+    runs = []
+
+    def counted(p):
+        runs.append(p)
+        return search(p)
+
+    monkeypatch.setattr(feas_mod, "_degeneracy_search", counted)
+    for name in ("h3_r", "aff_r2"):
+        fx = corpus[name]
+        for first, second in ((degeneracy_precheck, maximize_lambda_min), (maximize_lambda_min, degeneracy_precheck)):
+            p = build_problem(fx.algebra, fx.J)
+            first(p)
+            second(p)
+            direction = degeneracy_precheck(p)
+            c, value = maximize_lambda_min(p, feas_mod.PROJECTION_MARGIN)
+            assert runs == [p], (name, first.__name__)
+            runs.clear()
+            if direction is not None:
+                assert value == 0.0 and not c.any() and c.shape == (p.size,), name
+                assert "barrier_path" not in vars(p), name
+    assert decide(corpus["h3_r"].algebra, corpus["h3_r"].J).rank_one_direction is not None
+    assert len(runs) == 1
 
 
 def test_projection_point_falls_back_to_the_solve(corpus, monkeypatch):

@@ -239,6 +239,10 @@ MAX_ECHELON_CALLS = 246
 # ComplexStructure store their integer forms (338 when every kernel cleared
 # subspace bases and J.matrix again)
 MAX_CLEAR_DENOMINATORS_CALLS = 170
+# _cleared calls over the same pass: 403 once callers holding integer rows
+# hand them to _echelon, _kernel and Subspace._span uncleared (1,191 when
+# _echelon cleared every input row, 932 of them already ints)
+MAX_CLEARED_CALLS = 420
 # one derived series per fixture, inside is_completely_solvable (22 when
 # analyze also called is_solvable)
 MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
@@ -249,8 +253,8 @@ MAX_IS_INTEGRABLE_CALLS = 30
 
 
 def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
-    counts = {"charpoly": 0, "_echelon": 0, "clear_denominators": 0, "is_integrable": 0, "derived_series": 0}
-    homes = [(tamecert.linalg, name) for name in ("charpoly", "_echelon", "clear_denominators")]
+    counts = {name: 0 for name in ("charpoly", "_echelon", "clear_denominators", "_cleared", "is_integrable", "derived_series")}
+    homes = [(tamecert.linalg, name) for name in ("charpoly", "_echelon", "clear_denominators", "_cleared")]
     for home, name in homes + [(tamecert.forms, "is_integrable")]:
         original = getattr(home, name)
 
@@ -288,6 +292,7 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
     assert 0 < first_total["charpoly"] <= MAX_CHARPOLY_CALLS
     assert 0 < first_total["_echelon"] <= MAX_ECHELON_CALLS
     assert 0 < first_total["clear_denominators"] <= MAX_CLEAR_DENOMINATORS_CALLS
+    assert 0 < first_total["_cleared"] <= MAX_CLEARED_CALLS, first_total["_cleared"]
     assert 0 < first_total["is_integrable"] <= MAX_IS_INTEGRABLE_CALLS
     assert 0 < first_total["derived_series"] <= MAX_DERIVED_SERIES_CALLS
 
@@ -542,7 +547,7 @@ def test_cli_validate_rejects_bad(tmp_path, capsys):
 def test_cli_analyze_json(fixtures_dir, capsys):
     with pytest.raises(SystemExit) as exc:  # the solve is deterministic: there is no --seed
         cli_main(["analyze", str(fixtures_dir / "h3_r.json"), "--json", "--seed", "7"])
-    assert exc.value.code == 2
+    assert exc.value.code == EXIT_INPUT_ERROR  # a usage error
     capsys.readouterr()
     assert cli_main(["analyze", str(fixtures_dir / "h3_r.json"), "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
@@ -570,7 +575,7 @@ def test_cli_analyze_human_exact_dual(fixtures_dir, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
         cli_main(["analyze", str(path), "--eps-dual", "0.5"])
-    assert exc.value.code == 2
+    assert exc.value.code == EXIT_INPUT_ERROR  # a usage error
     capsys.readouterr()
     assert cli_main(["analyze", str(path)]) == EXIT_OK
     assert "feasibility: INFEASIBLE (exact dual)" in capsys.readouterr().out
@@ -603,15 +608,17 @@ def test_cli_corpus(fixtures_dir, capsys):
 
 
 def test_cli_refuses_feasibility_flags(fixtures_dir, capsys):
-    # the five flags that once tuned the search had no effect, and are gone
+    # the five flags that once tuned the search had no effect, and are gone;
+    # a usage error is an input error, exit 1, since 2 means an inconsistency
     flags = (("--eps-feas", "0.9"), ("--eps-dual", "0.5"), ("--seed", "7"), ("--restarts", "3"), ("--iters", "10"))
     targets = (("analyze", "h3_r.json"), ("tame", "h3_r.json"), ("corpus", ""))
     for command, name in targets:
         for flag in flags:
             with pytest.raises(SystemExit) as exc:
                 cli_main([command, str(fixtures_dir / name), *flag])
-            assert exc.value.code == 2, (command, flag)
-            assert "unrecognized arguments" in capsys.readouterr().err
+            assert exc.value.code == EXIT_INPUT_ERROR, (command, flag)
+            err = capsys.readouterr().err
+            assert err.startswith("usage: tamecert") and "unrecognized arguments" in err
 
 
 def test_cli_corpus_parallel(fixtures_dir, capsys):
