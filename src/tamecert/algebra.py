@@ -24,6 +24,7 @@ from .linalg import (
     Subspace,
     Vec,
     ZERO,
+    _echelon,
     _kernel,
     _primitive,
     all_roots_real,
@@ -217,11 +218,11 @@ class LieAlgebra:
 
     def is_ideal(self, h: Subspace) -> bool:
         _, table = _cleared_brackets(self)
-        return all(h.contains_vector(_bracket_ints(table, e, b)) for e in _units(self.dim) for b in h.rows)
+        return all(h._contains_ints(_bracket_ints(table, e, b)) for e in _units(self.dim) for b in h.rows)
 
     def is_subalgebra(self, s: Subspace) -> bool:
         _, table = _cleared_brackets(self)
-        return all(s.contains_vector(_bracket_ints(table, a, b)) for a, b in combinations(s.rows, 2))
+        return all(s._contains_ints(_bracket_ints(table, a, b)) for a, b in combinations(s.rows, 2))
 
 
 @dataclass(frozen=True)
@@ -282,16 +283,29 @@ def weight_spaces(g: LieAlgebra) -> list[Subspace]:
     return _weight_spaces(g, g.derived_subalgebra())
 
 
-def _weight_spaces(g: LieAlgebra, derived: Subspace) -> list[Subspace]:
-    """weight_spaces for a caller that already holds derived = [g, g]."""
+def _weight_spaces(g: LieAlgebra, derived: Subspace, inside_derived: bool = False) -> list[Subspace]:
+    """weight_spaces for a caller that already holds derived = [g, g].
+
+    With inside_derived, the search starts from Z cap D instead of Z, and
+    returns the nonzero (weight space cap D), with the same weights in the
+    same order: Z cap D is an ideal, so its joint eigenspaces are those
+    intersections, and each characteristic polynomial is at most dim D.
+    """
     n = g.dim
     if not n:
         return [Subspace.full(0)]
     _, table = _cleared_brackets(g)
     units = _units(n)
-    # Z: the kernel of the stacked c ad_b over the integer echelon rows b of D
-    stacked = [row for b in derived.rows for row in _adjoint_ints(table, b)]
-    z, z_cols = _kernel(stacked, n) if stacked else (units, range(n))
+    if inside_derived:
+        # Z cap D: the combinations y of D's rows d with [b, sum y_r d_r] = 0 for
+        # every row b of D, echeloned, so coordinates are read at the pivots
+        images = [[_bracket_ints(table, b, d) for d in derived.rows] for b in derived.rows]
+        kernel, _ = _kernel([[v[k] for v in row] for row in images for k in range(n)], derived.dim)
+        z, z_cols = _echelon([[sum(y * d[k] for y, d in zip(ys, derived.rows)) for k in range(n)] for ys in kernel])
+    else:
+        # Z: the kernel of the stacked c ad_b over the integer echelon rows b of D
+        stacked = [row for b in derived.rows for row in _adjoint_ints(table, b)]
+        z, z_cols = _kernel(stacked, n) if stacked else (units, range(n))
     pivots = derived.pivots()
     free = [i for i in range(n) if i not in pivots]
     branches = [((), z)] if z else []  # (c lambda at free[:len], integer basis rows)

@@ -54,7 +54,7 @@ import numpy as np
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, _cleared, _int_nullspace, clear_denominators, solve, vec_dot
+from .linalg import Mat, Subspace, Vec, ZERO, _cleared, _echelon, _kernel, clear_denominators, solve
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
@@ -111,6 +111,16 @@ class FeasibilityProblem:
         degeneracy_precheck returns it, and maximize_lambda_min reads it first.
         """
         return _degeneracy_search(self)
+
+    @cached_property
+    def gram_ints(self) -> list[list[list[int]]]:
+        """Each S_i of gram_basis times the lcm of its denominators, as ints.
+
+        Built on first read, once per problem: by the precheck on its first
+        nonzero subspace, and by dual_certificate.  Positive scales leave the
+        radical and the dual's projection unchanged.
+        """
+        return [clear_denominators(s)[0] for s in self.gram_basis]
 
     @cached_property
     def barrier_path(self) -> tuple[np.ndarray, np.ndarray]:
@@ -184,13 +194,16 @@ def build_problem(g: LieAlgebra, J: ComplexStructure) -> FeasibilityProblem:
 def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     """Exact search for a universal degeneracy direction.
 
-    The subspaces searched are defined by g and J alone: each rational weight
-    space of ad g intersected with D = [g, g], then the J-invariant part
-    D cap J D.  On each subspace W the common radical of the closed Gram forms
-    restricted to W is an exact nullspace; any nonzero v in it has
-    B(v, Jv) = 0 for every closed B.  The radical transforms with a basis
-    change, so whether the precheck hits does not depend on the basis.  The
-    search runs once per problem (FeasibilityProblem.degeneracy_direction).
+    The subspaces searched are defined by g and J alone: each nonzero
+    intersection of a rational weight space of ad g with D = [g, g], then the
+    J-invariant part D cap J D.  The weight spaces are sought inside Z cap D
+    only, Z the centralizer of D, so no characteristic polynomial is larger
+    than dim D.  On each subspace W the common radical of the closed Gram
+    forms restricted to W is an exact nullspace, on the integer Gram stack
+    (FeasibilityProblem.gram_ints); any nonzero v in it has B(v, Jv) = 0 for
+    every closed B.  The radical transforms with a basis change, so whether
+    the precheck hits does not depend on the basis.  The search runs once per
+    problem (FeasibilityProblem.degeneracy_direction).
     """
     return p.degeneracy_direction
 
@@ -198,11 +211,10 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
 def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     g = p.algebra
     derived = g.derived_subalgebra()
-    spaces = [(space.intersect(derived), "weight space in [g,g]") for space in _weight_spaces(g, derived)]
+    spaces = [(space, "weight space in [g,g]") for space in _weight_spaces(g, derived, inside_derived=True)]
     jd = [[sum(x * y for x, y in zip(row, r)) for row in p.J.ints] for r in derived.rows]  # den J [g, g], in ints
     j_derived = Subspace._span(g.dim, jd)
     spaces.append((derived.intersect(j_derived), "J-invariant part of [g,g]"))
-    gram_cols = [list(zip(*clear_denominators(s)[0])) for s in p.gram_basis]  # each S_i, cleared, by columns
     for w, provenance in spaces:
         if not w.dim:
             continue
@@ -212,13 +224,15 @@ def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
         scale = lcm(*(row[q] for row, q in zip(w.rows, pivots)))
         b = [[x * (scale // row[q]) for x in row] for row, q in zip(w.rows, pivots)]
         rows = []
-        for cols in gram_cols:
+        for s in p.gram_ints:  # symmetric, so its rows are its columns
             for x in b:
-                sx = [sum(xk * v for xk, v in zip(x, col)) for col in cols]
+                sx = [sum(xk * v for xk, v in zip(x, col)) for col in s]
                 rows.append([sum(u * v for u, v in zip(sx, y)) for y in b])
-        radical = _int_nullspace(rows, w.dim)
+        radical, radical_pivots = _echelon(_kernel(rows, w.dim)[0])
         if radical:
-            vector = tuple(vec_dot(col, radical[0]) / scale for col in zip(*b))
+            # the first reduced-echelon radical vector, radical[0] / its pivot, times b / scale
+            den = radical[0][radical_pivots[0]] * scale
+            vector = tuple(Fraction(sum(y * x for y, x in zip(radical[0], col)), den) for col in zip(*b))
             return DegeneracyDirection(vector=vector, provenance=provenance)
     return None
 
@@ -403,9 +417,11 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     at most DUAL_DENOMINATOR_BOUND, symmetrizes it, and moves it exactly onto
     {<S_i, X> = 0, tr X = 1} by the least-squares correction R^T y, with R
     the rows S_1, ..., S_m, I and (R R^T) y = R X - (0, ..., 0, 1) solved in
-    rationals.  Each S_i and the rounded X are cleared to ints once, and the
-    normal equations are formed on those rows; positive row scales leave the
-    correction, the unique projection onto that affine set, unchanged.
+    rationals.  The S_i come from the problem's integer Gram stack
+    (FeasibilityProblem.gram_ints), the rounded X is cleared to ints once,
+    and the normal equations are formed on those rows; positive row scales
+    leave the correction, the unique projection onto that affine set,
+    unchanged.
     Returns (certificate, 0.0) when exact leading minors prove the corrected
     matrix positive definite, and None otherwise: when the affine set is
     empty (I lies in span{S_i}) or the optimum sits on the boundary of the
@@ -418,7 +434,7 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     x = (x + x.T) / 2.0
     q, e = clear_denominators([[Fraction(v).limit_denominator(DUAL_DENOMINATOR_BOUND) for v in row] for row in x])
     q = [v for row in q for v in row]  # e X, flattened
-    rows = [[v for row in clear_denominators(s)[0] for v in row] for s in p.gram_basis]  # d_i S_i
+    rows = [[v for row in s for v in row] for s in p.gram_ints]  # d_i S_i
     rows.append([int(i == j) for i in range(n) for j in range(n)])
     rhs = [sum(a * b for a, b in zip(r, q)) for r in rows]
     rhs[-1] -= e

@@ -171,24 +171,35 @@ def d2_matrix(g: LieAlgebra) -> tuple[list[list[Fraction]], list[tuple[int, int]
     Assembled from the bracket table: row (i, j, k) is
     d beta(e_i, e_j, e_k) = -beta([e_i,e_j], e_k) + beta([e_i,e_k], e_j) - beta([e_j,e_k], e_i)
     as a function of the coefficients of beta, so it reads three brackets.
+    The rows are built in ints (``_d2_ints``), and only their nonzero
+    entries become ``Fraction``s; a zero row, every row of an abelian g,
+    becomes ``ZERO``s without a pass over its entries.
     ``ce_d`` is the evaluation-based reference.
     """
+    c, rows, pairs, triples = _d2_ints(g)
+    matrix = [[Fraction(x, c) if x else ZERO for x in row] if any(row) else [ZERO] * len(row) for row in rows]
+    return matrix, pairs, triples
+
+
+def _d2_ints(g: LieAlgebra) -> tuple[int, list[list[int]], list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """(c, c d2, pairs, triples): d2_matrix times c, read off the integer table
+    c [e_i, e_j] of ``_cleared_brackets``, with no ``Fraction``."""
     pairs = two_form_pairs(g.dim)
     triples = three_form_triples(g.dim)
-    column = {pair: c for c, pair in enumerate(pairs)}
-    table = g.bracket_table()
-    matrix = []
+    column = {pair: k for k, pair in enumerate(pairs)}
+    c, table = _cleared_brackets(g)
+    rows = []
     for i, j, k in triples:
-        row = [ZERO] * len(pairs)
+        row = [0] * len(pairs)
         for key, m, sign in (((i, j), k, -1), ((i, k), j, 1), ((j, k), i, -1)):
             # beta(e_l, e_m) is the coefficient of e^l ^ e^m, negated when l > m
-            for l, c in table.get(key, {}).items():
+            for l, x in table.get(key, ()):
                 if l < m:
-                    row[column[(l, m)]] += sign * c
+                    row[column[(l, m)]] += sign * x
                 elif l > m:
-                    row[column[(m, l)]] -= sign * c
-        matrix.append(row)
-    return matrix, pairs, triples
+                    row[column[(m, l)]] -= sign * x
+        rows.append(row)
+    return c, rows, pairs, triples
 
 
 def closed_two_forms(g: LieAlgebra) -> list[TwoForm]:

@@ -183,17 +183,17 @@ def _kernel(m: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], li
 
 
 def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
-    """Echelon-canonical basis of {v : m @ v = 0}."""
+    """Echelon-canonical basis of {v : m @ v = 0}.
+
+    All-zero rows constrain nothing, so they are dropped before any row is
+    cleared: the d on 2-forms of an abelian algebra is all zero rows.
+    """
     if ncols is None:
         if not m:
             raise ValueError("nullspace of an empty matrix needs an explicit ncols")
         ncols = len(m[0])
-    return _int_nullspace([_cleared(r)[0] for r in m], ncols)
-
-
-def _int_nullspace(m: Sequence[Sequence[int]], ncols: int) -> list[Vec]:
-    """nullspace of integer rows, which need no clearing."""
-    return [tuple(row) for row in _reduced(*_echelon(_kernel(m, ncols)[0]))]
+    ints = [_cleared(r)[0] for r in m if any(r)]
+    return [tuple(row) for row in _reduced(*_echelon(_kernel(ints, ncols)[0]))]
 
 
 def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
@@ -482,7 +482,10 @@ class Subspace:
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         """Whether v lies here, by eliminating v, cleared to ints, with the integer rows."""
-        w = _cleared(v)[0]
+        return self._contains_ints(_cleared(v)[0])
+
+    def _contains_ints(self, w: Sequence[int]) -> bool:
+        """contains_vector for an integer vector, which needs no clearing."""
         for row, p in zip(self.rows, self.pivots()):
             if w[p]:
                 f = w[p]
@@ -490,7 +493,7 @@ class Subspace:
         return not any(w)
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(r) for r in other.rows)
+        return all(self._contains_ints(r) for r in other.rows)
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Vec | None:
         """Coefficients of v in the reduced-echelon basis, or None if v is outside."""

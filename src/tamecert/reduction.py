@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, one_dim_ideals
 from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
-from .forms import ComplexStructure, TwoForm, d2_matrix, is_integrable, taming_gram
+from .forms import ComplexStructure, TwoForm, _d2_ints, is_integrable, taming_gram
 from .linalg import Subspace, Vec, _kernel, clear_denominators, leading_minors_positive
 
 
@@ -59,12 +60,16 @@ class TamedTriple:
 
     @classmethod
     def build_unverified(cls, algebra: LieAlgebra, omega: TwoForm, J: ComplexStructure) -> "TamedTriple":
+        """The triple with its three flags, none raised on.  d Omega = 0 is
+        decided in ints: Omega cleared once, against c d2 read off the integer
+        bracket table (``forms._d2_ints``), with no ``Fraction`` matrix."""
         if omega.dim != algebra.dim or J.dim != algebra.dim:
             raise TripleVerificationError(["dimension mismatch"])
-        # d Omega = 0: the matrix of d on 2-forms applied to Omega's coefficients
-        matrix, pairs, _ = d2_matrix(algebra)
-        column = {pair: c for c, pair in enumerate(pairs)}
-        closed = not any(sum(row[column[key]] * c for key, c in omega.coeffs) for row in matrix)
+        _, rows, pairs, _ = _d2_ints(algebra)
+        column = {pair: k for k, pair in enumerate(pairs)}
+        w = lcm(*(x.denominator for _, x in omega.coeffs))
+        coeffs = [(column[key], x.numerator * (w // x.denominator)) for key, x in omega.coeffs]  # w Omega
+        closed = not any(sum(row[k] * x for k, x in coeffs) for row in rows)
         integrable = is_integrable(algebra, J)
         taming = leading_minors_positive(taming_gram(omega, J))
         return cls(algebra, omega, J, closed, integrable, taming)
@@ -156,7 +161,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
 
     def mod_h(v: list[int], scale: int) -> Vec:
         """Coordinates of v / scale + h in the reduced basis, for v / scale in h^perp."""
-        if not perp.contains_vector(v):
+        if not perp._contains_ints(v):
             raise TamingLost("vector expected in h^perp fell outside it")
         return tuple(Fraction(v[q] * sx - v[p] * xi[q], sx * scale) for q in kept_pivots)
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import tamecert.algebra as algebra_mod
 import tamecert.feasibility as feas_mod
 from tamecert import (
     ExactificationFailed,
@@ -29,7 +30,7 @@ from tamecert import (
     maximize_lambda_min,
     standard_complex_structure,
 )
-from tamecert.algebra import scale_structure_constants
+from tamecert.algebra import scale_structure_constants, weight_spaces
 from tamecert.feasibility import DEGENERATE_MARGIN, FeasibilityConfig
 from tamecert.forms import ComplexStructure, leading_minors_positive, taming_gram
 from tamecert.linalg import identity, mat_inverse, mat_mul, solve
@@ -195,6 +196,56 @@ def test_precheck_is_basis_independent(corpus):
                 for s in p.gram_basis:
                     q = sum(v[i] * s[i][j] * v[j] for i in range(g.dim) for j in range(g.dim))
                     assert isinstance(q, Fraction) and q == 0, (name, seed)
+
+
+def precheck_cases(corpus, exact_items):
+    """(name, g, J): exact_items and two fresh conjugates of each non-abelian fixture."""
+    cases = list(exact_items)
+    rng = rational_sampler(24)
+    for name, fx in corpus.items():
+        if not fx.algebra.is_abelian():
+            for k in range(2):
+                cases.append((f"{name}~Q{k}", *conjugate(fx.algebra, random_basis_change(rng, fx.algebra.dim), fx.J)))
+    return cases
+
+
+def test_precheck_searches_weight_spaces_inside_the_derived_algebra(corpus, exact_items, monkeypatch):
+    # the precheck's weight spaces are found inside Z cap [g, g]: they must be
+    # the nonzero intersections of the public weight spaces with [g, g], in order
+    searched = []
+    original = feas_mod._weight_spaces
+
+    def recorded(*args, **kwargs):
+        spaces = original(*args, **kwargs)
+        searched.append(spaces)
+        return spaces
+
+    monkeypatch.setattr(feas_mod, "_weight_spaces", recorded)
+    for name, g, J in precheck_cases(corpus, exact_items):
+        searched.clear()
+        degeneracy_precheck(build_problem(g, J))
+        derived = g.derived_subalgebra()
+        expected = [w for w in (s.intersect(derived) for s in weight_spaces(g)) if w.dim]
+        assert searched == [expected], name
+
+
+def test_precheck_charpolys_fit_in_the_derived_algebra(corpus, exact_items, monkeypatch):
+    # no characteristic polynomial the precheck takes is larger than dim [g, g];
+    # searching all of the centralizer Z gave iwasawa a 6 x 6 one
+    sizes = []
+    original = algebra_mod.charpoly
+
+    def recorded(m):
+        sizes.append(len(m))
+        return original(m)
+
+    for name, g, J in precheck_cases(corpus, exact_items):
+        p = build_problem(g, J)
+        sizes.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(algebra_mod, "charpoly", recorded)
+            degeneracy_precheck(p)
+        assert max(sizes, default=0) <= g.derived_subalgebra().dim, (name, sizes)
 
 
 # --- the barrier solve ---

@@ -26,6 +26,7 @@ from tamecert import (
 )
 from tamecert.forms import d2_matrix, leading_minors_positive, two_form_pairs
 from tamecert.linalg import ONE, ZERO, det, mat_inverse, mat_mul, rank, unit_vec
+from tamecert.reduction import TamedTriple
 
 from conftest import is_compatible, random_basis_change, random_rational_vector
 from test_linalg import ref_leading_minors_positive
@@ -311,6 +312,19 @@ def test_taming_gram_matches_oracle(exact_items):
             gram = taming_gram(omega, J)
             assert gram == ref_taming_gram(omega, J), name
             assert leading_minors_positive(gram) == ref_leading_minors_positive(gram), name
+
+
+def test_integer_closedness_matches_ce_d(exact_items):
+    # TamedTriple decides d omega = 0 in ints; ce_d evaluates it in Fractions
+    rng = random.Random(24)
+    open_forms = 0
+    for name, g, J in exact_items:
+        forms = closed_two_forms(g) + [random_two_form(rng, g.dim) for _ in range(3)]
+        for omega in forms:
+            closed = ce_d(g, omega).is_zero()
+            assert TamedTriple.build_unverified(g, omega, J).closed == closed, name
+            open_forms += not closed
+    assert open_forms > 0
 
 
 def test_d2_matrix_does_not_evaluate_forms(monkeypatch):

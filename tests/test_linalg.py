@@ -287,6 +287,30 @@ def test_rref_nullspace_rank_match_fraction_oracle(seed):
             assert sol is not None and list(mat_vec(m, sol)) == rhs
 
 
+@pytest.mark.parametrize("seed", [5, 6])
+def test_nullspace_ignores_zero_rows(seed, monkeypatch):
+    # all-zero rows constrain nothing: mixed in anywhere they leave the basis
+    # unchanged, and only the nonzero rows are cleared of denominators
+    rng = random.Random(seed)
+    cleared = []
+    original = linalg_mod._cleared
+
+    def counted(row):
+        cleared.append(row)
+        return original(row)
+
+    monkeypatch.setattr(linalg_mod, "_cleared", counted)
+    for m in random_matrices(seed):
+        ncols = len(m[0]) if m else 4
+        padded = [list(row) for row in m]
+        for _ in range(rng.randint(1, 4)):
+            padded.insert(rng.randint(0, len(padded)), [ZERO] * ncols)
+        cleared.clear()
+        assert nullspace(padded, ncols=ncols) == nullspace(m, ncols=ncols)
+        assert all(any(row) for row in cleared)
+    assert nullspace([[ZERO] * 3] * 5) == [unit_vec(3, i) for i in range(3)]
+
+
 def test_rref_and_nullspace_match_fraction_oracle_on_items(exact_items):
     for m in item_matrices(exact_items):
         assert rref(m) == ref_rref(m)

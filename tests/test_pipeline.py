@@ -228,21 +228,24 @@ def test_analyze_reduction_summary(corpus):
     }
 
 
-# charpoly and _echelon calls over one analyze of each corpus fixture: 61 and
-# 246 with weight spaces inside the centralizer of [g, g], the series and
-# reduction on the integer bracket table, each exact flag decided once and
-# [g, g] echeloned once per precheck (144 and 900, then 61 and 272, then 61
-# and 257 when the precheck's weight spaces echeloned [g, g] again)
-MAX_CHARPOLY_CALLS = 64
-MAX_ECHELON_CALLS = 246
-# clear_denominators calls over the same pass: 153 once Subspace and
-# ComplexStructure store their integer forms (338 when every kernel cleared
-# subspace bases and J.matrix again)
-MAX_CLEAR_DENOMINATORS_CALLS = 170
-# _cleared calls over the same pass: 403 once callers holding integer rows
-# hand them to _echelon, _kernel and Subspace._span uncleared (1,191 when
-# _echelon cleared every input row, 932 of them already ints)
-MAX_CLEARED_CALLS = 420
+# charpoly and _echelon calls over one analyze of each corpus fixture: 57 and
+# 231 once the precheck seeks its weight spaces inside Z cap [g, g] only (61
+# and 246 when it searched all of the centralizer Z of [g, g] and intersected
+# each weight space with [g, g]; 144 and 900 before weight spaces were sought
+# inside Z, the series and reduction used the integer bracket table, and each
+# exact flag was decided once)
+MAX_CHARPOLY_CALLS = 57
+MAX_ECHELON_CALLS = 231
+# clear_denominators calls over the same pass: 110 once the integer Gram stack
+# is built per problem only when the precheck searches a nonzero subspace,
+# and read by both the precheck and dual_certificate (164 when each cleared
+# every Gram form itself; 338 when every kernel cleared subspace bases and
+# J.matrix again)
+MAX_CLEAR_DENOMINATORS_CALLS = 110
+# _cleared calls over the same pass: 156 once nullspace skips all-zero rows and
+# Subspace tests integer vectors for membership uncleared (403 before; 1,191
+# when _echelon cleared every input row, 932 of them already ints)
+MAX_CLEARED_CALLS = 156
 # one derived series per fixture, inside is_completely_solvable (22 when
 # analyze also called is_solvable)
 MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
