@@ -6,13 +6,15 @@ solvability, rational weight spaces and invariant lines) is made in exact
 arithmetic at every dimension.  These decisions read one integer bracket
 table, c [e_i, e_j] with c the common denominator of the structure
 constants, and bracket integer vectors through it, so that ``Fraction``s
-are built only for the results.  The evaluation-based ``bracket`` stays as
-the reference.  No floating point is used here.
+are built only for the results.  A ``LieAlgebra`` builds that table once, at
+construction (the Jacobi check reads it first), and every exact layer reads
+the stored table.  The evaluation-based ``bracket`` stays as the reference.
+No floating point is used here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -64,9 +66,10 @@ IntTable = dict[tuple[int, int], list[tuple[int, int]]]
 
 def _cleared_brackets(g: "LieAlgebra") -> tuple[int, IntTable]:
     """(c, table): c the lcm of the structure constants' denominators, and
-    table[(i, j)] = c [e_i, e_j] as (k, int) pairs, for i < j and [e_i, e_j] != 0."""
-    c = lcm(*(x.denominator for _, comps in g.structure_constants for _, x in comps))
-    return c, {key: [(k, x.numerator * (c // x.denominator)) for k, x in comps] for key, comps in g.structure_constants}
+    table[(i, j)] = c [e_i, e_j] as (k, int) pairs, for i < j and [e_i, e_j] != 0.
+
+    The pair built when g was constructed, not a copy: callers only read it."""
+    return g._int_table
 
 
 def _bracket_ints(table: IntTable, x: Sequence[int], y: Sequence[int]) -> list[int]:
@@ -95,6 +98,15 @@ class LieAlgebra:
     dim: int
     basis_labels: tuple[str, ...]
     structure_constants: tuple[tuple[tuple[int, int], tuple[tuple[int, Fraction], ...]], ...]
+    # (c, table) of _cleared_brackets, derived from structure_constants, so it
+    # takes no part in equality, hashing or repr
+    _int_table: tuple[int, IntTable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sc = self.structure_constants
+        c = lcm(*(x.denominator for _, comps in sc for _, x in comps))
+        table = {key: [(k, x.numerator * (c // x.denominator)) for k, x in comps] for key, comps in sc}
+        object.__setattr__(self, "_int_table", (c, table))
 
     @classmethod
     def from_brackets(
@@ -319,7 +331,7 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, inside_derived: bool = Fals
                 continue
             if roots is None:
                 # column j of the restriction: the coordinates of c [e_i, z_j], read at z's free columns
-                zimg = [_bracket_ints(table, units[i], w) for w in z]
+                zimg = images if rows is z else [_bracket_ints(table, units[i], w) for w in z]
                 roots = rational_roots(charpoly([[Fraction(v[f], w[f]) for v in zimg] for w, f in zip(z, z_cols)]))
             for mu in roots:
                 p, q = mu.numerator, mu.denominator
@@ -336,7 +348,9 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, inside_derived: bool = Fals
             lam[p] = Fraction(-sum(row[f] * lam[f] for f in free), row[p])
         return [lam[i] for i in range(n)]
 
-    return [Subspace._span(n, rows) for mus, rows in sorted(branches, key=lambda b: weight(b[0]))]
+    if len(branches) > 1:
+        branches.sort(key=lambda b: weight(b[0]))
+    return [Subspace._span(n, rows) for _, rows in branches]
 
 
 def one_dim_ideals(g: LieAlgebra) -> list[Subspace]:

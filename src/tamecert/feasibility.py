@@ -450,8 +450,18 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
 
 
 def _rank_one_dual(v: Vec) -> Mat:
-    norm = sum((x * x for x in v), ZERO)
-    return [[v[i] * v[j] / norm for j in range(len(v))] for i in range(len(v))]
+    """v v^T / |v|^2, built as a a^T / |a|^2 from the integer numerators a of
+    v, one ``Fraction`` per entry (i, j), i <= j, stored at (j, i) as well."""
+    c = lcm(*(x.denominator for x in v))
+    a = [x.numerator * (c // x.denominator) for x in v]
+    norm = sum(x * x for x in a)
+    out = [[ZERO] * len(a) for _ in a]
+    for i, x in enumerate(a):
+        for j in range(i, len(a)):
+            y = x * a[j]
+            if y:
+                out[i][j] = out[j][i] = Fraction(y, norm)
+    return out
 
 
 def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:

@@ -254,12 +254,15 @@ def standard_complex_structure(dim: int) -> ComplexStructure:
     return ComplexStructure.from_matrix(rows)
 
 
-def _nijenhuis_ints(g: LieAlgebra, J: ComplexStructure):
-    """Yield ((i, j), s N(e_i, e_j) as ints, s) over the pairs i < j, for one integer s > 0.
+def _nijenhuis_ints(g: LieAlgebra, J: ComplexStructure, pairs: Sequence[tuple[int, int]] | None = None):
+    """Yield ((i, j), s N(e_i, e_j) as ints, s) over the given pairs, all pairs
+    i < j by default, for one integer s > 0.
 
     With J = J'/e and the brackets [e_a, e_b] = C_ab / c in ints, and
     T_aj = [e_a, J e_j]:
     N(e_i, e_j) = sum_a J_ai T_aj - [e_i, e_j] + J (T_ji - T_ij), so s = c e^2.
+    Only the T_aj that the pairs read are built: column j with the rows a of
+    J e_i's support, and T_ji, T_ij.
     """
     if J.dim != g.dim:
         raise NotAComplexStructure("J dimension does not match the algebra")
@@ -267,26 +270,30 @@ def _nijenhuis_ints(g: LieAlgebra, J: ComplexStructure):
     jm, e = J.ints, J.den
     c, table = _cleared_brackets(g)
     columns = [[(a, jm[a][j]) for a in range(n) if jm[a][j]] for j in range(n)]  # e J e_j
+    if pairs is None:
+        pairs = two_form_pairs(n)
 
     def bracket(a: int, b: int) -> list[tuple[int, int]]:  # c [e_a, e_b]
         if a < b:
             return table.get((a, b), [])
         return [(k, -x) for k, x in table.get((b, a), [])]
 
-    t = [[[0] * n for _ in range(n)] for _ in range(n)]  # t[a][j] = c e T_aj
-    for a in range(n):
-        for j, col in enumerate(columns):
-            out = t[a][j]
-            for b, y in col:
-                for k, x in bracket(a, b):
-                    out[k] += y * x
-    for i, j in two_form_pairs(n):
+    read = {(a, j) for i, j in pairs for a, _ in columns[i]}
+    read.update(key for i, j in pairs for key in ((i, j), (j, i)))
+    t = {}  # t[(a, j)] = c e T_aj
+    for a, j in read:
+        out = [0] * n
+        for b, y in columns[j]:
+            for k, x in bracket(a, b):
+                out[k] += y * x
+        t[(a, j)] = out
+    for i, j in pairs:
         v = [0] * n
         for k, x in bracket(i, j):
             v[k] = -e * e * x
         for a, y in columns[i]:
-            v = [vk + y * tk for vk, tk in zip(v, t[a][j])]
-        diff = [x - y for x, y in zip(t[j][i], t[i][j])]
+            v = [vk + y * tk for vk, tk in zip(v, t[(a, j)])]
+        diff = [x - y for x, y in zip(t[(j, i)], t[(i, j)])]
         for k, row in enumerate(jm):
             v[k] += sum(x * y for x, y in zip(row, diff))
         yield (i, j), v, c * e * e
@@ -298,7 +305,42 @@ def nijenhuis(g: LieAlgebra, J: ComplexStructure) -> dict[tuple[int, int], Vec]:
 
 
 def is_integrable(g: LieAlgebra, J: ComplexStructure) -> bool:
-    return not any(any(v) for _, v, _ in _nijenhuis_ints(g, J))
+    """N = 0, tested on the C(n/2, 2) pairs of a complex basis {e_b, J e_b}.
+
+    N(JX, Y) = N(X, JY) = -J N(X, Y), so N vanishes on every pair of such a
+    basis once it vanishes on the pairs e_a, e_b.  The e_b are unit vectors
+    taken greedily in index order, each one outside the span S of those
+    before and their images: S is J-invariant, so e_b and J e_b enlarge it by
+    two, and the choice always completes.
+    """
+    if J.dim != g.dim:
+        raise NotAComplexStructure("J dimension does not match the algebra")
+    if g.is_abelian():
+        return True
+    return not any(any(v) for _, v, _ in _nijenhuis_ints(g, J, list(combinations(_complex_basis(J), 2))))
+
+
+def _complex_basis(J: ComplexStructure) -> list[int]:
+    """The indices b, taken greedily, of unit vectors e_b with {e_b, J e_b} a basis."""
+    n = J.dim
+    span: list[tuple[int, list[int]]] = []  # (pivot, integer row), each row zero at the earlier pivots
+    chosen = []
+
+    def reduced(w: list[int]) -> list[int]:
+        for p, row in span:
+            if w[p]:
+                f = w[p]
+                w = [row[p] * x - f * y for x, y in zip(w, row)]
+        return w
+
+    for b in range(n):
+        w = reduced([int(k == b) for k in range(n)])
+        if any(w):
+            chosen.append(b)
+            for v in (w, [row[b] for row in J.ints]):
+                v = reduced(v)  # J e_b only once e_b has joined, so each row is zero at the earlier pivots
+                span.append((next(k for k, x in enumerate(v) if x), v))
+    return chosen
 
 
 def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:
@@ -306,7 +348,8 @@ def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:
 
     G = (M + M^T) / 2 with M = Omega J.  Each coefficient c at (a, b) adds
     c J[b] to row a of M and -c J[a] to row b, so the loop runs over the
-    coefficients only, in ints over the common denominator.
+    coefficients only, in ints over the common denominator.  Each entry
+    (i, j), i <= j, becomes one ``Fraction``, stored at (j, i) as well.
     """
     n = omega.dim
     jm, e = J.ints, J.den
@@ -316,8 +359,14 @@ def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:
         c = c.numerator * (w // c.denominator)
         m[a] = [x + c * y for x, y in zip(m[a], jm[b])]
         m[b] = [x - c * y for x, y in zip(m[b], jm[a])]
-    sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-    return [[Fraction(x, 2 * w * e) if x else ZERO for x in row] for row in sym]
+    d = 2 * w * e
+    gram = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = m[i][j] + m[j][i]
+            if x:
+                gram[i][j] = gram[j][i] = Fraction(x, d)
+    return gram
 
 
 @dataclass(frozen=True)

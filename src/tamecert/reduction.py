@@ -154,7 +154,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     # the others represent a basis of h^perp / h
     pivots = perp.pivots()
     keep = [k for k in range(perp.dim) if pivots[k] != p]
-    section = [perp.basis[k] for k in keep]
+    section = [v for k, v in enumerate(perp.basis) if pivots[k] != p]
     kept_pivots = [pivots[k] for k in keep]
     us = [perp.rows[k] for k in keep]  # u = s y, with s = u at y's pivot
     ss = [u[q] for u, q in zip(us, kept_pivots)]

@@ -4,6 +4,7 @@ import ast
 import random
 import time
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from tamecert import (
     reduction_tower,
     weight_spaces,
 )
-from tamecert.algebra import scale_structure_constants
+from tamecert.algebra import _cleared_brackets, scale_structure_constants
 
 from conftest import (
     NON_ABELIAN_NAMES,
@@ -328,3 +329,19 @@ def test_scaling_preserves_structure():
     s = scale_structure_constants(g, F(3, 2))
     assert s.is_unimodular() == (True, None)
     assert bool(is_completely_solvable(s))
+
+
+def test_integer_table_is_stored_at_construction():
+    brackets = {(0, 1): {1: F(1, 2)}, (0, 2): {2: F(-2, 3)}, (1, 2): {0: 0}}
+    g = LieAlgebra.from_brackets(3, brackets)
+    assert _cleared_brackets(g) is _cleared_brackets(g)
+    # a fresh clearing of the structure constants
+    c = lcm(*(x.denominator for _, comps in g.structure_constants for _, x in comps))
+    fresh = {key: [(k, x.numerator * (c // x.denominator)) for k, x in comps] for key, comps in g.structure_constants}
+    assert _cleared_brackets(g) == (6, fresh) == (6, {(0, 1): [(1, 3)], (0, 2): [(2, -4)]})
+    # the table is derived: equality, hash and repr see only the declared fields
+    h = LieAlgebra.from_brackets(3, dict(brackets))
+    assert h == g and hash(h) == hash(g)
+    assert repr(g) == repr(h) and "_int_table" not in repr(g)
+    assert repr(g).endswith(f"structure_constants={g.structure_constants!r})")
+    assert _cleared_brackets(abelian(4)) == (1, {})

@@ -24,7 +24,7 @@ from tamecert import (
     standard_complex_structure,
     taming_gram,
 )
-from tamecert.forms import d2_matrix, leading_minors_positive, two_form_pairs
+from tamecert.forms import _complex_basis, d2_matrix, leading_minors_positive, two_form_pairs
 from tamecert.linalg import ONE, ZERO, det, mat_inverse, mat_mul, rank, unit_vec
 from tamecert.reduction import TamedTriple
 
@@ -336,3 +336,85 @@ def test_d2_matrix_does_not_evaluate_forms(monkeypatch):
     matrix, pairs, triples = d2_matrix(g)
     assert len(matrix) == len(triples) == 220 and len(pairs) == 66
     assert all(x == 0 for row in matrix for x in row)
+
+
+# --- integrability on a complex basis ---
+
+
+def all_pairs_integrable(g, J) -> bool:
+    return not any(any(v) for v in nijenhuis(g, J).values())
+
+
+def test_is_integrable_equals_the_all_pairs_test(exact_items):
+    rng = random.Random(25)
+    checked = non_integrable = 0
+    for name, g, J in exact_items:
+        assert is_integrable(g, J) == all_pairs_integrable(g, J), name
+        if g.dim <= 8:
+            # J = P J0 P^-1 for a random P: mostly not integrable
+            for _ in range(2):
+                P = random_basis_change(rng, g.dim)
+                K = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J.matrix]), mat_inverse(P)))
+                integrable = is_integrable(g, K)
+                assert integrable == all_pairs_integrable(g, K), name
+                checked += 1
+                non_integrable += not integrable
+    assert checked > 0 and non_integrable > checked // 2
+    # n = 2: no pair to test, and every J is integrable
+    for J in (standard_complex_structure(2), ComplexStructure.from_matrix([[1, -2], [1, -1]])):
+        assert is_integrable(aff_r(), J) and all_pairs_integrable(aff_r(), J)
+    # abelian: N = 0 for every J
+    abelian = LieAlgebra.from_brackets(6, {})
+    P = random_basis_change(rng, 6)
+    J0 = [list(r) for r in standard_complex_structure(6).matrix]
+    J = ComplexStructure.from_matrix(mat_mul(mat_mul(P, J0), mat_inverse(P)))
+    assert is_integrable(abelian, J) and all_pairs_integrable(abelian, J)
+
+
+def test_is_integrable_refuses_a_j_of_another_dimension():
+    for g in (h3_r(), LieAlgebra.from_brackets(4, {})):
+        with pytest.raises(NotAComplexStructure):
+            is_integrable(g, standard_complex_structure(2))
+
+
+def test_is_integrable_tests_the_pairs_of_a_complex_basis(corpus, monkeypatch):
+    # iwasawa, n = 6: C(3, 2) = 3 pairs of e_0, e_2, e_4 instead of all C(6, 2) = 15
+    yielded = []
+    inner = forms_mod._nijenhuis_ints
+
+    def counted(*args):
+        for item in inner(*args):
+            yielded.append(item[0])
+            yield item
+
+    monkeypatch.setattr(forms_mod, "_nijenhuis_ints", counted)
+    fx = corpus["iwasawa"]
+    assert is_integrable(fx.algebra, fx.J)
+    assert yielded == [(0, 2), (0, 4), (2, 4)]
+    yielded.clear()
+    assert len(nijenhuis(fx.algebra, fx.J)) == 15 and len(yielded) == 15
+
+
+def test_complex_basis_is_greedy_in_index_order(exact_items):
+    rng = random.Random(26)
+    for name, g, J in exact_items:
+        P = random_basis_change(rng, g.dim)
+        for K in (J, ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J.matrix]), mat_inverse(P)))):
+            chosen = _complex_basis(K)
+            # {e_b, J e_b} is a basis, and each e_b skipped lies in the span of those before it
+            assert 2 * len(chosen) == g.dim, name
+            vectors = [v for b in chosen for v in (unit_vec(g.dim, b), K.apply(unit_vec(g.dim, b)))]
+            assert rank(vectors) == g.dim, name
+            for b in set(range(g.dim)) - set(chosen):
+                before = [v for c in chosen if c < b for v in (unit_vec(g.dim, c), K.apply(unit_vec(g.dim, c)))]
+                assert rank(before + [unit_vec(g.dim, b)]) == rank(before), name
+    assert _complex_basis(standard_complex_structure(6)) == [0, 2, 4]
+    # h3 + R in an integer basis: J e_0 = (-1, 1, 0, -1) leaves e_1 outside span{e_0, J e_0}
+    dense = ComplexStructure.from_matrix([[-1, 1, 1, 3], [1, -1, 1, -2], [0, -1, 0, -1], [-1, 1, 0, 2]])
+    assert _complex_basis(dense) == [0, 1]
+    # J e_0 = e_2, J e_1 = e_3
+    crossed = ComplexStructure.from_matrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    assert _complex_basis(crossed) == [0, 1]
+    # J e_0 = e_0 + e_1 puts e_1 in span{e_0, J e_0}
+    skewed = ComplexStructure.from_matrix([[1, -2, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    assert _complex_basis(skewed) == [0, 2]
