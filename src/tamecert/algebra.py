@@ -360,7 +360,12 @@ def one_dim_ideals(g: LieAlgebra) -> list[Subspace]:
     row, already the echelon row of its line) and returned sorted by pivot
     position and reduced-echelon basis entries, so the order is deterministic.
     """
-    lines = {Subspace(g.dim, (r,)) for space in weight_spaces(g) for r in space.rows}
+    return _one_dim_ideals(g, g.derived_subalgebra())
+
+
+def _one_dim_ideals(g: LieAlgebra, derived: Subspace) -> list[Subspace]:
+    """one_dim_ideals for a caller that already holds derived = [g, g]."""
+    lines = {Subspace(g.dim, (r,)) for space in _weight_spaces(g, derived) for r in space.rows}
     return sorted(lines, key=lambda l: (l.pivots()[0], l.basis[0]))
 
 

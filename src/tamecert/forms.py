@@ -1,5 +1,9 @@
 """Exterior forms, the Chevalley-Eilenberg differential, complex structures.
 
+Integrability reads the integer bracket table through ``algebra._bracket_ints``
+and finds its complex basis with one ``linalg._echelon``, the kernels that
+every other exact layer shares.
+
 Sign convention, fixed globally: d alpha (X, Y) = -alpha([X, Y]) on 1-forms,
 extended to 2-forms as an antiderivation, i.e.
 
@@ -19,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import LieAlgebra, _cleared_brackets
+from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, _units
 from .errors import DimensionMismatch, NotAComplexStructure
 from .linalg import (
     Mat,
@@ -27,6 +31,7 @@ from .linalg import (
     ZERO,
     ONE,
     _cleared,
+    _echelon,
     clear_denominators,
     frac,
     leading_minors_positive,
@@ -254,93 +259,50 @@ def standard_complex_structure(dim: int) -> ComplexStructure:
     return ComplexStructure.from_matrix(rows)
 
 
-def _nijenhuis_ints(g: LieAlgebra, J: ComplexStructure, pairs: Sequence[tuple[int, int]] | None = None):
-    """Yield ((i, j), s N(e_i, e_j) as ints, s) over the given pairs, all pairs
-    i < j by default, for one integer s > 0.
+def _nijenhuis_ints(g: LieAlgebra, J: ComplexStructure, pairs: Iterable[tuple[int, int]]):
+    """Yield ((i, j), s N(e_i, e_j) as ints, s) over the given pairs, with s = c e^2.
 
-    With J = J'/e and the brackets [e_a, e_b] = C_ab / c in ints, and
-    T_aj = [e_a, J e_j]:
-    N(e_i, e_j) = sum_a J_ai T_aj - [e_i, e_j] + J (T_ji - T_ij), so s = c e^2.
-    Only the T_aj that the pairs read are built: column j with the rows a of
-    J e_i's support, and T_ji, T_ij.
+    N(X, Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY].  With J = J'/e
+    (``J.ints``) and c the bracket denominator, so that ``_bracket_ints``
+    gives c [x, y] for integer vectors x and y:
+    c e^2 N(e_i, e_j) = c[J'e_i, J'e_j] - e^2 c[e_i, e_j] - J'(c[J'e_i, e_j] + c[e_i, J'e_j]).
     """
-    if J.dim != g.dim:
-        raise NotAComplexStructure("J dimension does not match the algebra")
-    n = g.dim
     jm, e = J.ints, J.den
     c, table = _cleared_brackets(g)
-    columns = [[(a, jm[a][j]) for a in range(n) if jm[a][j]] for j in range(n)]  # e J e_j
-    if pairs is None:
-        pairs = two_form_pairs(n)
-
-    def bracket(a: int, b: int) -> list[tuple[int, int]]:  # c [e_a, e_b]
-        if a < b:
-            return table.get((a, b), [])
-        return [(k, -x) for k, x in table.get((b, a), [])]
-
-    read = {(a, j) for i, j in pairs for a, _ in columns[i]}
-    read.update(key for i, j in pairs for key in ((i, j), (j, i)))
-    t = {}  # t[(a, j)] = c e T_aj
-    for a, j in read:
-        out = [0] * n
-        for b, y in columns[j]:
-            for k, x in bracket(a, b):
-                out[k] += y * x
-        t[(a, j)] = out
+    units = _units(g.dim)
+    columns = [list(col) for col in zip(*jm)]  # J'e_j
     for i, j in pairs:
-        v = [0] * n
-        for k, x in bracket(i, j):
-            v[k] = -e * e * x
-        for a, y in columns[i]:
-            v = [vk + y * tk for vk, tk in zip(v, t[(a, j)])]
-        diff = [x - y for x, y in zip(t[(j, i)], t[(i, j)])]
-        for k, row in enumerate(jm):
-            v[k] += sum(x * y for x, y in zip(row, diff))
-        yield (i, j), v, c * e * e
-
-
-def nijenhuis(g: LieAlgebra, J: ComplexStructure) -> dict[tuple[int, int], Vec]:
-    """N(e_i, e_j) = [Je_i,Je_j] - [e_i,e_j] - J[Je_i,e_j] - J[e_i,Je_j]."""
-    return {pair: tuple(Fraction(x, s) if x else ZERO for x in v) for pair, v, s in _nijenhuis_ints(g, J)}
+        ji, jj, ei, ej = columns[i], columns[j], units[i], units[j]
+        mixed = [x + y for x, y in zip(_bracket_ints(table, ji, ej), _bracket_ints(table, ei, jj))]
+        outer = [x - e * e * y for x, y in zip(_bracket_ints(table, ji, jj), _bracket_ints(table, ei, ej))]
+        yield (i, j), [x - sum(r * m for r, m in zip(row, mixed)) for x, row in zip(outer, jm)], c * e * e
 
 
 def is_integrable(g: LieAlgebra, J: ComplexStructure) -> bool:
-    """N = 0, tested on the C(n/2, 2) pairs of a complex basis {e_b, J e_b}.
+    """N = 0, tested on the C(n/2, 2) pairs e_a, e_b of a complex basis {e_b, J e_b}.
 
     N(JX, Y) = N(X, JY) = -J N(X, Y), so N vanishes on every pair of such a
-    basis once it vanishes on the pairs e_a, e_b.  The e_b are unit vectors
-    taken greedily in index order, each one outside the span S of those
-    before and their images: S is J-invariant, so e_b and J e_b enlarge it by
-    two, and the choice always completes.
+    basis once it vanishes on the pairs e_a, e_b (``_complex_basis``).
     """
     if J.dim != g.dim:
         raise NotAComplexStructure("J dimension does not match the algebra")
     if g.is_abelian():
         return True
-    return not any(any(v) for _, v, _ in _nijenhuis_ints(g, J, list(combinations(_complex_basis(J), 2))))
+    return not any(any(v) for _, v, _ in _nijenhuis_ints(g, J, combinations(_complex_basis(J), 2)))
 
 
 def _complex_basis(J: ComplexStructure) -> list[int]:
-    """The indices b, taken greedily, of unit vectors e_b with {e_b, J e_b} a basis."""
-    n = J.dim
-    span: list[tuple[int, list[int]]] = []  # (pivot, integer row), each row zero at the earlier pivots
-    chosen = []
+    """The indices b of the unit vectors e_b, taken greedily in index order,
+    each one outside span{e_c, J e_c : c < b}; {e_b, J e_b} is then a basis.
 
-    def reduced(w: list[int]) -> list[int]:
-        for p, row in span:
-            if w[p]:
-                f = w[p]
-                w = [row[p] * x - f * y for x, y in zip(w, row)]
-        return w
-
-    for b in range(n):
-        w = reduced([int(k == b) for k in range(n)])
-        if any(w):
-            chosen.append(b)
-            for v in (w, [row[b] for row in J.ints]):
-                v = reduced(v)  # J e_b only once e_b has joined, so each row is zero at the earlier pivots
-                span.append((next(k for k, x in enumerate(v) if x), v))
-    return chosen
+    That span is the span of the pairs already taken, since a skipped e_c lies
+    in a J-invariant span and so J e_c does too.  So the b are the even pivot
+    columns of one ``_echelon`` of the n x 2n integer matrix whose columns
+    are e_0, J'e_0, e_1, J'e_1, ...; ``_echelon`` keeps its rows primitive,
+    so no entry grows on a dense J.
+    """
+    rows = [[x for b in range(J.dim) for x in (int(a == b), J.ints[a][b])] for a in range(J.dim)]
+    return [p // 2 for p in _echelon(rows)[1] if p % 2 == 0]
 
 
 def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:

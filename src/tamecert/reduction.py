@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, one_dim_ideals
+from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, _one_dim_ideals
 from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
 from .forms import ComplexStructure, TwoForm, _d2_ints, is_integrable, taming_gram
 from .linalg import Subspace, Vec, _kernel, clear_denominators, leading_minors_positive
@@ -95,18 +95,20 @@ class ReductionTower:
 
 
 def find_isotropic_ideal(t: TamedTriple) -> Subspace:
-    """First rational 1-dimensional ideal, preferring lines inside [g, g].
+    """The first line of ``one_dim_ideals`` (sorted by pivot, then by reduced
+    echelon entries) that lies in [g, g]; if none does, its first line.
 
     Every line is isotropic for an alternating form, so any 1-dimensional
-    ideal qualifies.
+    ideal qualifies.  [g, g] is derived once, for the weight spaces and for
+    the preference test.
     """
-    lines = one_dim_ideals(t.algebra)
+    derived = t.algebra.derived_subalgebra()
+    lines = _one_dim_ideals(t.algebra, derived)
     if not lines:
         raise NoOneDimIdeal(
             "no rational invariant line; the algebra is either not completely "
             "solvable or its invariant lines are irrational"
         )
-    derived = t.algebra.derived_subalgebra()
     for line in lines:
         if derived.contains(line):
             return line

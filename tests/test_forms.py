@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,19 +17,20 @@ from tamecert import (
     NotAComplexStructure,
     OneForm,
     TwoForm,
+    build_problem,
     ce_d,
     closed_two_forms,
+    degeneracy_precheck,
     is_integrable,
     is_taming,
-    nijenhuis,
     standard_complex_structure,
     taming_gram,
 )
-from tamecert.forms import _complex_basis, d2_matrix, leading_minors_positive, two_form_pairs
+from tamecert.forms import _complex_basis, _nijenhuis_ints, d2_matrix, leading_minors_positive, two_form_pairs
 from tamecert.linalg import ONE, ZERO, det, mat_inverse, mat_mul, rank, unit_vec
 from tamecert.reduction import TamedTriple
 
-from conftest import is_compatible, random_basis_change, random_rational_vector
+from conftest import conjugate, direct_sum, is_compatible, random_basis_change, random_rational_vector
 from test_linalg import ref_leading_minors_positive
 
 F = Fraction
@@ -149,7 +151,7 @@ def test_complex_structure_is_stored_uniquely(exact_items):
 def test_nijenhuis_h3_integrable():
     g = h3_r()
     J = standard_complex_structure(4)
-    n = nijenhuis(g, J)
+    n = kernel_nijenhuis(g, J)
     assert all(all(x == 0 for x in v) for v in n.values())
     assert is_integrable(g, J)
 
@@ -168,7 +170,7 @@ def test_nijenhuis_sol3_not_integrable():
     J = ComplexStructure.from_matrix(
         [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     )  # JH = U, JX = Y
-    n = nijenhuis(g, J)
+    n = kernel_nijenhuis(g, J)
     assert n[(0, 1)] == (F(0), F(-2), F(0), F(0))
     assert not is_integrable(g, J)
 
@@ -253,6 +255,11 @@ def ref_d2_matrix(g):
     return matrix, pairs, triples
 
 
+def kernel_nijenhuis(g, J):
+    """N on every pair i < j from the integer kernel, in Fractions."""
+    return {pair: tuple(F(x, s) for x in v) for pair, v, s in _nijenhuis_ints(g, J, two_form_pairs(g.dim))}
+
+
 def ref_nijenhuis(g, J):
     out = {}
     for i, j in two_form_pairs(g.dim):
@@ -294,12 +301,12 @@ def test_d2_matrix_matches_ce_d_oracle(exact_items):
 def test_nijenhuis_matches_oracle(exact_items):
     rng = random.Random(5)
     for name, g, J in exact_items:
-        assert nijenhuis(g, J) == ref_nijenhuis(g, J), name
+        assert kernel_nijenhuis(g, J) == ref_nijenhuis(g, J), name
         if g.dim <= 6:
             # a different, generally non-integrable J = P J P^-1
             P = random_basis_change(rng, g.dim)
             K = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J.matrix]), mat_inverse(P)))
-            n = nijenhuis(g, K)
+            n = kernel_nijenhuis(g, K)
             assert n == ref_nijenhuis(g, K), name
             assert is_integrable(g, K) == all(all(x == 0 for x in v) for v in n.values())
 
@@ -342,7 +349,10 @@ def test_d2_matrix_does_not_evaluate_forms(monkeypatch):
 
 
 def all_pairs_integrable(g, J) -> bool:
-    return not any(any(v) for v in nijenhuis(g, J).values())
+    """N = 0 on every pair i < j, by the evaluation oracle, which the integer kernel matches."""
+    n = ref_nijenhuis(g, J)
+    assert kernel_nijenhuis(g, J) == n
+    return not any(any(v) for v in n.values())
 
 
 def test_is_integrable_equals_the_all_pairs_test(exact_items):
@@ -392,7 +402,7 @@ def test_is_integrable_tests_the_pairs_of_a_complex_basis(corpus, monkeypatch):
     assert is_integrable(fx.algebra, fx.J)
     assert yielded == [(0, 2), (0, 4), (2, 4)]
     yielded.clear()
-    assert len(nijenhuis(fx.algebra, fx.J)) == 15 and len(yielded) == 15
+    assert len(list(forms_mod._nijenhuis_ints(fx.algebra, fx.J, two_form_pairs(6)))) == 15 and len(yielded) == 15
 
 
 def test_complex_basis_is_greedy_in_index_order(exact_items):
@@ -418,3 +428,77 @@ def test_complex_basis_is_greedy_in_index_order(exact_items):
     # J e_0 = e_0 + e_1 puts e_1 in span{e_0, J e_0}
     skewed = ComplexStructure.from_matrix([[1, -2, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert _complex_basis(skewed) == [0, 2]
+
+
+# --- coefficient growth on dense inputs ---
+
+# the largest int, in bits, that any tamecert frame holds in a local or returns,
+# on the dense aff_r2^3 conjugate: 78 in is_integrable and 152 in the precheck,
+# and 138 in closed_two_forms on the dense aff_r2^2 conjugate (10,597 in
+# is_integrable when _complex_basis eliminated with no gcd step)
+MAX_HELD_BITS = 1024
+
+
+def held_bits(value, depth: int = 3) -> int:
+    """The largest bit length of an int in value: an int, or a list or tuple
+    of ints, of rows of ints, or of such rows' containers."""
+    if isinstance(value, int):
+        return value.bit_length()
+    if depth and isinstance(value, (list, tuple)):
+        return max((held_bits(x, depth - 1) for x in value), default=0)
+    return 0
+
+
+def largest_held_ints(fn, *args) -> dict[str, int]:
+    """Run fn(*args); per tamecert code object, the largest bit length of an
+    int in its locals or its return value, read at each return event."""
+    held: dict[str, int] = {}
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            code = frame.f_code
+            key = f"{frame.f_globals['__name__']}.{code.co_name}:{code.co_firstlineno}"
+            bits = max([held_bits(v) for v in frame.f_locals.values()] + [held_bits(arg)])
+            held[key] = max(held.get(key, 0), bits)
+        return on_return
+
+    def on_call(frame, event, arg):
+        if frame.f_globals.get("__name__", "").startswith("tamecert"):
+            frame.f_trace_lines = False
+            return on_return
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return held
+
+
+def test_dense_conjugates_hold_no_coefficient_growth(corpus):
+    # aff_r2^k in a dense integer basis, P entries in [-2, 2]: a fraction-free
+    # elimination that skips its gcd step holds thousands of bits here
+    fx = corpus["aff_r2"]
+
+    def dense(k):
+        g, J = fx.algebra, fx.J
+        for _ in range(k - 1):
+            g, J = direct_sum(g, J, fx.algebra, fx.J)
+        return conjugate(g, random_basis_change(random.Random(5), g.dim), J)
+
+    g, J = dense(3)
+    problem = build_problem(g, J)
+    runs = {
+        "is_integrable": largest_held_ints(is_integrable, g, J),
+        "degeneracy_precheck": largest_held_ints(degeneracy_precheck, problem),
+        "closed_two_forms": largest_held_ints(closed_two_forms, dense(2)[0]),
+    }
+    # each run reached the kernel it guards
+    assert any("._complex_basis:" in key for key in runs["is_integrable"])
+    assert any("._degeneracy_search:" in key for key in runs["degeneracy_precheck"])
+    assert any("._echelon:" in key for key in runs["closed_two_forms"])
+    for name, held in runs.items():
+        key, bits = max(held.items(), key=lambda item: item[1])
+        assert bits <= MAX_HELD_BITS, (name, key, bits)

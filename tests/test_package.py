@@ -39,6 +39,7 @@ REMOVED_NAMES = [
     "mat_scale",
     "mat_copy",
     "FeasibilityConfig",
+    "nijenhuis",
 ]
 
 

@@ -229,13 +229,15 @@ def test_analyze_reduction_summary(corpus):
 
 
 # charpoly and _echelon calls over one analyze of each corpus fixture: 57 and
-# 231 once the precheck seeks its weight spaces inside Z cap [g, g] only (61
+# 228 once each reduction step derives [g, g] once (13 fewer) and the complex
+# basis of each non-abelian integrability test is one _echelon (10 more); 231
+# when the precheck first sought its weight spaces inside Z cap [g, g] only (61
 # and 246 when it searched all of the centralizer Z of [g, g] and intersected
 # each weight space with [g, g]; 144 and 900 before weight spaces were sought
 # inside Z, the series and reduction used the integer bracket table, and each
 # exact flag was decided once)
 MAX_CHARPOLY_CALLS = 57
-MAX_ECHELON_CALLS = 231
+MAX_ECHELON_CALLS = 228
 # clear_denominators calls over the same pass: 110 once the integer Gram stack
 # is built per problem only when the precheck searches a nonzero subspace,
 # and read by both the precheck and dual_certificate (164 when each cleared
