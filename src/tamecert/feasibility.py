@@ -47,6 +47,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import lcm
 
 import numpy as np
@@ -54,7 +55,7 @@ import numpy as np
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, _cleared, _echelon, _kernel, clear_denominators, solve
+from .linalg import Mat, Subspace, Vec, ZERO, _cleared, _kernel, clear_denominators, solve
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
@@ -116,9 +117,8 @@ class FeasibilityProblem:
     def gram_ints(self) -> list[list[list[int]]]:
         """Each S_i of gram_basis times the lcm of its denominators, as ints.
 
-        Built on first read, once per problem: by the precheck on its first
-        nonzero subspace, and by dual_certificate.  Positive scales leave the
-        radical and the dual's projection unchanged.
+        Built on first read, once per problem, by dual_certificate, its only
+        reader: a positive scale leaves the dual's projection unchanged.
         """
         return [clear_denominators(s)[0] for s in self.gram_basis]
 
@@ -198,12 +198,15 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     intersection of a rational weight space of ad g with D = [g, g], then the
     J-invariant part D cap J D.  The weight spaces are sought inside Z cap D
     only, Z the centralizer of D, so no characteristic polynomial is larger
-    than dim D.  On each subspace W the common radical of the closed Gram
-    forms restricted to W is an exact nullspace, on the integer Gram stack
-    (FeasibilityProblem.gram_ints); any nonzero v in it has B(v, Jv) = 0 for
-    every closed B.  The radical transforms with a basis change, so whether
-    the precheck hits does not depend on the basis.  The search runs once per
-    problem (FeasibilityProblem.degeneracy_direction).
+    than dim D, and D cap J D is built only once every weight space has
+    missed.  On each subspace W, with integer basis b, the common radical of
+    the closed Gram forms restricted to W is one exact kernel (``_kernel``)
+    of the w x w Grams 2 den G_i(b_s, b_t) = B_i(b_s, J' b_t) + B_i(b_t, J' b_s),
+    J' = den J, read off each closed form's integer coefficients, with no
+    n x n Gram; any nonzero v in it has B(v, Jv) = 0 for every closed B.  The
+    radical transforms with a basis change, so whether the precheck hits does
+    not depend on the basis.  The search runs once per problem
+    (FeasibilityProblem.degeneracy_direction).
     """
     return p.degeneracy_direction
 
@@ -211,24 +214,36 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
 def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     g = p.algebra
     derived = g.derived_subalgebra()
-    spaces = [(space, "weight space in [g,g]") for space in _weight_spaces(g, derived, inside_derived=True)]
-    jd = [[sum(x * y for x, y in zip(row, r)) for row in p.J.ints] for r in derived.rows]  # den J [g, g], in ints
-    j_derived = Subspace._span(g.dim, jd)
-    spaces.append((derived.intersect(j_derived), "J-invariant part of [g,g]"))
-    for w, provenance in spaces:
+    # each closed form as ints over the columns of keys, the pairs (a, b) some form reads
+    keys = sorted({key for form in p.z2_basis for key, _ in form.coeffs})
+    column = {key: k for k, key in enumerate(keys)}
+    forms = []
+    for form in p.z2_basis:  # cleared inline, as taming_gram clears a form
+        d = lcm(*(c.denominator for _, c in form.coeffs))
+        forms.append([(column[key], c.numerator * (d // c.denominator)) for key, c in form.coeffs])
+
+    def spaces():
+        for space in _weight_spaces(g, derived, inside_derived=True):
+            yield space, "weight space in [g,g]"
+        jd = [[sum(x * y for x, y in zip(row, r)) for row in p.J.ints] for r in derived.rows]  # den J [g, g], in ints
+        yield derived.intersect(Subspace._span(g.dim, jd)), "J-invariant part of [g,g]"
+
+    for w, provenance in spaces():
         if not w.dim:
             continue
-        # rows of the stacked restricted Grams B S_i B^T, B = scale * w.basis in ints,
-        # each scaled to ints by positive factors that leave the kernel alone
+        # b = scale * w.basis in ints, jb = den J b; 2 den G_i(b_s, b_t) = B_i(b_s, jb_t) + B_i(b_t, jb_s),
+        # the form's coefficients dotted with one wedge vector per pair s <= t
         pivots = w.pivots()
         scale = lcm(*(row[q] for row, q in zip(w.rows, pivots)))
         b = [[x * (scale // row[q]) for x in row] for row, q in zip(w.rows, pivots)]
-        rows = []
-        for s in p.gram_ints:  # symmetric, so its rows are its columns
-            for x in b:
-                sx = [sum(xk * v for xk, v in zip(x, col)) for col in s]
-                rows.append([sum(u * v for u, v in zip(sx, y)) for y in b])
-        radical, radical_pivots = _echelon(_kernel(rows, w.dim)[0])
+        jb = [[sum(x * y for x, y in zip(row, v)) for row in p.J.ints] for v in b]
+        grams = [[[0] * w.dim for _ in b] for _ in forms]
+        for s, t in combinations_with_replacement(range(w.dim), 2):
+            x, y, jx, jy = b[s], b[t], jb[s], jb[t]
+            wedge = [x[i] * jy[j] - x[j] * jy[i] + y[i] * jx[j] - y[j] * jx[i] for i, j in keys]
+            for gram, form in zip(grams, forms):
+                gram[s][t] = gram[t][s] = sum(c * wedge[k] for k, c in form)
+        radical, radical_pivots = _kernel([row for gram in grams for row in gram], w.dim)
         if radical:
             # the first reduced-echelon radical vector, radical[0] / its pivot, times b / scale
             den = radical[0][radical_pivots[0]] * scale

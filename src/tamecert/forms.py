@@ -1,7 +1,7 @@
 """Exterior forms, the Chevalley-Eilenberg differential, complex structures.
 
 Integrability reads the integer bracket table through ``algebra._bracket_ints``
-and finds its complex basis with one ``linalg._echelon``, the kernels that
+and finds its complex basis with one ``linalg._forward``, the kernels that
 every other exact layer shares.
 
 Sign convention, fixed globally: d alpha (X, Y) = -alpha([X, Y]) on 1-forms,
@@ -31,7 +31,7 @@ from .linalg import (
     ZERO,
     ONE,
     _cleared,
-    _echelon,
+    _forward,
     clear_denominators,
     frac,
     leading_minors_positive,
@@ -297,12 +297,12 @@ def _complex_basis(J: ComplexStructure) -> list[int]:
 
     That span is the span of the pairs already taken, since a skipped e_c lies
     in a J-invariant span and so J e_c does too.  So the b are the even pivot
-    columns of one ``_echelon`` of the n x 2n integer matrix whose columns
-    are e_0, J'e_0, e_1, J'e_1, ...; ``_echelon`` keeps its rows primitive,
-    so no entry grows on a dense J.
+    columns of the n x 2n integer matrix whose columns are e_0, J'e_0, e_1,
+    J'e_1, ...: its rank profile, which one forward pass (``_forward``)
+    gives; that pass keeps its rows primitive, so no entry grows on a dense J.
     """
     rows = [[x for b in range(J.dim) for x in (int(a == b), J.ints[a][b])] for a in range(J.dim)]
-    return [p // 2 for p in _echelon(rows)[1] if p % 2 == 0]
+    return [p // 2 for p in _forward(rows)[1] if p % 2 == 0]
 
 
 def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:

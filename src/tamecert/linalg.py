@@ -5,7 +5,11 @@ int), and nothing here uses floating point; the numeric lanes of the package
 convert at their own boundary.  The eliminations work in Python ints on
 rows cleared of denominators once; a caller that already holds integer rows,
 as every subspace and bracket kernel does, hands them over uncleared.
-``rref`` is fraction-free Gauss-Jordan on primitive integer rows, ``det`` and
+One fraction-free elimination loop on primitive integer rows serves at two
+depths: ``_forward`` stops at a row echelon form, which gives the rank
+profile, and ``_echelon`` back-substitutes to the reduced form, which ``rref``
+returns.  ``_kernel`` reads the reduced echelon basis of a kernel off one
+elimination, with the columns reversed.  ``det`` and
 ``leading_minors_positive`` are one Bareiss pass (Math. Comp. 22, 1968), and
 ``charpoly`` runs Faddeev-LeVerrier on the integer matrix d*A.  The root
 functions take one Sturm chain of primitive integer polynomials, with no
@@ -114,34 +118,49 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of integer rows.
+def _clear_column(m: list[list[int]], k: int, c: int, rows: Iterable[int]) -> None:
+    """Eliminate column c from the rows m[i], i in rows, with the pivot row m[k]; each stays primitive."""
+    prow = m[k]
+    p = prow[c]
+    for i in rows:
+        f = m[i][c]
+        if f:
+            m[i] = _primitive([p * x - f * y for x, y in zip(m[i], prow)])
 
-    Returns the nonzero rows, as primitive integer rows with positive
-    pivots, and the pivot columns; each pivot is the only nonzero entry of
-    its column, so the rows are the reduced row echelon form, each cleared.
-    Callers holding Fractions clear each row first (``_cleared``).
+
+def _forward(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free forward elimination of integer rows: the rank profile.
+
+    Returns the nonzero rows of a row echelon form, each primitive, and the
+    pivot columns, which are those of the reduced form too; each pivot is
+    eliminated from the rows below it only.
     """
     m = [_primitive(list(r)) for r in rows]
-    if not m:
-        return [], []
     pivots: list[int] = []
-    r = 0
-    for c in range(len(m[0])):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                m[i] = _primitive([p * x - f * y for x, y in zip(row, prow)])
-        pivots.append(c)
-        r += 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         if r == len(m):
             break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is not None:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            _clear_column(m, r, c, range(r + 1, len(m)))
+            pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of integer rows.
+
+    ``_forward``, then back-substitution from the last pivot up, so that each
+    pivot is the only nonzero entry of its column.  Returns the nonzero rows,
+    primitive with positive pivots, and the pivot columns: the reduced row
+    echelon form with each row cleared, unique per row space.  Callers
+    holding Fractions clear each row first (``_cleared``).
+    """
+    m, pivots = _forward(rows)
+    for k in range(len(m) - 1, 0, -1):
+        _clear_column(m, k, pivots[k], range(k))
     return [row if row[p] > 0 else [-x for x in row] for row, p in zip(m, pivots)], pivots
 
 
@@ -157,28 +176,32 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
 
 
 def rank(rows) -> int:
-    return len(_echelon(_cleared(r)[0] for r in rows)[1])
+    return len(_forward(_cleared(r)[0] for r in rows)[1])
 
 
 def _kernel(m: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """A basis of {v : m @ v = 0}, m of integer rows, as primitive integer rows, and the free columns.
+    """The reduced row echelon basis of {v : m @ v = 0}, m of integer rows, as
+    primitive integer rows with positive pivots, and its pivot columns.
 
-    There is one row per free column f of the echelon form of m: it is
-    nonzero at f and zero at every other free column, so a kernel vector's
-    coordinates in this basis are read off at the free columns.
+    One elimination of m with its columns reversed: each of its free
+    columns f gives a kernel vector nonzero at f and at pivot columns after
+    f only, so zero at every other free column.  Taken by ascending f they
+    are the reduced echelon form of the kernel, with pivots f, so a kernel
+    vector's coordinates in this basis are read off at those columns.
     """
-    red, pivots = _echelon(m)
+    red, pivots = _echelon([row[::-1] for row in m])  # column j of red is column ncols - 1 - j of m
     # scaled by the lcm of the pivots to stay integral
     scale = lcm(*(row[p] for row, p in zip(red, pivots)))
     pivot_set = set(pivots)
-    free = [f for f in range(ncols) if f not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = scale
-        for row, p in zip(red, pivots):
-            v[p] = -row[f] * (scale // row[p])
-        basis.append(_primitive(v))
+    basis, free = [], []
+    for j in reversed(range(ncols)):
+        if j not in pivot_set:
+            v = [0] * ncols
+            v[j] = scale
+            for row, p in zip(red, pivots):
+                v[p] = -row[j] * (scale // row[p])
+            basis.append(_primitive(v[::-1]))
+            free.append(ncols - 1 - j)
     return basis, free
 
 
@@ -193,7 +216,7 @@ def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list
             raise ValueError("nullspace of an empty matrix needs an explicit ncols")
         ncols = len(m[0])
     ints = [_cleared(r)[0] for r in m if any(r)]
-    return [tuple(row) for row in _reduced(*_echelon(_kernel(ints, ncols)[0]))]
+    return [tuple(row) for row in _reduced(*_kernel(ints, ncols))]
 
 
 def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
@@ -506,11 +529,11 @@ class Subspace:
         return Subspace._span(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: in an echelon form of the rows (a | a), a in self, and
-        (b | 0), b in other, the rows with a zero left half span the intersection."""
+        """Zassenhaus: in a row echelon form (``_forward``) of the rows (a | a), a in
+        self, and (b | 0), b in other, the rows with a zero left half span the intersection."""
         if not self.rows or not other.rows:
             return Subspace.zero(self.ambient_dim)
         n = self.ambient_dim
         rows = [a + a for a in self.rows] + [b + (0,) * n for b in other.rows]
-        red, pivots = _echelon(rows)
-        return Subspace._span(n, [row[n:] for row, p in zip(red, pivots) if p >= n])
+        echelon, pivots = _forward(rows)
+        return Subspace._span(n, [row[n:] for row, p in zip(echelon, pivots) if p >= n])

@@ -116,10 +116,11 @@ def find_isotropic_ideal(t: TamedTriple) -> Subspace:
 
 
 def omega_perp(t: TamedTriple, h: Subspace) -> Subspace:
-    """Omega-orthogonal complement of h: the kernel of h's integer rows times Omega."""
+    """Omega-orthogonal complement of h: the kernel of h's integer rows times
+    Omega, whose rows ``_kernel`` returns in the unique echelon form."""
     n = t.algebra.dim
     W, _ = clear_denominators(t.omega.matrix())
-    return Subspace._span(n, _kernel([[_dot(b, col) for col in zip(*W)] for b in h.rows], n)[0])
+    return Subspace(n, tuple(map(tuple, _kernel([[_dot(b, col) for col in zip(*W)] for b in h.rows], n)[0])))
 
 
 def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:

@@ -232,6 +232,39 @@ def reference_reduce(t, h: Subspace):
     return red_alg, omega, J, tuple(section)
 
 
+# --- reference kernel: one vector per free column, eliminated in Fractions ---
+
+
+def reference_kernel(m, ncols: int) -> list[list[int]]:
+    """A basis of {v : m v = 0}, m of integer or rational rows, as integer rows:
+    one vector per free column f of m's reduced echelon form, computed in
+    Fractions, nonzero at f and at the pivot columns before f and zero at
+    every other free column.  Not itself in echelon form; the oracle for
+    ``linalg._kernel``, whose basis is the echelon form of this one."""
+    red = [[Fraction(x) for x in row] for row in m]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(red)) if red[i][c]), None)
+        if i is None:
+            continue
+        red[r], red[i] = red[i], red[r]
+        red[r] = [x / red[r][c] for x in red[r]]
+        for k, row in enumerate(red):
+            f = row[c]
+            if k != r and f:
+                red[k] = [x - f * y for x, y in zip(row, red[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(ncols)]
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        d = lcm(*(x.denominator for x in v))
+        basis.append([int(x * d) for x in v])
+    return basis
+
+
 # --- reference weight spaces and series: evaluation-based, over all of g ---
 
 

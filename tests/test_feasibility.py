@@ -31,12 +31,20 @@ from tamecert import (
     standard_complex_structure,
 )
 from tamecert.algebra import scale_structure_constants, weight_spaces
-from tamecert.feasibility import DEGENERATE_MARGIN, FeasibilityConfig
+from tamecert.feasibility import DEGENERATE_MARGIN, DegeneracyDirection, FeasibilityConfig
 from tamecert.forms import ComplexStructure, leading_minors_positive, taming_gram
-from tamecert.linalg import identity, mat_inverse, mat_mul, solve
+from tamecert.linalg import Subspace, identity, mat_inverse, mat_mul, solve
 from tamecert.pipeline import verdict_to_dict
 
-from conftest import CORPUS_NAMES, conjugate, direct_sum, pool_draw, random_basis_change, rational_sampler
+from conftest import (
+    CORPUS_NAMES,
+    conjugate,
+    direct_sum,
+    pool_draw,
+    random_basis_change,
+    rational_sampler,
+    reference_kernel,
+)
 
 F = Fraction
 
@@ -246,6 +254,51 @@ def test_precheck_charpolys_fit_in_the_derived_algebra(corpus, exact_items, monk
             patched.setattr(algebra_mod, "charpoly", recorded)
             degeneracy_precheck(p)
         assert max(sizes, default=0) <= g.derived_subalgebra().dim, (name, sizes)
+
+
+def reference_degeneracy_search(p):
+    """The precheck in its first formulation: on each nonzero intersection of a
+    public weight space with [g, g], then on [g, g] cap J[g, g], the kernel of
+    the stacked B S_i B^T, B the reduced-echelon basis of the subspace and S_i
+    the Fraction Gram forms of gram_basis; the oracle for _degeneracy_search."""
+    g = p.algebra
+    derived = g.derived_subalgebra()
+    spaces = [(w, "weight space in [g,g]") for w in (s.intersect(derived) for s in weight_spaces(g))]
+    j_derived = Subspace.from_vectors(g.dim, [p.J.apply(v) for v in derived.basis])
+    spaces.append((derived.intersect(j_derived), "J-invariant part of [g,g]"))
+    for w, provenance in spaces:
+        basis = w.basis
+        rows = [
+            [sum(x[i] * s[i][j] * y[j] for i in range(g.dim) for j in range(g.dim)) for y in basis]
+            for s in p.gram_basis
+            for x in basis
+        ]
+        radical = reference_kernel(rows, w.dim)
+        if radical:
+            first = Subspace.from_vectors(w.dim, radical).basis[0]
+            vector = tuple(sum(c * b[k] for c, b in zip(first, basis)) for k in range(g.dim))
+            return DegeneracyDirection(vector, provenance)
+    return None
+
+
+def test_precheck_equals_the_restricted_gram_oracle(structures):
+    # the w x w Grams read off the closed forms give the radical that
+    # restricting each n x n Gram form gives, on every structure: the 11
+    # fixtures, the 14 conjugated pool draws, the scaling sums and the 8
+    # non-integrable J
+    for name, g, J in structures:
+        p = build_problem(g, J)
+        assert feas_mod._degeneracy_search(p) == reference_degeneracy_search(p), name
+
+
+def test_precheck_reads_no_integer_gram_stack(corpus):
+    # on a hit and on a miss that searched a nonzero subspace, the integer
+    # Gram stack is left for dual_certificate to build
+    for name, hit in (("h3_r", True), ("aff_r2", False)):
+        fx = corpus[name]
+        p = build_problem(fx.algebra, fx.J)
+        assert (degeneracy_precheck(p) is not None) == hit, name
+        assert "gram_ints" not in vars(p), name
 
 
 # --- the barrier solve ---

@@ -434,8 +434,9 @@ def test_complex_basis_is_greedy_in_index_order(exact_items):
 
 # the largest int, in bits, that any tamecert frame holds in a local or returns,
 # on the dense aff_r2^3 conjugate: 78 in is_integrable and 152 in the precheck,
-# and 138 in closed_two_forms on the dense aff_r2^2 conjugate (10,597 in
-# is_integrable when _complex_basis eliminated with no gcd step)
+# and 116 in closed_two_forms on the dense aff_r2^2 conjugate (138 when
+# nullspace echeloned its kernel a second time; 10,597 in is_integrable when
+# _complex_basis eliminated with no gcd step)
 MAX_HELD_BITS = 1024
 
 

@@ -12,6 +12,9 @@ from tamecert.linalg import (
     ONE,
     ZERO,
     Subspace,
+    _echelon,
+    _forward,
+    _kernel,
     all_roots_real,
     charpoly,
     count_real_roots,
@@ -31,6 +34,8 @@ from tamecert.linalg import (
     transpose,
     unit_vec,
 )
+
+from conftest import reference_kernel
 
 F = Fraction
 
@@ -309,6 +314,48 @@ def test_nullspace_ignores_zero_rows(seed, monkeypatch):
         assert nullspace(padded, ncols=ncols) == nullspace(m, ncols=ncols)
         assert all(any(row) for row in cleared)
     assert nullspace([[ZERO] * 3] * 5) == [unit_vec(3, i) for i in range(3)]
+
+
+def integer_matrices(seed):
+    """(m, ncols): seeded integer matrices, empty, with all-zero rows, of full
+    column rank, rank-deficient, wide and tall, with entries up to 2^40."""
+    rng = random.Random(seed)
+
+    def dense(r, c, bound):
+        return [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+
+    out = [([], 0), ([], 3), ([[0] * 4] * 3, 4)]
+    for bound in (3, 2**40):
+        for _ in range(4):
+            r, c = rng.randint(1, 7), rng.randint(1, 7)
+            out.append((dense(r, c, bound), c))  # wide, tall or square
+            out.append((dense(c + rng.randint(0, 3), c, bound), c))  # tall: full column rank, almost surely
+            k = rng.randint(1, min(r, c))
+            a, b = dense(r, k, bound), dense(k, c, 3)
+            out.append(([[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a], c))  # rank <= k
+            zero_rows = dense(r, c, bound)
+            zero_rows.insert(rng.randint(0, r), [0] * c)
+            out.append((zero_rows, c))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_is_the_echelon_form_of_the_kernel(seed):
+    # _kernel's one elimination gives the echelon form of the kernel that one
+    # vector per free column spans; the forward pass gives the rank profile
+    for m, ncols in integer_matrices(seed):
+        basis, pivots = _kernel(m, ncols)
+        assert (basis, pivots) == _echelon(reference_kernel(m, ncols)), m
+        for v, p in zip(basis, pivots):
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m)
+            assert math.gcd(*v) == 1 and v[p] > 0 and not any(v[:p])
+        rows, forward_pivots = _forward(m)
+        assert forward_pivots == _echelon(m)[1]
+        assert len(basis) == ncols - len(forward_pivots)
+        # primitive row echelon rows with the same span
+        for row, p in zip(rows, forward_pivots):
+            assert math.gcd(*row) == 1 and row[p] and not any(row[:p])
+        assert _echelon(rows) == _echelon(m)
 
 
 def test_rref_and_nullspace_match_fraction_oracle_on_items(exact_items):
