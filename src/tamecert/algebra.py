@@ -32,7 +32,6 @@ from .linalg import (
     all_roots_real,
     charpoly,
     frac,
-    mat_trace,
     rational_roots,
     unit_vec,
     vec,
@@ -190,9 +189,18 @@ class LieAlgebra:
         return not self.structure_constants
 
     def is_unimodular(self) -> tuple[bool, int | None]:
-        """True iff every basis adjoint is traceless; else (False, witness index)."""
-        _, table = _cleared_brackets(self)
-        witness = next((i for i, e in enumerate(_units(self.dim)) if mat_trace(_adjoint_ints(table, e))), None)
+        """True iff every basis adjoint is traceless; else (False, witness index).
+
+        Each c tr ad_{e_i} is summed off the integer table in one pass: an entry
+        (i, j) -> (k, x) adds x to i's trace when k = j, and -x to j's when k = i."""
+        trace = [0] * self.dim
+        for (i, j), comps in _cleared_brackets(self)[1].items():
+            for k, x in comps:
+                if k == j:
+                    trace[i] += x
+                elif k == i:
+                    trace[j] -= x
+        witness = next((i for i, t in enumerate(trace) if t), None)
         return witness is None, witness
 
     def bracket_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
@@ -350,7 +358,9 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, inside_derived: bool = Fals
 
     if len(branches) > 1:
         branches.sort(key=lambda b: weight(b[0]))
-    return [Subspace._span(n, rows) for _, rows in branches]
+    # each branch's rows are already canonical: z is, and a reduced-echelon kernel
+    # combination of reduced-echelon rows, made primitive, stays reduced echelon
+    return [Subspace(n, tuple(map(tuple, rows))) for _, rows in branches]
 
 
 def one_dim_ideals(g: LieAlgebra) -> list[Subspace]:

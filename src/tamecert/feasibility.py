@@ -54,7 +54,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
-from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
+from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
 from .linalg import Mat, Subspace, Vec, ZERO, _cleared, _kernel, clear_denominators, solve
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
@@ -217,10 +217,7 @@ def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     # each closed form as ints over the columns of keys, the pairs (a, b) some form reads
     keys = sorted({key for form in p.z2_basis for key, _ in form.coeffs})
     column = {key: k for k, key in enumerate(keys)}
-    forms = []
-    for form in p.z2_basis:  # cleared inline, as taming_gram clears a form
-        d = lcm(*(c.denominator for _, c in form.coeffs))
-        forms.append([(column[key], c.numerator * (d // c.denominator)) for key, c in form.coeffs])
+    forms = [[(column[key], x) for key, x in form._ints[1]] for form in p.z2_basis]
 
     def spaces():
         for space in _weight_spaces(g, derived, inside_derived=True):
@@ -415,13 +412,11 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
         for key, v in b.coeffs:
             coeffs[key] = coeffs.get(key, ZERO) + qi * v
     omega = TwoForm.from_dict(p.algebra.dim, coeffs)
-    gram = taming_gram(omega, p.J)  # = sum q_i S_i, as the Gram is linear in omega
+    gram, d = _gram_ints(omega, p.J)  # d sum q_i S_i, as the Gram is linear in omega
     if not leading_minors_positive(gram):
         raise ExactificationFailed("the rounded Gram is not exactly positive definite")
     norm = float(np.sqrt(sum(float(x) ** 2 for x in q)))
-    lam = float(
-        np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in gram]))[0]
-    )
+    lam = float(np.linalg.eigvalsh(np.array([[x / d for x in row] for row in gram]))[0])
     return omega, lam / norm
 
 

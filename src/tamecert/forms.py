@@ -2,7 +2,9 @@
 
 Integrability reads the integer bracket table through ``algebra._bracket_ints``
 and finds its complex basis with one ``linalg._forward``, the kernels that
-every other exact layer shares.
+every other exact layer shares.  A ``TwoForm`` is cleared to integers once, at
+construction, and every exact layer reads that form (``TwoForm._ints``), as
+does ``_gram_ints``, the one taming Gram kernel: ``taming_gram`` is its view.
 
 Sign convention, fixed globally: d alpha (X, Y) = -alpha([X, Y]) on 1-forms,
 extended to 2-forms as an antiderivation, i.e.
@@ -15,7 +17,7 @@ G(X, Y) = (Omega(X, JY) + Omega(Y, JX)) / 2, so taming = G positive definite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -62,6 +64,12 @@ class TwoForm:
 
     dim: int
     coeffs: tuple[tuple[tuple[int, int], Fraction], ...]
+    # (w, ((pair, w c), ...)), w the lcm of the denominators; derived, so not in ==, hash or repr
+    _ints: tuple[int, tuple[tuple[tuple[int, int], int], ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        w = lcm(*(c.denominator for _, c in self.coeffs))
+        object.__setattr__(self, "_ints", (w, tuple((k, c.numerator * (w // c.denominator)) for k, c in self.coeffs)))
 
     @classmethod
     def from_dict(cls, dim: int, entries: Mapping[tuple[int, int], object]) -> "TwoForm":
@@ -305,29 +313,27 @@ def _complex_basis(J: ComplexStructure) -> list[int]:
     return [p // 2 for p in _forward(rows)[1] if p % 2 == 0]
 
 
-def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:
-    """Symmetric Gram matrix G(X,Y) = (Omega(X,JY) + Omega(Y,JX)) / 2.
-
-    G = (M + M^T) / 2 with M = Omega J.  Each coefficient c at (a, b) adds
-    c J[b] to row a of M and -c J[a] to row b, so the loop runs over the
-    coefficients only, in ints over the common denominator.  Each entry
-    (i, j), i <= j, becomes one ``Fraction``, stored at (j, i) as well.
-    """
-    n = omega.dim
-    jm, e = J.ints, J.den
-    w = lcm(*(c.denominator for _, c in omega.coeffs))
+def _gram_ints(omega: TwoForm, J: ComplexStructure) -> tuple[list[list[int]], int]:
+    """(d G, d) in ints, d = 2 w den, for G of ``taming_gram``: with Omega = W / w
+    (``TwoForm._ints``), J = J' / den and M = Omega J, G = (M + M^T) / 2, and each
+    coefficient x of W at (a, b) adds x J'[b] to row a of w den M and -x J'[a] to row b."""
+    n, jm, (w, coeffs) = omega.dim, J.ints, omega._ints
     m = [[0] * n for _ in range(n)]
-    for (a, b), c in omega.coeffs:
-        c = c.numerator * (w // c.denominator)
-        m[a] = [x + c * y for x, y in zip(m[a], jm[b])]
-        m[b] = [x - c * y for x, y in zip(m[b], jm[a])]
-    d = 2 * w * e
-    gram = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            x = m[i][j] + m[j][i]
-            if x:
-                gram[i][j] = gram[j][i] = Fraction(x, d)
+    for (a, b), x in coeffs:
+        m[a] = [y + x * z for y, z in zip(m[a], jm[b])]
+        m[b] = [y - x * z for y, z in zip(m[b], jm[a])]
+    return [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)], 2 * w * J.den
+
+
+def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:
+    """Symmetric Gram matrix G(X,Y) = (Omega(X,JY) + Omega(Y,JX)) / 2, the view of
+    ``_gram_ints`` with one ``Fraction`` per entry (i, j), i <= j, stored at (j, i) as well."""
+    g, d = _gram_ints(omega, J)
+    gram = [[ZERO] * len(g) for _ in g]
+    for i, row in enumerate(g):
+        for j in range(i, len(g)):
+            if row[j]:
+                gram[i][j] = gram[j][i] = Fraction(row[j], d)
     return gram
 
 
@@ -346,10 +352,9 @@ def is_taming(omega: TwoForm, J: ComplexStructure, exact: bool = True, tol: floa
     Exact mode decides by leading principal minors; numeric mode by
     lambda_min > tol.  The margin is always reported numerically.
     """
-    gram = taming_gram(omega, J)
     if omega.dim == 0:
         return TamingResult(True, float("inf"))
-    eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in gram]))
-    margin = float(eigs[0])
+    gram, d = _gram_ints(omega, J)
+    margin = float(np.linalg.eigvalsh(np.array([[x / d for x in row] for row in gram]))[0])
     ok = leading_minors_positive(gram) if exact else margin > tol
     return TamingResult(ok, margin)

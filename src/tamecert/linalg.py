@@ -270,10 +270,11 @@ def leading_minors_positive(m: Sequence[Sequence[Fraction]]) -> bool:
     """Every leading principal minor is positive: Sylvester's test for positive definiteness.
 
     Without pivoting, the k-th Bareiss pivot is the k-th leading minor of the
-    matrix cleared of denominators, whose positive row scales keep each
-    minor's sign.
+    matrix with each row cleared of denominators and made primitive: positive
+    row scales keep each minor's sign, and primitive rows keep an integer Gram
+    d G (``forms._gram_ints``) as small as its ``Fraction`` view cleared.
     """
-    a = [_cleared(row)[0] for row in m]
+    a = [_primitive(_cleared(row)[0]) for row in m]
     prev = 1
     for k in range(len(a)):
         if a[k][k] <= 0:

@@ -10,9 +10,9 @@ the induced form and the induced complex structure with its correction term
     J~(Y + h) = J(Y - Omega(JY, X)/Omega(JX, X) * X) + h
 
 are read off in that basis, and every flag is re-verified on the output.
-Losing a flag is an internal error (TamingLost), never a verdict.  Omega
-is cleared to integers once, the vectors and J are read in the integer form
-that ``Subspace`` and ``ComplexStructure`` store, brackets go through the
+Losing a flag is an internal error (TamingLost), never a verdict.  Omega,
+the vectors and J are read in the integer form that ``TwoForm``,
+``Subspace`` and ``ComplexStructure`` store, brackets go through the
 integer table, and each reduced entry becomes a ``Fraction`` only at the end.
 """
 
@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, _one_dim_ideals
 from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
-from .forms import ComplexStructure, TwoForm, _d2_ints, is_integrable, taming_gram
-from .linalg import Subspace, Vec, _kernel, clear_denominators, leading_minors_positive
+from .forms import ComplexStructure, TwoForm, _d2_ints, _gram_ints, is_integrable
+from .linalg import Subspace, Vec, _kernel, leading_minors_positive
 
 
 def _dot(a, b) -> int:
@@ -60,18 +59,17 @@ class TamedTriple:
 
     @classmethod
     def build_unverified(cls, algebra: LieAlgebra, omega: TwoForm, J: ComplexStructure) -> "TamedTriple":
-        """The triple with its three flags, none raised on.  d Omega = 0 is
-        decided in ints: Omega cleared once, against c d2 read off the integer
-        bracket table (``forms._d2_ints``), with no ``Fraction`` matrix."""
+        """The triple with its three flags, none raised on, decided in ints:
+        d Omega = 0 from ``TwoForm._ints`` against c d2 read off the integer
+        bracket table (``forms._d2_ints``), taming on ``forms._gram_ints``."""
         if omega.dim != algebra.dim or J.dim != algebra.dim:
             raise TripleVerificationError(["dimension mismatch"])
         _, rows, pairs, _ = _d2_ints(algebra)
         column = {pair: k for k, pair in enumerate(pairs)}
-        w = lcm(*(x.denominator for _, x in omega.coeffs))
-        coeffs = [(column[key], x.numerator * (w // x.denominator)) for key, x in omega.coeffs]  # w Omega
+        coeffs = [(column[key], x) for key, x in omega._ints[1]]  # w Omega
         closed = not any(sum(row[k] * x for k, x in coeffs) for row in rows)
         integrable = is_integrable(algebra, J)
-        taming = leading_minors_positive(taming_gram(omega, J))
+        taming = leading_minors_positive(_gram_ints(omega, J)[0])
         return cls(algebra, omega, J, closed, integrable, taming)
 
 
@@ -115,11 +113,19 @@ def find_isotropic_ideal(t: TamedTriple) -> Subspace:
     return lines[0]
 
 
+def _omega_ints(omega: TwoForm) -> tuple[list[list[int]], int]:
+    """(W, w), Omega = W / w as a matrix, read off ``TwoForm._ints``."""
+    W = [[0] * omega.dim for _ in range(omega.dim)]
+    for (a, b), x in omega._ints[1]:
+        W[a][b], W[b][a] = x, -x
+    return W, omega._ints[0]
+
+
 def omega_perp(t: TamedTriple, h: Subspace) -> Subspace:
     """Omega-orthogonal complement of h: the kernel of h's integer rows times
     Omega, whose rows ``_kernel`` returns in the unique echelon form."""
     n = t.algebra.dim
-    W, _ = clear_denominators(t.omega.matrix())
+    W, _ = _omega_ints(t.omega)
     return Subspace(n, tuple(map(tuple, _kernel([[_dot(b, col) for col in zip(*W)] for b in h.rows], n)[0])))
 
 
@@ -130,7 +136,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
         raise TripleVerificationError(["reduce requires a verified triple"])
     if not g.is_ideal(h):
         raise NotAnIdeal("reduction requires an ideal")
-    W, w = clear_denominators(t.omega.matrix())  # Omega = W / w
+    W, w = _omega_ints(t.omega)  # Omega = W / w
     if any(_dot(a, [_dot(row, b) for row in W]) for a in h.rows for b in h.rows):
         raise NotIsotropic("the ideal is not isotropic for omega")
     if h.dim != 1:

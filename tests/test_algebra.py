@@ -19,7 +19,8 @@ from tamecert import (
     reduction_tower,
     weight_spaces,
 )
-from tamecert.algebra import _cleared_brackets, scale_structure_constants
+from tamecert.algebra import _adjoint_ints, _cleared_brackets, _units, _weight_spaces, scale_structure_constants
+from tamecert.linalg import mat_trace
 
 from conftest import (
     NON_ABELIAN_NAMES,
@@ -159,6 +160,25 @@ def test_unimodularity():
     assert sol4_1().is_unimodular() == (True, None)
 
 
+def test_unimodular_witness_matches_adjoint_traces(corpus, exact_items):
+    # is_unimodular sums each c tr ad_{e_i} off the integer table in one pass;
+    # the reference is the trace of each integer adjoint.  The algebras are those
+    # of the test structures (exact_items and their conjugates) and every
+    # reduced algebra of the tamed fixtures' towers
+    algebras = [g for _, g in oracle_algebras(corpus, exact_items)]
+    for name in TAMED_NAMES:
+        fx = corpus[name]
+        algebras += [step.reduced.algebra for step in reduction_tower(TamedTriple.build(fx.algebra, fx.omega, fx.J)).steps]
+    assert len(algebras) == 63 + 13
+    witnesses = 0
+    for g in algebras:
+        table = _cleared_brackets(g)[1]
+        witness = next((i for i, e in enumerate(_units(g.dim)) if mat_trace(_adjoint_ints(table, e))), None)
+        assert g.is_unimodular() == (witness is None, witness), g
+        witnesses += witness is not None
+    assert witnesses >= 10
+
+
 # --- series and flags ---
 
 
@@ -273,12 +293,16 @@ def test_weight_spaces_and_series_match_reference(corpus, exact_items):
     # weight_spaces works inside the centralizer of [g, g] and the series
     # bracket through the integer table; the references branch over every
     # basis adjoint and bracket by evaluation.  Lists and order must agree.
+    # Each space is built from its branch's rows with no echelon pass, so
+    # those rows must be canonical: re-echeloning them changes nothing
     algebras = oracle_algebras(corpus, exact_items)
     assert len(algebras) == 28 + 13 + 21 + 1
     with_weights = 0
     for name, g in algebras:
         spaces = weight_spaces(g)
         assert spaces == reference_weight_spaces(g), name
+        for space in spaces + _weight_spaces(g, g.derived_subalgebra(), inside_derived=True):
+            assert Subspace._span(g.dim, space.rows).rows == space.rows, name
         assert g.derived_series() == reference_series(g, lower=False), name
         assert g.lower_central_series() == reference_series(g, lower=True), name
         with_weights += len(spaces) > 1

@@ -27,12 +27,13 @@ from tamecert import (
     degeneracy_precheck,
     dual_certificate,
     exactify,
+    is_taming,
     maximize_lambda_min,
     standard_complex_structure,
 )
 from tamecert.algebra import scale_structure_constants, weight_spaces
-from tamecert.feasibility import DEGENERATE_MARGIN, DegeneracyDirection, FeasibilityConfig
-from tamecert.forms import ComplexStructure, leading_minors_positive, taming_gram
+from tamecert.feasibility import DEGENERATE_MARGIN, EXACTIFY_DENOMINATOR_BOUND, DegeneracyDirection, FeasibilityConfig
+from tamecert.forms import ComplexStructure, _gram_ints, leading_minors_positive, taming_gram
 from tamecert.linalg import Subspace, identity, mat_inverse, mat_mul, solve
 from tamecert.pipeline import verdict_to_dict
 
@@ -937,6 +938,31 @@ def test_projection_lane_skips_the_solve(decided, structures):
             assert ce_d(g, v.omega).is_zero(), name
             assert leading_minors_positive(taming_gram(v.omega, J)), name
     assert skipped == sum(isinstance(v, Feasible) for v, _, _, _ in decided.values()) == 16
+
+
+def test_exactify_floats_match_the_fraction_gram_path(structures, monkeypatch):
+    # exactify and is_taming read lambda_min off the integer Gram as x / d, which
+    # Python rounds exactly as float(Fraction(x, d)): bit for bit the floats of
+    # the Fraction Gram, on every problem that decide hands to exactify
+    calls = []
+
+    def recorded(p, c, _exactify=feas_mod.exactify):
+        out = _exactify(p, c)
+        calls.append((p, np.asarray(c, dtype=float), out))
+        return out
+
+    monkeypatch.setattr(feas_mod, "exactify", recorded)
+    for _, g, J in structures:
+        decide(g, J)
+    assert len(calls) == 16
+    for p, c, (omega, lam) in calls:
+        gram = taming_gram(omega, p.J)
+        ints, d = _gram_ints(omega, p.J)
+        assert [[(x / d).hex() for x in row] for row in ints] == [[float(x).hex() for x in row] for row in gram]
+        margin = float(np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in gram]))[0])
+        q = [F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in c / float(np.max(np.abs(c)))]
+        assert lam.hex() == (margin / float(np.sqrt(sum(float(x) ** 2 for x in q)))).hex()
+        assert is_taming(omega, p.J).margin.hex() == margin.hex()
 
 
 def test_rank_one_verdicts_report_the_exact_maximum(decided):

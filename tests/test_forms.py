@@ -1,6 +1,7 @@
 """Chevalley-Eilenberg differential, Nijenhuis, taming Gram."""
 
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ from tamecert import (
     standard_complex_structure,
     taming_gram,
 )
-from tamecert.forms import _complex_basis, _nijenhuis_ints, d2_matrix, leading_minors_positive, two_form_pairs
+from tamecert.forms import _complex_basis, _gram_ints, _nijenhuis_ints, d2_matrix, leading_minors_positive, two_form_pairs
 from tamecert.linalg import ONE, ZERO, det, mat_inverse, mat_mul, rank, unit_vec
 from tamecert.reduction import TamedTriple
 
@@ -311,14 +312,40 @@ def test_nijenhuis_matches_oracle(exact_items):
             assert is_integrable(g, K) == all(all(x == 0 for x in v) for v in n.values())
 
 
+def cleared(omega):
+    """A fresh clearing of omega's coefficients: (w, ((pair, w c), ...)), w the lcm of the denominators."""
+    w = math.lcm(*(c.denominator for _, c in omega.coeffs))
+    return w, tuple((k, c.numerator * (w // c.denominator)) for k, c in omega.coeffs)
+
+
 def test_taming_gram_matches_oracle(exact_items):
+    # every form stores its cleared coefficients (TwoForm._ints), and _gram_ints,
+    # of which taming_gram is the Fraction view, reads them; J is dense on the
+    # conjugated items
     rng = random.Random(8)
+    dense = 0
     for name, g, J in exact_items:
+        dense += any(sum(map(bool, row)) > 1 for row in J.ints)
         forms = closed_two_forms(g) + [random_two_form(rng, g.dim) for _ in range(3)]
-        for omega in forms:
+        for k, omega in enumerate(forms):
+            assert omega._ints == cleared(omega), name
+            ref = ref_taming_gram(omega, J)
             gram = taming_gram(omega, J)
-            assert gram == ref_taming_gram(omega, J), name
+            assert gram == ref, name
+            ints, d = _gram_ints(omega, J)
+            assert d == 2 * omega._ints[0] * J.den
+            assert [[F(x, d) for x in row] for row in ints] == ref, name
             assert leading_minors_positive(gram) == ref_leading_minors_positive(gram), name
+            if k >= len(forms) - 3:  # the random forms, denominators up to 10^6
+                # derived, so outside ==, hash and repr; pickled with the form, rebuilt by scale
+                twin = TwoForm(omega.dim, omega.coeffs)
+                object.__setattr__(twin, "_ints", None)
+                assert twin == omega and hash(twin) == hash(omega) and repr(twin) == repr(omega), name
+                assert "_ints" not in repr(omega)
+                assert pickle.loads(pickle.dumps(omega))._ints == omega._ints, name
+                assert omega.scale(-1)._ints == (omega._ints[0], tuple((key, -x) for key, x in omega._ints[1])), name
+    assert dense >= 14
+    assert TwoForm.from_dict(6, {})._ints == (1, ())
 
 
 def test_integer_closedness_matches_ce_d(exact_items):

@@ -229,7 +229,9 @@ def test_analyze_reduction_summary(corpus):
 
 
 # charpoly and _echelon calls over one analyze of each corpus fixture: 57 and
-# 170 once _kernel returns the echelon form of the kernel from one elimination
+# 147 once each weight space is built from its branch's canonical rows with
+# no echelon pass (23 fewer); 170 once _kernel returns the echelon form of the
+# kernel from one elimination
 # (nullspace and the precheck's radical no longer echelon its output), the
 # complex basis and Subspace.intersect read the forward pass only, and the
 # precheck builds [g, g] cap J[g, g] only after every weight space has missed;
@@ -241,14 +243,16 @@ def test_analyze_reduction_summary(corpus):
 # inside Z, the series and reduction used the integer bracket table, and each
 # exact flag was decided once)
 MAX_CHARPOLY_CALLS = 57
-MAX_ECHELON_CALLS = 170
-# clear_denominators calls over the same pass: 81 once the precheck reads the
-# closed forms' coefficients and leaves the integer Gram stack to
-# dual_certificate, which no corpus fixture reaches; 110 when that stack was
+MAX_ECHELON_CALLS = 147
+# clear_denominators calls over the same pass: 55 once each TwoForm holds its
+# cleared coefficients and reduce and omega_perp read them (two fewer per
+# reduction step); 81 once the precheck reads the closed forms' coefficients
+# and leaves the integer Gram stack to dual_certificate, which no corpus
+# fixture reaches; 110 when that stack was
 # built per problem whenever the precheck searched a nonzero subspace (164
 # when the precheck and dual_certificate each cleared every Gram form
 # itself; 338 when every kernel cleared subspace bases and J.matrix again)
-MAX_CLEAR_DENOMINATORS_CALLS = 81
+MAX_CLEAR_DENOMINATORS_CALLS = 55
 # _cleared calls over the same pass: 156 once nullspace skips all-zero rows and
 # Subspace tests integer vectors for membership uncleared (403 before; 1,191
 # when _echelon cleared every input row, 932 of them already ints)
