@@ -255,20 +255,30 @@ class CompleteSolvability:
 
 
 def is_completely_solvable(g: LieAlgebra) -> CompleteSolvability:
-    """Solvable with all adjoint weights real.
+    """Solvable with all adjoint weights real, by Sturm real-root counts.
 
-    Decided exactly at every dimension by a Sturm real-root count of the
-    characteristic polynomial of each basis adjoint, c ad_{e_i} read off the
-    integer table: the eigenvalues of ad_x are the weight values at x, and a
-    weight with a nonzero imaginary part has it at some basis vector.
+    ad_x maps g into D = [g, g], so it is block triangular over D with a zero
+    block on g / D: its characteristic polynomial is t^(n - dim D) times that
+    of ad_x on D, read in D's integer rows.  The eigenvalues are the weights at
+    x, and a weight vanishes on D, so its value at a pivot of D is a rational
+    combination of those at D's free columns: testing these decides, and D = 0
+    at once.  Only if one fails is every e_i scanned, for the first witness.
     """
-    if not g.is_solvable():
-        return CompleteSolvability(False, None)
+    series = g.derived_series()
+    if series[-1].dim or len(series) < 3:  # not solvable; or D = 0, as g is abelian or 0
+        return CompleteSolvability(not series[-1].dim, None)
+    derived, pivots = series[1], series[1]._pivots
     _, table = _cleared_brackets(g)
-    for i, e in enumerate(_units(g.dim)):
-        if not all_roots_real(charpoly(_adjoint_ints(table, e))):
-            return CompleteSolvability(False, i)
-    return CompleteSolvability(True, None)
+    scale = lcm(*(row[p] for row, p in zip(derived.rows, pivots)))
+    factors = [(p, scale // row[p]) for row, p in zip(derived.rows, pivots)]  # clear the coordinates in D's rows
+
+    def real(i: int) -> bool:  # whether scale c ad_{e_i} on D, in the basis of D's rows, has a real spectrum
+        images = [_bracket_ints(table, [int(k == i) for k in range(g.dim)], d) for d in derived.rows]
+        return all_roots_real(charpoly([[v[p] * f for v in images] for p, f in factors]))
+
+    failed = next((f for f in range(g.dim) if f not in pivots and not real(f)), None)
+    witness = None if failed is None else next((p for p in pivots if p < failed and not real(p)), failed)
+    return CompleteSolvability(witness is None, witness)
 
 
 def _adjoint_ints(table: IntTable, x: Sequence[int]) -> list[list[int]]:
@@ -374,9 +384,11 @@ def one_dim_ideals(g: LieAlgebra) -> list[Subspace]:
 
 
 def _one_dim_ideals(g: LieAlgebra, derived: Subspace) -> list[Subspace]:
-    """one_dim_ideals for a caller that already holds derived = [g, g]."""
-    lines = {Subspace(g.dim, (r,)) for space in _weight_spaces(g, derived) for r in space.rows}
-    return sorted(lines, key=lambda l: (l.pivots()[0], l.basis[0]))
+    """one_dim_ideals for a caller that already holds derived = [g, g]; the rows,
+    scaled to one pivot entry, order as the reduced-echelon basis vectors do."""
+    lines = {Subspace(g.dim, (r,), (p,)) for s in _weight_spaces(g, derived) for r, p in zip(s.rows, s._pivots)}
+    scale = lcm(*(l.rows[0][l._pivots[0]] for l in lines))
+    return sorted(lines, key=lambda l: (l._pivots[0], [x * (scale // l.rows[0][l._pivots[0]]) for x in l.rows[0]]))
 
 
 def scale_structure_constants(g: LieAlgebra, t: Fraction) -> LieAlgebra:

@@ -84,7 +84,8 @@ class TwoForm:
                 i, j, c = j, i, -c
             if not 0 <= i < j < dim:
                 raise ValueError(f"index pair ({i},{j}) out of range for dim {dim}")
-            norm[(i, j)] = norm.get((i, j), ZERO) + c
+            # a Fraction sum only for a pair given twice, or both ways round
+            norm[(i, j)] = norm[(i, j)] + c if (i, j) in norm else c
         frozen = tuple(sorted((k, v) for k, v in norm.items() if v != 0))
         return cls(dim, frozen)
 
@@ -241,9 +242,8 @@ class ComplexStructure:
             raise NotAComplexStructure("J must be square")
         if n % 2 != 0:
             raise NotAComplexStructure("J^2 = -I forces an even dimension")
-        ints, e = clear_denominators(m)  # J^2 = -I iff ints^2 = -e^2 I
-        square = [[sum(x * y for x, y in zip(row, col)) for col in zip(*ints)] for row in ints]
-        if any(x != -e * e * (i == j) for i, row in enumerate(square) for j, x in enumerate(row)):
+        ints, e = clear_denominators(m)
+        if not _squares_to_minus_one(ints, e):
             raise NotAComplexStructure("J^2 != -I")
         return cls(n, tuple(map(tuple, ints)), e)
 
@@ -254,6 +254,18 @@ class ComplexStructure:
     def apply(self, v: Sequence[Fraction]) -> Vec:
         w, d = _cleared(vec(v))
         return tuple(Fraction(sum(x * y for x, y in zip(row, w)), d * self.den) for row in self.ints)
+
+
+def _squares_to_minus_one(ints: Sequence[Sequence[int]], e: int) -> bool:
+    """J^2 = -I for J = ints / e: each row of ints^2 + e^2 I, summed over the row's nonzero entries, is 0."""
+    for i, row in enumerate(ints):
+        square = [e * e * (k == i) for k in range(len(row))]
+        for j, x in enumerate(row):
+            if x:
+                square = [s + x * y for s, y in zip(square, ints[j])]
+        if any(square):
+            return False
+    return True
 
 
 def standard_complex_structure(dim: int) -> ComplexStructure:

@@ -21,7 +21,7 @@ returns, unique per subspace, so equality of subspaces is equality of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -95,10 +95,6 @@ def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
     bt = transpose(b)
     return [[vec_dot(row, col) for col in bt] for row in a]
-
-
-def mat_trace(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    return sum((m[i][i] for i in range(len(m))), ZERO)
 
 
 def _cleared(row: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -466,10 +462,16 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^n, stored by its unique ``_echelon`` rows; ``basis``, the
-    reduced-echelon basis, divides each row by its pivot."""
+    reduced-echelon basis, divides each row by its pivot.  The pivot columns, as
+    ``_echelon`` and ``_kernel`` return them, are kept outside ==, hash and repr."""
 
     ambient_dim: int
     rows: tuple[tuple[int, ...], ...]
+    _pivots: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._pivots is None:
+            object.__setattr__(self, "_pivots", tuple(next(i for i, x in enumerate(row) if x) for row in self.rows))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -482,7 +484,8 @@ class Subspace:
     @classmethod
     def _span(cls, ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Subspace":
         """The span of integer rows, each of length ambient_dim, unchecked."""
-        return cls(ambient_dim, tuple(map(tuple, _echelon(rows)[0])))
+        red, pivots = _echelon(rows)
+        return cls(ambient_dim, tuple(map(tuple, red)), tuple(pivots))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -499,10 +502,10 @@ class Subspace:
     @property
     def basis(self) -> tuple[Vec, ...]:
         """The reduced row echelon basis, in Fractions."""
-        return tuple(map(tuple, _reduced(self.rows, self.pivots())))
+        return tuple(map(tuple, _reduced(self.rows, self._pivots)))
 
     def pivots(self) -> list[int]:
-        return [next(i for i, x in enumerate(row) if x) for row in self.rows]
+        return list(self._pivots)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         """Whether v lies here, by eliminating v, cleared to ints, with the integer rows."""
@@ -510,7 +513,7 @@ class Subspace:
 
     def _contains_ints(self, w: Sequence[int]) -> bool:
         """contains_vector for an integer vector, which needs no clearing."""
-        for row, p in zip(self.rows, self.pivots()):
+        for row, p in zip(self.rows, self._pivots):
             if w[p]:
                 f = w[p]
                 w = [row[p] * x - f * y for x, y in zip(w, row)]
@@ -524,7 +527,7 @@ class Subspace:
         if not self.contains_vector(v):
             return None
         v = vec(v)
-        return tuple(v[p] for p in self.pivots())
+        return tuple(v[p] for p in self._pivots)
 
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace._span(self.ambient_dim, self.rows + other.rows)

@@ -12,18 +12,22 @@ the induced form and the induced complex structure with its correction term
 are read off in that basis, and every flag is re-verified on the output.
 Losing a flag is an internal error (TamingLost), never a verdict.  Omega,
 the vectors and J are read in the integer form that ``TwoForm``,
-``Subspace`` and ``ComplexStructure`` store, brackets go through the
-integer table, and each reduced entry becomes a ``Fraction`` only at the end.
+``Subspace`` and ``ComplexStructure`` store, and brackets go through the
+integer table.  W u and J'u are formed once per kept vector u, from the
+nonzero entries, and zero brackets are skipped.  The reduced brackets, Omega
+and J = ints / den are built straight from those ints, with no re-clearing
+``from_*`` pass; Jacobi and J^2 = -I are still checked on the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, _one_dim_ideals
 from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
-from .forms import ComplexStructure, TwoForm, _d2_ints, _gram_ints, is_integrable
+from .forms import ComplexStructure, TwoForm, _d2_ints, _gram_ints, _squares_to_minus_one, is_integrable
 from .linalg import Subspace, Vec, _kernel, leading_minors_positive
 
 
@@ -113,20 +117,21 @@ def find_isotropic_ideal(t: TamedTriple) -> Subspace:
     return lines[0]
 
 
-def _omega_ints(omega: TwoForm) -> tuple[list[list[int]], int]:
-    """(W, w), Omega = W / w as a matrix, read off ``TwoForm._ints``."""
-    W = [[0] * omega.dim for _ in range(omega.dim)]
+def _omega_apply(omega: TwoForm, u) -> list[int]:
+    """W u for an integer vector u, Omega = W / w, read off the sparse ``TwoForm._ints``."""
+    out = [0] * len(u)
     for (a, b), x in omega._ints[1]:
-        W[a][b], W[b][a] = x, -x
-    return W, omega._ints[0]
+        out[a] += x * u[b]
+        out[b] -= x * u[a]
+    return out
 
 
 def omega_perp(t: TamedTriple, h: Subspace) -> Subspace:
-    """Omega-orthogonal complement of h: the kernel of h's integer rows times
-    Omega, whose rows ``_kernel`` returns in the unique echelon form."""
+    """Omega-orthogonal complement of h: the kernel of the rows W b, b the
+    integer rows of h, which ``_kernel`` returns in the unique echelon form."""
     n = t.algebra.dim
-    W, _ = _omega_ints(t.omega)
-    return Subspace(n, tuple(map(tuple, _kernel([[_dot(b, col) for col in zip(*W)] for b in h.rows], n)[0])))
+    rows, pivots = _kernel([_omega_apply(t.omega, b) for b in h.rows], n)
+    return Subspace(n, tuple(map(tuple, rows)), tuple(pivots))
 
 
 def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
@@ -136,20 +141,21 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
         raise TripleVerificationError(["reduce requires a verified triple"])
     if not g.is_ideal(h):
         raise NotAnIdeal("reduction requires an ideal")
-    W, w = _omega_ints(t.omega)  # Omega = W / w
-    if any(_dot(a, [_dot(row, b) for row in W]) for a in h.rows for b in h.rows):
+    if any(_dot(a, _omega_apply(t.omega, b)) for a in h.rows for b in h.rows):
         raise NotIsotropic("the ideal is not isotropic for omega")
     if h.dim != 1:
         raise NotAnIdeal("only 1-dimensional isotropic ideals are supported")
 
-    jm, e = t.J.ints, t.J.den  # J = jm / e
+    w, e = t.omega._ints[0], t.J.den  # Omega = W / w, J = J' / e
+    jrows = [[(j, y) for j, y in enumerate(row) if y] for row in t.J.ints]
+
+    def j_apply(u) -> list[int]:  # J' u, from J''s nonzero entries
+        return [sum(y * u[j] for j, y in row) for row in jrows]
+
     c, table = _cleared_brackets(g)  # [., .] = table / c
-    x = h.basis[0]
-    xi = h.rows[0]  # xi = s_x x, with s_x = xi[p] at X's pivot p
-    p = h.pivots()[0]
+    xi, p = h.rows[0], h._pivots[0]  # xi = s_x X, with s_x = xi[p] at X's pivot p
     sx = xi[p]
-    w_xi = [_dot(row, xi) for row in W]
-    j_xi = [_dot(row, xi) for row in jm]  # e s_x J X
+    w_xi, j_xi = _omega_apply(t.omega, xi), j_apply(xi)
     beta = _dot(j_xi, w_xi)  # e w s_x^2 Omega(JX, X)
     if beta == 0:
         # impossible for a taming form; defensive
@@ -161,59 +167,63 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
 
     # the echelon basis of h^perp has a vector with pivot p, where x[p] = 1;
     # the others represent a basis of h^perp / h
-    pivots = perp.pivots()
-    keep = [k for k in range(perp.dim) if pivots[k] != p]
-    section = [v for k, v in enumerate(perp.basis) if pivots[k] != p]
-    kept_pivots = [pivots[k] for k in keep]
+    keep = [k for k, q in enumerate(perp._pivots) if q != p]
+    kept_pivots = [perp._pivots[k] for k in keep]
     us = [perp.rows[k] for k in keep]  # u = s y, with s = u at y's pivot
     ss = [u[q] for u, q in zip(us, kept_pivots)]
 
-    def mod_h(v: list[int], scale: int) -> Vec:
-        """Coordinates of v / scale + h in the reduced basis, for v / scale in h^perp."""
+    def mod_h(v: list[int]) -> list[int]:
+        """sx times the coordinates of v + h in the reduced basis, for v in h^perp; zero for v = 0."""
+        if not any(v):
+            return [0] * len(kept_pivots)
         if not perp._contains_ints(v):
             raise TamingLost("vector expected in h^perp fell outside it")
-        return tuple(Fraction(v[q] * sx - v[p] * xi[q], sx * scale) for q in kept_pivots)
+        return [v[q] * sx - v[p] * xi[q] for q in kept_pivots]
 
-    m = len(section)
-    brackets = {}
+    m = len(us)
+    constants = []
     for a in range(m):
         for b in range(a + 1, m):
-            v = mod_h(_bracket_ints(table, us[a], us[b]), c * ss[a] * ss[b])
-            brackets[(a, b)] = {k: y for k, y in enumerate(v) if y != 0}
+            v, d = mod_h(_bracket_ints(table, us[a], us[b])), sx * c * ss[a] * ss[b]
+            comps = tuple((k, Fraction(y, d)) for k, y in enumerate(v) if y)
+            if comps:
+                constants.append(((a, b), comps))
     # a unit vector e_i keeps its label; any other basis vector is f<position in h^perp>
-    labels = [
-        g.basis_labels[pivots[k]] if sum(v != 0 for v in perp.rows[k]) == 1 else f"f{k + 1}"
-        for k in keep
-    ]
-    red_alg = LieAlgebra.from_brackets(m, brackets, labels=labels)
-
-    w_us = [[_dot(row, u) for row in W] for u in us]
-    red_omega = TwoForm.from_dict(
-        m, {(a, b): Fraction(_dot(us[a], w_us[b]), w * ss[a] * ss[b]) for a in range(m) for b in range(a + 1, m)}
+    labels = tuple(
+        g.basis_labels[q] if perp.rows[k].count(0) == g.dim - 1 else f"f{k + 1}" for k, q in zip(keep, kept_pivots)
     )
+    red_alg = LieAlgebra(m, labels, tuple(constants))
+    red_alg.check_jacobi()
+
+    w_us = [_omega_apply(t.omega, u) for u in us]
+    pairs = ((a, b, _dot(us[a], w_us[b])) for a in range(m) for b in range(a + 1, m))
+    red_omega = TwoForm(m, tuple(((a, b), Fraction(y, w * ss[a] * ss[b])) for a, b, y in pairs if y))
 
     # with y = u / s, alpha = e w s s_x Omega(JY, X), J(Y - alpha s_x / (s beta) X) is
-    # jm (beta u - alpha xi) / (e s beta)
-    j_cols = []
+    # J' (beta u - alpha xi) / (e s beta) = (beta J'u - alpha J'xi) / (e s beta); over the
+    # common denominator den = s_x e |beta| lcm(s), column b carries den / (s_x e s_b beta)
+    ls, sign = lcm(*ss), 1 if beta > 0 else -1
+    cols = []
     for u, s_u in zip(us, ss):
-        alpha = _dot([_dot(row, u) for row in jm], w_xi)
-        shifted = [beta * y - alpha * z for y, z in zip(u, xi)]
-        j_cols.append(mod_h([_dot(row, shifted) for row in jm], e * s_u * beta))
-    j_rows = [[j_cols[b][a] for b in range(m)] for a in range(m)]
-    try:
-        red_j = ComplexStructure.from_matrix(j_rows)
-    except Exception as exc:
-        raise TamingLost(f"induced J is not a complex structure: {exc}") from exc
+        ju = j_apply(u)
+        alpha = _dot(ju, w_xi)
+        cols.append([sign * (ls // s_u) * y for y in mod_h([beta * y - alpha * z for y, z in zip(ju, j_xi)])])
+    den = sx * e * abs(beta) * ls
+    k = gcd(den, *(y for col in cols for y in col))  # J = ints / den in its unique form, den over k
+    ints = tuple(tuple(col[a] // k for col in cols) for a in range(m))
+    if not _squares_to_minus_one(ints, den // k):
+        raise TamingLost("induced J is not a complex structure: J^2 != -I")
+    red_j = ComplexStructure(m, ints, den // k)
 
     red_triple = TamedTriple.build_unverified(red_alg, red_omega, red_j)
     if not red_triple.verified:
         raise TamingLost("reduction lost a verified property: " + ", ".join(red_triple.failed_flags))
     return ReductionStep(
         h=h,
-        generator=x,
+        generator=h.basis[0],
         perp=perp,
         reduced=red_triple,
-        section_map=tuple(section),
+        section_map=tuple(v for v, q in zip(perp.basis, perp._pivots) if q != p),
     )
 
 

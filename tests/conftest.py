@@ -91,6 +91,11 @@ def pool_draw(corpus, name: str, k: int) -> tuple[LieAlgebra, ComplexStructure]:
     return conjugate(fx.algebra, P, fx.J)
 
 
+def mat_trace(m) -> Fraction:
+    """The trace of a square matrix; a reference for traces the package sums off the integer table."""
+    return sum((m[i][i] for i in range(len(m))), Fraction(0))
+
+
 def random_rational_vector(rng: random.Random, dim: int, span: int = 6) -> tuple[Fraction, ...]:
     return tuple(
         Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(dim)

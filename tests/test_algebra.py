@@ -20,12 +20,13 @@ from tamecert import (
     weight_spaces,
 )
 from tamecert.algebra import _adjoint_ints, _cleared_brackets, _units, _weight_spaces, scale_structure_constants
-from tamecert.linalg import mat_trace
+from tamecert.linalg import all_roots_real, charpoly, unit_vec
 
 from conftest import (
     NON_ABELIAN_NAMES,
     TAMED_NAMES,
     conjugate,
+    mat_trace,
     pull_back,
     random_basis_change,
     random_rational_vector,
@@ -307,6 +308,62 @@ def test_weight_spaces_and_series_match_reference(corpus, exact_items):
         assert g.lower_central_series() == reference_series(g, lower=True), name
         with_weights += len(spaces) > 1
     assert with_weights >= 10  # the order of several weight spaces is compared too
+
+
+def ref_complete_solvability(g: LieAlgebra) -> tuple[bool, int | None]:
+    """Solvable by the evaluation-based derived series, then the Sturm test on
+    the characteristic polynomial of every full Fraction adjoint ad_{e_i}: the
+    first index with a non-real eigenvalue, or None."""
+    if reference_series(g, lower=False)[-1].dim:
+        return False, None
+    for i in range(g.dim):
+        if not all_roots_real(charpoly(g.adjoint(unit_vec(g.dim, i)))):
+            return False, i
+    return True, None
+
+
+def test_complete_solvability_matches_full_adjoint_reference(corpus, exact_items):
+    # is_completely_solvable tests ad_{e_i} on [g, g] at D's free columns only,
+    # and scans every index only once one fails; the reference takes every full
+    # adjoint.  Beside the oracle algebras (the test structures' algebras, the
+    # towers' and the conjugates), the three non-completely solvable examples
+    # go in shifted into R^n, where the rotating vector is the last one, a free
+    # column of D, and in dense conjugates, where D's pivots come first, so that
+    # the first witness falls at a pivot column of D too
+    algebras = oracle_algebras(corpus, exact_items)
+    rng = random.Random(29)
+    for name, h in (("inoue_s0", inoue_s0()), ("e2", e2()), ("killing_trap", killing_trap())):
+        algebras += [(name, h), (f"R^3+{name}", shifted_sum(h.dim + 3, h))]
+        algebras += [(f"{name}~P{k}", conjugate(h, random_basis_change(rng, h.dim))[0]) for k in range(2)]
+        algebras.append((f"(R^2+{name})~P", conjugate(shifted_sum(h.dim + 2, h), random_basis_change(rng, h.dim + 2))[0]))
+    # e2 with the basis e1 + e3, e3, e2: D = span(e1, e2) has pivots 0 and 2, and
+    # both e1 + e3 (a pivot) and e3 (free) rotate D, so the witness is pivot 0
+    P = [[F(1), F(0), F(0)], [F(0), F(0), F(1)], [F(1), F(1), F(0)]]
+    algebras.append(("e2~pivot", conjugate(e2(), P)[0]))
+    sl2 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+    algebras += [("sl2", sl2), ("R^2+sl2", shifted_sum(5, sl2))]
+    at_pivot = at_free = 0
+    for name, g in algebras:
+        verdict = is_completely_solvable(g)
+        assert (verdict.value, verdict.witness) == ref_complete_solvability(g), name
+        if verdict.witness is not None:
+            pivots = g.derived_subalgebra().pivots()
+            at_pivot += verdict.witness in pivots
+            at_free += verdict.witness not in pivots
+    assert at_pivot >= 10 and at_free >= 8
+    assert is_completely_solvable(conjugate(e2(), P)[0]).witness == 0
+    assert is_completely_solvable(shifted_sum(5, sl2)).witness is None
+
+
+def test_one_dim_ideals_keep_the_fraction_basis_order(corpus, exact_items):
+    # lines are sorted by pivot, then by a common integer multiple of their reduced
+    # echelon basis vectors; the reference key is the Fraction basis itself
+    ordered = 0
+    for name, g in oracle_algebras(corpus, exact_items):
+        lines = one_dim_ideals(g)
+        assert lines == sorted(lines, key=lambda l: (l.pivots()[0], l.basis[0])), name
+        ordered += len({l.pivots()[0] for l in lines}) < len(lines)  # two lines share a pivot
+    assert ordered >= 10
 
 
 def test_algebra_module_imports_no_numpy():

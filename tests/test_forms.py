@@ -52,6 +52,28 @@ def sol3_r():
 # --- differential ---
 
 
+def test_from_dict_sums_each_pair_as_the_fraction_accumulation():
+    # from_dict adds Fractions only for a pair given twice: reversed pairs are
+    # negated, a pair given both ways round sums, to zero here, and zero
+    # coefficients are dropped; the reference accumulates from ZERO every time
+    rng = random.Random(3)
+    entries = {(0, 1): F(1, 2), (1, 0): F(1, 2), (3, 2): F(-2, 3), (1, 3): 0, (2, 4): F(0, 5), (4, 0): "3/4", (2, 1): 5}
+    rest = [(i, j) for i, j in two_form_pairs(5) if (i, j) not in entries and (j, i) not in entries]
+    entries |= {key: F(rng.randint(-4, 4), rng.randint(1, 6)) for key in rest}
+    ref: dict = {}
+    for (i, j), c in entries.items():
+        c = F(c)
+        if i > j:
+            i, j, c = j, i, -c
+        ref[(i, j)] = ref.get((i, j), ZERO) + c
+    form = TwoForm.from_dict(5, entries)
+    assert form.coeffs == tuple(sorted((k, v) for k, v in ref.items() if v != 0))
+    assert form.coeff(0, 1) == 0 and (0, 1) not in dict(form.coeffs)  # 1/2 and -1/2 cancel
+    assert form.coeff(2, 3) == F(2, 3) and form.coeff(1, 2) == -5 and form.coeff(0, 4) == F(-3, 4)
+    assert all(type(v) is F and v != 0 for _, v in form.coeffs)
+    assert form == TwoForm.from_dict(5, dict(reversed(list(entries.items()))))
+
+
 def test_d_one_form_h3():
     g = h3_r()
     e3 = OneForm.from_coeffs((0, 0, 1, 0))

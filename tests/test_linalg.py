@@ -1,6 +1,7 @@
 """Exact kernel: echelon forms, kernels, characteristic polynomials, Sturm."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from tamecert.linalg import (
     leading_minors_positive,
     mat_inverse,
     mat_mul,
-    mat_trace,
     mat_vec,
     nullspace,
     rank,
@@ -35,7 +35,7 @@ from tamecert.linalg import (
     unit_vec,
 )
 
-from conftest import reference_kernel
+from conftest import mat_trace, reference_kernel
 
 F = Fraction
 
@@ -374,6 +374,12 @@ def test_subspace_rows_are_canonical(exact_items):
         s = Subspace.from_vectors(n, m)
         red, pivots = ref_rref(m)
         assert s.basis == tuple(map(tuple, red)) and s.pivots() == pivots
+        # the pivots are stored once, equal to a scan of the rows, and take no
+        # part in ==, hash or repr; they survive pickling
+        assert s._pivots == tuple(pivots) == Subspace(n, s.rows)._pivots
+        forged = Subspace(n, s.rows, tuple(reversed(pivots)))
+        assert forged == s and hash(forged) == hash(s) and repr(forged) == repr(s)
+        assert pickle.loads(pickle.dumps(s))._pivots == s._pivots
         assert all(isinstance(x, int) for row in s.rows for x in row)
         assert all(math.gcd(*row) == 1 and row[p] > 0 for row, p in zip(s.rows, pivots))
         factors = [F(rng.choice([-3, -1, 2, 5]), rng.choice([1, 4, 7])) for _ in m]

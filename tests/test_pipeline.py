@@ -228,7 +228,9 @@ def test_analyze_reduction_summary(corpus):
     }
 
 
-# charpoly and _echelon calls over one analyze of each corpus fixture: 57 and
+# charpoly and _echelon calls over one analyze of each corpus fixture: 26 and
+# 147 once complete solvability reads ad_{e_i} on [g, g] at its free columns
+# only, and an abelian g at once (31 fewer charpoly calls); 57 and
 # 147 once each weight space is built from its branch's canonical rows with
 # no echelon pass (23 fewer); 170 once _kernel returns the echelon form of the
 # kernel from one elimination
@@ -242,9 +244,12 @@ def test_analyze_reduction_summary(corpus):
 # each weight space with [g, g]; 144 and 900 before weight spaces were sought
 # inside Z, the series and reduction used the integer bracket table, and each
 # exact flag was decided once)
-MAX_CHARPOLY_CALLS = 57
+MAX_CHARPOLY_CALLS = 26
 MAX_ECHELON_CALLS = 147
-# clear_denominators calls over the same pass: 55 once each TwoForm holds its
+# clear_denominators calls over the same pass: 26 once reduce builds the
+# reduced J in its integer form, not through ComplexStructure.from_matrix (13
+# fewer), and charpoly runs 31 times fewer, each clearing one matrix
+# (16 of those on matrices that are not all zero); 55 once each TwoForm holds its
 # cleared coefficients and reduce and omega_perp read them (two fewer per
 # reduction step); 81 once the precheck reads the closed forms' coefficients
 # and leaves the integer Gram stack to dual_certificate, which no corpus
@@ -252,11 +257,12 @@ MAX_ECHELON_CALLS = 147
 # built per problem whenever the precheck searched a nonzero subspace (164
 # when the precheck and dual_certificate each cleared every Gram form
 # itself; 338 when every kernel cleared subspace bases and J.matrix again)
-MAX_CLEAR_DENOMINATORS_CALLS = 55
-# _cleared calls over the same pass: 156 once nullspace skips all-zero rows and
+MAX_CLEAR_DENOMINATORS_CALLS = 26
+# _cleared calls over the same pass: 125 once complete solvability makes 31
+# fewer Sturm root counts, each clearing one polynomial; 156 once nullspace skips all-zero rows and
 # Subspace tests integer vectors for membership uncleared (403 before; 1,191
 # when _echelon cleared every input row, 932 of them already ints)
-MAX_CLEARED_CALLS = 156
+MAX_CLEARED_CALLS = 125
 # one derived series per fixture, inside is_completely_solvable (22 when
 # analyze also called is_solvable)
 MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)

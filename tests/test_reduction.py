@@ -134,29 +134,38 @@ def test_reduce_with_nonzero_correction_term():
     assert len(tower.steps) == 2 and tower.terminal_dim == 0
 
 
+def conjugate_triple(t: TamedTriple, P) -> TamedTriple:
+    """t in the basis given by the columns of P, with Omega pulled back to P^T Omega P."""
+    n, m = t.algebra.dim, t.omega.matrix()
+    g, J = conjugate(t.algebra, P, t.J)
+    pulled = {
+        (i, j): sum(P[a][i] * m[a][b] * P[b][j] for a in range(n) for b in range(n))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return TamedTriple.build(g, TwoForm.from_dict(n, pulled), J)
+
+
 def oracle_triples(corpus) -> list[tuple[str, TamedTriple]]:
-    """The tamed fixtures, the skewed-Omega R^4, two conjugates of aff_r2 and aff_r2 + aff_r."""
+    """The tamed fixtures, the skewed-Omega R^4, two conjugates of aff_r2, aff_r2 + aff_r,
+    and aff_r2 + aff_r2 in a dense basis, n = 8."""
     tamed = [(name, corpus[name]) for name in TAMED_NAMES]
     cases = [(name, TamedTriple.build(fx.algebra, fx.omega, fx.J)) for name, fx in tamed]
     skewed = TwoForm.from_dict(4, {(0, 1): 2, (2, 3): 2, (0, 2): 1, (1, 3): 1})
     cases.append(("skewed_r4", TamedTriple.build(LieAlgebra.from_brackets(4, {}), skewed, standard_complex_structure(4))))
     aff2 = corpus["aff_r2"]
-    m = aff2.omega.matrix()
+
+    def aff_r2_plus(fx) -> TamedTriple:  # aff_r2 + fx, with the block-diagonal Omega and J
+        g, J = direct_sum(aff2.algebra, aff2.J, fx.algebra, fx.J)
+        omega = dict(aff2.omega.coeffs)
+        omega.update({(i + 4, j + 4): c for (i, j), c in fx.omega.coeffs})
+        return TamedTriple.build(g, TwoForm.from_dict(g.dim, omega), J)
+
     rng = random.Random(11)
-    for k in range(2):
-        P = random_basis_change(rng, 4)
-        g, J = conjugate(aff2.algebra, P, aff2.J)
-        pulled = {
-            (i, j): sum(P[a][i] * m[a][b] * P[b][j] for a in range(4) for b in range(4))
-            for i in range(4)
-            for j in range(i + 1, 4)
-        }
-        cases.append((f"aff_r2~P{k}", TamedTriple.build(g, TwoForm.from_dict(4, pulled), J)))
-    aff = corpus["aff_r"]
-    g, J = direct_sum(aff2.algebra, aff2.J, aff.algebra, aff.J)
-    omega = dict(aff2.omega.coeffs)
-    omega.update({(i + 4, j + 4): c for (i, j), c in aff.omega.coeffs})
-    cases.append(("aff_r2+aff_r", TamedTriple.build(g, TwoForm.from_dict(6, omega), J)))
+    t = TamedTriple.build(aff2.algebra, aff2.omega, aff2.J)
+    cases += [(f"aff_r2~P{k}", conjugate_triple(t, random_basis_change(rng, 4))) for k in range(2)]
+    cases.append(("aff_r2+aff_r", aff_r2_plus(corpus["aff_r"])))
+    cases.append(("(aff_r2+aff_r2)~P", conjugate_triple(aff_r2_plus(aff2), random_basis_change(rng, 8))))
     return cases
 
 
@@ -166,14 +175,18 @@ def test_reduce_matches_subalgebra_quotient_reference(corpus):
         current = t
         for step in reduction_tower(t).steps:
             algebra, omega, J, section = reference_reduce(current, step.h)
-            assert step.reduced.algebra == algebra, name  # brackets and labels
-            assert step.reduced.omega == omega, name
-            assert step.reduced.J == J, name
+            red = step.reduced
+            assert red.algebra == algebra, name  # brackets and labels
+            assert red.algebra.basis_labels == algebra.basis_labels, name
+            # the integer forms reduce builds, against those cleared from the reference's Fractions
+            assert red.algebra._int_table == algebra._int_table, name
+            assert red.omega == omega and red.omega._ints == omega._ints, name
+            assert red.J == J and (red.J.ints, red.J.den) == (J.ints, J.den), name
             assert step.section_map == section, name
-            current = step.reduced
+            current = red
             steps += 1
         assert current.algebra.dim == 0, name
-    assert steps == 13 + 2 + 2 * 2 + 3
+    assert steps == 13 + 2 + 2 * 2 + 3 + 4
 
 
 def test_reduce_rejects_non_ideal():
