@@ -26,7 +26,6 @@ from .linalg import (
     Subspace,
     Vec,
     ZERO,
-    _echelon,
     _kernel,
     _primitive,
     all_roots_real,
@@ -36,7 +35,6 @@ from .linalg import (
     unit_vec,
     vec,
     vec_add,
-    zero_vec,
 )
 
 Brackets = Mapping[tuple[int, int], Mapping[int, Fraction]]
@@ -134,21 +132,6 @@ class LieAlgebra:
     def bracket_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         return {key: dict(comps) for key, comps in self.structure_constants}
 
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        """[e_i, e_j] as a coordinate vector."""
-        if i == j:
-            return zero_vec(self.dim)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        out = [ZERO] * self.dim
-        for key, comps in self.structure_constants:
-            if key == (i, j):
-                for k, c in comps:
-                    out[k] = sign * c
-                break
-        return tuple(out)
-
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         """[x, y] by bilinear expansion."""
         x = vec(x)
@@ -210,13 +193,12 @@ class LieAlgebra:
         return Subspace._span(self.dim, [_bracket_ints(table, x, y) for x, y in pairs])
 
     def _series(self, left: Subspace | None) -> list[Subspace]:
-        """g, [l, g], [l, [l, g]], ... until it stops shrinking; l is the last term when None."""
-        series = [Subspace.full(self.dim)]
-        while series[-1].dim:
-            nxt = self.bracket_subspaces(series[-1] if left is None else left, series[-1])
-            if nxt.dim == series[-1].dim:
-                break
+        """g, [g, g], [l, [g, g]], ... until it stops shrinking; l is the last term when None."""
+        series, nxt = [Subspace.full(self.dim)], self.derived_subalgebra()
+        while nxt.dim < series[-1].dim:
             series.append(nxt)
+            if nxt.dim:
+                nxt = self.bracket_subspaces(nxt if left is None else left, nxt)
         return series
 
     def derived_series(self) -> list[Subspace]:
@@ -328,10 +310,12 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, inside_derived: bool = Fals
     units = _units(n)
     if inside_derived:
         # Z cap D: the combinations y of D's rows d with [b, sum y_r d_r] = 0 for
-        # every row b of D, echeloned, so coordinates are read at the pivots
+        # every row b of D; canonical as the branch rows below are, with the
+        # pivots of D's rows at the kernel's free columns
         images = [[_bracket_ints(table, b, d) for d in derived.rows] for b in derived.rows]
-        kernel, _ = _kernel([[v[k] for v in row] for row in images for k in range(n)], derived.dim)
-        z, z_cols = _echelon([[sum(y * d[k] for y, d in zip(ys, derived.rows)) for k in range(n)] for ys in kernel])
+        kernel, free = _kernel([[v[k] for v in row] for row in images for k in range(n)], derived.dim)
+        z = [_primitive([sum(y * d[k] for y, d in zip(ys, derived.rows)) for k in range(n)]) for ys in kernel]
+        z_cols = [derived._pivots[f] for f in free]
     else:
         # Z: the kernel of the stacked c ad_b over the integer echelon rows b of D
         stacked = [row for b in derived.rows for row in _adjoint_ints(table, b)]

@@ -54,8 +54,8 @@ import numpy as np
 
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
-from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_integrable, leading_minors_positive, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, _cleared, _kernel, clear_denominators, solve
+from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, is_taming, taming_gram
+from .linalg import Mat, Subspace, Vec, ZERO, _cleared, _kernel, _symmetric, clear_denominators, leading_minors_positive, solve
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
@@ -400,7 +400,8 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
 
     Rounds c / max|c_i|, whose largest entry stays +-1, once by continued
     fractions at EXACTIFY_DENOMINATOR_BOUND and re-proves the Gram positive
-    definite with exact principal minors, else raises ExactificationFailed.
+    definite with exact principal minors (``is_taming``), else raises
+    ExactificationFailed.  The margin is the Gram's lambda_min over |q|.
     """
     c = np.asarray(c, dtype=float)
     top = float(np.max(np.abs(c)))
@@ -412,12 +413,11 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
         for key, v in b.coeffs:
             coeffs[key] = coeffs.get(key, ZERO) + qi * v
     omega = TwoForm.from_dict(p.algebra.dim, coeffs)
-    gram, d = _gram_ints(omega, p.J)  # d sum q_i S_i, as the Gram is linear in omega
-    if not leading_minors_positive(gram):
+    taming = is_taming(omega, p.J)  # the Gram of omega is sum q_i S_i, as the Gram is linear in omega
+    if not taming:
         raise ExactificationFailed("the rounded Gram is not exactly positive definite")
     norm = float(np.sqrt(sum(float(x) ** 2 for x in q)))
-    lam = float(np.linalg.eigvalsh(np.array([[x / d for x in row] for row in gram]))[0])
-    return omega, lam / norm
+    return omega, taming.margin / norm
 
 
 def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
@@ -456,22 +456,13 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     cert = [flat[i * n : (i + 1) * n] for i in range(n)]
     if not leading_minors_positive(cert):
         return None
-    return [[Fraction(v, e * f) for v in row] for row in cert], 0.0
+    return _symmetric(cert, e * f), 0.0
 
 
 def _rank_one_dual(v: Vec) -> Mat:
-    """v v^T / |v|^2, built as a a^T / |a|^2 from the integer numerators a of
-    v, one ``Fraction`` per entry (i, j), i <= j, stored at (j, i) as well."""
-    c = lcm(*(x.denominator for x in v))
-    a = [x.numerator * (c // x.denominator) for x in v]
-    norm = sum(x * x for x in a)
-    out = [[ZERO] * len(a) for _ in a]
-    for i, x in enumerate(a):
-        for j in range(i, len(a)):
-            y = x * a[j]
-            if y:
-                out[i][j] = out[j][i] = Fraction(y, norm)
-    return out
+    """v v^T / |v|^2, built as a a^T / |a|^2 from the integer numerators a of v."""
+    a = _cleared(v)[0]
+    return _symmetric([[x * y for y in a] for x in a], sum(x * x for x in a))
 
 
 def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:

@@ -34,6 +34,7 @@ from .linalg import (
     ONE,
     _cleared,
     _forward,
+    _symmetric,
     clear_denominators,
     frac,
     leading_minors_positive,
@@ -159,20 +160,20 @@ def three_form_triples(dim: int) -> list[tuple[int, int, int]]:
 
 
 def ce_d(g: LieAlgebra, form: OneForm | TwoForm) -> TwoForm | ThreeForm:
-    """Chevalley-Eilenberg differential on 1- and 2-forms."""
+    """Chevalley-Eilenberg differential on 1- and 2-forms, evaluating ``g.bracket`` on unit vectors."""
+    e = [unit_vec(g.dim, t) for t in range(g.dim)]
     if isinstance(form, OneForm):
         entries = {}
         for i, j in two_form_pairs(g.dim):
-            entries[(i, j)] = -form(g.bracket_basis(i, j))
+            entries[(i, j)] = -form(g.bracket(e[i], e[j]))
         return TwoForm.from_dict(g.dim, entries)
     if isinstance(form, TwoForm):
         entries = {}
         for i, j, k in three_form_triples(g.dim):
-            ei, ej, ek = (unit_vec(g.dim, t) for t in (i, j, k))
             val = (
-                -form(g.bracket_basis(i, j), ek)
-                + form(g.bracket_basis(i, k), ej)
-                - form(g.bracket_basis(j, k), ei)
+                -form(g.bracket(e[i], e[j]), e[k])
+                + form(g.bracket(e[i], e[k]), e[j])
+                - form(g.bracket(e[j], e[k]), e[i])
             )
             entries[(i, j, k)] = val
         return ThreeForm.from_dict(g.dim, entries)
@@ -338,15 +339,9 @@ def _gram_ints(omega: TwoForm, J: ComplexStructure) -> tuple[list[list[int]], in
 
 
 def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:
-    """Symmetric Gram matrix G(X,Y) = (Omega(X,JY) + Omega(Y,JX)) / 2, the view of
-    ``_gram_ints`` with one ``Fraction`` per entry (i, j), i <= j, stored at (j, i) as well."""
-    g, d = _gram_ints(omega, J)
-    gram = [[ZERO] * len(g) for _ in g]
-    for i, row in enumerate(g):
-        for j in range(i, len(g)):
-            if row[j]:
-                gram[i][j] = gram[j][i] = Fraction(row[j], d)
-    return gram
+    """Symmetric Gram matrix G(X,Y) = (Omega(X,JY) + Omega(Y,JX)) / 2, the
+    ``Fraction`` view (``linalg._symmetric``) of ``_gram_ints``."""
+    return _symmetric(*_gram_ints(omega, J))
 
 
 @dataclass(frozen=True)

@@ -262,15 +262,16 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1], scale)
 
 
-def leading_minors_positive(m: Sequence[Sequence[Fraction]]) -> bool:
-    """Every leading principal minor is positive: Sylvester's test for positive definiteness.
+def leading_minors_positive(m: Sequence[Sequence[int]]) -> bool:
+    """Every leading principal minor of an integer matrix is positive:
+    Sylvester's test for positive definiteness.
 
     Without pivoting, the k-th Bareiss pivot is the k-th leading minor of the
-    matrix with each row cleared of denominators and made primitive: positive
-    row scales keep each minor's sign, and primitive rows keep an integer Gram
-    d G (``forms._gram_ints``) as small as its ``Fraction`` view cleared.
+    matrix with each row made primitive: positive row scales keep each
+    minor's sign, and primitive rows keep an integer Gram d G
+    (``forms._gram_ints``) small.  A ``Fraction`` matrix is cleared first.
     """
-    a = [_primitive(_cleared(row)[0]) for row in m]
+    a = [_primitive(list(row)) for row in m]
     prev = 1
     for k in range(len(a)):
         if a[k][k] <= 0:
@@ -278,6 +279,17 @@ def leading_minors_positive(m: Sequence[Sequence[Fraction]]) -> bool:
         _bareiss_step(a, k, prev)
         prev = a[k][k]
     return True
+
+
+def _symmetric(m: Sequence[Sequence[int]], d: int) -> Mat:
+    """m / d for a symmetric integer matrix m, with one ``Fraction`` per nonzero
+    entry (i, j), i <= j, stored at (j, i) as well."""
+    out = [[ZERO] * len(m) for _ in m]
+    for i, row in enumerate(m):
+        for j in range(i, len(m)):
+            if row[j]:
+                out[i][j] = out[j][i] = Fraction(row[j], d)
+    return out
 
 
 def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:

@@ -13,6 +13,7 @@ import pytest
 
 import tamecert.algebra as algebra_mod
 import tamecert.feasibility as feas_mod
+import tamecert.forms as forms_mod
 from tamecert import (
     ExactificationFailed,
     Feasible,
@@ -33,8 +34,8 @@ from tamecert import (
 )
 from tamecert.algebra import scale_structure_constants, weight_spaces
 from tamecert.feasibility import DEGENERATE_MARGIN, EXACTIFY_DENOMINATOR_BOUND, DegeneracyDirection, FeasibilityConfig
-from tamecert.forms import ComplexStructure, _gram_ints, leading_minors_positive, taming_gram
-from tamecert.linalg import Subspace, identity, mat_inverse, mat_mul, solve
+from tamecert.forms import ComplexStructure, _gram_ints, taming_gram
+from tamecert.linalg import Subspace, clear_denominators, identity, leading_minors_positive, mat_inverse, mat_mul, solve
 from tamecert.pipeline import verdict_to_dict
 
 from conftest import (
@@ -53,6 +54,11 @@ F = Fraction
 # rounded to a taming form, and a float dual check is read up to DUAL_TOL
 MARGIN_TOL = 1e-7
 DUAL_TOL = 1e-8
+
+
+def positive_definite(m) -> bool:
+    """Sylvester's test on a Fraction matrix, cleared to ints first."""
+    return leading_minors_positive(clear_denominators(m)[0])
 
 
 def problem_for(dim, brackets):
@@ -464,7 +470,7 @@ def test_maximize_reaches_reference_on_conjugated_draws(corpus, name, k):
     assert feas_mod.PROJECTION_MARGIN < margin <= value + 1e-9
     for c in (solved, projected):
         omega, lam = exactify(p, c)
-        assert leading_minors_positive(taming_gram(omega, p.J)) and lam > 0
+        assert positive_definite(taming_gram(omega, p.J)) and lam > 0
 
 
 # --- exactification ---
@@ -477,7 +483,7 @@ def test_exactify_r4():
     assert omega.coeffs == (((0, 1), F(1)), ((2, 3), F(1)))
     assert lam == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     gram = taming_gram(omega, p.J)
-    assert leading_minors_positive(gram)
+    assert positive_definite(gram)
 
 
 def test_exactify_aff():
@@ -490,7 +496,8 @@ def test_exactify_aff():
 def test_exactify_fails_on_singular_optimum(monkeypatch):
     # on h3 + R the optimum margin is 0: the best Gram is PSD singular, and no
     # rounding of the optimizer makes it PD.  exactify rounds once, so one
-    # exact PD check decides (a ladder of four denominator bounds made four)
+    # exact PD check, the one in is_taming, decides (a ladder of four
+    # denominator bounds made four)
     # (c is read off the path: maximize_lambda_min returns c = 0 after the precheck's proof)
     p = problem_for(4, {(0, 1): {2: 1}})
     c = p.barrier_path[0][: p.size]
@@ -500,7 +507,7 @@ def test_exactify_fails_on_singular_optimum(monkeypatch):
         checks.append(1)
         return leading_minors_positive(m)
 
-    monkeypatch.setattr(feas_mod, "leading_minors_positive", counted)
+    monkeypatch.setattr(forms_mod, "leading_minors_positive", counted)
     with pytest.raises(ExactificationFailed):
         exactify(p, c)
     assert len(checks) == 1
@@ -571,7 +578,7 @@ def test_feasible_soundness(corpus):
         assert isinstance(v, Feasible), name
         assert ce_d(fx.algebra, v.omega).is_zero(), name  # exactly closed
         assert v.exact_pd, name
-        assert leading_minors_positive(taming_gram(v.omega, fx.J)), name
+        assert positive_definite(taming_gram(v.omega, fx.J)), name
 
 
 def test_infeasible_soundness(corpus):
@@ -639,7 +646,7 @@ def test_exact_dual_certificate_on_aff_r2(corpus, P):
     assert sum(dual[i][i] for i in range(4)) == 1
     for s in p.gram_basis:
         assert sum(s[i][j] * dual[i][j] for i in range(4) for j in range(4)) == 0
-    assert leading_minors_positive(dual)
+    assert positive_definite(dual)
     # the report renders the dual exactly
     assert [[F(x) for x in row] for row in verdict_to_dict(v)["dual"]] == dual
 
@@ -682,7 +689,7 @@ def test_dual_lane_runs_after_exactify_fails(corpus, monkeypatch):
     assert isinstance(v, Infeasible) and v.rank_one_direction is None
     assert v.best_primal == 1e-3
     assert all(isinstance(x, Fraction) for row in v.dual for x in row)
-    assert leading_minors_positive([list(row) for row in v.dual])
+    assert positive_definite(v.dual)
 
 
 # J = P J0 P^-1 on aff_r + aff_r2, where only the rounded dual iterate certifies
@@ -724,12 +731,12 @@ def test_dual_lane_needs_the_rounded_iterate(corpus):
     assert sum(dual[i][i] for i in range(6)) == 1
     for s in p.gram_basis:
         assert sum(s[i][j] * dual[i][j] for i in range(6) for j in range(6)) == 0
-    assert leading_minors_positive(dual)
+    assert positive_definite(dual)
     projection = exact_projection_of_identity(p)
     assert sum(projection[i][i] for i in range(6)) == 1
     for s in p.gram_basis:
         assert sum(s[i][j] * projection[i][j] for i in range(6) for j in range(6)) == 0
-    assert not leading_minors_positive(projection)
+    assert not positive_definite(projection)
 
 
 def test_dual_certificate_on_a_16_dim_sum_is_fast(corpus):
@@ -749,7 +756,7 @@ def test_dual_certificate_on_a_16_dim_sum_is_fast(corpus):
     elapsed = time.process_time() - start
     assert cert is not None and cert[1] == 0.0
     dual = cert[0]
-    assert sum(dual[i][i] for i in range(16)) == 1 and leading_minors_positive(dual)
+    assert sum(dual[i][i] for i in range(16)) == 1 and positive_definite(dual)
     for s in p.gram_basis:
         assert sum(s[i][j] * dual[i][j] for i in range(16) for j in range(16)) == 0
     assert elapsed < 0.5, f"dual_certificate took {elapsed:.2f} s"
@@ -936,7 +943,7 @@ def test_projection_lane_skips_the_solve(decided, structures):
             skipped += 1
         if isinstance(v, Feasible):
             assert ce_d(g, v.omega).is_zero(), name
-            assert leading_minors_positive(taming_gram(v.omega, J)), name
+            assert positive_definite(taming_gram(v.omega, J)), name
     assert skipped == sum(isinstance(v, Feasible) for v, _, _, _ in decided.values()) == 16
 
 
@@ -1022,7 +1029,7 @@ def test_projection_point_falls_back_to_the_solve(corpus, monkeypatch):
     assert isinstance(v, Feasible)
     assert len(tried) == 2 and np.array_equal(tried[0], projected)
     assert not np.array_equal(tried[1], projected)
-    assert ce_d(g, v.omega).is_zero() and leading_minors_positive(taming_gram(v.omega, J))
+    assert ce_d(g, v.omega).is_zero() and positive_definite(taming_gram(v.omega, J))
 
 
 def certificate_digest(v) -> str:

@@ -27,8 +27,8 @@ from tamecert import (
     standard_complex_structure,
     taming_gram,
 )
-from tamecert.forms import _complex_basis, _gram_ints, _nijenhuis_ints, d2_matrix, leading_minors_positive, two_form_pairs
-from tamecert.linalg import ONE, ZERO, det, mat_inverse, mat_mul, rank, unit_vec
+from tamecert.forms import _complex_basis, _gram_ints, _nijenhuis_ints, d2_matrix, two_form_pairs
+from tamecert.linalg import ONE, ZERO, det, leading_minors_positive, mat_inverse, mat_mul, rank, unit_vec
 from tamecert.reduction import TamedTriple
 
 from conftest import conjugate, direct_sum, is_compatible, random_basis_change, random_rational_vector
@@ -357,7 +357,7 @@ def test_taming_gram_matches_oracle(exact_items):
             ints, d = _gram_ints(omega, J)
             assert d == 2 * omega._ints[0] * J.den
             assert [[F(x, d) for x in row] for row in ints] == ref, name
-            assert leading_minors_positive(gram) == ref_leading_minors_positive(gram), name
+            assert leading_minors_positive(ints) == ref_leading_minors_positive(gram), name
             if k >= len(forms) - 3:  # the random forms, denominators up to 10^6
                 # derived, so outside ==, hash and repr; pickled with the form, rebuilt by scale
                 twin = TwoForm(omega.dim, omega.coeffs)

@@ -40,6 +40,7 @@ REMOVED_NAMES = [
     "mat_copy",
     "FeasibilityConfig",
     "nijenhuis",
+    "bracket_basis",
 ]
 
 
@@ -57,6 +58,7 @@ def test_public_surface():
     assert not hasattr(tamecert.Subspace, "standard_complement_positions")
     assert not hasattr(tamecert.Subspace, "reduce_vector")
     assert not hasattr(tamecert.LieAlgebra, "adjoint_of_basis")
+    assert not hasattr(tamecert.LieAlgebra, "bracket_basis")
     assert not hasattr(tamecert.TwoForm, "add")
     assert "complement_witness" not in {f.name for f in dataclasses.fields(tamecert.ReductionStep)}
     # decide has no tolerance knob: both certificate lanes re-prove exactly

@@ -35,7 +35,7 @@ from tamecert import (
 )
 from tamecert.cli import main as cli_main
 from tamecert.fixtures import MAX_FIXTURE_DIM
-from tamecert.linalg import is_zero_vec, mat_inverse, mat_mul
+from tamecert.linalg import is_zero_vec, mat_inverse, mat_mul, unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
 
 from conftest import CORPUS_NAMES, TAMED_NAMES
@@ -48,7 +48,7 @@ F = Fraction
 
 def test_parse_rationals_and_labels(corpus):
     fx = corpus["inoue_s0"]
-    assert fx.algebra.bracket_basis(2, 3) == (F(0), F(0), F(2), F(0))
+    assert fx.algebra.bracket(unit_vec(4, 2), unit_vec(4, 3)) == (F(0), F(0), F(2), F(0))
     assert fx.algebra.basis_labels == ("e1", "e2", "e3", "e4")
 
 
@@ -60,7 +60,7 @@ def test_parse_fraction_strings(tmp_path):
         "brackets": [{"i": 0, "j": 1, "v": {"1": "1/2"}}],
     }
     fx = parse_fixture(doc)
-    assert fx.algebra.bracket_basis(0, 1) == (F(0), F(1, 2))
+    assert fx.algebra.bracket(unit_vec(2, 0), unit_vec(2, 1)) == (F(0), F(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -228,47 +228,30 @@ def test_analyze_reduction_summary(corpus):
     }
 
 
-# charpoly and _echelon calls over one analyze of each corpus fixture: 26 and
-# 147 once complete solvability reads ad_{e_i} on [g, g] at its free columns
-# only, and an abelian g at once (31 fewer charpoly calls); 57 and
-# 147 once each weight space is built from its branch's canonical rows with
-# no echelon pass (23 fewer); 170 once _kernel returns the echelon form of the
-# kernel from one elimination
-# (nullspace and the precheck's radical no longer echelon its output), the
-# complex basis and Subspace.intersect read the forward pass only, and the
-# precheck builds [g, g] cap J[g, g] only after every weight space has missed;
-# 228 once each reduction step derives [g, g] once (13 fewer) and the complex
-# basis of each non-abelian integrability test is one _echelon (10 more); 231
-# when the precheck first sought its weight spaces inside Z cap [g, g] only (61
-# and 246 when it searched all of the centralizer Z of [g, g] and intersected
-# each weight space with [g, g]; 144 and 900 before weight spaces were sought
-# inside Z, the series and reduction used the integer bracket table, and each
-# exact flag was decided once)
+# calls over one analyze of each corpus fixture.  charpoly, 26: 17 for
+# complete solvability, which reads ad_{e_i} on [g, g] at its free columns
+# only and decides an abelian g at once, and 9 for the rational weights of
+# the precheck's and the reduction steps' weight-space searches.
 MAX_CHARPOLY_CALLS = 26
-MAX_ECHELON_CALLS = 147
-# clear_denominators calls over the same pass: 26 once reduce builds the
-# reduced J in its integer form, not through ComplexStructure.from_matrix (13
-# fewer), and charpoly runs 31 times fewer, each clearing one matrix
-# (16 of those on matrices that are not all zero); 55 once each TwoForm holds its
-# cleared coefficients and reduce and omega_perp read them (two fewer per
-# reduction step); 81 once the precheck reads the closed forms' coefficients
-# and leaves the integer Gram stack to dual_certificate, which no corpus
-# fixture reaches; 110 when that stack was
-# built per problem whenever the precheck searched a nonzero subspace (164
-# when the precheck and dual_certificate each cleared every Gram form
-# itself; 338 when every kernel cleared subspace bases and J.matrix again)
+# _echelon, 136: one per span and one per exact kernel; _kernel returns the
+# echelon form of its kernel, so nothing echelons a kernel's output again
+# (nullspace, the precheck's radical, the weight spaces and Z cap [g, g]),
+# and the complex basis and Subspace.intersect need the forward pass only.
+MAX_ECHELON_CALLS = 136
+# clear_denominators, 26: one per fixture's J as it is parsed and one per
+# charpoly of a nonzero matrix; reduce builds the reduced J from its integer
+# form, and the integer Gram stack is built only in dual_certificate, which
+# no corpus fixture reaches.
 MAX_CLEAR_DENOMINATORS_CALLS = 26
-# _cleared calls over the same pass: 125 once complete solvability makes 31
-# fewer Sturm root counts, each clearing one polynomial; 156 once nullspace skips all-zero rows and
-# Subspace tests integer vectors for membership uncleared (403 before; 1,191
-# when _echelon cleared every input row, 932 of them already ints)
-MAX_CLEARED_CALLS = 125
-# one derived series per fixture, inside is_completely_solvable (22 when
-# analyze also called is_solvable)
+# _cleared, 51: one per nonzero row of d on 2-forms in nullspace, one per
+# Sturm root count or rational root search, and one per rank-one dual;
+# leading_minors_positive takes integer rows, and membership tests read
+# integer vectors, so neither clears.
+MAX_CLEARED_CALLS = 51
+# one derived series per fixture, inside is_completely_solvable
 MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
 # one Nijenhuis test per fixture with J, read from the problem, plus one per
-# tamed triple, the input's and each reduced one's: 11 + 6 + 13 (41 when
-# analyze ran its own beside build_problem's)
+# tamed triple, the input's and each reduced one's: 11 + 6 + 13
 MAX_IS_INTEGRABLE_CALLS = 30
 
 

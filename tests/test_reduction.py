@@ -22,6 +22,7 @@ from tamecert import (
     standard_complex_structure,
 )
 from tamecert.forms import ce_d, closed_two_forms, two_form_pairs
+from tamecert.linalg import unit_vec
 
 from conftest import TAMED_NAMES, conjugate, direct_sum, is_compatible, random_basis_change, reference_reduce
 
@@ -97,7 +98,7 @@ def test_reduce_aff_r2():
     assert red.algebra.dim == 2
     assert red.verified
     # the quotient is an aff(R) copy with omega = h2 ^ x2 and the standard J
-    assert red.algebra.bracket_basis(0, 1) == (F(0), F(1))
+    assert red.algebra.bracket(unit_vec(2, 0), unit_vec(2, 1)) == (F(0), F(1))
     assert red.omega.coeffs == (((0, 1), F(1)),)
     assert red.J.matrix == ((F(0), F(-1)), (F(1), F(0)))
     assert t.algebra.is_subalgebra(step.perp)
