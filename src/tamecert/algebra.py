@@ -153,6 +153,8 @@ class LieAlgebra:
 
     def check_jacobi(self) -> None:
         _, table = _cleared_brackets(self)
+        if not table:
+            return
         units = _units(self.dim)
         for i, j, k in combinations(range(self.dim), 3):
             a, b, c = units[i], units[j], units[k]
@@ -209,7 +211,11 @@ class LieAlgebra:
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of the nonzero brackets [e_i, e_j], read off the integer table."""
-        rows = [[dict(comps).get(k, 0) for k in range(self.dim)] for comps in _cleared_brackets(self)[1].values()]
+        rows = []
+        for comps in _cleared_brackets(self)[1].values():
+            rows.append([0] * self.dim)
+            for k, x in comps:
+                rows[-1][k] = x
         return Subspace._span(self.dim, rows)
 
     def is_solvable(self) -> bool:
@@ -220,7 +226,7 @@ class LieAlgebra:
 
     def is_ideal(self, h: Subspace) -> bool:
         _, table = _cleared_brackets(self)
-        return all(h._contains_ints(_bracket_ints(table, e, b)) for e in _units(self.dim) for b in h.rows)
+        return not table or all(h._contains_ints(_bracket_ints(table, e, b)) for e in _units(self.dim) for b in h.rows)
 
     def is_subalgebra(self, s: Subspace) -> bool:
         _, table = _cleared_brackets(self)
@@ -290,7 +296,9 @@ def weight_spaces(g: LieAlgebra) -> list[Subspace]:
     for each one, over the rational eigenvalues mu of c ad_{e_i} on Z (c the
     common denominator of the structure constants), taking in each branch W
     the kernel of (c ad_{e_i} - mu) W.  An operator that vanishes on a
-    branch keeps it, at weight 0, without a characteristic polynomial.
+    branch keeps it, at weight 0, without a characteristic polynomial.  Each
+    c lambda(e_i) is a rational eigenvalue of the integer matrix c ad_{e_i},
+    so an integer, and the branches sort by these integer weight vectors.
     """
     return _weight_spaces(g, g.derived_subalgebra())
 
@@ -332,22 +340,24 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, inside_derived: bool = Fals
                 nxt.append((mus + (0,), rows))
                 continue
             if roots is None:
-                # column j of the restriction: the coordinates of c [e_i, z_j], read at z's free columns
+                # column j of the restriction: c [e_i, z_j] read at z's free columns, times s for
+                # ints; its roots s mu are integers, each mu an eigenvalue of the integer c ad_{e_i}
                 zimg = images if rows is z else [_bracket_ints(table, units[i], w) for w in z]
-                roots = rational_roots(charpoly([[Fraction(v[f], w[f]) for v in zimg] for w, f in zip(z, z_cols)]))
+                s = lcm(*(w[f] for w, f in zip(z, z_cols)))
+                scaled = [[v[f] * (s // w[f]) for v in zimg] for w, f in zip(z, z_cols)]
+                roots = [r.numerator // s for r in rational_roots(charpoly(scaled))]
             for mu in roots:
-                p, q = mu.numerator, mu.denominator
-                shifted = [[q * v[r] - p * w[r] for v, w in zip(images, rows)] for r in range(n)]
+                shifted = [[v[r] - mu * w[r] for v, w in zip(images, rows)] for r in range(n)]
                 kernel, _ = _kernel(shifted, len(rows))
                 if kernel:
                     combos = [[sum(y * w[k] for y, w in zip(ys, rows)) for k in range(n)] for ys in kernel]
                     nxt.append((mus + (mu,), [_primitive(v) for v in combos]))
         branches = nxt
 
-    def weight(mus: tuple) -> list:  # c lambda(e_1), ..., c lambda(e_n)
+    def weight(mus: tuple) -> list[int]:  # c lambda(e_1), ..., c lambda(e_n), integers as the mus are
         lam = dict(zip(free, mus))
         for row, p in zip(derived.rows, pivots):
-            lam[p] = Fraction(-sum(row[f] * lam[f] for f in free), row[p])
+            lam[p] = -sum(row[f] * lam[f] for f in free) // row[p]
         return [lam[i] for i in range(n)]
 
     if len(branches) > 1:

@@ -55,7 +55,7 @@ import numpy as np
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, is_taming, taming_gram
-from .linalg import Mat, Subspace, Vec, ZERO, _cleared, _kernel, _symmetric, clear_denominators, leading_minors_positive, solve
+from .linalg import Mat, Subspace, Vec, _cleared, _kernel, _symmetric, clear_denominators, leading_minors_positive, solve
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
@@ -399,20 +399,25 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     """Round optimizer coefficients to an exact closed form with a PD Gram.
 
     Rounds c / max|c_i|, whose largest entry stays +-1, once by continued
-    fractions at EXACTIFY_DENOMINATOR_BOUND and re-proves the Gram positive
-    definite with exact principal minors (``is_taming``), else raises
-    ExactificationFailed.  The margin is the Gram's lambda_min over |q|.
+    fractions at EXACTIFY_DENOMINATOR_BOUND, sums q_i B_i in ints over one
+    common denominator from each form's ``TwoForm._ints``, builds omega once
+    from that sum, and re-proves its Gram positive definite with exact
+    principal minors (``is_taming``), else raises ExactificationFailed.  The
+    margin is the Gram's lambda_min over |q|.
     """
     c = np.asarray(c, dtype=float)
     top = float(np.max(np.abs(c)))
     if top == 0.0:
         raise ExactificationFailed("zero coefficient vector")
     q = [Fraction(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in c / top]
+    # d sum q_i B_i in ints, B_i = W_i / w_i (``TwoForm._ints``), d the lcm of the w_i q_i.denominator
+    d = lcm(*(qi.denominator * b._ints[0] for qi, b in zip(q, p.z2_basis)))
     coeffs = {}
     for qi, b in zip(q, p.z2_basis):
-        for key, v in b.coeffs:
-            coeffs[key] = coeffs.get(key, ZERO) + qi * v
-    omega = TwoForm.from_dict(p.algebra.dim, coeffs)
+        f = qi.numerator * (d // (qi.denominator * b._ints[0]))
+        for key, x in b._ints[1]:
+            coeffs[key] = coeffs.get(key, 0) + f * x
+    omega = TwoForm(p.algebra.dim, tuple((key, Fraction(x, d)) for key, x in sorted(coeffs.items()) if x))
     taming = is_taming(omega, p.J)  # the Gram of omega is sum q_i S_i, as the Gram is linear in omega
     if not taming:
         raise ExactificationFailed("the rounded Gram is not exactly positive definite")

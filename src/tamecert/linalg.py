@@ -14,16 +14,18 @@ elimination, with the columns reversed.  ``det`` and
 ``charpoly`` runs Faddeev-LeVerrier on the integer matrix d*A.  The root
 functions take one Sturm chain of primitive integer polynomials, with no
 squarefree part: it counts the distinct real and complex roots, and a Sturm
-bisection finds the rational roots.  Fractions are built once, from the
-final integers.  A subspace is stored as the integer rows ``_echelon``
-returns, unique per subspace, so equality of subspaces is equality of rows.
+bisection finds the rational roots of a factor of degree 3 or more; one of
+degree 1 or 2 is solved directly, with ``isqrt`` of the discriminant.
+Fractions are built once, from the final integers.  A subspace is stored as
+the integer rows ``_echelon`` returns, unique per subspace, so equality of
+subspaces is equality of rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -452,9 +454,11 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
 
     With p cleared to integers, a factor t^k gives the root 0 and is divided
     out, so that the Sturm chain is built for the rest, a_0, ..., a_d with
-    a_0 != 0; if d = 1 its root is -a_0 / a_1, with no chain.  Otherwise the
-    substitution s = a_d t turns a_d^(d-1) times it into a monic integer
-    polynomial, whose integer roots s give the roots s / a_d.
+    a_0 != 0; if d = 1 its root is -a_0 / a_1, and if d = 2 its roots are
+    (-a_1 +- r) / (2 a_2) when the discriminant is a square r^2 (``isqrt``),
+    with no chain.  Otherwise the substitution s = a_d t turns a_d^(d-1)
+    times it into a monic integer polynomial, whose integer roots s give the
+    roots s / a_d.
     """
     q = _integer_poly(p)
     if len(q) < 2:
@@ -466,6 +470,10 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
         return zero
     if len(q) == 2:
         return sorted(zero + [Fraction(-q[0], q[1])])
+    if len(q) == 3:
+        disc = q[1] ** 2 - 4 * q[0] * q[2]
+        r = isqrt(max(disc, 0))
+        return sorted(zero + [Fraction(-q[1] + x, 2 * q[2]) for x in {r, -r}]) if r * r == disc else zero
     lead, deg = q[-1], len(q) - 1
     monic = [c * lead ** (deg - 1 - i) for i, c in enumerate(q[:-1])] + [1]
     return sorted(zero + [Fraction(s, lead) for s in _integer_roots(monic)])

@@ -17,6 +17,9 @@ integer table.  W u and J'u are formed once per kept vector u, from the
 nonzero entries, and zero brackets are skipped.  The reduced brackets, Omega
 and J = ints / den are built straight from those ints, with no re-clearing
 ``from_*`` pass; Jacobi and J^2 = -I are still checked on the result.
+An empty bracket table decides what it can at once: the ideal chosen is
+e_1's line, every 2-form is closed, and Jacobi and the ideal test pass, so
+an abelian step runs neither the weight search nor d on 2-forms.
 """
 
 from __future__ import annotations
@@ -65,13 +68,16 @@ class TamedTriple:
     def build_unverified(cls, algebra: LieAlgebra, omega: TwoForm, J: ComplexStructure) -> "TamedTriple":
         """The triple with its three flags, none raised on, decided in ints:
         d Omega = 0 from ``TwoForm._ints`` against c d2 read off the integer
-        bracket table (``forms._d2_ints``), taming on ``forms._gram_ints``."""
+        bracket table (``forms._d2_ints``), taming on ``forms._gram_ints``.
+        On an empty table every 2-form is closed, and no d2 is built."""
         if omega.dim != algebra.dim or J.dim != algebra.dim:
             raise TripleVerificationError(["dimension mismatch"])
-        _, rows, pairs, _ = _d2_ints(algebra)
-        column = {pair: k for k, pair in enumerate(pairs)}
-        coeffs = [(column[key], x) for key, x in omega._ints[1]]  # w Omega
-        closed = not any(sum(row[k] * x for k, x in coeffs) for row in rows)
+        closed = algebra.is_abelian()
+        if not closed:
+            _, rows, pairs, _ = _d2_ints(algebra)
+            column = {pair: k for k, pair in enumerate(pairs)}
+            coeffs = [(column[key], x) for key, x in omega._ints[1]]  # w Omega
+            closed = not any(sum(row[k] * x for k, x in coeffs) for row in rows)
         integrable = is_integrable(algebra, J)
         taming = leading_minors_positive(_gram_ints(omega, J)[0])
         return cls(algebra, omega, J, closed, integrable, taming)
@@ -102,10 +108,15 @@ def find_isotropic_ideal(t: TamedTriple) -> Subspace:
 
     Every line is isotropic for an alternating form, so any 1-dimensional
     ideal qualifies.  [g, g] is derived once, for the weight spaces and for
-    the preference test.
+    the preference test.  On an empty bracket table every line is a weight-0
+    ideal and none lies in [g, g] = 0, so the line of e_1, first in that
+    order, is returned with no search.
     """
-    derived = t.algebra.derived_subalgebra()
-    lines = _one_dim_ideals(t.algebra, derived)
+    g = t.algebra
+    if g.is_abelian() and g.dim:
+        return Subspace(g.dim, (tuple(int(i == 0) for i in range(g.dim)),), (0,))
+    derived = g.derived_subalgebra()
+    lines = _one_dim_ideals(g, derived)
     if not lines:
         raise NoOneDimIdeal(
             "no rational invariant line; the algebra is either not completely "

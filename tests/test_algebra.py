@@ -19,7 +19,7 @@ from tamecert import (
     reduction_tower,
     weight_spaces,
 )
-from tamecert.algebra import _adjoint_ints, _cleared_brackets, _units, _weight_spaces, scale_structure_constants
+from tamecert.algebra import _adjoint_ints, _bracket_ints, _cleared_brackets, _units, _weight_spaces, scale_structure_constants
 from tamecert.linalg import all_roots_real, charpoly, unit_vec
 
 from conftest import (
@@ -311,6 +311,35 @@ def test_weight_spaces_and_series_match_reference(corpus, exact_items):
         assert g.lower_central_series() == reference_series(g, lower=True), name
         with_weights += len(spaces) > 1
     assert with_weights >= 10  # the order of several weight spaces is compared too
+
+
+def fraction_weight(g: LieAlgebra, space: Subspace) -> list[Fraction]:
+    """c lambda(e_1), ..., c lambda(e_n) of a weight space as Fractions,
+    c [e_i, x] / x at a pivot of x: the reference for the integer key the
+    weight search sorts its branches by."""
+    _, table = _cleared_brackets(g)
+    x, p = space.rows[0], space.pivots()[0]
+    return [Fraction(_bracket_ints(table, e, x)[p], x[p]) for e in _units(g.dim)]
+
+
+def test_weight_spaces_sort_as_fraction_weights(corpus, exact_items):
+    # the search sorts its branches by integer weight vectors; they must order
+    # the spaces as the Fraction weight vectors do, inside [g, g] too.  The
+    # last two algebras have the weights 1/2, 1/3 and -5/6 at e_1 on three
+    # lines, the second in a dense basis where every pivot entry of [g, g] is 2
+    thirds = LieAlgebra.from_brackets(4, {(0, 1): {1: F(1, 2)}, (0, 2): {2: F(1, 3)}, (0, 3): {3: F(-5, 6)}})
+    dense = conjugate(thirds, random_basis_change(random.Random(99), 4))[0]
+    assert [fraction_weight(thirds, s)[0] for s in weight_spaces(thirds)] == [-5, 2, 3]  # c = 6
+    assert {row[p] for row, p in zip(dense.derived_subalgebra().rows, dense.derived_subalgebra().pivots())} == {2}
+    algebras = oracle_algebras(corpus, exact_items) + [("thirds", thirds), ("thirds~Q", dense)]
+    ordered = 0
+    for name, g in filter(lambda item: item[1].dim, algebras):
+        derived = g.derived_subalgebra()
+        for spaces in (weight_spaces(g), _weight_spaces(g, derived, inside_derived=True)):
+            weights = [fraction_weight(g, s) for s in spaces]
+            assert weights == sorted(weights) and len(set(map(tuple, weights))) == len(weights), name
+            ordered += len(spaces) > 2
+    assert ordered >= 6
 
 
 def ref_complete_solvability(g: LieAlgebra) -> tuple[bool, int | None]:

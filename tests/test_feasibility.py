@@ -40,6 +40,7 @@ from tamecert.pipeline import verdict_to_dict
 
 from conftest import (
     CORPUS_NAMES,
+    NON_ABELIAN_NAMES,
     conjugate,
     direct_sum,
     pool_draw,
@@ -491,6 +492,31 @@ def test_exactify_aff():
     c, _ = maximize_lambda_min(p)
     omega, _ = exactify(p, c)
     assert omega.coeffs == (((0, 1), F(1)),)
+
+
+def test_exactify_form_matches_fraction_sum(corpus, monkeypatch):
+    # exactify sums q_i B_i in ints over one common denominator and builds omega
+    # once; the reference is TwoForm.from_dict of the Fraction sum, on every
+    # Feasible corpus fixture and conjugated benchmark draw
+    checked = []
+
+    def checked_exactify(p, c):
+        omega, lam = exactify(p, c)
+        q = [F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in c / np.max(np.abs(c))]
+        coeffs = {}
+        for qi, b in zip(q, p.z2_basis):
+            for key, v in b.coeffs:
+                coeffs[key] = coeffs.get(key, F(0)) + qi * v
+        reference = TwoForm.from_dict(p.algebra.dim, coeffs)
+        assert repr(omega) == repr(reference) and omega._ints == reference._ints
+        checked.append(omega)
+        return omega, lam
+
+    monkeypatch.setattr(feas_mod, "exactify", checked_exactify)
+    inputs = [(fx.algebra, fx.J) for fx in corpus.values() if fx.J is not None]
+    inputs += [pool_draw(corpus, name, k) for name in NON_ABELIAN_NAMES for k in range(2)]
+    feasible = [v for v in (decide(g, J) for g, J in inputs) if isinstance(v, Feasible)]
+    assert [v.omega for v in feasible] == checked and len(checked) >= 10
 
 
 def test_exactify_fails_on_singular_optimum(monkeypatch):

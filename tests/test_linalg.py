@@ -534,3 +534,43 @@ def test_rational_roots_linear_remainder_matches_bisection(seed, monkeypatch):
     monkeypatch.setattr(linalg_mod, "_integer_roots", lambda q: pytest.fail("bisected a linear remainder"))
     for p, roots in linear:
         assert rational_roots(p) == roots
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_roots_quadratic_remainder_matches_bisection(seed, monkeypatch):
+    # c t^k (a_2 t^2 + a_1 t + a_0): once t^k is divided out the roots come from
+    # isqrt of the discriminant, with no Sturm chain
+    rng = random.Random(seed)
+
+    def rational():
+        return F(rng.randint(-10**3, 10**3), rng.randint(1, 50))
+
+    def shifted(q):  # c t^k q
+        c, k = F(rng.choice([-7, -1, 1, 3]), rng.choice([1, 2, 5])), rng.randint(0, 4)
+        return [F(0)] * k + [c * x for x in q], {F(0)} if k else set()
+
+    quadratics = []
+    for _ in range(20):
+        a, b = rational(), rational()
+        big = rng.randint(10**6 - 10, 10**6 + 10)
+        u, x = rng.randint(990, 1010), rng.randint(990, 1010)
+        v, y = rng.randint(-10**3, 10**3), rng.randint(-10**3, 10**3)
+        for q, roots in (
+            (poly_from_roots(a, b), {a, b}),  # two rational roots
+            (poly_from_roots(a, a), {a}),  # a double root
+            ([F(big), F(rng.randint(-big, big)), F(big)], set()),  # a negative discriminant
+            ([F(big * big + rng.randint(1, 2 * big)), F(0), F(-1)], set()),  # a positive non-square one
+            (poly_mul([F(-v), F(u)], [F(-y), F(x)]), {F(v, u), F(y, x)}),  # coefficients near 10^6
+            ([F(rng.randint(1, big)), F(rng.randint(-2 * big, 2 * big)), F(big)], None),  # the same size, roots not known beforehand
+        ):
+            if q[0] == 0:  # a root at 0 leaves a linear remainder
+                continue
+            p, zero = shifted(q)
+            quadratics.append((p, None if roots is None else sorted(roots | zero)))
+    expected = [bisection_rational_roots(p) for p, _ in quadratics]
+    for (p, roots), bisected in zip(quadratics, expected):
+        assert rational_roots(p) == bisected
+        assert roots is None or bisected == roots
+    # the quadratic remainders never reach the bisection
+    monkeypatch.setattr(linalg_mod, "_integer_roots", lambda q: pytest.fail("bisected a quadratic remainder"))
+    assert [rational_roots(p) for p, _ in quadratics] == expected

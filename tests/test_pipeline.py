@@ -233,11 +233,12 @@ def test_analyze_reduction_summary(corpus):
 # only and decides an abelian g at once, and 9 for the rational weights of
 # the precheck's and the reduction steps' weight-space searches.
 MAX_CHARPOLY_CALLS = 26
-# _echelon, 136: one per span and one per exact kernel; _kernel returns the
+# _echelon, 126: one per span and one per exact kernel; _kernel returns the
 # echelon form of its kernel, so nothing echelons a kernel's output again
 # (nullspace, the precheck's radical, the weight spaces and Z cap [g, g]),
-# and the complex basis and Subspace.intersect need the forward pass only.
-MAX_ECHELON_CALLS = 136
+# and the complex basis and Subspace.intersect need the forward pass only;
+# an abelian tower step derives no [g, g].
+MAX_ECHELON_CALLS = 126
 # clear_denominators, 26: one per fixture's J as it is parsed and one per
 # charpoly of a nonzero matrix; reduce builds the reduced J from its integer
 # form, and the integer Gram stack is built only in dual_certificate, which
@@ -253,17 +254,27 @@ MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
 # one Nijenhuis test per fixture with J, read from the problem, plus one per
 # tamed triple, the input's and each reduced one's: 11 + 6 + 13
 MAX_IS_INTEGRABLE_CALLS = 30
+# _d2_ints, 14: one per fixture's closed basis, and one per tamed triple with
+# brackets (aff_r's, aff_r2's and its first reduced one): 11 + 3; an abelian
+# triple is closed without d on 2-forms
+MAX_D2_INTS_CALLS = 14
+# _weight_spaces, 14: one per fixture's precheck, and one per tower step on an
+# algebra with brackets (aff_r's one, aff_r2's two): 11 + 3; an abelian step
+# takes e_1's line with no search
+MAX_WEIGHT_SPACES_CALLS = 14
 
 
 def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
-    counts = {name: 0 for name in ("charpoly", "_echelon", "clear_denominators", "_cleared", "is_integrable", "derived_series")}
+    names = ("charpoly", "_echelon", "clear_denominators", "_cleared", "is_integrable", "_d2_ints", "_weight_spaces", "derived_series")
+    counts = {name: 0 for name in names}
     homes = [(tamecert.linalg, name) for name in ("charpoly", "_echelon", "clear_denominators", "_cleared")]
-    for home, name in homes + [(tamecert.forms, "is_integrable")]:
+    homes += [(tamecert.forms, "is_integrable"), (tamecert.forms, "_d2_ints"), (tamecert.algebra, "_weight_spaces")]
+    for home, name in homes:
         original = getattr(home, name)
 
-        def counted(*args, _original=original, _name=name):
+        def counted(*args, _original=original, _name=name, **kwargs):
             counts[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         modules = (tamecert.linalg, tamecert.algebra, tamecert.forms, tamecert.feasibility, tamecert.reduction, pipeline_mod)
         for module in modules:
@@ -297,6 +308,8 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
     assert 0 < first_total["clear_denominators"] <= MAX_CLEAR_DENOMINATORS_CALLS
     assert 0 < first_total["_cleared"] <= MAX_CLEARED_CALLS, first_total["_cleared"]
     assert 0 < first_total["is_integrable"] <= MAX_IS_INTEGRABLE_CALLS
+    assert 0 < first_total["_d2_ints"] <= MAX_D2_INTS_CALLS, first_total["_d2_ints"]
+    assert 0 < first_total["_weight_spaces"] <= MAX_WEIGHT_SPACES_CALLS, first_total["_weight_spaces"]
     assert 0 < first_total["derived_series"] <= MAX_DERIVED_SERIES_CALLS
 
 

@@ -21,7 +21,9 @@ from tamecert import (
     reduction_tower,
     standard_complex_structure,
 )
-from tamecert.forms import ce_d, closed_two_forms, two_form_pairs
+import tamecert.reduction as reduction_mod
+from tamecert.algebra import _one_dim_ideals
+from tamecert.forms import _d2_ints, ce_d, closed_two_forms, two_form_pairs
 from tamecert.linalg import unit_vec
 
 from conftest import TAMED_NAMES, conjugate, direct_sum, is_compatible, random_basis_change, reference_reduce
@@ -291,3 +293,40 @@ def test_closed_flag_matches_ce_d(corpus):
             assert closed == ce_d(g, omega).is_zero(), name
             seen.append(closed)
     assert seen.count(False) >= 10 and seen.count(True) >= 10
+
+
+def test_abelian_isotropic_ideal_matches_the_general_rule(monkeypatch):
+    # on an empty bracket table find_isotropic_ideal returns e_1's line with no
+    # weight search; the general rule is the first line of one_dim_ideals in
+    # [g, g], else the first line
+    def general_rule(g):
+        derived = g.derived_subalgebra()
+        lines = _one_dim_ideals(g, derived)
+        return next((line for line in lines if derived.contains(line)), lines[0])
+
+    expected = {n: general_rule(kaehler_triple(n).algebra) for n in range(2, 17, 2)}
+    monkeypatch.setattr(reduction_mod, "_one_dim_ideals", lambda *a: pytest.fail("searched an abelian algebra"))
+    for n, line in expected.items():
+        h = find_isotropic_ideal(kaehler_triple(n))
+        assert (h, h.pivots()) == (line, line.pivots()), n
+
+
+def test_abelian_closed_flag_matches_d2(monkeypatch):
+    # on an empty bracket table build_unverified sets closed without building
+    # d on 2-forms; the reference is the _d2_ints dot product it skips.  A
+    # dense omega and its negative, at most one of which tames J, are closed too
+    def d2_closed(g, omega):
+        _, rows, pairs, _ = _d2_ints(g)
+        column = {pair: k for k, pair in enumerate(pairs)}
+        return not any(sum(row[column[key]] * x for key, x in omega._ints[1]) for row in rows)
+
+    rng = random.Random(61)
+    dense = TwoForm.from_dict(6, {pair: F(rng.randint(1, 9), rng.randint(1, 4)) for pair in two_form_pairs(6)})
+    triples = [(t.algebra, t.omega, t.J) for t in map(kaehler_triple, (2, 4, 6, 8))]
+    triples += [(LieAlgebra.from_brackets(6, {}), form, standard_complex_structure(6)) for form in (dense, dense.scale(-1))]
+    expected = [d2_closed(g, omega) for g, omega, _ in triples]
+    assert dense.coeffs and all(expected)
+    monkeypatch.setattr(reduction_mod, "_d2_ints", lambda g: pytest.fail("built d2 on an abelian algebra"))
+    for (g, omega, J), closed in zip(triples, expected):
+        t = TamedTriple.build_unverified(g, omega, J)
+        assert t.closed == closed and t.integrable
