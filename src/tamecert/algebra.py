@@ -299,6 +299,9 @@ def weight_spaces(g: LieAlgebra) -> list[Subspace]:
     branch keeps it, at weight 0, without a characteristic polynomial.  Each
     c lambda(e_i) is a rational eigenvalue of the integer matrix c ad_{e_i},
     so an integer, and the branches sort by these integer weight vectors.
+    A branch of one row w needs no eigenvalue and no kernel either: every
+    branch is invariant under each ad_{e_i}, as they commute on Z, so w is
+    an eigenvector and its weight is c [e_i, w]_q / w_q at any q with w_q != 0.
     """
     return _weight_spaces(g, g.derived_subalgebra())
 
@@ -310,6 +313,9 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, inside_derived: bool = Fals
     returns the nonzero (weight space cap D), with the same weights in the
     same order: Z cap D is an ideal, so its joint eigenspaces are those
     intersections, and each characteristic polynomial is at most dim D.
+    When D is abelian it lies in its own centralizer, so Z cap D is D, taken
+    as D's rows with no kernel; this is read off the brackets [b, d] of D's
+    rows, which the kernel would take anyway.
     """
     n = g.dim
     if not n:
@@ -319,11 +325,14 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, inside_derived: bool = Fals
     if inside_derived:
         # Z cap D: the combinations y of D's rows d with [b, sum y_r d_r] = 0 for
         # every row b of D; canonical as the branch rows below are, with the
-        # pivots of D's rows at the kernel's free columns
+        # pivots of D's rows at the kernel's free columns; an abelian D is its own Z cap D
         images = [[_bracket_ints(table, b, d) for d in derived.rows] for b in derived.rows]
-        kernel, free = _kernel([[v[k] for v in row] for row in images for k in range(n)], derived.dim)
-        z = [_primitive([sum(y * d[k] for y, d in zip(ys, derived.rows)) for k in range(n)]) for ys in kernel]
-        z_cols = [derived._pivots[f] for f in free]
+        if any(any(v) for row in images for v in row):
+            kernel, free = _kernel([[v[k] for v in row] for row in images for k in range(n)], derived.dim)
+            z = [_primitive([sum(y * d[k] for y, d in zip(ys, derived.rows)) for k in range(n)]) for ys in kernel]
+            z_cols = [derived._pivots[f] for f in free]
+        else:
+            z, z_cols = [list(d) for d in derived.rows], derived._pivots
     else:
         # Z: the kernel of the stacked c ad_b over the integer echelon rows b of D
         stacked = [row for b in derived.rows for row in _adjoint_ints(table, b)]
@@ -338,6 +347,11 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, inside_derived: bool = Fals
             images = [_bracket_ints(table, units[i], w) for w in rows]
             if not any(map(any, images)):
                 nxt.append((mus + (0,), rows))
+                continue
+            if len(rows) == 1:  # a line kept by ad_{e_i}: its weight is c [e_i, w]_q / w_q at a nonzero w_q
+                (w,), (v,) = rows, images
+                q = next(k for k, x in enumerate(w) if x)
+                nxt.append((mus + (v[q] // w[q],), rows))
                 continue
             if roots is None:
                 # column j of the restriction: c [e_i, z_j] read at z's free columns, times s for

@@ -55,7 +55,7 @@ import numpy as np
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, is_taming, taming_gram
-from .linalg import Mat, Subspace, Vec, _cleared, _kernel, _symmetric, clear_denominators, leading_minors_positive, solve
+from .linalg import ZERO, Mat, Subspace, Vec, _cleared, _kernel, _symmetric, clear_denominators, leading_minors_positive, solve
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
@@ -203,7 +203,9 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     the closed Gram forms restricted to W is one exact kernel (``_kernel``)
     of the w x w Grams 2 den G_i(b_s, b_t) = B_i(b_s, J' b_t) + B_i(b_t, J' b_s),
     J' = den J, read off each closed form's integer coefficients, with no
-    n x n Gram; any nonzero v in it has B(v, Jv) = 0 for every closed B.  The
+    n x n Gram; any nonzero v in it has B(v, Jv) = 0 for every closed B.  On
+    a line, w = 1, the Grams are 1 x 1 and no kernel is taken: the radical is
+    the line when every one of them is 0, and 0 otherwise.  The
     radical transforms with a basis change, so whether the precheck hits does
     not depend on the basis.  The search runs once per problem
     (FeasibilityProblem.degeneracy_direction).
@@ -240,7 +242,10 @@ def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
             wedge = [x[i] * jy[j] - x[j] * jy[i] + y[i] * jx[j] - y[j] * jx[i] for i, j in keys]
             for gram, form in zip(grams, forms):
                 gram[s][t] = gram[t][s] = sum(c * wedge[k] for k, c in form)
-        radical, radical_pivots = _kernel([row for gram in grams for row in gram], w.dim)
+        if w.dim == 1:  # the line is its own radical when every 1 x 1 Gram is 0, and else the radical is 0
+            radical, radical_pivots = ([] if any(gram[0][0] for gram in grams) else [[1]]), [0]
+        else:
+            radical, radical_pivots = _kernel([row for gram in grams for row in gram], w.dim)
         if radical:
             # the first reduced-echelon radical vector, radical[0] / its pivot, times b / scale
             den = radical[0][radical_pivots[0]] * scale
@@ -399,21 +404,25 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     """Round optimizer coefficients to an exact closed form with a PD Gram.
 
     Rounds c / max|c_i|, whose largest entry stays +-1, once by continued
-    fractions at EXACTIFY_DENOMINATOR_BOUND, sums q_i B_i in ints over one
-    common denominator from each form's ``TwoForm._ints``, builds omega once
-    from that sum, and re-proves its Gram positive definite with exact
-    principal minors (``is_taming``), else raises ExactificationFailed.  The
-    margin is the Gram's lambda_min over |q|.
+    fractions at EXACTIFY_DENOMINATOR_BOUND; an entry that is exactly 0.0
+    is 0, as that rounding would give, with no continued fraction.  Sums the
+    nonzero q_i B_i in ints over one common denominator from each form's
+    ``TwoForm._ints`` (omega's reduced Fractions do not depend on which),
+    builds omega once from that sum, and re-proves its Gram positive
+    definite with exact principal minors (``is_taming``), else raises
+    ExactificationFailed.  The margin is the Gram's lambda_min over |q|.
     """
     c = np.asarray(c, dtype=float)
     top = float(np.max(np.abs(c)))
     if top == 0.0:
         raise ExactificationFailed("zero coefficient vector")
-    q = [Fraction(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in c / top]
+    q = [Fraction(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) if x else ZERO for x in c / top]
     # d sum q_i B_i in ints, B_i = W_i / w_i (``TwoForm._ints``), d the lcm of the w_i q_i.denominator
-    d = lcm(*(qi.denominator * b._ints[0] for qi, b in zip(q, p.z2_basis)))
+    # over the nonzero q_i: a zero term adds nothing, and omega's Fractions are reduced either way
+    terms = [(qi, b) for qi, b in zip(q, p.z2_basis) if qi]
+    d = lcm(*(qi.denominator * b._ints[0] for qi, b in terms))
     coeffs = {}
-    for qi, b in zip(q, p.z2_basis):
+    for qi, b in terms:
         f = qi.numerator * (d // (qi.denominator * b._ints[0]))
         for key, x in b._ints[1]:
             coeffs[key] = coeffs.get(key, 0) + f * x

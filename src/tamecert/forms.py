@@ -5,6 +5,9 @@ and finds its complex basis with one ``linalg._forward``, the kernels that
 every other exact layer shares.  A ``TwoForm`` is cleared to integers once, at
 construction, and every exact layer reads that form (``TwoForm._ints``), as
 does ``_gram_ints``, the one taming Gram kernel: ``taming_gram`` is its view.
+Both kernels skip what is known to be zero: ``_gram_ints`` reads only the
+nonzero entries of J's integer rows, and ``_d2_ints`` writes the zero rows of
+an empty bracket table without visiting a triple.
 
 Sign convention, fixed globally: d alpha (X, Y) = -alpha([X, Y]) on 1-forms,
 extended to 2-forms as an antiderivation, i.e.
@@ -198,11 +201,15 @@ def d2_matrix(g: LieAlgebra) -> tuple[list[list[Fraction]], list[tuple[int, int]
 
 def _d2_ints(g: LieAlgebra) -> tuple[int, list[list[int]], list[tuple[int, int]], list[tuple[int, int, int]]]:
     """(c, c d2, pairs, triples): d2_matrix times c, read off the integer table
-    c [e_i, e_j] of ``_cleared_brackets``, with no ``Fraction``."""
+    c [e_i, e_j] of ``_cleared_brackets``, with no ``Fraction``.  Every row of
+    an abelian g is zero, since each reads three brackets, so an empty table
+    gives its C(n, 3) zero rows at once."""
     pairs = two_form_pairs(g.dim)
     triples = three_form_triples(g.dim)
     column = {pair: k for k, pair in enumerate(pairs)}
     c, table = _cleared_brackets(g)
+    if not table:
+        return c, [[0] * len(pairs) for _ in triples], pairs, triples
     rows = []
     for i, j, k in triples:
         row = [0] * len(pairs)
@@ -329,13 +336,24 @@ def _complex_basis(J: ComplexStructure) -> list[int]:
 def _gram_ints(omega: TwoForm, J: ComplexStructure) -> tuple[list[list[int]], int]:
     """(d G, d) in ints, d = 2 w den, for G of ``taming_gram``: with Omega = W / w
     (``TwoForm._ints``), J = J' / den and M = Omega J, G = (M + M^T) / 2, and each
-    coefficient x of W at (a, b) adds x J'[b] to row a of w den M and -x J'[a] to row b."""
+    coefficient x of W at (a, b) adds x J'[b] to row a of w den M and -x J'[a] to row b.
+
+    d G = M + M^T is written straight from the nonzero entries of those rows of
+    J': an entry v added to M at (a, k) is added to d G at (a, k) and at (k, a),
+    twice to the diagonal when k = a.  So the work is that of J''s nonzeros on
+    the rows W reads, one per row for a standard J, with no dense row of M and
+    no pass over all n^2 entries."""
     n, jm, (w, coeffs) = omega.dim, J.ints, omega._ints
-    m = [[0] * n for _ in range(n)]
+    nonzero = {i: [(k, z) for k, z in enumerate(jm[i]) if z] for i in {i for key, _ in coeffs for i in key}}
+    gram = [[0] * n for _ in range(n)]
     for (a, b), x in coeffs:
-        m[a] = [y + x * z for y, z in zip(m[a], jm[b])]
-        m[b] = [y - x * z for y, z in zip(m[b], jm[a])]
-    return [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)], 2 * w * J.den
+        for row, sign, col in ((a, x, b), (b, -x, a)):
+            out = gram[row]
+            for k, z in nonzero[col]:
+                v = sign * z
+                out[k] += v
+                gram[k][row] += v
+    return gram, 2 * w * J.den
 
 
 def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:

@@ -207,13 +207,19 @@ def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list
     """Echelon-canonical basis of {v : m @ v = 0}.
 
     All-zero rows constrain nothing, so they are dropped before any row is
-    cleared: the d on 2-forms of an abelian algebra is all zero rows.
+    cleared: the d on 2-forms of an abelian algebra is all zero rows, and
+    most rows of ``forms.d2_matrix`` on a sparse bracket table are.  A row is
+    kept at once when its first entry is nonzero, and otherwise compared with
+    the zero row: list equality tests identity first, so it passes each
+    shared ``ZERO`` that ``d2_matrix`` writes in C, with no
+    ``Fraction.__bool__`` per entry, and it stays exact for any other zero.
     """
     if ncols is None:
         if not m:
             raise ValueError("nullspace of an empty matrix needs an explicit ncols")
         ncols = len(m[0])
-    ints = [_cleared(r)[0] for r in m if any(r)]
+    zero = [ZERO] * ncols
+    ints = [_cleared(r)[0] for r in m if r and (r[0] or list(r) != zero)]
     return [tuple(row) for row in _reduced(*_kernel(ints, ncols))]
 
 

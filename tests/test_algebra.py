@@ -19,8 +19,9 @@ from tamecert import (
     reduction_tower,
     weight_spaces,
 )
+import tamecert.algebra as algebra_mod
 from tamecert.algebra import _adjoint_ints, _bracket_ints, _cleared_brackets, _units, _weight_spaces, scale_structure_constants
-from tamecert.linalg import all_roots_real, charpoly, unit_vec
+from tamecert.linalg import _kernel, _primitive, all_roots_real, charpoly, rational_roots, unit_vec
 
 from conftest import (
     NON_ABELIAN_NAMES,
@@ -340,6 +341,91 @@ def test_weight_spaces_sort_as_fraction_weights(corpus, exact_items):
             assert weights == sorted(weights) and len(set(map(tuple, weights))) == len(weights), name
             ordered += len(spaces) > 2
     assert ordered >= 6
+
+
+def reference_weight_loop(g: LieAlgebra, derived: Subspace, inside_derived: bool = False) -> list[Subspace]:
+    """``algebra._weight_spaces`` before its shortcuts: Z cap D always by a
+    kernel, and every branch, lines included, by a kernel per rational
+    eigenvalue; the oracle for the one-row weight and the abelian-D rule."""
+    n = g.dim
+    if not n:
+        return [Subspace.full(0)]
+    _, table = _cleared_brackets(g)
+    units = _units(n)
+    if inside_derived:
+        images = [[_bracket_ints(table, b, d) for d in derived.rows] for b in derived.rows]
+        kernel, free = _kernel([[v[k] for v in row] for row in images for k in range(n)], derived.dim)
+        z = [_primitive([sum(y * d[k] for y, d in zip(ys, derived.rows)) for k in range(n)]) for ys in kernel]
+        z_cols = [derived._pivots[f] for f in free]
+    else:
+        stacked = [row for b in derived.rows for row in _adjoint_ints(table, b)]
+        z, z_cols = _kernel(stacked, n) if stacked else (units, range(n))
+    pivots = derived.pivots()
+    free = [i for i in range(n) if i not in pivots]
+    branches = [((), z)] if z else []
+    for i in free:
+        roots = None
+        nxt = []
+        for mus, rows in branches:
+            images = [_bracket_ints(table, units[i], w) for w in rows]
+            if not any(map(any, images)):
+                nxt.append((mus + (0,), rows))
+                continue
+            if roots is None:
+                zimg = images if rows is z else [_bracket_ints(table, units[i], w) for w in z]
+                s = lcm(*(w[f] for w, f in zip(z, z_cols)))
+                scaled = [[v[f] * (s // w[f]) for v in zimg] for w, f in zip(z, z_cols)]
+                roots = [r.numerator // s for r in rational_roots(charpoly(scaled))]
+            for mu in roots:
+                shifted = [[v[r] - mu * w[r] for v, w in zip(images, rows)] for r in range(n)]
+                kernel, _ = _kernel(shifted, len(rows))
+                if kernel:
+                    combos = [[sum(y * w[k] for y, w in zip(ys, rows)) for k in range(n)] for ys in kernel]
+                    nxt.append((mus + (mu,), [_primitive(v) for v in combos]))
+        branches = nxt
+
+    def weight(mus: tuple) -> list[int]:
+        lam = dict(zip(free, mus))
+        for row, p in zip(derived.rows, pivots):
+            lam[p] = -sum(row[f] * lam[f] for f in free) // row[p]
+        return [lam[i] for i in range(n)]
+
+    branches.sort(key=lambda b: weight(b[0]))
+    return [Subspace(n, tuple(map(tuple, rows))) for _, rows in branches]
+
+
+def test_weight_shortcuts_match_the_kernel_loop(corpus, exact_items, monkeypatch):
+    # a one-row branch reads its weight at a nonzero coordinate, and an abelian
+    # [g, g] is its own Z cap [g, g]; both must give the spaces, pivots and
+    # order of the loop that takes a kernel for each, in both modes, with fewer
+    # kernels.  thirds has [e_0, e_i] = (1/2, 1/3, -5/6) e_i, and its conjugate
+    # every pivot entry of [g, g] equal to 2
+    thirds = LieAlgebra.from_brackets(4, {(0, 1): {1: F(1, 2)}, (0, 2): {2: F(1, 3)}, (0, 3): {3: F(-5, 6)}})
+    algebras = oracle_algebras(corpus, exact_items) + [("thirds", thirds)]
+    algebras.append(("thirds~Q", conjugate(thirds, random_basis_change(random.Random(99), 4))[0]))
+    calls = {"reference": 0, "search": 0}
+    counted_as = ["reference"]
+
+    def counted(*args, _original=_kernel):
+        calls[counted_as[0]] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(algebra_mod, "_kernel", counted)
+    monkeypatch.setitem(globals(), "_kernel", counted)  # the reference loop's
+    lines = abelian_derived = 0
+    for name, g in algebras:
+        derived = g.derived_subalgebra()
+        abelian_derived += bool(derived.dim) and not g.bracket_subspaces(derived, derived).dim
+        for inside in (False, True):
+            counted_as[0] = "reference"
+            reference = reference_weight_loop(g, derived, inside)
+            counted_as[0] = "search"
+            spaces = _weight_spaces(g, derived, inside)
+            assert spaces == reference, (name, inside)
+            assert [s._pivots for s in spaces] == [s._pivots for s in reference], (name, inside)
+            lines += sum(s.dim == 1 for s in spaces)
+    assert lines >= 100 and abelian_derived >= 30, (lines, abelian_derived)
+    assert calls["search"] < calls["reference"] - 100, calls  # 183 against 312
 
 
 def ref_complete_solvability(g: LieAlgebra) -> tuple[bool, int | None]:

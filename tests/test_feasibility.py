@@ -299,6 +299,27 @@ def test_precheck_equals_the_restricted_gram_oracle(structures):
         assert feas_mod._degeneracy_search(p) == reference_degeneracy_search(p), name
 
 
+def test_precheck_decides_a_line_without_a_kernel(corpus, monkeypatch):
+    # on a one-dimensional subspace the radical is the line when every 1 x 1
+    # restricted Gram is 0, and 0 otherwise: h3_r and sol4_1 hit on a line of
+    # [g, g], aff_r and aff_r2 miss on theirs, in the fixture basis and in both
+    # conjugated pool draws, and _kernel, patched to fail, is never reached
+    def refused(*args):
+        raise AssertionError("the precheck took a kernel on a line")
+
+    for name, hit in (("h3_r", True), ("sol4_1", True), ("aff_r", False), ("aff_r2", False)):
+        fx = corpus[name]
+        for label, (g, J) in [(name, (fx.algebra, fx.J))] + [(f"{name}~P{k}", pool_draw(corpus, name, k)) for k in range(2)]:
+            p = build_problem(g, J)
+            expected = reference_degeneracy_search(p)
+            with monkeypatch.context() as patched:
+                patched.setattr(feas_mod, "_kernel", refused)
+                found = feas_mod._degeneracy_search(p)
+            assert found == expected and (found is not None) == hit, label
+            if hit:
+                assert found.provenance == "weight space in [g,g]", label
+
+
 def test_precheck_reads_no_integer_gram_stack(corpus):
     # on a hit and on a miss that searched a nonzero subspace, the integer
     # Gram stack is left for dual_certificate to build
@@ -497,11 +518,13 @@ def test_exactify_aff():
 def test_exactify_form_matches_fraction_sum(corpus, monkeypatch):
     # exactify sums q_i B_i in ints over one common denominator and builds omega
     # once; the reference is TwoForm.from_dict of the Fraction sum, on every
-    # Feasible corpus fixture and conjugated benchmark draw
-    checked = []
+    # Feasible corpus fixture and conjugated benchmark draw.  A coefficient that
+    # is exactly 0.0, most of those on the tori, is 0 with no limit_denominator
+    checked, zeros = [], []
 
     def checked_exactify(p, c):
         omega, lam = exactify(p, c)
+        zeros.extend(x for x in c if x == 0.0)
         q = [F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in c / np.max(np.abs(c))]
         coeffs = {}
         for qi, b in zip(q, p.z2_basis):
@@ -517,6 +540,7 @@ def test_exactify_form_matches_fraction_sum(corpus, monkeypatch):
     inputs += [pool_draw(corpus, name, k) for name in NON_ABELIAN_NAMES for k in range(2)]
     feasible = [v for v in (decide(g, J) for g, J in inputs) if isinstance(v, Feasible)]
     assert [v.omega for v in feasible] == checked and len(checked) >= 10
+    assert len(zeros) >= 30, len(zeros)
 
 
 def test_exactify_fails_on_singular_optimum(monkeypatch):

@@ -340,13 +340,18 @@ def cleared(omega):
     return w, tuple((k, c.numerator * (w // c.denominator)) for k, c in omega.coeffs)
 
 
-def test_taming_gram_matches_oracle(exact_items):
+def test_taming_gram_matches_oracle(corpus, exact_items):
     # every form stores its cleared coefficients (TwoForm._ints), and _gram_ints,
-    # of which taming_gram is the Fraction view, reads them; J is dense on the
-    # conjugated items
+    # of which taming_gram is the Fraction view, reads them, writing d G = M + M^T
+    # from the nonzero entries of J' alone; J is dense on the conjugated items,
+    # and of mixed density on aff_r2 + a dense conjugate of it, whose J has one
+    # nonzero per row on the first block and four on the second
     rng = random.Random(8)
+    aff = corpus["aff_r2"]
+    mixed = direct_sum(aff.algebra, aff.J, *conjugate(aff.algebra, random_basis_change(random.Random(5), 4), aff.J))
+    assert sorted({sum(map(bool, row)) for row in mixed[1].ints}) == [1, 4]
     dense = 0
-    for name, g, J in exact_items:
+    for name, g, J in exact_items + [("aff_r2+aff_r2~P", *mixed)]:
         dense += any(sum(map(bool, row)) > 1 for row in J.ints)
         forms = closed_two_forms(g) + [random_two_form(rng, g.dim) for _ in range(3)]
         for k, omega in enumerate(forms):
@@ -366,7 +371,7 @@ def test_taming_gram_matches_oracle(exact_items):
                 assert "_ints" not in repr(omega)
                 assert pickle.loads(pickle.dumps(omega))._ints == omega._ints, name
                 assert omega.scale(-1)._ints == (omega._ints[0], tuple((key, -x) for key, x in omega._ints[1])), name
-    assert dense >= 14
+    assert dense >= 15
     assert TwoForm.from_dict(6, {})._ints == (1, ())
 
 

@@ -306,15 +306,29 @@ def test_nullspace_ignores_zero_rows(seed, monkeypatch):
         return original(row)
 
     monkeypatch.setattr(linalg_mod, "_cleared", counted)
+    # the shared ZERO, as d2_matrix writes it, and zeros that are other objects
+    # (fresh Fractions, ints, a tuple row), which list equality must still drop
+    zero_rows = [lambda n: [ZERO] * n, lambda n: [F(0) for _ in range(n)], lambda n: [0] * n, lambda n: (ZERO,) * n]
     for m in random_matrices(seed):
         ncols = len(m[0]) if m else 4
         padded = [list(row) for row in m]
         for _ in range(rng.randint(1, 4)):
-            padded.insert(rng.randint(0, len(padded)), [ZERO] * ncols)
+            padded.insert(rng.randint(0, len(padded)), rng.choice(zero_rows)(ncols))
         cleared.clear()
         assert nullspace(padded, ncols=ncols) == nullspace(m, ncols=ncols)
         assert all(any(row) for row in cleared)
     assert nullspace([[ZERO] * 3] * 5) == [unit_vec(3, i) for i in range(3)]
+    # a zero row of the shared ZERO costs one Fraction.__bool__, at its first entry
+    truth_tests = []
+    original_bool = F.__bool__
+
+    def counted_bool(x):
+        truth_tests.append(x)
+        return original_bool(x)
+
+    monkeypatch.setattr(F, "__bool__", counted_bool)
+    assert nullspace([[ZERO] * 28 for _ in range(56)], ncols=28) == [unit_vec(28, i) for i in range(28)]
+    assert len(truth_tests) == 56
 
 
 def integer_matrices(seed):

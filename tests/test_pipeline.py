@@ -228,27 +228,33 @@ def test_analyze_reduction_summary(corpus):
     }
 
 
-# calls over one analyze of each corpus fixture.  charpoly, 26: 17 for
+# calls over one analyze of each corpus fixture.  charpoly, 21: 17 for
 # complete solvability, which reads ad_{e_i} on [g, g] at its free columns
-# only and decides an abelian g at once, and 9 for the rational weights of
-# the precheck's and the reduction steps' weight-space searches.
-MAX_CHARPOLY_CALLS = 26
-# _echelon, 126: one per span and one per exact kernel; _kernel returns the
+# only and decides an abelian g at once, and 4 for the rational weights of
+# the precheck's and the reduction steps' weight-space searches, where a
+# one-row branch reads its weight off one bracket.
+MAX_CHARPOLY_CALLS = 21
+# _echelon, 101: one per span and one per exact kernel; _kernel returns the
 # echelon form of its kernel, so nothing echelons a kernel's output again
 # (nullspace, the precheck's radical, the weight spaces and Z cap [g, g]),
 # and the complex basis and Subspace.intersect need the forward pass only;
 # an abelian tower step derives no [g, g].
-MAX_ECHELON_CALLS = 126
-# clear_denominators, 26: one per fixture's J as it is parsed and one per
+MAX_ECHELON_CALLS = 101
+# clear_denominators, 21: one per fixture's J as it is parsed and one per
 # charpoly of a nonzero matrix; reduce builds the reduced J from its integer
 # form, and the integer Gram stack is built only in dual_certificate, which
 # no corpus fixture reaches.
-MAX_CLEAR_DENOMINATORS_CALLS = 26
-# _cleared, 51: one per nonzero row of d on 2-forms in nullspace, one per
+MAX_CLEAR_DENOMINATORS_CALLS = 21
+# _cleared, 46: one per nonzero row of d on 2-forms in nullspace, one per
 # Sturm root count or rational root search, and one per rank-one dual;
 # leading_minors_positive takes integer rows, and membership tests read
 # integer vectors, so neither clears.
-MAX_CLEARED_CALLS = 51
+MAX_CLEARED_CALLS = 46
+# _kernel, 38: 11 for the closed bases (nullspace), 11 for the weight
+# searches, 3 for precheck radicals and 13 for the tower steps' h^perp.  A
+# one-row weight branch, Z cap [g, g] of an abelian [g, g] and the radical
+# on a line take none.
+MAX_KERNEL_CALLS = 38
 # one derived series per fixture, inside is_completely_solvable
 MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
 # one Nijenhuis test per fixture with J, read from the problem, plus one per
@@ -265,9 +271,9 @@ MAX_WEIGHT_SPACES_CALLS = 14
 
 
 def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
-    names = ("charpoly", "_echelon", "clear_denominators", "_cleared", "is_integrable", "_d2_ints", "_weight_spaces", "derived_series")
+    names = ("charpoly", "_echelon", "_kernel", "clear_denominators", "_cleared", "is_integrable", "_d2_ints", "_weight_spaces", "derived_series")
     counts = {name: 0 for name in names}
-    homes = [(tamecert.linalg, name) for name in ("charpoly", "_echelon", "clear_denominators", "_cleared")]
+    homes = [(tamecert.linalg, name) for name in ("charpoly", "_echelon", "_kernel", "clear_denominators", "_cleared")]
     homes += [(tamecert.forms, "is_integrable"), (tamecert.forms, "_d2_ints"), (tamecert.algebra, "_weight_spaces")]
     for home, name in homes:
         original = getattr(home, name)
@@ -305,6 +311,7 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
             first_total[key] += first[key]
     assert 0 < first_total["charpoly"] <= MAX_CHARPOLY_CALLS
     assert 0 < first_total["_echelon"] <= MAX_ECHELON_CALLS
+    assert 0 < first_total["_kernel"] <= MAX_KERNEL_CALLS, first_total["_kernel"]
     assert 0 < first_total["clear_denominators"] <= MAX_CLEAR_DENOMINATORS_CALLS
     assert 0 < first_total["_cleared"] <= MAX_CLEARED_CALLS, first_total["_cleared"]
     assert 0 < first_total["is_integrable"] <= MAX_IS_INTEGRABLE_CALLS
