@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, JacobiViolation
 from .linalg import (
-    Mat,
     Subspace,
     Vec,
     ZERO,
@@ -162,12 +161,6 @@ class LieAlgebra:
             if any(map(sum, zip(*cyclic))):
                 raise JacobiViolation((i, j, k), self.jacobi_residual(i, j, k))
 
-    def adjoint(self, x: Sequence[Fraction]) -> Mat:
-        """Matrix of ad_x = [x, .] acting on column coordinates."""
-        x = vec(x)
-        cols = [self.bracket(x, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(len(cols))] for i in range(self.dim)]
-
     # --- structural invariants ---
 
     def is_abelian(self) -> bool:
@@ -227,10 +220,6 @@ class LieAlgebra:
     def is_ideal(self, h: Subspace) -> bool:
         _, table = _cleared_brackets(self)
         return not table or all(h._contains_ints(_bracket_ints(table, e, b)) for e in _units(self.dim) for b in h.rows)
-
-    def is_subalgebra(self, s: Subspace) -> bool:
-        _, table = _cleared_brackets(self)
-        return all(s._contains_ints(_bracket_ints(table, a, b)) for a, b in combinations(s.rows, 2))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
-from .forms import ComplexStructure, TwoForm, closed_two_forms, is_integrable, is_taming, taming_gram
+from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_integrable, is_taming, taming_gram
 from .linalg import ZERO, Mat, Subspace, Vec, _cleared, _kernel, _symmetric, clear_denominators, leading_minors_positive, solve
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
@@ -96,7 +96,7 @@ class FeasibilityProblem:
     algebra: LieAlgebra
     J: ComplexStructure
     z2_basis: list[TwoForm]
-    gram_basis: list[Mat]  # exact symmetric matrices, one per closed basis form
+    gram_basis: list[Mat]  # taming_gram of each closed form, the source of grams; no exact lane reads it
     grams: np.ndarray  # float stack, shape (m, n, n)
     config: FeasibilityConfig  # unread; see FeasibilityConfig
     j_integrable: bool
@@ -112,15 +112,6 @@ class FeasibilityProblem:
         degeneracy_precheck returns it, and maximize_lambda_min reads it first.
         """
         return _degeneracy_search(self)
-
-    @cached_property
-    def gram_ints(self) -> list[list[list[int]]]:
-        """Each S_i of gram_basis times the lcm of its denominators, as ints.
-
-        Built on first read, once per problem, by dual_certificate, its only
-        reader: a positive scale leaves the dual's projection unchanged.
-        """
-        return [clear_denominators(s)[0] for s in self.gram_basis]
 
     @cached_property
     def barrier_path(self) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +215,7 @@ def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     def spaces():
         for space in _weight_spaces(g, derived, inside_derived=True):
             yield space, "weight space in [g,g]"
-        jd = [[sum(x * y for x, y in zip(row, r)) for row in p.J.ints] for r in derived.rows]  # den J [g, g], in ints
+        jd = [p.J._apply_ints(r) for r in derived.rows]  # den J [g, g], in ints
         yield derived.intersect(Subspace._span(g.dim, jd)), "J-invariant part of [g,g]"
 
     for w, provenance in spaces():
@@ -235,7 +226,7 @@ def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
         pivots = w.pivots()
         scale = lcm(*(row[q] for row, q in zip(w.rows, pivots)))
         b = [[x * (scale // row[q]) for x in row] for row, q in zip(w.rows, pivots)]
-        jb = [[sum(x * y for x, y in zip(row, v)) for row in p.J.ints] for v in b]
+        jb = [p.J._apply_ints(v) for v in b]
         grams = [[[0] * w.dim for _ in b] for _ in forms]
         for s, t in combinations_with_replacement(range(w.dim), 2):
             x, y, jx, jy = b[s], b[t], jb[s], jb[t]
@@ -441,11 +432,11 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     at most DUAL_DENOMINATOR_BOUND, symmetrizes it, and moves it exactly onto
     {<S_i, X> = 0, tr X = 1} by the least-squares correction R^T y, with R
     the rows S_1, ..., S_m, I and (R R^T) y = R X - (0, ..., 0, 1) solved in
-    rationals.  The S_i come from the problem's integer Gram stack
-    (FeasibilityProblem.gram_ints), the rounded X is cleared to ints once,
-    and the normal equations are formed on those rows; positive row scales
-    leave the correction, the unique projection onto that affine set,
-    unchanged.
+    rationals.  Each S_i is read as d_i S_i in ints off its closed form
+    (``forms._gram_ints``, the kernel of ``taming_gram``), the rounded X is
+    cleared to ints once, and the normal equations are formed on those rows;
+    positive row scales leave the correction, the unique projection onto
+    that affine set, unchanged.
     Returns (certificate, 0.0) when exact leading minors prove the corrected
     matrix positive definite, and None otherwise: when the affine set is
     empty (I lies in span{S_i}) or the optimum sits on the boundary of the
@@ -458,7 +449,7 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     x = (x + x.T) / 2.0
     q, e = clear_denominators([[Fraction(v).limit_denominator(DUAL_DENOMINATOR_BOUND) for v in row] for row in x])
     q = [v for row in q for v in row]  # e X, flattened
-    rows = [[v for row in s for v in row] for s in p.gram_ints]  # d_i S_i
+    rows = [[v for row in _gram_ints(b, p.J)[0] for v in row] for b in p.z2_basis]  # d_i S_i
     rows.append([int(i == j) for i in range(n) for j in range(n)])
     rhs = [sum(a * b for a, b in zip(r, q)) for r in rows]
     rhs[-1] -= e

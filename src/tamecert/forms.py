@@ -4,10 +4,12 @@ Integrability reads the integer bracket table through ``algebra._bracket_ints``
 and finds its complex basis with one ``linalg._forward``, the kernels that
 every other exact layer shares.  A ``TwoForm`` is cleared to integers once, at
 construction, and every exact layer reads that form (``TwoForm._ints``), as
-does ``_gram_ints``, the one taming Gram kernel: ``taming_gram`` is its view.
-Both kernels skip what is known to be zero: ``_gram_ints`` reads only the
-nonzero entries of J's integer rows, and ``_d2_ints`` writes the zero rows of
-an empty bracket table without visiting a triple.
+does ``_gram_ints``, the one taming Gram kernel: ``taming_gram`` is its view,
+and the dual lane of ``feasibility`` reads it too.  J' = den J is applied only
+through ``ComplexStructure``, from the nonzero entries of each row that it
+stores (``_nonzero``, ``_apply_ints``).  Both kernels skip what is known to be
+zero: ``_gram_ints`` reads only those nonzero entries, and ``_d2_ints`` writes
+the zero rows of an empty bracket table without visiting a triple.
 
 Sign convention, fixed globally: d alpha (X, Y) = -alpha([X, Y]) on 1-forms,
 extended to 2-forms as an antiderivation, i.e.
@@ -93,30 +95,12 @@ class TwoForm:
         frozen = tuple(sorted((k, v) for k, v in norm.items() if v != 0))
         return cls(dim, frozen)
 
-    def coeff(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return ZERO
-        sign = ONE
-        if i > j:
-            i, j, sign = j, i, -ONE
-        for key, c in self.coeffs:
-            if key == (i, j):
-                return sign * c
-        return ZERO
-
     def __call__(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         x, y = vec(x), vec(y)
         total = ZERO
         for (i, j), c in self.coeffs:
             total += c * (x[i] * y[j] - x[j] * y[i])
         return total
-
-    def matrix(self) -> Mat:
-        m = [[ZERO] * self.dim for _ in range(self.dim)]
-        for (i, j), c in self.coeffs:
-            m[i][j] = c
-            m[j][i] = -c
-        return m
 
     def scale(self, c) -> "TwoForm":
         c = frac(c)
@@ -241,6 +225,11 @@ class ComplexStructure:
     dim: int
     ints: tuple[tuple[int, ...], ...]
     den: int
+    # each row of ints as its nonzero (column, entry) pairs; derived, so not in ==, hash or repr
+    _nonzero: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_nonzero", tuple(tuple((k, z) for k, z in enumerate(row) if z) for row in self.ints))
 
     @classmethod
     def from_matrix(cls, rows: Iterable[Sequence]) -> "ComplexStructure":
@@ -261,7 +250,12 @@ class ComplexStructure:
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
         w, d = _cleared(vec(v))
-        return tuple(Fraction(sum(x * y for x, y in zip(row, w)), d * self.den) for row in self.ints)
+        return tuple(Fraction(x, d * self.den) for x in self._apply_ints(w))
+
+    def _apply_ints(self, u: Sequence[int]) -> list[int]:
+        """J'u = den J u for an integer vector u, from J''s nonzero entries; every
+        exact layer applies J' through this method."""
+        return [sum(z * u[k] for k, z in row) for row in self._nonzero]
 
 
 def _squares_to_minus_one(ints: Sequence[Sequence[int]], e: int) -> bool:
@@ -295,15 +289,15 @@ def _nijenhuis_ints(g: LieAlgebra, J: ComplexStructure, pairs: Iterable[tuple[in
     gives c [x, y] for integer vectors x and y:
     c e^2 N(e_i, e_j) = c[J'e_i, J'e_j] - e^2 c[e_i, e_j] - J'(c[J'e_i, e_j] + c[e_i, J'e_j]).
     """
-    jm, e = J.ints, J.den
+    e = J.den
     c, table = _cleared_brackets(g)
     units = _units(g.dim)
-    columns = [list(col) for col in zip(*jm)]  # J'e_j
+    columns = [list(col) for col in zip(*J.ints)]  # J'e_j
     for i, j in pairs:
         ji, jj, ei, ej = columns[i], columns[j], units[i], units[j]
         mixed = [x + y for x, y in zip(_bracket_ints(table, ji, ej), _bracket_ints(table, ei, jj))]
         outer = [x - e * e * y for x, y in zip(_bracket_ints(table, ji, jj), _bracket_ints(table, ei, ej))]
-        yield (i, j), [x - sum(r * m for r, m in zip(row, mixed)) for x, row in zip(outer, jm)], c * e * e
+        yield (i, j), [x - y for x, y in zip(outer, J._apply_ints(mixed))], c * e * e
 
 
 def is_integrable(g: LieAlgebra, J: ComplexStructure) -> bool:
@@ -339,17 +333,16 @@ def _gram_ints(omega: TwoForm, J: ComplexStructure) -> tuple[list[list[int]], in
     coefficient x of W at (a, b) adds x J'[b] to row a of w den M and -x J'[a] to row b.
 
     d G = M + M^T is written straight from the nonzero entries of those rows of
-    J': an entry v added to M at (a, k) is added to d G at (a, k) and at (k, a),
-    twice to the diagonal when k = a.  So the work is that of J''s nonzeros on
-    the rows W reads, one per row for a standard J, with no dense row of M and
-    no pass over all n^2 entries."""
-    n, jm, (w, coeffs) = omega.dim, J.ints, omega._ints
-    nonzero = {i: [(k, z) for k, z in enumerate(jm[i]) if z] for i in {i for key, _ in coeffs for i in key}}
+    J' (``ComplexStructure._nonzero``): an entry v added to M at (a, k) is
+    added to d G at (a, k) and at (k, a), twice to the diagonal when k = a.  So
+    the work is that of J''s nonzeros on the rows W reads, one per row for a
+    standard J, with no dense row of M and no pass over all n^2 entries."""
+    n, (w, coeffs) = omega.dim, omega._ints
     gram = [[0] * n for _ in range(n)]
     for (a, b), x in coeffs:
         for row, sign, col in ((a, x, b), (b, -x, a)):
             out = gram[row]
-            for k, z in nonzero[col]:
+            for k, z in J._nonzero[col]:
                 v = sign * z
                 out[k] += v
                 gram[k][row] += v

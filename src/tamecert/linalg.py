@@ -90,10 +90,6 @@ def transpose(m: Sequence[Sequence[Fraction]]) -> Mat:
     return [list(col) for col in zip(*m)] if m else []
 
 
-def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
-    return tuple(vec_dot(row, v) for row in m)
-
-
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
     bt = transpose(b)
     return [[vec_dot(row, col) for col in bt] for row in a]
@@ -171,10 +167,6 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns nonzero rows and pivot columns."""
     red, pivots = _echelon(_cleared(r)[0] for r in rows)
     return _reduced(red, pivots), pivots
-
-
-def rank(rows) -> int:
-    return len(_forward(_cleared(r)[0] for r in rows)[1])
 
 
 def _kernel(m: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -403,11 +395,6 @@ def _root_counts(p: Sequence[Fraction]) -> tuple[int, int]:
     chain = _sturm_chain(q)
     at_minus, at_plus = _variations_at_infinity(chain)
     return at_minus - at_plus, len(q) - len(chain[-1])
-
-
-def count_real_roots(p: Sequence[Fraction]) -> int:
-    """Number of distinct real roots, via an integer Sturm chain."""
-    return _root_counts(p)[0]
 
 
 def all_roots_real(p: Sequence[Fraction]) -> bool:

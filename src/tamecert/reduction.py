@@ -13,10 +13,11 @@ are read off in that basis, and every flag is re-verified on the output.
 Losing a flag is an internal error (TamingLost), never a verdict.  Omega,
 the vectors and J are read in the integer form that ``TwoForm``,
 ``Subspace`` and ``ComplexStructure`` store, and brackets go through the
-integer table.  W u and J'u are formed once per kept vector u, from the
-nonzero entries, and zero brackets are skipped.  The reduced brackets, Omega
-and J = ints / den are built straight from those ints, with no re-clearing
-``from_*`` pass; Jacobi and J^2 = -I are still checked on the result.
+integer table.  W u and J'u (``ComplexStructure._apply_ints``) are formed
+once per kept vector u, from the nonzero entries, and zero brackets are
+skipped.  The reduced brackets, Omega and J = ints / den are built straight
+from those ints, with no re-clearing ``from_*`` pass; Jacobi and J^2 = -I
+are still checked on the result.
 An empty bracket table decides what it can at once: the ideal chosen is
 e_1's line, every 2-form is closed, and Jacobi and the ideal test pass, so
 an abelian step runs neither the weight search nor d on 2-forms.
@@ -158,15 +159,10 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
         raise NotAnIdeal("only 1-dimensional isotropic ideals are supported")
 
     w, e = t.omega._ints[0], t.J.den  # Omega = W / w, J = J' / e
-    jrows = [[(j, y) for j, y in enumerate(row) if y] for row in t.J.ints]
-
-    def j_apply(u) -> list[int]:  # J' u, from J''s nonzero entries
-        return [sum(y * u[j] for j, y in row) for row in jrows]
-
     c, table = _cleared_brackets(g)  # [., .] = table / c
     xi, p = h.rows[0], h._pivots[0]  # xi = s_x X, with s_x = xi[p] at X's pivot p
     sx = xi[p]
-    w_xi, j_xi = _omega_apply(t.omega, xi), j_apply(xi)
+    w_xi, j_xi = _omega_apply(t.omega, xi), t.J._apply_ints(xi)
     beta = _dot(j_xi, w_xi)  # e w s_x^2 Omega(JX, X)
     if beta == 0:
         # impossible for a taming form; defensive
@@ -216,7 +212,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     ls, sign = lcm(*ss), 1 if beta > 0 else -1
     cols = []
     for u, s_u in zip(us, ss):
-        ju = j_apply(u)
+        ju = t.J._apply_ints(u)
         alpha = _dot(ju, w_xi)
         cols.append([sign * (ls // s_u) * y for y in mod_h([beta * y - alpha * z for y, z in zip(ju, j_xi)])])
     den = sx * e * abs(beta) * ls

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from pathlib import Path
 
@@ -9,15 +10,18 @@ from tamecert import ComplexStructure, Fixture, LieAlgebra, Subspace, TwoForm, i
 from tamecert.algebra import scale_structure_constants
 from tamecert.forms import two_form_pairs
 from tamecert.linalg import (
+    _cleared,
+    _forward,
+    _root_counts,
     charpoly,
     det,
     identity,
     mat_inverse,
     mat_mul,
-    mat_vec,
     nullspace,
     rational_roots,
     unit_vec,
+    vec_dot,
     vec_scale,
     vec_sub,
 )
@@ -91,9 +95,47 @@ def pool_draw(corpus, name: str, k: int) -> tuple[LieAlgebra, ComplexStructure]:
     return conjugate(fx.algebra, P, fx.J)
 
 
+# --- oracles that no package code path calls: references for the integer kernels ---
+
+
 def mat_trace(m) -> Fraction:
     """The trace of a square matrix; a reference for traces the package sums off the integer table."""
     return sum((m[i][i] for i in range(len(m))), Fraction(0))
+
+
+def mat_vec(m, v) -> tuple[Fraction, ...]:
+    return tuple(vec_dot(row, v) for row in m)
+
+
+def rank(rows) -> int:
+    """The rank of rational rows: the pivot count of one forward pass."""
+    return len(_forward(_cleared(r)[0] for r in rows)[1])
+
+
+def count_real_roots(p) -> int:
+    """Number of distinct real roots, via an integer Sturm chain."""
+    return _root_counts(p)[0]
+
+
+def adjoint(g: LieAlgebra, x) -> list[list[Fraction]]:
+    """Matrix of ad_x = [x, .] acting on column coordinates, by evaluating ``bracket``."""
+    cols = [g.bracket(x, unit_vec(g.dim, j)) for j in range(g.dim)]
+    return [[col[i] for col in cols] for i in range(g.dim)]
+
+
+def is_subalgebra(g: LieAlgebra, s: Subspace) -> bool:
+    """[s, s] in s, bracketing every pair of s's basis vectors through ``bracket``."""
+    return all(s.contains_vector(g.bracket(a, b)) for a, b in combinations(s.basis, 2))
+
+
+def form_coeff(omega: TwoForm, i: int, j: int) -> Fraction:
+    """omega(e_i, e_j): the coefficient of e^i ^ e^j, negated when i > j."""
+    return omega(unit_vec(omega.dim, i), unit_vec(omega.dim, j))
+
+
+def form_matrix(omega: TwoForm) -> list[list[Fraction]]:
+    """The antisymmetric matrix (omega(e_i, e_j))."""
+    return [[form_coeff(omega, i, j) for j in range(omega.dim)] for i in range(omega.dim)]
 
 
 def random_rational_vector(rng: random.Random, dim: int, span: int = 6) -> tuple[Fraction, ...]:
@@ -159,7 +201,7 @@ def is_compatible(omega: TwoForm, J: ComplexStructure) -> bool:
     """Omega(J., J.) = Omega plus taming: the Kaehler condition at this level."""
     n = omega.dim
     for i, j in two_form_pairs(n):
-        if omega(J.apply(unit_vec(n, i)), J.apply(unit_vec(n, j))) != omega.coeff(i, j):
+        if omega(J.apply(unit_vec(n, i)), J.apply(unit_vec(n, j))) != form_coeff(omega, i, j):
             return False
     return bool(is_taming(omega, J))
 
@@ -281,7 +323,7 @@ def reference_weight_spaces(g: LieAlgebra) -> list[Subspace]:
     d = lcm(*(c.denominator for _, comps in g.structure_constants for _, c in comps))
     branches = [Subspace.from_vectors(n, identity(n))]
     for i in range(n):
-        a = [[d * x for x in row] for row in g.adjoint(unit_vec(n, i))]
+        a = [[d * x for x in row] for row in adjoint(g, unit_vec(n, i))]
         eigenspaces = []
         for mu in rational_roots(charpoly(a)):
             shifted = [list(row) for row in a]

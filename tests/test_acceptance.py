@@ -35,7 +35,7 @@ from tamecert.forms import ComplexStructure
 from tamecert.linalg import is_zero_vec, unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT
 
-from conftest import TAMED_NAMES
+from conftest import TAMED_NAMES, form_coeff
 
 F = Fraction
 
@@ -67,7 +67,7 @@ def test_criterion_2_nilpotent_obstruction():
     # derived precondition: Z^2 excludes e^3 ^ e^4
     basis = closed_two_forms(g)
     assert len(basis) == 5
-    assert all(b.coeff(2, 3) == 0 for b in basis)
+    assert all(form_coeff(b, 2, 3) == 0 for b in basis)
     start = time.perf_counter()
     v = decide(g, J)
     elapsed = time.perf_counter() - start

@@ -26,7 +26,9 @@ from tamecert.linalg import _kernel, _primitive, all_roots_real, charpoly, ratio
 from conftest import (
     NON_ABELIAN_NAMES,
     TAMED_NAMES,
+    adjoint,
     conjugate,
+    is_subalgebra,
     mat_trace,
     pull_back,
     random_basis_change,
@@ -145,10 +147,10 @@ def test_bracket_antisymmetry_and_bilinearity():
 
 
 def test_adjoint_examples():
-    assert abelian(3).adjoint((1, 2, 3)) == [[F(0)] * 3 for _ in range(3)]
-    ad_h = aff_r().adjoint((1, 0))
+    assert adjoint(abelian(3), (1, 2, 3)) == [[F(0)] * 3 for _ in range(3)]
+    ad_h = adjoint(aff_r(), (1, 0))
     assert ad_h == [[F(0), F(0)], [F(0), F(1)]]  # X maps to X
-    ad_e1 = h3_r().adjoint((1, 0, 0, 0))
+    ad_e1 = adjoint(h3_r(), (1, 0, 0, 0))
     expected = [[F(0)] * 4 for _ in range(4)]
     expected[2][1] = F(1)  # e2 -> e3
     assert ad_e1 == expected
@@ -435,7 +437,7 @@ def ref_complete_solvability(g: LieAlgebra) -> tuple[bool, int | None]:
     if reference_series(g, lower=False)[-1].dim:
         return False, None
     for i in range(g.dim):
-        if not all_roots_real(charpoly(g.adjoint(unit_vec(g.dim, i)))):
+        if not all_roots_real(charpoly(adjoint(g, unit_vec(g.dim, i)))):
             return False, i
     return True, None
 
@@ -518,9 +520,9 @@ def test_one_dim_ideals_abelian():
 def test_subalgebra_closure():
     g = sol4_1()
     s = Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0)])  # span(X, Y): [X,Y]=Z escapes
-    assert not g.is_subalgebra(s)
+    assert not is_subalgebra(g, s)
     ok = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0)])  # span(H, X)
-    assert g.is_subalgebra(ok)
+    assert is_subalgebra(g, ok)
 
 
 def test_scaling_preserves_structure():

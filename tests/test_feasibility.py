@@ -66,16 +66,19 @@ def problem_for(dim, brackets):
     return build_problem(LieAlgebra.from_brackets(dim, brackets), standard_complex_structure(dim))
 
 
-def fake_problem(gram_basis, dim=2):
-    """A hand-built problem for unit-testing the numeric helpers."""
-    z2 = [TwoForm.from_dict(dim, {(0, 1): 1}) for _ in gram_basis]
-    grams = np.array([[[float(x) for x in row] for row in m] for m in gram_basis])
+def fake_problem(forms, dim):
+    """A hand-built problem on abelian R^dim under the standard J, whose closed
+    basis is the given 2-forms and whose Grams are theirs, for unit-testing
+    the numeric helpers."""
+    J = standard_complex_structure(dim)
+    z2 = [TwoForm.from_dict(dim, entries) for entries in forms]
+    gram_basis = [taming_gram(b, J) for b in z2]
     return FeasibilityProblem(
         algebra=LieAlgebra.from_brackets(dim, {}),
-        J=standard_complex_structure(dim),
+        J=J,
         z2_basis=z2,
-        gram_basis=[[[F(x) for x in row] for row in m] for m in gram_basis],
-        grams=grams,
+        gram_basis=gram_basis,
+        grams=np.array([[[float(x) for x in row] for row in m] for m in gram_basis]),
         config=FeasibilityConfig(),
         j_integrable=True,
     )
@@ -320,14 +323,27 @@ def test_precheck_decides_a_line_without_a_kernel(corpus, monkeypatch):
                 assert found.provenance == "weight space in [g,g]", label
 
 
-def test_precheck_reads_no_integer_gram_stack(corpus):
-    # on a hit and on a miss that searched a nonzero subspace, the integer
-    # Gram stack is left for dual_certificate to build
+def test_precheck_reads_no_integer_gram_stack(corpus, monkeypatch):
+    # on a hit and on a miss that searched a nonzero subspace, the precheck
+    # restricts the forms' integer coefficients and builds no n x n Gram:
+    # _gram_ints runs in build_problem and in dual_certificate, never here
+    calls = []
+
+    def counted(omega, J):
+        calls.append(1)
+        return _gram_ints(omega, J)
+
     for name, hit in (("h3_r", True), ("aff_r2", False)):
         fx = corpus[name]
         p = build_problem(fx.algebra, fx.J)
-        assert (degeneracy_precheck(p) is not None) == hit, name
-        assert "gram_ints" not in vars(p), name
+        with monkeypatch.context() as patched:
+            for module in (forms_mod, feas_mod):
+                patched.setattr(module, "_gram_ints", counted)
+            assert (degeneracy_precheck(p) is not None) == hit, name
+            assert calls == [], name
+            if not hit:  # the count sees the dual lane's reads: one per closed form
+                dual_certificate(p)
+                assert len(calls) == p.size > 0, name
 
 
 # --- the barrier solve ---
@@ -567,13 +583,17 @@ def test_exactify_fails_on_singular_optimum(monkeypatch):
 
 
 def test_dual_certificate_crafted():
-    p = fake_problem([[[1, 0], [0, -1]], [[0, 0], [0, 0]]])
-    assert dual_certificate(p) == ([[F(1, 2), F(0)], [F(0), F(1, 2)]], 0.0)
+    # e^1 ^ e^2 - e^3 ^ e^4 has the Gram diag(1, 1, -1, -1): the rounded dual
+    # iterate is moved onto {<S, X> = 0, tr X = 1} exactly at I/4
+    p = fake_problem([{(0, 1): 1, (2, 3): -1}], dim=4)
+    assert p.gram_basis == [[[F(int(i == j) * (1 if i < 2 else -1)) for j in range(4)] for i in range(4)]]
+    assert dual_certificate(p) == ([[F(int(i == j), 4) for j in range(4)] for i in range(4)], 0.0)
 
 
 def test_dual_certificate_unreachable_when_identity_in_span():
-    # single Gram = identity: trace-one matrices cannot pair to zero with it
-    p = fake_problem([[[1, 0], [0, 1]]])
+    # e^1 ^ e^2 has the Gram I: trace-one matrices cannot pair to zero with it
+    p = fake_problem([{(0, 1): 1}], dim=2)
+    assert p.gram_basis == [[[F(1), F(0)], [F(0), F(1)]]]
     assert dual_certificate(p) is None
 
 

@@ -28,10 +28,21 @@ from tamecert import (
     taming_gram,
 )
 from tamecert.forms import _complex_basis, _gram_ints, _nijenhuis_ints, d2_matrix, two_form_pairs
-from tamecert.linalg import ONE, ZERO, det, leading_minors_positive, mat_inverse, mat_mul, rank, unit_vec
+from tamecert.linalg import ONE, ZERO, det, leading_minors_positive, mat_inverse, mat_mul, unit_vec
 from tamecert.reduction import TamedTriple
 
-from conftest import conjugate, direct_sum, is_compatible, random_basis_change, random_rational_vector
+from conftest import (
+    NON_ABELIAN_NAMES,
+    conjugate,
+    direct_sum,
+    form_coeff,
+    form_matrix,
+    is_compatible,
+    pool_draw,
+    random_basis_change,
+    random_rational_vector,
+    rank,
+)
 from test_linalg import ref_leading_minors_positive
 
 F = Fraction
@@ -68,8 +79,8 @@ def test_from_dict_sums_each_pair_as_the_fraction_accumulation():
         ref[(i, j)] = ref.get((i, j), ZERO) + c
     form = TwoForm.from_dict(5, entries)
     assert form.coeffs == tuple(sorted((k, v) for k, v in ref.items() if v != 0))
-    assert form.coeff(0, 1) == 0 and (0, 1) not in dict(form.coeffs)  # 1/2 and -1/2 cancel
-    assert form.coeff(2, 3) == F(2, 3) and form.coeff(1, 2) == -5 and form.coeff(0, 4) == F(-3, 4)
+    assert form_coeff(form, 0, 1) == 0 and (0, 1) not in dict(form.coeffs)  # 1/2 and -1/2 cancel
+    assert form_coeff(form, 2, 3) == F(2, 3) and form_coeff(form, 1, 2) == -5 and form_coeff(form, 0, 4) == F(-3, 4)
     assert all(type(v) is F and v != 0 for _, v in form.coeffs)
     assert form == TwoForm.from_dict(5, dict(reversed(list(entries.items()))))
 
@@ -171,6 +182,28 @@ def test_complex_structure_is_stored_uniquely(exact_items):
         assert J.apply(v) == tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in J.matrix), name
 
 
+def test_apply_ints_is_den_j_times_u(corpus):
+    # J'u = den J u from J's nonzero entries, for the corpus J and both
+    # conjugated pool draws of each (sparse and dense J), on unit vectors and
+    # on seeded random integer vectors
+    rng = random.Random(0)
+    structures = [(name, fx.J) for name, fx in corpus.items() if fx.J is not None]
+    structures += [(f"{name}~P{k}", pool_draw(corpus, name, k)[1]) for name in NON_ABELIAN_NAMES for k in range(2)]
+    assert any(all(sum(map(bool, row)) == 1 for row in J.ints) for _, J in structures)  # a sparse J
+    assert any(all(all(row) for row in J.ints) for _, J in structures)  # a dense J
+    for name, J in structures:
+        vectors = [[int(i == k) for i in range(J.dim)] for k in range(J.dim)]
+        vectors += [[rng.randint(-50, 50) for _ in range(J.dim)] for _ in range(5)]
+        for u in vectors:
+            assert J._apply_ints(u) == [sum(x * J.den * y for x, y in zip(row, u)) for row in J.matrix], name
+        # _nonzero is derived: it takes no part in ==, hash or repr
+        K = ComplexStructure(J.dim, J.ints, J.den)
+        object.__setattr__(K, "_nonzero", ())
+        assert K == J and hash(K) == hash(J) and repr(K) == repr(J), name
+        assert "_nonzero" not in repr(J), name
+        assert pickle.loads(pickle.dumps(J))._nonzero == J._nonzero, name
+
+
 def test_nijenhuis_h3_integrable():
     g = h3_r()
     J = standard_complex_structure(4)
@@ -261,7 +294,7 @@ def test_taming_implies_nondegenerate(corpus):
         if fx.J is None or fx.omega is None:
             continue
         if is_taming(fx.omega, fx.J):
-            assert det(fx.omega.matrix()) != 0, name
+            assert det(form_matrix(fx.omega)) != 0, name
 
 
 # --- oracles: the evaluation-based versions that d, Nijenhuis and the Gram form replaced ---
@@ -303,7 +336,7 @@ def ref_taming_gram(omega, J):
     n = omega.dim
     half = Fraction(1, 2)
     cols = list(zip(*J.matrix))
-    m = omega.matrix()
+    m = form_matrix(omega)
     mj = [[sum((m[i][k] * cols[j][k] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
     return [[half * (mj[i][j] + mj[j][i]) for j in range(n)] for i in range(n)]
 

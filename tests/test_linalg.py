@@ -19,16 +19,13 @@ from tamecert.linalg import (
     all_roots_real,
     charpoly,
     clear_denominators,
-    count_real_roots,
     det,
     frac,
     identity,
     leading_minors_positive,
     mat_inverse,
     mat_mul,
-    mat_vec,
     nullspace,
-    rank,
     rational_roots,
     rref,
     solve,
@@ -36,7 +33,7 @@ from tamecert.linalg import (
     unit_vec,
 )
 
-from conftest import mat_trace, reference_kernel
+from conftest import adjoint, count_real_roots, mat_trace, mat_vec, rank, reference_kernel
 
 F = Fraction
 
@@ -274,7 +271,7 @@ def item_matrices(exact_items):
     """The adjoints, J matrices and d on 2-forms of every benchmark item."""
     out = []
     for _, g, J in exact_items:
-        out += [g.adjoint(unit_vec(g.dim, i)) for i in range(g.dim)]
+        out += [adjoint(g, unit_vec(g.dim, i)) for i in range(g.dim)]
         out.append([list(r) for r in J.matrix])
         out.append(d2_matrix(g)[0])
     return [m for m in out if m]
