@@ -31,9 +31,7 @@ from .linalg import (
     charpoly,
     frac,
     rational_roots,
-    unit_vec,
     vec,
-    vec_add,
 )
 
 Brackets = Mapping[tuple[int, int], Mapping[int, Fraction]]
@@ -143,23 +141,18 @@ class LieAlgebra:
                     out[k] += coeff * c
         return tuple(out)
 
-    def jacobi_residual(self, i: int, j: int, k: int) -> Vec:
-        ei, ej, ek = unit_vec(self.dim, i), unit_vec(self.dim, j), unit_vec(self.dim, k)
-        r = self.bracket(self.bracket(ei, ej), ek)
-        r = vec_add(r, self.bracket(self.bracket(ej, ek), ei))
-        r = vec_add(r, self.bracket(self.bracket(ek, ei), ej))
-        return r
-
     def check_jacobi(self) -> None:
-        _, table = _cleared_brackets(self)
+        """The cyclic sum of [[e_i, e_j], e_k] on each basis triple, c^2 times it off the integer table."""
+        c, table = _cleared_brackets(self)
         if not table:
             return
         units = _units(self.dim)
         for i, j, k in combinations(range(self.dim), 3):
-            a, b, c = units[i], units[j], units[k]
-            cyclic = [_bracket_ints(table, _bracket_ints(table, x, y), z) for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+            ei, ej, ek = units[i], units[j], units[k]
+            triples = ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej))
+            cyclic = [_bracket_ints(table, _bracket_ints(table, x, y), z) for x, y, z in triples]
             if any(map(sum, zip(*cyclic))):
-                raise JacobiViolation((i, j, k), self.jacobi_residual(i, j, k))
+                raise JacobiViolation((i, j, k), tuple(Fraction(sum(x), c * c) for x in zip(*cyclic)))
 
     # --- structural invariants ---
 

@@ -55,7 +55,7 @@ import numpy as np
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_integrable, is_taming, taming_gram
-from .linalg import ZERO, Mat, Subspace, Vec, _cleared, _kernel, _symmetric, clear_denominators, leading_minors_positive, solve
+from .linalg import ZERO, Mat, Subspace, Vec, _cleared, _echelon, _kernel, _symmetric, clear_denominators, leading_minors_positive
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
@@ -431,12 +431,13 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     Rounds the dual iterate of the barrier solve to rationals of denominator
     at most DUAL_DENOMINATOR_BOUND, symmetrizes it, and moves it exactly onto
     {<S_i, X> = 0, tr X = 1} by the least-squares correction R^T y, with R
-    the rows S_1, ..., S_m, I and (R R^T) y = R X - (0, ..., 0, 1) solved in
-    rationals.  Each S_i is read as d_i S_i in ints off its closed form
-    (``forms._gram_ints``, the kernel of ``taming_gram``), the rounded X is
-    cleared to ints once, and the normal equations are formed on those rows;
-    positive row scales leave the correction, the unique projection onto
-    that affine set, unchanged.
+    the rows S_1, ..., S_m, I and (R R^T) y = R X - (0, ..., 0, 1) read off
+    one integer elimination (``linalg._echelon``).  Each S_i is read as
+    d_i S_i in ints off its closed form (``forms._gram_ints``, the kernel of
+    ``taming_gram``), the rounded X is cleared to ints once, and the normal
+    equations are formed on those rows; positive row scales leave the
+    correction, the unique projection onto that affine set, unchanged, and
+    the certificate's positive scale cancels in ``_symmetric``.
     Returns (certificate, 0.0) when exact leading minors prove the corrected
     matrix positive definite, and None otherwise: when the affine set is
     empty (I lies in span{S_i}) or the optimum sits on the boundary of the
@@ -453,11 +454,14 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     rows.append([int(i == j) for i in range(n) for j in range(n)])
     rhs = [sum(a * b for a, b in zip(r, q)) for r in rows]
     rhs[-1] -= e
-    y = solve([[sum(a * b for a, b in zip(r, t)) for t in rows] for r in rows], rhs)  # e times the multipliers of these rows
-    if y is None:
+    # the reduced echelon form of (R R^T | rhs): a pivot in the last column means no solution;
+    # otherwise y, e times the multipliers of these rows, is row[-1] / row[k] at each pivot k, 0 elsewhere
+    red, pivots = _echelon([[sum(a * b for a, b in zip(r, t)) for t in rows] + [v] for r, v in zip(rows, rhs)])
+    if pivots and pivots[-1] == len(rows):
         return None
-    y, f = _cleared(y)
-    flat = [f * v - sum(yk * r[k] for yk, r in zip(y, rows)) for k, v in enumerate(q)]  # e f times the certificate
+    f = lcm(*(row[k] for row, k in zip(red, pivots)))
+    fy = [(row[-1] * (f // row[k]), rows[k]) for row, k in zip(red, pivots)]  # f y_k, with its row, at each pivot k
+    flat = [f * v - sum(yk * r[k] for yk, r in fy) for k, v in enumerate(q)]  # e f times the certificate
     cert = [flat[i * n : (i + 1) * n] for i in range(n)]
     if not leading_minors_positive(cert):
         return None

@@ -7,18 +7,17 @@ rows cleared of denominators once; a caller that already holds integer rows,
 as every subspace and bracket kernel does, hands them over uncleared.
 One fraction-free elimination loop on primitive integer rows serves at two
 depths: ``_forward`` stops at a row echelon form, which gives the rank
-profile, and ``_echelon`` back-substitutes to the reduced form, which ``rref``
-returns.  ``_kernel`` reads the reduced echelon basis of a kernel off one
-elimination, with the columns reversed.  ``det`` and
-``leading_minors_positive`` are one Bareiss pass (Math. Comp. 22, 1968), and
-``charpoly`` runs Faddeev-LeVerrier on the integer matrix d*A.  The root
-functions take one Sturm chain of primitive integer polynomials, with no
-squarefree part: it counts the distinct real and complex roots, and a Sturm
-bisection finds the rational roots of a factor of degree 3 or more; one of
-degree 1 or 2 is solved directly, with ``isqrt`` of the discriminant.
-Fractions are built once, from the final integers.  A subspace is stored as
-the integer rows ``_echelon`` returns, unique per subspace, so equality of
-subspaces is equality of rows.
+profile, and ``_echelon`` back-substitutes to the reduced form.  ``_kernel``
+reads the reduced echelon basis of a kernel off one elimination, with the
+columns reversed.  ``det`` and ``leading_minors_positive`` are one Bareiss
+pass (Math. Comp. 22, 1968), and ``charpoly`` runs Faddeev-LeVerrier on the
+integer matrix d*A.  The root functions take one Sturm chain of primitive
+integer polynomials, with no squarefree part: it counts the distinct real and
+complex roots, and a Sturm bisection finds the rational roots of a factor of
+degree 3 or more; one of degree 1 or 2 is solved directly, with ``isqrt`` of
+the discriminant.  Fractions are built once, from the final integers.  A
+subspace is stored as the integer rows ``_echelon`` returns, unique per
+subspace, so equality of subspaces is equality of rows.
 """
 
 from __future__ import annotations
@@ -50,36 +49,12 @@ def vec(entries: Iterable) -> Vec:
     return tuple(frac(e) for e in entries)
 
 
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vec:
-    return tuple(c * x for x in a)
-
-
 def vec_dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
-
-
-def is_zero_vec(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
-
-
-def identity(n: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_from_rows(rows: Iterable[Sequence]) -> Mat:
@@ -163,12 +138,6 @@ def _reduced(red: Sequence[Sequence[int]], pivots: list[int]) -> Mat:
     return [[Fraction(x, row[p]) if x else ZERO for x in row] for row, p in zip(red, pivots)]
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    red, pivots = _echelon(_cleared(r)[0] for r in rows)
-    return _reduced(red, pivots), pivots
-
-
 def _kernel(m: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """The reduced row echelon basis of {v : m @ v = 0}, m of integer rows, as
     primitive integer rows with positive pivots, and its pivot columns.
@@ -213,20 +182,6 @@ def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list
     zero = [ZERO] * ncols
     ints = [_cleared(r)[0] for r in m if r and (r[0] or list(r) != zero)]
     return [tuple(row) for row in _reduced(*_kernel(ints, ncols))]
-
-
-def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
-    """One solution of m @ x = b, or None if inconsistent."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    aug = [list(m[i]) + [b[i]] for i in range(nrows)]
-    red, pivots = rref(aug)
-    x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            return None
-        x[p] = red[r][-1]
-    return tuple(x)
 
 
 def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
@@ -293,12 +248,12 @@ def _symmetric(m: Sequence[Sequence[int]], d: int) -> Mat:
 
 
 def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
+    """The right half of the reduced echelon form of (m | I), each row cleared."""
     n = len(m)
-    aug = [list(m[i]) + list(identity(n)[i]) for i in range(n)]
-    red, pivots = rref(aug)
+    red, pivots = _echelon(_cleared([*row, *(int(i == j) for j in range(n))])[0] for i, row in enumerate(m))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [row[n:] for row in _reduced(red, pivots)]
 
 
 def charpoly(m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
@@ -520,12 +475,8 @@ class Subspace:
     def pivots(self) -> list[int]:
         return list(self._pivots)
 
-    def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        """Whether v lies here, by eliminating v, cleared to ints, with the integer rows."""
-        return self._contains_ints(_cleared(v)[0])
-
     def _contains_ints(self, w: Sequence[int]) -> bool:
-        """contains_vector for an integer vector, which needs no clearing."""
+        """Whether the integer vector w lies here, by eliminating it with the integer rows."""
         for row, p in zip(self.rows, self._pivots):
             if w[p]:
                 f = w[p]
@@ -534,13 +485,6 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         return all(self._contains_ints(r) for r in other.rows)
-
-    def coordinates_of(self, v: Sequence[Fraction]) -> Vec | None:
-        """Coefficients of v in the reduced-echelon basis, or None if v is outside."""
-        if not self.contains_vector(v):
-            return None
-        v = vec(v)
-        return tuple(v[p] for p in self._pivots)
 
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace._span(self.ambient_dim, self.rows + other.rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import LieAlgebra, is_completely_solvable
+from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, is_completely_solvable
 from .errors import (
     FixtureError,
     NoOneDimIdeal,
@@ -33,8 +33,8 @@ from .feasibility import (
 )
 from .fixtures import Fixture, load_fixture, rational_str
 from .forms import TwoForm
-from .linalg import Subspace, Vec, is_zero_vec, vec_scale, vec_sub, zero_vec
-from .reduction import TamedTriple, find_isotropic_ideal, omega_perp, reduce, reduction_tower
+from .linalg import Subspace, Vec
+from .reduction import TamedTriple, _dot, _omega_apply, find_isotropic_ideal, omega_perp, reduce, reduction_tower
 
 # exit codes: CI-friendly contract
 EXIT_OK = 0
@@ -239,6 +239,11 @@ class ProofTraceRecord:
     reduced_unimodular: bool | None
 
 
+def _over(v: list[int], d: int) -> Vec:
+    """The integer vector v divided by d, in Fractions."""
+    return tuple(Fraction(x, d) for x in v)
+
+
 def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     """Check the bracket relations forced on a tamed completely solvable algebra.
 
@@ -254,6 +259,13 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     vanishes: relations 1 and 3 put -a and a on ad_Y's diagonal at X and JX,
     so it is tr ad_Y = sum y_i tr ad_{e_i}, and is_unimodular has decided
     that each term is 0.  A nonzero residual is a bug, not a verdict.
+
+    Every relation is computed on integer rows.  With Omega = W / w, J = J'/e,
+    c[u, v] from ``_bracket_ints``, x = s_x X the row of h, y = s Y a row of v,
+    q = x.WJ'x, A = c[x, y].WJ'x and B = c[x, J'y].WJ'x: a = A / (c s q) and
+    b = B / (c e s q), and each residual and Z1 is one integer vector over
+    c s s_x q e^k (k = 0, 1, 1, 2 for relations 1 to 4, and 1 for Z1).
+    Fractions are built only for the record and for a ``RelationViolation``.
     """
     g = t.algebra
     if not t.verified:
@@ -261,41 +273,42 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     if not is_completely_solvable(g):
         raise NoOneDimIdeal("proof trace requires a completely solvable algebra")
     h = find_isotropic_ideal(t)
-    x = h.basis[0]
-    jx = t.J.apply(x)
-    denom = t.omega(x, jx)
+    c, table = _cleared_brackets(g)
+    e, n = t.J.den, g.dim
+    xi, p = h.rows[0], h._pivots[0]
+    sx, x = xi[p], h.basis[0]
+    j_xi = t.J._apply_ints(xi)  # e s_x JX
+    wj_xi = _omega_apply(t.omega, j_xi)
+    q = _dot(xi, wj_xi)  # w e s_x^2 Omega(X, JX)
 
-    bx = g.bracket(x, jx)
-    h_coords = h.coordinates_of(bx)
-    if h_coords is None:
-        raise RelationViolation("[X, JX] in span(X)", x, bx)
-    h_scalar = h_coords[0]
+    bx = _bracket_ints(table, xi, j_xi)  # c e s_x^2 [X, JX]
+    if not h._contains_ints(bx):
+        raise RelationViolation("[X, JX] in span(X)", x, _over(bx, c * e * sx * sx))
+    h_scalar = Fraction(bx[p], c * e * sx * sx)
 
     perp = omega_perp(t, h)
-    jperp = Subspace.from_vectors(g.dim, [t.J.apply(b) for b in perp.basis])
-    vspace = perp.intersect(jperp)
+    vspace = perp.intersect(Subspace._span(n, [t.J._apply_ints(r) for r in perp.rows]))
 
     rows = []
-    for y in vspace.basis:
-        jy = t.J.apply(y)
-        a = t.omega(g.bracket(x, y), jx) / denom
-        b = t.omega(g.bracket(x, jy), jx) / denom
-        r1 = vec_sub(g.bracket(x, y), vec_scale(a, x))
-        r2 = vec_sub(g.bracket(x, jy), vec_scale(b, x))
-        z1 = tuple(zi + 2 * b * xi + a * ji for zi, xi, ji in zip(g.bracket(jx, y), x, jx))
-        r3 = zero_vec(g.dim) if vspace.contains_vector(z1) else z1
-        expected4 = [2 * a * xi - b * ji + zi for xi, ji, zi in zip(x, jx, t.J.apply(z1))]
-        r4 = vec_sub(g.bracket(jx, jy), expected4)
+    for y, basis_y, pivot in zip(vspace.rows, vspace.basis, vspace._pivots):
+        s, jy = y[pivot], t.J._apply_ints(y)
+        bxy, bxjy = _bracket_ints(table, xi, y), _bracket_ints(table, xi, jy)
+        big_a, big_b = _dot(bxy, wj_xi), _dot(bxjy, wj_xi)
+        d = c * s * sx * q
+        z1 = [q * u + 2 * big_b * v + big_a * w for u, v, w in zip(_bracket_ints(table, j_xi, y), xi, j_xi)]
+        bjj = zip(_bracket_ints(table, j_xi, jy), xi, j_xi, t.J._apply_ints(z1))
+        r4 = [q * u - 2 * big_a * e * e * v + big_b * w - z for u, v, w, z in bjj]
         residuals = {
-            "[X,Y] = aX": r1,
-            "[X,JY] = bX": r2,
-            "[JX,Y] = -2bX - aJX + Z1": r3,
-            "[JX,JY] = 2aX - bJX + JZ1": r4,
+            "[X,Y] = aX": _over([q * u - big_a * v for u, v in zip(bxy, xi)], d),
+            "[X,JY] = bX": _over([q * u - big_b * v for u, v in zip(bxjy, xi)], d * e),
+            "[JX,Y] = -2bX - aJX + Z1": _over([0] * n if vspace._contains_ints(z1) else z1, d * e),
+            "[JX,JY] = 2aX - bJX + JZ1": _over(r4, d * e * e),
         }
         for relation, res in residuals.items():
-            if not is_zero_vec(res):
-                raise RelationViolation(relation, y, res)
-        rows.append(ProofTraceRow(y=y, a=a, b=b, z1=z1, residuals=residuals))
+            if any(res):
+                raise RelationViolation(relation, basis_y, res)
+        a, b = Fraction(big_a, c * s * q), Fraction(big_b, c * e * s * q)
+        rows.append(ProofTraceRow(y=basis_y, a=a, b=b, z1=_over(z1, d * e), residuals=residuals))
 
     unimodular, _ = g.is_unimodular()
     reduced_unimodular = None

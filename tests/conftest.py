@@ -11,19 +11,18 @@ from tamecert.algebra import scale_structure_constants
 from tamecert.forms import two_form_pairs
 from tamecert.linalg import (
     _cleared,
+    _echelon,
     _forward,
     _root_counts,
     charpoly,
     det,
-    identity,
     mat_inverse,
     mat_mul,
     nullspace,
     rational_roots,
     unit_vec,
+    vec,
     vec_dot,
-    vec_scale,
-    vec_sub,
 )
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -107,6 +106,43 @@ def mat_vec(m, v) -> tuple[Fraction, ...]:
     return tuple(vec_dot(row, v) for row in m)
 
 
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def solve(m, b) -> tuple[Fraction, ...] | None:
+    """One solution of m x = b, or None if inconsistent: zero at the free
+    columns of the reduced echelon form of (m | b), read off at its pivots."""
+    ncols = len(m[0]) if m else 0
+    red, pivots = _echelon(_cleared([*row, x])[0] for row, x in zip(m, b))
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = Fraction(row[-1], row[p])
+    return tuple(x)
+
+
+def contains_vector(s: Subspace, v) -> bool:
+    """Whether a rational vector lies in s: ``Subspace._contains_ints`` on v cleared to ints."""
+    return s._contains_ints(_cleared(vec(v))[0])
+
+
+def coordinates_of(s: Subspace, v) -> tuple[Fraction, ...] | None:
+    """The coefficients of v in s's reduced-echelon basis, its entries at the pivots; None if v is outside."""
+    if not contains_vector(s, v):
+        return None
+    v = vec(v)
+    return tuple(v[p] for p in s.pivots())
+
+
+def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> tuple[Fraction, ...]:
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], by evaluating ``bracket``."""
+    e = [unit_vec(g.dim, t) for t in (i, j, k)]
+    terms = [g.bracket(g.bracket(e[a], e[b]), e[c]) for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    return tuple(sum(xs, Fraction(0)) for xs in zip(*terms))
+
+
 def rank(rows) -> int:
     """The rank of rational rows: the pivot count of one forward pass."""
     return len(_forward(_cleared(r)[0] for r in rows)[1])
@@ -125,7 +161,7 @@ def adjoint(g: LieAlgebra, x) -> list[list[Fraction]]:
 
 def is_subalgebra(g: LieAlgebra, s: Subspace) -> bool:
     """[s, s] in s, bracketing every pair of s's basis vectors through ``bracket``."""
-    return all(s.contains_vector(g.bracket(a, b)) for a, b in combinations(s.basis, 2))
+    return all(contains_vector(s, g.bracket(a, b)) for a, b in combinations(s.basis, 2))
 
 
 def form_coeff(omega: TwoForm, i: int, j: int) -> Fraction:
@@ -214,7 +250,7 @@ def _ref_subalgebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
     brackets = {}
     for a in range(s.dim):
         for b in range(a + 1, s.dim):
-            coords = s.coordinates_of(g.bracket(s.basis[a], s.basis[b]))
+            coords = coordinates_of(s, g.bracket(s.basis[a], s.basis[b]))
             assert coords is not None, "subspace is not closed under the bracket"
             brackets[(a, b)] = {k: c for k, c in enumerate(coords) if c != 0}
     labels = []
@@ -258,7 +294,7 @@ def reference_reduce(t, h: Subspace):
     rows = [[t.omega(x, unit_vec(g.dim, c)) for c in range(g.dim)]]
     perp = Subspace.from_vectors(g.dim, nullspace(rows, ncols=g.dim))
     sub = _ref_subalgebra(g, perp)
-    red_alg, reps, project = _ref_quotient(sub, Subspace.from_vectors(sub.dim, [perp.coordinates_of(x)]))
+    red_alg, reps, project = _ref_quotient(sub, Subspace.from_vectors(sub.dim, [coordinates_of(perp, x)]))
     section = []
     for r in reps:
         amb = [Fraction(0)] * g.dim
@@ -273,8 +309,8 @@ def reference_reduce(t, h: Subspace):
     cols = []
     for y in section:
         c = t.omega(t.J.apply(y), x) / denom
-        jy = t.J.apply(vec_sub(y, vec_scale(c, x)))
-        cols.append(project(perp.coordinates_of(jy)))
+        jy = t.J.apply([a - c * b for a, b in zip(y, x)])
+        cols.append(project(coordinates_of(perp, jy)))
     J = ComplexStructure.from_matrix([[cols[b][a] for b in range(m)] for a in range(m)])
     return red_alg, omega, J, tuple(section)
 

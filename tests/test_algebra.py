@@ -108,6 +108,12 @@ def test_jacobi_violation_with_hand_oracle():
         LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}})
     assert err.value.triple == (0, 1, 2)
     assert err.value.residual == (F(0), F(0), F(-1))
+    # halved constants halve each bracket, so the double brackets and the
+    # residual are quartered: the integer sums are divided by c^2, not c
+    with pytest.raises(JacobiViolation) as err:
+        LieAlgebra.from_brackets(3, {(0, 1): {2: F(1, 2)}, (0, 2): {1: F(1, 2)}, (1, 2): {1: F(1, 2)}})
+    assert err.value.triple == (0, 1, 2)
+    assert err.value.residual == (F(0), F(0), F(-1, 4))
 
 
 def test_dimension_mismatch():

@@ -35,7 +35,7 @@ from tamecert import (
 from tamecert.algebra import scale_structure_constants, weight_spaces
 from tamecert.feasibility import DEGENERATE_MARGIN, EXACTIFY_DENOMINATOR_BOUND, DegeneracyDirection, FeasibilityConfig
 from tamecert.forms import ComplexStructure, _gram_ints, taming_gram
-from tamecert.linalg import Subspace, clear_denominators, identity, leading_minors_positive, mat_inverse, mat_mul, solve
+from tamecert.linalg import Subspace, clear_denominators, leading_minors_positive, mat_inverse, mat_mul
 from tamecert.pipeline import verdict_to_dict
 
 from conftest import (
@@ -43,10 +43,12 @@ from conftest import (
     NON_ABELIAN_NAMES,
     conjugate,
     direct_sum,
+    identity,
     pool_draw,
     random_basis_change,
     rational_sampler,
     reference_kernel,
+    solve,
 )
 
 F = Fraction

@@ -13,27 +13,26 @@ from tamecert.linalg import (
     ONE,
     ZERO,
     Subspace,
+    _cleared,
     _echelon,
     _forward,
     _kernel,
+    _reduced,
     all_roots_real,
     charpoly,
     clear_denominators,
     det,
     frac,
-    identity,
     leading_minors_positive,
     mat_inverse,
     mat_mul,
     nullspace,
     rational_roots,
-    rref,
-    solve,
     transpose,
     unit_vec,
 )
 
-from conftest import adjoint, count_real_roots, mat_trace, mat_vec, rank, reference_kernel
+from conftest import adjoint, contains_vector, count_real_roots, identity, mat_trace, mat_vec, rank, reference_kernel
 
 F = Fraction
 
@@ -52,13 +51,20 @@ def test_frac_rejects_floats():
     assert frac(-2) == F(-2)
 
 
+def rref(rows):
+    """The reduced row echelon form in Fractions, and its pivots: ``_reduced`` of
+    ``_echelon`` on the rows cleared of denominators."""
+    red, pivots = _echelon(_cleared(r)[0] for r in rows)
+    return _reduced(red, pivots), pivots
+
+
 def test_rref_canonical_and_idempotent():
-    rows = [[F(2), F(4), F(6)], [F(1), F(2), F(4)]]
-    red, pivots = rref(rows)
+    red, pivots = _echelon([[2, 4, 6], [1, 2, 4]])
     assert pivots == [0, 2]
-    assert red == [[F(1), F(2), F(0)], [F(0), F(0), F(1)]]
-    again, _ = rref(red)
-    assert again == red
+    assert red == [[1, 2, 0], [0, 0, 1]]
+    assert _echelon(red) == (red, pivots)
+    assert _echelon([[-3, 0, 6], [0, 0, 0], [0, 5, 5]]) == ([[1, 0, -2], [0, 1, 1]], [0, 1])
+    assert _reduced([[2, 0, 1], [0, 3, 1]], [0, 1]) == [[F(1), F(0), F(1, 2)], [F(0), F(1), F(1, 3)]]
 
 
 def test_nullspace_annihilates():
@@ -67,15 +73,6 @@ def test_nullspace_annihilates():
         rows = [[F(rng.randint(-3, 3)) for _ in range(5)] for _ in range(3)]
         for v in nullspace(rows, ncols=5):
             assert all(x == 0 for x in mat_vec(rows, v))
-
-
-def test_solve_consistency():
-    a = [[F(1), F(2)], [F(3), F(5)]]
-    x = solve(a, (F(1), F(2)))
-    assert x is not None
-    assert mat_vec(a, x) == (F(1), F(2))
-    # inconsistent system
-    assert solve([[F(1), F(1)], [F(2), F(2)]], (F(0), F(1))) is None
 
 
 def test_det_and_inverse():
@@ -130,8 +127,8 @@ def test_subspace_canonicalization_and_ops():
     s1 = Subspace.from_vectors(3, [(1, 1, 0), (0, 0, 1)])
     s2 = Subspace.from_vectors(3, [(2, 2, 2), (0, 0, 5), (2, 2, 0)])
     assert s1 == s2  # same subspace, same canonical form
-    assert s1.contains_vector((3, 3, -7))
-    assert not s1.contains_vector((1, 0, 0))
+    assert s1._contains_ints((3, 3, -7))
+    assert not s1._contains_ints((1, 0, 0))
     line = Subspace.from_vectors(3, [(1, 1, 1)])
     assert s1.intersect(line) == line
     assert s1.add(Subspace.from_vectors(3, [(1, 0, 0)])) == Subspace.full(3)
@@ -139,11 +136,13 @@ def test_subspace_canonicalization_and_ops():
 
 
 def test_subspace_coordinates():
+    # a member's coordinates in the reduced-echelon basis are its entries at the pivots
     s = Subspace.from_vectors(4, [(1, 0, 2, 0), (0, 1, 3, 0)])
     v = (F(2), F(-1), F(1), F(0))
-    coords = s.coordinates_of(v)
-    assert coords == (F(2), F(-1))
-    assert s.coordinates_of((0, 0, 0, 1)) is None
+    assert s._contains_ints(_cleared(v)[0])
+    assert tuple(v[p] for p in s.pivots()) == (F(2), F(-1))
+    assert tuple(sum(v[p] * b[k] for p, b in zip(s.pivots(), s.basis)) for k in range(4)) == v
+    assert not s._contains_ints((0, 0, 0, 1))
 
 
 def test_intersection_oracle_random():
@@ -154,7 +153,7 @@ def test_intersection_oracle_random():
         b = Subspace.from_vectors(4, [[F(rng.randint(-2, 2)) for _ in range(4)] for _ in range(3)])
         inter = a.intersect(b)
         for v in inter.basis:
-            assert a.contains_vector(v) and b.contains_vector(v)
+            assert contains_vector(a, v) and contains_vector(b, v)
         # dimension formula dim(a) + dim(b) = dim(a+b) + dim(a^b)
         assert a.dim + b.dim == a.add(b).dim + inter.dim
 
@@ -284,10 +283,6 @@ def test_rref_nullspace_rank_match_fraction_oracle(seed):
         assert rank(m) == len(ref_rref(m)[0])
         ncols = len(m[0]) if m else 4
         assert nullspace(m, ncols=ncols) == ref_nullspace(m, ncols)
-        if m and m[0]:
-            rhs = [row[0] - 2 * row[-1] for row in m]
-            sol = solve(m, rhs)
-            assert sol is not None and list(mat_vec(m, sol)) == rhs
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -400,7 +395,7 @@ def test_subspace_rows_are_canonical(exact_items):
         for rows in variants:
             t = Subspace.from_vectors(n, rows)
             assert t == s and hash(t) == hash(s)
-        # int and Fraction inputs agree; members have their reduced-echelon coordinates
+        # membership of int and of cleared Fraction inputs agrees with the oracle's
         probes = list(s.rows[:3]) + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
         if s.rows:
             probes.append([sum(row[k] for row in s.rows) for k in range(n)])
@@ -408,8 +403,7 @@ def test_subspace_rows_are_canonical(exact_items):
             fv = tuple(F(x) for x in v)
             # v lies in the span iff it is the combination of the rref basis read off at the pivots
             inside = tuple(sum((fv[p] * b[k] for p, b in zip(pivots, red)), ZERO) for k in range(n)) == fv
-            assert s.contains_vector(v) == s.contains_vector(fv) == inside
-            assert s.coordinates_of(v) == s.coordinates_of(fv) == (tuple(fv[p] for p in pivots) if inside else None)
+            assert s._contains_ints(v) == s._contains_ints(_cleared(fv)[0]) == inside
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

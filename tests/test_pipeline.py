@@ -35,10 +35,10 @@ from tamecert import (
 )
 from tamecert.cli import main as cli_main
 from tamecert.fixtures import MAX_FIXTURE_DIM
-from tamecert.linalg import is_zero_vec, mat_inverse, mat_mul, unit_vec
+from tamecert.linalg import mat_inverse, mat_mul, unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
 
-from conftest import CORPUS_NAMES, TAMED_NAMES
+from conftest import CORPUS_NAMES, TAMED_NAMES, conjugate
 
 F = Fraction
 
@@ -365,16 +365,16 @@ def test_proof_trace_aff_r2(corpus):
     assert rec.v_space.dim == 2
     for row in rec.rows:
         assert row.a == 0 and row.b == 0
-        assert is_zero_vec(row.z1)
+        assert not any(row.z1)
         for residual in row.residuals.values():
-            assert is_zero_vec(residual)
+            assert not any(residual)
 
 
 def test_proof_trace_abelian(corpus):
     fx = corpus["abelian_r4"]
     rec = proof_trace(TamedTriple.build(fx.algebra, fx.omega, fx.J))
     assert rec.h_scalar == 0
-    assert all(row.a == 0 and row.b == 0 and is_zero_vec(row.z1) for row in rec.rows)
+    assert all(row.a == 0 and row.b == 0 and not any(row.z1) for row in rec.rows)
     assert rec.trace_zero_checked
     assert rec.reduced_unimodular is True
 
@@ -401,23 +401,39 @@ def test_proof_trace_zero_residuals_everywhere(corpus):
         for k, t in enumerate(tower_triples(fx)):
             rec = proof_trace(t)
             for row in rec.rows:
-                assert all(is_zero_vec(r) for r in row.residuals.values()), (name, k)
+                assert not any(map(any, row.residuals.values())), (name, k)
             checked += 1
     assert checked == 6 + 7  # the tamed fixtures and their reduced triples above dimension 0
 
 
 def test_proof_trace_reports_relation_violation(corpus):
-    # a taming but non-closed omega on sol4_1, its flags forced to True:
-    # for Y = e1 - e4, Z1 = [JX, Y] + 2bX + aJX = e3 falls outside v
-    fx = corpus["sol4_1"]
-    omega = TwoForm.from_dict(4, {(0, 1): 1, (1, 3): -2, (2, 3): -2})
-    flags = TamedTriple.build_unverified(fx.algebra, omega, fx.J)
-    assert flags.failed_flags == ("closed",)
-    with pytest.raises(RelationViolation) as info:
-        proof_trace(TamedTriple(fx.algebra, omega, fx.J, True, True, True))
-    assert info.value.relation == "[JX,Y] = -2bX - aJX + Z1"
-    assert info.value.generator == (F(1), F(0), F(0), F(-1))
-    assert info.value.residual == (F(0), F(0), F(1), F(0))
+    # taming forms that are not closed, their flags forced to True.  On sol4_1,
+    # for Y = e1 - e4, Z1 = [JX, Y] + 2bX + aJX = e3 falls outside v.  On
+    # sol3_r_nonint, whose J is not integrable either, relation 4 leaves 2 e2
+    # over for Y = e1 + e2/3.  Every row of a verified triple has a = b = 0 and
+    # Z1 = 0, so these residuals pin the denominator c s s_x q e^2 of relation
+    # 4: the fixture has c = e = 1, and the basis e_i -> d_i e_i makes c = 2, e = 6
+    sol4, sol3 = corpus["sol4_1"], corpus["sol3_r_nonint"]
+    coeffs = {(0, 2): -2, (0, 3): 2, (1, 2): 3, (1, 3): -1}
+    d = [F(1, 2), F(2), F(3), F(1)]
+    h, K = conjugate(sol3.algebra, [[d[i] * (i == j) for j in range(4)] for i in range(4)], sol3.J)
+    assert (h._int_table[0], K.den) == (2, 6)
+    pulled_back = {(i, j): x * d[i] * d[j] for (i, j), x in coeffs.items()}
+    relation_3, relation_4 = "[JX,Y] = -2bX - aJX + Z1", "[JX,JY] = 2aX - bJX + JZ1"
+    cases = [
+        (sol4.algebra, sol4.J, {(0, 1): 1, (1, 3): -2, (2, 3): -2}, ("closed",), relation_3, (1, 0, 0, -1), (0, 0, 1, 0)),
+        (sol3.algebra, sol3.J, coeffs, ("closed", "integrable"), relation_4, (1, F(1, 3), 0, 0), (0, 2, 0, 0)),
+        (h, K, pulled_back, ("closed", "integrable"), relation_4, (1, F(1, 12), 0, 0), (0, 1, 0, 0)),
+    ]
+    for g, J, entries, failed, relation, generator, residual in cases:
+        omega = TwoForm.from_dict(4, entries)
+        assert TamedTriple.build_unverified(g, omega, J).failed_flags == failed
+        with pytest.raises(RelationViolation) as info:
+            proof_trace(TamedTriple(g, omega, J, True, True, True))
+        assert info.value.relation == relation
+        assert info.value.generator == tuple(map(F, generator))
+        assert info.value.residual == tuple(map(F, residual))
+        assert all(isinstance(x, F) for x in info.value.generator + info.value.residual)
 
 
 def test_reduction_layer_is_float_free(corpus, monkeypatch):

@@ -1,0 +1,121 @@
+"""Which functions of the package never run in production.
+
+The CLI runs on every shipped fixture (``validate``, and ``analyze``,
+``tame`` and ``reduce`` with and without ``--json``), ``corpus`` runs on
+the fixture directory with and without ``--json``, and ``decide`` runs on
+the seed-1 items of the ``conjugated`` and ``scaling`` benchmark workloads,
+built before the profiler starts.  The package functions never entered
+under ``sys.setprofile`` must be exactly those of ``NEVER_ENTERED``, each
+with its reason: a function that newly stops running fails the test, and
+so does an allowlisted one that starts to run.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+import tamecert
+from tamecert.cli import main as cli_main
+from tamecert.feasibility import decide
+
+from conftest import FIXTURES_DIR
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = Path(tamecert.__file__).parent  # as co_filename spells it
+
+ERROR_PATH = "error path"
+# no benchmark workload reaches the barrier solve or the dual lane until one
+# is added with the spans the program records (ROADMAP item 1)
+BARRIER = "barrier or dual lane"
+README = "README example"
+PERFBENCH = "imported by perfbench/"
+PUBLIC = "public API"
+
+NEVER_ENTERED = {
+    "algebra.LieAlgebra.bracket": PERFBENCH,  # workloads.conjugate
+    "algebra.LieAlgebra.bracket_table": PUBLIC,
+    "algebra.LieAlgebra.is_solvable": PUBLIC,
+    "algebra.one_dim_ideals": PUBLIC,
+    "algebra.scale_structure_constants": PERFBENCH,
+    "algebra.weight_spaces": PUBLIC,
+    "cli._Parser.error": ERROR_PATH,
+    "errors.JacobiViolation.__init__": ERROR_PATH,
+    "errors.RelationViolation.__init__": ERROR_PATH,
+    "errors.TripleVerificationError.__init__": ERROR_PATH,
+    "feasibility.FeasibilityProblem.barrier_path": BARRIER,
+    "feasibility._barrier_path": BARRIER,
+    "feasibility._max_step": BARRIER,
+    "feasibility._newton_step": BARRIER,
+    "feasibility._with_dual": BARRIER,
+    "feasibility.dual_certificate": BARRIER,
+    "forms.ComplexStructure.apply": PERFBENCH,  # certcheck
+    "forms.ComplexStructure.matrix": PERFBENCH,
+    "forms.OneForm.__call__": PUBLIC,
+    "forms.OneForm.from_coeffs": PUBLIC,
+    "forms.ThreeForm.coeff": PUBLIC,
+    "forms.ThreeForm.from_dict": PERFBENCH,
+    "forms.ThreeForm.is_zero": PERFBENCH,
+    "forms.TwoForm.__call__": PERFBENCH,
+    "forms.TwoForm.is_zero": PUBLIC,
+    "forms.TwoForm.scale": PERFBENCH,
+    "forms.ce_d": PERFBENCH,  # certcheck; the ThreeForm and TwoForm methods above are what it calls
+    "forms.standard_complex_structure": README,
+    "linalg.Subspace.add": PUBLIC,
+    "linalg.Subspace.from_vectors": PUBLIC,
+    "linalg.det": PERFBENCH,
+    "linalg.mat_inverse": PERFBENCH,
+    "linalg.mat_mul": PERFBENCH,
+    "linalg.transpose": PERFBENCH,  # transpose and vec_dot through mat_mul
+    "linalg.unit_vec": PERFBENCH,
+    "linalg.vec": PERFBENCH,  # through LieAlgebra.bracket
+    "linalg.vec_dot": PERFBENCH,
+    "pipeline._over": README,  # proof_trace's
+    "pipeline.proof_trace": README,
+    "reduction.TamedTriple.failed_flags": ERROR_PATH,
+}
+
+
+def package_functions() -> set[str]:
+    """"module.qualname" of every function, method and nested function in the
+    package's source, with no class body, lambda or comprehension."""
+    out = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack += [c for c in code.co_consts if inspect.iscode(c)]
+            if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
+                out.add(f"{path.stem}.{code.co_qualname}")
+    return out
+
+
+def test_never_entered_functions_are_allowlisted(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import workloads
+
+    items = [it for name in ("conjugated", "scaling") for it in workloads.build_items(name, 1, FIXTURES_DIR)]
+    fixtures = [str(path) for path in sorted(FIXTURES_DIR.glob("*.json"))]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for path in fixtures:
+            cli_main(["validate", path])
+            for command in ("analyze", "tame", "reduce"):
+                cli_main([command, path])
+                cli_main([command, path, "--json"])
+        cli_main(["corpus", str(FIXTURES_DIR)])
+        cli_main(["corpus", str(FIXTURES_DIR), "--json"])
+        for it in items:
+            decide(it.algebra, it.J)
+    finally:
+        sys.setprofile(previous)
+    ran = {f"{Path(c.co_filename).stem}.{c.co_qualname}" for c in entered if Path(c.co_filename).parent == PACKAGE_DIR}
+    functions = package_functions()
+    assert set(NEVER_ENTERED) <= functions, sorted(set(NEVER_ENTERED) - functions)
+    assert sorted(functions - ran) == sorted(NEVER_ENTERED)

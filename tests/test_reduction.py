@@ -29,6 +29,7 @@ from tamecert.linalg import unit_vec
 from conftest import (
     TAMED_NAMES,
     conjugate,
+    contains_vector,
     direct_sum,
     form_matrix,
     is_compatible,
@@ -97,7 +98,7 @@ def test_omega_perp_examples():
     omega = TwoForm.from_dict(4, {(0, 2): 1, (1, 3): 1})
     t3 = TamedTriple.build_unverified(g, omega, standard_complex_structure(4))
     perp3 = omega_perp(t3, Subspace.from_vectors(4, [(0, 0, 1, 0)]))
-    assert perp3.dim == 3 and perp3.contains_vector((0, 0, 1, 0))
+    assert perp3.dim == 3 and contains_vector(perp3, (0, 0, 1, 0))
     assert is_subalgebra(g, perp3)
     assert omega_perp(t3, Subspace.zero(4)) == Subspace.full(4)
 
@@ -138,7 +139,7 @@ def test_reduce_with_nonzero_correction_term():
     t = TamedTriple.build(g, omega, J)
     h = find_isotropic_ideal(t)
     perp = omega_perp(t, h)
-    assert any(not perp.contains_vector(J.apply(b)) for b in perp.basis)
+    assert any(not contains_vector(perp, J.apply(b)) for b in perp.basis)
     step = reduce(t, h)
     assert step.reduced.verified
     assert step.reduced.J.matrix == ((F(0), F(1, 2)), (F(-2), F(0)))
