@@ -54,7 +54,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
-from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_integrable, is_taming, taming_gram
+from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_taming, taming_gram
 from .linalg import ZERO, Mat, Subspace, Vec, _cleared, _echelon, _kernel, _symmetric, clear_denominators, leading_minors_positive
 
 DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
@@ -99,7 +99,9 @@ class FeasibilityProblem:
     gram_basis: list[Mat]  # taming_gram of each closed form, the source of grams; no exact lane reads it
     grams: np.ndarray  # float stack, shape (m, n, n)
     config: FeasibilityConfig  # unread; see FeasibilityConfig
-    j_integrable: bool
+    # unread, and build_problem leaves it None: analyze tests integrability itself;
+    # kept only because perfbench/spans.py builds FeasibilityProblem positionally
+    j_integrable: bool | None = None
 
     @property
     def size(self) -> int:
@@ -160,12 +162,9 @@ class DegeneracyDirection:
 def build_problem(g: LieAlgebra, J: ComplexStructure) -> FeasibilityProblem:
     """Assemble the closed-form basis and its Gram forms, exactly then as floats.
 
-    Feasibility is well-defined for any almost complex J; a non-integrable J
-    is logged and recorded in j_integrable.
+    Feasibility is well-defined for any almost complex J, so J's integrability
+    is not tested here: only analyze's theorem sweep reads it.
     """
-    integrable = is_integrable(g, J)
-    if not integrable:
-        logger.warning("J is not integrable; the taming decision still applies")
     basis = closed_two_forms(g)
     gram_basis = [taming_gram(b, J) for b in basis]
     grams = np.array(
@@ -178,7 +177,6 @@ def build_problem(g: LieAlgebra, J: ComplexStructure) -> FeasibilityProblem:
         gram_basis=gram_basis,
         grams=grams,
         config=FeasibilityConfig(),
-        j_integrable=integrable,
     )
 
 

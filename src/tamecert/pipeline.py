@@ -11,6 +11,7 @@ algebra, which is Kaehler for every J.
 from __future__ import annotations
 
 import concurrent.futures
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,7 @@ from .feasibility import (
     build_problem,
 )
 from .fixtures import Fixture, load_fixture, rational_str
-from .forms import TwoForm
+from .forms import TwoForm, is_integrable
 from .linalg import Subspace, Vec
 from .reduction import TamedTriple, _dot, _omega_apply, find_isotropic_ideal, omega_perp, reduce, reduction_tower
 
@@ -46,6 +47,8 @@ SCOPE_NOTE = (
     "Lie-algebra level analysis over invariant forms; "
     "lattices and solvmanifold topology are out of scope."
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,11 @@ def analyze(fixture: Fixture) -> AnalysisReport:
     feas: FeasibilityVerdict | None = None
     integrable = False
     if j_present:
-        p = build_problem(g, fixture.J)
-        integrable = p.j_integrable
+        integrable = is_integrable(g, fixture.J)
         j_status["integrable"] = integrable
-        feas = _decide(p)
+        if not integrable:
+            logger.warning("J is not integrable; the taming decision still applies")
+        feas = _decide(build_problem(g, fixture.J))
 
     applicable = bool(unimodular and cs and j_present and integrable)
     feasible = isinstance(feas, Feasible)

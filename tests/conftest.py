@@ -13,6 +13,7 @@ from tamecert.linalg import (
     _cleared,
     _echelon,
     _forward,
+    _kernel,
     _root_counts,
     charpoly,
     det,
@@ -231,6 +232,52 @@ def direct_sum(
         for r, row in enumerate(Jk.matrix):
             J[off + r][off : off + len(row)] = row
     return LieAlgebra.from_brackets(n, brackets), ComplexStructure.from_matrix(J)
+
+
+def integrable_bracket_maps(base: int, central: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The bracket maps c: Λ²V -> Z of g = V + Z (dim V = base, dim Z = central,
+    both even) that are integrable for the standard J, as the pairs i < j of V
+    and an integer basis of the maps, each an integer vector over (pair, k).
+
+    For X, Y in V, N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] lies in Z
+    and is linear in c, and N vanishes when an argument lies in the centre Z;
+    so the integrable maps are the kernel of one integer matrix, one row per
+    pair a < b of V and component k of Z.  With J e_a = s_a e_{a^1}, s_a = (-1)^a,
+    N(e_a, e_b)_k = s_a s_b c(a^1, b^1)_k - s_{k^1} (s_a
+    c(a^1, b)_{k^1} + s_b c(a, b^1)_{k^1}) - c(a, b)_k.
+    """
+    pairs = list(combinations(range(base), 2))
+    column = {pair: t for t, pair in enumerate(pairs)}
+
+    def add(row, i, j, k, factor):  # row += factor * c(i, j)_k, with c(j, i) = -c(i, j)
+        if i != j:
+            row[column[min(i, j), max(i, j)] * central + k] += factor if i < j else -factor
+
+    rows = []
+    for a, b in pairs:
+        for k in range(central):
+            row = [0] * (len(pairs) * central)
+            add(row, a ^ 1, b ^ 1, k, (-1) ** (a + b))
+            add(row, a ^ 1, b, k ^ 1, -((-1) ** ((k ^ 1) + a)))
+            add(row, a, b ^ 1, k ^ 1, -((-1) ** ((k ^ 1) + b)))
+            add(row, a, b, k, -1)
+            rows.append(row)
+    return pairs, _kernel(rows, len(pairs) * central)[0]
+
+
+def integrable_two_step(rng: random.Random, base: int, central: int) -> LieAlgebra:
+    """A non-abelian 2-step nilpotent g = V + Z on which the standard J is
+    integrable: an integer combination, with coefficients in [-2, 2], of the
+    basis of ``integrable_bracket_maps``, drawn again while it is zero."""
+    pairs, kernel = integrable_bracket_maps(base, central)
+    while True:
+        weights = [rng.randint(-2, 2) for _ in kernel]
+        c = [sum(w * x for w, x in zip(weights, column)) for column in zip(*kernel)]
+        if any(c):
+            break
+    images = [c[t * central : (t + 1) * central] for t in range(len(pairs))]
+    brackets = {pair: {base + k: Fraction(x) for k, x in enumerate(z) if x} for pair, z in zip(pairs, images) if any(z)}
+    return LieAlgebra.from_brackets(base + central, brackets)
 
 
 def is_compatible(omega: TwoForm, J: ComplexStructure) -> bool:

@@ -22,12 +22,14 @@ from tamecert import (
     LieAlgebra,
     TwoForm,
     Unknown,
+    analyze,
     build_problem,
     ce_d,
     decide,
     degeneracy_precheck,
     dual_certificate,
     exactify,
+    is_integrable,
     is_taming,
     maximize_lambda_min,
     standard_complex_structure,
@@ -82,7 +84,6 @@ def fake_problem(forms, dim):
         gram_basis=gram_basis,
         grams=np.array([[[float(x) for x in row] for row in m] for m in gram_basis]),
         config=FeasibilityConfig(),
-        j_integrable=True,
     )
 
 
@@ -707,8 +708,8 @@ def test_exact_dual_certificate_on_aff_r2(corpus, P):
     # precheck misses, so the verdict comes from the rounded dual iterate
     fx = corpus["aff_r2"]
     J = non_integrable_j(fx, P)
+    assert not is_integrable(fx.algebra, J)
     p = build_problem(fx.algebra, J)
-    assert not p.j_integrable
     assert degeneracy_precheck(p) is None
     v = decide(fx.algebra, J)
     assert isinstance(v, Infeasible) and v.rank_one_direction is None
@@ -875,15 +876,21 @@ def test_unknown_verdict_is_logged(corpus, caplog, P):
 
 
 def test_non_integrable_j_is_logged(corpus, caplog):
+    # analyze reports integrability, so it tests J and logs a failure once;
+    # decide needs no integrable J, and neither it nor build_problem logs
     fx = corpus["sol3_r_nonint"]
-    with caplog.at_level(logging.WARNING, logger="tamecert.feasibility"):
-        p = build_problem(fx.algebra, fx.J)
-    assert not p.j_integrable
-    assert [r.levelno for r in caplog.records] == [logging.WARNING]
-    assert "not integrable" in caplog.records[0].getMessage()
+    with caplog.at_level(logging.WARNING, logger="tamecert.pipeline"):
+        report = analyze(fx)
+    assert report.j_status["integrable"] is False
+    records = [r for r in caplog.records if "not integrable" in r.getMessage()]
+    assert [(r.name, r.levelno) for r in records] == [("tamecert.pipeline", logging.WARNING)]
     caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="tamecert.feasibility"):
-        build_problem(corpus["aff_r2"].algebra, corpus["aff_r2"].J)
+    with caplog.at_level(logging.WARNING, logger="tamecert.pipeline"):
+        analyze(corpus["aff_r2"])
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="tamecert"):
+        build_problem(fx.algebra, fx.J)
+        decide(fx.algebra, fx.J)
     assert not caplog.records
 
 

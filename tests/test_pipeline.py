@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from tamecert import (
     Unknown,
     analyze,
     corpus_run,
+    decide,
     dumps_report,
     load_fixture,
     parse_fixture,
@@ -38,7 +40,7 @@ from tamecert.fixtures import MAX_FIXTURE_DIM
 from tamecert.linalg import mat_inverse, mat_mul, unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
 
-from conftest import CORPUS_NAMES, TAMED_NAMES, conjugate
+from conftest import CORPUS_NAMES, FIXTURES_DIR, TAMED_NAMES, conjugate
 
 F = Fraction
 
@@ -257,8 +259,8 @@ MAX_CLEARED_CALLS = 46
 MAX_KERNEL_CALLS = 38
 # one derived series per fixture, inside is_completely_solvable
 MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
-# one Nijenhuis test per fixture with J, read from the problem, plus one per
-# tamed triple, the input's and each reduced one's: 11 + 6 + 13
+# one Nijenhuis test per fixture with J, analyze's own for its theorem sweep,
+# plus one per tamed triple, the input's and each reduced one's: 11 + 6 + 13
 MAX_IS_INTEGRABLE_CALLS = 30
 # _d2_ints, 14: one per fixture's closed basis, and one per tamed triple with
 # brackets (aff_r's, aff_r2's and its first reduced one): 11 + 3; an abelian
@@ -318,6 +320,34 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
     assert 0 < first_total["_d2_ints"] <= MAX_D2_INTS_CALLS, first_total["_d2_ints"]
     assert 0 < first_total["_weight_spaces"] <= MAX_WEIGHT_SPACES_CALLS, first_total["_weight_spaces"]
     assert 0 < first_total["derived_series"] <= MAX_DERIVED_SERIES_CALLS
+
+
+def test_only_analyze_tests_integrability(corpus, monkeypatch):
+    # decide needs no integrable J, so it never runs the Nijenhuis test;
+    # analyze runs it once per fixture with J and reports what it read
+    monkeypatch.syspath_prepend(str(FIXTURES_DIR.parent / "perfbench"))
+    import workloads
+
+    original = tamecert.forms.is_integrable
+    calls = []
+
+    def counted(g, J):
+        calls.append(g.dim)
+        return original(g, J)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "tamecert"]:
+        if getattr(module, "is_integrable", None) is original:
+            monkeypatch.setattr(module, "is_integrable", counted)
+    items = [(it.algebra, it.J) for it in workloads.build_items("conjugated", 1, FIXTURES_DIR)]
+    items.append((corpus["sol3_r_nonint"].algebra, corpus["sol3_r_nonint"].J))
+    for g, J in items:
+        decide(g, J)
+    assert len(items) == 15 and calls == []
+    for name, fx in corpus.items():
+        if fx.J is None:
+            continue
+        assert analyze(fx).j_status["integrable"] == original(fx.algebra, fx.J), name
+    assert calls
 
 
 def _floats(obj) -> list[tuple[float, float]]:

@@ -2,24 +2,30 @@
 
 Two-step nilpotent algebras (brackets landing in a central summand) satisfy
 Jacobi for free, which makes them a cheap fuzz family for the exact paths.
+Those on which the standard J is integrable are in the paper's class and are
+not direct sums of the corpus fixtures.
 """
 
 import random
 from fractions import Fraction
 
 from tamecert import (
+    Fixture,
     LieAlgebra,
     OneForm,
+    analyze,
     ce_d,
     closed_two_forms,
     decide,
     Infeasible,
     Feasible,
     is_completely_solvable,
+    is_integrable,
+    standard_complex_structure,
 )
 from tamecert.linalg import unit_vec
 
-from conftest import random_rational_vector
+from conftest import conjugate, integrable_two_step, random_basis_change, random_rational_vector
 
 F = Fraction
 
@@ -87,3 +93,32 @@ def test_verdicts_are_certified_on_random_kaehler_rotations():
         assert v.exact_pd
         assert not isinstance(v, Infeasible)
         assert np.isfinite(v.lambda_min) and v.lambda_min > 0
+
+
+# (dim V, dim Z) of the integrable 2-step draws, n = 6 to 12, three draws each
+INTEGRABLE_SHAPES = [(4, 2), (6, 2), (4, 4), (8, 2), (6, 4), (10, 2), (8, 4)]
+
+
+def test_integrable_two_step_draws_are_infeasible_by_the_precheck():
+    # each draw is nilpotent, so completely solvable and unimodular, with J
+    # integrable by construction, and non-abelian: the theorem says no closed
+    # form tames J, and the exact precheck proves it with no float lane.  The
+    # first draw of each n is also taken in a dense integer basis
+    rng = random.Random(2026)
+    conjugated = set()
+    for base, central in INTEGRABLE_SHAPES:
+        n = base + central
+        for k in range(3):
+            g, J = integrable_two_step(rng, base, central), standard_complex_structure(n)
+            cases = [(f"v{base}z{central}#{k}", g, J)]
+            if n not in conjugated:
+                conjugated.add(n)
+                cases.append((f"v{base}z{central}#{k}~dense", *conjugate(g, random_basis_change(random.Random(5), n), J)))
+            for name, h, K in cases:
+                assert is_integrable(h, K), name
+                report = analyze(Fixture(name, h, K, None))
+                t = report.theorem_consistency
+                assert t.applicable and t.consistent and not report.flags["abelian"], (name, t.detail)
+                v = decide(h, K)
+                assert isinstance(v, Infeasible) and v.rank_one_direction is not None, name
+                assert v.best_primal == 0.0, name
