@@ -1,4 +1,12 @@
-"""tamecert: certified decisions on taming symplectic forms for Lie algebras."""
+"""tamecert: certified decisions on taming symplectic forms for Lie algebras.
+
+The package exports what README documents: the library example's calls and
+the types they return or raise, the structural toolkit, and what the CLI is
+built on.  The lanes inside ``decide`` (the closed basis, the Gram forms, the
+precheck, the ascent, exactify and the dual search) and the reduction's
+helpers are imported from ``tamecert.feasibility``, ``tamecert.forms`` and
+``tamecert.reduction``, and the coercion ``frac`` from ``tamecert.linalg``.
+"""
 
 from .algebra import (
     CompleteSolvability,
@@ -9,7 +17,6 @@ from .algebra import (
 )
 from .errors import (
     DimensionMismatch,
-    ExactificationFailed,
     FixtureError,
     JacobiViolation,
     NoOneDimIdeal,
@@ -21,19 +28,7 @@ from .errors import (
     TamingLost,
     TripleVerificationError,
 )
-from .feasibility import (
-    DegeneracyDirection,
-    Feasible,
-    FeasibilityProblem,
-    Infeasible,
-    Unknown,
-    build_problem,
-    decide,
-    degeneracy_precheck,
-    dual_certificate,
-    exactify,
-    maximize_lambda_min,
-)
+from .feasibility import Feasible, Infeasible, Unknown, decide
 from .fixtures import Fixture, dumps_report, load_fixture, parse_fixture
 from .forms import (
     ComplexStructure,
@@ -41,23 +36,12 @@ from .forms import (
     ThreeForm,
     TwoForm,
     ce_d,
-    closed_two_forms,
     is_integrable,
-    is_taming,
     standard_complex_structure,
-    taming_gram,
 )
-from .linalg import Subspace, frac
+from .linalg import Subspace
 from .pipeline import AnalysisReport, ProofTraceRecord, analyze, corpus_run, proof_trace
-from .reduction import (
-    ReductionStep,
-    ReductionTower,
-    TamedTriple,
-    find_isotropic_ideal,
-    omega_perp,
-    reduce,
-    reduction_tower,
-)
+from .reduction import ReductionStep, ReductionTower, TamedTriple, reduce, reduction_tower
 
 __version__ = "0.1.0"
 
@@ -65,11 +49,8 @@ __all__ = [
     "AnalysisReport",
     "CompleteSolvability",
     "ComplexStructure",
-    "DegeneracyDirection",
     "DimensionMismatch",
-    "ExactificationFailed",
     "Feasible",
-    "FeasibilityProblem",
     "Fixture",
     "FixtureError",
     "Infeasible",
@@ -93,29 +74,18 @@ __all__ = [
     "TwoForm",
     "Unknown",
     "analyze",
-    "build_problem",
     "ce_d",
-    "closed_two_forms",
     "corpus_run",
     "decide",
-    "degeneracy_precheck",
-    "dual_certificate",
     "dumps_report",
-    "exactify",
-    "find_isotropic_ideal",
-    "frac",
     "is_completely_solvable",
     "is_integrable",
-    "is_taming",
     "load_fixture",
-    "maximize_lambda_min",
-    "omega_perp",
     "one_dim_ideals",
     "parse_fixture",
     "proof_trace",
     "reduce",
     "reduction_tower",
     "standard_complex_structure",
-    "taming_gram",
     "weight_spaces",
 ]

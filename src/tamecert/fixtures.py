@@ -1,6 +1,9 @@
 """Fixture files and report serialization.
 
-Fixture schema (rationals are integers or "p/q" strings; indices 0-based):
+Fixture schema (indices 0-based; a rational is what ``linalg.frac`` reads: a
+JSON integer, not a boolean, or a string that fully matches [+-]?\\d+(/\\d+)?
+with a nonzero denominator, so a decimal, exponent, underscore or padded
+string is refused before its digits are expanded):
 
     {
       "name": str,
@@ -48,16 +51,11 @@ class Fixture:
 
 
 def _rational(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise FixtureError(f"{where}: booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FixtureError(f"{where}: bad rational {value!r}: {exc}") from exc
-    raise FixtureError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
+    """``frac`` of a fixture value, its refusal a ``FixtureError`` at ``where``."""
+    try:
+        return frac(value)
+    except (TypeError, ValueError) as exc:
+        raise FixtureError(f"{where}: {exc}") from exc
 
 
 def _indexed_entries(entries, key: str, source: str, dim: int):

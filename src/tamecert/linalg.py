@@ -22,6 +22,7 @@ subspace, so equality of subspaces is equality of rows.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -34,15 +35,29 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
+
+
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4' and Fractions; floats are rejected."""
+    """The one coercion to an exact rational: a ``Fraction``, an ``int`` that is
+    not a ``bool``, or a string that fully matches ``[+-]?\\d+(/\\d+)?`` in ASCII
+    digits, such as "3", "-3/4" or "+2".  Any other type, booleans and floats
+    included, raises ``TypeError``; any other string (a decimal, an exponent,
+    an underscore, padding, a zero denominator, or past ``int``'s digit limit)
+    raises ``ValueError``, so no string costs more than reading its digits."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
+        m = _RATIONAL.fullmatch(x)
+        if m is None:
+            raise ValueError(f"bad rational {x!r}: expected an integer or 'p/q' string")
+        num, den = int(m[1]), int(m[2] or 1)
+        if den == 0:
+            raise ValueError(f"bad rational {x!r}: zero denominator")
+        return Fraction(num, den)
+    raise TypeError(f"expected an exact rational (an integer or 'p/q' string), got {type(x).__name__}: {x!r}")
 
 
 def vec(entries: Iterable) -> Vec:

@@ -90,7 +90,6 @@ class ReductionStep:
     generator: Vec
     perp: Subspace
     reduced: TamedTriple
-    section_map: tuple[Vec, ...]  # representatives in h^perp of the reduced basis
 
 
 @dataclass(frozen=True)
@@ -225,13 +224,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     red_triple = TamedTriple.build_unverified(red_alg, red_omega, red_j)
     if not red_triple.verified:
         raise TamingLost("reduction lost a verified property: " + ", ".join(red_triple.failed_flags))
-    return ReductionStep(
-        h=h,
-        generator=h.basis[0],
-        perp=perp,
-        reduced=red_triple,
-        section_map=tuple(v for v, q in zip(perp.basis, perp._pivots) if q != p),
-    )
+    return ReductionStep(h=h, generator=h.basis[0], perp=perp, reduced=red_triple)
 
 
 def reduction_tower(t: TamedTriple) -> ReductionTower:

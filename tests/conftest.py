@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from tamecert import ComplexStructure, Fixture, LieAlgebra, Subspace, TwoForm, is_taming, load_fixture
+from tamecert import ComplexStructure, Fixture, LieAlgebra, Subspace, TwoForm, load_fixture
 from tamecert.algebra import scale_structure_constants
-from tamecert.forms import two_form_pairs
+from tamecert.forms import is_taming, two_form_pairs
 from tamecert.linalg import (
     _cleared,
     _echelon,
@@ -333,8 +333,8 @@ def _ref_quotient(g: LieAlgebra, h: Subspace):
 
 
 def reference_reduce(t, h: Subspace):
-    """(algebra, omega, J, section) of h^perp/h built as the quotient of the
-    subalgebra h^perp by the line h; the oracle for ``reduction.reduce``."""
+    """(algebra, omega, J) of h^perp/h built as the quotient of the subalgebra
+    h^perp by the line h; the oracle for ``reduction.reduce``."""
     g = t.algebra
     x = h.basis[0]
     denom = t.omega(t.J.apply(x), x)
@@ -359,7 +359,7 @@ def reference_reduce(t, h: Subspace):
         jy = t.J.apply([a - c * b for a, b in zip(y, x)])
         cols.append(project(coordinates_of(perp, jy)))
     J = ComplexStructure.from_matrix([[cols[b][a] for b in range(m)] for a in range(m)])
-    return red_alg, omega, J, tuple(section)
+    return red_alg, omega, J
 
 
 # --- reference kernel: one vector per free column, eliminated in Fractions ---

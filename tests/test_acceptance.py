@@ -21,9 +21,7 @@ from tamecert import (
     TamedTriple,
     Unknown,
     analyze,
-    build_problem,
     ce_d,
-    closed_two_forms,
     corpus_run,
     decide,
     is_integrable,
@@ -31,7 +29,8 @@ from tamecert import (
     reduction_tower,
     standard_complex_structure,
 )
-from tamecert.forms import ComplexStructure
+from tamecert.feasibility import build_problem
+from tamecert.forms import ComplexStructure, closed_two_forms
 from tamecert.linalg import unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT
 

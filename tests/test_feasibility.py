@@ -15,28 +15,32 @@ import tamecert.algebra as algebra_mod
 import tamecert.feasibility as feas_mod
 import tamecert.forms as forms_mod
 from tamecert import (
-    ExactificationFailed,
     Feasible,
-    FeasibilityProblem,
     Infeasible,
     LieAlgebra,
     TwoForm,
     Unknown,
     analyze,
-    build_problem,
     ce_d,
     decide,
-    degeneracy_precheck,
-    dual_certificate,
-    exactify,
     is_integrable,
-    is_taming,
-    maximize_lambda_min,
     standard_complex_structure,
 )
 from tamecert.algebra import scale_structure_constants, weight_spaces
-from tamecert.feasibility import DEGENERATE_MARGIN, EXACTIFY_DENOMINATOR_BOUND, DegeneracyDirection, FeasibilityConfig
-from tamecert.forms import ComplexStructure, _gram_ints, taming_gram
+from tamecert.errors import ExactificationFailed
+from tamecert.feasibility import (
+    DEGENERATE_MARGIN,
+    EXACTIFY_DENOMINATOR_BOUND,
+    DegeneracyDirection,
+    FeasibilityConfig,
+    FeasibilityProblem,
+    build_problem,
+    degeneracy_precheck,
+    dual_certificate,
+    exactify,
+    maximize_lambda_min,
+)
+from tamecert.forms import ComplexStructure, _gram_ints, is_taming, taming_gram
 from tamecert.linalg import Subspace, clear_denominators, leading_minors_positive, mat_inverse, mat_mul
 from tamecert.pipeline import verdict_to_dict
 

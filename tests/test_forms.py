@@ -18,16 +18,21 @@ from tamecert import (
     NotAComplexStructure,
     OneForm,
     TwoForm,
-    build_problem,
     ce_d,
-    closed_two_forms,
-    degeneracy_precheck,
     is_integrable,
-    is_taming,
     standard_complex_structure,
-    taming_gram,
 )
-from tamecert.forms import _complex_basis, _gram_ints, _nijenhuis_ints, d2_matrix, two_form_pairs
+from tamecert.feasibility import build_problem, degeneracy_precheck
+from tamecert.forms import (
+    _complex_basis,
+    _gram_ints,
+    _nijenhuis_ints,
+    closed_two_forms,
+    d2_matrix,
+    is_taming,
+    taming_gram,
+    two_form_pairs,
+)
 from tamecert.linalg import ONE, ZERO, det, leading_minors_positive, mat_inverse, mat_mul, unit_vec
 from tamecert.reduction import TamedTriple
 

@@ -47,7 +47,13 @@ def poly_eval(p, x):
 def test_frac_rejects_floats():
     with pytest.raises(TypeError):
         frac(0.5)
+    with pytest.raises(TypeError):
+        frac(True)
+    for text in ("1e3", "0.5", "1_000", " 1/2", "1/0", "1/-2", ""):
+        with pytest.raises(ValueError):
+            frac(text)
     assert frac("3/4") == F(3, 4)
+    assert frac("-3/4") == F(-3, 4) and frac("+2") == F(2)
     assert frac(-2) == F(-2)
 
 

@@ -7,9 +7,76 @@ from fractions import Fraction
 from pathlib import Path
 
 import tamecert
-from tamecert import algebra, errors, fixtures, forms, linalg, reduction
+from tamecert import algebra, errors, feasibility, fixtures, forms, linalg, reduction
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# what README documents: the library example's calls and the types they return
+# or raise, the structural toolkit of its opening section, and what the CLI is
+# built on
+PUBLIC_NAMES = [
+    "AnalysisReport",
+    "CompleteSolvability",
+    "ComplexStructure",
+    "DimensionMismatch",
+    "Feasible",
+    "Fixture",
+    "FixtureError",
+    "Infeasible",
+    "JacobiViolation",
+    "LieAlgebra",
+    "NoOneDimIdeal",
+    "NotAComplexStructure",
+    "NotAnIdeal",
+    "NotIsotropic",
+    "OneForm",
+    "ProofTraceRecord",
+    "ReductionStep",
+    "ReductionTower",
+    "RelationViolation",
+    "Subspace",
+    "TamecertError",
+    "TamedTriple",
+    "TamingLost",
+    "ThreeForm",
+    "TripleVerificationError",
+    "TwoForm",
+    "Unknown",
+    "analyze",
+    "ce_d",
+    "corpus_run",
+    "decide",
+    "dumps_report",
+    "is_completely_solvable",
+    "is_integrable",
+    "load_fixture",
+    "one_dim_ideals",
+    "parse_fixture",
+    "proof_trace",
+    "reduce",
+    "reduction_tower",
+    "standard_complex_structure",
+    "weight_spaces",
+]
+
+# decide's lanes, the reduction's helpers and the coercion: out of the package
+# namespace, still importable from the module that defines each
+MODULE_ONLY_NAMES = [
+    (feasibility, "build_problem"),
+    (feasibility, "degeneracy_precheck"),
+    (feasibility, "dual_certificate"),
+    (feasibility, "exactify"),
+    (feasibility, "maximize_lambda_min"),
+    (feasibility, "DegeneracyDirection"),
+    (feasibility, "FeasibilityProblem"),
+    (forms, "closed_two_forms"),
+    (forms, "taming_gram"),
+    (forms, "is_taming"),
+    (reduction, "find_isotropic_ideal"),
+    (reduction, "omega_perp"),
+    (linalg, "frac"),
+    (errors, "ExactificationFailed"),
+]
 
 # names deleted from the package; a stale export of any of them is an error
 REMOVED_NAMES = [
@@ -71,6 +138,10 @@ MOVED_METHODS = [
 
 def test_public_surface():
     assert len(set(tamecert.__all__)) == len(tamecert.__all__)
+    assert sorted(tamecert.__all__) == PUBLIC_NAMES
+    for module, name in MODULE_ONLY_NAMES:
+        assert not hasattr(tamecert, name), name
+        assert getattr(module, name).__module__ == module.__name__, name
     for name in tamecert.__all__:
         assert getattr(tamecert, name, None) is not None, name
     namespace: dict = {}
@@ -87,10 +158,11 @@ def test_public_surface():
     assert not hasattr(tamecert.TwoForm, "add")
     for owner, name in MOVED_METHODS:
         assert not hasattr(owner, name), (owner.__name__, name)
-    assert not hasattr(tamecert.FeasibilityProblem, "gram_ints")
-    assert "complement_witness" not in {f.name for f in dataclasses.fields(tamecert.ReductionStep)}
+    assert not hasattr(feasibility.FeasibilityProblem, "gram_ints")
+    step_fields = {f.name for f in dataclasses.fields(tamecert.ReductionStep)}
+    assert "complement_witness" not in step_fields and "section_map" not in step_fields
     # decide has no tolerance knob: both certificate lanes re-prove exactly
-    for fn in (tamecert.decide, tamecert.build_problem, tamecert.analyze, tamecert.corpus_run):
+    for fn in (tamecert.decide, feasibility.build_problem, tamecert.analyze, tamecert.corpus_run):
         assert "config" not in inspect.signature(fn).parameters, fn.__name__
     # the Jacobi check always runs, and reports are written by json.dumps
     assert "check" not in inspect.signature(tamecert.LieAlgebra.from_brackets).parameters
@@ -127,4 +199,4 @@ def test_benchmark_imports_resolve(monkeypatch):
     fx = load["aff_r2"]
     verdict, basis = spans.traced_decide(spans.Recorder(), fx.algebra, fx.J)
     assert spans.verdict_signature(verdict) == spans.verdict_signature(tamecert.decide(fx.algebra, fx.J))
-    assert spans.closed_basis_signature(basis) == spans.closed_basis_signature(tamecert.closed_two_forms(fx.algebra))
+    assert spans.closed_basis_signature(basis) == spans.closed_basis_signature(forms.closed_two_forms(fx.algebra))

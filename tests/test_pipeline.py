@@ -38,7 +38,7 @@ from tamecert import (
 from tamecert.cli import main as cli_main
 from tamecert.fixtures import MAX_FIXTURE_DIM
 from tamecert.linalg import mat_inverse, mat_mul, unit_vec
-from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
+from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNKNOWN
 
 from conftest import CORPUS_NAMES, FIXTURES_DIR, TAMED_NAMES, conjugate
 
@@ -65,6 +65,13 @@ def test_parse_fraction_strings(tmp_path):
     assert fx.algebra.bracket(unit_vec(2, 0), unit_vec(2, 1)) == (F(0), F(1, 2))
 
 
+@pytest.mark.parametrize("text, value", [("-3/4", F(-3, 4)), ("+2", F(2)), ("2/4", F(1, 2)), ("-0", F(0))])
+def test_parse_rational_grammar(text, value):
+    # a sign, digits, and an optional "/" with a nonzero denominator
+    fx = parse_fixture({"name": "t", "dim": 2, "brackets": [{"i": 0, "j": 1, "v": {"1": text}}]})
+    assert fx.algebra.bracket(unit_vec(2, 0), unit_vec(2, 1)) == (F(0), value)
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -75,6 +82,19 @@ def test_parse_fraction_strings(tmp_path):
         (lambda d: d["brackets"].append({"i": 1, "j": 0, "v": {}}), "i < j"),
         (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"9": 1}}), "outside dimension"),
         (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"1": 0.5}}), "integer or 'p/q'"),
+        (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"1": True}}), "v[1]: expected an exact rational"),
+        (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"1": "1/0"}}), "v[1]: bad rational '1/0': zero denominator"),
+        # only [+-]?digits(/digits)? is a rational string: nothing is expanded or trimmed
+        (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"1": "1e3"}}), "v[1]: bad rational '1e3'"),
+        (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"1": "0.5"}}), "v[1]: bad rational '0.5'"),
+        (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"1": "1_000"}}), "v[1]: bad rational '1_000'"),
+        (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"1": " 1/2"}}), "v[1]: bad rational ' 1/2'"),
+        (lambda d: d.update(J=[[0, "-1"], ["1.0", 0]]), "J[1][0]: bad rational '1.0'"),
+        (lambda d: d.update(omega=[{"i": 0, "j": 1, "v": False}]), "omega[0].v: expected an exact rational"),
+        (lambda d: d["brackets"].append({"i": 0, "j": 1}), "needs fields i, j, v"),
+        (lambda d: d.update(name=5), "'name' must be a string"),
+        (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": [1]}), "'v' must map component index to rational"),
+        (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"x": 1}}), "component key 'x' is not an integer"),
         (lambda d: d.update(J=[[1, 0], [0, 1]]), "complex structure"),
         (lambda d: d.update(J=[[0, -1]]), "2x2"),
         (lambda d: d.update(omega=[{"i": 1, "j": 1, "v": 1}]), "i < j"),
@@ -136,6 +156,8 @@ HOSTILE_FILES = {
     # limit reads a dim above the cap instead
     "long_int": b'{"name": "x", "dim": 1' + b"0" * 4999 + b"}",
     "deep": b"[" * 200_000,
+    # an exponent string that Fraction() alone would expand to 10^8 digits
+    "exponent": b'{"name": "x", "dim": 2, "brackets": [{"i": 0, "j": 1, "v": {"1": "1e100000000"}}]}',
     # a key repeated inside one JSON object, which json.loads alone reads last-wins
     "repeated_component": b'{"name": "x", "dim": 3, "brackets": [{"i": 0, "j": 1, "v": {"2": 1, "2": 5}}]}',
     "repeated_dim": b'{"name": "x", "dim": 2, "dim": 4}',
@@ -655,6 +677,42 @@ def test_cli_tame(fixtures_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["feasibility"]["verdict"] == "feasible"
     assert doc["feasibility"]["exact_pd"] is True
+
+
+# R e0 ⋉ R^5 with ad e0 = (M ⊗ C) ⊕ 0, M = [[0, 2], [1, 0]]: the weights ±√2 are
+# real, so the theorem applies, but the rank-one precheck finds no rational
+# direction and no rounding of the solve re-proves a certificate
+SQRT2_ALMOST_ABELIAN = {
+    "name": "sqrt2_almost_abelian",
+    "dim": 6,
+    "basis": ["e0", "e1", "e2", "e3", "e4", "e5"],
+    "brackets": [
+        {"i": 0, "j": 1, "v": {"2": "1"}},
+        {"i": 0, "j": 2, "v": {"1": "2"}},
+        {"i": 0, "j": 3, "v": {"4": "1"}},
+        {"i": 0, "j": 4, "v": {"3": "2"}},
+    ],
+    "J": [
+        ["0", "0", "0", "0", "0", "-1"],
+        ["0", "0", "0", "-1", "0", "0"],
+        ["0", "0", "0", "0", "-1", "0"],
+        ["0", "1", "0", "0", "0", "0"],
+        ["0", "0", "1", "0", "0", "0"],
+        ["1", "0", "0", "0", "0", "0"],
+    ],
+}
+
+
+def test_cli_unknown_verdict_exits_3(tmp_path, capsys):
+    path = tmp_path / "sqrt2_almost_abelian.json"
+    path.write_text(json.dumps(SQRT2_ALMOST_ABELIAN))
+    assert cli_main(["analyze", str(path)]) == EXIT_UNKNOWN == 3
+    assert "feasibility: UNKNOWN" in capsys.readouterr().out
+    assert cli_main(["analyze", str(path), "--json"]) == EXIT_UNKNOWN
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["feasibility"]["verdict"] == "unknown"
+    assert doc["theorem_consistency"]["detail"].startswith("applicable; verdict Unknown")
+    assert cli_main(["tame", str(path)]) == EXIT_UNKNOWN
 
 
 def test_cli_tame_needs_j(tmp_path, capsys):

@@ -75,6 +75,16 @@ NEVER_ENTERED = {
 }
 
 
+def test_public_reasons_name_exported_objects():
+    # a "public API" reason holds only while the function's top-level name is
+    # exported by the package, and is the object its module defines
+    for entry, reason in NEVER_ENTERED.items():
+        if reason == PUBLIC:
+            module, name = entry.split(".")[:2]
+            assert name in tamecert.__all__, entry
+            assert getattr(tamecert, name).__module__ == f"tamecert.{module}", entry
+
+
 def package_functions() -> set[str]:
     """"module.qualname" of every function, method and nested function in the
     package's source, with no class body, lambda or comprehension."""

@@ -15,7 +15,6 @@ from tamecert import (
     OneForm,
     analyze,
     ce_d,
-    closed_two_forms,
     decide,
     Infeasible,
     Feasible,
@@ -23,6 +22,7 @@ from tamecert import (
     is_integrable,
     standard_complex_structure,
 )
+from tamecert.forms import closed_two_forms
 from tamecert.linalg import unit_vec
 
 from conftest import conjugate, integrable_two_step, random_basis_change, random_rational_vector
