@@ -40,13 +40,13 @@ Brackets = Mapping[tuple[int, int], Mapping[int, Fraction]]
 def _normalize_brackets(dim: int, brackets: Brackets) -> dict[tuple[int, int], dict[int, Fraction]]:
     out: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), comps in brackets.items():
-        if not (0 <= i < j < dim):
-            raise DimensionMismatch(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim={dim}")
+        # an index is an int that is not a bool, as in the fixture parser
+        if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
+            raise DimensionMismatch(f"bracket key ({i!r},{j!r}) must be integers with 0 <= i < j < dim={dim}")
         entry = {}
         for k, c in comps.items():
-            k = int(k)
-            if not 0 <= k < dim:
-                raise DimensionMismatch(f"bracket ({i},{j}) targets component {k} outside dim={dim}")
+            if not (type(k) is int and 0 <= k < dim):
+                raise DimensionMismatch(f"bracket ({i},{j}) targets component {k!r}, not an integer index below dim={dim}")
             c = frac(c)
             if c != 0:
                 entry[k] = c
@@ -251,17 +251,6 @@ def is_completely_solvable(g: LieAlgebra) -> CompleteSolvability:
     return CompleteSolvability(witness is None, witness)
 
 
-def _adjoint_ints(table: IntTable, x: Sequence[int]) -> list[list[int]]:
-    """c ad_x for an integer vector x: column j is c [x, e_j]."""
-    n = len(x)
-    m = [[0] * n for _ in range(n)]
-    for (i, j), comps in table.items():
-        for k, c in comps:
-            m[k][j] += x[i] * c
-            m[k][i] -= x[j] * c
-    return m
-
-
 def weight_spaces(g: LieAlgebra) -> list[Subspace]:
     """The joint eigenspaces of ad g whose weights are rational.
 
@@ -288,37 +277,34 @@ def weight_spaces(g: LieAlgebra) -> list[Subspace]:
     return _weight_spaces(g, g.derived_subalgebra())
 
 
-def _weight_spaces(g: LieAlgebra, derived: Subspace, inside_derived: bool = False) -> list[Subspace]:
-    """weight_spaces for a caller that already holds derived = [g, g].
+def _weight_spaces(g: LieAlgebra, derived: Subspace, space: Subspace | None = None) -> list[Subspace]:
+    """The nonzero (weight space cap space), for a caller that already holds
+    derived = [g, g]; space is an ideal of g, and g itself when None.
 
-    With inside_derived, the search starts from Z cap D instead of Z, and
-    returns the nonzero (weight space cap D), with the same weights in the
-    same order: Z cap D is an ideal, so its joint eigenspaces are those
-    intersections, and each characteristic polynomial is at most dim D.
-    When D is abelian it lies in its own centralizer, so Z cap D is D, taken
-    as D's rows with no kernel; this is read off the brackets [b, d] of D's
-    rows, which the kernel would take anyway.
+    The search starts from Z cap space and keeps the weights and their order:
+    Z cap space is an ideal, so its joint eigenspaces are those intersections.
+    The precheck passes space = D, so no characteristic polynomial is larger
+    than dim D; the tower's invariant lines pass None, and weight_spaces too.
+    Z cap space is the kernel of [b, sum y_r s_r] over D's rows b and space's
+    rows s, which for space = g is the stacked c ad_b; when every such bracket
+    is 0, as for an abelian D in itself, it is space's rows, with no kernel.
     """
     n = g.dim
     if not n:
         return [Subspace.full(0)]
     _, table = _cleared_brackets(g)
     units = _units(n)
-    if inside_derived:
-        # Z cap D: the combinations y of D's rows d with [b, sum y_r d_r] = 0 for
-        # every row b of D; canonical as the branch rows below are, with the
-        # pivots of D's rows at the kernel's free columns; an abelian D is its own Z cap D
-        images = [[_bracket_ints(table, b, d) for d in derived.rows] for b in derived.rows]
-        if any(any(v) for row in images for v in row):
-            kernel, free = _kernel([[v[k] for v in row] for row in images for k in range(n)], derived.dim)
-            z = [_primitive([sum(y * d[k] for y, d in zip(ys, derived.rows)) for k in range(n)]) for ys in kernel]
-            z_cols = [derived._pivots[f] for f in free]
-        else:
-            z, z_cols = [list(d) for d in derived.rows], derived._pivots
+    space = Subspace.full(n) if space is None else space
+    # Z cap space: the combinations y of space's rows s with [b, sum y_r s_r] = 0 for every
+    # row b of D; canonical as the branch rows below are, with the pivots of space's rows
+    # at the kernel's free columns
+    images = [[_bracket_ints(table, b, s) for s in space.rows] for b in derived.rows]
+    if any(any(v) for row in images for v in row):
+        kernel, free = _kernel([[v[k] for v in row] for row in images for k in range(n)], space.dim)
+        z = [_primitive([sum(y * s[k] for y, s in zip(ys, space.rows)) for k in range(n)]) for ys in kernel]
+        z_cols = [space._pivots[f] for f in free]
     else:
-        # Z: the kernel of the stacked c ad_b over the integer echelon rows b of D
-        stacked = [row for b in derived.rows for row in _adjoint_ints(table, b)]
-        z, z_cols = _kernel(stacked, n) if stacked else (units, range(n))
+        z, z_cols = [list(s) for s in space.rows], space._pivots
     pivots = derived.pivots()
     free = [i for i in range(n) if i not in pivots]
     branches = [((), z)] if z else []  # (c lambda at free[:len], integer basis rows)

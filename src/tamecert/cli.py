@@ -35,37 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="tamecert",
-        description="Certified decisions on closed 2-forms taming a complex structure "
-        "on a real Lie algebra. " + SCOPE_NOTE,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="check a fixture file (Jacobi identity included)")
-    p_validate.add_argument("file")
-
-    p_analyze = sub.add_parser("analyze", help="full structural + feasibility report")
-    p_analyze.add_argument("file")
-    p_analyze.add_argument("--json", action="store_true")
-
-    p_reduce = sub.add_parser("reduce", help="run the symplectic reduction tower")
-    p_reduce.add_argument("file")
-    p_reduce.add_argument("--json", action="store_true")
-
-    p_tame = sub.add_parser("tame", help="feasibility verdict only")
-    p_tame.add_argument("file")
-    p_tame.add_argument("--json", action="store_true")
-
-    p_corpus = sub.add_parser("corpus", help="analyze every fixture in a directory")
-    p_corpus.add_argument("directory")
-    p_corpus.add_argument("--jobs", type=int, default=1)
-    p_corpus.add_argument("--json", action="store_true")
-
-    return parser
-
-
 def _print_header() -> None:
     print(f"tamecert: {SCOPE_NOTE}")
 
@@ -184,17 +153,39 @@ def cmd_corpus(args) -> int:
     return result.exit_code
 
 
+# (name, handler, positional, help): every command but validate takes --json,
+# and corpus, the one that reads a directory, takes --jobs before it
+_COMMANDS = (
+    ("validate", cmd_validate, "file", "check a fixture file (Jacobi identity included)"),
+    ("analyze", cmd_analyze, "file", "full structural + feasibility report"),
+    ("reduce", cmd_reduce, "file", "run the symplectic reduction tower"),
+    ("tame", cmd_tame, "file", "feasibility verdict only"),
+    ("corpus", cmd_corpus, "directory", "analyze every fixture in a directory"),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="tamecert",
+        description="Certified decisions on closed 2-forms taming a complex structure "
+        "on a real Lie algebra. " + SCOPE_NOTE,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, positional, text in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        p.add_argument(positional)
+        if positional == "directory":
+            p.add_argument("--jobs", type=int, default=1)
+        if name != "validate":
+            p.add_argument("--json", action="store_true")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "validate": cmd_validate,
-        "analyze": cmd_analyze,
-        "reduce": cmd_reduce,
-        "tame": cmd_tame,
-        "corpus": cmd_corpus,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except TamecertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

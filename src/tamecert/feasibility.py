@@ -211,7 +211,7 @@ def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     forms = [[(column[key], x) for key, x in form._ints[1]] for form in p.z2_basis]
 
     def spaces():
-        for space in _weight_spaces(g, derived, inside_derived=True):
+        for space in _weight_spaces(g, derived, derived):
             yield space, "weight space in [g,g]"
         jd = [p.J._apply_ints(r) for r in derived.rows]  # den J [g, g], in ints
         yield derived.intersect(Subspace._span(g.dim, jd)), "J-invariant part of [g,g]"
@@ -475,14 +475,11 @@ def _rank_one_dual(v: Vec) -> Mat:
 def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:
     """Pre-check, projection or barrier solve, then exactify on a positive margin
     and, failing a Feasible, dual_certificate; both re-prove exactly, so no
-    threshold picks a verdict."""
-    return _decide(build_problem(g, J))
-
-
-def _decide(p: FeasibilityProblem) -> FeasibilityVerdict:
-    """decide on a built problem; for n >= 1 the closed basis is never empty, as
-    it holds d(g*) when [g, g] != 0 and every 2-form when g is abelian."""
-    if p.algebra.dim == 0:
+    threshold picks a verdict.  The one way into these lanes: ``analyze``
+    calls it too.  For n >= 1 the closed basis is never empty, as it holds
+    d(g*) when [g, g] != 0 and every 2-form when g is abelian."""
+    p = build_problem(g, J)
+    if g.dim == 0:
         return Feasible(TwoForm.from_dict(0, {}), float("inf"), True)
     direction = degeneracy_precheck(p)
     if direction is not None:  # the exact maximum is 0: nothing is left to solve

@@ -9,7 +9,7 @@ string is refused before its digits are expanded):
       "name": str,
       "dim": int,
       "basis": [str],
-      "brackets": [ {"i": int, "j": int, "v": {"<k>": rational}} ],   # i < j
+      "brackets": [ {"i": int, "j": int, "v": {"<k>": rational}} ],   # i < j, <k> ASCII digits
       "J": [[rational]],                # optional, row-major, column action
       "omega": [ {"i": int, "j": int, "v": rational} ]   # optional, i < j
     }
@@ -21,6 +21,9 @@ must be lists (an ``omega`` of null is absent), and a pair (i, j) listed
 twice, a component key repeated once read as an integer ("1" and "01") or
 any key repeated in one JSON object is refused, not read last-wins.  So is
 a file that is unreadable, not UTF-8, or holds a huge integer or deep nesting.
+A component key is a string of ASCII digits only, with no sign, padding,
+underscore or other script's digit.  A refusal quotes a value or key as
+``reprlib.repr`` cuts it, so a long string gives a short message.
 
 Reports are written by ``json.dumps``: a float is written as its ``repr``,
 which parses back to the same double and stays a float (1.0, not 1; -0.0
@@ -30,6 +33,7 @@ keeps its sign), and a ``Fraction`` as ``rational_str`` gives it.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -72,7 +76,7 @@ def _indexed_entries(entries, key: str, source: str, dim: int):
             raise FixtureError(f"{where}: needs fields i, j, v") from exc
         for field, x in (("i", i), ("j", j)):
             if type(x) is not int:  # JSON true and false are Python ints
-                raise FixtureError(f"{where}: '{field}' must be an integer, got {x!r}")
+                raise FixtureError(f"{where}: '{field}' must be an integer, got {reprlib.repr(x)}")
         if not 0 <= i < j < dim:
             raise FixtureError(f"{where}: need 0 <= i < j < dim, got i={i}, j={j}")
         if (i, j) in seen:
@@ -108,14 +112,16 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
         comps = {}
         for k, c in v.items():
             try:
-                ki = int(k)
+                if not (k.isascii() and k.isdigit()):  # no sign, padding, "_" or other script's digit
+                    raise ValueError
+                ki = int(k)  # which refuses a key past int's digit limit too
             except ValueError as exc:
-                raise FixtureError(f"{where}: component key {k!r} is not an integer") from exc
+                raise FixtureError(f"{where}: component key {reprlib.repr(k)} is not an integer") from exc
             if not 0 <= ki < dim:
                 raise FixtureError(f"{where}: component {ki} outside dimension {dim}")
             if ki in comps:
-                raise FixtureError(f"{where}: component key {k!r} repeats component {ki}")
-            comps[ki] = _rational(c, f"{where}.v[{k}]")
+                raise FixtureError(f"{where}: component key {reprlib.repr(k)} repeats component {ki}")
+            comps[ki] = _rational(c, f"{where}.v[{ki}]")
         brackets[(i, j)] = comps
     try:
         algebra = LieAlgebra.from_brackets(dim, brackets, labels=basis)
@@ -148,7 +154,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ValueError(f"key {key!r} is repeated in one JSON object")
+            raise ValueError(f"key {reprlib.repr(key)} is repeated in one JSON object")
         doc[key] = value
     return doc
 
@@ -171,6 +177,6 @@ def rational_str(x: Fraction) -> int | str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def dumps_report(obj, indent: int = 2) -> str:
-    """Report JSON: rationals as ``rational_str`` gives them, floats as ``repr``."""
-    return json.dumps(obj, indent=indent, default=rational_str)
+def dumps_report(obj) -> str:
+    """Report JSON, indented by 2: rationals as ``rational_str`` gives them, floats as ``repr``."""
+    return json.dumps(obj, indent=2, default=rational_str)

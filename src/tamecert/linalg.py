@@ -23,6 +23,7 @@ subspace, so equality of subspaces is equality of rows.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -44,7 +45,9 @@ def frac(x) -> Fraction:
     digits, such as "3", "-3/4" or "+2".  Any other type, booleans and floats
     included, raises ``TypeError``; any other string (a decimal, an exponent,
     an underscore, padding, a zero denominator, or past ``int``'s digit limit)
-    raises ``ValueError``, so no string costs more than reading its digits."""
+    raises ``ValueError``, so no string costs more than reading its digits.
+    A refusal quotes ``reprlib.repr(x)``, an excerpt of at most 30 characters
+    of a string, so a long refused value gives a short message."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -52,12 +55,12 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         m = _RATIONAL.fullmatch(x)
         if m is None:
-            raise ValueError(f"bad rational {x!r}: expected an integer or 'p/q' string")
+            raise ValueError(f"bad rational {reprlib.repr(x)}: expected an integer or 'p/q' string")
         num, den = int(m[1]), int(m[2] or 1)
         if den == 0:
-            raise ValueError(f"bad rational {x!r}: zero denominator")
+            raise ValueError(f"bad rational {reprlib.repr(x)}: zero denominator")
         return Fraction(num, den)
-    raise TypeError(f"expected an exact rational (an integer or 'p/q' string), got {type(x).__name__}: {x!r}")
+    raise TypeError(f"expected an exact rational (an integer or 'p/q' string), got {type(x).__name__}: {reprlib.repr(x)}")
 
 
 def vec(entries: Iterable) -> Vec:

@@ -29,8 +29,7 @@ from .feasibility import (
     FeasibilityVerdict,
     Infeasible,
     Unknown,
-    _decide,
-    build_problem,
+    decide,
 )
 from .fixtures import Fixture, load_fixture, rational_str
 from .forms import TwoForm, is_integrable
@@ -155,7 +154,7 @@ def analyze(fixture: Fixture) -> AnalysisReport:
         j_status["integrable"] = integrable
         if not integrable:
             logger.warning("J is not integrable; the taming decision still applies")
-        feas = _decide(build_problem(g, fixture.J))
+        feas = decide(g, fixture.J)
 
     applicable = bool(unimodular and cs and j_present and integrable)
     feasible = isinstance(feas, Feasible)

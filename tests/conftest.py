@@ -160,6 +160,20 @@ def adjoint(g: LieAlgebra, x) -> list[list[Fraction]]:
     return [[col[i] for col in cols] for i in range(g.dim)]
 
 
+def _adjoint_ints(table, x) -> list[list[int]]:
+    """c ad_x for an integer vector x over the integer table c [e_i, e_j] of
+    ``algebra._cleared_brackets``: column j is c [x, e_j], written entry by
+    entry off the table; the stacked-adjoint reference for the weight search's
+    centralizer and for the traces ``is_unimodular`` sums."""
+    n = len(x)
+    m = [[0] * n for _ in range(n)]
+    for (i, j), comps in table.items():
+        for k, c in comps:
+            m[k][j] += x[i] * c
+            m[k][i] -= x[j] * c
+    return m
+
+
 def is_subalgebra(g: LieAlgebra, s: Subspace) -> bool:
     """[s, s] in s, bracketing every pair of s's basis vectors through ``bracket``."""
     return all(contains_vector(s, g.bracket(a, b)) for a, b in combinations(s.basis, 2))

@@ -1,8 +1,10 @@
 """Reports, proof trace, corpus runs, fixture parsing, CLI."""
 
+import argparse
 import copy
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -35,7 +37,7 @@ from tamecert import (
     reduction_tower,
     standard_complex_structure,
 )
-from tamecert.cli import main as cli_main
+from tamecert.cli import build_parser, main as cli_main
 from tamecert.fixtures import MAX_FIXTURE_DIM
 from tamecert.linalg import mat_inverse, mat_mul, unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNKNOWN
@@ -70,6 +72,11 @@ def test_parse_rational_grammar(text, value):
     # a sign, digits, and an optional "/" with a nonzero denominator
     fx = parse_fixture({"name": "t", "dim": 2, "brackets": [{"i": 0, "j": 1, "v": {"1": text}}]})
     assert fx.algebra.bracket(unit_vec(2, 0), unit_vec(2, 1)) == (F(0), value)
+
+
+def _component_key(key):
+    """Make the document dim 12, with one bracket whose one component key is key."""
+    return lambda d: d.update(dim=12, basis=None, brackets=[{"i": 0, "j": 1, "v": {key: "1"}}])
 
 
 @pytest.mark.parametrize(
@@ -118,6 +125,11 @@ def test_parse_rational_grammar(text, value):
             "omega[1]: pair (0, 1) is listed twice",
         ),
         (lambda d: d["brackets"].append({"i": 0, "j": 1, "v": {"1": 1, "01": 2}}), "key '01' repeats component 1"),
+        # a component key is ASCII digits, as a rational is: no "_", padding, sign or other script's digit
+        (_component_key("1_0"), "brackets[0]: component key '1_0' is not an integer"),
+        (_component_key(" 3 "), "brackets[0]: component key ' 3 ' is not an integer"),
+        (_component_key("\u0664"), "brackets[0]: component key '\u0664' is not an integer"),
+        (_component_key("+2"), "brackets[0]: component key '+2' is not an integer"),
     ],
 )
 def test_parse_diagnostics(mutate, fragment):
@@ -176,6 +188,29 @@ def test_load_fixture_diagnostics(tmp_path, kind):
         assert "is repeated in one JSON object" in str(err.value)
 
 
+NINES = "9" * 3_000_000 + "x"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # a refused value or key is quoted as a short excerpt, not echoed whole
+        (json.dumps({"name": "x", "dim": 2, "brackets": [{"i": 0, "j": 1, "v": {"1": NINES}}]}), "brackets[0].v[1]"),
+        (json.dumps({"name": "x", "dim": 2, "brackets": [{"i": 0, "j": 1, "v": {NINES: "1"}}]}), "brackets[0]: component key"),
+        (json.dumps({"name": "x", "dim": 2, "brackets": [{"i": NINES, "j": 1, "v": {}}]}), "brackets[0]: 'i' must be"),
+        (f'{{"name": "x", "dim": 2, "{NINES}": 1, "{NINES}": 2}}', "is repeated in one JSON object"),
+    ],
+    ids=["value", "component_key", "index", "repeated_key"],
+)
+def test_cli_refusal_quotes_a_bounded_excerpt(tmp_path, capsys, text, where):
+    path = tmp_path / "nines.json"
+    path.write_text(text)
+    assert cli_main(["validate", str(path)]) == EXIT_INPUT_ERROR
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID:") and where in out, out[:300]
+    assert len(out.encode()) < 300, out[:300]
+
+
 def test_jacobi_failure_reported_as_fixture_error():
     doc = {
         "name": "bad",
@@ -214,7 +249,7 @@ def test_analyze_abelian(corpus):
 def test_analyze_abelian_without_feasible_is_inconsistent(corpus, monkeypatch):
     # an abelian algebra is Kaehler for every J, so the sweep must flag any
     # other verdict there, just as it flags Feasible on a non-abelian one
-    monkeypatch.setattr(pipeline_mod, "_decide", lambda p: Unknown(best_lambda_min=0.0))
+    monkeypatch.setattr(pipeline_mod, "decide", lambda g, J: Unknown(best_lambda_min=0.0))
     report = analyze(corpus["abelian_r4"])
     assert report.theorem_consistency.applicable
     assert report.theorem_consistency.consistent is False
@@ -746,6 +781,42 @@ def test_cli_refuses_feasibility_flags(fixtures_dir, capsys):
             assert exc.value.code == EXIT_INPUT_ERROR, (command, flag)
             err = capsys.readouterr().err
             assert err.startswith("usage: tamecert") and "unrecognized arguments" in err
+
+
+def test_cli_commands_keep_their_flags(fixtures_dir, capsys, monkeypatch):
+    # validate takes no --json and only corpus takes --jobs; the five commands
+    # list their help in the top-level --help
+    fixture = str(fixtures_dir / "h3_r.json")
+    for argv in (["validate", fixture, "--json"], ["tame", fixture, "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == EXIT_INPUT_ERROR, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert cli_main(["corpus", str(fixtures_dir), "--jobs", "2", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["inconsistencies"] == 0
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")) for name, p in sub.choices.items()}
+    assert flags == {
+        "validate": [],
+        "analyze": ["--json"],
+        "reduce": ["--json"],
+        "tame": ["--json"],
+        "corpus": ["--jobs", "--json"],
+    }
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per command
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    helps = {
+        "validate": "check a fixture file (Jacobi identity included)",
+        "analyze": "full structural + feasibility report",
+        "reduce": "run the symplectic reduction tower",
+        "tame": "feasibility verdict only",
+        "corpus": "analyze every fixture in a directory",
+    }
+    for name, text in helps.items():
+        assert re.search(rf"^ +{name} +{re.escape(text)}$", out, re.M), (name, out)
 
 
 def test_cli_corpus_parallel(fixtures_dir, capsys):
