@@ -39,10 +39,14 @@ Brackets = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
 def _normalize_brackets(dim: int, brackets: Brackets) -> dict[tuple[int, int], dict[int, Fraction]]:
     out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), comps in brackets.items():
+    for key, comps in brackets.items():
         # an index is an int that is not a bool, as in the fixture parser
-        if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
-            raise DimensionMismatch(f"bracket key ({i!r},{j!r}) must be integers with 0 <= i < j < dim={dim}")
+        pair = isinstance(key, tuple) and len(key) == 2 and all(type(x) is int for x in key)
+        if not (pair and 0 <= key[0] < key[1] < dim):
+            raise DimensionMismatch(f"bracket key {key!r} must be a pair of integers with 0 <= i < j < dim={dim}")
+        if not isinstance(comps, Mapping):
+            raise DimensionMismatch(f"bracket {key} must map integer component indices, not a {type(comps).__name__}")
+        i, j = key
         entry = {}
         for k, c in comps.items():
             if not (type(k) is int and 0 <= k < dim):
@@ -327,7 +331,7 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, space: Subspace | None = No
                 zimg = images if rows is z else [_bracket_ints(table, units[i], w) for w in z]
                 s = lcm(*(w[f] for w, f in zip(z, z_cols)))
                 scaled = [[v[f] * (s // w[f]) for v in zimg] for w, f in zip(z, z_cols)]
-                roots = [r.numerator // s for r in rational_roots(charpoly(scaled))]
+                roots = [r // s for r in rational_roots(charpoly(scaled))]
             for mu in roots:
                 shifted = [[v[r] - mu * w[r] for v, w in zip(images, rows)] for r in range(n)]
                 kernel, _ = _kernel(shifted, len(rows))

@@ -22,7 +22,8 @@ twice, a component key repeated once read as an integer ("1" and "01") or
 any key repeated in one JSON object is refused, not read last-wins.  So is
 a file that is unreadable, not UTF-8, or holds a huge integer or deep nesting.
 A component key is a string of ASCII digits only, with no sign, padding,
-underscore or other script's digit.  A refusal quotes a value or key as
+underscore or other script's digit, and each ``basis`` label is a string
+that no other label repeats.  A refusal quotes a value or key as
 ``reprlib.repr`` cuts it, so a long string gives a short message.
 
 Reports are written by ``json.dumps``: a float is written as its ``repr``,
@@ -105,6 +106,11 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
     if basis is not None:
         if not isinstance(basis, list) or len(basis) != dim:
             raise FixtureError(f"{source}: 'basis' must list {dim} labels")
+        for k, label in enumerate(basis):  # labels name basis vectors in reports, so each is a distinct string
+            if not isinstance(label, str):
+                raise FixtureError(f"{source}: basis[{k}]: a label must be a string, got {reprlib.repr(label)}")
+            if basis.index(label) < k:
+                raise FixtureError(f"{source}: basis[{k}]: label {reprlib.repr(label)} repeats basis[{basis.index(label)}]")
     brackets = {}
     for where, i, j, v in _indexed_entries(doc.get("brackets", []), "brackets", source, dim):
         if not isinstance(v, dict):

@@ -80,10 +80,11 @@ class TwoForm:
     @classmethod
     def from_dict(cls, dim: int, entries: Mapping[tuple[int, int], object]) -> "TwoForm":
         norm: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in entries.items():
-            if type(i) is not int or type(j) is not int:  # an int that is not a bool, as in LieAlgebra
-                raise ValueError(f"index pair ({i!r},{j!r}) must be integers")
-            c = frac(c)
+        for key, c in entries.items():
+            # a pair of ints that are not bools, as in LieAlgebra
+            if not isinstance(key, tuple) or len(key) != 2 or any(type(x) is not int for x in key):
+                raise ValueError(f"index pair {key!r} must be two integers")
+            (i, j), c = key, frac(c)
             if c == 0:
                 continue
             if i == j:
@@ -121,8 +122,8 @@ class ThreeForm:
     def from_dict(cls, dim: int, entries: Mapping[tuple[int, int, int], object]) -> "ThreeForm":
         norm: dict[tuple[int, int, int], Fraction] = {}
         for key, c in entries.items():
-            if any(type(x) is not int for x in key):
-                raise ValueError(f"triple {key!r} must hold integer indices")
+            if not isinstance(key, tuple) or len(key) != 3 or any(type(x) is not int for x in key):
+                raise ValueError(f"triple {key!r} must hold three integer indices")
             c = frac(c)
             if c != 0:
                 i, j, k = key

@@ -10,14 +10,16 @@ depths: ``_forward`` stops at a row echelon form, which gives the rank
 profile, and ``_echelon`` back-substitutes to the reduced form.  ``_kernel``
 reads the reduced echelon basis of a kernel off one elimination, with the
 columns reversed.  ``det`` and ``leading_minors_positive`` are one Bareiss
-pass (Math. Comp. 22, 1968), and ``charpoly`` runs Faddeev-LeVerrier on the
-integer matrix d*A.  The root functions take one Sturm chain of primitive
-integer polynomials, with no squarefree part: it counts the distinct real and
-complex roots, and a Sturm bisection finds the rational roots of a factor of
-degree 3 or more; one of degree 1 or 2 is solved directly, with ``isqrt`` of
-the discriminant.  Fractions are built once, from the final integers.  A
-subspace is stored as the integer rows ``_echelon`` returns, unique per
-subspace, so equality of subspaces is equality of rows.
+pass (Math. Comp. 22, 1968).  The polynomial layer is integer: ``charpoly``
+takes an integer matrix and returns its monic integer characteristic
+polynomial, whose rational roots are integers, and the root functions read
+it as it is.  One Sturm chain of primitive integer polynomials, with no
+squarefree part, counts the distinct real and complex roots, and a Sturm
+bisection finds the integer roots of a factor of degree 3 or more; one of
+degree 1 or 2 is solved directly, with ``isqrt`` of the discriminant.
+Fractions are built once, from the final integers.  A subspace is stored as
+the integer rows ``_echelon`` returns, unique per subspace, so equality of
+subspaces is equality of rows.
 """
 
 from __future__ import annotations
@@ -242,7 +244,8 @@ def leading_minors_positive(m: Sequence[Sequence[int]]) -> bool:
     Without pivoting, the k-th Bareiss pivot is the k-th leading minor of the
     matrix with each row made primitive: positive row scales keep each
     minor's sign, and primitive rows keep an integer Gram d G
-    (``forms._gram_ints``) small.  A ``Fraction`` matrix is cleared first.
+    (``forms._gram_ints``) small.  It takes integer rows only: a caller
+    holding a ``Fraction`` matrix clears it first with ``clear_denominators``.
     """
     a = [_primitive(list(row)) for row in m]
     prev = 1
@@ -274,20 +277,18 @@ def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
     return [row[n:] for row in _reduced(red, pivots)]
 
 
-def charpoly(m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Coefficients [c0, c1, ..., 1] of det(tI - m), ascending in t.
+def charpoly(m: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients [c0, c1, ..., 1] of det(tI - m), ascending in t, for an integer matrix m.
 
-    Faddeev-LeVerrier on the integer matrix B = d*m, d the lcm of the
-    denominators of m: every step, and the division of each trace by k, is
-    exact in ints, and the coefficient c_k of det(tI - B) gives c_k / d^k.
-    The zero matrix, the adjoint of every central element, gives t^n at once.
+    Faddeev-LeVerrier: every step, and the division of each trace by k, is
+    exact in ints.  The zero matrix, the adjoint of every central element,
+    gives t^n at once.
     """
     n = len(m)
-    coeffs = [ZERO] * n + [ONE]
-    if all(x == 0 for row in m for x in row):
+    coeffs = [0] * n + [1]
+    if not any(map(any, m)):
         return coeffs
-    ints, d = clear_denominators(m)
-    b = [[(j, x) for j, x in enumerate(row) if x] for row in ints]  # the nonzero entries of B's rows
+    b = [[(j, x) for j, x in enumerate(row) if x] for row in m]  # the nonzero entries of m's rows
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         prod = []
@@ -298,21 +299,13 @@ def charpoly(m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
             prod.append(out)
         mk = prod
         c = -sum(mk[i][i] for i in range(n)) // k
-        coeffs[n - k] = Fraction(c, d**k)
+        coeffs[n - k] = c
         for i in range(n):
             mk[i][i] += c
     return coeffs
 
 
-# --- integer polynomials, ascending coefficients: Sturm chains and rational roots ---
-
-
-def _integer_poly(p: Sequence[Fraction]) -> list[int]:
-    """A primitive integer polynomial with the roots of p, without trailing zeros; [] for 0."""
-    q = _primitive(_cleared(p)[0])
-    while q and not q[-1]:
-        q.pop()
-    return q
+# --- monic integer polynomials, ascending coefficients: Sturm chains and integer roots ---
 
 
 def _sign(x: int) -> int:
@@ -356,13 +349,12 @@ def _variations_at_infinity(chain: list[list[int]]) -> tuple[int, int]:
     return _variations(s * (-1) ** (len(f) - 1) for s, f in zip(at_plus, chain)), _variations(at_plus)
 
 
-def _root_counts(p: Sequence[Fraction]) -> tuple[int, int]:
-    """The numbers of distinct real and of distinct complex roots of p.
+def _root_counts(q: Sequence[int]) -> tuple[int, int]:
+    """The numbers of distinct real and of distinct complex roots of a monic integer q.
 
     The real ones are V(-inf) - V(+inf) on the Sturm chain; the complex ones
     are deg q - deg gcd(q, q'), read off the chain's last element.
     """
-    q = _integer_poly(p)
     if len(q) < 2:
         return 0, 0
     chain = _sturm_chain(q)
@@ -370,8 +362,8 @@ def _root_counts(p: Sequence[Fraction]) -> tuple[int, int]:
     return at_minus - at_plus, len(q) - len(chain[-1])
 
 
-def all_roots_real(p: Sequence[Fraction]) -> bool:
-    real, distinct = _root_counts(p)
+def all_roots_real(q: Sequence[int]) -> bool:
+    real, distinct = _root_counts(q)
     return real == distinct
 
 
@@ -415,34 +407,28 @@ def _integer_roots(q: list[int]) -> list[int]:
     return roots
 
 
-def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
-    """All distinct rational roots, ascending.
+def rational_roots(q: Sequence[int]) -> list[int]:
+    """All distinct rational roots of a monic integer polynomial, ascending:
+    integers, by the rational root theorem.
 
-    With p cleared to integers, a factor t^k gives the root 0 and is divided
-    out, so that the Sturm chain is built for the rest, a_0, ..., a_d with
-    a_0 != 0; if d = 1 its root is -a_0 / a_1, and if d = 2 its roots are
-    (-a_1 +- r) / (2 a_2) when the discriminant is a square r^2 (``isqrt``),
-    with no chain.  Otherwise the substitution s = a_d t turns a_d^(d-1)
-    times it into a monic integer polynomial, whose integer roots s give the
-    roots s / a_d.
+    A factor t^k gives the root 0 and is divided out, so that the Sturm chain
+    is built for the rest, a_0, ..., a_d with a_0 != 0 and a_d = 1; if d = 1
+    its root is -a_0, and if d = 2 its roots are (-a_1 +- r) / 2 when the
+    discriminant is a square r^2 (``isqrt``), exact as r = a_1 mod 2, with no
+    chain.  Otherwise ``_integer_roots`` bisects it.
     """
-    q = _integer_poly(p)
-    if len(q) < 2:
-        return []
-    k = next(i for i, c in enumerate(q) if c)  # q = t^k (a_0 + ... + a_d t^d)
-    zero = [ZERO] if k else []
+    k = next(i for i, c in enumerate(q) if c)  # q = t^k (a_0 + ... + t^d)
+    zero = [0] if k else []
     q = q[k:]
     if len(q) < 2:
         return zero
     if len(q) == 2:
-        return sorted(zero + [Fraction(-q[0], q[1])])
+        return sorted(zero + [-q[0]])
     if len(q) == 3:
-        disc = q[1] ** 2 - 4 * q[0] * q[2]
+        disc = q[1] ** 2 - 4 * q[0]
         r = isqrt(max(disc, 0))
-        return sorted(zero + [Fraction(-q[1] + x, 2 * q[2]) for x in {r, -r}]) if r * r == disc else zero
-    lead, deg = q[-1], len(q) - 1
-    monic = [c * lead ** (deg - 1 - i) for i, c in enumerate(q[:-1])] + [1]
-    return sorted(zero + [Fraction(s, lead) for s in _integer_roots(monic)])
+        return sorted(zero + [(-q[1] + x) // 2 for x in {r, -r}]) if r * r == disc else zero
+    return sorted(zero + _integer_roots(q))
 
 
 @dataclass(frozen=True)

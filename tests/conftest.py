@@ -420,7 +420,7 @@ def reference_weight_spaces(g: LieAlgebra) -> list[Subspace]:
     d = lcm(*(c.denominator for _, comps in g.structure_constants for _, c in comps))
     branches = [Subspace.from_vectors(n, identity(n))]
     for i in range(n):
-        a = [[d * x for x in row] for row in adjoint(g, unit_vec(n, i))]
+        a = [[int(d * x) for x in row] for row in adjoint(g, unit_vec(n, i))]
         eigenspaces = []
         for mu in rational_roots(charpoly(a)):
             shifted = [list(row) for row in a]

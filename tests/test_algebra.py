@@ -24,7 +24,7 @@ from tamecert import (
 import tamecert.algebra as algebra_mod
 from tamecert.algebra import _bracket_ints, _cleared_brackets, _units, _weight_spaces, scale_structure_constants
 from tamecert.forms import ThreeForm
-from tamecert.linalg import _kernel, _primitive, all_roots_real, charpoly, rational_roots, unit_vec
+from tamecert.linalg import _kernel, _primitive, all_roots_real, charpoly, clear_denominators, rational_roots, unit_vec
 
 from conftest import (
     NON_ABELIAN_NAMES,
@@ -142,6 +142,14 @@ def test_dimension_mismatch():
         (lambda: TwoForm.from_dict(4, {(True, 2): 1}), ValueError),
         (lambda: ThreeForm.from_dict(4, {(0, 1, 2.5): 1}), ValueError),
         (lambda: ThreeForm.from_dict(4, {(True, 2, 3): 1}), ValueError),
+        # a key of the wrong shape, or components that are not a mapping, is refused
+        # by the same rule, not by a bare unpacking or attribute error
+        (lambda: LieAlgebra.from_brackets(3, {(0, 1, 2): {2: 1}}), DimensionMismatch),
+        (lambda: LieAlgebra.from_brackets(3, {0: {2: 1}}), DimensionMismatch),
+        (lambda: LieAlgebra.from_brackets(3, {(0, 1): [2]}), DimensionMismatch),
+        (lambda: TwoForm.from_dict(3, {(0, 1, 2): 1}), ValueError),
+        (lambda: TwoForm.from_dict(3, {0: 1}), ValueError),
+        (lambda: ThreeForm.from_dict(4, {(0, 1): 1}), ValueError),
     ],
 )
 def test_constructors_refuse_non_integer_indices(build, error):
@@ -407,7 +415,7 @@ def reference_weight_loop(g: LieAlgebra, derived: Subspace, space: Subspace | No
                 zimg = images if rows is z else [_bracket_ints(table, units[i], w) for w in z]
                 s = lcm(*(w[f] for w, f in zip(z, z_cols)))
                 scaled = [[v[f] * (s // w[f]) for v in zimg] for w, f in zip(z, z_cols)]
-                roots = [r.numerator // s for r in rational_roots(charpoly(scaled))]
+                roots = [r // s for r in rational_roots(charpoly(scaled))]
             for mu in roots:
                 shifted = [[v[r] - mu * w[r] for v, w in zip(images, rows)] for r in range(n)]
                 kernel, _ = _kernel(shifted, len(rows))
@@ -462,12 +470,13 @@ def test_weight_shortcuts_match_the_kernel_loop(corpus, exact_items, monkeypatch
 
 def ref_complete_solvability(g: LieAlgebra) -> tuple[bool, int | None]:
     """Solvable by the evaluation-based derived series, then the Sturm test on
-    the characteristic polynomial of every full Fraction adjoint ad_{e_i}: the
-    first index with a non-real eigenvalue, or None."""
+    the characteristic polynomial of every full adjoint ad_{e_i}, cleared to
+    the integer d ad_{e_i} (d > 0 keeps a spectrum real or not): the first
+    index with a non-real eigenvalue, or None."""
     if reference_series(g, lower=False)[-1].dim:
         return False, None
     for i in range(g.dim):
-        if not all_roots_real(charpoly(adjoint(g, unit_vec(g.dim, i)))):
+        if not all_roots_real(charpoly(clear_denominators(adjoint(g, unit_vec(g.dim, i)))[0])):
             return False, i
     return True, None
 
@@ -503,6 +512,32 @@ def test_complete_solvability_matches_full_adjoint_reference(corpus, exact_items
     assert at_pivot >= 10 and at_free >= 8
     assert is_completely_solvable(conjugate(e2(), P)[0]).witness == 0
     assert is_completely_solvable(shifted_sum(5, sl2)).witness is None
+
+
+def test_charpolys_of_adjoint_restrictions_are_integer(corpus, exact_items, monkeypatch):
+    # every adjoint restriction that complete solvability and the weight search
+    # build (ad_{e_i} on [g, g], and on Z cap g or Z cap [g, g]) is an integer
+    # matrix, and its characteristic polynomial is monic with int coefficients,
+    # so its rational roots are ints
+    calls = []
+
+    def recorded(m, _original=charpoly):
+        p = _original(m)
+        calls.append((m, p))
+        return p
+
+    monkeypatch.setattr(algebra_mod, "charpoly", recorded)
+    algebras = [(name, fx.algebra) for name, fx in corpus.items()] + oracle_algebras(corpus, exact_items)
+    for name, g in algebras:
+        derived = g.derived_subalgebra()
+        is_completely_solvable(g)
+        _weight_spaces(g, derived)
+        _weight_spaces(g, derived, derived)
+    for m, p in calls:
+        assert all(type(x) is int for row in m for x in row)
+        assert p[-1] == 1 and all(type(c) is int for c in p), p
+        assert all(type(r) is int for r in rational_roots(p))
+    assert len(calls) >= 150, len(calls)  # 202
 
 
 def test_one_dim_ideals_keep_the_fraction_basis_order(corpus, exact_items):

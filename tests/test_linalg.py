@@ -96,11 +96,12 @@ def test_charpoly_matches_determinant_oracle():
     random_inputs = []
     for _ in range(10):
         n = rng.randint(1, 5)
-        random_inputs.append([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
-    zero_inputs = [[[F(0)] * n for _ in range(n)] for n in range(1, 6)]
+        random_inputs.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    zero_inputs = [[[0] * n for _ in range(n)] for n in range(1, 6)]
     for a in random_inputs + zero_inputs:
         n = len(a)
         p = charpoly(a)
+        assert all(type(c) is int for c in p) and p[-1] == 1
         for t in (F(0), F(1), F(-2), F(5, 3)):
             shifted = [[(t if i == j else F(0)) - a[i][j] for j in range(n)] for i in range(n)]
             assert poly_eval(p, t) == det(shifted)
@@ -108,25 +109,27 @@ def test_charpoly_matches_determinant_oracle():
 
 def test_real_root_counting():
     # t^2 - 2: two real irrational roots
-    assert count_real_roots([F(-2), F(0), F(1)]) == 2
-    assert all_roots_real([F(-2), F(0), F(1)])
+    assert count_real_roots([-2, 0, 1]) == 2
+    assert all_roots_real([-2, 0, 1])
     # t^2 + 1: none
-    assert count_real_roots([F(1), F(0), F(1)]) == 0
-    assert not all_roots_real([F(1), F(0), F(1)])
+    assert count_real_roots([1, 0, 1]) == 0
+    assert not all_roots_real([1, 0, 1])
     # (t^2+1)(t-3): one real root
-    assert count_real_roots([F(-3), F(1), F(-3), F(1)]) == 1
+    assert count_real_roots([-3, 1, -3, 1]) == 1
     # repeated roots: (t+1)^2 (t-2) = t^3 - 3t - 2
-    p = [F(-2), F(-3), F(0), F(1)]
-    assert poly_eval(p, F(-1)) == 0
+    p = [-2, -3, 0, 1]
+    assert poly_eval(p, -1) == 0
     assert all_roots_real(p)
 
 
 def test_rational_roots():
-    # (t - 1/2)(t + 3) t = t^3 + (5/2)t^2 - (3/2)t
-    p = [F(0), F(-3, 2), F(5, 2), F(1)]
-    assert rational_roots(p) == [F(-3), F(0), F(1, 2)]
+    # (t - 2)(t + 3) t = t^3 + t^2 - 6t: the charpoly of 4 m for an m with
+    # eigenvalues 1/2, -3/4 and 0, whose roots are 4 times m's
+    p = [0, -6, 1, 1]
+    assert rational_roots(p) == [-3, 0, 2]
+    assert all(type(r) is int for r in rational_roots(p))
     # no rational roots for t^2 - 2
-    assert rational_roots([F(-2), F(0), F(1)]) == []
+    assert rational_roots([-2, 0, 1]) == []
 
 
 def test_subspace_canonicalization_and_ops():
@@ -412,13 +415,23 @@ def test_subspace_rows_are_canonical(exact_items):
             assert s._contains_ints(v) == s._contains_ints(_cleared(fv)[0]) == inside
 
 
+def assert_charpoly_of_cleared(m):
+    """charpoly of the integer d m, d the common denominator of m, is the
+    oracle's on d m, in ints, and its c_k is d^k times the oracle's c_k of m."""
+    ints, d = clear_denominators(m)
+    p, n = charpoly(ints), len(m)
+    assert all(type(c) is int for c in p)
+    assert p == ref_charpoly([[F(x) for x in row] for row in ints])
+    assert p == [c * d ** (n - k) for k, c in enumerate(ref_charpoly(m))]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_det_charpoly_minors_match_fraction_oracle(seed):
     squares = [m for m in random_matrices(seed) if len(m) == len(m[0] if m else [])]
     assert squares and any(ref_det(m) == 0 for m in squares) and any(ref_det(m) != 0 for m in squares)
     for m in squares:
         assert det(m) == ref_det(m)
-        assert charpoly(m) == ref_charpoly(m)
+        assert_charpoly_of_cleared(m)
         mtm = mat_mul(transpose(m), m)
         sym = [[x + int(i == j) for j, x in enumerate(row)] for i, row in enumerate(mtm)]  # m^T m + I: positive definite
         for s in (m, sym, [[-x for x in row] for row in sym]):
@@ -431,11 +444,11 @@ def test_det_charpoly_match_fraction_oracle_on_items(exact_items):
     for m in item_matrices(exact_items):
         if len(m) == len(m[0]):
             assert det(m) == ref_det(m)
-            assert charpoly(m) == ref_charpoly(m)
+            assert_charpoly_of_cleared(m)
 
 
 def poly_mul(p, q):
-    out = [F(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -443,11 +456,10 @@ def poly_mul(p, q):
 
 
 def poly_from_roots(*roots):
-    """The product of the factors (den t - num) over the roots num / den, ascending."""
-    p = [F(1)]
+    """The monic integer product of the factors (t - r) over the integer roots r, ascending."""
+    p = [1]
     for r in roots:
-        r = F(r)
-        p = poly_mul(p, [F(-r.numerator), F(r.denominator)])
+        p = poly_mul(p, [-r, 1])
     return p
 
 
@@ -455,13 +467,15 @@ def test_rational_roots_large_coefficients_by_bisection():
     # coefficients up to 10^36: the bisection's depth grows with their size, not their divisors
     a = 10**9
     p = poly_from_roots(0, a, a + 1, -(2 * a + 1))
-    assert rational_roots(p) == [F(-(2 * a + 1)), F(0), F(a), F(a + 1)]
-    # not monic, with an irrational pair: (3t - 7)(2t + 5)(t^2 - 2), times 10^7
-    p = [c * 10**7 for c in poly_mul(poly_from_roots(F(7, 3), F(-5, 2)), [F(-2), F(0), F(1)])]
-    assert rational_roots(p) == [F(-5, 2), F(7, 3)]
+    assert rational_roots(p) == [-(2 * a + 1), 0, a, a + 1]
+    # with an irrational pair: the charpoly of d m, d = 6 * 10^7, for an m with
+    # eigenvalues 7/3, -5/2 and +-sqrt(2), is (t - 7d/3)(t + 5d/2)(t^2 - 2 d^2)
+    d = 6 * 10**7
+    p = poly_mul(poly_from_roots(7 * d // 3, -5 * d // 2), [-2 * d * d, 0, 1])
+    assert rational_roots(p) == [-5 * d // 2, 7 * d // 3]
     # a double root next to a simple one
     b = 10**7
-    assert rational_roots(poly_from_roots(b, b, b + 1)) == [F(b), F(b + 1)]
+    assert rational_roots(poly_from_roots(b, b, b + 1)) == [b, b + 1]
 
 
 NON_SQUARES = [k for k in range(2, 40) if k not in {1, 4, 9, 16, 25, 36}]
@@ -469,29 +483,28 @@ NON_SQUARES = [k for k in range(2, 40) if k not in {1, 4, 9, 16, 25, 36}]
 
 @pytest.mark.parametrize("seed", range(5))
 def test_root_functions_by_construction(seed):
-    # c prod (den t - num)^mult prod (t^2 - k) prod (t^2 + k'): the roots are known
+    # prod (t - r)^mult prod (t^2 - k) prod (t^2 + k'): the roots are known
     rng = random.Random(seed)
     for _ in range(40):
-        rationals = {F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))}
+        integers = {rng.randint(-180, 180) for _ in range(rng.randint(0, 4))}
         ks = rng.sample(NON_SQUARES, rng.randint(0, 2))
         kps = rng.sample(range(1, 40), rng.randint(0, 2))
-        p = [F(rng.choice([-1, -3, 2, 6, F(-5, 7)]))]
-        for r in rationals:
+        p = [1]
+        for r in integers:
             for _ in range(rng.randint(1, 3)):
-                p = poly_mul(p, [F(-r.numerator), F(r.denominator)])
+                p = poly_mul(p, [-r, 1])
         for k in ks:
-            p = poly_mul(p, [F(-k), F(0), F(1)])
+            p = poly_mul(p, [-k, 0, 1])
         for k in kps:
-            p = poly_mul(p, [F(k), F(0), F(1)])
-        if rng.random() < 0.3:
-            p.append(F(0))  # a zero leading coefficient is ignored
-        assert count_real_roots(p) == len(rationals) + 2 * len(ks)
+            p = poly_mul(p, [k, 0, 1])
+        assert count_real_roots(p) == len(integers) + 2 * len(ks)
         assert all_roots_real(p) == (not kps)
-        assert rational_roots(p) == sorted(rationals)
-    for constant in ([], [F(0)], [F(0), F(0)], [F(-4)], [F(3, 2), F(0)]):
-        assert count_real_roots(constant) == 0
-        assert all_roots_real(constant)
-        assert rational_roots(constant) == []
+        assert rational_roots(p) == sorted(integers)
+    # the only monic constant, the charpoly of the 0 x 0 matrix
+    assert charpoly([]) == [1]
+    assert count_real_roots([1]) == 0
+    assert all_roots_real([1])
+    assert rational_roots([1]) == []
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -500,45 +513,37 @@ def test_rational_roots_of_power_of_t_times_f(seed):
     # are 0 and those of f, which may have the root 0 itself
     rng = random.Random(seed)
     for _ in range(40):
-        roots = {F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))}
-        f = poly_mul(poly_from_roots(*roots), rng.choice([[F(1)], [F(-2), F(0), F(1)], [F(3), F(0), F(1)]]))
-        lead = rng.choice([-3, 2, F(-5, 7)])
-        p = [F(0)] * rng.randint(1, 12) + [lead * c for c in f]
-        assert rational_roots(p) == sorted(roots | {F(0)})
-    assert rational_roots([F(0)] * 11 + [F(-9), F(1)]) == [F(0), F(9)]
-    assert rational_roots([F(0), F(0), F(5)]) == [F(0)]
+        roots = {rng.randint(-180, 180) for _ in range(rng.randint(0, 4))}
+        f = poly_mul(poly_from_roots(*roots), rng.choice([[1], [-2, 0, 1], [3, 0, 1]]))
+        p = [0] * rng.randint(1, 12) + f
+        assert rational_roots(p) == sorted(roots | {0})
+    assert rational_roots([0] * 11 + [-9, 1]) == [0, 9]
+    assert rational_roots([0, 0, 1]) == [0]
 
 
-def bisection_rational_roots(p):
+def bisection_rational_roots(q):
     """Every rational root by the Sturm bisection of ``_integer_roots``, with no
-    shortcut for a linear remainder: rational_roots as it was before one."""
-    q = linalg_mod._integer_poly(p)
-    if len(q) < 2:
-        return []
+    shortcut for a linear or quadratic remainder: rational_roots as it was before one."""
     k = next(i for i, c in enumerate(q) if c)
-    zero = [F(0)] if k else []
+    zero = [0] if k else []
     q = q[k:]
     if len(q) < 2:
         return zero
-    lead, deg = q[-1], len(q) - 1
-    monic = [c * lead ** (deg - 1 - i) for i, c in enumerate(q[:-1])] + [1]
-    return sorted(zero + [F(s, lead) for s in linalg_mod._integer_roots(monic)])
+    return sorted(zero + linalg_mod._integer_roots(q))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_rational_roots_linear_remainder_matches_bisection(seed, monkeypatch):
-    # c t^k (a_1 t + a_0): once t^k is divided out the root is -a_0 / a_1,
-    # read off directly; products of linear factors still take the bisection
+    # t^k (t + a_0): once t^k is divided out the root is -a_0, read off
+    # directly; products of linear factors still take the bisection
     rng = random.Random(seed)
     linear, products = [], []
     for _ in range(40):
-        root = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
-        factor = [F(-root.numerator), F(root.denominator)]
-        c = F(rng.choice([-7, -1, 1, 3]), rng.choice([1, 2, 5]))
+        root = rng.randint(-10**9, 10**9)
         k = rng.randint(0, 4)
-        linear.append(([F(0)] * k + [c * x for x in factor], sorted({root} | ({F(0)} if k else set()))))
-        roots = [root] + [F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
-        products.append(([F(0)] * k + [c * x for x in poly_from_roots(*roots)], sorted(set(roots) | ({F(0)} if k else set()))))
+        linear.append(([0] * k + [-root, 1], sorted({root} | ({0} if k else set()))))
+        roots = [root] + [rng.randint(-180, 180) for _ in range(rng.randint(1, 3))]
+        products.append(([0] * k + poly_from_roots(*roots), sorted(set(roots) | ({0} if k else set()))))
     for p, roots in linear + products:
         assert rational_roots(p) == bisection_rational_roots(p) == roots
     # the linear remainders never reach the bisection
@@ -549,30 +554,29 @@ def test_rational_roots_linear_remainder_matches_bisection(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_rational_roots_quadratic_remainder_matches_bisection(seed, monkeypatch):
-    # c t^k (a_2 t^2 + a_1 t + a_0): once t^k is divided out the roots come from
+    # t^k (t^2 + a_1 t + a_0): once t^k is divided out the roots come from
     # isqrt of the discriminant, with no Sturm chain
     rng = random.Random(seed)
 
-    def rational():
-        return F(rng.randint(-10**3, 10**3), rng.randint(1, 50))
+    def integer():
+        return rng.randint(-5 * 10**4, 5 * 10**4)
 
-    def shifted(q):  # c t^k q
-        c, k = F(rng.choice([-7, -1, 1, 3]), rng.choice([1, 2, 5])), rng.randint(0, 4)
-        return [F(0)] * k + [c * x for x in q], {F(0)} if k else set()
+    def shifted(q):  # t^k q
+        k = rng.randint(0, 4)
+        return [0] * k + q, {0} if k else set()
 
     quadratics = []
     for _ in range(20):
-        a, b = rational(), rational()
+        a, b = integer(), integer()
         big = rng.randint(10**6 - 10, 10**6 + 10)
-        u, x = rng.randint(990, 1010), rng.randint(990, 1010)
-        v, y = rng.randint(-10**3, 10**3), rng.randint(-10**3, 10**3)
+        u, v = rng.randint(-big, big), rng.randint(-big, big)
         for q, roots in (
             (poly_from_roots(a, b), {a, b}),  # two rational roots
             (poly_from_roots(a, a), {a}),  # a double root
-            ([F(big), F(rng.randint(-big, big)), F(big)], set()),  # a negative discriminant
-            ([F(big * big + rng.randint(1, 2 * big)), F(0), F(-1)], set()),  # a positive non-square one
-            (poly_mul([F(-v), F(u)], [F(-y), F(x)]), {F(v, u), F(y, x)}),  # coefficients near 10^6
-            ([F(rng.randint(1, big)), F(rng.randint(-2 * big, 2 * big)), F(big)], None),  # the same size, roots not known beforehand
+            ([big * big, rng.randint(-big, big), 1], set()),  # a negative discriminant
+            ([-(big * big + rng.randint(1, 2 * big)), 0, 1], set()),  # a positive non-square one
+            (poly_from_roots(u, v), {u, v}),  # roots up to 10^6, coefficients up to 10^12
+            ([rng.randint(-big * big, big * big), rng.randint(-2 * big, 2 * big), 1], None),  # the same size, roots not known beforehand
         ):
             if q[0] == 0:  # a root at 0 leaves a linear remainder
                 continue

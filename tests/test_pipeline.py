@@ -130,6 +130,11 @@ def _component_key(key):
         (_component_key(" 3 "), "brackets[0]: component key ' 3 ' is not an integer"),
         (_component_key("\u0664"), "brackets[0]: component key '\u0664' is not an integer"),
         (_component_key("+2"), "brackets[0]: component key '+2' is not an integer"),
+        # a basis label names a basis vector in reports: a string, used once
+        (lambda d: d.update(basis=[1, 2]), "basis[0]: a label must be a string, got 1"),
+        (lambda d: d.update(basis=[None, {}]), "basis[0]: a label must be a string, got None"),
+        (lambda d: d.update(basis=["a", {}]), "basis[1]: a label must be a string, got {}"),
+        (lambda d: d.update(basis=["e1", "e1"]), "basis[1]: label 'e1' repeats basis[0]"),
     ],
 )
 def test_parse_diagnostics(mutate, fragment):
@@ -299,16 +304,15 @@ MAX_CHARPOLY_CALLS = 21
 # and the complex basis and Subspace.intersect need the forward pass only;
 # an abelian tower step derives no [g, g].
 MAX_ECHELON_CALLS = 101
-# clear_denominators, 21: one per fixture's J as it is parsed and one per
-# charpoly of a nonzero matrix; reduce builds the reduced J from its integer
-# form, and the integer Gram stack is built only in dual_certificate, which
-# no corpus fixture reaches.
-MAX_CLEAR_DENOMINATORS_CALLS = 21
-# _cleared, 46: one per nonzero row of d on 2-forms in nullspace, one per
-# Sturm root count or rational root search, and one per rank-one dual;
-# leading_minors_positive takes integer rows, and membership tests read
-# integer vectors, so neither clears.
-MAX_CLEARED_CALLS = 46
+# clear_denominators, none: charpoly takes the integer matrices that complete
+# solvability and the weight search build, and the root finders read its
+# monic integer polynomial as it is; reduce builds the reduced J from its
+# integer form, and the integer Gram stack is built only in dual_certificate,
+# which no corpus fixture reaches.
+# _cleared, 25: one per nonzero row of d on 2-forms in nullspace and one per
+# rank-one dual; leading_minors_positive takes integer rows, and membership
+# tests read integer vectors, so neither clears.
+MAX_CLEARED_CALLS = 25
 # _kernel, 38: 11 for the closed bases (nullspace), 11 for the weight
 # searches, 3 for precheck radicals and 13 for the tower steps' h^perp.  A
 # one-row weight branch, Z cap [g, g] of an abelian [g, g] and the radical
@@ -371,7 +375,7 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
     assert 0 < first_total["charpoly"] <= MAX_CHARPOLY_CALLS
     assert 0 < first_total["_echelon"] <= MAX_ECHELON_CALLS
     assert 0 < first_total["_kernel"] <= MAX_KERNEL_CALLS, first_total["_kernel"]
-    assert 0 < first_total["clear_denominators"] <= MAX_CLEAR_DENOMINATORS_CALLS
+    assert first_total["clear_denominators"] == 0
     assert 0 < first_total["_cleared"] <= MAX_CLEARED_CALLS, first_total["_cleared"]
     assert 0 < first_total["is_integrable"] <= MAX_IS_INTEGRABLE_CALLS
     assert 0 < first_total["_d2_ints"] <= MAX_D2_INTS_CALLS, first_total["_d2_ints"]

@@ -10,6 +10,7 @@ with its reason: a function that newly stops running fails the test, and
 so does an allowlisted one that starts to run.
 """
 
+import ast
 import inspect
 import sys
 from pathlib import Path
@@ -85,18 +86,66 @@ def test_public_reasons_name_exported_objects():
             assert getattr(tamecert, name).__module__ == f"tamecert.{module}", entry
 
 
-def package_functions() -> set[str]:
+def qualnames(path: Path) -> dict[tuple[int, str], str]:
+    """The qualified name of every function, method and nested function in one
+    source file, with no class body, lambda or comprehension, keyed by the
+    (co_firstlineno, co_name) of its code object: the line of its first
+    decorator, or of its def.  The names come from the class and function
+    nesting, as ``__qualname__`` spells them, so they need no ``co_qualname``,
+    which code objects have only from Python 3.11."""
+    out = {}
+
+    def walk(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(first, child.name)] = prefix + child.name
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(path.read_text(), str(path)), "")
+    return out
+
+
+def package_functions() -> dict[tuple[str, int, str], str]:
     """"module.qualname" of every function, method and nested function in the
-    package's source, with no class body, lambda or comprehension."""
-    out = set()
+    package's source, keyed by (module, co_firstlineno, co_name)."""
+    return {
+        (path.stem, *key): f"{path.stem}.{name}" for path in sorted(PACKAGE_DIR.glob("*.py")) for key, name in qualnames(path).items()
+    }
+
+
+def test_qualnames_match_the_functions_they_name():
+    # the table has one key per function code object of the source, with no
+    # class body, lambda or comprehension, and each name is the one Python
+    # gives: co_qualname where code objects have it (3.11 on), and the
+    # __qualname__ of every function reachable from a module or its classes
+    functions = package_functions()
+    keys = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         stack = [compile(path.read_text(), str(path), "exec")]
         while stack:
             code = stack.pop()
             stack += [c for c in code.co_consts if inspect.iscode(c)]
             if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
-                out.add(f"{path.stem}.{code.co_qualname}")
-    return out
+                keys.append((path.stem, code.co_firstlineno, code.co_name))
+                if sys.version_info >= (3, 11):
+                    assert functions[keys[-1]] == f"{path.stem}.{code.co_qualname}"
+    assert sorted(keys) == sorted(functions)
+    found = 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module = sys.modules[f"tamecert.{path.stem}"] if path.stem != "__init__" else tamecert
+        owners = [module] + [c for c in vars(module).values() if inspect.isclass(c) and c.__module__ == module.__name__]
+        for obj in (x for owner in owners for x in vars(owner).values()):
+            obj = getattr(obj, "__func__", getattr(obj, "fget", obj))  # a staticmethod, classmethod or property
+            if inspect.isfunction(obj) and obj.__code__.co_filename == module.__file__:  # not a dataclass's generated methods
+                code = obj.__code__
+                assert functions[(path.stem, code.co_firstlineno, code.co_name)] == f"{path.stem}.{obj.__qualname__}"
+                found += 1
+    assert found >= 150, found
 
 
 def test_never_entered_functions_are_allowlisted(monkeypatch):
@@ -125,7 +174,9 @@ def test_never_entered_functions_are_allowlisted(monkeypatch):
             decide(it.algebra, it.J)
     finally:
         sys.setprofile(previous)
-    ran = {f"{Path(c.co_filename).stem}.{c.co_qualname}" for c in entered if Path(c.co_filename).parent == PACKAGE_DIR}
-    functions = package_functions()
+    table = package_functions()
+    keys = {(Path(c.co_filename).stem, c.co_firstlineno, c.co_name) for c in entered if Path(c.co_filename).parent == PACKAGE_DIR}
+    ran = {table[key] for key in keys if key in table}
+    functions = set(table.values())
     assert set(NEVER_ENTERED) <= functions, sorted(set(NEVER_ENTERED) - functions)
     assert sorted(functions - ran) == sorted(NEVER_ENTERED)
