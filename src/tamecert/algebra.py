@@ -14,6 +14,7 @@ No floating point is used here.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -115,11 +116,14 @@ class LieAlgebra:
     ) -> "LieAlgebra":
         if dim < 0:
             raise DimensionMismatch("dimension must be nonnegative")
-        if labels is None:
-            labels = tuple(f"e{i+1}" for i in range(dim))
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(f"e{i+1}" for i in range(dim)) if labels is None else tuple(labels)
         if len(labels) != dim:
             raise DimensionMismatch(f"{len(labels)} labels for dimension {dim}")
+        for k, label in enumerate(labels):  # labels name basis vectors in reports, so each is a distinct string
+            if not isinstance(label, str):
+                raise DimensionMismatch(f"basis[{k}]: a label must be a string, got {reprlib.repr(label)}")
+            if labels.index(label) < k:
+                raise DimensionMismatch(f"basis[{k}]: label {reprlib.repr(label)} repeats basis[{labels.index(label)}]")
         norm = _normalize_brackets(dim, brackets)
         frozen = tuple(
             (key, tuple(sorted(norm[key].items()))) for key in sorted(norm)

@@ -17,12 +17,8 @@ The decision pipeline:
      lambda_min(sum c_i S_i) over the unit ball of coefficients: Newton
      steps on the barrier of the small SDP
      "maximize t with sum c_i S_i - t I > 0, |c| < 1" for the barrier
-     weights tau = 1, 1e6, 1e12; far from the central path a step goes
-     STEP_FRACTION of the way to the boundary along the Newton direction,
-     never less than the damped step; before the last tau each centering
-     stops inside the region of quadratic convergence, and at the last tau,
-     the first with duality-gap bound below GAP_TOL, it runs to NEWTON_TOL.
-     The path is solved once per problem and read by both lanes of step 3.
+     weights tau = 1, 1e6, 1e12 (``_numeric.barrier_path``), solved once
+     per problem and read by both lanes of step 3.
      Over the ball the supremum is never below 0 (c = 0), and it is 0
      exactly when no closed form tames J;
   3. on a positive margin, one continued-fraction rounding back to an exact
@@ -38,7 +34,9 @@ The decision pipeline:
 
 Verdicts are Feasible / Infeasible / Unknown.  Every Feasible and Infeasible
 verdict carries an exact rational certificate; when neither lane of step 3
-re-proves, the verdict is Unknown.
+re-proves, the verdict is Unknown.  The float steps (the Gram stack, the
+projection, lambda_min and the barrier solve) live in ``_numeric``, the one
+module that imports numpy, loaded on first use.
 """
 
 from __future__ import annotations
@@ -48,28 +46,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import lcm
-
-import numpy as np
+from math import lcm, sqrt
+from typing import TYPE_CHECKING
 
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_taming, taming_gram
 from .linalg import ZERO, Mat, Subspace, Vec, _cleared, _echelon, _kernel, _symmetric, clear_denominators, leading_minors_positive
 
-DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
+if TYPE_CHECKING:
+    from ._numeric import np
 
-# the barrier solve: tau grows by TAU_STEP until the gap bound (n + 1) / tau
-# is below GAP_TOL, so tau = 1, 1e6, 1e12 for every n up to 16.  While the
-# decrement exceeds DAMPED_DECREMENT a Newton step goes STEP_FRACTION of the
-# way to the boundary, but never less than the damped step 1 / (1 + decrement);
-# centering stops there at every tau but the last, and at NEWTON_TOL at the last
-DAMPED_DECREMENT = 0.25
-STEP_FRACTION = 0.9
-NEWTON_TOL = 1e-6
-GAP_TOL = 1e-10
-TAU_STEP = 1e6
-MAX_CENTERING_STEPS = 100
+DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degenerate boundary case
 
 # on a precheck miss decide asks maximize_lambda_min for a margin above this,
 # so that a projection of I clearing it skips the solve; perfbench/spans.py
@@ -123,7 +111,8 @@ class FeasibilityProblem:
         dual_certificate both read it; the fields are not to be changed once
         it is read.
         """
-        return _barrier_path(self)
+        from . import _numeric
+        return _numeric.barrier_path(self.grams)
 
 
 @dataclass(frozen=True)
@@ -165,17 +154,15 @@ def build_problem(g: LieAlgebra, J: ComplexStructure) -> FeasibilityProblem:
     Feasibility is well-defined for any almost complex J, so J's integrability
     is not tested here: only analyze's theorem sweep reads it.
     """
+    from . import _numeric
     basis = closed_two_forms(g)
     gram_basis = [taming_gram(b, J) for b in basis]
-    grams = np.array(
-        [[[float(x) for x in row] for row in m] for m in gram_basis], dtype=float
-    ).reshape(len(gram_basis), g.dim, g.dim)
     return FeasibilityProblem(
         algebra=g,
         J=J,
         z2_basis=basis,
         gram_basis=gram_basis,
-        grams=grams,
+        grams=_numeric.gram_stack(gram_basis, g.dim),
         config=FeasibilityConfig(),
     )
 
@@ -251,12 +238,7 @@ def maximize_lambda_min(
     One deterministic log-barrier path-following solve (an interior-point
     method for this small SDP, as in Helmberg-Rendl-Vanderbei-Wolkowicz 1996)
     of: maximize t subject to F(c, t) = sum c_i S_i / scale - t I > 0 and
-    |c| < 1.  It starts at c = 0, t = -1, strictly feasible for every
-    problem, and minimizes -tau t - log det F - log(1 - |c|^2) by Newton
-    steps for tau = 1, TAU_STEP, TAU_STEP^2, centering fully only at the
-    final tau, the first with gap bound (n + 1) / tau below GAP_TOL.  A
-    factorization that fails near the boundary keeps the last strictly
-    feasible iterate.  The path is solved once per problem
+    |c| < 1 (``_numeric.barrier_path``).  The path is solved once per problem
     (FeasibilityProblem.barrier_path), and dual_certificate reuses it.
 
     Returns that iterate's c and the float lambda_min of sum c_i S_i there.
@@ -267,126 +249,20 @@ def maximize_lambda_min(
     first and returned without a barrier solve when its lambda_min exceeds
     stop_above: a point the caller re-proves, not the maximizer.
     """
+    from . import _numeric
     m = p.size
     n = p.algebra.dim
     if m == 0 or n == 0:
-        return np.zeros(m), float("-inf") if n else float("inf")
+        return _numeric.np.zeros(m), float("-inf") if n else float("inf")
     if p.degeneracy_direction is not None:
-        return np.zeros(m), 0.0
+        return _numeric.np.zeros(m), 0.0
     if stop_above is not None:
-        c = np.linalg.lstsq(p.grams.reshape(m, n * n).T, np.eye(n).ravel(), rcond=None)[0]
-        c = c / (np.linalg.norm(c) or 1.0)
-        value = _lambda_min(p, c)
+        c = _numeric.projection(p.grams)
+        value = _numeric.lambda_min(p.grams, c)
         if value > stop_above:
             return c, value
     c = p.barrier_path[0][:m].copy()
-    return c, _lambda_min(p, c)
-
-
-def _lambda_min(p: FeasibilityProblem, c: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(np.einsum("i,ijk->jk", c, p.grams))[0])
-
-
-def _barrier_path(p: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The last strictly feasible iterate x = (c, t) of the solve, and its dual iterate.
-
-    While the decrement delta exceeds DAMPED_DECREMENT, x moves by alpha dx
-    with alpha = max(min(1, STEP_FRACTION alpha_max), 1 / (1 + delta)):
-    STEP_FRACTION of the distance alpha_max to the boundary (_max_step),
-    with the damped Newton step, which needs no alpha_max, as its floor.
-    Below DAMPED_DECREMENT full Newton steps converge quadratically.
-    Before the final tau, centering stops there; only the final tau is
-    centred to NEWTON_TOL, and the gap bound and the dual iterate are read
-    there.  The dual iterate is X = F(x)^-1 / tr F(x)^-1.
-    At a centred point tr F^-1 = tau and <S_k / scale, X> = 2 c_k / (r tau),
-    r = 1 - |c|^2, so X tends to a dual optimum: PSD, trace one, pairing to
-    zero with every S_k.
-    """
-    n = p.algebra.dim
-    scale = max(float(np.linalg.norm(s)) for s in p.grams)
-    scale = scale if scale > 0 else 1.0
-    # F(x) = sum_k x_k A_k for x = (c, t), A = (S_1/scale, ..., S_m/scale, -I)
-    a = np.concatenate([p.grams / scale, -np.eye(n)[None]])
-    a_flat = a.reshape(len(a), n * n)
-    x = np.zeros(len(a))
-    x[-1] = -1.0
-    good, good_linv = x, np.eye(n)  # F(x) = I here
-    tau = 1.0
-    while True:
-        final = (n + 1) / tau < GAP_TOL
-        tol = NEWTON_TOL if final else DAMPED_DECREMENT
-        last = np.inf
-        for _ in range(MAX_CENTERING_STEPS):
-            try:
-                dx, delta, linv, w = _newton_step(a, a_flat, x, tau)
-            except np.linalg.LinAlgError:
-                return _with_dual(good, good_linv)
-            good, good_linv = x, linv
-            # centered, or a full step no longer shrinks the decrement: roundoff
-            if delta <= tol or last <= delta <= DAMPED_DECREMENT:
-                break
-            last = delta
-            if delta > DAMPED_DECREMENT:
-                dx = dx * max(min(1.0, STEP_FRACTION * _max_step(w, x[:-1], dx)), 1.0 / (1.0 + delta))
-            x = x + dx
-        if final:
-            return _with_dual(good, good_linv)
-        tau *= TAU_STEP
-
-
-def _with_dual(x: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x and the dual iterate F(x)^-1 / tr F(x)^-1 from the inverse Cholesky factor of F(x)."""
-    finv = np.einsum("ki,kj->ij", linv, linv)  # F^-1 = L^-T L^-1
-    return x, finv / np.trace(finv)
-
-
-def _newton_step(
-    a: np.ndarray, a_flat: np.ndarray, x: np.ndarray, tau: float
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Newton direction and decrement of -tau t - log det F - log(1 - |c|^2) at x = (c, t).
-
-    a is the stack A_k, and a_flat the same stack as rows of length n^2.
-    With F = L L^T and W_k = L^-1 A_k L^-T, the gradient of -log det F is
-    -tr W_k and its Hessian is <W_j, W_k>.  Also returns L^-1 and the stack
-    W_k.  Raises LinAlgError when x is not strictly feasible or the Hessian
-    is singular.
-    """
-    c = x[:-1]
-    r = 1.0 - c @ c
-    if not r > 0.0:
-        raise np.linalg.LinAlgError("outside the coefficient ball")
-    linv = np.linalg.inv(np.linalg.cholesky((x @ a_flat).reshape(a.shape[1:])))
-    w = linv @ a @ linv.T
-    grad = -np.einsum("kii->k", w)
-    w_flat = w.reshape(len(x), -1)
-    # einsum, not a BLAS product: one summation order whatever the BLAS thread
-    # count, and no thread wake-ups (with two threads, a first dim-12 solve
-    # took 1 s against 0.1 s)
-    hess = np.einsum("ij,kj->ik", w_flat, w_flat)
-    grad[-1] -= tau
-    grad[:-1] += 2.0 * c / r
-    hess[:-1, :-1] += (4.0 / r**2) * np.outer(c, c)
-    hess.flat[: -1 : len(x) + 1] += 2.0 / r  # the diagonal of the c block
-    dx = -np.linalg.solve(hess, grad)
-    return dx, float(np.sqrt(max(-(grad @ dx), 0.0))), linv, w
-
-
-def _max_step(w: np.ndarray, c: np.ndarray, dx: np.ndarray) -> float:
-    """The distance alpha_max to the boundary from x = (c, t) along dx.
-
-    w holds the W_k of _newton_step at x, so F(x + alpha dx) =
-    L (I + alpha W(dx)) L^T with W(dx) = sum dx_k W_k: F stays PD up to
-    -1 / lambda_min(W(dx)).  The ball |c + alpha dc| < 1 ends at the
-    positive root of |dc|^2 alpha^2 + 2 (c . dc) alpha - (1 - |c|^2) = 0.
-    Returns the smaller of the two, inf when neither bounds the step.
-    """
-    lam = float(np.linalg.eigvalsh((dx @ w.reshape(len(dx), -1)).reshape(w.shape[1:]))[0])
-    alpha = -1.0 / lam if lam < 0.0 else np.inf
-    dc = dx[:-1]
-    dd, cd = dc @ dc, c @ dc
-    if dd > 0.0:
-        alpha = min(alpha, float((np.sqrt(cd * cd + dd * (1.0 - c @ c)) - cd) / dd))
-    return alpha
+    return c, _numeric.lambda_min(p.grams, c)
 
 
 def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
@@ -400,12 +276,13 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     builds omega once from that sum, and re-proves its Gram positive
     definite with exact principal minors (``is_taming``), else raises
     ExactificationFailed.  The margin is the Gram's lambda_min over |q|.
+    c is read as Python floats, with the IEEE operations numpy would use.
     """
-    c = np.asarray(c, dtype=float)
-    top = float(np.max(np.abs(c)))
+    c = [float(x) for x in c]
+    top = max(map(abs, c), default=0.0)
     if top == 0.0:
         raise ExactificationFailed("zero coefficient vector")
-    q = [Fraction(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) if x else ZERO for x in c / top]
+    q = [Fraction(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) if x else ZERO for x in [v / top for v in c]]
     # d sum q_i B_i in ints, B_i = W_i / w_i (``TwoForm._ints``), d the lcm of the w_i q_i.denominator
     # over the nonzero q_i: a zero term adds nothing, and omega's Fractions are reduced either way
     terms = [(qi, b) for qi, b in zip(q, p.z2_basis) if qi]
@@ -419,7 +296,7 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     taming = is_taming(omega, p.J)  # the Gram of omega is sum q_i S_i, as the Gram is linear in omega
     if not taming:
         raise ExactificationFailed("the rounded Gram is not exactly positive definite")
-    norm = float(np.sqrt(sum(float(x) ** 2 for x in q)))
+    norm = sqrt(sum(float(x) ** 2 for x in q))
     return omega, taming.margin / norm
 
 
@@ -488,7 +365,7 @@ def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:
     feasible = _exactified(p, c, value)
     if feasible is None:
         solved = maximize_lambda_min(p)  # a projection point that did not round gives way to the solve's
-        if not np.array_equal(solved[0], c):
+        if not (solved[0] == c).all():
             c, value = solved
             feasible = _exactified(p, c, value)
     if feasible is not None:

@@ -106,11 +106,6 @@ def parse_fixture(doc: dict, source: str = "<fixture>") -> Fixture:
     if basis is not None:
         if not isinstance(basis, list) or len(basis) != dim:
             raise FixtureError(f"{source}: 'basis' must list {dim} labels")
-        for k, label in enumerate(basis):  # labels name basis vectors in reports, so each is a distinct string
-            if not isinstance(label, str):
-                raise FixtureError(f"{source}: basis[{k}]: a label must be a string, got {reprlib.repr(label)}")
-            if basis.index(label) < k:
-                raise FixtureError(f"{source}: basis[{k}]: label {reprlib.repr(label)} repeats basis[{basis.index(label)}]")
     brackets = {}
     for where, i, j, v in _indexed_entries(doc.get("brackets", []), "brackets", source, dim):
         if not isinstance(v, dict):

@@ -18,6 +18,7 @@ extended to 2-forms as an antiderivation, i.e.
 
 The taming condition is packaged as the symmetric Gram form
 G(X, Y) = (Omega(X, JY) + Omega(Y, JX)) / 2, so taming = G positive definite.
+Only ``is_taming``'s reported float margin comes from ``_numeric``, the numpy module.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, _units
 from .errors import DimensionMismatch, NotAComplexStructure
@@ -375,9 +374,10 @@ def is_taming(omega: TwoForm, J: ComplexStructure, exact: bool = True, tol: floa
     Exact mode decides by leading principal minors; numeric mode by
     lambda_min > tol.  The margin is always reported numerically.
     """
+    from . import _numeric
     if omega.dim == 0:
         return TamingResult(True, float("inf"))
     gram, d = _gram_ints(omega, J)
-    margin = float(np.linalg.eigvalsh(np.array([[x / d for x in row] for row in gram]))[0])
+    margin = _numeric.min_eigenvalue([[x / d for x in row] for row in gram])
     ok = leading_minors_positive(gram) if exact else margin > tol
     return TamingResult(ok, margin)

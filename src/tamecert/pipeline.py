@@ -399,6 +399,7 @@ def corpus_run(directory: str | Path, jobs: int = 1) -> CorpusResult:
         raise FixtureError(f"{directory}: not a directory")
     tasks = [str(p) for p in sorted(directory.glob("*.json"))]
     if jobs > 1 and len(tasks) > 1:
+        from . import _numeric  # noqa: F401  (loaded once here, forked workers inherit numpy)
         # under fork every worker starts at the first submit: no more than there are files
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             entries = list(pool.map(_analyze_path, tasks))

@@ -194,11 +194,15 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
             comps = tuple((k, Fraction(y, d)) for k, y in enumerate(v) if y)
             if comps:
                 constants.append(((a, b), comps))
-    # a unit vector e_i keeps its label; any other basis vector is f<position in h^perp>
-    labels = tuple(
-        g.basis_labels[q] if perp.rows[k].count(0) == g.dim - 1 else f"f{k + 1}" for k, q in zip(keep, kept_pivots)
-    )
-    red_alg = LieAlgebra(m, labels, tuple(constants))
+    # a unit vector e_i of h^perp keeps its label; any other is f<position in h^perp>, primed past those
+    units = {k: g.basis_labels[q] for k, q in enumerate(perp._pivots) if perp.rows[k].count(0) == g.dim - 1}
+    labels = []
+    for k in keep:
+        label = units.get(k, f"f{k + 1}")
+        while k not in units and label in units.values():
+            label += "'"
+        labels.append(label)
+    red_alg = LieAlgebra(m, tuple(labels), tuple(constants))
     red_alg.check_jacobi()
 
     w_us = [_omega_apply(t.omega, u) for u in us]

@@ -314,13 +314,17 @@ def _ref_subalgebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
             coords = coordinates_of(s, g.bracket(s.basis[a], s.basis[b]))
             assert coords is not None, "subspace is not closed under the bracket"
             brackets[(a, b)] = {k: c for k, c in enumerate(coords) if c != 0}
-    labels = []
-    for b in s.basis:
+    units = {}  # a unit vector keeps its label; any other is f<position>, primed past every unit label
+    for k, b in enumerate(s.basis):
         nonzero = [(i, c) for i, c in enumerate(b) if c != 0]
         if len(nonzero) == 1 and nonzero[0][1] == 1:
-            labels.append(g.basis_labels[nonzero[0][0]])
-        else:
-            labels.append(f"f{len(labels) + 1}")
+            units[k] = g.basis_labels[nonzero[0][0]]
+    labels = []
+    for k in range(s.dim):
+        label = units.get(k, f"f{k + 1}")
+        while k not in units and label in units.values():
+            label += "'"
+        labels.append(label)
     return LieAlgebra.from_brackets(s.dim, brackets, labels=labels)
 
 

@@ -130,6 +130,26 @@ def test_dimension_mismatch():
 
 
 @pytest.mark.parametrize(
+    "labels, fragment",
+    [
+        (["e1", "e1"], "basis[1]: label 'e1' repeats basis[0]"),
+        ([None, {}], "basis[0]: a label must be a string, got None"),
+        ([1, 2], "basis[0]: a label must be a string, got 1"),
+        (["a", {}], "basis[1]: a label must be a string, got {}"),
+        (["a", "b", "a"], "basis[2]: label 'a' repeats basis[0]"),
+    ],
+    ids=["repeated", "none", "int", "dict", "repeated_later"],
+)
+def test_labels_are_distinct_strings(labels, fragment):
+    # a label names a basis vector in reports (the unimodular witness, a
+    # reduced algebra's kept vectors), as parse_fixture's basis rule says
+    with pytest.raises(DimensionMismatch) as err:
+        LieAlgebra.from_brackets(len(labels), {(0, 1): {1: 1}}, labels=labels)
+    assert fragment in str(err.value)
+    assert LieAlgebra.from_brackets(2, {(0, 1): {1: 1}}, labels=["H", "X"]).basis_labels == ("H", "X")
+
+
+@pytest.mark.parametrize(
     "build, error",
     [
         # an index is an int that is not a bool: no float is truncated and no

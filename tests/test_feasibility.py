@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import tamecert._numeric as numeric_mod
 import tamecert.algebra as algebra_mod
 import tamecert.feasibility as feas_mod
 import tamecert.forms as forms_mod
@@ -166,6 +167,19 @@ def test_build_problem_sizes():
     p = problem_for(2, {(0, 1): {1: 1}})
     assert p.size == 1
     assert p.gram_basis[0] == [[F(1), F(0)], [F(0), F(1)]]  # identity Gram
+
+
+def test_the_zero_dimensional_algebra_is_decided():
+    # the 0-dim algebra is tamed by the empty form: every lane has its own dim-0 branch
+    g, J = LieAlgebra.from_brackets(0, {}), standard_complex_structure(0)
+    assert decide(g, J) == Feasible(TwoForm(0, ()), math.inf, True)
+    p = build_problem(g, J)
+    assert p.size == 0 and p.grams.shape == (0, 0, 0)
+    c, value = maximize_lambda_min(p)
+    assert c.shape == (0,) and value == math.inf
+    assert dual_certificate(p) is None
+    taming = is_taming(TwoForm(0, ()), J)
+    assert (taming.value, taming.margin) == (True, math.inf)
 
 
 # --- degeneracy precheck ---
@@ -409,7 +423,7 @@ def test_newton_step_matches_finite_differences():
         [[(phi(x + u + v) - phi(x + u - v) - phi(x - u + v) + phi(x - u - v)) / 4e-6 for v in e] for u in e]
     )
     newton = -np.linalg.solve(hess, grad)
-    dx, delta, *_ = feas_mod._newton_step(a, a.reshape(m + 1, -1), x, tau)
+    dx, delta, *_ = numeric_mod.newton_step(a, a.reshape(m + 1, -1), x, tau)
     assert dx == pytest.approx(newton, rel=1e-5)
     assert delta == pytest.approx(np.sqrt(-(grad @ newton)), rel=1e-5)
 
@@ -418,10 +432,10 @@ def test_max_step_is_the_distance_to_the_boundary():
     # F(c, t) = (c - t) I on R^2 is I at x = (3/4, -1/4), so W_k = A_k and
     # W(dx) = (dc - dt) I: F stays PD up to alpha = 1 / (dt - dc), and the
     # ball |c| < 1 ends at alpha = 1/4 / dc for dc > 0 and 7/4 / -dc for
-    # dc < 0.  Every number is dyadic, so _max_step must return alpha_max exactly
+    # dc < 0.  Every number is dyadic, so max_step must return alpha_max exactly
     a = np.array([np.eye(2), -np.eye(2)])
     x = np.array([0.75, -0.25])
-    *_, w = feas_mod._newton_step(a, a.reshape(2, -1), x, 1.0)
+    *_, w = numeric_mod.newton_step(a, a.reshape(2, -1), x, 1.0)
     assert w.tolist() == a.tolist()
     cases = [
         ((0.5, 4.5), 0.25),  # the PSD boundary comes first
@@ -431,20 +445,20 @@ def test_max_step_is_the_distance_to_the_boundary():
         ((0.0, -1.0), math.inf),  # neither bounds it
     ]
     for dx, alpha_max in cases:
-        assert feas_mod._max_step(w, x[:-1], np.array(dx)) == alpha_max, dx
+        assert numeric_mod.max_step(w, x[:-1], np.array(dx)) == alpha_max, dx
 
 
 def test_iterates_stay_strictly_feasible_at_dimension_cap(monkeypatch):
     # a long step stops short of the boundary: at every iterate of the R^16
     # solve F has a Cholesky factor and |c| < 1
-    newton_step = feas_mod._newton_step
+    newton_step = numeric_mod.newton_step
     iterates = []
 
     def recorded(a, a_flat, x, tau):
         iterates.append((a, x))
         return newton_step(a, a_flat, x, tau)
 
-    monkeypatch.setattr(feas_mod, "_newton_step", recorded)
+    monkeypatch.setattr(numeric_mod, "newton_step", recorded)
     maximize_lambda_min(problem_for(16, {}))
     assert iterates
     for a, x in iterates:
@@ -476,7 +490,7 @@ def test_maximize_linalg_call_budget(corpus, monkeypatch):
     # path is read directly
     p = build_problem(*conjugate(corpus["inoue_s0"].algebra, INOUE_P, corpus["inoue_s0"].J))
     calls = count_linalg_calls(monkeypatch)
-    value = feas_mod._lambda_min(p, p.barrier_path[0][: p.size])
+    value = numeric_mod.lambda_min(p.grams, p.barrier_path[0][: p.size])
     assert abs(value) <= 1e-9
     assert calls[0] <= 108
 
@@ -732,14 +746,14 @@ def test_decide_solves_the_path_once(corpus, monkeypatch):
     # the dual lane reads the solve twice, through maximize_lambda_min and
     # dual_certificate; both share one central path
     fx = corpus["aff_r2"]
-    barrier_path = feas_mod._barrier_path
+    barrier_path = numeric_mod.barrier_path
     runs = [0]
 
-    def counted(p):
+    def counted(grams):
         runs[0] += 1
-        return barrier_path(p)
+        return barrier_path(grams)
 
-    monkeypatch.setattr(feas_mod, "_barrier_path", counted)
+    monkeypatch.setattr(numeric_mod, "barrier_path", counted)
     v = decide(fx.algebra, non_integrable_j(fx, AFF_R2_NONINT_P[0]))
     assert isinstance(v, Infeasible) and v.rank_one_direction is None
     assert runs[0] == 1
@@ -969,8 +983,8 @@ def decided(structures) -> dict[str, tuple[object, Counter, int, int]]:
     """decide on each structure, with its Newton steps per tau, the number of
     LinAlgError fallbacks it took and the number of barrier solves it ran:
     {name: (verdict, steps, fallbacks, solves)}."""
-    newton_step = feas_mod._newton_step
-    barrier_path = feas_mod._barrier_path
+    newton_step = numeric_mod.newton_step
+    barrier_path = numeric_mod.barrier_path
     out = {}
 
     def counted(a, a_flat, x, tau):
@@ -981,13 +995,13 @@ def decided(structures) -> dict[str, tuple[object, Counter, int, int]]:
             fallbacks[0] += 1
             raise
 
-    def counted_path(p):
+    def counted_path(grams):
         solves[0] += 1
-        return barrier_path(p)
+        return barrier_path(grams)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(feas_mod, "_newton_step", counted)
-        mp.setattr(feas_mod, "_barrier_path", counted_path)
+        mp.setattr(numeric_mod, "newton_step", counted)
+        mp.setattr(numeric_mod, "barrier_path", counted_path)
         for name, g, J in structures:
             steps, fallbacks, solves = Counter(), [0], [0]
             out[name] = (decide(g, J), steps, fallbacks[0], solves[0])
@@ -1004,7 +1018,7 @@ NEWTON_STEP_BUDGET = 270
 def test_newton_step_budget(decided):
     assert sum(sum(steps.values()) for _, steps, _, _ in decided.values()) <= NEWTON_STEP_BUDGET
     for name, (_, steps, fallbacks, _) in decided.items():
-        assert max(steps.values(), default=0) < feas_mod.MAX_CENTERING_STEPS, name
+        assert max(steps.values(), default=0) < numeric_mod.MAX_CENTERING_STEPS, name
         assert fallbacks == 0, name
 
 

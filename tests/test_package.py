@@ -1,8 +1,12 @@
 """The public surface of the package and the README's library example."""
 
+import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,3 +204,46 @@ def test_benchmark_imports_resolve(monkeypatch):
     verdict, basis = spans.traced_decide(spans.Recorder(), fx.algebra, fx.J)
     assert spans.verdict_signature(verdict) == spans.verdict_signature(tamecert.decide(fx.algebra, fx.J))
     assert spans.closed_basis_signature(basis) == spans.closed_basis_signature(forms.closed_two_forms(fx.algebra))
+
+
+def test_only_the_numeric_module_imports_numpy():
+    # one float lane: a single numpy import in the package, in _numeric
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "tamecert").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module] if isinstance(node, ast.ImportFrom) and node.module else []
+            found += [(path.stem, name) for name in names if name.split(".")[0] == "numpy"]
+    assert found == [("_numeric", "numpy")]
+
+
+# run in a fresh interpreter, as this process has numpy loaded already
+LAZY_NUMPY = """
+import sys
+import tamecert, tamecert.cli
+from tamecert.cli import main
+assert "numpy" not in sys.modules, "import"
+assert main(["validate", "fixtures/h3_r.json"]) == 0
+assert "numpy" not in sys.modules, "validate"
+assert main(["reduce", "fixtures/aff_r2.json"]) == 0
+assert "numpy" not in sys.modules, "reduce"
+fx = tamecert.load_fixture("fixtures/aff_r.json")
+v = tamecert.decide(fx.algebra, fx.J)
+assert "numpy" in sys.modules and "tamecert._numeric" in sys.modules
+print(v.kind, dict(v.omega.coeffs))
+"""
+
+
+def test_numpy_loads_only_at_the_first_decision():
+    out = subprocess.run(
+        [sys.executable, "-c", LAZY_NUMPY],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    fx = tamecert.load_fixture(REPO_ROOT / "fixtures" / "aff_r.json")
+    v = tamecert.decide(fx.algebra, fx.J)
+    assert out.stdout.splitlines()[-1] == f"{v.kind} {dict(v.omega.coeffs)}"

@@ -18,6 +18,7 @@ import tamecert.linalg
 import tamecert.pipeline as pipeline_mod
 import tamecert.reduction
 from tamecert import (
+    ComplexStructure,
     Feasible,
     FixtureError,
     Infeasible,
@@ -476,6 +477,26 @@ def test_proof_trace_aff_r(corpus):
     assert rec.v_space.dim == 0
     assert rec.rows == ()
     assert rec.h_scalar == F(1)  # [X, JX] = [X, -H] = X
+
+
+def test_proof_trace_pins_the_z1_scale():
+    # d_{4,1/2}: [e0,e1] = e2, [e0,e3] = -e0/2, [e1,e3] = -e1/2, [e2,e3] = -e2, J e1 = e0, J e2 = e3;
+    # decide's omega tames J, and both rows of the trace have Z1 != 0.  Under diag(2, 1, 1, 3)
+    # J' = den J has den 6 and the bracket table c = 2, so Z1's denominator c s s_x q e is pinned
+    F = Fraction
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}, (0, 3): {0: F(-1, 2)}, (1, 3): {1: F(-1, 2)}, (2, 3): {2: -1}})
+    J = ComplexStructure.from_matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    P = [[F(d if i == j else 0) for j in range(4)] for i, d in enumerate((2, 1, 1, 3))]
+    for h, K in ((g, J), conjugate(g, P, J)):
+        v = decide(h, K)
+        assert isinstance(v, Feasible)
+        rec = proof_trace(TamedTriple.build(h, v.omega, K))
+        x, jx = rec.generator, K.apply(rec.generator)
+        # the Fraction oracle: Z1 = [JX, Y] + 2b X + a JX
+        oracle = [tuple(u + 2 * r.b * s + r.a * t for u, s, t in zip(h.bracket(jx, r.y), x, jx)) for r in rec.rows]
+        assert [r.z1 for r in rec.rows] == oracle
+        assert oracle == [(F(1, 2), 0, 0, 0), (0, F(1, 2), 0, 0)]
+        assert (K.den, h._int_table[0]) == ((1, 2) if h is g else (6, 2))
 
 
 def tower_triples(fx) -> list[TamedTriple]:

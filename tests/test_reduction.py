@@ -182,7 +182,7 @@ def oracle_triples(corpus) -> list[tuple[str, TamedTriple]]:
 
 
 def test_reduce_matches_subalgebra_quotient_reference(corpus):
-    steps = 0
+    steps, primed = 0, 0
     for name, t in oracle_triples(corpus):
         current = t
         for step in reduction_tower(t).steps:
@@ -190,6 +190,9 @@ def test_reduce_matches_subalgebra_quotient_reference(corpus):
             red = step.reduced
             assert red.algebra == algebra, name  # brackets and labels
             assert red.algebra.basis_labels == algebra.basis_labels, name
+            # a new label f<k> is primed past a kept unit vector's label: labels stay distinct down the tower
+            assert len(set(red.algebra.basis_labels)) == red.algebra.dim, name
+            primed += sum(label.endswith("'") for label in red.algebra.basis_labels)
             # the integer forms reduce builds, against those cleared from the reference's Fractions
             assert red.algebra._int_table == algebra._int_table, name
             assert red.omega == omega and red.omega._ints == omega._ints, name
@@ -198,6 +201,7 @@ def test_reduce_matches_subalgebra_quotient_reference(corpus):
             steps += 1
         assert current.algebra.dim == 0, name
     assert steps == 13 + 2 + 2 * 2 + 3 + 4
+    assert primed > 0
 
 
 def test_reduce_rejects_non_ideal():
