@@ -306,7 +306,13 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, space: Subspace | None = No
     # Z cap space: the combinations y of space's rows s with [b, sum y_r s_r] = 0 for every
     # row b of D; canonical as the branch rows below are, with the pivots of space's rows
     # at the kernel's free columns
-    images = [[_bracket_ints(table, b, s) for s in space.rows] for b in derived.rows]
+    if space == derived:  # [b, s] = -[s, b]: each pair of D's rows is bracketed once
+        images = [[[0] * n for _ in space.rows] for _ in space.rows]
+        for (s, x), (t, y) in combinations(enumerate(space.rows), 2):
+            images[s][t] = _bracket_ints(table, x, y)
+            images[t][s] = [-v for v in images[s][t]]
+    else:
+        images = [[_bracket_ints(table, b, s) for s in space.rows] for b in derived.rows]
     if any(any(v) for row in images for v in row):
         kernel, free = _kernel([[v[k] for v in row] for row in images for k in range(n)], space.dim)
         z = [_primitive([sum(y * s[k] for y, s in zip(ys, space.rows)) for k in range(n)]) for ys in kernel]

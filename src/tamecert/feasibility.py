@@ -2,13 +2,14 @@
 
 The decision pipeline:
 
-  1. exact rank-one pre-check: on subspaces defined by g and J alone (each
-     rational weight space of ad g inside [g, g], then [g, g] cap J[g, g]),
-     the common radical of the closed Gram forms; a nonzero v in it has
-     B(v, Jv) = 0 for every closed 2-form B, so v v^T / |v|^2 is a dual
-     certificate and proves infeasibility outright.  It also caps every
-     lambda_min(sum c_i S_i) at 0, so the maximum of step 2 is exactly 0,
-     at c = 0: a hit is returned at once, with no solve;
+  1. exact rank-one pre-check: the closed Gram forms are formed once on
+     D = [g, g], and one of them, or their sum, definite there proves a miss
+     with no search.  Otherwise, on subspaces of D defined by g and J alone
+     (each rational weight space of ad g in D, then D cap JD, a kernel), the
+     common radical of those Grams restricted by coordinates; a nonzero v in
+     it has B(v, Jv) = 0 for every closed B, so v v^T / |v|^2 is a dual
+     certificate and proves infeasibility outright, and caps the maximum of
+     step 2 at exactly 0, at c = 0: a hit is returned at once, with no solve;
   2. when the pre-check finds nothing, the Frobenius projection of I onto
      span{S_i} (S_i = Gram forms of a closed basis), one least-squares solve
      scaled onto the unit sphere; a lambda_min above PROJECTION_MARGIN goes
@@ -47,12 +48,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm, sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_taming, taming_gram
-from .linalg import ZERO, Mat, Subspace, Vec, _cleared, _echelon, _kernel, _symmetric, clear_denominators, leading_minors_positive
+from .linalg import ZERO, Mat, Vec, _cleared, _dot, _echelon, _kernel, _symmetric, clear_denominators, leading_minors_positive
 
 if TYPE_CHECKING:
     from ._numeric import np
@@ -170,62 +171,97 @@ def build_problem(g: LieAlgebra, J: ComplexStructure) -> FeasibilityProblem:
 def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     """Exact search for a universal degeneracy direction.
 
-    The subspaces searched are defined by g and J alone: each nonzero
-    intersection of a rational weight space of ad g with D = [g, g], then the
-    J-invariant part D cap J D.  The weight spaces are sought inside Z cap D
-    only, Z the centralizer of D, so no characteristic polynomial is larger
-    than dim D, and D cap J D is built only once every weight space has
-    missed.  On each subspace W, with integer basis b, the common radical of
-    the closed Gram forms restricted to W is one exact kernel (``_kernel``)
-    of the w x w Grams 2 den G_i(b_s, b_t) = B_i(b_s, J' b_t) + B_i(b_t, J' b_s),
-    J' = den J, read off each closed form's integer coefficients, with no
-    n x n Gram; any nonzero v in it has B(v, Jv) = 0 for every closed B.  On
-    a line, w = 1, the Grams are 1 x 1 and no kernel is taken: the radical is
-    the line when every one of them is 0, and 0 otherwise.  The
-    radical transforms with a basis change, so whether the precheck hits does
-    not depend on the basis.  The search runs once per problem
+    The closed Gram forms are formed once on D = [g, g], as the d x d Grams
+    2 den G_i(b_s, b_t) = B_i(b_s, J' b_t) + B_i(b_t, J' b_s) read off each
+    closed form's integer coefficients, b D's reduced-echelon basis scaled to
+    integers and J' = den J.  If one of them, or their sum, is definite (exact
+    leading minors of G or -G), no nonzero v in D has B(v, Jv) = 0 for every
+    closed B, and the search ends before any weight space is sought, as it
+    does at once when D = 0.  Otherwise it searches subspaces W of D defined
+    by g and J alone: each rational weight space of ad g in D, sought inside
+    Z cap D (Z the centralizer of D, so no characteristic polynomial is larger
+    than dim D), then D cap JD, the kernel of v -> Jv mod D on D's rows.  With
+    C the coordinates in b of W's basis (its rows read at D's pivots), the
+    common radical of the Grams C G_i C^T (G_i when W = D) is one exact
+    kernel, and on a line the line itself when every 1 x 1 Gram is 0.  It
+    transforms with a basis change, so whether the precheck hits does not
+    depend on the basis.  The search runs once per problem
     (FeasibilityProblem.degeneracy_direction).
     """
     return p.degeneracy_direction
 
 
+def _scaled(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Echelon integer rows with positive pivots scaled to one pivot entry s, their lcm; and s."""
+    firsts = [next(filter(None, row)) for row in rows]
+    s = lcm(*firsts)
+    return [[x * (s // f) for x in row] for row, f in zip(rows, firsts)], s
+
+
+def _definite(m: list[list[int]]) -> bool:
+    """Whether a nonempty symmetric integer matrix is definite: its diagonal has the sign s of m[0][0],
+    and Sylvester's test holds for s m."""
+    s = m[0][0]
+    return all(row[k] * s > 0 for k, row in enumerate(m)) and leading_minors_positive([[s * x for x in r] for r in m])
+
+
 def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     g = p.algebra
     derived = g.derived_subalgebra()
+    if not derived.rows:  # D = 0 holds no v
+        return None
     # each closed form as ints over the columns of keys, the pairs (a, b) some form reads
     keys = sorted({key for form in p.z2_basis for key, _ in form.coeffs})
     column = {key: k for k, key in enumerate(keys)}
     forms = [[(column[key], x) for key, x in form._ints[1]] for form in p.z2_basis]
+    # b = scale * D's reduced-echelon basis in ints, jb = den J b; 2 den G_i(b_s, b_t) =
+    # B_i(b_s, jb_t) + B_i(b_t, jb_s), the form's coefficients dotted with one wedge vector per pair s <= t
+    pivots = derived.pivots()
+    b, scale = _scaled(derived.rows)
+    jb = [p.J._apply_ints(v) for v in b]
+    d = len(b)
+    grams = [[[0] * d for _ in b] for _ in forms]
+    for s, t in combinations_with_replacement(range(d), 2):
+        x, y, jx, jy = b[s], b[t], jb[s], jb[t]
+        wedge = [x[i] * jy[j] - x[j] * jy[i] + y[i] * jx[j] - y[j] * jx[i] for i, j in keys]
+        for gram, form in zip(grams, forms):
+            gram[s][t] = gram[t][s] = sum(c * wedge[k] for k, c in form)
+    # a Gram definite on D, or their sum, the Gram of the closed sum B_1 + ... + B_m (grams[i] is
+    # 2 den w_i G_i, B_i = W_i / w_i), leaves no v != 0 in D with B(v, Jv) = 0, so no subspace of D has a radical
+    lw = lcm(*(form._ints[0] for form in p.z2_basis))
+    weights = [lw // form._ints[0] for form in p.z2_basis]
+    total = [[_dot(weights, entries) for entries in zip(*rows)] for rows in zip(*grams)]
+    if any(map(_definite, grams)) or _definite(total):
+        return None
 
-    def spaces():
+    def spaces():  # each subspace W of D by the coordinates of a basis in b, echelon rows
         for space in _weight_spaces(g, derived, derived):
-            yield space, "weight space in [g,g]"
-        jd = [p.J._apply_ints(r) for r in derived.rows]  # den J [g, g], in ints
-        yield derived.intersect(Subspace._span(g.dim, jd)), "J-invariant part of [g,g]"
+            yield [[row[q] for q in pivots] for row in space.rows], "weight space in [g,g]"
+        # D cap JD = D cap J^-1 D: the y with J' sum y_k b_k in D, the kernel of the jb_k mod D,
+        # scale jb_k - sum_l jb_k[q_l] b_l, read at the columns outside D's pivots
+        free = [i for i in range(g.dim) if i not in pivots]
+        residues = [[scale * v[i] - sum(v[q] * r[i] for q, r in zip(pivots, b)) for v in jb] for i in free]
+        yield _kernel(residues, d)[0], "J-invariant part of [g,g]"
 
-    for w, provenance in spaces():
-        if not w.dim:
+    for rows, provenance in spaces():
+        if not rows:
             continue
-        # b = scale * w.basis in ints, jb = den J b; 2 den G_i(b_s, b_t) = B_i(b_s, jb_t) + B_i(b_t, jb_s),
-        # the form's coefficients dotted with one wedge vector per pair s <= t
-        pivots = w.pivots()
-        scale = lcm(*(row[q] for row, q in zip(w.rows, pivots)))
-        b = [[x * (scale // row[q]) for x in row] for row, q in zip(w.rows, pivots)]
-        jb = [p.J._apply_ints(v) for v in b]
-        grams = [[[0] * w.dim for _ in b] for _ in forms]
-        for s, t in combinations_with_replacement(range(w.dim), 2):
-            x, y, jx, jy = b[s], b[t], jb[s], jb[t]
-            wedge = [x[i] * jy[j] - x[j] * jy[i] + y[i] * jx[j] - y[j] * jx[i] for i, j in keys]
-            for gram, form in zip(grams, forms):
-                gram[s][t] = gram[t][s] = sum(c * wedge[k] for k, c in form)
-        if w.dim == 1:  # the line is its own radical when every 1 x 1 Gram is 0, and else the radical is 0
-            radical, radical_pivots = ([] if any(gram[0][0] for gram in grams) else [[1]]), [0]
+        # C = s_w times the coordinates of W's reduced-echelon basis: its Grams C G_i C^T are those of
+        # W's basis times one positive factor, so the radical and the vector below stay the same
+        c, s_w = _scaled(rows)
+        w = len(c)
+        restricted = grams
+        if w < d:  # C G C^T, row by row of C G, as G is symmetric
+            restricted = [[[_dot(x, y) for y in c] for x in ([_dot(r, row) for row in m] for r in c)] for m in grams]
+        if w == 1:  # the line is its own radical when every 1 x 1 Gram is 0, and else the radical is 0
+            radical, radical_pivots = ([] if any(gram[0][0] for gram in restricted) else [[1]]), [0]
         else:
-            radical, radical_pivots = _kernel([row for gram in grams for row in gram], w.dim)
+            radical, radical_pivots = _kernel([row for gram in restricted for row in gram], w)
         if radical:
-            # the first reduced-echelon radical vector, radical[0] / its pivot, times b / scale
-            den = radical[0][radical_pivots[0]] * scale
-            vector = tuple(Fraction(sum(y * x for y, x in zip(radical[0], col)), den) for col in zip(*b))
+            # the first reduced-echelon radical vector, radical[0] / its pivot, in W's basis: u / s_w in b / scale
+            u = [_dot(radical[0], col) for col in zip(*c)]
+            den = radical[0][radical_pivots[0]] * s_w * scale
+            vector = tuple(Fraction(_dot(u, col), den) for col in zip(*b))
             return DegeneracyDirection(vector=vector, provenance=provenance)
     return None
 

@@ -29,6 +29,7 @@ import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -88,6 +89,10 @@ def transpose(m: Sequence[Sequence[Fraction]]) -> Mat:
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
     bt = transpose(b)
     return [[vec_dot(row, col) for col in bt] for row in a]
+
+
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(mul, x, y))
 
 
 def _cleared(row: Sequence[Fraction]) -> tuple[list[int], int]:

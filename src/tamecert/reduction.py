@@ -32,11 +32,7 @@ from math import gcd, lcm
 from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, _one_dim_ideals
 from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
 from .forms import ComplexStructure, TwoForm, _d2_ints, _gram_ints, _squares_to_minus_one, is_integrable
-from .linalg import Subspace, Vec, _kernel, leading_minors_positive
-
-
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+from .linalg import Subspace, Vec, _dot, _kernel, leading_minors_positive
 
 
 @dataclass(frozen=True)
@@ -162,10 +158,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     xi, p = h.rows[0], h._pivots[0]  # xi = s_x X, with s_x = xi[p] at X's pivot p
     sx = xi[p]
     w_xi, j_xi = _omega_apply(t.omega, xi), t.J._apply_ints(xi)
-    beta = _dot(j_xi, w_xi)  # e w s_x^2 Omega(JX, X)
-    if beta == 0:
-        # impossible for a taming form; defensive
-        raise TamingLost("Omega(JX, X) vanishes on a supposedly tamed triple")
+    beta = _dot(j_xi, w_xi)  # e w s_x^2 Omega(JX, X) = -e w s_x^2 Omega(X, JX) < 0, as Omega tames J
 
     # h lies in h^perp by isotropy; mod_h's check below enforces that h^perp is a
     # subalgebra, since the brackets with X land in the ideal h
@@ -211,14 +204,14 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
 
     # with y = u / s, alpha = e w s s_x Omega(JY, X), J(Y - alpha s_x / (s beta) X) is
     # J' (beta u - alpha xi) / (e s beta) = (beta J'u - alpha J'xi) / (e s beta); over the
-    # common denominator den = s_x e |beta| lcm(s), column b carries den / (s_x e s_b beta)
-    ls, sign = lcm(*ss), 1 if beta > 0 else -1
+    # common denominator den = -s_x e beta lcm(s) > 0, column b carries den / (s_x e s_b beta) = -lcm(s) / s_b
+    ls = lcm(*ss)
     cols = []
     for u, s_u in zip(us, ss):
         ju = t.J._apply_ints(u)
         alpha = _dot(ju, w_xi)
-        cols.append([sign * (ls // s_u) * y for y in mod_h([beta * y - alpha * z for y, z in zip(ju, j_xi)])])
-    den = sx * e * abs(beta) * ls
+        cols.append([-(ls // s_u) * y for y in mod_h([beta * y - alpha * z for y, z in zip(ju, j_xi)])])
+    den = -sx * e * beta * ls
     k = gcd(den, *(y for col in cols for y in col))  # J = ints / den in its unique form, den over k
     ints = tuple(tuple(col[a] // k for col in cols) for a in range(m))
     if not _squares_to_minus_one(ints, den // k):

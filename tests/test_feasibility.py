@@ -47,6 +47,7 @@ from tamecert.pipeline import verdict_to_dict
 
 from conftest import (
     CORPUS_NAMES,
+    FIXTURES_DIR,
     NON_ABELIAN_NAMES,
     conjugate,
     direct_sum,
@@ -249,9 +250,35 @@ def precheck_cases(corpus, exact_items):
     return cases
 
 
-def test_precheck_searches_weight_spaces_inside_the_derived_algebra(corpus, exact_items, monkeypatch):
-    # the precheck's weight spaces are found inside Z cap [g, g]: they must be
-    # the nonzero intersections of the public weight spaces with [g, g], in order
+def sylvester(m) -> bool:
+    """Every leading principal minor of a Fraction matrix is positive: each
+    pivot of elimination without row swaps, a ratio of two of them, is."""
+    a = [list(row) for row in m]
+    for k in range(len(a)):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return True
+
+
+def definite_on_derived(p) -> bool:
+    """Whether a gram_basis form S_i, or their sum, is definite on [g, g]: the
+    leading minors of B S B^T or of -B S B^T, B the rows of derived.basis, all
+    positive, in Fractions.  Vacuously so when [g, g] = 0."""
+    n = p.algebra.dim
+    basis = p.algebra.derived_subalgebra().basis
+    total = [[sum(s[i][j] for s in p.gram_basis) for j in range(n)] for i in range(n)]
+    for s in list(p.gram_basis) + [total]:
+        m = [[sum(x[i] * s[i][j] * y[j] for i in range(n) for j in range(n)) for y in basis] for x in basis]
+        if sylvester(m) or sylvester([[-v for v in row] for row in m]):
+            return True
+    return False
+
+
+def recorded_searches(monkeypatch) -> list:
+    """The lists of subspaces the precheck's _weight_spaces returns, one per call, as they are made."""
     searched = []
     original = feas_mod._weight_spaces
 
@@ -261,12 +288,56 @@ def test_precheck_searches_weight_spaces_inside_the_derived_algebra(corpus, exac
         return spaces
 
     monkeypatch.setattr(feas_mod, "_weight_spaces", recorded)
+    return searched
+
+
+def derived_weight_spaces(g) -> list[Subspace]:
+    derived = g.derived_subalgebra()
+    return [w for w in (s.intersect(derived) for s in weight_spaces(g)) if w.dim]
+
+
+def test_precheck_searches_weight_spaces_inside_the_derived_algebra(corpus, exact_items, monkeypatch):
+    # the precheck's weight spaces are found inside Z cap [g, g]: a case searches
+    # the nonzero intersections of the public weight spaces with [g, g], in order,
+    # or nothing, and then a closed Gram form or their sum is definite on [g, g]
+    searched = recorded_searches(monkeypatch)
     for name, g, J in precheck_cases(corpus, exact_items):
         searched.clear()
-        degeneracy_precheck(build_problem(g, J))
-        derived = g.derived_subalgebra()
-        expected = [w for w in (s.intersect(derived) for s in weight_spaces(g)) if w.dim]
-        assert searched == [expected], name
+        p = build_problem(g, J)
+        degeneracy_precheck(p)
+        assert searched == [derived_weight_spaces(g)] or (searched == [] and definite_on_derived(p)), name
+
+
+def test_precheck_workload_misses_search_no_subspace(monkeypatch):
+    # on the seed-1 items of corpus and conjugated, each of the 9 non-abelian
+    # misses is proved on [g, g] before any subspace is sought: no weight space
+    # and no kernel; each of the 12 hits searches its weight spaces as before
+    monkeypatch.syspath_prepend(str(FIXTURES_DIR.parent / "perfbench"))
+    import workloads
+
+    searched = recorded_searches(monkeypatch)
+    kernels = []
+    original_kernel = feas_mod._kernel
+
+    def counted(*args):
+        kernels.append(args)
+        return original_kernel(*args)
+
+    monkeypatch.setattr(feas_mod, "_kernel", counted)
+    misses, hits = [], []
+    for workload in ("corpus", "conjugated"):
+        for item in workloads.build_items(workload, 1, FIXTURES_DIR):
+            searched.clear()
+            kernels.clear()
+            direction = degeneracy_precheck(build_problem(item.algebra, item.J))
+            label = f"{workload}:{item.name}"
+            if direction is not None:
+                hits.append(label)
+                assert searched == [derived_weight_spaces(item.algebra)], label
+            elif not item.algebra.is_abelian():
+                misses.append(label)
+                assert searched == [] and kernels == [], label
+    assert len(misses) == 9 and len(hits) == 12, (misses, hits)
 
 
 def test_precheck_charpolys_fit_in_the_derived_algebra(corpus, exact_items, monkeypatch):
