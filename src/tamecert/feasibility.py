@@ -48,12 +48,15 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm, sqrt
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed
 from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_taming, taming_gram
-from .linalg import ZERO, Mat, Vec, _cleared, _dot, _echelon, _kernel, _symmetric, clear_denominators, leading_minors_positive
+from .linalg import (
+    ZERO, Mat, Vec, _cleared, _dot, _echelon, _invariant_part, _kernel, _scaled, _symmetric, clear_denominators,
+    leading_minors_positive,
+)
 
 if TYPE_CHECKING:
     from ._numeric import np
@@ -180,22 +183,17 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     does at once when D = 0.  Otherwise it searches subspaces W of D defined
     by g and J alone: each rational weight space of ad g in D, sought inside
     Z cap D (Z the centralizer of D, so no characteristic polynomial is larger
-    than dim D), then D cap JD, the kernel of v -> Jv mod D on D's rows.  With
-    C the coordinates in b of W's basis (its rows read at D's pivots), the
-    common radical of the Grams C G_i C^T (G_i when W = D) is one exact
-    kernel, and on a line the line itself when every 1 x 1 Gram is 0.  It
+    than dim D), then D cap JD, whose coordinates in b are the kernel of
+    v -> Jv mod D on D's rows (``linalg._invariant_part``, the kernel that
+    also gives the proof trace's v = h^perp cap J h^perp).  With C the
+    coordinates in b of W's basis (its rows read at D's pivots), the common
+    radical of the Grams C G_i C^T (G_i when W = D) is one exact kernel, and
+    on a line the line itself when every 1 x 1 Gram is 0.  It
     transforms with a basis change, so whether the precheck hits does not
     depend on the basis.  The search runs once per problem
     (FeasibilityProblem.degeneracy_direction).
     """
     return p.degeneracy_direction
-
-
-def _scaled(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Echelon integer rows with positive pivots scaled to one pivot entry s, their lcm; and s."""
-    firsts = [next(filter(None, row)) for row in rows]
-    s = lcm(*firsts)
-    return [[x * (s // f) for x in row] for row, f in zip(rows, firsts)], s
 
 
 def _definite(m: list[list[int]]) -> bool:
@@ -237,11 +235,7 @@ def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     def spaces():  # each subspace W of D by the coordinates of a basis in b, echelon rows
         for space in _weight_spaces(g, derived, derived):
             yield [[row[q] for q in pivots] for row in space.rows], "weight space in [g,g]"
-        # D cap JD = D cap J^-1 D: the y with J' sum y_k b_k in D, the kernel of the jb_k mod D,
-        # scale jb_k - sum_l jb_k[q_l] b_l, read at the columns outside D's pivots
-        free = [i for i in range(g.dim) if i not in pivots]
-        residues = [[scale * v[i] - sum(v[q] * r[i] for q, r in zip(pivots, b)) for v in jb] for i in free]
-        yield _kernel(residues, d)[0], "J-invariant part of [g,g]"
+        yield _invariant_part(b, scale, pivots, jb), "J-invariant part of [g,g]"
 
     for rows, provenance in spaces():
         if not rows:

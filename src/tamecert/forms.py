@@ -108,9 +108,6 @@ class TwoForm:
         c = frac(c)
         return TwoForm.from_dict(self.dim, {k: c * v for k, v in self.coeffs})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
 
 @dataclass(frozen=True)
 class ThreeForm:
@@ -131,12 +128,6 @@ class ThreeForm:
                 norm[key] = norm.get(key, ZERO) + c
         frozen = tuple(sorted((k, v) for k, v in norm.items() if v != 0))
         return cls(dim, frozen)
-
-    def coeff(self, i: int, j: int, k: int) -> Fraction:
-        for key, c in self.coeffs:
-            if key == (i, j, k):
-                return c
-        return ZERO
 
     def is_zero(self) -> bool:
         return not self.coeffs

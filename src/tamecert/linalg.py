@@ -9,7 +9,8 @@ One fraction-free elimination loop on primitive integer rows serves at two
 depths: ``_forward`` stops at a row echelon form, which gives the rank
 profile, and ``_echelon`` back-substitutes to the reduced form.  ``_kernel``
 reads the reduced echelon basis of a kernel off one elimination, with the
-columns reversed.  ``det`` and ``leading_minors_positive`` are one Bareiss
+columns reversed; ``_invariant_part`` reads {v in V : Jv in V} of a subspace
+V off one kernel.  ``det`` and ``leading_minors_positive`` are one Bareiss
 pass (Math. Comp. 22, 1968).  The polynomial layer is integer: ``charpoly``
 takes an integer matrix and returns its monic integer characteristic
 polynomial, whose rational roots are integers, and the root functions read
@@ -187,6 +188,23 @@ def _kernel(m: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], li
             basis.append(_primitive(v[::-1]))
             free.append(ncols - 1 - j)
     return basis, free
+
+
+def _scaled(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Echelon integer rows with positive pivots scaled to one pivot entry s, their lcm; and s."""
+    firsts = [next(filter(None, row)) for row in rows]
+    s = lcm(*firsts)
+    return [[x * (s // f) for x in row] for row, f in zip(rows, firsts)], s
+
+
+def _invariant_part(b: list[list[int]], s: int, pivots: Sequence[int], images: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The coordinates y in b of {v in V : Av in V}, V != 0 spanned by b, as ``_kernel``'s rows: b are
+    V's echelon rows scaled to one pivot entry s (``_scaled``), pivots their pivot columns q, and
+    images the rows A' b_k, A' a positive multiple of A.  It is the kernel of the residues
+    s A' b_k - sum_l (A' b_k)[q_l] b_l at the columns outside q; for A = J it is V cap JV."""
+    free = [i for i in range(len(b[0])) if i not in pivots]
+    residues = [[s * v[i] - sum(v[q] * r[i] for q, r in zip(pivots, b)) for v in images] for i in free]
+    return _kernel(residues, len(b))[0]
 
 
 def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
@@ -465,10 +483,6 @@ class Subspace:
         return cls(ambient_dim, tuple(map(tuple, red)), tuple(pivots))
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)))
 
@@ -494,16 +508,3 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         return all(self._contains_ints(r) for r in other.rows)
-
-    def add(self, other: "Subspace") -> "Subspace":
-        return Subspace._span(self.ambient_dim, self.rows + other.rows)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: in a row echelon form (``_forward``) of the rows (a | a), a in
-        self, and (b | 0), b in other, the rows with a zero left half span the intersection."""
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.ambient_dim)
-        n = self.ambient_dim
-        rows = [a + a for a in self.rows] + [b + (0,) * n for b in other.rows]
-        echelon, pivots = _forward(rows)
-        return Subspace._span(n, [row[n:] for row, p in zip(echelon, pivots) if p >= n])

@@ -33,7 +33,7 @@ from .feasibility import (
 )
 from .fixtures import Fixture, load_fixture, rational_str
 from .forms import TwoForm, is_integrable
-from .linalg import Subspace, Vec
+from .linalg import Subspace, Vec, _invariant_part, _scaled
 from .reduction import TamedTriple, _dot, _omega_apply, find_isotropic_ideal, omega_perp, reduce, reduction_tower
 
 # exit codes: CI-friendly contract
@@ -251,7 +251,7 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     """Check the bracket relations forced on a tamed completely solvable algebra.
 
     With X spanning a 1-dimensional isotropic ideal and v = the J-invariant
-    complement h^perp intersect J(h^perp), every Y in v must satisfy, exactly:
+    complement h^perp cap J(h^perp), every Y in v must satisfy, exactly:
 
         [X, Y]  = a X,   [X, JY] = b X,
         [JX, Y] = -2b X - a JX + Z1,   [JX, JY] = 2a X - b JX + J Z1,
@@ -262,6 +262,9 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     vanishes: relations 1 and 3 put -a and a on ad_Y's diagonal at X and JX,
     so it is tr ad_Y = sum y_i tr ad_{e_i}, and is_unimodular has decided
     that each term is 0.  A nonzero residual is a bug, not a verdict.
+
+    v is spanned by the rows sum y_k b_k, y each row that ``linalg._invariant_part``,
+    the precheck's kernel for D cap JD, returns on h^perp's scaled rows b.
 
     Every relation is computed on integer rows.  With Omega = W / w, J = J'/e,
     c[u, v] from ``_bracket_ints``, x = s_x X the row of h, y = s Y a row of v,
@@ -290,7 +293,9 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     h_scalar = Fraction(bx[p], c * e * sx * sx)
 
     perp = omega_perp(t, h)
-    vspace = perp.intersect(Subspace._span(n, [t.J._apply_ints(r) for r in perp.rows]))
+    pb, ps = _scaled(perp.rows)
+    coords = _invariant_part(pb, ps, perp._pivots, [t.J._apply_ints(r) for r in pb])
+    vspace = Subspace._span(n, [[_dot(y, col) for col in zip(*pb)] for y in coords])
 
     rows = []
     for y, basis_y, pivot in zip(vspace.rows, vspace.basis, vspace._pivots):

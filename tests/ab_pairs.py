@@ -8,7 +8,9 @@ The base commit's files are extracted with ``git archive`` into a temporary
 directory, removed at the end.  For each workload and each seed, one pair
 runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
 that copy and once in this checkout; the side that runs first alternates
-from pair to pair.  Every run must read ``"correct": true``.
+from pair to pair.  Every run must read ``"correct": true``.  Each pair's
+line shows both runs' ``attempted`` counts, the items timed in each run, so a
+report shows how many samples stand behind each median.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints the median and
 quartiles of both sides, the pairs the change wins (strictly better, in the
@@ -49,14 +51,14 @@ def extract(rev: str, dest: Path) -> None:
         archive.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """The end-to-end metrics of one untraced run, from its last line of output."""
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict[str, float], int]:
+    """The end-to-end metrics of one untraced run, from its last line of output, and its ``attempted`` count."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     if not result["correct"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} is not correct")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, result["attempted"]
 
 
 def summary(base: list[float], change: list[float], higher: bool) -> str:
@@ -85,11 +87,16 @@ def main(argv=None) -> None:
         extract(args.base, base_dir)
         for workload in args.workload:
             results = {"base": [], "change": []}
+            attempted = {"base": [], "change": []}
             for i, seed in enumerate(args.seeds):
                 order = [("base", base_dir), ("change", ROOT)]
                 for side, checkout in order if i % 2 == 0 else order[::-1]:
-                    results[side].append(run(checkout, workload, seed, args.seconds))
-                print(f"{workload} seed {seed}: items_per_s {results['base'][-1]['items_per_s']:.1f} -> {results['change'][-1]['items_per_s']:.1f}", flush=True)
+                    metrics_of_run, count = run(checkout, workload, seed, args.seconds)
+                    results[side].append(metrics_of_run)
+                    attempted[side].append(count)
+                rates = " -> ".join(f"{results[side][-1]['items_per_s']:.1f}" for side in ("base", "change"))
+                counts = " -> ".join(str(attempted[side][-1]) for side in ("base", "change"))
+                print(f"{workload} seed {seed}: items_per_s {rates}  attempted {counts}", flush=True)
             print(f"\n{workload}, {len(args.seeds)} pairs, base {args.base}: median [Q1, Q3] base -> change")
             for m in metrics:
                 base, change = ([r[m["name"]] for r in results[side]] for side in ("base", "change"))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -13,8 +14,10 @@ from tamecert.linalg import (
     _cleared,
     _echelon,
     _forward,
+    _invariant_part,
     _kernel,
     _root_counts,
+    _scaled,
     charpoly,
     det,
     mat_inverse,
@@ -48,6 +51,12 @@ TAMED_NAMES = ["abelian_r2", "abelian_r4", "abelian_r6", "abelian_r8", "aff_r", 
 NON_ABELIAN_NAMES = ["aff_r", "aff_r2", "h3_r", "inoue_s0", "iwasawa", "sol3_r_nonint", "sol4_1"]
 # the seed of the conjugated benchmark workload's fixed pool of basis changes
 CONJUGATED_POOL_SEED = "tamecert-conjugated-pool"
+
+
+def readme_snippet() -> str:
+    """The Python code block of README's Library section."""
+    section = (FIXTURES_DIR.parent / "README.md").read_text().split("\n## Library\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
 @pytest.fixture(scope="session")
@@ -127,6 +136,30 @@ def solve(m, b) -> tuple[Fraction, ...] | None:
 def contains_vector(s: Subspace, v) -> bool:
     """Whether a rational vector lies in s: ``Subspace._contains_ints`` on v cleared to ints."""
     return s._contains_ints(_cleared(vec(v))[0])
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a cap b by Zassenhaus: in a row echelon form (``_forward``) of the rows
+    (x | x), x in a, and (y | 0), y in b, the rows with a zero left half span
+    the intersection; the oracle for ``linalg._invariant_part``."""
+    if not a.rows or not b.rows:
+        return Subspace(a.ambient_dim, ())
+    n = a.ambient_dim
+    rows = [x + x for x in a.rows] + [y + (0,) * n for y in b.rows]
+    echelon, pivots = _forward(rows)
+    return Subspace._span(n, [row[n:] for row, p in zip(echelon, pivots) if p >= n])
+
+
+def invariant_part(space: Subspace, J: ComplexStructure) -> tuple[Subspace, Subspace]:
+    """{v in space : Jv in space} twice, for a nonzero space: from
+    ``linalg._invariant_part``'s coordinates in space's scaled rows b, mapped to
+    the rows sum y_k b_k as ``proof_trace`` maps them, and by its oracle, the
+    Zassenhaus ``intersect`` of space with J space."""
+    n = space.ambient_dim
+    b, s = _scaled(space.rows)
+    coords = _invariant_part(b, s, space._pivots, [J._apply_ints(r) for r in b])
+    kernel = Subspace._span(n, [[sum(y * r[i] for y, r in zip(row, b)) for i in range(n)] for row in coords])
+    return kernel, intersect(space, Subspace._span(n, [J._apply_ints(r) for r in space.rows]))
 
 
 def coordinates_of(s: Subspace, v) -> tuple[Fraction, ...] | None:
@@ -431,7 +464,7 @@ def reference_weight_spaces(g: LieAlgebra) -> list[Subspace]:
             for k in range(n):
                 shifted[k][k] -= mu
             eigenspaces.append(Subspace.from_vectors(n, nullspace(shifted, ncols=n)))
-        branches = [space.intersect(e) for space in branches for e in eigenspaces]
+        branches = [intersect(space, e) for space in branches for e in eigenspaces]
         branches = [space for space in branches if space.dim > 0]
         if not branches:
             break

@@ -52,6 +52,8 @@ from conftest import (
     conjugate,
     direct_sum,
     identity,
+    intersect,
+    invariant_part,
     pool_draw,
     random_basis_change,
     rational_sampler,
@@ -293,7 +295,7 @@ def recorded_searches(monkeypatch) -> list:
 
 def derived_weight_spaces(g) -> list[Subspace]:
     derived = g.derived_subalgebra()
-    return [w for w in (s.intersect(derived) for s in weight_spaces(g)) if w.dim]
+    return [w for w in (intersect(s, derived) for s in weight_spaces(g)) if w.dim]
 
 
 def test_precheck_searches_weight_spaces_inside_the_derived_algebra(corpus, exact_items, monkeypatch):
@@ -317,13 +319,13 @@ def test_precheck_workload_misses_search_no_subspace(monkeypatch):
 
     searched = recorded_searches(monkeypatch)
     kernels = []
-    original_kernel = feas_mod._kernel
+    for name in ("_kernel", "_invariant_part"):  # the radicals' kernel and D cap JD's
 
-    def counted(*args):
-        kernels.append(args)
-        return original_kernel(*args)
+        def counted(*args, _original=getattr(feas_mod, name)):
+            kernels.append(args)
+            return _original(*args)
 
-    monkeypatch.setattr(feas_mod, "_kernel", counted)
+        monkeypatch.setattr(feas_mod, name, counted)
     misses, hits = [], []
     for workload in ("corpus", "conjugated"):
         for item in workloads.build_items(workload, 1, FIXTURES_DIR):
@@ -338,6 +340,24 @@ def test_precheck_workload_misses_search_no_subspace(monkeypatch):
                 misses.append(label)
                 assert searched == [] and kernels == [], label
     assert len(misses) == 9 and len(hits) == 12, (misses, hits)
+
+
+def test_invariant_part_of_the_derived_algebra_matches_zassenhaus(monkeypatch):
+    # D cap JD, D = [g, g], from the precheck's kernel equals the oracle's on
+    # every corpus, conjugated and scaling item at seeds 1-3
+    monkeypatch.syspath_prepend(str(FIXTURES_DIR.parent / "perfbench"))
+    import workloads
+
+    nonzero = 0
+    for workload in ("corpus", "conjugated", "scaling"):
+        for seed in (1, 2, 3):
+            for item in workloads.build_items(workload, seed, FIXTURES_DIR):
+                derived = item.algebra.derived_subalgebra()
+                if derived.dim:
+                    kernel, oracle = invariant_part(derived, item.J)
+                    assert kernel == oracle, (workload, seed, item.name)
+                    nonzero += oracle.dim > 0
+    assert nonzero > 0
 
 
 def test_precheck_charpolys_fit_in_the_derived_algebra(corpus, exact_items, monkeypatch):
@@ -366,9 +386,9 @@ def reference_degeneracy_search(p):
     the Fraction Gram forms of gram_basis; the oracle for _degeneracy_search."""
     g = p.algebra
     derived = g.derived_subalgebra()
-    spaces = [(w, "weight space in [g,g]") for w in (s.intersect(derived) for s in weight_spaces(g))]
+    spaces = [(w, "weight space in [g,g]") for w in (intersect(s, derived) for s in weight_spaces(g))]
     j_derived = Subspace.from_vectors(g.dim, [p.J.apply(v) for v in derived.basis])
-    spaces.append((derived.intersect(j_derived), "J-invariant part of [g,g]"))
+    spaces.append((intersect(derived, j_derived), "J-invariant part of [g,g]"))
     for w, provenance in spaces:
         basis = w.basis
         rows = [

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import tamecert.linalg as linalg_mod
-from tamecert.forms import d2_matrix
+from tamecert.forms import ComplexStructure, d2_matrix, standard_complex_structure
 from tamecert.linalg import (
     ONE,
     ZERO,
@@ -32,7 +32,19 @@ from tamecert.linalg import (
     unit_vec,
 )
 
-from conftest import adjoint, contains_vector, count_real_roots, identity, mat_trace, mat_vec, rank, reference_kernel
+from conftest import (
+    adjoint,
+    contains_vector,
+    count_real_roots,
+    identity,
+    intersect,
+    invariant_part,
+    mat_trace,
+    mat_vec,
+    random_basis_change,
+    rank,
+    reference_kernel,
+)
 
 F = Fraction
 
@@ -139,8 +151,8 @@ def test_subspace_canonicalization_and_ops():
     assert s1._contains_ints((3, 3, -7))
     assert not s1._contains_ints((1, 0, 0))
     line = Subspace.from_vectors(3, [(1, 1, 1)])
-    assert s1.intersect(line) == line
-    assert s1.add(Subspace.from_vectors(3, [(1, 0, 0)])) == Subspace.full(3)
+    assert intersect(s1, line) == line
+    assert Subspace._span(3, s1.rows + Subspace.from_vectors(3, [(1, 0, 0)]).rows) == Subspace.full(3)
     assert Subspace.from_vectors(3, s1.basis) == s1  # idempotent
 
 
@@ -160,11 +172,33 @@ def test_intersection_oracle_random():
     for _ in range(20):
         a = Subspace.from_vectors(4, [[F(rng.randint(-2, 2)) for _ in range(4)] for _ in range(2)])
         b = Subspace.from_vectors(4, [[F(rng.randint(-2, 2)) for _ in range(4)] for _ in range(3)])
-        inter = a.intersect(b)
+        inter = intersect(a, b)
         for v in inter.basis:
             assert contains_vector(a, v) and contains_vector(b, v)
         # dimension formula dim(a) + dim(b) = dim(a+b) + dim(a^b)
-        assert a.dim + b.dim == a.add(b).dim + inter.dim
+        assert a.dim + b.dim == Subspace._span(4, a.rows + b.rows).dim + inter.dim
+
+
+def test_invariant_part_matches_zassenhaus_under_a_dense_j():
+    # seeded random subspaces, half of them holding a J-stable plane span(u, Ju),
+    # under J = P^-1 J_0 P, P from random_basis_change: the shared kernel for
+    # {v in V : Jv in V} gives the Zassenhaus intersection V cap JV
+    rng = random.Random(44)
+    dims = set()
+    for n in (2, 4, 6, 8):
+        for _ in range(15):
+            P = random_basis_change(rng, n)
+            J = ComplexStructure.from_matrix(mat_mul(mat_mul(mat_inverse(P), standard_complex_structure(n).matrix), P))
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            if rng.random() < 0.5:
+                u = [rng.randint(-3, 3) for _ in range(n)]
+                rows += [u, J._apply_ints(u)]
+            space = Subspace._span(n, rows)
+            if space.dim:
+                kernel, oracle = invariant_part(space, J)
+                assert kernel == oracle, (n, space)
+                dims.add((oracle.dim == 0, oracle == space))
+    assert dims == {(True, False), (False, False), (False, True)}  # V cap JV zero, proper and all of V
 
 
 # --- oracles: the Fraction eliminations these functions used before they moved to integers ---

@@ -4,7 +4,6 @@ import ast
 import dataclasses
 import inspect
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +11,8 @@ from pathlib import Path
 
 import tamecert
 from tamecert import algebra, errors, feasibility, fixtures, forms, linalg, reduction
+
+from conftest import readme_snippet
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -174,9 +175,7 @@ def test_public_surface():
 
 
 def test_readme_library_snippet(monkeypatch):
-    readme = (REPO_ROOT / "README.md").read_text()
-    section = readme.split("\n## Library\n", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    code = readme_snippet()
     monkeypatch.chdir(REPO_ROOT)
     namespace: dict = {}
     exec(code, namespace)
@@ -186,6 +185,14 @@ def test_readme_library_snippet(monkeypatch):
     assert [list(row) for row in verdict.dual] == [[a * b for b in e3] for a in e3]
     tower = namespace["tower"]
     assert len(tower.steps) == 2 and tower.terminal_dim == 0
+    # d e^3 = -e^1 ^ e^2 under d a (X, Y) = -a([X, Y]), with [e1, e2] = e3
+    assert namespace["de3"] == tamecert.TwoForm.from_dict(4, {(0, 1): -1})
+    g, derived = namespace["g"], namespace["derived"]
+    assert derived == g.derived_subalgebra() and derived.rows == ((0, 0, 1, 0),)
+    e2, e4 = (tamecert.Subspace.from_vectors(4, [[int(i == k) for i in range(4)]]) for k in (1, 3))
+    assert namespace["spaces"] == [e4, e2]  # by weight vector: (0, 0, 1, 0) before (1, 0, 0, 0)
+    assert namespace["lines"] == [e2, e4]
+    assert tower.steps[0].h == e2
 
 
 def test_benchmark_imports_resolve(monkeypatch):

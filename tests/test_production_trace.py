@@ -7,7 +7,8 @@ the seed-1 items of the ``conjugated`` and ``scaling`` benchmark workloads,
 built before the profiler starts.  The package functions never entered
 under ``sys.setprofile`` must be exactly those of ``NEVER_ENTERED``, each
 with its reason: a function that newly stops running fails the test, and
-so does an allowlisted one that starts to run.
+so does an allowlisted one that starts to run.  A "README example" must be
+entered when README's library snippet runs.
 """
 
 import ast
@@ -20,7 +21,7 @@ import tamecert
 from tamecert.cli import main as cli_main
 from tamecert.feasibility import decide
 
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, readme_snippet
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = Path(tamecert.__file__).parent  # as co_filename spells it
@@ -31,7 +32,6 @@ ERROR_PATH = "error path"
 BARRIER = "barrier or dual lane"
 README = "README example"
 PERFBENCH = "imported by perfbench/"
-PUBLIC = "public API"
 
 NEVER_ENTERED = {
     "_numeric.barrier_path": BARRIER,
@@ -39,11 +39,11 @@ NEVER_ENTERED = {
     "_numeric.newton_step": BARRIER,
     "_numeric.with_dual": BARRIER,
     "algebra.LieAlgebra.bracket": PERFBENCH,  # workloads.conjugate
-    "algebra.LieAlgebra.bracket_table": PUBLIC,
-    "algebra.LieAlgebra.is_solvable": PUBLIC,
-    "algebra.one_dim_ideals": PUBLIC,
-    "algebra.scale_structure_constants": PERFBENCH,
-    "algebra.weight_spaces": PUBLIC,
+    "algebra.LieAlgebra.bracket_table": PERFBENCH,  # through scale_structure_constants
+    "algebra.LieAlgebra.is_solvable": PERFBENCH,  # spans.traced_analyze
+    "algebra.one_dim_ideals": README,
+    "algebra.scale_structure_constants": PERFBENCH,  # workloads
+    "algebra.weight_spaces": README,
     "cli._Parser.error": ERROR_PATH,
     "errors.JacobiViolation.__init__": ERROR_PATH,
     "errors.RelationViolation.__init__": ERROR_PATH,
@@ -52,20 +52,15 @@ NEVER_ENTERED = {
     "feasibility.dual_certificate": BARRIER,
     "forms.ComplexStructure.apply": PERFBENCH,  # certcheck
     "forms.ComplexStructure.matrix": PERFBENCH,
-    "forms.OneForm.__call__": PUBLIC,
-    "forms.OneForm.from_coeffs": PUBLIC,
-    "forms.ThreeForm.coeff": PUBLIC,
+    "forms.OneForm.__call__": README,  # through ce_d
+    "forms.OneForm.from_coeffs": README,
     "forms.ThreeForm.from_dict": PERFBENCH,
     "forms.ThreeForm.is_zero": PERFBENCH,
     "forms.TwoForm.__call__": PERFBENCH,
-    "forms.TwoForm.is_zero": PUBLIC,
     "forms.TwoForm.scale": PERFBENCH,
     "forms.ce_d": PERFBENCH,  # certcheck; the ThreeForm and TwoForm methods above are what it calls
     "forms.standard_complex_structure": README,
-    "linalg.Subspace.add": PUBLIC,
-    "linalg.Subspace.from_vectors": PUBLIC,
-    "linalg.Subspace.intersect": README,  # proof_trace's; the precheck reads D cap JD as a kernel
-    "linalg.Subspace.zero": PUBLIC,  # intersect's empty case; the precheck ends at once on D = 0
+    "linalg.Subspace.from_vectors": README,
     "linalg.det": PERFBENCH,
     "linalg.mat_inverse": PERFBENCH,
     "linalg.mat_mul": PERFBENCH,
@@ -77,16 +72,6 @@ NEVER_ENTERED = {
     "pipeline.proof_trace": README,
     "reduction.TamedTriple.failed_flags": ERROR_PATH,
 }
-
-
-def test_public_reasons_name_exported_objects():
-    # a "public API" reason holds only while the function's top-level name is
-    # exported by the package, and is the object its module defines
-    for entry, reason in NEVER_ENTERED.items():
-        if reason == PUBLIC:
-            module, name = entry.split(".")[:2]
-            assert name in tamecert.__all__, entry
-            assert getattr(tamecert, name).__module__ == f"tamecert.{module}", entry
 
 
 def qualnames(path: Path) -> dict[tuple[int, str], str]:
@@ -151,21 +136,33 @@ def test_qualnames_match_the_functions_they_name():
     assert found >= 150, found
 
 
+def entered(run) -> set[str]:
+    """The "module.qualname" of every package function that run() enters, under ``sys.setprofile``."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    table = package_functions()
+    keys = {(Path(c.co_filename).stem, c.co_firstlineno, c.co_name) for c in codes if Path(c.co_filename).parent == PACKAGE_DIR}
+    return {table[key] for key in keys if key in table}
+
+
 def test_never_entered_functions_are_allowlisted(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
     import workloads
 
     items = [it for name in ("conjugated", "scaling") for it in workloads.build_items(name, 1, FIXTURES_DIR)]
     fixtures = [str(path) for path in sorted(FIXTURES_DIR.glob("*.json"))]
-    entered = set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    def production():
         for path in fixtures:
             cli_main(["validate", path])
             for command in ("analyze", "tame", "reduce"):
@@ -175,11 +172,18 @@ def test_never_entered_functions_are_allowlisted(monkeypatch):
         cli_main(["corpus", str(FIXTURES_DIR), "--json"])
         for it in items:
             decide(it.algebra, it.J)
-    finally:
-        sys.setprofile(previous)
-    table = package_functions()
-    keys = {(Path(c.co_filename).stem, c.co_firstlineno, c.co_name) for c in entered if Path(c.co_filename).parent == PACKAGE_DIR}
-    ran = {table[key] for key in keys if key in table}
-    functions = set(table.values())
+
+    ran = entered(production)
+    functions = set(package_functions().values())
     assert set(NEVER_ENTERED) <= functions, sorted(set(NEVER_ENTERED) - functions)
     assert sorted(functions - ran) == sorted(NEVER_ENTERED)
+
+
+def test_readme_examples_run_in_the_readme_snippet(monkeypatch):
+    # a "README example" reason holds only while README's library snippet,
+    # which test_package.test_readme_library_snippet checks, enters the function
+    code = readme_snippet()
+    monkeypatch.chdir(REPO_ROOT)
+    ran = entered(lambda: exec(code, {}))
+    readme = {entry for entry, reason in NEVER_ENTERED.items() if reason == README}
+    assert sorted(readme - ran) == []

@@ -99,7 +99,7 @@ def test_omega_perp_examples():
     perp3 = omega_perp(t3, Subspace.from_vectors(4, [(0, 0, 1, 0)]))
     assert perp3.dim == 3 and contains_vector(perp3, (0, 0, 1, 0))
     assert is_subalgebra(g, perp3)
-    assert omega_perp(t3, Subspace.zero(4)) == Subspace.full(4)
+    assert omega_perp(t3, Subspace(4, ())) == Subspace.full(4)
 
 
 def test_reduce_aff_r2():
