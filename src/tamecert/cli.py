@@ -35,6 +35,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _jobs(text: str) -> int:
+    """--jobs: an int of at least 1; anything else is a usage error."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return jobs
+
+
 def _print_header() -> None:
     print(f"tamecert: {SCOPE_NOTE}")
 
@@ -176,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument(positional)
         if positional == "directory":
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_jobs, default=1)
         if name != "validate":
             p.add_argument("--json", action="store_true")
     return parser

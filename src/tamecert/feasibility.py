@@ -51,7 +51,7 @@ from math import lcm, sqrt
 from typing import TYPE_CHECKING
 
 from .algebra import LieAlgebra, _weight_spaces
-from .errors import ExactificationFailed
+from .errors import ExactificationFailed, NotAComplexStructure
 from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_taming, taming_gram
 from .linalg import (
     ZERO, Mat, Vec, _cleared, _dot, _echelon, _invariant_part, _kernel, _scaled, _symmetric, clear_denominators,
@@ -156,9 +156,12 @@ def build_problem(g: LieAlgebra, J: ComplexStructure) -> FeasibilityProblem:
     """Assemble the closed-form basis and its Gram forms, exactly then as floats.
 
     Feasibility is well-defined for any almost complex J, so J's integrability
-    is not tested here: only analyze's theorem sweep reads it.
+    is not tested here: only analyze's theorem sweep reads it.  A J of another
+    dimension than g raises ``NotAComplexStructure``.
     """
     from . import _numeric
+    if J.dim != g.dim:
+        raise NotAComplexStructure("J dimension does not match the algebra")
     basis = closed_two_forms(g)
     gram_basis = [taming_gram(b, J) for b in basis]
     return FeasibilityProblem(

@@ -16,8 +16,7 @@ takes an integer matrix and returns its monic integer characteristic
 polynomial, whose rational roots are integers, and the root functions read
 it as it is.  One Sturm chain of primitive integer polynomials, with no
 squarefree part, counts the distinct real and complex roots, and a Sturm
-bisection finds the integer roots of a factor of degree 3 or more; one of
-degree 1 or 2 is solved directly, with ``isqrt`` of the discriminant.
+bisection on the same chain finds the integer roots at every degree.
 Fractions are built once, from the final integers.  A subspace is stored as
 the integer rows ``_echelon`` returns, unique per subspace, so equality of
 subspaces is equality of rows.
@@ -29,7 +28,7 @@ import re
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -207,8 +206,8 @@ def _invariant_part(b: list[list[int]], s: int, pivots: Sequence[int], images: S
     return _kernel(residues, len(b))[0]
 
 
-def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
-    """Echelon-canonical basis of {v : m @ v = 0}.
+def nullspace(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
+    """Echelon-canonical basis of {v : m @ v = 0} in Q^ncols; ncols is given, as m may have no rows.
 
     All-zero rows constrain nothing, so they are dropped before any row is
     cleared: the d on 2-forms of an abelian algebra is all zero rows, and
@@ -218,10 +217,6 @@ def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list
     shared ``ZERO`` that ``d2_matrix`` writes in C, with no
     ``Fraction.__bool__`` per entry, and it stays exact for any other zero.
     """
-    if ncols is None:
-        if not m:
-            raise ValueError("nullspace of an empty matrix needs an explicit ncols")
-        ncols = len(m[0])
     zero = [ZERO] * ncols
     ints = [_cleared(r)[0] for r in m if r and (r[0] or list(r) != zero)]
     return [tuple(row) for row in _reduced(*_kernel(ints, ncols))]
@@ -397,16 +392,19 @@ def _horner(f: Sequence[int], x: int) -> int:
     return acc
 
 
-def _integer_roots(q: list[int]) -> list[int]:
-    """The integer roots of a monic integer polynomial, by exact Sturm bisection.
+def rational_roots(q: Sequence[int]) -> list[int]:
+    """All distinct rational roots of a monic integer polynomial, ascending, by exact Sturm bisection.
 
-    Its rational roots are integers, so no half-integer is a root: the Sturm
-    chain of q itself, with no squarefree part, counts the distinct roots in
-    (lo - 1/2, hi + 1/2] exactly.  Every root r has |r| <= 2 max
-    |q_i|^(1/(deg - i)) (Fujiwara), and rounding each term up to a power of
-    two gives the bound; bisecting from it down to unit intervals leaves one
-    candidate per interval that still holds a real root.
+    Its rational roots are integers (the rational root theorem), so no
+    half-integer is a root: the Sturm chain of q itself, with no squarefree
+    part, counts the distinct roots in (lo - 1/2, hi + 1/2] exactly.  Every
+    root r has |r| <= 2 max |q_i|^(1/(deg - i)) (Fujiwara), and rounding each
+    term up to a power of two gives the bound; bisecting from it down to unit
+    intervals, lower half first, leaves one candidate per interval that still
+    holds a real root.  A constant has none.
     """
+    if len(q) < 2:
+        return []
     # 2^deg(f) f(h / 2) is the integer polynomial with coefficients f_i 2^(deg(f) - i), at h
     halved = [[c << (len(f) - 1 - i) for i, c in enumerate(f)] for f in _sturm_chain(q)]
 
@@ -426,32 +424,8 @@ def _integer_roots(q: list[int]) -> list[int]:
             continue
         mid = (lo + hi) // 2
         v_mid = variations(2 * mid + 1)
-        stack += [(lo, mid, v_lo, v_mid), (mid + 1, hi, v_mid, v_hi)]
+        stack += [(mid + 1, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
     return roots
-
-
-def rational_roots(q: Sequence[int]) -> list[int]:
-    """All distinct rational roots of a monic integer polynomial, ascending:
-    integers, by the rational root theorem.
-
-    A factor t^k gives the root 0 and is divided out, so that the Sturm chain
-    is built for the rest, a_0, ..., a_d with a_0 != 0 and a_d = 1; if d = 1
-    its root is -a_0, and if d = 2 its roots are (-a_1 +- r) / 2 when the
-    discriminant is a square r^2 (``isqrt``), exact as r = a_1 mod 2, with no
-    chain.  Otherwise ``_integer_roots`` bisects it.
-    """
-    k = next(i for i, c in enumerate(q) if c)  # q = t^k (a_0 + ... + t^d)
-    zero = [0] if k else []
-    q = q[k:]
-    if len(q) < 2:
-        return zero
-    if len(q) == 2:
-        return sorted(zero + [-q[0]])
-    if len(q) == 3:
-        disc = q[1] ** 2 - 4 * q[0]
-        r = isqrt(max(disc, 0))
-        return sorted(zero + [(-q[1] + x) // 2 for x in {r, -r}]) if r * r == disc else zero
-    return sorted(zero + _integer_roots(q))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""One sha256 over the package's outputs, to check that a change keeps them byte-identical.
+"""Two sha256 digests over the package's outputs, to check that a change keeps them byte-identical.
 
-Run from any directory: ``python tests/output_digest.py``.  It hashes, in this
-order and with no separator:
+Run from any directory: ``python tests/output_digest.py``.  It prints two
+lines.  The first hashes, in this order and with no separator:
 
 1. ``dumps_report(analyze(fx).to_dict())`` for each shipped fixture, sorted by
    file name;
@@ -9,13 +9,24 @@ order and with no separator:
    ``conjugated`` and then the ``scaling`` workload at seed 1, then 2, then 3,
    as ``perfbench/workloads.build_items`` builds them.
 
-Two commits whose outputs agree print the same digest.  The name does not
+The second hashes exact structure that no verdict shows, in the same way:
+
+1. for each shipped fixture, sorted by file name, the stdout of
+   ``cli.main(["reduce", path, "--json"])`` when the fixture has both J and
+   omega (the ideals the reduction tower quotients by), then
+   ``repr([s.rows for s in weight_spaces(g)])``;
+2. that ``repr`` for every ``conjugated`` and then ``scaling`` item at seed
+   1, then 2, then 3.
+
+Two commits whose outputs agree print the same two lines.  The name does not
 start with ``test_``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import logging
 import sys
 from pathlib import Path
@@ -23,6 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from tamecert import cli  # noqa: E402
+from tamecert.algebra import weight_spaces  # noqa: E402
 from tamecert.feasibility import decide  # noqa: E402
 from tamecert.fixtures import dumps_report, load_fixture  # noqa: E402
 from tamecert.pipeline import analyze, verdict_to_dict  # noqa: E402
@@ -30,20 +43,44 @@ from perfbench.workloads import build_items  # noqa: E402
 
 SEEDS = (1, 2, 3)
 WORKLOADS = ("conjugated", "scaling")
+FIXTURES = ROOT / "fixtures"
+
+
+def _items():
+    for seed in SEEDS:
+        for workload in WORKLOADS:
+            yield from build_items(workload, seed, FIXTURES)
 
 
 def output_digest() -> str:
-    fixtures = ROOT / "fixtures"
     h = hashlib.sha256()
-    for path in sorted(fixtures.glob("*.json")):
+    for path in sorted(FIXTURES.glob("*.json")):
         h.update(dumps_report(analyze(load_fixture(path)).to_dict()).encode())
-    for seed in SEEDS:
-        for workload in WORKLOADS:
-            for item in build_items(workload, seed, fixtures):
-                h.update(dumps_report(verdict_to_dict(decide(item.algebra, item.J))).encode())
+    for item in _items():
+        h.update(dumps_report(verdict_to_dict(decide(item.algebra, item.J))).encode())
+    return h.hexdigest()
+
+
+def _weight_rows(g) -> bytes:
+    return repr([s.rows for s in weight_spaces(g)]).encode()
+
+
+def structure_digest() -> str:
+    h = hashlib.sha256()
+    for path in sorted(FIXTURES.glob("*.json")):
+        fx = load_fixture(path)
+        if fx.J is not None and fx.omega is not None:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli.main(["reduce", str(path), "--json"])
+            h.update(out.getvalue().encode())
+        h.update(_weight_rows(fx.algebra))
+    for item in _items():
+        h.update(_weight_rows(item.algebra))
     return h.hexdigest()
 
 
 if __name__ == "__main__":
-    logging.disable(logging.WARNING)  # non-integrable J are logged; the digest is all this prints
+    logging.disable(logging.WARNING)  # non-integrable J are logged; the digests are all this prints
     print(output_digest())
+    print(structure_digest())

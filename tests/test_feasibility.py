@@ -28,7 +28,7 @@ from tamecert import (
     standard_complex_structure,
 )
 from tamecert.algebra import scale_structure_constants, weight_spaces
-from tamecert.errors import ExactificationFailed
+from tamecert.errors import ExactificationFailed, NotAComplexStructure
 from tamecert.feasibility import (
     DEGENERATE_MARGIN,
     EXACTIFY_DENOMINATOR_BOUND,
@@ -183,6 +183,17 @@ def test_the_zero_dimensional_algebra_is_decided():
     assert dual_certificate(p) is None
     taming = is_taming(TwoForm(0, ()), J)
     assert (taming.value, taming.margin) == (True, math.inf)
+
+
+def test_a_j_of_another_dimension_is_refused_before_the_closed_basis(corpus, monkeypatch):
+    # aff_r2 has dimension 4: a J on R^2 or R^6 is refused with is_integrable's
+    # error, before closed_two_forms or any Gram reads it
+    g = corpus["aff_r2"].algebra
+    monkeypatch.setattr(feas_mod, "closed_two_forms", lambda g: pytest.fail("built the closed basis"))
+    for n in (2, 6):
+        for call in (decide, build_problem):
+            with pytest.raises(NotAComplexStructure, match="J dimension does not match the algebra"):
+                call(g, standard_complex_structure(n))
 
 
 # --- degeneracy precheck ---

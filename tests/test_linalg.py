@@ -352,7 +352,7 @@ def test_nullspace_ignores_zero_rows(seed, monkeypatch):
         cleared.clear()
         assert nullspace(padded, ncols=ncols) == nullspace(m, ncols=ncols)
         assert all(any(row) for row in cleared)
-    assert nullspace([[ZERO] * 3] * 5) == [unit_vec(3, i) for i in range(3)]
+    assert nullspace([[ZERO] * 3] * 5, ncols=3) == [unit_vec(3, i) for i in range(3)]
     # a zero row of the shared ZERO costs one Fraction.__bool__, at its first entry
     truth_tests = []
     original_bool = F.__bool__
@@ -555,51 +555,37 @@ def test_rational_roots_of_power_of_t_times_f(seed):
     assert rational_roots([0, 0, 1]) == [0]
 
 
-def bisection_rational_roots(q):
-    """Every rational root by the Sturm bisection of ``_integer_roots``, with no
-    shortcut for a linear or quadratic remainder: rational_roots as it was before one."""
-    k = next(i for i, c in enumerate(q) if c)
-    zero = [0] if k else []
-    q = q[k:]
-    if len(q) < 2:
-        return zero
-    return sorted(zero + linalg_mod._integer_roots(q))
-
-
 @pytest.mark.parametrize("seed", range(3))
-def test_rational_roots_linear_remainder_matches_bisection(seed, monkeypatch):
-    # t^k (t + a_0): once t^k is divided out the root is -a_0, read off
-    # directly; products of linear factors still take the bisection
+def test_rational_roots_linear_remainder_matches_bisection(seed):
+    # t^k (t + a_0) with roots up to 10^9, alone and times small linear factors:
+    # the bisection finds 0, when k > 0, and -a_0
     rng = random.Random(seed)
-    linear, products = [], []
     for _ in range(40):
         root = rng.randint(-10**9, 10**9)
         k = rng.randint(0, 4)
-        linear.append(([0] * k + [-root, 1], sorted({root} | ({0} if k else set()))))
+        zero = {0} if k else set()
+        assert rational_roots([0] * k + [-root, 1]) == sorted({root} | zero)
         roots = [root] + [rng.randint(-180, 180) for _ in range(rng.randint(1, 3))]
-        products.append(([0] * k + poly_from_roots(*roots), sorted(set(roots) | ({0} if k else set()))))
-    for p, roots in linear + products:
-        assert rational_roots(p) == bisection_rational_roots(p) == roots
-    # the linear remainders never reach the bisection
-    monkeypatch.setattr(linalg_mod, "_integer_roots", lambda q: pytest.fail("bisected a linear remainder"))
-    for p, roots in linear:
-        assert rational_roots(p) == roots
+        assert rational_roots([0] * k + poly_from_roots(*roots)) == sorted(set(roots) | zero)
+
+
+def quadratic_roots(q):
+    """The integer roots of a monic t^2 + a_1 t + a_0: (-a_1 +- r) / 2 when the
+    discriminant is a square r^2, exact as r = a_1 mod 2."""
+    disc = q[1] ** 2 - 4 * q[0]
+    r = math.isqrt(max(disc, 0))
+    return sorted({(-q[1] + x) // 2 for x in (r, -r)}) if r * r == disc else []
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_rational_roots_quadratic_remainder_matches_bisection(seed, monkeypatch):
-    # t^k (t^2 + a_1 t + a_0): once t^k is divided out the roots come from
-    # isqrt of the discriminant, with no Sturm chain
+def test_rational_roots_quadratic_remainder_matches_bisection(seed):
+    # t^k (t^2 + a_1 t + a_0) with coefficients up to about 10^12: the bisection
+    # finds 0, when k > 0, and the roots that isqrt of the discriminant gives
     rng = random.Random(seed)
 
     def integer():
         return rng.randint(-5 * 10**4, 5 * 10**4)
 
-    def shifted(q):  # t^k q
-        k = rng.randint(0, 4)
-        return [0] * k + q, {0} if k else set()
-
-    quadratics = []
     for _ in range(20):
         a, b = integer(), integer()
         big = rng.randint(10**6 - 10, 10**6 + 10)
@@ -612,14 +598,9 @@ def test_rational_roots_quadratic_remainder_matches_bisection(seed, monkeypatch)
             (poly_from_roots(u, v), {u, v}),  # roots up to 10^6, coefficients up to 10^12
             ([rng.randint(-big * big, big * big), rng.randint(-2 * big, 2 * big), 1], None),  # the same size, roots not known beforehand
         ):
-            if q[0] == 0:  # a root at 0 leaves a linear remainder
+            if q[0] == 0:  # t times a linear factor: the linear test's shape
                 continue
-            p, zero = shifted(q)
-            quadratics.append((p, None if roots is None else sorted(roots | zero)))
-    expected = [bisection_rational_roots(p) for p, _ in quadratics]
-    for (p, roots), bisected in zip(quadratics, expected):
-        assert rational_roots(p) == bisected
-        assert roots is None or bisected == roots
-    # the quadratic remainders never reach the bisection
-    monkeypatch.setattr(linalg_mod, "_integer_roots", lambda q: pytest.fail("bisected a quadratic remainder"))
-    assert [rational_roots(p) for p, _ in quadratics] == expected
+            assert roots is None or quadratic_roots(q) == sorted(roots)
+            k = rng.randint(0, 4)
+            zero = [0] if k else []
+            assert rational_roots([0] * k + q) == sorted(zero + quadratic_roots(q))

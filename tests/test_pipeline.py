@@ -714,6 +714,17 @@ def test_cli_analyze_human(fixtures_dir, capsys):
     assert "lattices and solvmanifold topology are out of scope" in out
 
 
+def test_cli_corpus_jobs_must_be_at_least_one(fixtures_dir, monkeypatch, capsys):
+    # --jobs 0 or a negative count is a usage error, not a serial run: corpus_run never starts
+    monkeypatch.setattr("tamecert.cli.corpus_run", lambda *a, **k: pytest.fail("ran the corpus"))
+    for jobs in ("0", "-3", "x", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["corpus", str(fixtures_dir), "--jobs", jobs])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tamecert corpus") and "--jobs" in err and "at least 1" in err
+
+
 def test_cli_analyze_human_exact_dual(fixtures_dir, tmp_path, capsys):
     # aff_r2 under the non-integrable J = P J0 P^-1: the verdict comes from
     # the rounded dual iterate, re-proved exactly, so there is no --eps-dual

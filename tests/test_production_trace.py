@@ -2,12 +2,12 @@
 
 The CLI runs on every shipped fixture (``validate``, and ``analyze``,
 ``tame`` and ``reduce`` with and without ``--json``), ``corpus`` runs on
-the fixture directory with and without ``--json``, and ``decide`` runs on
-the seed-1 items of the ``conjugated`` and ``scaling`` benchmark workloads,
-built before the profiler starts.  The package functions never entered
-under ``sys.setprofile`` must be exactly those of ``NEVER_ENTERED``, each
-with its reason: a function that newly stops running fails the test, and
-so does an allowlisted one that starts to run.  A "README example" must be
+the fixture directory with ``--jobs 1`` and with ``--json``, and ``decide``
+runs on the seed-1 items of the ``conjugated`` and ``scaling`` benchmark
+workloads, built before the profiler starts.  The package functions never
+entered under ``sys.setprofile`` must be exactly those of ``NEVER_ENTERED``,
+each with its reason: a function that newly stops running fails the test,
+and so does an allowlisted one that starts to run.  A "README example" must be
 entered when README's library snippet runs.
 """
 
@@ -168,7 +168,7 @@ def test_never_entered_functions_are_allowlisted(monkeypatch):
             for command in ("analyze", "tame", "reduce"):
                 cli_main([command, path])
                 cli_main([command, path, "--json"])
-        cli_main(["corpus", str(FIXTURES_DIR)])
+        cli_main(["corpus", str(FIXTURES_DIR), "--jobs", "1"])
         cli_main(["corpus", str(FIXTURES_DIR), "--json"])
         for it in items:
             decide(it.algebra, it.J)
