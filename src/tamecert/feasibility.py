@@ -302,8 +302,10 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     """Round optimizer coefficients to an exact closed form with a PD Gram.
 
     Rounds c / max|c_i|, whose largest entry stays +-1, once by continued
-    fractions at EXACTIFY_DENOMINATOR_BOUND; an entry that is exactly 0.0
-    is 0, as that rounding would give, with no continued fraction.  Sums the
+    fractions at EXACTIFY_DENOMINATOR_BOUND; an entry below a tenth of
+    1 / EXACTIFY_DENOMINATOR_BOUND in absolute value is 0 with no continued
+    fraction, as that rounding would give, since every nonzero p/q with q
+    within the bound is at least 1 / bound away from 0.  Sums the
     nonzero q_i B_i in ints over one common denominator from each form's
     ``TwoForm._ints`` (omega's reduced Fractions do not depend on which),
     builds omega once from that sum, and re-proves its Gram positive
@@ -315,7 +317,8 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     top = max(map(abs, c), default=0.0)
     if top == 0.0:
         raise ExactificationFailed("zero coefficient vector")
-    q = [Fraction(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) if x else ZERO for x in [v / top for v in c]]
+    tiny = 0.1 / EXACTIFY_DENOMINATOR_BOUND  # a NaN is not below it, and Fraction refuses it
+    q = [ZERO if abs(x) < tiny else Fraction(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in [v / top for v in c]]
     # d sum q_i B_i in ints, B_i = W_i / w_i (``TwoForm._ints``), d the lcm of the w_i q_i.denominator
     # over the nonzero q_i: a zero term adds nothing, and omega's Fractions are reduced either way
     terms = [(qi, b) for qi, b in zip(q, p.z2_basis) if qi]

@@ -79,23 +79,27 @@ class TwoForm:
     @classmethod
     def from_dict(cls, dim: int, entries: Mapping[tuple[int, int], object]) -> "TwoForm":
         norm: dict[tuple[int, int], Fraction] = {}
+        merged = False
         for key, c in entries.items():
-            # a pair of ints that are not bools, as in LieAlgebra
-            if not isinstance(key, tuple) or len(key) != 2 or any(type(x) is not int for x in key):
+            # a pair of ints that are not bools, as in LieAlgebra; a zero coefficient does not excuse a bad key
+            if not isinstance(key, tuple) or len(key) != 2 or type(key[0]) is not int or type(key[1]) is not int:
                 raise ValueError(f"index pair {key!r} must be two integers")
             (i, j), c = key, frac(c)
-            if c == 0:
-                continue
             if i == j:
                 raise ValueError("a 2-form has no (i,i) component")
             if i > j:
                 i, j, c = j, i, -c
             if not 0 <= i < j < dim:
                 raise ValueError(f"index pair ({i},{j}) out of range for dim {dim}")
-            # a Fraction sum only for a pair given twice, or both ways round
-            norm[(i, j)] = norm[(i, j)] + c if (i, j) in norm else c
-        frozen = tuple(sorted((k, v) for k, v in norm.items() if v != 0))
-        return cls(dim, frozen)
+            if not c:
+                continue
+            # a Fraction sum only for a pair given both ways round, which alone can cancel to zero
+            if (i, j) in norm:
+                norm[(i, j)] += c
+                merged = True
+            else:
+                norm[(i, j)] = c
+        return cls(dim, tuple(sorted((k, v) for k, v in norm.items() if v) if merged else sorted(norm.items())))
 
     def __call__(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         x, y = vec(x), vec(y)
@@ -121,13 +125,13 @@ class ThreeForm:
             if not isinstance(key, tuple) or len(key) != 3 or any(type(x) is not int for x in key):
                 raise ValueError(f"triple {key!r} must hold three integer indices")
             c = frac(c)
-            if c != 0:
-                i, j, k = key
-                if not 0 <= i < j < k < dim:
-                    raise ValueError(f"triple {key} must be strictly increasing within dim {dim}")
-                norm[key] = norm.get(key, ZERO) + c
-        frozen = tuple(sorted((k, v) for k, v in norm.items() if v != 0))
-        return cls(dim, frozen)
+            i, j, k = key
+            if not 0 <= i < j < k < dim:
+                raise ValueError(f"triple {key} must be strictly increasing within dim {dim}")
+            # the keys are distinct and each is increasing, so no triple comes twice and nothing is summed
+            if c:
+                norm[key] = c
+        return cls(dim, tuple(sorted(norm.items())))
 
     def is_zero(self) -> bool:
         return not self.coeffs

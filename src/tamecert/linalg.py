@@ -458,7 +458,10 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)))
+        """Q^n by its unit rows, which are their own echelon form with pivots 0, ..., n - 1."""
+        zero = (0,) * ambient_dim
+        rows = tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(ambient_dim))
+        return cls(ambient_dim, rows, tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:

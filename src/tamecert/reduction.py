@@ -175,7 +175,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
         """sx times the coordinates of v + h in the reduced basis, for v in h^perp; zero for v = 0."""
         if not any(v):
             return [0] * len(kept_pivots)
-        if not perp._contains_ints(v):
+        if _dot(w_xi, v):  # h^perp is the kernel of the one row W xi
             raise TamingLost("vector expected in h^perp fell outside it")
         return [v[q] * sx - v[p] * xi[q] for q in kept_pivots]
 

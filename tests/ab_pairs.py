@@ -3,21 +3,32 @@
 Run from any directory:
 
     python tests/ab_pairs.py --base HEAD~1 --workload conjugated --workload corpus --seeds 101-120
+    python tests/ab_pairs.py --base HEAD~1 --workload corpus --seeds 1-3 --trace
 
 The base commit's files are extracted with ``git archive`` into a temporary
 directory, removed at the end.  For each workload and each seed, one pair
 runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
 that copy and once in this checkout; the side that runs first alternates
-from pair to pair.  Every run must read ``"correct": true``.  Each pair's
-line shows both runs' ``attempted`` counts, the items timed in each run, so a
-report shows how many samples stand behind each median.
+from pair to pair.  Each pair's line shows both runs' ``attempted`` counts,
+the items timed in each run, so a report shows how many samples stand behind
+each median.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints the median and
 quartiles of both sides, the pairs the change wins (strictly better, in the
 metric's direction), and whether the gain rule holds: the change wins at
 least 9 of 10 pairs, and its median beats the base median by more than the
-base's interquartile range.  Only the standard library is used, and the
-name does not start with ``test_``, so pytest does not collect it.
+base's interquartile range.
+
+With ``--trace`` the same pairs run with ``--trace 1``.  Each pair's line
+shows both sides' ``bench.span_coverage_ratio`` and ``correct``, and the
+summary gives each side's coverage as min, median and max.  A traced run
+reads incorrect when its coverage leaves the 0.2 tolerance around 1 or its
+replay parts from the direct call.
+
+Every run should read ``"correct": true``.  An incorrect run is marked on its
+pair's line and the pairs go on; after the last pair the script lists the
+incorrect runs and exits 1.  Only the standard library is used, and the name
+does not start with ``test_``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+COVERAGE = "bench.span_coverage_ratio"
 
 
 def seed_list(text: str) -> list[int]:
@@ -51,14 +63,13 @@ def extract(rev: str, dest: Path) -> None:
         archive.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict[str, float], int]:
-    """The end-to-end metrics of one untraced run, from its last line of output, and its ``attempted`` count."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
+def run(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    """The last line of one run's output, ``correct``, ``attempted`` and ``metrics``, with each metric as its value."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    out = subprocess.run(cmd + ["--trace", str(int(trace))], cwd=checkout, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
-    if not result["correct"]:
-        raise SystemExit(f"{checkout}: {workload} seed {seed} is not correct")
-    return {name: m["value"] for name, m in result["metrics"].items()}, result["attempted"]
+    result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    return result
 
 
 def summary(base: list[float], change: list[float], higher: bool) -> str:
@@ -74,35 +85,57 @@ def summary(base: list[float], change: list[float], higher: bool) -> str:
     return f"{bm:.6g} [{b1:.6g}, {b3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]  wins {wins}/{len(base)}  gain rule {'holds' if holds else 'fails'}"
 
 
-def main(argv=None) -> None:
+def pair_line(base: dict, change: dict, trace: bool) -> str:
+    """One pair's figures, base -> change: coverage and correct when traced, else items_per_s and attempted."""
+    if trace:
+        return " -> ".join(f"coverage {r['metrics'][COVERAGE]:.3f} correct {str(r['correct']).lower()}" for r in (base, change))
+    rates = " -> ".join(f"{r['metrics']['items_per_s']:.1f}" for r in (base, change))
+    counts = " -> ".join(str(r["attempted"]) for r in (base, change))
+    flag = "" if base["correct"] and change["correct"] else "  INCORRECT"
+    return f"items_per_s {rates}  attempted {counts}{flag}"
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", default="HEAD~1", help="the commit to compare against (default HEAD~1)")
     ap.add_argument("--workload", action="append", required=True, choices=["corpus", "conjugated", "scaling"])
     ap.add_argument("--seeds", type=seed_list, required=True, help="e.g. 101-120 or 1,2,7")
     ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--trace", action="store_true", help="traced runs: report span coverage and correct")
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    incorrect = []
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         base_dir = Path(tmp)
         extract(args.base, base_dir)
         for workload in args.workload:
             results = {"base": [], "change": []}
-            attempted = {"base": [], "change": []}
             for i, seed in enumerate(args.seeds):
                 order = [("base", base_dir), ("change", ROOT)]
                 for side, checkout in order if i % 2 == 0 else order[::-1]:
-                    metrics_of_run, count = run(checkout, workload, seed, args.seconds)
-                    results[side].append(metrics_of_run)
-                    attempted[side].append(count)
-                rates = " -> ".join(f"{results[side][-1]['items_per_s']:.1f}" for side in ("base", "change"))
-                counts = " -> ".join(str(attempted[side][-1]) for side in ("base", "change"))
-                print(f"{workload} seed {seed}: items_per_s {rates}  attempted {counts}", flush=True)
-            print(f"\n{workload}, {len(args.seeds)} pairs, base {args.base}: median [Q1, Q3] base -> change")
-            for m in metrics:
-                base, change = ([r[m["name"]] for r in results[side]] for side in ("base", "change"))
-                print(f"  {m['name']:16s} {summary(base, change, m['better'] == 'higher')}")
+                    result = run(checkout, workload, seed, args.seconds, args.trace)
+                    results[side].append(result)
+                    if not result["correct"]:
+                        incorrect.append(f"{workload} seed {seed} {side}")
+                print(f"{workload} seed {seed}: {pair_line(results['base'][-1], results['change'][-1], args.trace)}", flush=True)
+            print(f"\n{workload}, {len(args.seeds)} pairs, base {args.base}: ", end="")
+            if args.trace:
+                print(f"{COVERAGE} min / median / max")
+                for side, runs in results.items():
+                    xs = [r["metrics"][COVERAGE] for r in runs]
+                    correct = sum(r["correct"] for r in runs)
+                    print(f"  {side:6s} {min(xs):.3f} / {statistics.median(xs):.3f} / {max(xs):.3f}  correct {correct}/{len(runs)}")
+            else:
+                print("median [Q1, Q3] base -> change")
+                for m in metrics:
+                    base, change = ([r["metrics"][m["name"]] for r in results[side]] for side in ("base", "change"))
+                    print(f"  {m['name']:16s} {summary(base, change, m['better'] == 'higher')}")
             print(flush=True)
+    if incorrect:
+        print("incorrect runs: " + ", ".join(incorrect), flush=True)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

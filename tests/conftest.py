@@ -20,6 +20,7 @@ from tamecert.linalg import (
     _scaled,
     charpoly,
     det,
+    frac,
     mat_inverse,
     mat_mul,
     nullspace,
@@ -483,3 +484,28 @@ def reference_series(g: LieAlgebra, lower: bool) -> list[Subspace]:
             break
         series.append(nxt)
     return series
+
+
+# --- reference TwoForm.from_dict: a generator per key check, a zero filter always ---
+
+
+def reference_two_form(dim: int, entries) -> TwoForm:
+    """``TwoForm.from_dict`` without its fast paths, the oracle for them: the
+    key is checked by a generator, the closing ``v != 0`` filter runs on
+    every call, and a zero is dropped before the key's order and range are
+    checked, so unlike ``from_dict`` it lets a bad key with a zero value through."""
+    norm: dict[tuple[int, int], Fraction] = {}
+    for key, c in entries.items():
+        if not isinstance(key, tuple) or len(key) != 2 or any(type(x) is not int for x in key):
+            raise ValueError(f"index pair {key!r} must be two integers")
+        (i, j), c = key, frac(c)
+        if c == 0:
+            continue
+        if i == j:
+            raise ValueError("a 2-form has no (i,i) component")
+        if i > j:
+            i, j, c = j, i, -c
+        if not 0 <= i < j < dim:
+            raise ValueError(f"index pair ({i},{j}) out of range for dim {dim}")
+        norm[(i, j)] = norm[(i, j)] + c if (i, j) in norm else c
+    return TwoForm(dim, tuple(sorted((k, v) for k, v in norm.items() if v != 0)))

@@ -177,6 +177,29 @@ def test_constructors_refuse_non_integer_indices(build, error):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a form's key is checked before its value is read as zero, as
+        # LieAlgebra.from_brackets checks every key: a zero coefficient does not
+        # let an out-of-range, diagonal or unordered key through
+        lambda c: TwoForm.from_dict(4, {(9, 12): c}),
+        lambda c: TwoForm.from_dict(4, {(1, 1): c}),
+        lambda c: ThreeForm.from_dict(4, {(3, 2, 9): c}),
+        lambda c: TwoForm.from_dict(4, {(0, 1.5): c}),
+        lambda c: ThreeForm.from_dict(4, {(True, 2, 3): c}),
+    ],
+    ids=["two_form_out_of_range", "two_form_diagonal", "three_form_unordered", "two_form_float", "three_form_bool"],
+)
+def test_form_constructors_refuse_a_bad_key_with_a_zero_value(build):
+    messages = []
+    for c in (0, Fraction(0), 1):
+        with pytest.raises(ValueError) as err:
+            build(c)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == messages[2]
+
+
 def test_completely_solvable_at_dim_10():
     # no dimension cutoff: aff(R) + R^8 is decided exactly
     g = LieAlgebra.from_brackets(10, {(0, 1): {1: 1}})

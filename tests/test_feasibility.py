@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -654,22 +655,46 @@ def test_exactify_aff():
     assert omega.coeffs == (((0, 1), F(1)),)
 
 
+def rounded_fraction_sum(p, c) -> TwoForm:
+    """exactify's omega by its definition: every c_i / max|c| through limit_denominator, summed in Fractions."""
+    q = [F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in c / np.max(np.abs(c))]
+    coeffs = {}
+    for qi, b in zip(q, p.z2_basis):
+        for key, v in b.coeffs:
+            coeffs[key] = coeffs.get(key, F(0)) + qi * v
+    return TwoForm.from_dict(p.algebra.dim, coeffs)
+
+
+def test_exactify_rounds_small_coefficients_as_limit_denominator_does():
+    # the optimum on R^4 plus each other coefficient set to a value on either
+    # side of the 0.1 / bound cut: below it exactify writes 0 without a
+    # continued fraction, above it the rounding may give 1 / bound
+    p = problem_for(4, {})
+    c, _ = maximize_lambda_min(p)
+    c = c / np.max(np.abs(c))
+    others = [i for i, x in enumerate(c) if abs(x) < 0.5]
+    assert others
+    for x in (9.9e-8, -9.9e-8, 1e-7, 4e-7, 6e-7, -6e-7, 9e-7, 3e-6):
+        bumped = c.copy()
+        bumped[others] = x
+        omega, _ = exactify(p, bumped)
+        reference = rounded_fraction_sum(p, bumped)
+        assert repr(omega) == repr(reference) and omega._ints == reference._ints, x
+
+
 def test_exactify_form_matches_fraction_sum(corpus, monkeypatch):
     # exactify sums q_i B_i in ints over one common denominator and builds omega
     # once; the reference is TwoForm.from_dict of the Fraction sum, on every
     # Feasible corpus fixture and conjugated benchmark draw.  A coefficient that
-    # is exactly 0.0, most of those on the tori, is 0 with no limit_denominator
-    checked, zeros = [], []
+    # is exactly 0.0, most of those on the tori, is 0 with no limit_denominator,
+    # and so is one below 1e-7 after scaling (tiny), all of those on the tori
+    checked, zeros, tiny = [], [], []
 
     def checked_exactify(p, c):
         omega, lam = exactify(p, c)
         zeros.extend(x for x in c if x == 0.0)
-        q = [F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in c / np.max(np.abs(c))]
-        coeffs = {}
-        for qi, b in zip(q, p.z2_basis):
-            for key, v in b.coeffs:
-                coeffs[key] = coeffs.get(key, F(0)) + qi * v
-        reference = TwoForm.from_dict(p.algebra.dim, coeffs)
+        tiny.extend(x for x in c / np.max(np.abs(c)) if 0 < abs(x) < 0.1 / EXACTIFY_DENOMINATOR_BOUND)
+        reference = rounded_fraction_sum(p, c)
         assert repr(omega) == repr(reference) and omega._ints == reference._ints
         checked.append(omega)
         return omega, lam
@@ -680,6 +705,21 @@ def test_exactify_form_matches_fraction_sum(corpus, monkeypatch):
     feasible = [v for v in (decide(g, J) for g, J in inputs) if isinstance(v, Feasible)]
     assert [v.omega for v in feasible] == checked and len(checked) >= 10
     assert len(zeros) >= 30, len(zeros)
+    assert len(tiny) >= 5, len(tiny)
+
+
+def test_limit_denominator_rounds_below_a_tenth_of_the_bound_to_zero():
+    # exactify writes 0 for a scaled coefficient x with |x| < 0.1 / bound and
+    # calls no limit_denominator: 0 is what that call returns there, on seeded
+    # x down to the subnormals, on the smallest subnormal and on -0.0
+    rng = random.Random(46)
+    tiny = 0.1 / EXACTIFY_DENOMINATOR_BOUND
+    xs = [rng.choice((-1, 1)) * rng.uniform(0.01, 1) * 10.0 ** -rng.uniform(7, 320) for _ in range(2000)]
+    xs += [5e-324, -5e-324, -0.0, 0.0, math.nextafter(tiny, 0.0), -math.nextafter(tiny, 0.0)]
+    assert all(abs(x) < tiny for x in xs)
+    assert all(F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) == 0 for x in xs)
+    # the nearest nonzero p/q within the bound, 1 / bound, is ten times the cut
+    assert F(10 * tiny).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) == F(1, EXACTIFY_DENOMINATOR_BOUND)
 
 
 def test_exactify_fails_on_singular_optimum(monkeypatch):

@@ -47,6 +47,7 @@ from conftest import (
     random_basis_change,
     random_rational_vector,
     rank,
+    reference_two_form,
 )
 from test_linalg import ref_leading_minors_positive
 
@@ -88,6 +89,51 @@ def test_from_dict_sums_each_pair_as_the_fraction_accumulation():
     assert form_coeff(form, 2, 3) == F(2, 3) and form_coeff(form, 1, 2) == -5 and form_coeff(form, 0, 4) == F(-3, 4)
     assert all(type(v) is F and v != 0 for _, v in form.coeffs)
     assert form == TwoForm.from_dict(5, dict(reversed(list(entries.items()))))
+
+
+def _outcome(build):
+    """What build() returns, or the type and message of what it raises."""
+    try:
+        form = build()
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    return form, form.coeffs, form._ints
+
+
+def test_from_dict_matches_the_reference_on_seeded_dicts():
+    # reversed pairs, pairs given both ways round (which cancel half the time),
+    # zeros, string and Fraction values, and every key that from_dict refuses:
+    # the same form, or the same exception type and message.  A refused key
+    # carries a nonzero value here; with a zero value the reference returned
+    # the zero form, the refusal that test_algebra's zero-value table pins
+    rng = random.Random(46)
+    refused = [7, "01", (0,), (0, 1, 2), (0, 1.0), (True, 1), (1, 1), (-1, 2), (0, 9), (9, 0)]
+    seen = {"form": 0, "error": 0, "cancelled": 0}
+    for _ in range(400):
+        dim = rng.randint(2, 6)
+        entries: dict = {}
+        for _ in range(rng.randint(0, 8)):
+            i, j = rng.sample(range(dim), 2)
+            c = rng.choice([0, F(0), rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 4)), "-3/4"])
+            entries[(i, j)] = c
+            if rng.random() < 0.3:  # the reversed pair: it cancels when given the same value
+                entries[(j, i)] = c if rng.random() < 0.5 else F(rng.randint(1, 5), 2)
+        if rng.random() < 0.3:
+            key = rng.choice(refused)
+            items = list(entries.items())
+            items.insert(rng.randint(0, len(items)), (key, rng.choice([1, F(-2, 3), "5"])))
+            entries = dict(items)
+        if rng.random() < 0.05:
+            entries[(0, 1)] = 0.5  # a float value: frac refuses it
+        expected = _outcome(lambda: reference_two_form(dim, entries))
+        assert _outcome(lambda: TwoForm.from_dict(dim, entries)) == expected, entries
+        if isinstance(expected[0], TwoForm):
+            seen["form"] += 1
+            merged = {(min(k), max(k)) for k in entries if (k[1], k[0]) in entries}
+            seen["cancelled"] += any(key not in dict(expected[1]) for key in merged)
+        else:
+            seen["error"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_d_one_form_h3():

@@ -156,6 +156,15 @@ def test_subspace_canonicalization_and_ops():
     assert Subspace.from_vectors(3, s1.basis) == s1  # idempotent
 
 
+def test_full_is_the_span_of_the_units():
+    # full writes its unit rows and pivots directly: the echelon form and pivot
+    # columns that _span computes from the units, for n = 0 ... 16
+    for n in range(17):
+        full, span = Subspace.full(n), Subspace._span(n, [[int(i == j) for j in range(n)] for i in range(n)])
+        assert (full, full.rows, full._pivots) == (span, span.rows, span._pivots), n
+        assert all(type(x) is int for row in full.rows for x in row)
+
+
 def test_subspace_coordinates():
     # a member's coordinates in the reduced-echelon basis are its entries at the pivots
     s = Subspace.from_vectors(4, [(1, 0, 2, 0), (0, 1, 3, 0)])
