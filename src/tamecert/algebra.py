@@ -63,14 +63,6 @@ def _normalize_brackets(dim: int, brackets: Brackets) -> dict[tuple[int, int], d
 IntTable = dict[tuple[int, int], list[tuple[int, int]]]
 
 
-def _cleared_brackets(g: "LieAlgebra") -> tuple[int, IntTable]:
-    """(c, table): c the lcm of the structure constants' denominators, and
-    table[(i, j)] = c [e_i, e_j] as (k, int) pairs, for i < j and [e_i, e_j] != 0.
-
-    The pair built when g was constructed, not a copy: callers only read it."""
-    return g._int_table
-
-
 def _bracket_ints(table: IntTable, x: Sequence[int], y: Sequence[int]) -> list[int]:
     """c [x, y] for integer vectors x and y, by bilinear expansion over the table."""
     out = [0] * len(x)
@@ -97,8 +89,8 @@ class LieAlgebra:
     dim: int
     basis_labels: tuple[str, ...]
     structure_constants: tuple[tuple[tuple[int, int], tuple[tuple[int, Fraction], ...]], ...]
-    # (c, table) of _cleared_brackets, derived from structure_constants, so it
-    # takes no part in equality, hashing or repr
+    # (c, table), table[(i, j)] = c [e_i, e_j] != 0 as (k, int) pairs for i < j, c the lcm of the denominators;
+    # read, never changed, and derived from structure_constants, so outside equality, hashing and repr
     _int_table: tuple[int, IntTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -151,7 +143,7 @@ class LieAlgebra:
 
     def check_jacobi(self) -> None:
         """The cyclic sum of [[e_i, e_j], e_k] on each basis triple, c^2 times it off the integer table."""
-        c, table = _cleared_brackets(self)
+        c, table = self._int_table
         if not table:
             return
         units = _units(self.dim)
@@ -173,7 +165,7 @@ class LieAlgebra:
         Each c tr ad_{e_i} is summed off the integer table in one pass: an entry
         (i, j) -> (k, x) adds x to i's trace when k = j, and -x to j's when k = i."""
         trace = [0] * self.dim
-        for (i, j), comps in _cleared_brackets(self)[1].items():
+        for (i, j), comps in self._int_table[1].items():
             for k, x in comps:
                 if k == j:
                     trace[i] += x
@@ -184,7 +176,7 @@ class LieAlgebra:
 
     def bracket_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of [a, b], bracketing the integer echelon rows."""
-        _, table = _cleared_brackets(self)
+        _, table = self._int_table
         pairs = combinations(a.rows, 2) if a == b else product(a.rows, b.rows)
         return Subspace._span(self.dim, [_bracket_ints(table, x, y) for x, y in pairs])
 
@@ -206,7 +198,7 @@ class LieAlgebra:
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of the nonzero brackets [e_i, e_j], read off the integer table."""
         rows = []
-        for comps in _cleared_brackets(self)[1].values():
+        for comps in self._int_table[1].values():
             rows.append([0] * self.dim)
             for k, x in comps:
                 rows[-1][k] = x
@@ -219,7 +211,7 @@ class LieAlgebra:
         return self.lower_central_series()[-1].dim == 0
 
     def is_ideal(self, h: Subspace) -> bool:
-        _, table = _cleared_brackets(self)
+        _, table = self._int_table
         return not table or all(h._contains_ints(_bracket_ints(table, e, b)) for e in _units(self.dim) for b in h.rows)
 
 
@@ -246,7 +238,7 @@ def is_completely_solvable(g: LieAlgebra) -> CompleteSolvability:
     if series[-1].dim or len(series) < 3:  # not solvable; or D = 0, as g is abelian or 0
         return CompleteSolvability(not series[-1].dim, None)
     derived, pivots = series[1], series[1]._pivots
-    _, table = _cleared_brackets(g)
+    _, table = g._int_table
     scale = lcm(*(row[p] for row, p in zip(derived.rows, pivots)))
     factors = [(p, scale // row[p]) for row, p in zip(derived.rows, pivots)]  # clear the coordinates in D's rows
 
@@ -300,7 +292,7 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, space: Subspace | None = No
     n = g.dim
     if not n:
         return [Subspace.full(0)]
-    _, table = _cleared_brackets(g)
+    _, table = g._int_table
     units = _units(n)
     space = Subspace.full(n) if space is None else space
     # Z cap space: the combinations y of space's rows s with [b, sum y_r s_r] = 0 for every

@@ -6,7 +6,7 @@ The decision pipeline:
      D = [g, g], and one of them, or their sum, definite there proves a miss
      with no search.  Otherwise, on subspaces of D defined by g and J alone
      (each rational weight space of ad g in D, then D cap JD, a kernel), the
-     common radical of those Grams restricted by coordinates; a nonzero v in
+     common radical of those Grams formed on W's own rows; a nonzero v in
      it has B(v, Jv) = 0 for every closed B, so v v^T / |v|^2 is a dual
      certificate and proves infeasibility outright, and caps the maximum of
      step 2 at exactly 0, at c = 0: a hit is returned at once, with no solve;
@@ -46,9 +46,8 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
 from math import lcm, sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed, NotAComplexStructure
@@ -177,23 +176,22 @@ def build_problem(g: LieAlgebra, J: ComplexStructure) -> FeasibilityProblem:
 def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     """Exact search for a universal degeneracy direction.
 
-    The closed Gram forms are formed once on D = [g, g], as the d x d Grams
-    2 den G_i(b_s, b_t) = B_i(b_s, J' b_t) + B_i(b_t, J' b_s) read off each
-    closed form's integer coefficients, b D's reduced-echelon basis scaled to
-    integers and J' = den J.  If one of them, or their sum, is definite (exact
-    leading minors of G or -G), no nonzero v in D has B(v, Jv) = 0 for every
-    closed B, and the search ends before any weight space is sought, as it
-    does at once when D = 0.  Otherwise it searches subspaces W of D defined
-    by g and J alone: each rational weight space of ad g in D, sought inside
-    Z cap D (Z the centralizer of D, so no characteristic polynomial is larger
-    than dim D), then D cap JD, whose coordinates in b are the kernel of
-    v -> Jv mod D on D's rows (``linalg._invariant_part``, the kernel that
-    also gives the proof trace's v = h^perp cap J h^perp).  With C the
-    coordinates in b of W's basis (its rows read at D's pivots), the common
-    radical of the Grams C G_i C^T (G_i when W = D) is one exact kernel, and
-    on a line the line itself when every 1 x 1 Gram is 0.  It
-    transforms with a basis change, so whether the precheck hits does not
-    depend on the basis.  The search runs once per problem
+    The closed Gram forms are formed on integer rows x of g, as the Grams
+    2 den w_i G_i(x_s, x_t) = x_s . W_i J'x_t + x_t . W_i J'x_s, B_i = W_i / w_i
+    and J' = den J, applied only through their classes (``_apply_ints``).
+    They are formed first on D = [g, g]'s echelon rows b: if one of them, or
+    their sum, is definite (exact leading minors of G or -G), no nonzero v in
+    D has B(v, Jv) = 0 for every closed B, and the search ends before any
+    weight space is sought, as it does at once when D = 0.  Otherwise it
+    searches subspaces W of D defined by g and J alone: each rational weight
+    space of ad g in D, sought inside Z cap D (Z the centralizer of D, so no
+    characteristic polynomial is larger than dim D), then D cap JD, the
+    kernel of v -> Jv mod D on b (``linalg._invariant_part``, the kernel that
+    also gives the proof trace's v = h^perp cap J h^perp), mapped into g.
+    The common radical of the Grams on W's own echelon rows (D's when W = D)
+    is one exact kernel, and on a line the line itself when every 1 x 1
+    Gram is 0.  It transforms with a basis change, so whether the precheck
+    hits does not depend on the basis.  The search runs once per problem
     (FeasibilityProblem.degeneracy_direction).
     """
     return p.degeneracy_direction
@@ -206,27 +204,24 @@ def _definite(m: list[list[int]]) -> bool:
     return all(row[k] * s > 0 for k, row in enumerate(m)) and leading_minors_positive([[s * x for x in r] for r in m])
 
 
+def _grams(p: FeasibilityProblem, rows: list[list[int]], jrows: list[list[int]]) -> Iterator[list[list[int]]]:
+    """2 den w_i G_i(x_s, x_t) = x_s . W_i J'x_t + x_t . W_i J'x_s for each closed form B_i = W_i / w_i, in turn,
+    on integer rows x of g with jrows = J'x (``TwoForm._apply_ints``, ``ComplexStructure._apply_ints``)."""
+    for form in p.z2_basis:
+        wj = [form._apply_ints(jy) for jy in jrows]
+        m = [[_dot(x, y) for y in wj] for x in rows]
+        yield [[a + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))]
+
+
 def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     g = p.algebra
     derived = g.derived_subalgebra()
     if not derived.rows:  # D = 0 holds no v
         return None
-    # each closed form as ints over the columns of keys, the pairs (a, b) some form reads
-    keys = sorted({key for form in p.z2_basis for key, _ in form.coeffs})
-    column = {key: k for k, key in enumerate(keys)}
-    forms = [[(column[key], x) for key, x in form._ints[1]] for form in p.z2_basis]
-    # b = scale * D's reduced-echelon basis in ints, jb = den J b; 2 den G_i(b_s, b_t) =
-    # B_i(b_s, jb_t) + B_i(b_t, jb_s), the form's coefficients dotted with one wedge vector per pair s <= t
-    pivots = derived.pivots()
+    # b = scale * D's reduced-echelon basis in ints, jb = den J b
     b, scale = _scaled(derived.rows)
     jb = [p.J._apply_ints(v) for v in b]
-    d = len(b)
-    grams = [[[0] * d for _ in b] for _ in forms]
-    for s, t in combinations_with_replacement(range(d), 2):
-        x, y, jx, jy = b[s], b[t], jb[s], jb[t]
-        wedge = [x[i] * jy[j] - x[j] * jy[i] + y[i] * jx[j] - y[j] * jx[i] for i, j in keys]
-        for gram, form in zip(grams, forms):
-            gram[s][t] = gram[t][s] = sum(c * wedge[k] for k, c in form)
+    grams = list(_grams(p, b, jb))
     # a Gram definite on D, or their sum, the Gram of the closed sum B_1 + ... + B_m (grams[i] is
     # 2 den w_i G_i, B_i = W_i / w_i), leaves no v != 0 in D with B(v, Jv) = 0, so no subspace of D has a radical
     lw = lcm(*(form._ints[0] for form in p.z2_basis))
@@ -235,31 +230,26 @@ def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     if any(map(_definite, grams)) or _definite(total):
         return None
 
-    def spaces():  # each subspace W of D by the coordinates of a basis in b, echelon rows
+    def spaces():  # each subspace W of D by its echelon integer rows in g
         for space in _weight_spaces(g, derived, derived):
-            yield [[row[q] for q in pivots] for row in space.rows], "weight space in [g,g]"
-        yield _invariant_part(b, scale, pivots, jb), "J-invariant part of [g,g]"
+            yield space.rows, "weight space in [g,g]"
+        coords = _invariant_part(b, scale, derived._pivots, jb)  # in b, so D cap JD's rows are coords . b
+        yield [[_dot(y, col) for col in zip(*b)] for y in coords], "J-invariant part of [g,g]"
 
     for rows, provenance in spaces():
         if not rows:
             continue
-        # C = s_w times the coordinates of W's reduced-echelon basis: its Grams C G_i C^T are those of
-        # W's basis times one positive factor, so the radical and the vector below stay the same
-        c, s_w = _scaled(rows)
-        w = len(c)
-        restricted = grams
-        if w < d:  # C G C^T, row by row of C G, as G is symmetric
-            restricted = [[[_dot(x, y) for y in c] for x in ([_dot(r, row) for row in m] for r in c)] for m in grams]
-        if w == 1:  # the line is its own radical when every 1 x 1 Gram is 0, and else the radical is 0
+        # x = s * W's reduced-echelon basis: its Grams are those of that basis times s^2 > 0, D's own when W = D
+        x, s = _scaled(rows)
+        restricted = grams if x == b else _grams(p, x, [p.J._apply_ints(v) for v in x])
+        if len(x) == 1:  # the line is its own radical when every 1 x 1 Gram is 0, and else the radical is 0
             radical, radical_pivots = ([] if any(gram[0][0] for gram in restricted) else [[1]]), [0]
         else:
-            radical, radical_pivots = _kernel([row for gram in restricted for row in gram], w)
+            radical, radical_pivots = _kernel([row for gram in restricted for row in gram], len(x))
         if radical:
-            # the first reduced-echelon radical vector, radical[0] / its pivot, in W's basis: u / s_w in b / scale
-            u = [_dot(radical[0], col) for col in zip(*c)]
-            den = radical[0][radical_pivots[0]] * s_w * scale
-            vector = tuple(Fraction(_dot(u, col), den) for col in zip(*b))
-            return DegeneracyDirection(vector=vector, provenance=provenance)
+            # the first reduced-echelon radical vector, radical[0] / its pivot, in W's basis x / s
+            den = radical[0][radical_pivots[0]] * s
+            return DegeneracyDirection(tuple(Fraction(_dot(radical[0], col), den) for col in zip(*x)), provenance)
     return None
 
 

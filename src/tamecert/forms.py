@@ -3,13 +3,15 @@
 Integrability reads the integer bracket table through ``algebra._bracket_ints``
 and finds its complex basis with one ``linalg._forward``, the kernels that
 every other exact layer shares.  A ``TwoForm`` is cleared to integers once, at
-construction, and every exact layer reads that form (``TwoForm._ints``), as
-does ``_gram_ints``, the one taming Gram kernel: ``taming_gram`` is its view,
-and the dual lane of ``feasibility`` reads it too.  J' = den J is applied only
-through ``ComplexStructure``, from the nonzero entries of each row that it
-stores (``_nonzero``, ``_apply_ints``).  Both kernels skip what is known to be
-zero: ``_gram_ints`` reads only those nonzero entries, and ``_d2_ints`` writes
-the zero rows of an empty bracket table without visiting a triple.
+construction, and every exact layer reads that form (``TwoForm._ints``): on
+vectors only through ``TwoForm._apply_ints`` (w Omega(x, y) = x . W y for
+Omega = W / w), and its Gram only through ``_gram_ints``, the one taming Gram
+kernel, whose view is ``taming_gram``, which the dual lane of ``feasibility``
+reads too, and which refuses a J of another dimension than the form.  J' =
+den J is applied only through ``ComplexStructure``, from the nonzero entries of
+each row that it stores (``_nonzero``, ``_apply_ints``).  Both kernels skip what
+is known to be zero: ``_gram_ints`` reads only those nonzero entries, and
+``_d2_ints`` writes the zero rows of an empty table without visiting a triple.
 
 Sign convention, fixed globally: d alpha (X, Y) = -alpha([X, Y]) on 1-forms,
 extended to 2-forms as an antiderivation, i.e.
@@ -29,7 +31,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, _units
+from .algebra import LieAlgebra, _bracket_ints, _units
 from .errors import DimensionMismatch, NotAComplexStructure
 from .linalg import (
     Mat,
@@ -108,6 +110,14 @@ class TwoForm:
             total += c * (x[i] * y[j] - x[j] * y[i])
         return total
 
+    def _apply_ints(self, u: Sequence[int]) -> list[int]:
+        """W u for an integer u, Omega = W / w (``_ints``): every exact layer reads w Omega(x, y) as x . W y."""
+        out = [0] * len(u)
+        for (a, b), x in self._ints[1]:
+            out[a] += x * u[b]
+            out[b] -= x * u[a]
+        return out
+
     def scale(self, c) -> "TwoForm":
         c = frac(c)
         return TwoForm.from_dict(self.dim, {k: c * v for k, v in self.coeffs})
@@ -184,13 +194,13 @@ def d2_matrix(g: LieAlgebra) -> tuple[list[list[Fraction]], list[tuple[int, int]
 
 def _d2_ints(g: LieAlgebra) -> tuple[int, list[list[int]], list[tuple[int, int]], list[tuple[int, int, int]]]:
     """(c, c d2, pairs, triples): d2_matrix times c, read off the integer table
-    c [e_i, e_j] of ``_cleared_brackets``, with no ``Fraction``.  Every row of
+    c [e_i, e_j], ``LieAlgebra._int_table``, with no ``Fraction``.  Every row of
     an abelian g is zero, since each reads three brackets, so an empty table
     gives its C(n, 3) zero rows at once."""
     pairs = two_form_pairs(g.dim)
     triples = three_form_triples(g.dim)
     column = {pair: k for k, pair in enumerate(pairs)}
-    c, table = _cleared_brackets(g)
+    c, table = g._int_table
     if not table:
         return c, [[0] * len(pairs) for _ in triples], pairs, triples
     rows = []
@@ -289,7 +299,7 @@ def _nijenhuis_ints(g: LieAlgebra, J: ComplexStructure, pairs: Iterable[tuple[in
     c e^2 N(e_i, e_j) = c[J'e_i, J'e_j] - e^2 c[e_i, e_j] - J'(c[J'e_i, e_j] + c[e_i, J'e_j]).
     """
     e = J.den
-    c, table = _cleared_brackets(g)
+    c, table = g._int_table
     units = _units(g.dim)
     columns = [list(col) for col in zip(*J.ints)]  # J'e_j
     for i, j in pairs:
@@ -337,6 +347,8 @@ def _gram_ints(omega: TwoForm, J: ComplexStructure) -> tuple[list[list[int]], in
     the work is that of J''s nonzeros on the rows W reads, one per row for a
     standard J, with no dense row of M and no pass over all n^2 entries."""
     n, (w, coeffs) = omega.dim, omega._ints
+    if J.dim != n:
+        raise NotAComplexStructure(f"J has dimension {J.dim}, the form {n}")
     gram = [[0] * n for _ in range(n)]
     for (a, b), x in coeffs:
         for row, sign, col in ((a, x, b), (b, -x, a)):
@@ -370,9 +382,9 @@ def is_taming(omega: TwoForm, J: ComplexStructure, exact: bool = True, tol: floa
     lambda_min > tol.  The margin is always reported numerically.
     """
     from . import _numeric
-    if omega.dim == 0:
+    gram, d = _gram_ints(omega, J)  # refuses a J of another dimension, for a 0-dim form too
+    if not gram:
         return TamingResult(True, float("inf"))
-    gram, d = _gram_ints(omega, J)
     margin = _numeric.min_eigenvalue([[x / d for x in row] for row in gram])
     ok = leading_minors_positive(gram) if exact else margin > tol
     return TamingResult(ok, margin)

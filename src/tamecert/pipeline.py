@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, is_completely_solvable
+from .algebra import LieAlgebra, _bracket_ints, is_completely_solvable
 from .errors import (
     FixtureError,
     NoOneDimIdeal,
@@ -34,7 +34,7 @@ from .feasibility import (
 from .fixtures import Fixture, load_fixture, rational_str
 from .forms import TwoForm, is_integrable
 from .linalg import Subspace, Vec, _invariant_part, _scaled
-from .reduction import TamedTriple, _dot, _omega_apply, find_isotropic_ideal, omega_perp, reduce, reduction_tower
+from .reduction import TamedTriple, _dot, find_isotropic_ideal, omega_perp, reduce, reduction_tower
 
 # exit codes: CI-friendly contract
 EXIT_OK = 0
@@ -279,12 +279,12 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     if not is_completely_solvable(g):
         raise NoOneDimIdeal("proof trace requires a completely solvable algebra")
     h = find_isotropic_ideal(t)
-    c, table = _cleared_brackets(g)
+    c, table = g._int_table
     e, n = t.J.den, g.dim
     xi, p = h.rows[0], h._pivots[0]
     sx, x = xi[p], h.basis[0]
     j_xi = t.J._apply_ints(xi)  # e s_x JX
-    wj_xi = _omega_apply(t.omega, j_xi)
+    wj_xi = t.omega._apply_ints(j_xi)
     q = _dot(xi, wj_xi)  # w e s_x^2 Omega(X, JX)
 
     bx = _bracket_ints(table, xi, j_xi)  # c e s_x^2 [X, JX]

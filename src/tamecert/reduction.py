@@ -13,11 +13,11 @@ are read off in that basis, and every flag is re-verified on the output.
 Losing a flag is an internal error (TamingLost), never a verdict.  Omega,
 the vectors and J are read in the integer form that ``TwoForm``,
 ``Subspace`` and ``ComplexStructure`` store, and brackets go through the
-integer table.  W u and J'u (``ComplexStructure._apply_ints``) are formed
-once per kept vector u, from the nonzero entries, and zero brackets are
-skipped.  The reduced brackets, Omega and J = ints / den are built straight
-from those ints, with no re-clearing ``from_*`` pass; Jacobi and J^2 = -I
-are still checked on the result.
+integer table.  W u and J'u (each class's ``_apply_ints``) are formed once
+per kept vector u, and zero brackets are skipped.  The reduced brackets,
+Omega and J = ints / den are built straight from those ints, with no
+re-clearing ``from_*`` pass; Jacobi and J^2 = -I are still checked on the
+result.  An h of another dimension is refused.
 An empty bracket table decides what it can at once: the ideal chosen is
 e_1's line, every 2-form is closed, and Jacobi and the ideal test pass, so
 an abelian step runs neither the weight search nor d on 2-forms.
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import LieAlgebra, _bracket_ints, _cleared_brackets, _one_dim_ideals
-from .errors import NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
+from .algebra import LieAlgebra, _bracket_ints, _one_dim_ideals
+from .errors import DimensionMismatch, NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
 from .forms import ComplexStructure, TwoForm, _d2_ints, _gram_ints, _squares_to_minus_one, is_integrable
 from .linalg import Subspace, Vec, _dot, _kernel, leading_minors_positive
 
@@ -124,20 +124,11 @@ def find_isotropic_ideal(t: TamedTriple) -> Subspace:
     return lines[0]
 
 
-def _omega_apply(omega: TwoForm, u) -> list[int]:
-    """W u for an integer vector u, Omega = W / w, read off the sparse ``TwoForm._ints``."""
-    out = [0] * len(u)
-    for (a, b), x in omega._ints[1]:
-        out[a] += x * u[b]
-        out[b] -= x * u[a]
-    return out
-
-
 def omega_perp(t: TamedTriple, h: Subspace) -> Subspace:
     """Omega-orthogonal complement of h: the kernel of the rows W b, b the
     integer rows of h, which ``_kernel`` returns in the unique echelon form."""
     n = t.algebra.dim
-    rows, pivots = _kernel([_omega_apply(t.omega, b) for b in h.rows], n)
+    rows, pivots = _kernel([t.omega._apply_ints(b) for b in h.rows], n)
     return Subspace(n, tuple(map(tuple, rows)), tuple(pivots))
 
 
@@ -146,18 +137,20 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     g = t.algebra
     if not t.verified:
         raise TripleVerificationError(["reduce requires a verified triple"])
+    if h.ambient_dim != g.dim:
+        raise DimensionMismatch(f"h lies in Q^{h.ambient_dim}, the algebra has dimension {g.dim}")
     if not g.is_ideal(h):
         raise NotAnIdeal("reduction requires an ideal")
-    if any(_dot(a, _omega_apply(t.omega, b)) for a in h.rows for b in h.rows):
+    if any(_dot(a, t.omega._apply_ints(b)) for a in h.rows for b in h.rows):
         raise NotIsotropic("the ideal is not isotropic for omega")
     if h.dim != 1:
         raise NotAnIdeal("only 1-dimensional isotropic ideals are supported")
 
     w, e = t.omega._ints[0], t.J.den  # Omega = W / w, J = J' / e
-    c, table = _cleared_brackets(g)  # [., .] = table / c
+    c, table = g._int_table  # [., .] = table / c
     xi, p = h.rows[0], h._pivots[0]  # xi = s_x X, with s_x = xi[p] at X's pivot p
     sx = xi[p]
-    w_xi, j_xi = _omega_apply(t.omega, xi), t.J._apply_ints(xi)
+    w_xi, j_xi = t.omega._apply_ints(xi), t.J._apply_ints(xi)
     beta = _dot(j_xi, w_xi)  # e w s_x^2 Omega(JX, X) = -e w s_x^2 Omega(X, JX) < 0, as Omega tames J
 
     # h lies in h^perp by isotropy; mod_h's check below enforces that h^perp is a
@@ -198,7 +191,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     red_alg = LieAlgebra(m, tuple(labels), tuple(constants))
     red_alg.check_jacobi()
 
-    w_us = [_omega_apply(t.omega, u) for u in us]
+    w_us = [t.omega._apply_ints(u) for u in us]
     pairs = ((a, b, _dot(us[a], w_us[b])) for a in range(m) for b in range(a + 1, m))
     red_omega = TwoForm(m, tuple(((a, b), Fraction(y, w * ss[a] * ss[b])) for a, b, y in pairs if y))
 

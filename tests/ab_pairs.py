@@ -17,7 +17,12 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints the median and
 quartiles of both sides, the pairs the change wins (strictly better, in the
 metric's direction), and whether the gain rule holds: the change wins at
 least 9 of 10 pairs, and its median beats the base median by more than the
-base's interquartile range.
+base's interquartile range.  A metric whose runs read the same value on
+both sides of every pair prints "no change" in place of the wins and the
+gain rule, which tests only a claimed gain.  Each line ends with the
+no-regression verdict: how much worse the change's median is than the base
+median, relative to the base median, against the metric's ``bound`` in
+``BENCHMARK.json``; "within" when it is no worse than the bound allows.
 
 With ``--trace`` the same pairs run with ``--trace 1``.  Each pair's line
 shows both sides' ``bench.span_coverage_ratio`` and ``correct``, and the
@@ -72,17 +77,25 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -
     return result
 
 
-def summary(base: list[float], change: list[float], higher: bool) -> str:
-    """Medians, quartiles, wins and the gain rule for one metric, on one line."""
+def summary(base: list[float], change: list[float], higher: bool, bound: float) -> str:
+    """Medians, quartiles, wins, the gain rule and the no-regression verdict for one metric, on one line."""
     def quartiles(xs):
         q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
         return med, q1, q3
 
     (bm, b1, b3), (cm, c1, c3) = quartiles(base), quartiles(change)
     sign = 1 if higher else -1
-    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-    holds = wins >= 0.9 * len(base) and sign * (cm - bm) > b3 - b1
-    return f"{bm:.6g} [{b1:.6g}, {b3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]  wins {wins}/{len(base)}  gain rule {'holds' if holds else 'fails'}"
+    if base == change:
+        gain = "no change"
+    else:
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        holds = wins >= 0.9 * len(base) and sign * (cm - bm) > b3 - b1
+        gain = f"wins {wins}/{len(base)}  gain rule {'holds' if holds else 'fails'}"
+    # the change's shortfall in the metric's direction, as a share of the base median
+    worse = sign * (bm - cm) / abs(bm) if bm else (0.0 if sign * (bm - cm) <= 0 else float("inf"))
+    verdict = "within" if worse <= bound else "EXCEEDS"
+    return (f"{bm:.6g} [{b1:.6g}, {b3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]  {gain}  "
+            f"worse by {worse:+.1%}, bound {bound:.0%}: {verdict}")
 
 
 def pair_line(base: dict, change: dict, trace: bool) -> str:
@@ -129,7 +142,7 @@ def main(argv=None) -> int:
                 print("median [Q1, Q3] base -> change")
                 for m in metrics:
                     base, change = ([r["metrics"][m["name"]] for r in results[side]] for side in ("base", "change"))
-                    print(f"  {m['name']:16s} {summary(base, change, m['better'] == 'higher')}")
+                    print(f"  {m['name']:16s} {summary(base, change, m['better'] == 'higher', m['bound'])}")
             print(flush=True)
     if incorrect:
         print("incorrect runs: " + ", ".join(incorrect), flush=True)

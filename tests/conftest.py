@@ -196,7 +196,7 @@ def adjoint(g: LieAlgebra, x) -> list[list[Fraction]]:
 
 def _adjoint_ints(table, x) -> list[list[int]]:
     """c ad_x for an integer vector x over the integer table c [e_i, e_j] of
-    ``algebra._cleared_brackets``: column j is c [x, e_j], written entry by
+    ``LieAlgebra._int_table``: column j is c [x, e_j], written entry by
     entry off the table; the stacked-adjoint reference for the weight search's
     centralizer and for the traces ``is_unimodular`` sums."""
     n = len(x)

@@ -22,7 +22,7 @@ from tamecert import (
     weight_spaces,
 )
 import tamecert.algebra as algebra_mod
-from tamecert.algebra import _bracket_ints, _cleared_brackets, _units, _weight_spaces, scale_structure_constants
+from tamecert.algebra import _bracket_ints, _units, _weight_spaces, scale_structure_constants
 from tamecert.forms import ThreeForm
 from tamecert.linalg import _kernel, _primitive, all_roots_real, charpoly, clear_denominators, rational_roots, unit_vec
 
@@ -255,7 +255,7 @@ def test_unimodular_witness_matches_adjoint_traces(corpus, exact_items):
     assert len(algebras) == 63 + 13
     witnesses = 0
     for g in algebras:
-        table = _cleared_brackets(g)[1]
+        table = g._int_table[1]
         witness = next((i for i, e in enumerate(_units(g.dim)) if mat_trace(_adjoint_ints(table, e))), None)
         assert g.is_unimodular() == (witness is None, witness), g
         witnesses += witness is not None
@@ -400,7 +400,7 @@ def fraction_weight(g: LieAlgebra, space: Subspace) -> list[Fraction]:
     """c lambda(e_1), ..., c lambda(e_n) of a weight space as Fractions,
     c [e_i, x] / x at a pivot of x: the reference for the integer key the
     weight search sorts its branches by."""
-    _, table = _cleared_brackets(g)
+    _, table = g._int_table
     x, p = space.rows[0], space.pivots()[0]
     return [Fraction(_bracket_ints(table, e, x)[p], x[p]) for e in _units(g.dim)]
 
@@ -433,7 +433,7 @@ def reference_weight_loop(g: LieAlgebra, derived: Subspace, space: Subspace | No
     n = g.dim
     if not n:
         return [Subspace.full(0)]
-    _, table = _cleared_brackets(g)
+    _, table = g._int_table
     units = _units(n)
     if space is not None:
         images = [[_bracket_ints(table, b, s) for s in space.rows] for b in derived.rows]
@@ -643,14 +643,16 @@ def test_scaling_preserves_structure():
 def test_integer_table_is_stored_at_construction():
     brackets = {(0, 1): {1: F(1, 2)}, (0, 2): {2: F(-2, 3)}, (1, 2): {0: 0}}
     g = LieAlgebra.from_brackets(3, brackets)
-    assert _cleared_brackets(g) is _cleared_brackets(g)
+    table = g._int_table
+    g.check_jacobi(), g.derived_subalgebra(), g.is_unimodular(), is_completely_solvable(g)
+    assert g._int_table is table  # built once, at construction: the decisions read it and none rebuilds it
     # a fresh clearing of the structure constants
     c = lcm(*(x.denominator for _, comps in g.structure_constants for _, x in comps))
     fresh = {key: [(k, x.numerator * (c // x.denominator)) for k, x in comps] for key, comps in g.structure_constants}
-    assert _cleared_brackets(g) == (6, fresh) == (6, {(0, 1): [(1, 3)], (0, 2): [(2, -4)]})
+    assert g._int_table == (6, fresh) == (6, {(0, 1): [(1, 3)], (0, 2): [(2, -4)]})
     # the table is derived: equality, hash and repr see only the declared fields
     h = LieAlgebra.from_brackets(3, dict(brackets))
     assert h == g and hash(h) == hash(g)
     assert repr(g) == repr(h) and "_int_table" not in repr(g)
     assert repr(g).endswith(f"structure_constants={g.structure_constants!r})")
-    assert _cleared_brackets(abelian(4)) == (1, {})
+    assert abelian(4)._int_table == (1, {})

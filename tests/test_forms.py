@@ -255,6 +255,32 @@ def test_apply_ints_is_den_j_times_u(corpus):
         assert pickle.loads(pickle.dumps(J))._nonzero == J._nonzero, name
 
 
+def test_two_form_apply_ints_evaluates_omega(corpus, exact_items):
+    # w Omega(x, y) = x . W y for Omega = W / w: the fixtures' forms and the closed
+    # forms of every exact item, dense conjugates included, on unit and seeded integer vectors
+    rng = random.Random(11)
+    forms = [(name, fx.omega) for name, fx in corpus.items() if fx.omega is not None]
+    forms += [(name, omega) for name, g, _ in exact_items for omega in closed_two_forms(g)]
+    assert len({name for name, _ in forms if "~P" in name}) == 2 * len(NON_ABELIAN_NAMES)  # the dense conjugates
+    for name, omega in forms:
+        n, w = omega.dim, omega._ints[0]
+        vectors = [[int(i == k) for i in range(n)] for k in range(n)]
+        vectors += [[rng.randint(-30, 30) for _ in range(n)] for _ in range(3)]
+        for x in vectors:
+            for y in vectors:
+                assert F(sum(a * b for a, b in zip(x, omega._apply_ints(y))), w) == omega(x, y), name
+
+
+def test_taming_refuses_a_j_of_another_dimension():
+    omega = TwoForm.from_dict(4, {(0, 1): 1, (2, 3): 1})
+    for form, n in ((omega, 6), (omega, 2), (TwoForm(0, ()), 4)):
+        J = standard_complex_structure(n)
+        for check in (is_taming, taming_gram, _gram_ints):
+            with pytest.raises(NotAComplexStructure):
+                check(form, J)
+    assert is_taming(TwoForm(0, ()), standard_complex_structure(0))
+
+
 def test_nijenhuis_h3_integrable():
     g = h3_r()
     J = standard_complex_structure(4)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tamecert import (
+    DimensionMismatch,
     LieAlgebra,
     NoOneDimIdeal,
     NotAnIdeal,
@@ -21,7 +22,7 @@ from tamecert import (
     standard_complex_structure,
 )
 import tamecert.reduction as reduction_mod
-from tamecert.reduction import _omega_apply, find_isotropic_ideal, omega_perp
+from tamecert.reduction import find_isotropic_ideal, omega_perp
 from tamecert.algebra import _one_dim_ideals
 from tamecert.forms import _d2_ints, ce_d, closed_two_forms, two_form_pairs
 from tamecert.linalg import _dot, unit_vec
@@ -226,7 +227,7 @@ def test_reduce_tests_h_perp_by_one_dot_product(corpus, monkeypatch):
             step = reduce(t, h)
         except TamingLost:
             step = None
-        w_xi, perp = _omega_apply(t.omega, h.rows[0]), omega_perp(t, h)
+        w_xi, perp = t.omega._apply_ints(h.rows[0]), omega_perp(t, h)
         answers = [(_dot(w_xi, v) == 0, perp._contains_ints(v)) for x, v in calls if x == w_xi]
         return step, answers
 
@@ -250,6 +251,15 @@ def test_reduce_rejects_non_ideal():
     t = aff_r_triple()
     with pytest.raises(NotAnIdeal):
         reduce(t, Subspace.from_vectors(2, [(1, 0)]))  # span(H)
+
+
+def test_reduce_refuses_a_line_of_another_dimension():
+    # aff_r2 lives in Q^4; a line in Q^2 or Q^6 is refused before the ideal test reads its rows
+    t = aff_r2_triple()
+    for n in (2, 6):
+        h = Subspace.from_vectors(n, [unit_vec(n, 1)])
+        with pytest.raises(DimensionMismatch):
+            reduce(t, h)
 
 
 def test_reduce_rejects_non_isotropic_and_multidim():
