@@ -311,7 +311,7 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, space: Subspace | None = No
         z_cols = [space._pivots[f] for f in free]
     else:
         z, z_cols = [list(s) for s in space.rows], space._pivots
-    pivots = derived.pivots()
+    pivots = derived._pivots
     free = [i for i in range(n) if i not in pivots]
     branches = [((), z)] if z else []  # (c lambda at free[:len], integer basis rows)
     for i in free:

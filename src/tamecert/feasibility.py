@@ -366,13 +366,13 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     cert = [flat[i * n : (i + 1) * n] for i in range(n)]
     if not leading_minors_positive(cert):
         return None
-    return _symmetric(cert, e * f), 0.0
+    return _symmetric(cert, e * f, ZERO), 0.0
 
 
 def _rank_one_dual(v: Vec) -> Mat:
     """v v^T / |v|^2, built as a a^T / |a|^2 from the integer numerators a of v."""
     a = _cleared(v)[0]
-    return _symmetric([[x * y for y in a] for x in a], sum(x * x for x in a))
+    return _symmetric([[x * y for y in a] for x in a], sum(x * x for x in a), ZERO)
 
 
 def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:

@@ -362,8 +362,10 @@ def _gram_ints(omega: TwoForm, J: ComplexStructure) -> tuple[list[list[int]], in
 
 def taming_gram(omega: TwoForm, J: ComplexStructure) -> Mat:
     """Symmetric Gram matrix G(X,Y) = (Omega(X,JY) + Omega(Y,JX)) / 2, the
-    ``Fraction`` view (``linalg._symmetric``) of ``_gram_ints``."""
-    return _symmetric(*_gram_ints(omega, J))
+    exact view (``linalg._symmetric``) of ``_gram_ints``: a ``Fraction`` per
+    nonzero entry and the int 0 per zero, which the float Gram stack of
+    ``build_problem`` converts in C; most entries of a sparse Gram are zero."""
+    return _symmetric(*_gram_ints(omega, J), 0)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,14 @@
 
 Every argument and every returned entry is a ``fractions.Fraction`` (or an
 int), and nothing here uses floating point; the numeric lanes of the package
-convert at their own boundary.  The eliminations work in Python ints on
-rows cleared of denominators once; a caller that already holds integer rows,
-as every subspace and bracket kernel does, hands them over uncleared.
+convert at their own boundary.  Two views write each exact zero as the int
+0, which compares and converts in C, and a ``Fraction`` per nonzero entry,
+since most of their entries are zero: ``nullspace``'s basis and
+``forms.taming_gram``, through the ``zero`` that ``_reduced`` and
+``_symmetric`` take; bases, inverses and certificates keep ``ZERO``.  The
+eliminations work in Python ints on rows cleared of denominators once; a
+caller that already holds integer rows, as every subspace and bracket kernel
+does, hands them over uncleared.
 One fraction-free elimination loop on primitive integer rows serves at two
 depths: ``_forward`` stops at a row echelon form, which gives the rank
 profile, and ``_echelon`` back-substitutes to the reduced form.  ``_kernel``
@@ -33,7 +38,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
-Mat = list[list[Fraction]]
+Mat = list[list[Fraction]]  # the zeros of nullspace's and taming_gram's views are the int 0
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -158,9 +163,11 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]
     return [row if row[p] > 0 else [-x for x in row] for row, p in zip(m, pivots)], pivots
 
 
-def _reduced(red: Sequence[Sequence[int]], pivots: list[int]) -> Mat:
-    """The reduced row echelon rows, in Fractions, of _echelon's integer rows."""
-    return [[Fraction(x, row[p]) if x else ZERO for x in row] for row, p in zip(red, pivots)]
+def _reduced(red: Sequence[Sequence[int]], pivots: Sequence[int], zero: Fraction | int) -> Mat:
+    """The reduced row echelon rows of _echelon's integer rows: a ``Fraction`` per
+    nonzero entry and ``zero`` per zero entry, ``ZERO`` for a basis or an
+    inverse, the int 0 for ``nullspace``'s view."""
+    return [[Fraction(x, row[p]) if x else zero for x in row] for row, p in zip(red, pivots)]
 
 
 def _kernel(m: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -209,6 +216,10 @@ def _invariant_part(b: list[list[int]], s: int, pivots: Sequence[int], images: S
 def nullspace(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     """Echelon-canonical basis of {v : m @ v = 0} in Q^ncols; ncols is given, as m may have no rows.
 
+    Each zero entry of a basis vector is the int 0, which ``v != 0`` reads in
+    C, and each nonzero entry a ``Fraction``: most entries of a closed-form
+    basis are zero, and ``forms.closed_two_forms`` tests each one.
+
     All-zero rows constrain nothing, so they are dropped before any row is
     cleared: the d on 2-forms of an abelian algebra is all zero rows, and
     most rows of ``forms.d2_matrix`` on a sparse bracket table are.  A row is
@@ -219,7 +230,7 @@ def nullspace(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     """
     zero = [ZERO] * ncols
     ints = [_cleared(r)[0] for r in m if r and (r[0] or list(r) != zero)]
-    return [tuple(row) for row in _reduced(*_kernel(ints, ncols))]
+    return [tuple(row) for row in _reduced(*_kernel(ints, ncols), 0)]
 
 
 def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
@@ -275,10 +286,11 @@ def leading_minors_positive(m: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def _symmetric(m: Sequence[Sequence[int]], d: int) -> Mat:
+def _symmetric(m: Sequence[Sequence[int]], d: int, zero: Fraction | int) -> Mat:
     """m / d for a symmetric integer matrix m, with one ``Fraction`` per nonzero
-    entry (i, j), i <= j, stored at (j, i) as well."""
-    out = [[ZERO] * len(m) for _ in m]
+    entry (i, j), i <= j, stored at (j, i) as well, and ``zero`` per zero entry:
+    ``ZERO`` for a dual certificate, the int 0 for ``forms.taming_gram``'s view."""
+    out = [[zero] * len(m) for _ in m]
     for i, row in enumerate(m):
         for j in range(i, len(m)):
             if row[j]:
@@ -292,7 +304,7 @@ def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
     red, pivots = _echelon(_cleared([*row, *(int(i == j) for j in range(n))])[0] for i, row in enumerate(m))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in _reduced(red, pivots)]
+    return [row[n:] for row in _reduced(red, pivots, ZERO)]
 
 
 def charpoly(m: Sequence[Sequence[int]]) -> list[int]:
@@ -470,10 +482,7 @@ class Subspace:
     @property
     def basis(self) -> tuple[Vec, ...]:
         """The reduced row echelon basis, in Fractions."""
-        return tuple(map(tuple, _reduced(self.rows, self._pivots)))
-
-    def pivots(self) -> list[int]:
-        return list(self._pivots)
+        return tuple(map(tuple, _reduced(self.rows, self._pivots, ZERO)))
 
     def _contains_ints(self, w: Sequence[int]) -> bool:
         """Whether the integer vector w lies here, by eliminating it with the integer rows."""

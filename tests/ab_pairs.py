@@ -4,6 +4,7 @@ Run from any directory:
 
     python tests/ab_pairs.py --base HEAD~1 --workload conjugated --workload corpus --seeds 101-120
     python tests/ab_pairs.py --base HEAD~1 --workload corpus --seeds 1-3 --trace
+    python tests/ab_pairs.py --base HEAD~1 --workload corpus --seeds 101-110 --items
 
 The base commit's files are extracted with ``git archive`` into a temporary
 directory, removed at the end.  For each workload and each seed, one pair
@@ -23,6 +24,13 @@ gain rule, which tests only a claimed gain.  Each line ends with the
 no-regression verdict: how much worse the change's median is than the base
 median, relative to the base median, against the metric's ``bound`` in
 ``BENCHMARK.json``; "within" when it is no worse than the bound allows.
+
+With ``--items`` the summary also gives, for each item of the workload, the
+median over the pairs of its median scaled time in each run, on both sides,
+the relative change and the pairs the change wins; each run's item times are
+read from the JSON report it writes in its own checkout,
+``perfbench/out/<workload>-seed<S>-trace0.json`` for an untraced run.  So a
+gain can be traced to the items that carry it.
 
 With ``--trace`` the same pairs run with ``--trace 1``.  Each pair's line
 shows both sides' ``bench.span_coverage_ratio`` and ``correct``, and the
@@ -69,11 +77,17 @@ def extract(rev: str, dest: Path) -> None:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """The last line of one run's output, ``correct``, ``attempted`` and ``metrics``, with each metric as its value."""
+    """The last line of one run's output, ``correct``, ``attempted`` and ``metrics``, with each metric as its value;
+    and ``items``, each item's median scaled time in seconds, read from the report the run wrote."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     out = subprocess.run(cmd + ["--trace", str(int(trace))], cwd=checkout, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    report = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{int(trace)}.json"
+    samples: dict[str, list[float]] = {}
+    for record in json.loads(report.read_text())["items"]:
+        samples.setdefault(record["item"], []).append(record["scaled"])
+    result["items"] = {name: statistics.median(xs) for name, xs in samples.items()}
     return result
 
 
@@ -98,6 +112,17 @@ def summary(base: list[float], change: list[float], higher: bool, bound: float) 
             f"worse by {worse:+.1%}, bound {bound:.0%}: {verdict}")
 
 
+def item_lines(base: list[dict], change: list[dict]) -> list[str]:
+    """Per item: the median over the pairs of its scaled time on each side, in ms, the relative change and the wins."""
+    lines = []
+    for name in sorted(base[0]["items"]):
+        b, c = ([r["items"][name] for r in runs] for runs in (base, change))
+        bm, cm = statistics.median(b), statistics.median(c)
+        wins = sum(y < x for x, y in zip(b, c))
+        lines.append(f"  {name:16s} {1e3 * bm:9.4f} -> {1e3 * cm:9.4f} ms  {(cm - bm) / bm:+7.1%}  wins {wins}/{len(b)}")
+    return lines
+
+
 def pair_line(base: dict, change: dict, trace: bool) -> str:
     """One pair's figures, base -> change: coverage and correct when traced, else items_per_s and attempted."""
     if trace:
@@ -115,6 +140,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=seed_list, required=True, help="e.g. 101-120 or 1,2,7")
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", action="store_true", help="traced runs: report span coverage and correct")
+    ap.add_argument("--items", action="store_true", help="also report each item's median scaled time on both sides")
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     incorrect = []
@@ -143,6 +169,9 @@ def main(argv=None) -> int:
                 for m in metrics:
                     base, change = ([r["metrics"][m["name"]] for r in results[side]] for side in ("base", "change"))
                     print(f"  {m['name']:16s} {summary(base, change, m['better'] == 'higher', m['bound'])}")
+            if args.items:
+                print("per item, median scaled time base -> change")
+                print("\n".join(item_lines(results["base"], results["change"])))
             print(flush=True)
     if incorrect:
         print("incorrect runs: " + ", ".join(incorrect), flush=True)

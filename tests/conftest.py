@@ -11,6 +11,8 @@ from tamecert import ComplexStructure, Fixture, LieAlgebra, Subspace, TwoForm, l
 from tamecert.algebra import scale_structure_constants
 from tamecert.forms import is_taming, two_form_pairs
 from tamecert.linalg import (
+    ONE,
+    ZERO,
     _cleared,
     _echelon,
     _forward,
@@ -168,7 +170,7 @@ def coordinates_of(s: Subspace, v) -> tuple[Fraction, ...] | None:
     if not contains_vector(s, v):
         return None
     v = vec(v)
-    return tuple(v[p] for p in s.pivots())
+    return tuple(v[p] for p in s._pivots)
 
 
 def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> tuple[Fraction, ...]:
@@ -365,12 +367,12 @@ def _ref_subalgebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
 def _ref_quotient(g: LieAlgebra, h: Subspace):
     """g/h on the standard coordinates outside h's pivots, and its projection."""
     assert g.is_ideal(h)
-    piv = set(h.pivots())
+    piv = set(h._pivots)
     comp = [i for i in range(g.dim) if i not in piv]
 
     def project(v):
         w = list(v)
-        for row, p in zip(h.basis, h.pivots()):
+        for row, p in zip(h.basis, h._pivots):
             w = [x - w[p] * y for x, y in zip(w, row)]
         return tuple(w[p] for p in comp)
 
@@ -445,6 +447,60 @@ def reference_kernel(m, ncols: int) -> list[list[int]]:
         d = lcm(*(x.denominator for x in v))
         basis.append([int(x * d) for x in v])
     return basis
+
+
+# --- Fraction references for the two views whose zeros are the int 0 ---
+
+
+def reference_rref(rows):
+    """The reduced row echelon form of rows, eliminated in Fractions, and its pivots."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [row for row in m[:r]], pivots
+
+
+def reference_nullspace(m, ncols):
+    """The reduced echelon basis of {v : m v = 0}, every entry a ``Fraction``:
+    the oracle for ``linalg.nullspace``, whose zeros are the int 0."""
+    red, pivots = reference_rref(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    return [tuple(row) for row in reference_rref(basis)[0]]
+
+
+def reference_taming_gram(omega: TwoForm, J: ComplexStructure) -> list[list[Fraction]]:
+    """(M + M^T) / 2, M = Omega J from the form's matrix and J's columns, every
+    entry a ``Fraction``: the oracle for ``forms.taming_gram``, whose zeros are the int 0."""
+    n = omega.dim
+    half = Fraction(1, 2)
+    cols = list(zip(*J.matrix))
+    m = form_matrix(omega)
+    mj = [[sum((m[i][k] * cols[j][k] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
+    return [[half * (mj[i][j] + mj[j][i]) for j in range(n)] for i in range(n)]
 
 
 # --- reference weight spaces and series: evaluation-based, over all of g ---

@@ -14,9 +14,11 @@ The second hashes exact structure that no verdict shows, in the same way:
 1. for each shipped fixture, sorted by file name, the stdout of
    ``cli.main(["reduce", path, "--json"])`` when the fixture has both J and
    omega (the ideals the reduction tower quotients by), then
-   ``repr([s.rows for s in weight_spaces(g)])``;
-2. that ``repr`` for every ``conjugated`` and then ``scaling`` item at seed
-   1, then 2, then 3.
+   ``repr([s.rows for s in weight_spaces(g)])`` and
+   ``repr([f.coeffs for f in closed_two_forms(g)])``, the closed basis byte
+   for byte;
+2. those two ``repr`` for every ``conjugated`` and then ``scaling`` item at
+   seed 1, then 2, then 3.
 
 Two commits whose outputs agree print the same two lines.  The name does not
 start with ``test_``, so pytest does not collect it.
@@ -37,6 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from tamecert import cli  # noqa: E402
 from tamecert.algebra import weight_spaces  # noqa: E402
 from tamecert.feasibility import decide  # noqa: E402
+from tamecert.forms import closed_two_forms  # noqa: E402
 from tamecert.fixtures import dumps_report, load_fixture  # noqa: E402
 from tamecert.pipeline import analyze, verdict_to_dict  # noqa: E402
 from perfbench.workloads import build_items  # noqa: E402
@@ -61,8 +64,9 @@ def output_digest() -> str:
     return h.hexdigest()
 
 
-def _weight_rows(g) -> bytes:
-    return repr([s.rows for s in weight_spaces(g)]).encode()
+def _structure(g) -> bytes:
+    weights = repr([s.rows for s in weight_spaces(g)])
+    return (weights + repr([f.coeffs for f in closed_two_forms(g)])).encode()
 
 
 def structure_digest() -> str:
@@ -74,9 +78,9 @@ def structure_digest() -> str:
             with contextlib.redirect_stdout(out):
                 cli.main(["reduce", str(path), "--json"])
             h.update(out.getvalue().encode())
-        h.update(_weight_rows(fx.algebra))
+        h.update(_structure(fx.algebra))
     for item in _items():
-        h.update(_weight_rows(item.algebra))
+        h.update(_structure(item.algebra))
     return h.hexdigest()
 
 

@@ -401,7 +401,7 @@ def fraction_weight(g: LieAlgebra, space: Subspace) -> list[Fraction]:
     c [e_i, x] / x at a pivot of x: the reference for the integer key the
     weight search sorts its branches by."""
     _, table = g._int_table
-    x, p = space.rows[0], space.pivots()[0]
+    x, p = space.rows[0], space._pivots[0]
     return [Fraction(_bracket_ints(table, e, x)[p], x[p]) for e in _units(g.dim)]
 
 
@@ -413,7 +413,7 @@ def test_weight_spaces_sort_as_fraction_weights(corpus, exact_items):
     thirds = LieAlgebra.from_brackets(4, {(0, 1): {1: F(1, 2)}, (0, 2): {2: F(1, 3)}, (0, 3): {3: F(-5, 6)}})
     dense = conjugate(thirds, random_basis_change(random.Random(99), 4))[0]
     assert [fraction_weight(thirds, s)[0] for s in weight_spaces(thirds)] == [-5, 2, 3]  # c = 6
-    assert {row[p] for row, p in zip(dense.derived_subalgebra().rows, dense.derived_subalgebra().pivots())} == {2}
+    assert {row[p] for row, p in zip(dense.derived_subalgebra().rows, dense.derived_subalgebra()._pivots)} == {2}
     algebras = oracle_algebras(corpus, exact_items) + [("thirds", thirds), ("thirds~Q", dense)]
     ordered = 0
     for name, g in filter(lambda item: item[1].dim, algebras):
@@ -443,7 +443,7 @@ def reference_weight_loop(g: LieAlgebra, derived: Subspace, space: Subspace | No
     else:
         stacked = [row for b in derived.rows for row in _adjoint_ints(table, b)]
         z, z_cols = _kernel(stacked, n) if stacked else (units, range(n))
-    pivots = derived.pivots()
+    pivots = derived._pivots
     free = [i for i in range(n) if i not in pivots]
     branches = [((), z)] if z else []
     for i in free:
@@ -549,7 +549,7 @@ def test_complete_solvability_matches_full_adjoint_reference(corpus, exact_items
         verdict = is_completely_solvable(g)
         assert (verdict.value, verdict.witness) == ref_complete_solvability(g), name
         if verdict.witness is not None:
-            pivots = g.derived_subalgebra().pivots()
+            pivots = g.derived_subalgebra()._pivots
             at_pivot += verdict.witness in pivots
             at_free += verdict.witness not in pivots
     assert at_pivot >= 10 and at_free >= 8
@@ -589,8 +589,8 @@ def test_one_dim_ideals_keep_the_fraction_basis_order(corpus, exact_items):
     ordered = 0
     for name, g in oracle_algebras(corpus, exact_items):
         lines = one_dim_ideals(g)
-        assert lines == sorted(lines, key=lambda l: (l.pivots()[0], l.basis[0])), name
-        ordered += len({l.pivots()[0] for l in lines}) < len(lines)  # two lines share a pivot
+        assert lines == sorted(lines, key=lambda l: (l._pivots[0], l.basis[0])), name
+        ordered += len({l._pivots[0] for l in lines}) < len(lines)  # two lines share a pivot
     assert ordered >= 10
 
 

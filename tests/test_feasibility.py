@@ -395,7 +395,7 @@ def reference_degeneracy_search(p):
     """The precheck in its first formulation: on each nonzero intersection of a
     public weight space with [g, g], then on [g, g] cap J[g, g], the kernel of
     the stacked B S_i B^T, B the reduced-echelon basis of the subspace and S_i
-    the Fraction Gram forms of gram_basis; the oracle for _degeneracy_search."""
+    the exact Gram forms of gram_basis; the oracle for _degeneracy_search."""
     g = p.algebra
     derived = g.derived_subalgebra()
     spaces = [(w, "weight space in [g,g]") for w in (intersect(s, derived) for s in weight_spaces(g))]

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,10 +34,11 @@ from tamecert.forms import (
     taming_gram,
     two_form_pairs,
 )
-from tamecert.linalg import ONE, ZERO, det, leading_minors_positive, mat_inverse, mat_mul, unit_vec
+from tamecert.linalg import ONE, ZERO, det, leading_minors_positive, mat_inverse, mat_mul, nullspace, unit_vec
 from tamecert.reduction import TamedTriple
 
 from conftest import (
+    FIXTURES_DIR,
     NON_ABELIAN_NAMES,
     conjugate,
     direct_sum,
@@ -47,6 +49,8 @@ from conftest import (
     random_basis_change,
     random_rational_vector,
     rank,
+    reference_nullspace,
+    reference_taming_gram,
     reference_two_form,
 )
 from test_linalg import ref_leading_minors_positive
@@ -409,15 +413,6 @@ def ref_nijenhuis(g, J):
     return out
 
 
-def ref_taming_gram(omega, J):
-    n = omega.dim
-    half = Fraction(1, 2)
-    cols = list(zip(*J.matrix))
-    m = form_matrix(omega)
-    mj = [[sum((m[i][k] * cols[j][k] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
-    return [[half * (mj[i][j] + mj[j][i]) for j in range(n)] for i in range(n)]
-
-
 def random_two_form(rng, dim):
     """Mixed signs, denominators up to 10^6, about half the coefficients zero."""
     return TwoForm.from_dict(
@@ -452,7 +447,7 @@ def cleared(omega):
 
 def test_taming_gram_matches_oracle(corpus, exact_items):
     # every form stores its cleared coefficients (TwoForm._ints), and _gram_ints,
-    # of which taming_gram is the Fraction view, reads them, writing d G = M + M^T
+    # of which taming_gram is the exact view, reads them, writing d G = M + M^T
     # from the nonzero entries of J' alone; J is dense on the conjugated items,
     # and of mixed density on aff_r2 + a dense conjugate of it, whose J has one
     # nonzero per row on the first block and four on the second
@@ -466,7 +461,7 @@ def test_taming_gram_matches_oracle(corpus, exact_items):
         forms = closed_two_forms(g) + [random_two_form(rng, g.dim) for _ in range(3)]
         for k, omega in enumerate(forms):
             assert omega._ints == cleared(omega), name
-            ref = ref_taming_gram(omega, J)
+            ref = reference_taming_gram(omega, J)
             gram = taming_gram(omega, J)
             assert gram == ref, name
             ints, d = _gram_ints(omega, J)
@@ -483,6 +478,52 @@ def test_taming_gram_matches_oracle(corpus, exact_items):
                 assert omega.scale(-1)._ints == (omega._ints[0], tuple((key, -x) for key, x in omega._ints[1])), name
     assert dense >= 15
     assert TwoForm.from_dict(6, {})._ints == (1, ())
+
+
+def test_gram_and_kernel_zeros_are_ints_on_workload_items(monkeypatch):
+    # taming_gram and nullspace write each exact zero as the int 0 and each
+    # nonzero entry as a Fraction, and equal the all-Fraction references, on
+    # every corpus, conjugated and scaling item at seeds 1-3
+    monkeypatch.syspath_prepend(str(FIXTURES_DIR.parent / "perfbench"))
+    import workloads
+
+    types = {"kernel": Counter(), "gram": Counter()}  # (is zero, type) of every entry
+    for workload in ("corpus", "conjugated", "scaling"):
+        for seed in (1, 2, 3):
+            for item in workloads.build_items(workload, seed, FIXTURES_DIR):
+                label = (workload, seed, item.name)
+                matrix, pairs, _ = d2_matrix(item.algebra)
+                kernel = nullspace(matrix, ncols=len(pairs))
+                assert kernel == reference_nullspace(matrix, len(pairs)), label
+                types["kernel"].update((not x, type(x)) for v in kernel for x in v)
+                for omega in closed_two_forms(item.algebra):
+                    gram = taming_gram(omega, item.J)
+                    assert gram == reference_taming_gram(omega, item.J), label
+                    types["gram"].update((not x, type(x)) for row in gram for x in row)
+    for view, counts in types.items():
+        assert set(counts) == {(True, int), (False, Fraction)}, (view, counts)
+
+
+def test_build_problem_converts_and_compares_nonzero_entries_only(corpus, monkeypatch):
+    # on abelian_r8 the float Gram stack converts, and the closed basis's
+    # v != 0 filter compares, a Fraction per nonzero entry only: with a
+    # Fraction per zero they made 1,792 and 784 calls
+    g, J = corpus["abelian_r8"].algebra, corpus["abelian_r8"].J
+    matrix, pairs, _ = d2_matrix(g)
+    kernel = nullspace(matrix, ncols=len(pairs))
+    calls = Counter()
+    for name in ("__float__", "__eq__"):
+
+        def counted(*args, _name=name, _original=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    p = build_problem(g, J)
+    monkeypatch.undo()
+    nonzero = sum(bool(x) for m in p.gram_basis for row in m for x in row)
+    assert calls["__float__"] == nonzero == 104
+    assert calls["__eq__"] == sum(bool(x) for v in kernel for x in v) == 28
 
 
 def test_integer_closedness_matches_ce_d(exact_items):

@@ -44,6 +44,8 @@ from conftest import (
     random_basis_change,
     rank,
     reference_kernel,
+    reference_nullspace,
+    reference_rref,
 )
 
 F = Fraction
@@ -73,7 +75,7 @@ def rref(rows):
     """The reduced row echelon form in Fractions, and its pivots: ``_reduced`` of
     ``_echelon`` on the rows cleared of denominators."""
     red, pivots = _echelon(_cleared(r)[0] for r in rows)
-    return _reduced(red, pivots), pivots
+    return _reduced(red, pivots, ZERO), pivots
 
 
 def test_rref_canonical_and_idempotent():
@@ -82,7 +84,10 @@ def test_rref_canonical_and_idempotent():
     assert red == [[1, 2, 0], [0, 0, 1]]
     assert _echelon(red) == (red, pivots)
     assert _echelon([[-3, 0, 6], [0, 0, 0], [0, 5, 5]]) == ([[1, 0, -2], [0, 1, 1]], [0, 1])
-    assert _reduced([[2, 0, 1], [0, 3, 1]], [0, 1]) == [[F(1), F(0), F(1, 2)], [F(0), F(1), F(1, 3)]]
+    for zero in (ZERO, 0):  # each zero entry is the zero given, each other entry a Fraction
+        reduced = _reduced([[2, 0, 1], [0, 3, 1]], [0, 1], zero)
+        assert reduced == [[F(1), F(0), F(1, 2)], [F(0), F(1), F(1, 3)]]
+        assert [type(x) for row in reduced for x in row] == [F, type(zero), F, type(zero), F, F]
 
 
 def test_nullspace_annihilates():
@@ -170,8 +175,8 @@ def test_subspace_coordinates():
     s = Subspace.from_vectors(4, [(1, 0, 2, 0), (0, 1, 3, 0)])
     v = (F(2), F(-1), F(1), F(0))
     assert s._contains_ints(_cleared(v)[0])
-    assert tuple(v[p] for p in s.pivots()) == (F(2), F(-1))
-    assert tuple(sum(v[p] * b[k] for p, b in zip(s.pivots(), s.basis)) for k in range(4)) == v
+    assert tuple(v[p] for p in s._pivots) == (F(2), F(-1))
+    assert tuple(sum(v[p] * b[k] for p, b in zip(s._pivots, s.basis)) for k in range(4)) == v
     assert not s._contains_ints((0, 0, 0, 1))
 
 
@@ -213,31 +218,6 @@ def test_invariant_part_matches_zassenhaus_under_a_dense_j():
 # --- oracles: the Fraction eliminations these functions used before they moved to integers ---
 
 
-def ref_rref(rows):
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r]], pivots
-
-
 def ref_det(m):
     n = len(m)
     a = [list(row) for row in m]
@@ -275,18 +255,6 @@ def ref_charpoly(m):
 
 def ref_leading_minors_positive(m):
     return all(ref_det([row[: k + 1] for row in m[: k + 1]]) > 0 for k in range(len(m)))
-
-
-def ref_nullspace(m, ncols):
-    red, pivots = ref_rref(m)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    return [tuple(row) for row in ref_rref(basis)[0]]
 
 
 def random_matrices(seed: int) -> list[list[list[Fraction]]]:
@@ -331,10 +299,10 @@ def item_matrices(exact_items):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_rref_nullspace_rank_match_fraction_oracle(seed):
     for m in random_matrices(seed):
-        assert rref(m) == ref_rref(m)
-        assert rank(m) == len(ref_rref(m)[0])
+        assert rref(m) == reference_rref(m)
+        assert rank(m) == len(reference_rref(m)[0])
         ncols = len(m[0]) if m else 4
-        assert nullspace(m, ncols=ncols) == ref_nullspace(m, ncols)
+        assert nullspace(m, ncols=ncols) == reference_nullspace(m, ncols)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -419,8 +387,8 @@ def test_kernel_is_the_echelon_form_of_the_kernel(seed):
 
 def test_rref_and_nullspace_match_fraction_oracle_on_items(exact_items):
     for m in item_matrices(exact_items):
-        assert rref(m) == ref_rref(m)
-        assert nullspace(m, ncols=len(m[0])) == ref_nullspace(m, len(m[0]))
+        assert rref(m) == reference_rref(m)
+        assert nullspace(m, ncols=len(m[0])) == reference_nullspace(m, len(m[0]))
 
 
 def test_subspace_rows_are_canonical(exact_items):
@@ -431,8 +399,8 @@ def test_subspace_rows_are_canonical(exact_items):
     for m in matrices:
         n = len(m[0])
         s = Subspace.from_vectors(n, m)
-        red, pivots = ref_rref(m)
-        assert s.basis == tuple(map(tuple, red)) and s.pivots() == pivots
+        red, pivots = reference_rref(m)
+        assert s.basis == tuple(map(tuple, red)) and list(s._pivots) == pivots
         # the pivots are stored once, equal to a scan of the rows, and take no
         # part in ==, hash or repr; they survive pickling
         assert s._pivots == tuple(pivots) == Subspace(n, s.rows)._pivots

@@ -383,7 +383,7 @@ def test_abelian_isotropic_ideal_matches_the_general_rule(monkeypatch):
     monkeypatch.setattr(reduction_mod, "_one_dim_ideals", lambda *a: pytest.fail("searched an abelian algebra"))
     for n, line in expected.items():
         h = find_isotropic_ideal(kaehler_triple(n))
-        assert (h, h.pivots()) == (line, line.pivots()), n
+        assert (h, h._pivots) == (line, line._pivots), n
 
 
 def test_abelian_closed_flag_matches_d2(monkeypatch):
@@ -407,13 +407,14 @@ def test_abelian_closed_flag_matches_d2(monkeypatch):
         assert t.closed == closed and t.integrable
 
 
-STRUCTURE_DIGEST = "6af54aecfe5e936e34343ab7d1ec8936d9f75cf78b9453519b5112a2a1cefcfa"
+STRUCTURE_DIGEST = "7e2a55c1e2a0b05bad5f8aa411b77a201e5a5ba3d81dd5b7d504d9ab955e4320"
 
 
 def test_structure_digest_is_pinned(monkeypatch):
     """The second line of ``tests/output_digest.py``: the reduce JSON of every
-    shipped tamed fixture and the weight spaces of every fixture and workload
-    item, hashed with no float in them, so every build computes the same bytes.
+    shipped tamed fixture and the weight spaces and closed basis of every
+    fixture and workload item, hashed with no float in them, so every build
+    computes the same bytes.
     The first line hashes reports that carry ``eigvalsh`` margins, which can
     differ in their last digits across numpy and BLAS builds, so it stays a
     check to run by hand.  A change that alters exact structure updates this
