@@ -28,6 +28,7 @@ from .linalg import (
     ZERO,
     _kernel,
     _primitive,
+    _scaled,
     all_roots_real,
     charpoly,
     frac,
@@ -229,7 +230,7 @@ def is_completely_solvable(g: LieAlgebra) -> CompleteSolvability:
 
     ad_x maps g into D = [g, g], so it is block triangular over D with a zero
     block on g / D: its characteristic polynomial is t^(n - dim D) times that
-    of ad_x on D, read in D's integer rows.  The eigenvalues are the weights at
+    of ad_x on D, read in D's scaled rows.  The eigenvalues are the weights at
     x, and a weight vanishes on D, so its value at a pivot of D is a rational
     combination of those at D's free columns: testing these decides, and D = 0
     at once.  Only if one fails is every e_i scanned, for the first witness.
@@ -237,14 +238,13 @@ def is_completely_solvable(g: LieAlgebra) -> CompleteSolvability:
     series = g.derived_series()
     if series[-1].dim or len(series) < 3:  # not solvable; or D = 0, as g is abelian or 0
         return CompleteSolvability(not series[-1].dim, None)
-    derived, pivots = series[1], series[1]._pivots
+    pivots = series[1]._pivots
+    b, _ = _scaled(series[1].rows)
     _, table = g._int_table
-    scale = lcm(*(row[p] for row, p in zip(derived.rows, pivots)))
-    factors = [(p, scale // row[p]) for row, p in zip(derived.rows, pivots)]  # clear the coordinates in D's rows
 
-    def real(i: int) -> bool:  # whether scale c ad_{e_i} on D, in the basis of D's rows, has a real spectrum
-        images = [_bracket_ints(table, [int(k == i) for k in range(g.dim)], d) for d in derived.rows]
-        return all_roots_real(charpoly([[v[p] * f for v in images] for p, f in factors]))
+    def real(i: int) -> bool:  # whether s c ad_{e_i} on D, in D's rows b on one pivot entry s, has a real spectrum
+        images = [_bracket_ints(table, [int(k == i) for k in range(g.dim)], x) for x in b]
+        return all_roots_real(charpoly([[v[p] for v in images] for p in pivots]))
 
     failed = next((f for f in range(g.dim) if f not in pivots and not real(f)), None)
     witness = None if failed is None else next((p for p in pivots if p < failed and not real(p)), failed)
@@ -290,8 +290,6 @@ def _weight_spaces(g: LieAlgebra, derived: Subspace, space: Subspace | None = No
     is 0, as for an abelian D in itself, it is space's rows, with no kernel.
     """
     n = g.dim
-    if not n:
-        return [Subspace.full(0)]
     _, table = g._int_table
     units = _units(n)
     space = Subspace.full(n) if space is None else space

@@ -3,7 +3,8 @@
 The decision pipeline:
 
   1. exact rank-one pre-check: the closed Gram forms are formed once on
-     D = [g, g], and one of them, or their sum, definite there proves a miss
+     D = [g, g], and one of them, or their plain sum (the Gram of the closed
+     form W_1 + ... + W_m, B_i = W_i / w_i), definite there proves a miss
      with no search.  Otherwise, on subspaces of D defined by g and J alone
      (each rational weight space of ad g in D, then D cap JD, a kernel), the
      common radical of those Grams formed on W's own rows; a nonzero v in
@@ -186,8 +187,8 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     searches subspaces W of D defined by g and J alone: each rational weight
     space of ad g in D, sought inside Z cap D (Z the centralizer of D, so no
     characteristic polynomial is larger than dim D), then D cap JD, the
-    kernel of v -> Jv mod D on b (``linalg._invariant_part``, the kernel that
-    also gives the proof trace's v = h^perp cap J h^perp), mapped into g.
+    kernel of v -> Jv mod D on b, as rows of g (``linalg._invariant_part``,
+    which also gives the proof trace's v = h^perp cap J h^perp).
     The common radical of the Grams on W's own echelon rows (D's when W = D)
     is one exact kernel, and on a line the line itself when every 1 x 1
     Gram is 0.  It transforms with a basis change, so whether the precheck
@@ -222,19 +223,15 @@ def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     b, scale = _scaled(derived.rows)
     jb = [p.J._apply_ints(v) for v in b]
     grams = list(_grams(p, b, jb))
-    # a Gram definite on D, or their sum, the Gram of the closed sum B_1 + ... + B_m (grams[i] is
-    # 2 den w_i G_i, B_i = W_i / w_i), leaves no v != 0 in D with B(v, Jv) = 0, so no subspace of D has a radical
-    lw = lcm(*(form._ints[0] for form in p.z2_basis))
-    weights = [lw // form._ints[0] for form in p.z2_basis]
-    total = [[_dot(weights, entries) for entries in zip(*rows)] for rows in zip(*grams)]
-    if any(map(_definite, grams)) or _definite(total):
+    # a Gram definite on D leaves no v != 0 in D with B(v, Jv) = 0, so no subspace of D has a radical;
+    # so does their plain sum, 2 den times the Gram of the closed form W_1 + ... + W_m (B_i = W_i / w_i)
+    if any(map(_definite, grams)) or _definite([list(map(sum, zip(*rows))) for rows in zip(*grams)]):
         return None
 
     def spaces():  # each subspace W of D by its echelon integer rows in g
         for space in _weight_spaces(g, derived, derived):
             yield space.rows, "weight space in [g,g]"
-        coords = _invariant_part(b, scale, derived._pivots, jb)  # in b, so D cap JD's rows are coords . b
-        yield [[_dot(y, col) for col in zip(*b)] for y in coords], "J-invariant part of [g,g]"
+        yield _invariant_part(b, scale, derived._pivots, jb), "J-invariant part of [g,g]"
 
     for rows, provenance in spaces():
         if not rows:
@@ -322,7 +319,7 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     taming = is_taming(omega, p.J)  # the Gram of omega is sum q_i S_i, as the Gram is linear in omega
     if not taming:
         raise ExactificationFailed("the rounded Gram is not exactly positive definite")
-    norm = sqrt(sum(float(x) ** 2 for x in q))
+    norm = sqrt(sum((x.numerator / x.denominator) ** 2 for x in q))  # float(x), with no Rational.__float__
     return omega, taming.margin / norm
 
 
@@ -356,12 +353,12 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     rhs = [sum(a * b for a, b in zip(r, q)) for r in rows]
     rhs[-1] -= e
     # the reduced echelon form of (R R^T | rhs): a pivot in the last column means no solution;
-    # otherwise y, e times the multipliers of these rows, is row[-1] / row[k] at each pivot k, 0 elsewhere
+    # otherwise y, e times the multipliers of these rows, is row[-1] / f on red scaled to one pivot entry f
     red, pivots = _echelon([[sum(a * b for a, b in zip(r, t)) for t in rows] + [v] for r, v in zip(rows, rhs)])
     if pivots and pivots[-1] == len(rows):
         return None
-    f = lcm(*(row[k] for row, k in zip(red, pivots)))
-    fy = [(row[-1] * (f // row[k]), rows[k]) for row, k in zip(red, pivots)]  # f y_k, with its row, at each pivot k
+    red, f = _scaled(red)
+    fy = [(row[-1], rows[k]) for row, k in zip(red, pivots)]  # f y_k, with its row, at each pivot k
     flat = [f * v - sum(yk * r[k] for yk, r in fy) for k, v in enumerate(q)]  # e f times the certificate
     cert = [flat[i * n : (i + 1) * n] for i in range(n)]
     if not leading_minors_positive(cert):

@@ -14,17 +14,17 @@ One fraction-free elimination loop on primitive integer rows serves at two
 depths: ``_forward`` stops at a row echelon form, which gives the rank
 profile, and ``_echelon`` back-substitutes to the reduced form.  ``_kernel``
 reads the reduced echelon basis of a kernel off one elimination, with the
-columns reversed; ``_invariant_part`` reads {v in V : Jv in V} of a subspace
-V off one kernel.  ``det`` and ``leading_minors_positive`` are one Bareiss
-pass (Math. Comp. 22, 1968).  The polynomial layer is integer: ``charpoly``
-takes an integer matrix and returns its monic integer characteristic
-polynomial, whose rational roots are integers, and the root functions read
-it as it is.  One Sturm chain of primitive integer polynomials, with no
-squarefree part, counts the distinct real and complex roots, and a Sturm
-bisection on the same chain finds the integer roots at every degree.
-Fractions are built once, from the final integers.  A subspace is stored as
-the integer rows ``_echelon`` returns, unique per subspace, so equality of
-subspaces is equality of rows.
+columns reversed; ``_invariant_part`` reads {v in V : Jv in V}, as rows of
+Q^n, off one kernel on V's rows on one pivot entry (``_scaled``).  ``det``
+and ``leading_minors_positive`` are one Bareiss pass (Math. Comp. 22, 1968).
+The polynomial layer is integer: ``charpoly`` takes an integer matrix and
+returns its monic integer characteristic polynomial, whose rational roots
+are integers, and the root functions read it as it is.  One Sturm chain of
+primitive integer polynomials, with no squarefree part, counts the distinct
+real and complex roots, and a Sturm bisection on the same chain finds the
+integer roots at every degree.  Fractions are built once, from the final
+integers.  A subspace is stored as the integer rows ``_echelon`` returns,
+unique per subspace, so equality of subspaces is equality of rows.
 """
 
 from __future__ import annotations
@@ -204,13 +204,13 @@ def _scaled(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 
 
 def _invariant_part(b: list[list[int]], s: int, pivots: Sequence[int], images: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The coordinates y in b of {v in V : Av in V}, V != 0 spanned by b, as ``_kernel``'s rows: b are
-    V's echelon rows scaled to one pivot entry s (``_scaled``), pivots their pivot columns q, and
-    images the rows A' b_k, A' a positive multiple of A.  It is the kernel of the residues
+    """{v in V : Av in V}, V != 0 spanned by b, as the echelon rows sum_k y_k b_k of the ambient space: b
+    are V's echelon rows scaled to one pivot entry s (``_scaled``), pivots their pivot columns q, and
+    images the rows A' b_k, A' a positive multiple of A.  y runs over ``_kernel``'s rows for the residues
     s A' b_k - sum_l (A' b_k)[q_l] b_l at the columns outside q; for A = J it is V cap JV."""
     free = [i for i in range(len(b[0])) if i not in pivots]
     residues = [[s * v[i] - sum(v[q] * r[i] for q, r in zip(pivots, b)) for v in images] for i in free]
-    return _kernel(residues, len(b))[0]
+    return [[_dot(y, col) for col in zip(*b)] for y in _kernel(residues, len(b))[0]]
 
 
 def nullspace(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:

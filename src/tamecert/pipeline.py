@@ -263,8 +263,8 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     so it is tr ad_Y = sum y_i tr ad_{e_i}, and is_unimodular has decided
     that each term is 0.  A nonzero residual is a bug, not a verdict.
 
-    v is spanned by the rows sum y_k b_k, y each row that ``linalg._invariant_part``,
-    the precheck's kernel for D cap JD, returns on h^perp's scaled rows b.
+    v is spanned by the rows of g that ``linalg._invariant_part``, the
+    precheck's kernel for D cap JD, returns on h^perp's scaled rows.
 
     Every relation is computed on integer rows.  With Omega = W / w, J = J'/e,
     c[u, v] from ``_bracket_ints``, x = s_x X the row of h, y = s Y a row of v,
@@ -294,8 +294,7 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
 
     perp = omega_perp(t, h)
     pb, ps = _scaled(perp.rows)
-    coords = _invariant_part(pb, ps, perp._pivots, [t.J._apply_ints(r) for r in pb])
-    vspace = Subspace._span(n, [[_dot(y, col) for col in zip(*pb)] for y in coords])
+    vspace = Subspace._span(n, _invariant_part(pb, ps, perp._pivots, [t.J._apply_ints(r) for r in pb]))
 
     rows = []
     for y, basis_y, pivot in zip(vspace.rows, vspace.basis, vspace._pivots):

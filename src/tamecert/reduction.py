@@ -10,14 +10,14 @@ the induced form and the induced complex structure with its correction term
     J~(Y + h) = J(Y - Omega(JY, X)/Omega(JX, X) * X) + h
 
 are read off in that basis, and every flag is re-verified on the output.
-Losing a flag is an internal error (TamingLost), never a verdict.  Omega,
-the vectors and J are read in the integer form that ``TwoForm``,
-``Subspace`` and ``ComplexStructure`` store, and brackets go through the
-integer table.  W u and J'u (each class's ``_apply_ints``) are formed once
-per kept vector u, and zero brackets are skipped.  The reduced brackets,
-Omega and J = ints / den are built straight from those ints, with no
-re-clearing ``from_*`` pass; Jacobi and J^2 = -I are still checked on the
-result.  An h of another dimension is refused.
+Losing a flag is an internal error (TamingLost), never a verdict.  Omega, the
+vectors and J are read in the integer form that ``TwoForm``, ``Subspace`` and
+``ComplexStructure`` store, and brackets go through the integer table; the
+kept rows u of h^perp share one pivot entry s (``linalg._scaled``).  W u and
+J'u (``_apply_ints``) are formed once per kept u, and zero brackets are
+skipped.  The reduced brackets, Omega and J = ints / den are built straight
+from those ints, with no re-clearing ``from_*`` pass; Jacobi and J^2 = -I
+are still checked on the result.  An h of another dimension is refused.
 An empty bracket table decides what it can at once: the ideal chosen is
 e_1's line, every 2-form is closed, and Jacobi and the ideal test pass, so
 an abelian step runs neither the weight search nor d on 2-forms.
@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .algebra import LieAlgebra, _bracket_ints, _one_dim_ideals
 from .errors import DimensionMismatch, NoOneDimIdeal, NotAnIdeal, NotIsotropic, TamingLost, TripleVerificationError
 from .forms import ComplexStructure, TwoForm, _d2_ints, _gram_ints, _squares_to_minus_one, is_integrable
-from .linalg import Subspace, Vec, _dot, _kernel, leading_minors_positive
+from .linalg import Subspace, Vec, _dot, _kernel, _scaled, leading_minors_positive
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     # the others represent a basis of h^perp / h
     keep = [k for k, q in enumerate(perp._pivots) if q != p]
     kept_pivots = [perp._pivots[k] for k in keep]
-    us = [perp.rows[k] for k in keep]  # u = s y, with s = u at y's pivot
-    ss = [u[q] for u, q in zip(us, kept_pivots)]
+    us, s = _scaled([perp.rows[k] for k in keep])  # u = s y, with s = u at y's pivot for every u
 
     def mod_h(v: list[int]) -> list[int]:
         """sx times the coordinates of v + h in the reduced basis, for v in h^perp; zero for v = 0."""
@@ -176,7 +175,7 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
     constants = []
     for a in range(m):
         for b in range(a + 1, m):
-            v, d = mod_h(_bracket_ints(table, us[a], us[b])), sx * c * ss[a] * ss[b]
+            v, d = mod_h(_bracket_ints(table, us[a], us[b])), sx * c * s * s
             comps = tuple((k, Fraction(y, d)) for k, y in enumerate(v) if y)
             if comps:
                 constants.append(((a, b), comps))
@@ -193,18 +192,17 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
 
     w_us = [t.omega._apply_ints(u) for u in us]
     pairs = ((a, b, _dot(us[a], w_us[b])) for a in range(m) for b in range(a + 1, m))
-    red_omega = TwoForm(m, tuple(((a, b), Fraction(y, w * ss[a] * ss[b])) for a, b, y in pairs if y))
+    red_omega = TwoForm(m, tuple(((a, b), Fraction(y, w * s * s)) for a, b, y in pairs if y))
 
     # with y = u / s, alpha = e w s s_x Omega(JY, X), J(Y - alpha s_x / (s beta) X) is
-    # J' (beta u - alpha xi) / (e s beta) = (beta J'u - alpha J'xi) / (e s beta); over the
-    # common denominator den = -s_x e beta lcm(s) > 0, column b carries den / (s_x e s_b beta) = -lcm(s) / s_b
-    ls = lcm(*ss)
+    # (alpha J'xi - beta J'u) / (-e s beta), -e s beta > 0: its coordinates are mod_h of
+    # that numerator over den = -s_x e beta s
     cols = []
-    for u, s_u in zip(us, ss):
+    for u in us:
         ju = t.J._apply_ints(u)
         alpha = _dot(ju, w_xi)
-        cols.append([-(ls // s_u) * y for y in mod_h([beta * y - alpha * z for y, z in zip(ju, j_xi)])])
-    den = -sx * e * beta * ls
+        cols.append(mod_h([alpha * z - beta * y for y, z in zip(ju, j_xi)]))
+    den = -sx * e * beta * s
     k = gcd(den, *(y for col in cols for y in col))  # J = ints / den in its unique form, den over k
     ints = tuple(tuple(col[a] // k for col in cols) for a in range(m))
     if not _squares_to_minus_one(ints, den // k):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import tamecert.feasibility as feas_mod
 from tamecert import ComplexStructure, Fixture, LieAlgebra, Subspace, TwoForm, load_fixture
 from tamecert.algebra import scale_structure_constants
 from tamecert.forms import is_taming, two_form_pairs
@@ -154,14 +155,12 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def invariant_part(space: Subspace, J: ComplexStructure) -> tuple[Subspace, Subspace]:
-    """{v in space : Jv in space} twice, for a nonzero space: from
-    ``linalg._invariant_part``'s coordinates in space's scaled rows b, mapped to
-    the rows sum y_k b_k as ``proof_trace`` maps them, and by its oracle, the
-    Zassenhaus ``intersect`` of space with J space."""
+    """{v in space : Jv in space} twice, for a nonzero space: the span of
+    ``linalg._invariant_part``'s rows on space's scaled rows, as ``proof_trace``
+    reads them, and by its oracle, the Zassenhaus ``intersect`` of space with J space."""
     n = space.ambient_dim
     b, s = _scaled(space.rows)
-    coords = _invariant_part(b, s, space._pivots, [J._apply_ints(r) for r in b])
-    kernel = Subspace._span(n, [[sum(y * r[i] for y, r in zip(row, b)) for i in range(n)] for row in coords])
+    kernel = Subspace._span(n, _invariant_part(b, s, space._pivots, [J._apply_ints(r) for r in b]))
     return kernel, intersect(space, Subspace._span(n, [J._apply_ints(r) for r in space.rows]))
 
 
@@ -416,6 +415,19 @@ def reference_reduce(t, h: Subspace):
     return red_alg, omega, J
 
 
+def reference_definite_exit(p) -> tuple[bool, bool]:
+    """The precheck's two definite exits as first written, on [g, g]'s scaled
+    rows b: whether one closed Gram 2 den w_i G_i is definite there, and whether
+    their sum weighted by lcm(w) / w_i, the Gram of B_1 + ... + B_m, is; the
+    oracle for ``_degeneracy_search``'s exit by the plain sum of those Grams."""
+    b, _ = _scaled(p.algebra.derived_subalgebra().rows)
+    grams = list(feas_mod._grams(p, b, [p.J._apply_ints(v) for v in b]))
+    lw = lcm(*(form._ints[0] for form in p.z2_basis))
+    weights = [lw // form._ints[0] for form in p.z2_basis]
+    total = [[sum(w * x for w, x in zip(weights, entries)) for entries in zip(*rows)] for rows in zip(*grams)]
+    return any(map(feas_mod._definite, grams)), feas_mod._definite(total)
+
+
 # --- reference kernel: one vector per free column, eliminated in Fractions ---
 
 
@@ -512,7 +524,7 @@ def reference_weight_spaces(g: LieAlgebra) -> list[Subspace]:
     eigenspaces; the oracle for ``algebra.weight_spaces``."""
     n = g.dim
     d = lcm(*(c.denominator for _, comps in g.structure_constants for _, c in comps))
-    branches = [Subspace.from_vectors(n, identity(n))]
+    branches = [Subspace.from_vectors(n, identity(n))] if n else []  # nonzero spaces only, and Q^0 is 0
     for i in range(n):
         a = [[int(d * x) for x in row] for row in adjoint(g, unit_vec(n, i))]
         eigenspaces = []

@@ -431,8 +431,6 @@ def reference_weight_loop(g: LieAlgebra, derived: Subspace, space: Subspace | No
     (None), and every branch, lines included, by a kernel per rational
     eigenvalue; the oracle for the one-row weight and the abelian-D rule."""
     n = g.dim
-    if not n:
-        return [Subspace.full(0)]
     _, table = g._int_table
     units = _units(n)
     if space is not None:
@@ -623,6 +621,12 @@ def test_one_dim_ideals_examples():
 def test_one_dim_ideals_abelian():
     lines = one_dim_ideals(abelian(2))
     assert lines[0] == Subspace.from_vectors(2, [(1, 0)])
+
+
+def test_zero_dim_algebra_has_no_weight_space_and_no_line():
+    # weight_spaces returns nonzero spaces only, so Q^0 has none, and no line
+    g = LieAlgebra.from_brackets(0, {})
+    assert weight_spaces(g) == [] and one_dim_ideals(g) == []
 
 
 def test_subalgebra_closure():

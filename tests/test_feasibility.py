@@ -58,6 +58,7 @@ from conftest import (
     pool_draw,
     random_basis_change,
     rational_sampler,
+    reference_definite_exit,
     reference_kernel,
     solve,
 )
@@ -354,6 +355,35 @@ def test_precheck_workload_misses_search_no_subspace(monkeypatch):
     assert len(misses) == 9 and len(hits) == 12, (misses, hits)
 
 
+def test_definite_exit_fires_where_the_weighted_sum_did(corpus, exact_items, monkeypatch):
+    # the exit sums the integer Grams unweighted, the Gram of W_1 + ... + W_m; it
+    # fires, by a single Gram or by the sum, exactly where the lcm-weighted sum of
+    # the first formulation fired: on every corpus, conjugated and scaling item at
+    # seeds 1-3, on exact_items and on four pool draws per non-abelian fixture
+    monkeypatch.syspath_prepend(str(FIXTURES_DIR.parent / "perfbench"))
+    import workloads
+
+    searched = recorded_searches(monkeypatch)
+    items = [(f"{w}:{s}:{item.name}", item.algebra, item.J)
+             for w in ("corpus", "conjugated", "scaling") for s in (1, 2, 3)
+             for item in workloads.build_items(w, s, FIXTURES_DIR)]
+    workload_count = len(items)
+    items += exact_items
+    items += [(f"{name}~P{k}", *pool_draw(corpus, name, k)) for name in NON_ABELIAN_NAMES for k in range(4)]
+    exits = Counter()
+    for k, (label, g, J) in enumerate(items):
+        if not g.derived_subalgebra().dim:
+            continue
+        p = build_problem(g, J)
+        single, weighted = reference_definite_exit(p)
+        searched.clear()
+        feas_mod._degeneracy_search(p)
+        assert (searched == []) == (single or weighted), label
+        if k < workload_count:
+            exits["single" if single else "sum" if weighted else "search"] += 1
+    assert exits == {"single": 24, "sum": 6, "search": 36}, exits
+
+
 def test_invariant_part_of_the_derived_algebra_matches_zassenhaus(monkeypatch):
     # D cap JD, D = [g, g], from the precheck's kernel equals the oracle's on
     # every corpus, conjugated and scaling item at seeds 1-3
@@ -646,6 +676,23 @@ def test_exactify_r4():
     assert lam == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     gram = taming_gram(omega, p.J)
     assert positive_definite(gram)
+
+
+def test_exactify_converts_no_fraction_through_float(corpus, monkeypatch):
+    # the margin's norm reads each rounded q_i as numerator / denominator, the
+    # IEEE value float() gives, with no call to Fraction.__float__
+    fx = corpus["abelian_r8"]
+    p = build_problem(fx.algebra, fx.J)
+    c, _ = maximize_lambda_min(p)
+    expected = exactify(p, c)
+    calls = []
+
+    def counted(x, _original=Fraction.__float__):
+        calls.append(x)
+        return _original(x)
+
+    monkeypatch.setattr(Fraction, "__float__", counted)
+    assert exactify(p, c) == expected and calls == []
 
 
 def test_exactify_aff():

@@ -25,6 +25,7 @@ from tamecert import (
     LieAlgebra,
     RelationViolation,
     TamedTriple,
+    TamingLost,
     TripleVerificationError,
     TwoForm,
     Unknown,
@@ -282,7 +283,7 @@ def test_analyze_without_j(corpus):
     assert report.exit_code == EXIT_OK
 
 
-def test_analyze_reduction_summary(corpus):
+def test_analyze_reduction_summary(corpus, monkeypatch):
     report = analyze(corpus["aff_r2"])
     assert report.reduction == {
         "verified": True,
@@ -290,6 +291,20 @@ def test_analyze_reduction_summary(corpus):
         "terminal_dim": 0,
         "all_steps_verified": True,
         "unimodular_preserved": None,  # input is not unimodular
+    }
+    # aff_r2's omega plus X1 ^ H2, the pair (1, 2), still tames J but is not closed
+    doc = json.loads((FIXTURES_DIR / "aff_r2.json").read_text())
+    doc["omega"].append({"i": 1, "j": 2, "v": 1})
+    assert analyze(parse_fixture(doc)).reduction == {"verified": False, "failed_flags": ["closed"]}
+    # a tower that raises after the triple verified is reported, not propagated
+
+    def lost(triple):
+        raise TamingLost("reduction lost a verified property: taming")
+
+    monkeypatch.setattr(pipeline_mod, "reduction_tower", lost)
+    assert analyze(corpus["aff_r2"]).reduction == {
+        "verified": True,
+        "error": "reduction lost a verified property: taming",
     }
 
 

@@ -327,6 +327,23 @@ def test_towers():
         assert all(s.reduced.verified for s in tower.steps)
 
 
+def test_tower_stops_where_no_line_is_found(monkeypatch):
+    # a step that finds no rational invariant line ends the tower there: with the
+    # second search refused, aff_r2's tower keeps its first step and ends at dim 2
+    found = find_isotropic_ideal
+    calls = []
+
+    def once(t):
+        calls.append(t.algebra.dim)
+        if len(calls) > 1:
+            raise NoOneDimIdeal("no rational invariant line")
+        return found(t)
+
+    monkeypatch.setattr(reduction_mod, "find_isotropic_ideal", once)
+    tower = reduction_tower(aff_r2_triple())
+    assert calls == [4, 2] and len(tower.steps) == 1 and tower.terminal_dim == 2
+
+
 def test_tower_preserves_unimodularity(corpus):
     for name, fx in corpus.items():
         if fx.J is None or fx.omega is None:
