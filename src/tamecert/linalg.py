@@ -16,7 +16,11 @@ profile, and ``_echelon`` back-substitutes to the reduced form.  ``_kernel``
 reads the reduced echelon basis of a kernel off one elimination, with the
 columns reversed; ``_invariant_part`` reads {v in V : Jv in V}, as rows of
 Q^n, off one kernel on V's rows on one pivot entry (``_scaled``).  ``det``
-and ``leading_minors_positive`` are one Bareiss pass (Math. Comp. 22, 1968).
+and ``leading_minors_positive`` share one Bareiss step (Math. Comp. 22,
+1968) that rewrites a row only where it is nonzero in the pivot column and
+brings a skipped row up to date by its own divisor when it is next used,
+so a diagonal matrix is decided with no row rewritten.  ``nullspace`` of a
+matrix with no nonzero row returns the unit basis with no elimination.
 The polynomial layer is integer: ``charpoly`` takes an integer matrix and
 returns its monic integer characteristic polynomial, whose rational roots
 are integers, and the root functions read it as it is.  One Sturm chain of
@@ -227,43 +231,63 @@ def nullspace(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     the zero row: list equality tests identity first, so it passes each
     shared ``ZERO`` that ``d2_matrix`` writes in C, with no
     ``Fraction.__bool__`` per entry, and it stays exact for any other zero.
+    When no row is left, as on every abelian d2, the kernel is all of
+    Q^ncols and its unit basis, the int 0 and the shared ``ONE``, is
+    returned with no elimination.
     """
     zero = [ZERO] * ncols
     ints = [_cleared(r)[0] for r in m if r and (r[0] or list(r) != zero)]
+    if not ints:
+        zeros = (0,) * ncols
+        return [zeros[:i] + (ONE,) + zeros[i + 1 :] for i in range(ncols)]
     return [tuple(row) for row in _reduced(*_kernel(ints, ncols), 0)]
 
 
-def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
-    """Eliminate column k below row k; prev is the previous pivot, which divides exactly."""
+def _bareiss_step(a: list[list[int]], k: int, prev: int, last: list[int]) -> int:
+    """Bareiss step k: eliminate column k below row k and return the pivot;
+    prev is the pivot of step k - 1 (1 at k = 0).
+
+    Row i holds its entries as of the divisor last[i]: consecutive divisors
+    telescope, so its entries at step k are a[i] * prev / last[i], exactly.
+    Only the rows nonzero at column k are rewritten, each divided by its own
+    last[i], which brings it up to date in the same exact pass; the pivot
+    row is brought up to date first if any row is.  A dense matrix keeps
+    every last[i] at prev and makes Bareiss's eliminations; a diagonal one
+    rewrites no row.
+    """
     ak = a[k]
-    p = ak[k]
-    for i in range(k + 1, len(a)):
-        ai = a[i]
-        f = ai[k]
-        ai[k + 1 :] = [(x * p - f * y) // prev for x, y in zip(ai[k + 1 :], ak[k + 1 :])]
+    p = ak[k] if last[k] == prev else ak[k] * prev // last[k]
+    rows = [i for i in range(k + 1, len(a)) if a[i][k]]
+    if rows and last[k] != prev:
+        ak[k + 1 :] = [x * prev // last[k] for x in ak[k + 1 :]]
+    tail = ak[k + 1 :]
+    for i in rows:
+        ai, f, e = a[i], a[i][k], last[i]
+        ai[k + 1 :] = [(x * p - f * y) // e for x, y in zip(ai[k + 1 :], tail)]
+        last[i] = p
+    return p
 
 
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Bareiss elimination on the rows cleared of denominators."""
+    """Bareiss elimination on the rows cleared of denominators, swapping a
+    row zero at its pivot with the first row below that is not."""
     n = len(m)
-    if n == 0:
-        return ONE
     a, scale = [], 1
     for row in m:
         ints, d = _cleared(row)
         a.append(ints)
         scale *= d
-    sign, prev = 1, 1
-    for k in range(n - 1):
+    sign, prev, last = 1, 1, [1] * n
+    for k in range(n):
         if not a[k][k]:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
                 return ZERO
             a[k], a[swap] = a[swap], a[k]
+            last[k], last[swap] = last[swap], last[k]
             sign = -sign
-        _bareiss_step(a, k, prev)
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], scale)
+        prev = _bareiss_step(a, k, prev, last)
+    return Fraction(sign * prev, scale)
 
 
 def leading_minors_positive(m: Sequence[Sequence[int]]) -> bool:
@@ -273,16 +297,18 @@ def leading_minors_positive(m: Sequence[Sequence[int]]) -> bool:
     Without pivoting, the k-th Bareiss pivot is the k-th leading minor of the
     matrix with each row made primitive: positive row scales keep each
     minor's sign, and primitive rows keep an integer Gram d G
-    (``forms._gram_ints``) small.  It takes integer rows only: a caller
-    holding a ``Fraction`` matrix clears it first with ``clear_denominators``.
+    (``forms._gram_ints``) small.  A row that ``_bareiss_step`` has not
+    brought up to date is a positive multiple of its current entries, so
+    its diagonal entry has the sign of the pivot.  It takes integer rows
+    only: a caller holding a ``Fraction`` matrix clears it first with
+    ``clear_denominators``.
     """
     a = [_primitive(list(row)) for row in m]
-    prev = 1
+    prev, last = 1, [1] * len(a)
     for k in range(len(a)):
         if a[k][k] <= 0:
             return False
-        _bareiss_step(a, k, prev)
-        prev = a[k][k]
+        prev = _bareiss_step(a, k, prev, last)
     return True
 
 

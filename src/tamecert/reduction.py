@@ -19,14 +19,16 @@ skipped.  The reduced brackets, Omega and J = ints / den are built straight
 from those ints, with no re-clearing ``from_*`` pass; Jacobi and J^2 = -I
 are still checked on the result.  An h of another dimension is refused.
 An empty bracket table decides what it can at once: the ideal chosen is
-e_1's line, every 2-form is closed, and Jacobi and the ideal test pass, so
-an abelian step runs neither the weight search nor d on 2-forms.
+e_1's line, every 2-form is closed, Jacobi and the ideal test pass, and the
+quotient's brackets are all zero, so an abelian step runs neither the weight
+search, nor d on 2-forms, nor a bracket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .algebra import LieAlgebra, _bracket_ints, _one_dim_ideals
@@ -173,12 +175,11 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
 
     m = len(us)
     constants = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            v, d = mod_h(_bracket_ints(table, us[a], us[b])), sx * c * s * s
-            comps = tuple((k, Fraction(y, d)) for k, y in enumerate(v) if y)
-            if comps:
-                constants.append(((a, b), comps))
+    for a, b in combinations(range(m), 2) if table else ():
+        v, d = mod_h(_bracket_ints(table, us[a], us[b])), sx * c * s * s
+        comps = tuple((k, Fraction(y, d)) for k, y in enumerate(v) if y)
+        if comps:
+            constants.append(((a, b), comps))
     # a unit vector e_i of h^perp keeps its label; any other is f<position in h^perp>, primed past those
     units = {k: g.basis_labels[q] for k, q in enumerate(perp._pivots) if perp.rows[k].count(0) == g.dim - 1}
     labels = []

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import tamecert.linalg as linalg_mod
-from tamecert.forms import ComplexStructure, d2_matrix, standard_complex_structure
+from tamecert.algebra import LieAlgebra
+from tamecert.forms import ComplexStructure, _gram_ints, d2_matrix, standard_complex_structure
 from tamecert.linalg import (
     ONE,
     ZERO,
@@ -449,6 +450,98 @@ def test_det_charpoly_minors_match_fraction_oracle(seed):
             assert leading_minors_positive(clear_denominators(s)[0]) == ref_leading_minors_positive(s)
         if det(m) != 0:
             assert mat_mul(m, mat_inverse(m)) == identity(len(m))
+
+
+def sparse_positive_definite(rng: random.Random, n: int) -> list[list[list[Fraction]]]:
+    """Positive definite symmetric rational matrices of order n, most entries
+    zero: diagonal; blocks b^T b + I of orders 1-3 under one random
+    permutation of rows and columns; banded, of width 1 or 2, and
+    diagonally dominant."""
+
+    def positive():
+        return F(rng.randint(1, 10**3), rng.choice([1, 2, 3, rng.randint(1, 10**6)]))
+
+    def small():
+        return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    diagonal = [[positive() if i == j else F(0) for j in range(n)] for i in range(n)]
+    blocks = [[F(0)] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = min(rng.randint(1, 3), n - start)
+        b = [[small() for _ in range(size)] for _ in range(size)]
+        for i in range(size):
+            for j in range(size):
+                blocks[start + i][start + j] = sum(b[k][i] * b[k][j] for k in range(size)) + int(i == j)
+        start += size
+    perm = rng.sample(range(n), n)
+    permuted = [[blocks[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    width = rng.randint(1, 2)
+    banded = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, min(n, i + width + 1)):
+            banded[i][j] = banded[j][i] = small()
+    for i, row in enumerate(banded):
+        row[i] = sum(map(abs, row)) + positive()
+    return [diagonal, permuted, banded]
+
+
+def planted(m: list[list[Fraction]], k: int, shift: Fraction) -> list[list[Fraction]]:
+    """m, positive definite, with its k-th leading minor made -shift times the
+    (k-1)-th, all earlier ones kept: the minor is affine in m[k][k] with slope
+    the (k-1)-th minor, so only that diagonal entry moves."""
+    before = ref_det([row[:k] for row in m[:k]])
+    minor = ref_det([row[: k + 1] for row in m[: k + 1]])
+    out = [list(row) for row in m]
+    out[k][k] -= minor / before + shift
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sparse_symmetric_minors_match_fraction_oracle(seed):
+    # the PD test rewrites only rows nonzero in the pivot column, and det
+    # shares its step: on diagonal, permuted block-diagonal and banded
+    # matrices, positive definite and with a zero or a negative leading minor
+    # planted at every position, both agree with the Fraction oracles
+    rng = random.Random(seed)
+    for n in range(11):
+        for m in sparse_positive_definite(rng, n):
+            cases = [m] + [planted(m, k, shift) for k in range(n) for shift in (F(0), F(rng.randint(1, 9), rng.randint(1, 9)))]
+            for s in cases:
+                expected = ref_leading_minors_positive(s)
+                assert expected == (s is m)
+                assert leading_minors_positive(clear_denominators(s)[0]) == expected
+                assert det(s) == ref_det(s)
+
+
+def test_pd_test_rewrites_no_row_of_a_diagonal_gram(corpus, monkeypatch):
+    # abelian_r8's omega Gram is diagonal: Sylvester's test decides it with no
+    # row rewritten, where eliminating every row below each pivot made 28
+    # rewrites; a Gram with no zero entry still takes all 28
+    rewrites = []
+
+    class Row(list):
+        def __setitem__(self, key, value):
+            rewrites.append(key)
+            super().__setitem__(key, value)
+
+    original = linalg_mod._primitive
+    monkeypatch.setattr(linalg_mod, "_primitive", lambda row: Row(original(row)))
+    fx = corpus["abelian_r8"]
+    gram = _gram_ints(fx.omega, fx.J)[0]
+    assert gram == [[2 * int(i == j) for j in range(8)] for i in range(8)]
+    assert leading_minors_positive(gram) and rewrites == []
+    assert leading_minors_positive([[x + 1 for x in row] for row in gram]) and len(rewrites) == 28
+
+
+def test_nullspace_of_no_nonzero_row_is_the_unit_basis(monkeypatch):
+    # R^12's d on 2-forms is 220 x 66 zeros, and a matrix with no rows
+    # constrains nothing: each kernel is the unit basis, formed with no elimination
+    matrix, pairs, _ = d2_matrix(LieAlgebra.from_brackets(12, {}))
+    assert (len(matrix), len(pairs)) == (220, 66)
+    monkeypatch.setattr(linalg_mod, "_kernel", lambda *a: pytest.fail("eliminated a matrix with no nonzero row"))
+    for m, ncols in ((matrix, 66), ([], 4), ([], 0)):
+        assert nullspace(m, ncols=ncols) == [unit_vec(ncols, i) for i in range(ncols)]
 
 
 def test_det_charpoly_match_fraction_oracle_on_items(exact_items):

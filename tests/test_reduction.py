@@ -424,6 +424,16 @@ def test_abelian_closed_flag_matches_d2(monkeypatch):
         assert t.closed == closed and t.integrable
 
 
+def test_abelian_reduce_step_forms_no_bracket(monkeypatch):
+    # every bracket of an abelian quotient is zero, so a step writes its empty
+    # table with none of the C(m, 2) brackets of h^perp's kept rows (15 on R^8)
+    t = kaehler_triple(8)
+    expected = reduce(t, find_isotropic_ideal(t))
+    monkeypatch.setattr(reduction_mod, "_bracket_ints", lambda *a: pytest.fail("formed a bracket on an abelian algebra"))
+    step = reduce(t, find_isotropic_ideal(t))
+    assert step == expected and step.reduced.algebra == LieAlgebra.from_brackets(6, {}, labels=["e3", "e4", "e5", "e6", "e7", "e8"])
+
+
 STRUCTURE_DIGEST = "7e2a55c1e2a0b05bad5f8aa411b77a201e5a5ba3d81dd5b7d504d9ab955e4320"
 
 
