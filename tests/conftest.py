@@ -35,6 +35,11 @@ from tamecert.linalg import (
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
+# R e0 ⋉ R^5 with ad e0 = (M ⊗ C) ⊕ 0, M = [[0, 2], [1, 0]]: the weights ±√2 are
+# real, so the theorem applies, but the rank-one precheck finds no rational
+# direction and no rounding of the solve re-proves a certificate: Unknown, exit 3
+SQRT2_ALMOST_ABELIAN = Path(__file__).resolve().parent / "data" / "sqrt2_almost_abelian.json"
+
 CORPUS_NAMES = [
     "abelian_r2",
     "abelian_r4",
@@ -90,10 +95,7 @@ def exact_items(corpus) -> list[tuple[str, LieAlgebra, ComplexStructure]]:
         "aff_r2^3": [(scale_structure_constants(aff.algebra, Fraction(t)), aff.J) for t in ("1", "3/2", "1/3")],
     }
     for name, parts in sums.items():
-        g, J = parts[0]
-        for h, K in parts[1:]:
-            g, J = direct_sum(g, J, h, K)
-        items.append((name, g, J))
+        items.append((name, *direct_sum(*parts)))
     return items
 
 
@@ -262,24 +264,27 @@ def conjugate(
     return g2, J2
 
 
+def dense_conjugate(g: LieAlgebra, J: ComplexStructure) -> tuple[LieAlgebra, ComplexStructure]:
+    """(g, J) in a dense integer basis: conjugated by random_basis_change(Random(5), n)."""
+    return conjugate(g, random_basis_change(random.Random(5), g.dim), J)
+
+
 def pull_back(s: Subspace, P: list[list[Fraction]]) -> Subspace:
     """P^-1 s: the subspace s in the basis given by the columns of P."""
     Pinv = mat_inverse(P)
     return Subspace.from_vectors(s.ambient_dim, [mat_vec(Pinv, b) for b in s.basis])
 
 
-def direct_sum(
-    g1: LieAlgebra, J1: ComplexStructure, g2: LieAlgebra, J2: ComplexStructure
-) -> tuple[LieAlgebra, ComplexStructure]:
-    """g1 + g2 with the block-diagonal complex structure J1 + J2."""
-    n1, n = g1.dim, g1.dim + g2.dim
-    brackets = g1.bracket_table()
-    for (i, j), comps in g2.bracket_table().items():
-        brackets[(i + n1, j + n1)] = {k + n1: c for k, c in comps.items()}
-    J = [[Fraction(0)] * n for _ in range(n)]
-    for off, Jk in ((0, J1), (n1, J2)):
+def direct_sum(*parts: tuple[LieAlgebra, ComplexStructure]) -> tuple[LieAlgebra, ComplexStructure]:
+    """g1 + ... + gk with the block-diagonal complex structure J1 + ... + Jk."""
+    n = sum(g.dim for g, _ in parts)
+    brackets, J, off = {}, [[Fraction(0)] * n for _ in range(n)], 0
+    for g, Jk in parts:
+        for (i, j), comps in g.bracket_table().items():
+            brackets[(i + off, j + off)] = {k + off: c for k, c in comps.items()}
         for r, row in enumerate(Jk.matrix):
-            J[off + r][off : off + len(row)] = row
+            J[off + r][off : off + g.dim] = row
+        off += g.dim
     return LieAlgebra.from_brackets(n, brackets), ComplexStructure.from_matrix(J)
 
 

@@ -239,7 +239,7 @@ def test_precheck_is_basis_independent(corpus):
     # are draws on which echelon-vector candidates missed inoue_s0 and the sum
     cases = {name: (fx.algebra, fx.J) for name, fx in corpus.items() if not fx.algebra.is_abelian()}
     inoue, sol3 = corpus["inoue_s0"], corpus["sol3_r_nonint"]
-    cases["inoue_s0+sol3_r_nonint"] = direct_sum(inoue.algebra, inoue.J, sol3.algebra, sol3.J)
+    cases["inoue_s0+sol3_r_nonint"] = direct_sum((inoue.algebra, inoue.J), (sol3.algebra, sol3.J))
     for name, (g, J) in cases.items():
         hit = degeneracy_precheck(build_problem(g, J)) is not None
         for seed in (0, 1):
@@ -1000,7 +1000,7 @@ def test_dual_lane_needs_the_rounded_iterate(corpus):
     # the precheck misses and the rounded dual iterate certifies Infeasible,
     # while the exact projection of I/n, the start that would skip the solve,
     # is not positive definite: the dual lane cannot drop its solve here
-    g, J0 = direct_sum(corpus["aff_r"].algebra, corpus["aff_r"].J, corpus["aff_r2"].algebra, corpus["aff_r2"].J)
+    g, J0 = direct_sum(*[(corpus[name].algebra, corpus[name].J) for name in ("aff_r", "aff_r2")])
     P = [[F(x) for x in row] for row in AFF_SUM_NONINT_P]
     J = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J0.matrix]), mat_inverse(P)))
     p = build_problem(g, J)
@@ -1025,9 +1025,7 @@ def test_dual_certificate_on_a_16_dim_sum_is_fast(corpus):
     # dual_certificate took 1.7 s with Fraction rows and takes about 0.05 s
     fx = corpus["aff_r2"]
     parts = [(fx.algebra, non_integrable_j(fx, P)) for P in AFF_R2_NONINT_P[:4]]
-    g, J = parts[0]
-    for h, K in parts[1:]:
-        g, J = direct_sum(g, J, h, K)
+    g, J = direct_sum(*parts)
     p = build_problem(g, J)
     assert (g.dim, p.size) == (16, 36) and degeneracy_precheck(p) is None
     p.barrier_path  # solved before the clock starts

@@ -41,6 +41,7 @@ from conftest import (
     FIXTURES_DIR,
     NON_ABELIAN_NAMES,
     conjugate,
+    dense_conjugate,
     direct_sum,
     form_coeff,
     form_matrix,
@@ -453,7 +454,7 @@ def test_taming_gram_matches_oracle(corpus, exact_items):
     # nonzero per row on the first block and four on the second
     rng = random.Random(8)
     aff = corpus["aff_r2"]
-    mixed = direct_sum(aff.algebra, aff.J, *conjugate(aff.algebra, random_basis_change(random.Random(5), 4), aff.J))
+    mixed = direct_sum((aff.algebra, aff.J), dense_conjugate(aff.algebra, aff.J))
     assert sorted({sum(map(bool, row)) for row in mixed[1].ints}) == [1, 4]
     dense = 0
     for name, g, J in exact_items + [("aff_r2+aff_r2~P", *mixed)]:
@@ -689,10 +690,7 @@ def test_dense_conjugates_hold_no_coefficient_growth(corpus):
     fx = corpus["aff_r2"]
 
     def dense(k):
-        g, J = fx.algebra, fx.J
-        for _ in range(k - 1):
-            g, J = direct_sum(g, J, fx.algebra, fx.J)
-        return conjugate(g, random_basis_change(random.Random(5), g.dim), J)
+        return dense_conjugate(*direct_sum(*[(fx.algebra, fx.J)] * k))
 
     g, J = dense(3)
     problem = build_problem(g, J)

@@ -9,8 +9,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import tamecert
-from tamecert import algebra, errors, feasibility, fixtures, forms, linalg, reduction
+from tamecert import algebra, errors, feasibility, fixtures, forms, linalg, pipeline, reduction
 
 from conftest import readme_snippet
 
@@ -172,6 +174,29 @@ def test_public_surface():
     # the Jacobi check always runs, and reports are written by json.dumps
     assert "check" not in inspect.signature(tamecert.LieAlgebra.from_brackets).parameters
     assert not hasattr(fixtures, "_render")
+
+
+# R^4, its standard J, and a 2-form on R^2
+R4, J4, W2 = tamecert.LieAlgebra.from_brackets(4, {}), tamecert.standard_complex_structure(4), tamecert.TwoForm(2, ())
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: tamecert.LieAlgebra.from_brackets(-1, {}), errors.DimensionMismatch, "nonnegative"),
+        (lambda: tamecert.ComplexStructure.from_matrix([[0, -1, 0], [1, 0, 0]]), errors.NotAComplexStructure, "square"),
+        (lambda: tamecert.Subspace.from_vectors(3, [[1, 0]]), ValueError, "vector length 2 != ambient dim 3"),
+        (lambda: tamecert.ce_d(R4, tamecert.ThreeForm.from_dict(4, {})), TypeError, "got ThreeForm"),
+        (lambda: feasibility.exactify(feasibility.build_problem(R4, J4), [0] * 6), errors.ExactificationFailed, "zero"),
+        (lambda: tamecert.TamedTriple.build_unverified(R4, W2, J4), errors.TripleVerificationError, "dimension"),
+        (lambda: pipeline.verdict_to_dict("feasible"), TypeError, "unexpected verdict"),
+    ],
+    ids=["negative_dim", "non_square_J", "short_vector", "d_of_3_form", "zero_vector", "form_of_other_dim", "not_a_verdict"],
+)
+def test_public_calls_refuse_bad_arguments(call, error, message):
+    # each raises the error its docstring or README names
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_readme_library_snippet(monkeypatch):

@@ -44,7 +44,7 @@ from tamecert.fixtures import MAX_FIXTURE_DIM
 from tamecert.linalg import mat_inverse, mat_mul, unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNKNOWN
 
-from conftest import CORPUS_NAMES, FIXTURES_DIR, TAMED_NAMES, conjugate
+from conftest import CORPUS_NAMES, FIXTURES_DIR, SQRT2_ALMOST_ABELIAN, TAMED_NAMES, conjugate
 
 F = Fraction
 
@@ -271,16 +271,6 @@ def test_analyze_aff_not_applicable(corpus):
     assert isinstance(report.feasibility, Feasible)
     assert report.theorem_consistency.consistent
     assert "not unimodular" in report.theorem_consistency.detail
-
-
-def test_analyze_without_j(corpus):
-    doc = {"name": "bare", "dim": 4, "brackets": [{"i": 0, "j": 1, "v": {"2": 1}}]}
-    report = analyze(parse_fixture(doc))
-    assert report.feasibility is None
-    assert report.j_status == {"present": False, "j_squared_ok": None, "integrable": None}
-    assert not report.theorem_consistency.applicable
-    assert "no complex structure" in report.theorem_consistency.detail
-    assert report.exit_code == EXIT_OK
 
 
 def test_analyze_reduction_summary(corpus, monkeypatch):
@@ -599,7 +589,8 @@ def test_corpus_run_green(fixtures_dir):
     assert names == sorted(names)
     d = result.to_dict()
     assert d["inconsistencies"] == 0
-    assert json.loads(dumps_report(d)) == d
+    # every report float is finite: a strict parser, which refuses NaN and Infinity, reads the report back
+    assert json.loads(dumps_report(d), parse_constant=pytest.fail) == d
 
 
 def test_corpus_run_empty(tmp_path):
@@ -729,6 +720,16 @@ def test_cli_analyze_human(fixtures_dir, capsys):
     assert "lattices and solvmanifold topology are out of scope" in out
 
 
+def test_cli_corpus(fixtures_dir, capsys):
+    assert cli_main(["corpus", str(fixtures_dir)]) == EXIT_OK
+    assert "inconsistencies: 0" in capsys.readouterr().out
+
+
+def test_cli_corpus_parallel(fixtures_dir, capsys):
+    assert cli_main(["corpus", str(fixtures_dir), "--jobs", "3"]) == EXIT_OK
+    assert "inconsistencies: 0" in capsys.readouterr().out
+
+
 def test_cli_corpus_jobs_must_be_at_least_one(fixtures_dir, monkeypatch, capsys):
     # --jobs 0 or a negative count is a usage error, not a serial run: corpus_run never starts
     monkeypatch.setattr("tamecert.cli.corpus_run", lambda *a, **k: pytest.fail("ran the corpus"))
@@ -765,40 +766,15 @@ def test_cli_tame(fixtures_dir, capsys):
     assert doc["feasibility"]["exact_pd"] is True
 
 
-# R e0 ⋉ R^5 with ad e0 = (M ⊗ C) ⊕ 0, M = [[0, 2], [1, 0]]: the weights ±√2 are
-# real, so the theorem applies, but the rank-one precheck finds no rational
-# direction and no rounding of the solve re-proves a certificate
-SQRT2_ALMOST_ABELIAN = {
-    "name": "sqrt2_almost_abelian",
-    "dim": 6,
-    "basis": ["e0", "e1", "e2", "e3", "e4", "e5"],
-    "brackets": [
-        {"i": 0, "j": 1, "v": {"2": "1"}},
-        {"i": 0, "j": 2, "v": {"1": "2"}},
-        {"i": 0, "j": 3, "v": {"4": "1"}},
-        {"i": 0, "j": 4, "v": {"3": "2"}},
-    ],
-    "J": [
-        ["0", "0", "0", "0", "0", "-1"],
-        ["0", "0", "0", "-1", "0", "0"],
-        ["0", "0", "0", "0", "-1", "0"],
-        ["0", "1", "0", "0", "0", "0"],
-        ["0", "0", "1", "0", "0", "0"],
-        ["1", "0", "0", "0", "0", "0"],
-    ],
-}
-
-
-def test_cli_unknown_verdict_exits_3(tmp_path, capsys):
-    path = tmp_path / "sqrt2_almost_abelian.json"
-    path.write_text(json.dumps(SQRT2_ALMOST_ABELIAN))
-    assert cli_main(["analyze", str(path)]) == EXIT_UNKNOWN == 3
+def test_cli_unknown_verdict_exits_3(capsys):
+    path = str(SQRT2_ALMOST_ABELIAN)
+    assert cli_main(["analyze", path]) == EXIT_UNKNOWN == 3
     assert "feasibility: UNKNOWN" in capsys.readouterr().out
-    assert cli_main(["analyze", str(path), "--json"]) == EXIT_UNKNOWN
+    assert cli_main(["analyze", path, "--json"]) == EXIT_UNKNOWN
     doc = json.loads(capsys.readouterr().out)
     assert doc["feasibility"]["verdict"] == "unknown"
     assert doc["theorem_consistency"]["detail"].startswith("applicable; verdict Unknown")
-    assert cli_main(["tame", str(path)]) == EXIT_UNKNOWN
+    assert cli_main(["tame", path]) == EXIT_UNKNOWN
 
 
 def test_cli_tame_needs_j(tmp_path, capsys):
@@ -811,13 +787,7 @@ def test_cli_reduce(fixtures_dir, capsys):
     assert cli_main(["reduce", str(fixtures_dir / "aff_r2.json"), "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["terminal_dim"] == 0
-    assert len(doc["steps"]) == 2
-
-
-def test_cli_corpus(fixtures_dir, capsys):
-    assert cli_main(["corpus", str(fixtures_dir)]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "inconsistencies: 0" in out
+    assert len(doc["steps"]) == 2 and all(s["verified"] for s in doc["steps"])
 
 
 def test_cli_refuses_feasibility_flags(fixtures_dir, capsys):
@@ -868,11 +838,6 @@ def test_cli_commands_keep_their_flags(fixtures_dir, capsys, monkeypatch):
     }
     for name, text in helps.items():
         assert re.search(rf"^ +{name} +{re.escape(text)}$", out, re.M), (name, out)
-
-
-def test_cli_corpus_parallel(fixtures_dir, capsys):
-    assert cli_main(["corpus", str(fixtures_dir), "--jobs", "3"]) == EXIT_OK
-    assert "inconsistencies: 0" in capsys.readouterr().out
 
 
 def test_cli_corpus_json_exit_codes(tmp_path, capsys):

@@ -25,7 +25,7 @@ from tamecert import (
 from tamecert.forms import closed_two_forms
 from tamecert.linalg import unit_vec
 
-from conftest import conjugate, integrable_two_step, random_basis_change, random_rational_vector
+from conftest import dense_conjugate, integrable_two_step, random_rational_vector
 
 F = Fraction
 
@@ -113,7 +113,7 @@ def test_integrable_two_step_draws_are_infeasible_by_the_precheck():
             cases = [(f"v{base}z{central}#{k}", g, J)]
             if n not in conjugated:
                 conjugated.add(n)
-                cases.append((f"v{base}z{central}#{k}~dense", *conjugate(g, random_basis_change(random.Random(5), n), J)))
+                cases.append((f"v{base}z{central}#{k}~dense", *dense_conjugate(g, J)))
             for name, h, K in cases:
                 assert is_integrable(h, K), name
                 report = analyze(Fixture(name, h, K, None))

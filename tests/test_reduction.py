@@ -170,7 +170,7 @@ def oracle_triples(corpus) -> list[tuple[str, TamedTriple]]:
     aff2 = corpus["aff_r2"]
 
     def aff_r2_plus(fx) -> TamedTriple:  # aff_r2 + fx, with the block-diagonal Omega and J
-        g, J = direct_sum(aff2.algebra, aff2.J, fx.algebra, fx.J)
+        g, J = direct_sum((aff2.algebra, aff2.J), (fx.algebra, fx.J))
         omega = dict(aff2.omega.coeffs)
         omega.update({(i + 4, j + 4): c for (i, j), c in fx.omega.coeffs})
         return TamedTriple.build(g, TwoForm.from_dict(g.dim, omega), J)
