@@ -22,7 +22,6 @@ from tamecert.linalg import (
     _root_counts,
     _scaled,
     charpoly,
-    det,
     frac,
     mat_inverse,
     mat_mul,
@@ -33,39 +32,56 @@ from tamecert.linalg import (
     vec_dot,
 )
 
-FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+FIXTURES_DIR = REPO_ROOT / "fixtures"
+
+# the benchmark's generators, item builder and fixture lists, from its one module;
+# perfbench/ is not a package, so its directory goes on the path for this import only
+with pytest.MonkeyPatch.context() as patched:
+    patched.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    from workloads import CORPUS_EXPECTED, NON_ABELIAN, POOL_SEED, RESCALE_FACTORS, build_items, direct_sum, random_basis_change
 
 # R e0 ⋉ R^5 with ad e0 = (M ⊗ C) ⊕ 0, M = [[0, 2], [1, 0]]: the weights ±√2 are
 # real, so the theorem applies, but the rank-one precheck finds no rational
 # direction and no rounding of the solve re-proves a certificate: Unknown, exit 3
-SQRT2_ALMOST_ABELIAN = Path(__file__).resolve().parent / "data" / "sqrt2_almost_abelian.json"
+SQRT2_ALMOST_ABELIAN = REPO_ROOT / "tests" / "data" / "sqrt2_almost_abelian.json"
 
-CORPUS_NAMES = [
-    "abelian_r2",
-    "abelian_r4",
-    "abelian_r6",
-    "abelian_r8",
-    "aff_r",
-    "aff_r2",
-    "h3_r",
-    "inoue_s0",
-    "iwasawa",
-    "sol3_r_nonint",
-    "sol4_1",
-]
+CORPUS_NAMES = sorted(CORPUS_EXPECTED)
 
 # fixtures that ship a verified tamed (omega, J) pair
 TAMED_NAMES = ["abelian_r2", "abelian_r4", "abelian_r6", "abelian_r8", "aff_r", "aff_r2"]
 
-NON_ABELIAN_NAMES = ["aff_r", "aff_r2", "h3_r", "inoue_s0", "iwasawa", "sol3_r_nonint", "sol4_1"]
-# the seed of the conjugated benchmark workload's fixed pool of basis changes
-CONJUGATED_POOL_SEED = "tamecert-conjugated-pool"
-
 
 def readme_snippet() -> str:
     """The Python code block of README's Library section."""
-    section = (FIXTURES_DIR.parent / "README.md").read_text().split("\n## Library\n", 1)[1]
+    section = (REPO_ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def spy(monkeypatch, owner, name: str) -> list[list]:
+    """Replace owner.name, and only that attribute, with a pass-through that
+    records each call as [args, result] in the returned list: the entry is
+    appended when the call starts, and its result stays None if the call raises."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        call = [args, None]
+        calls.append(call)
+        call[1] = original(*args, **kwargs)
+        return call[1]
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def h3_r() -> LieAlgebra:
+    return LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
+
+
+def aff_r() -> LieAlgebra:
+    # [H, X] = X
+    return LieAlgebra.from_brackets(2, {(0, 1): {1: 1}}, labels=["H", "X"])
 
 
 @pytest.fixture(scope="session")
@@ -84,7 +100,7 @@ def exact_items(corpus) -> list[tuple[str, LieAlgebra, ComplexStructure]]:
     (two draws per non-abelian fixture) and the 3 scaling sums R^10, R^12 and
     aff_r2^3, the last with its summands rescaled by 1, 3/2 and 1/3."""
     items = [(name, fx.algebra, fx.J) for name, fx in corpus.items()]
-    for name in NON_ABELIAN_NAMES:
+    for name in NON_ABELIAN:
         for k in range(2):
             items.append((f"{name}~P{k}", *pool_draw(corpus, name, k)))
     r2 = corpus["abelian_r2"]
@@ -95,8 +111,14 @@ def exact_items(corpus) -> list[tuple[str, LieAlgebra, ComplexStructure]]:
         "aff_r2^3": [(scale_structure_constants(aff.algebra, Fraction(t)), aff.J) for t in ("1", "3/2", "1/3")],
     }
     for name, parts in sums.items():
-        items.append((name, *direct_sum(*parts)))
+        items.append((name, *direct_sum(parts)))
     return items
+
+
+@pytest.fixture(scope="session")
+def bench_items() -> dict[tuple[str, int], tuple]:
+    """The benchmark's items of corpus, conjugated and scaling at seeds 1-3, keyed by (workload, seed)."""
+    return {(w, seed): tuple(build_items(w, seed, FIXTURES_DIR)) for w in ("corpus", "conjugated", "scaling") for seed in (1, 2, 3)}
 
 
 def pool_draw(corpus, name: str, k: int) -> tuple[LieAlgebra, ComplexStructure]:
@@ -106,7 +128,7 @@ def pool_draw(corpus, name: str, k: int) -> tuple[LieAlgebra, ComplexStructure]:
     Gram forms, so the draw's problem does not depend on the run seed.
     """
     fx = corpus[name]
-    P = random_basis_change(random.Random(f"{CONJUGATED_POOL_SEED}:{name}:{k}"), fx.algebra.dim)
+    P = random_basis_change(fx.algebra.dim, random.Random(f"{POOL_SEED}:{name}:{k}"))
     return conjugate(fx.algebra, P, fx.J)
 
 
@@ -236,14 +258,6 @@ def rational_sampler(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def random_basis_change(rng: random.Random, dim: int) -> list[list[Fraction]]:
-    """An invertible dim x dim matrix with integer entries in [-2, 2]."""
-    while True:
-        P = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
-        if det(P) != 0:
-            return P
-
-
 def conjugate(
     g: LieAlgebra, P: list[list[Fraction]], J: ComplexStructure | None = None
 ) -> tuple[LieAlgebra, ComplexStructure | None]:
@@ -265,27 +279,14 @@ def conjugate(
 
 
 def dense_conjugate(g: LieAlgebra, J: ComplexStructure) -> tuple[LieAlgebra, ComplexStructure]:
-    """(g, J) in a dense integer basis: conjugated by random_basis_change(Random(5), n)."""
-    return conjugate(g, random_basis_change(random.Random(5), g.dim), J)
+    """(g, J) in a dense integer basis: conjugated by random_basis_change(n, Random(5))."""
+    return conjugate(g, random_basis_change(g.dim, random.Random(5)), J)
 
 
 def pull_back(s: Subspace, P: list[list[Fraction]]) -> Subspace:
     """P^-1 s: the subspace s in the basis given by the columns of P."""
     Pinv = mat_inverse(P)
     return Subspace.from_vectors(s.ambient_dim, [mat_vec(Pinv, b) for b in s.basis])
-
-
-def direct_sum(*parts: tuple[LieAlgebra, ComplexStructure]) -> tuple[LieAlgebra, ComplexStructure]:
-    """g1 + ... + gk with the block-diagonal complex structure J1 + ... + Jk."""
-    n = sum(g.dim for g, _ in parts)
-    brackets, J, off = {}, [[Fraction(0)] * n for _ in range(n)], 0
-    for g, Jk in parts:
-        for (i, j), comps in g.bracket_table().items():
-            brackets[(i + off, j + off)] = {k + off: c for k, c in comps.items()}
-        for r, row in enumerate(Jk.matrix):
-            J[off + r][off : off + g.dim] = row
-        off += g.dim
-    return LieAlgebra.from_brackets(n, brackets), ComplexStructure.from_matrix(J)
 
 
 def integrable_bracket_maps(base: int, central: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
@@ -433,40 +434,21 @@ def reference_definite_exit(p) -> tuple[bool, bool]:
     return any(map(feas_mod._definite, grams)), feas_mod._definite(total)
 
 
-# --- reference kernel: one vector per free column, eliminated in Fractions ---
+# --- reference kernels, eliminated in Fractions: the PD test and one vector per free column ---
 
 
-def reference_kernel(m, ncols: int) -> list[list[int]]:
-    """A basis of {v : m v = 0}, m of integer or rational rows, as integer rows:
-    one vector per free column f of m's reduced echelon form, computed in
-    Fractions, nonzero at f and at the pivot columns before f and zero at
-    every other free column.  Not itself in echelon form; the oracle for
-    ``linalg._kernel``, whose basis is the echelon form of this one."""
-    red = [[Fraction(x) for x in row] for row in m]
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        i = next((i for i in range(r, len(red)) if red[i][c]), None)
-        if i is None:
-            continue
-        red[r], red[i] = red[i], red[r]
-        red[r] = [x / red[r][c] for x in red[r]]
-        for k, row in enumerate(red):
-            f = row[c]
-            if k != r and f:
-                red[k] = [x - f * y for x, y in zip(row, red[r])]
-        pivots.append(c)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(int(c == f)) for c in range(ncols)]
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        d = lcm(*(x.denominator for x in v))
-        basis.append([int(x * d) for x in v])
-    return basis
-
-
-# --- Fraction references for the two views whose zeros are the int 0 ---
+def ref_leading_minors_positive(m) -> bool:
+    """Every leading principal minor of a rational matrix is positive: each pivot
+    of elimination in Fractions without row swaps, a ratio of two of them, is;
+    the oracle for ``linalg.leading_minors_positive``."""
+    a = [[Fraction(x) for x in row] for row in m]
+    for k in range(len(a)):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return True
 
 
 def reference_rref(rows):
@@ -495,18 +477,39 @@ def reference_rref(rows):
     return [row for row in m[:r]], pivots
 
 
-def reference_nullspace(m, ncols):
-    """The reduced echelon basis of {v : m v = 0}, every entry a ``Fraction``:
-    the oracle for ``linalg.nullspace``, whose zeros are the int 0."""
+def free_column_vectors(m, ncols: int) -> list[list[Fraction]]:
+    """A basis of {v : m v = 0}, m of integer or rational rows: one vector per
+    free column f of m's ``reference_rref``, 1 at f, minus the reduced rows'
+    entries in column f at their pivots and zero at every other free column."""
     red, pivots = reference_rref(m)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    return [tuple(row) for row in reference_rref(basis)[0]]
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def reference_kernel(m, ncols: int) -> list[list[int]]:
+    """``free_column_vectors`` cleared of denominators, as integer rows: not
+    itself in echelon form; the oracle for ``linalg._kernel``, whose basis is
+    the echelon form of this one."""
+    basis = []
+    for v in free_column_vectors(m, ncols):
+        d = lcm(*(x.denominator for x in v))
+        basis.append([int(x * d) for x in v])
+    return basis
+
+
+def reference_nullspace(m, ncols):
+    """The reduced echelon basis of {v : m v = 0}, every entry a ``Fraction``:
+    the oracle for ``linalg.nullspace``, whose zeros are the int 0."""
+    return [tuple(row) for row in reference_rref(free_column_vectors(m, ncols))[0]]
+
+
+# --- reference Gram: every entry a Fraction ---
 
 
 def reference_taming_gram(omega: TwoForm, J: ComplexStructure) -> list[list[Fraction]]:

@@ -5,7 +5,6 @@ import random
 import time
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 
 import pytest
 
@@ -27,11 +26,14 @@ from tamecert.forms import ThreeForm
 from tamecert.linalg import _kernel, _primitive, all_roots_real, charpoly, clear_denominators, rational_roots, unit_vec
 
 from conftest import (
-    NON_ABELIAN_NAMES,
+    NON_ABELIAN,
+    REPO_ROOT,
     TAMED_NAMES,
     _adjoint_ints,
     adjoint,
+    aff_r,
     conjugate,
+    h3_r,
     is_subalgebra,
     mat_trace,
     pull_back,
@@ -39,6 +41,7 @@ from conftest import (
     random_rational_vector,
     reference_series,
     reference_weight_spaces,
+    spy,
 )
 
 F = Fraction
@@ -46,15 +49,6 @@ F = Fraction
 
 def abelian(dim: int) -> LieAlgebra:
     return LieAlgebra.from_brackets(dim, {})
-
-
-def h3_r() -> LieAlgebra:
-    return LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
-
-
-def aff_r() -> LieAlgebra:
-    # [H, X] = X
-    return LieAlgebra.from_brackets(2, {(0, 1): {1: 1}}, labels=["H", "X"])
 
 
 def sol4_1() -> LieAlgebra:
@@ -333,7 +327,7 @@ def test_weight_spaces_basis_covariance(corpus):
     assert len(non_abelian) == 7
     for name in non_abelian:
         g = corpus[name].algebra
-        P = random_basis_change(rng, g.dim)
+        P = random_basis_change(g.dim, rng)
         conj, _ = conjugate(g, P)
         assert set(weight_spaces(conj)) == {pull_back(s, P) for s in weight_spaces(g)}, name
 
@@ -364,9 +358,9 @@ def oracle_algebras(corpus, exact_items) -> list[tuple[str, LieAlgebra]]:
         tower = reduction_tower(TamedTriple.build(fx.algebra, fx.omega, fx.J))
         algebras += [(f"{name}/{k}", step.reduced.algebra) for k, step in enumerate(tower.steps, 1)]
     rng = random.Random(53)
-    for name in NON_ABELIAN_NAMES:
+    for name in NON_ABELIAN:
         g = corpus[name].algebra
-        algebras += [(f"{name}~Q{k}", conjugate(g, random_basis_change(rng, g.dim))[0]) for k in range(3)]
+        algebras += [(f"{name}~Q{k}", conjugate(g, random_basis_change(g.dim, rng))[0]) for k in range(3)]
     a = 10**6
     algebras.append(("a=10^6", LieAlgebra.from_brackets(4, {(0, 1): {1: a}, (0, 2): {2: a + 1}, (0, 3): {3: -(2 * a + 1)}})))
     return algebras
@@ -382,7 +376,7 @@ def test_weight_spaces_and_series_match_reference(corpus, exact_items):
     assert len(algebras) == 28 + 13 + 21 + 1
     # in this basis Z cap [g, g] is spanned by (0, 2, 2, 0), a combination of
     # [g, g]'s rows with content 2, which must be made primitive
-    algebras.append(("sol4_1~R7", conjugate(corpus["sol4_1"].algebra, random_basis_change(random.Random(7), 4))[0]))
+    algebras.append(("sol4_1~R7", conjugate(corpus["sol4_1"].algebra, random_basis_change(4, random.Random(7)))[0]))
     with_weights = 0
     for name, g in algebras:
         spaces = weight_spaces(g)
@@ -411,7 +405,7 @@ def test_weight_spaces_sort_as_fraction_weights(corpus, exact_items):
     # last two algebras have the weights 1/2, 1/3 and -5/6 at e_1 on three
     # lines, the second in a dense basis where every pivot entry of [g, g] is 2
     thirds = LieAlgebra.from_brackets(4, {(0, 1): {1: F(1, 2)}, (0, 2): {2: F(1, 3)}, (0, 3): {3: F(-5, 6)}})
-    dense = conjugate(thirds, random_basis_change(random.Random(99), 4))[0]
+    dense = conjugate(thirds, random_basis_change(4, random.Random(99)))[0]
     assert [fraction_weight(thirds, s)[0] for s in weight_spaces(thirds)] == [-5, 2, 3]  # c = 6
     assert {row[p] for row, p in zip(dense.derived_subalgebra().rows, dense.derived_subalgebra()._pivots)} == {2}
     algebras = oracle_algebras(corpus, exact_items) + [("thirds", thirds), ("thirds~Q", dense)]
@@ -483,7 +477,7 @@ def test_weight_shortcuts_match_the_kernel_loop(corpus, exact_items, monkeypatch
     # every pivot entry of [g, g] equal to 2
     thirds = LieAlgebra.from_brackets(4, {(0, 1): {1: F(1, 2)}, (0, 2): {2: F(1, 3)}, (0, 3): {3: F(-5, 6)}})
     algebras = oracle_algebras(corpus, exact_items) + [("thirds", thirds)]
-    algebras.append(("thirds~Q", conjugate(thirds, random_basis_change(random.Random(99), 4))[0]))
+    algebras.append(("thirds~Q", conjugate(thirds, random_basis_change(4, random.Random(99)))[0]))
     calls = {"reference": 0, "search": 0}
     counted_as = ["reference"]
 
@@ -534,8 +528,8 @@ def test_complete_solvability_matches_full_adjoint_reference(corpus, exact_items
     rng = random.Random(29)
     for name, h in (("inoue_s0", inoue_s0()), ("e2", e2()), ("killing_trap", killing_trap())):
         algebras += [(name, h), (f"R^3+{name}", shifted_sum(h.dim + 3, h))]
-        algebras += [(f"{name}~P{k}", conjugate(h, random_basis_change(rng, h.dim))[0]) for k in range(2)]
-        algebras.append((f"(R^2+{name})~P", conjugate(shifted_sum(h.dim + 2, h), random_basis_change(rng, h.dim + 2))[0]))
+        algebras += [(f"{name}~P{k}", conjugate(h, random_basis_change(h.dim, rng))[0]) for k in range(2)]
+        algebras.append((f"(R^2+{name})~P", conjugate(shifted_sum(h.dim + 2, h), random_basis_change(h.dim + 2, rng))[0]))
     # e2 with the basis e1 + e3, e3, e2: D = span(e1, e2) has pivots 0 and 2, and
     # both e1 + e3 (a pivot) and e3 (free) rotate D, so the witness is pivot 0
     P = [[F(1), F(0), F(0)], [F(0), F(0), F(1)], [F(1), F(1), F(0)]]
@@ -560,21 +554,14 @@ def test_charpolys_of_adjoint_restrictions_are_integer(corpus, exact_items, monk
     # build (ad_{e_i} on [g, g], and on Z cap g or Z cap [g, g]) is an integer
     # matrix, and its characteristic polynomial is monic with int coefficients,
     # so its rational roots are ints
-    calls = []
-
-    def recorded(m, _original=charpoly):
-        p = _original(m)
-        calls.append((m, p))
-        return p
-
-    monkeypatch.setattr(algebra_mod, "charpoly", recorded)
+    calls = spy(monkeypatch, algebra_mod, "charpoly")
     algebras = [(name, fx.algebra) for name, fx in corpus.items()] + oracle_algebras(corpus, exact_items)
     for name, g in algebras:
         derived = g.derived_subalgebra()
         is_completely_solvable(g)
         _weight_spaces(g, derived)
         _weight_spaces(g, derived, derived)
-    for m, p in calls:
+    for (m,), p in calls:
         assert all(type(x) is int for row in m for x in row)
         assert p[-1] == 1 and all(type(c) is int for c in p), p
         assert all(type(r) is int for r in rational_roots(p))
@@ -594,7 +581,7 @@ def test_one_dim_ideals_keep_the_fraction_basis_order(corpus, exact_items):
 
 def test_algebra_module_imports_no_numpy():
     # the structural layer is exact: no floating-point library may enter it
-    source = Path(__file__).resolve().parent.parent / "src" / "tamecert" / "algebra.py"
+    source = REPO_ROOT / "src" / "tamecert" / "algebra.py"
     imported = set()
     for node in ast.walk(ast.parse(source.read_text())):
         if isinstance(node, ast.Import):

@@ -30,7 +30,7 @@ def test_dense_h3_r_4_is_infeasible(corpus, tmp_path, capsys):
     # n = 16: the theorem applies (completely solvable, J integrable) and holds,
     # nilpotent and not abelian, so Infeasible with a rank-one direction
     h3 = corpus["h3_r"]
-    path = write_fixture(tmp_path / "h3_r_4.json", *dense_conjugate(*direct_sum(*[(h3.algebra, h3.J)] * 4)))
+    path = write_fixture(tmp_path / "h3_r_4.json", *dense_conjugate(*direct_sum([(h3.algebra, h3.J)] * 4)))
     r = run_json(capsys, "analyze", path)
     assert r["j_status"]["integrable"] is True
     assert r["theorem_consistency"] == {"applicable": True, "consistent": True, "detail": "applicable and consistent"}
@@ -40,12 +40,12 @@ def test_dense_h3_r_4_is_infeasible(corpus, tmp_path, capsys):
 def test_dense_kaehler_sums_are_feasible(corpus, tmp_path, capsys):
     aff = corpus["aff_r2"]
     # aff_r2^3, n = 12: integrable, and Feasible like every conjugate of a Kaehler sum
-    path = write_fixture(tmp_path / "aff_r2_3.json", *dense_conjugate(*direct_sum(*[(aff.algebra, aff.J)] * 3)))
+    path = write_fixture(tmp_path / "aff_r2_3.json", *dense_conjugate(*direct_sum([(aff.algebra, aff.J)] * 3)))
     r = run_json(capsys, "analyze", path)
     assert r["j_status"]["integrable"] is True and r["feasibility"]["verdict"] == "feasible"
     # aff_r2 beside its dense conjugate, n = 8: J has a sparse and a dense block,
     # so the taming Gram, written from J's nonzero entries, sees both densities
-    g, J = direct_sum((aff.algebra, aff.J), dense_conjugate(aff.algebra, aff.J))
+    g, J = direct_sum([(aff.algebra, aff.J), dense_conjugate(aff.algebra, aff.J)])
     r = run_json(capsys, "analyze", write_fixture(tmp_path / "aff_r2_mixed.json", g, J))
     assert r["j_status"]["integrable"] is True and r["feasibility"]["exact_pd"] is True
     # R^12: d on 2-forms is 220 x 66 zeros and the taming Gram is diagonal 12 x 12

@@ -48,8 +48,7 @@ from tamecert.pipeline import verdict_to_dict
 
 from conftest import (
     CORPUS_NAMES,
-    FIXTURES_DIR,
-    NON_ABELIAN_NAMES,
+    NON_ABELIAN,
     conjugate,
     direct_sum,
     identity,
@@ -58,9 +57,11 @@ from conftest import (
     pool_draw,
     random_basis_change,
     rational_sampler,
+    ref_leading_minors_positive,
     reference_definite_exit,
     reference_kernel,
     solve,
+    spy,
 )
 
 F = Fraction
@@ -239,11 +240,11 @@ def test_precheck_is_basis_independent(corpus):
     # are draws on which echelon-vector candidates missed inoue_s0 and the sum
     cases = {name: (fx.algebra, fx.J) for name, fx in corpus.items() if not fx.algebra.is_abelian()}
     inoue, sol3 = corpus["inoue_s0"], corpus["sol3_r_nonint"]
-    cases["inoue_s0+sol3_r_nonint"] = direct_sum((inoue.algebra, inoue.J), (sol3.algebra, sol3.J))
+    cases["inoue_s0+sol3_r_nonint"] = direct_sum([(inoue.algebra, inoue.J), (sol3.algebra, sol3.J)])
     for name, (g, J) in cases.items():
         hit = degeneracy_precheck(build_problem(g, J)) is not None
         for seed in (0, 1):
-            g2, J2 = conjugate(g, random_basis_change(rational_sampler(seed), g.dim), J)
+            g2, J2 = conjugate(g, random_basis_change(g.dim, rational_sampler(seed)), J)
             p = build_problem(g2, J2)
             d = degeneracy_precheck(p)
             assert (d is not None) == hit, (name, seed)
@@ -261,21 +262,8 @@ def precheck_cases(corpus, exact_items):
     for name, fx in corpus.items():
         if not fx.algebra.is_abelian():
             for k in range(2):
-                cases.append((f"{name}~Q{k}", *conjugate(fx.algebra, random_basis_change(rng, fx.algebra.dim), fx.J)))
+                cases.append((f"{name}~Q{k}", *conjugate(fx.algebra, random_basis_change(fx.algebra.dim, rng), fx.J)))
     return cases
-
-
-def sylvester(m) -> bool:
-    """Every leading principal minor of a Fraction matrix is positive: each
-    pivot of elimination without row swaps, a ratio of two of them, is."""
-    a = [list(row) for row in m]
-    for k in range(len(a)):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, len(a)):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return True
 
 
 def definite_on_derived(p) -> bool:
@@ -287,23 +275,9 @@ def definite_on_derived(p) -> bool:
     total = [[sum(s[i][j] for s in p.gram_basis) for j in range(n)] for i in range(n)]
     for s in list(p.gram_basis) + [total]:
         m = [[sum(x[i] * s[i][j] * y[j] for i in range(n) for j in range(n)) for y in basis] for x in basis]
-        if sylvester(m) or sylvester([[-v for v in row] for row in m]):
+        if ref_leading_minors_positive(m) or ref_leading_minors_positive([[-v for v in row] for row in m]):
             return True
     return False
-
-
-def recorded_searches(monkeypatch) -> list:
-    """The lists of subspaces the precheck's _weight_spaces returns, one per call, as they are made."""
-    searched = []
-    original = feas_mod._weight_spaces
-
-    def recorded(*args, **kwargs):
-        spaces = original(*args, **kwargs)
-        searched.append(spaces)
-        return spaces
-
-    monkeypatch.setattr(feas_mod, "_weight_spaces", recorded)
-    return searched
 
 
 def derived_weight_spaces(g) -> list[Subspace]:
@@ -315,61 +289,46 @@ def test_precheck_searches_weight_spaces_inside_the_derived_algebra(corpus, exac
     # the precheck's weight spaces are found inside Z cap [g, g]: a case searches
     # the nonzero intersections of the public weight spaces with [g, g], in order,
     # or nothing, and then a closed Gram form or their sum is definite on [g, g]
-    searched = recorded_searches(monkeypatch)
+    searched = spy(monkeypatch, feas_mod, "_weight_spaces")
     for name, g, J in precheck_cases(corpus, exact_items):
         searched.clear()
         p = build_problem(g, J)
         degeneracy_precheck(p)
-        assert searched == [derived_weight_spaces(g)] or (searched == [] and definite_on_derived(p)), name
+        assert [spaces for _, spaces in searched] == [derived_weight_spaces(g)] or (searched == [] and definite_on_derived(p)), name
 
 
-def test_precheck_workload_misses_search_no_subspace(monkeypatch):
+def test_precheck_workload_misses_search_no_subspace(bench_items, monkeypatch):
     # on the seed-1 items of corpus and conjugated, each of the 9 non-abelian
     # misses is proved on [g, g] before any subspace is sought: no weight space
     # and no kernel; each of the 12 hits searches its weight spaces as before
-    monkeypatch.syspath_prepend(str(FIXTURES_DIR.parent / "perfbench"))
-    import workloads
-
-    searched = recorded_searches(monkeypatch)
-    kernels = []
-    for name in ("_kernel", "_invariant_part"):  # the radicals' kernel and D cap JD's
-
-        def counted(*args, _original=getattr(feas_mod, name)):
-            kernels.append(args)
-            return _original(*args)
-
-        monkeypatch.setattr(feas_mod, name, counted)
+    searched = spy(monkeypatch, feas_mod, "_weight_spaces")
+    kernels = [spy(monkeypatch, feas_mod, name) for name in ("_kernel", "_invariant_part")]  # the radicals' and D cap JD's
     misses, hits = [], []
     for workload in ("corpus", "conjugated"):
-        for item in workloads.build_items(workload, 1, FIXTURES_DIR):
-            searched.clear()
-            kernels.clear()
+        for item in bench_items[workload, 1]:
+            for calls in [searched, *kernels]:
+                calls.clear()
             direction = degeneracy_precheck(build_problem(item.algebra, item.J))
             label = f"{workload}:{item.name}"
             if direction is not None:
                 hits.append(label)
-                assert searched == [derived_weight_spaces(item.algebra)], label
+                assert [spaces for _, spaces in searched] == [derived_weight_spaces(item.algebra)], label
             elif not item.algebra.is_abelian():
                 misses.append(label)
-                assert searched == [] and kernels == [], label
+                assert searched == [] and kernels == [[], []], label
     assert len(misses) == 9 and len(hits) == 12, (misses, hits)
 
 
-def test_definite_exit_fires_where_the_weighted_sum_did(corpus, exact_items, monkeypatch):
+def test_definite_exit_fires_where_the_weighted_sum_did(corpus, exact_items, bench_items, monkeypatch):
     # the exit sums the integer Grams unweighted, the Gram of W_1 + ... + W_m; it
     # fires, by a single Gram or by the sum, exactly where the lcm-weighted sum of
     # the first formulation fired: on every corpus, conjugated and scaling item at
     # seeds 1-3, on exact_items and on four pool draws per non-abelian fixture
-    monkeypatch.syspath_prepend(str(FIXTURES_DIR.parent / "perfbench"))
-    import workloads
-
-    searched = recorded_searches(monkeypatch)
-    items = [(f"{w}:{s}:{item.name}", item.algebra, item.J)
-             for w in ("corpus", "conjugated", "scaling") for s in (1, 2, 3)
-             for item in workloads.build_items(w, s, FIXTURES_DIR)]
+    searched = spy(monkeypatch, feas_mod, "_weight_spaces")
+    items = [(f"{w}:{s}:{item.name}", item.algebra, item.J) for (w, s), built in bench_items.items() for item in built]
     workload_count = len(items)
     items += exact_items
-    items += [(f"{name}~P{k}", *pool_draw(corpus, name, k)) for name in NON_ABELIAN_NAMES for k in range(4)]
+    items += [(f"{name}~P{k}", *pool_draw(corpus, name, k)) for name in NON_ABELIAN for k in range(4)]
     exits = Counter()
     for k, (label, g, J) in enumerate(items):
         if not g.derived_subalgebra().dim:
@@ -384,40 +343,29 @@ def test_definite_exit_fires_where_the_weighted_sum_did(corpus, exact_items, mon
     assert exits == {"single": 24, "sum": 6, "search": 36}, exits
 
 
-def test_invariant_part_of_the_derived_algebra_matches_zassenhaus(monkeypatch):
+def test_invariant_part_of_the_derived_algebra_matches_zassenhaus(bench_items):
     # D cap JD, D = [g, g], from the precheck's kernel equals the oracle's on
     # every corpus, conjugated and scaling item at seeds 1-3
-    monkeypatch.syspath_prepend(str(FIXTURES_DIR.parent / "perfbench"))
-    import workloads
-
     nonzero = 0
-    for workload in ("corpus", "conjugated", "scaling"):
-        for seed in (1, 2, 3):
-            for item in workloads.build_items(workload, seed, FIXTURES_DIR):
-                derived = item.algebra.derived_subalgebra()
-                if derived.dim:
-                    kernel, oracle = invariant_part(derived, item.J)
-                    assert kernel == oracle, (workload, seed, item.name)
-                    nonzero += oracle.dim > 0
+    for (workload, seed), built in bench_items.items():
+        for item in built:
+            derived = item.algebra.derived_subalgebra()
+            if derived.dim:
+                kernel, oracle = invariant_part(derived, item.J)
+                assert kernel == oracle, (workload, seed, item.name)
+                nonzero += oracle.dim > 0
     assert nonzero > 0
 
 
 def test_precheck_charpolys_fit_in_the_derived_algebra(corpus, exact_items, monkeypatch):
     # no characteristic polynomial the precheck takes is larger than dim [g, g];
     # searching all of the centralizer Z gave iwasawa a 6 x 6 one
-    sizes = []
-    original = algebra_mod.charpoly
-
-    def recorded(m):
-        sizes.append(len(m))
-        return original(m)
-
     for name, g, J in precheck_cases(corpus, exact_items):
         p = build_problem(g, J)
-        sizes.clear()
         with monkeypatch.context() as patched:
-            patched.setattr(algebra_mod, "charpoly", recorded)
+            calls = spy(patched, algebra_mod, "charpoly")
             degeneracy_precheck(p)
+        sizes = [len(m) for (m,), _ in calls]
         assert max(sizes, default=0) <= g.derived_subalgebra().dim, (name, sizes)
 
 
@@ -481,23 +429,16 @@ def test_precheck_reads_no_integer_gram_stack(corpus, monkeypatch):
     # on a hit and on a miss that searched a nonzero subspace, the precheck
     # restricts the forms' integer coefficients and builds no n x n Gram:
     # _gram_ints runs in build_problem and in dual_certificate, never here
-    calls = []
-
-    def counted(omega, J):
-        calls.append(1)
-        return _gram_ints(omega, J)
-
     for name, hit in (("h3_r", True), ("aff_r2", False)):
         fx = corpus[name]
         p = build_problem(fx.algebra, fx.J)
         with monkeypatch.context() as patched:
-            for module in (forms_mod, feas_mod):
-                patched.setattr(module, "_gram_ints", counted)
+            calls = [spy(patched, module, "_gram_ints") for module in (forms_mod, feas_mod)]
             assert (degeneracy_precheck(p) is not None) == hit, name
-            assert calls == [], name
+            assert calls == [[], []], name
             if not hit:  # the count sees the dual lane's reads: one per closed form
                 dual_certificate(p)
-                assert len(calls) == p.size > 0, name
+                assert sum(map(len, calls)) == p.size > 0, name
 
 
 # --- the barrier solve ---
@@ -584,35 +525,17 @@ def test_max_step_is_the_distance_to_the_boundary():
 def test_iterates_stay_strictly_feasible_at_dimension_cap(monkeypatch):
     # a long step stops short of the boundary: at every iterate of the R^16
     # solve F has a Cholesky factor and |c| < 1
-    newton_step = numeric_mod.newton_step
-    iterates = []
-
-    def recorded(a, a_flat, x, tau):
-        iterates.append((a, x))
-        return newton_step(a, a_flat, x, tau)
-
-    monkeypatch.setattr(numeric_mod, "newton_step", recorded)
+    steps = spy(monkeypatch, numeric_mod, "newton_step")
     maximize_lambda_min(problem_for(16, {}))
-    assert iterates
-    for a, x in iterates:
+    assert steps
+    for (a, _, x, _), _ in steps:
         np.linalg.cholesky(np.tensordot(x, a, 1))
         assert x[:-1] @ x[:-1] < 1.0
 
 
-def count_linalg_calls(monkeypatch) -> list[int]:
-    """Count the numpy.linalg factorizations and solves; the count is the list's one entry."""
-    calls = [0]
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls[0] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("eigh", "eigvalsh", "cholesky", "solve", "inv"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
-    return calls
+def spy_linalg(monkeypatch) -> list[list]:
+    """Spies on the numpy.linalg factorizations and solves, one list of calls each."""
+    return [spy(monkeypatch, np.linalg, name) for name in ("eigh", "eigvalsh", "cholesky", "solve", "inv")]
 
 
 def test_maximize_linalg_call_budget(corpus, monkeypatch):
@@ -622,10 +545,10 @@ def test_maximize_linalg_call_budget(corpus, monkeypatch):
     # The precheck hits here, so maximize_lambda_min solves nothing: the
     # path is read directly
     p = build_problem(*conjugate(corpus["inoue_s0"].algebra, INOUE_P, corpus["inoue_s0"].J))
-    calls = count_linalg_calls(monkeypatch)
+    calls = spy_linalg(monkeypatch)
     value = numeric_mod.lambda_min(p.grams, p.barrier_path[0][: p.size])
     assert abs(value) <= 1e-9
-    assert calls[0] <= 108
+    assert sum(map(len, calls)) <= 108
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + ["inoue_s0~P"])
@@ -685,13 +608,7 @@ def test_exactify_converts_no_fraction_through_float(corpus, monkeypatch):
     p = build_problem(fx.algebra, fx.J)
     c, _ = maximize_lambda_min(p)
     expected = exactify(p, c)
-    calls = []
-
-    def counted(x, _original=Fraction.__float__):
-        calls.append(x)
-        return _original(x)
-
-    monkeypatch.setattr(Fraction, "__float__", counted)
+    calls = spy(monkeypatch, Fraction, "__float__")
     assert exactify(p, c) == expected and calls == []
 
 
@@ -735,22 +652,17 @@ def test_exactify_form_matches_fraction_sum(corpus, monkeypatch):
     # Feasible corpus fixture and conjugated benchmark draw.  A coefficient that
     # is exactly 0.0, most of those on the tori, is 0 with no limit_denominator,
     # and so is one below 1e-7 after scaling (tiny), all of those on the tori
-    checked, zeros, tiny = [], [], []
-
-    def checked_exactify(p, c):
-        omega, lam = exactify(p, c)
+    calls = spy(monkeypatch, feas_mod, "exactify")
+    inputs = [(fx.algebra, fx.J) for fx in corpus.values() if fx.J is not None]
+    inputs += [pool_draw(corpus, name, k) for name in NON_ABELIAN for k in range(2)]
+    feasible = [v for v in (decide(g, J) for g, J in inputs) if isinstance(v, Feasible)]
+    assert [v.omega for v in feasible] == [omega for _, (omega, _) in calls] and len(calls) >= 10
+    zeros, tiny = [], []
+    for (p, c), (omega, _) in calls:
         zeros.extend(x for x in c if x == 0.0)
         tiny.extend(x for x in c / np.max(np.abs(c)) if 0 < abs(x) < 0.1 / EXACTIFY_DENOMINATOR_BOUND)
         reference = rounded_fraction_sum(p, c)
         assert repr(omega) == repr(reference) and omega._ints == reference._ints
-        checked.append(omega)
-        return omega, lam
-
-    monkeypatch.setattr(feas_mod, "exactify", checked_exactify)
-    inputs = [(fx.algebra, fx.J) for fx in corpus.values() if fx.J is not None]
-    inputs += [pool_draw(corpus, name, k) for name in NON_ABELIAN_NAMES for k in range(2)]
-    feasible = [v for v in (decide(g, J) for g, J in inputs) if isinstance(v, Feasible)]
-    assert [v.omega for v in feasible] == checked and len(checked) >= 10
     assert len(zeros) >= 30, len(zeros)
     assert len(tiny) >= 5, len(tiny)
 
@@ -777,13 +689,7 @@ def test_exactify_fails_on_singular_optimum(monkeypatch):
     # (c is read off the path: maximize_lambda_min returns c = 0 after the precheck's proof)
     p = problem_for(4, {(0, 1): {2: 1}})
     c = p.barrier_path[0][: p.size]
-    checks = []
-
-    def counted(m):
-        checks.append(1)
-        return leading_minors_positive(m)
-
-    monkeypatch.setattr(forms_mod, "leading_minors_positive", counted)
+    checks = spy(monkeypatch, forms_mod, "leading_minors_positive")
     with pytest.raises(ExactificationFailed):
         exactify(p, c)
     assert len(checks) == 1
@@ -935,17 +841,10 @@ def test_decide_solves_the_path_once(corpus, monkeypatch):
     # the dual lane reads the solve twice, through maximize_lambda_min and
     # dual_certificate; both share one central path
     fx = corpus["aff_r2"]
-    barrier_path = numeric_mod.barrier_path
-    runs = [0]
-
-    def counted(grams):
-        runs[0] += 1
-        return barrier_path(grams)
-
-    monkeypatch.setattr(numeric_mod, "barrier_path", counted)
+    runs = spy(monkeypatch, numeric_mod, "barrier_path")
     v = decide(fx.algebra, non_integrable_j(fx, AFF_R2_NONINT_P[0]))
     assert isinstance(v, Infeasible) and v.rank_one_direction is None
-    assert runs[0] == 1
+    assert len(runs) == 1
 
 
 def test_dual_lane_runs_after_exactify_fails(corpus, monkeypatch):
@@ -953,19 +852,14 @@ def test_dual_lane_runs_after_exactify_fails(corpus, monkeypatch):
     # rounding is PD the dual lane still runs, since both lanes re-prove exactly
     fx = corpus["aff_r2"]
     maximize = feas_mod.maximize_lambda_min
-    exactify_calls = []
 
     def positive_margin(p, stop_above=None):
         return maximize(p)[0], 1e-3
 
-    def counted_exactify(p, c):
-        exactify_calls.append(1)
-        return exactify(p, c)
-
     monkeypatch.setattr(feas_mod, "maximize_lambda_min", positive_margin)
-    monkeypatch.setattr(feas_mod, "exactify", counted_exactify)
+    exactify_calls = spy(monkeypatch, feas_mod, "exactify")
     v = decide(fx.algebra, non_integrable_j(fx, AFF_R2_NONINT_P[0]))
-    assert exactify_calls == [1]
+    assert len(exactify_calls) == 1 and exactify_calls[0][1] is None  # it raised
     assert isinstance(v, Infeasible) and v.rank_one_direction is None
     assert v.best_primal == 1e-3
     assert all(isinstance(x, Fraction) for row in v.dual for x in row)
@@ -1000,7 +894,7 @@ def test_dual_lane_needs_the_rounded_iterate(corpus):
     # the precheck misses and the rounded dual iterate certifies Infeasible,
     # while the exact projection of I/n, the start that would skip the solve,
     # is not positive definite: the dual lane cannot drop its solve here
-    g, J0 = direct_sum(*[(corpus[name].algebra, corpus[name].J) for name in ("aff_r", "aff_r2")])
+    g, J0 = direct_sum([(corpus[name].algebra, corpus[name].J) for name in ("aff_r", "aff_r2")])
     P = [[F(x) for x in row] for row in AFF_SUM_NONINT_P]
     J = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J0.matrix]), mat_inverse(P)))
     p = build_problem(g, J)
@@ -1025,7 +919,7 @@ def test_dual_certificate_on_a_16_dim_sum_is_fast(corpus):
     # dual_certificate took 1.7 s with Fraction rows and takes about 0.05 s
     fx = corpus["aff_r2"]
     parts = [(fx.algebra, non_integrable_j(fx, P)) for P in AFF_R2_NONINT_P[:4]]
-    g, J = direct_sum(*parts)
+    g, J = direct_sum(parts)
     p = build_problem(g, J)
     assert (g.dim, p.size) == (16, 36) and degeneracy_precheck(p) is None
     p.barrier_path  # solved before the clock starts
@@ -1056,10 +950,10 @@ def test_singular_dual_is_unknown_within_budget(corpus, monkeypatch, P):
     # solve per lane)
     fx = corpus["sol3_r_nonint"]
     J = non_integrable_j(fx, P)
-    calls = count_linalg_calls(monkeypatch)
+    calls = spy_linalg(monkeypatch)
     v = decide(fx.algebra, J)
     assert isinstance(v, Unknown) and v.degenerate_logged
-    assert calls[0] <= 108
+    assert sum(map(len, calls)) <= 108
 
 
 @pytest.mark.parametrize("P", SOL3_SINGULAR_P)
@@ -1171,7 +1065,6 @@ def decided(structures) -> dict[str, tuple[object, Counter, int, int]]:
     LinAlgError fallbacks it took and the number of barrier solves it ran:
     {name: (verdict, steps, fallbacks, solves)}."""
     newton_step = numeric_mod.newton_step
-    barrier_path = numeric_mod.barrier_path
     out = {}
 
     def counted(a, a_flat, x, tau):
@@ -1182,16 +1075,13 @@ def decided(structures) -> dict[str, tuple[object, Counter, int, int]]:
             fallbacks[0] += 1
             raise
 
-    def counted_path(grams):
-        solves[0] += 1
-        return barrier_path(grams)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numeric_mod, "newton_step", counted)
-        mp.setattr(numeric_mod, "barrier_path", counted_path)
+        solves = spy(mp, numeric_mod, "barrier_path")
         for name, g, J in structures:
-            steps, fallbacks, solves = Counter(), [0], [0]
-            out[name] = (decide(g, J), steps, fallbacks[0], solves[0])
+            steps, fallbacks = Counter(), [0]
+            solves.clear()
+            out[name] = (decide(g, J), steps, fallbacks[0], len(solves))
     return out
 
 
@@ -1235,18 +1125,12 @@ def test_exactify_floats_match_the_fraction_gram_path(structures, monkeypatch):
     # exactify and is_taming read lambda_min off the integer Gram as x / d, which
     # Python rounds exactly as float(Fraction(x, d)): bit for bit the floats of
     # the Fraction Gram, on every problem that decide hands to exactify
-    calls = []
-
-    def recorded(p, c, _exactify=feas_mod.exactify):
-        out = _exactify(p, c)
-        calls.append((p, np.asarray(c, dtype=float), out))
-        return out
-
-    monkeypatch.setattr(feas_mod, "exactify", recorded)
+    calls = spy(monkeypatch, feas_mod, "exactify")
     for _, g, J in structures:
         decide(g, J)
     assert len(calls) == 16
-    for p, c, (omega, lam) in calls:
+    for (p, c), (omega, lam) in calls:
+        c = np.asarray(c, dtype=float)
         gram = taming_gram(omega, p.J)
         ints, d = _gram_ints(omega, p.J)
         assert [[(x / d).hex() for x in row] for row in ints] == [[float(x).hex() for x in row] for row in gram]
@@ -1269,14 +1153,7 @@ def test_precheck_search_runs_once_per_problem(corpus, monkeypatch):
     # the rank-one search is memoized on the problem: whichever of the
     # precheck and maximize_lambda_min asks first, it runs once, and after a
     # hit maximize_lambda_min returns the exact maximizer with no solve
-    search = feas_mod._degeneracy_search
-    runs = []
-
-    def counted(p):
-        runs.append(p)
-        return search(p)
-
-    monkeypatch.setattr(feas_mod, "_degeneracy_search", counted)
+    runs = spy(monkeypatch, feas_mod, "_degeneracy_search")
     for name in ("h3_r", "aff_r2"):
         fx = corpus[name]
         for first, second in ((degeneracy_precheck, maximize_lambda_min), (maximize_lambda_min, degeneracy_precheck)):
@@ -1285,7 +1162,7 @@ def test_precheck_search_runs_once_per_problem(corpus, monkeypatch):
             second(p)
             direction = degeneracy_precheck(p)
             c, value = maximize_lambda_min(p, feas_mod.PROJECTION_MARGIN)
-            assert runs == [p], (name, first.__name__)
+            assert [args for args, _ in runs] == [(p,)], (name, first.__name__)
             runs.clear()
             if direction is not None:
                 assert value == 0.0 and not c.any() and c.shape == (p.size,), name

@@ -38,33 +38,26 @@ from tamecert.linalg import ONE, ZERO, det, leading_minors_positive, mat_inverse
 from tamecert.reduction import TamedTriple
 
 from conftest import (
-    FIXTURES_DIR,
-    NON_ABELIAN_NAMES,
-    conjugate,
+    NON_ABELIAN,
+    aff_r,
     dense_conjugate,
     direct_sum,
     form_coeff,
     form_matrix,
+    h3_r,
     is_compatible,
     pool_draw,
     random_basis_change,
     random_rational_vector,
     rank,
+    ref_leading_minors_positive,
     reference_nullspace,
     reference_taming_gram,
     reference_two_form,
+    spy,
 )
-from test_linalg import ref_leading_minors_positive
 
 F = Fraction
-
-
-def h3_r():
-    return LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
-
-
-def aff_r():
-    return LieAlgebra.from_brackets(2, {(0, 1): {1: 1}}, labels=["H", "X"])
 
 
 def sol3_r():
@@ -244,7 +237,7 @@ def test_apply_ints_is_den_j_times_u(corpus):
     # on seeded random integer vectors
     rng = random.Random(0)
     structures = [(name, fx.J) for name, fx in corpus.items() if fx.J is not None]
-    structures += [(f"{name}~P{k}", pool_draw(corpus, name, k)[1]) for name in NON_ABELIAN_NAMES for k in range(2)]
+    structures += [(f"{name}~P{k}", pool_draw(corpus, name, k)[1]) for name in NON_ABELIAN for k in range(2)]
     assert any(all(sum(map(bool, row)) == 1 for row in J.ints) for _, J in structures)  # a sparse J
     assert any(all(all(row) for row in J.ints) for _, J in structures)  # a dense J
     for name, J in structures:
@@ -266,7 +259,7 @@ def test_two_form_apply_ints_evaluates_omega(corpus, exact_items):
     rng = random.Random(11)
     forms = [(name, fx.omega) for name, fx in corpus.items() if fx.omega is not None]
     forms += [(name, omega) for name, g, _ in exact_items for omega in closed_two_forms(g)]
-    assert len({name for name, _ in forms if "~P" in name}) == 2 * len(NON_ABELIAN_NAMES)  # the dense conjugates
+    assert len({name for name, _ in forms if "~P" in name}) == 2 * len(NON_ABELIAN)  # the dense conjugates
     for name, omega in forms:
         n, w = omega.dim, omega._ints[0]
         vectors = [[int(i == k) for i in range(n)] for k in range(n)]
@@ -433,7 +426,7 @@ def test_nijenhuis_matches_oracle(exact_items):
         assert kernel_nijenhuis(g, J) == ref_nijenhuis(g, J), name
         if g.dim <= 6:
             # a different, generally non-integrable J = P J P^-1
-            P = random_basis_change(rng, g.dim)
+            P = random_basis_change(g.dim, rng)
             K = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J.matrix]), mat_inverse(P)))
             n = kernel_nijenhuis(g, K)
             assert n == ref_nijenhuis(g, K), name
@@ -454,7 +447,7 @@ def test_taming_gram_matches_oracle(corpus, exact_items):
     # nonzero per row on the first block and four on the second
     rng = random.Random(8)
     aff = corpus["aff_r2"]
-    mixed = direct_sum((aff.algebra, aff.J), dense_conjugate(aff.algebra, aff.J))
+    mixed = direct_sum([(aff.algebra, aff.J), dense_conjugate(aff.algebra, aff.J)])
     assert sorted({sum(map(bool, row)) for row in mixed[1].ints}) == [1, 4]
     dense = 0
     for name, g, J in exact_items + [("aff_r2+aff_r2~P", *mixed)]:
@@ -481,26 +474,22 @@ def test_taming_gram_matches_oracle(corpus, exact_items):
     assert TwoForm.from_dict(6, {})._ints == (1, ())
 
 
-def test_gram_and_kernel_zeros_are_ints_on_workload_items(monkeypatch):
+def test_gram_and_kernel_zeros_are_ints_on_workload_items(bench_items):
     # taming_gram and nullspace write each exact zero as the int 0 and each
     # nonzero entry as a Fraction, and equal the all-Fraction references, on
     # every corpus, conjugated and scaling item at seeds 1-3
-    monkeypatch.syspath_prepend(str(FIXTURES_DIR.parent / "perfbench"))
-    import workloads
-
     types = {"kernel": Counter(), "gram": Counter()}  # (is zero, type) of every entry
-    for workload in ("corpus", "conjugated", "scaling"):
-        for seed in (1, 2, 3):
-            for item in workloads.build_items(workload, seed, FIXTURES_DIR):
-                label = (workload, seed, item.name)
-                matrix, pairs, _ = d2_matrix(item.algebra)
-                kernel = nullspace(matrix, ncols=len(pairs))
-                assert kernel == reference_nullspace(matrix, len(pairs)), label
-                types["kernel"].update((not x, type(x)) for v in kernel for x in v)
-                for omega in closed_two_forms(item.algebra):
-                    gram = taming_gram(omega, item.J)
-                    assert gram == reference_taming_gram(omega, item.J), label
-                    types["gram"].update((not x, type(x)) for row in gram for x in row)
+    for (workload, seed), built in bench_items.items():
+        for item in built:
+            label = (workload, seed, item.name)
+            matrix, pairs, _ = d2_matrix(item.algebra)
+            kernel = nullspace(matrix, ncols=len(pairs))
+            assert kernel == reference_nullspace(matrix, len(pairs)), label
+            types["kernel"].update((not x, type(x)) for v in kernel for x in v)
+            for omega in closed_two_forms(item.algebra):
+                gram = taming_gram(omega, item.J)
+                assert gram == reference_taming_gram(omega, item.J), label
+                types["gram"].update((not x, type(x)) for row in gram for x in row)
     for view, counts in types.items():
         assert set(counts) == {(True, int), (False, Fraction)}, (view, counts)
 
@@ -512,19 +501,12 @@ def test_build_problem_converts_and_compares_nonzero_entries_only(corpus, monkey
     g, J = corpus["abelian_r8"].algebra, corpus["abelian_r8"].J
     matrix, pairs, _ = d2_matrix(g)
     kernel = nullspace(matrix, ncols=len(pairs))
-    calls = Counter()
-    for name in ("__float__", "__eq__"):
-
-        def counted(*args, _name=name, _original=getattr(Fraction, name)):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(Fraction, name, counted)
+    floats, comparisons = (spy(monkeypatch, Fraction, name) for name in ("__float__", "__eq__"))
     p = build_problem(g, J)
     monkeypatch.undo()
     nonzero = sum(bool(x) for m in p.gram_basis for row in m for x in row)
-    assert calls["__float__"] == nonzero == 104
-    assert calls["__eq__"] == sum(bool(x) for v in kernel for x in v) == 28
+    assert len(floats) == nonzero == 104
+    assert len(comparisons) == sum(bool(x) for v in kernel for x in v) == 28
 
 
 def test_integer_closedness_matches_ce_d(exact_items):
@@ -569,7 +551,7 @@ def test_is_integrable_equals_the_all_pairs_test(exact_items):
         if g.dim <= 8:
             # J = P J0 P^-1 for a random P: mostly not integrable
             for _ in range(2):
-                P = random_basis_change(rng, g.dim)
+                P = random_basis_change(g.dim, rng)
                 K = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J.matrix]), mat_inverse(P)))
                 integrable = is_integrable(g, K)
                 assert integrable == all_pairs_integrable(g, K), name
@@ -581,7 +563,7 @@ def test_is_integrable_equals_the_all_pairs_test(exact_items):
         assert is_integrable(aff_r(), J) and all_pairs_integrable(aff_r(), J)
     # abelian: N = 0 for every J
     abelian = LieAlgebra.from_brackets(6, {})
-    P = random_basis_change(rng, 6)
+    P = random_basis_change(6, rng)
     J0 = [list(r) for r in standard_complex_structure(6).matrix]
     J = ComplexStructure.from_matrix(mat_mul(mat_mul(P, J0), mat_inverse(P)))
     assert is_integrable(abelian, J) and all_pairs_integrable(abelian, J)
@@ -614,7 +596,7 @@ def test_is_integrable_tests_the_pairs_of_a_complex_basis(corpus, monkeypatch):
 def test_complex_basis_is_greedy_in_index_order(exact_items):
     rng = random.Random(26)
     for name, g, J in exact_items:
-        P = random_basis_change(rng, g.dim)
+        P = random_basis_change(g.dim, rng)
         for K in (J, ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J.matrix]), mat_inverse(P)))):
             chosen = _complex_basis(K)
             # {e_b, J e_b} is a basis, and each e_b skipped lies in the span of those before it
@@ -690,7 +672,7 @@ def test_dense_conjugates_hold_no_coefficient_growth(corpus):
     fx = corpus["aff_r2"]
 
     def dense(k):
-        return dense_conjugate(*direct_sum(*[(fx.algebra, fx.J)] * k))
+        return dense_conjugate(*direct_sum([(fx.algebra, fx.J)] * k))
 
     g, J = dense(3)
     problem = build_problem(g, J)

@@ -44,9 +44,11 @@ from conftest import (
     mat_vec,
     random_basis_change,
     rank,
+    ref_leading_minors_positive,
     reference_kernel,
     reference_nullspace,
     reference_rref,
+    spy,
 )
 
 F = Fraction
@@ -202,7 +204,7 @@ def test_invariant_part_matches_zassenhaus_under_a_dense_j():
     dims = set()
     for n in (2, 4, 6, 8):
         for _ in range(15):
-            P = random_basis_change(rng, n)
+            P = random_basis_change(n, rng)
             J = ComplexStructure.from_matrix(mat_mul(mat_mul(mat_inverse(P), standard_complex_structure(n).matrix), P))
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
             if rng.random() < 0.5:
@@ -252,10 +254,6 @@ def ref_charpoly(m):
         for i in range(n):
             mk[i][i] += c
     return coeffs
-
-
-def ref_leading_minors_positive(m):
-    return all(ref_det([row[: k + 1] for row in m[: k + 1]]) > 0 for k in range(len(m)))
 
 
 def random_matrices(seed: int) -> list[list[list[Fraction]]]:
@@ -311,14 +309,7 @@ def test_nullspace_ignores_zero_rows(seed, monkeypatch):
     # all-zero rows constrain nothing: mixed in anywhere they leave the basis
     # unchanged, and only the nonzero rows are cleared of denominators
     rng = random.Random(seed)
-    cleared = []
-    original = linalg_mod._cleared
-
-    def counted(row):
-        cleared.append(row)
-        return original(row)
-
-    monkeypatch.setattr(linalg_mod, "_cleared", counted)
+    cleared = spy(monkeypatch, linalg_mod, "_cleared")
     # the shared ZERO, as d2_matrix writes it, and zeros that are other objects
     # (fresh Fractions, ints, a tuple row), which list equality must still drop
     zero_rows = [lambda n: [ZERO] * n, lambda n: [F(0) for _ in range(n)], lambda n: [0] * n, lambda n: (ZERO,) * n]
@@ -329,17 +320,10 @@ def test_nullspace_ignores_zero_rows(seed, monkeypatch):
             padded.insert(rng.randint(0, len(padded)), rng.choice(zero_rows)(ncols))
         cleared.clear()
         assert nullspace(padded, ncols=ncols) == nullspace(m, ncols=ncols)
-        assert all(any(row) for row in cleared)
+        assert all(any(row) for (row,), _ in cleared)
     assert nullspace([[ZERO] * 3] * 5, ncols=3) == [unit_vec(3, i) for i in range(3)]
     # a zero row of the shared ZERO costs one Fraction.__bool__, at its first entry
-    truth_tests = []
-    original_bool = F.__bool__
-
-    def counted_bool(x):
-        truth_tests.append(x)
-        return original_bool(x)
-
-    monkeypatch.setattr(F, "__bool__", counted_bool)
+    truth_tests = spy(monkeypatch, F, "__bool__")
     assert nullspace([[ZERO] * 28 for _ in range(56)], ncols=28) == [unit_vec(28, i) for i in range(28)]
     assert len(truth_tests) == 56
 

@@ -9,33 +9,23 @@ J-invariant part v = h^perp cap J h^perp that the trace reads equals the
 Zassenhaus intersection on those triples.
 """
 
-from pathlib import Path
-
 import pytest
 
 from tamecert import Feasible, decide, is_completely_solvable, is_integrable, proof_trace
 from tamecert.reduction import TamedTriple, find_isotropic_ideal, omega_perp, reduction_tower
 
-from conftest import FIXTURES_DIR, TAMED_NAMES, invariant_part
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (1, 2, 3)
+from conftest import TAMED_NAMES, invariant_part
 
 
 @pytest.fixture(scope="module")
-def certified(corpus):
+def certified(corpus, bench_items):
     """(name, triple, tower) for each of decide's Feasible verdicts on the
-    fixtures and on the conjugated and scaling items at SEEDS whose g is
+    fixtures and on the conjugated and scaling items at seeds 1-3 whose g is
     completely solvable and whose J is integrable; and the names skipped."""
-    with pytest.MonkeyPatch.context() as patched:
-        patched.syspath_prepend(str(REPO_ROOT / "perfbench"))
-        import workloads
-
     items = [(name, fx.algebra, fx.J) for name, fx in corpus.items()]
-    for seed in SEEDS:
+    for seed in (1, 2, 3):
         for workload in ("conjugated", "scaling"):
-            built = workloads.build_items(workload, seed, FIXTURES_DIR)
-            items += [(f"{it.name}@{workload}:{seed}", it.algebra, it.J) for it in built]
+            items += [(f"{it.name}@{workload}:{seed}", it.algebra, it.J) for it in bench_items[workload, seed]]
     found, skipped = [], set()
     for name, g, J in items:
         v = decide(g, J)

@@ -7,16 +7,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import tamecert
 from tamecert import algebra, errors, feasibility, fixtures, forms, linalg, pipeline, reduction
 
-from conftest import readme_snippet
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from ab_pairs import seed_list, summary
+from conftest import RESCALE_FACTORS, REPO_ROOT, readme_snippet
 
 # what README documents: the library example's calls and the types they return
 # or raise, the structural toolkit of its opening section, and what the CLI is
@@ -236,6 +234,40 @@ def test_benchmark_imports_resolve(monkeypatch):
     verdict, basis = spans.traced_decide(spans.Recorder(), fx.algebra, fx.J)
     assert spans.verdict_signature(verdict) == spans.verdict_signature(tamecert.decide(fx.algebra, fx.J))
     assert spans.closed_basis_signature(basis) == spans.closed_basis_signature(forms.closed_two_forms(fx.algebra))
+
+
+def test_exact_items_hold_the_conjugated_benchmark_draws(exact_items, bench_items):
+    # each name~Pk of exact_items is the benchmark's conjugated item name~Pk
+    # before its rescaling: at seeds 1-3 the item has the draw's J, and its
+    # brackets are the draw's scaled by one of the factors the seed picks from
+    draws = {name: (g, J) for name, g, J in exact_items if "~P" in name}
+    checked = 0
+    for seed in (1, 2, 3):
+        for item in bench_items["conjugated", seed]:
+            g, J = draws[item.name]
+            assert item.J == J, (seed, item.name)
+            assert any(item.algebra == algebra.scale_structure_constants(g, t) for t in RESCALE_FACTORS[1:]), (seed, item.name)
+            checked += 1
+    assert checked == 3 * len(draws) == 42
+
+
+def test_ab_pairs_reads_its_verdicts():
+    # the A/B tool's seed ranges, and its summary on synthetic runs: the gain
+    # rule, a metric's direction, "no change", the bound, and a base median of 0
+    assert seed_list("101-103,7") == [101, 102, 103, 7]
+    base = [100.0 + k for k in range(10)]  # interquartile range 5.5
+    wins = [x + 20 for x in base]
+    assert "wins 10/10  gain rule holds" in summary(base, wins, True, 0.25)
+    assert "wins 8/10  gain rule fails" in summary(base, wins[:8] + base[8:], True, 0.25)
+    lower = [x - 20 for x in base]
+    assert "wins 10/10  gain rule holds" in summary(base, lower, False, 0.25)
+    assert "wins 0/10  gain rule fails" in summary(base, lower, True, 0.25)
+    same = summary(base, list(base), True, 0.25)
+    assert "no change" in same and same.endswith("within")
+    assert summary(base, [x / 2 for x in base], True, 0.25).endswith("EXCEEDS")
+    zero = [0.0] * 10
+    assert summary(zero, [1.0] * 10, True, 0.25).endswith("within")
+    assert summary(zero, [1.0] * 10, False, 0.25).endswith("EXCEEDS")
 
 
 def test_only_the_numeric_module_imports_numpy():

@@ -44,7 +44,7 @@ from tamecert.fixtures import MAX_FIXTURE_DIM
 from tamecert.linalg import mat_inverse, mat_mul, unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNKNOWN
 
-from conftest import CORPUS_NAMES, FIXTURES_DIR, SQRT2_ALMOST_ABELIAN, TAMED_NAMES, conjugate
+from conftest import CORPUS_NAMES, FIXTURES_DIR, SQRT2_ALMOST_ABELIAN, TAMED_NAMES, conjugate, spy
 
 F = Fraction
 
@@ -340,34 +340,24 @@ MAX_WEIGHT_SPACES_CALLS = 14
 
 
 def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
-    names = ("charpoly", "_echelon", "_kernel", "clear_denominators", "_cleared", "is_integrable", "_d2_ints", "_weight_spaces", "derived_series")
-    counts = {name: 0 for name in names}
     homes = [(tamecert.linalg, name) for name in ("charpoly", "_echelon", "_kernel", "clear_denominators", "_cleared")]
     homes += [(tamecert.forms, "is_integrable"), (tamecert.forms, "_d2_ints"), (tamecert.algebra, "_weight_spaces")]
+    modules = (tamecert.linalg, tamecert.algebra, tamecert.forms, tamecert.feasibility, tamecert.reduction, pipeline_mod)
+    spies = {}  # name: a spy on each module that holds the function
     for home, name in homes:
         original = getattr(home, name)
+        spies[name] = [spy(monkeypatch, module, name) for module in modules if getattr(module, name, None) is original]
+    spies["derived_series"] = [spy(monkeypatch, LieAlgebra, "derived_series")]
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        modules = (tamecert.linalg, tamecert.algebra, tamecert.forms, tamecert.feasibility, tamecert.reduction, pipeline_mod)
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-
-    def derived_series(self, _original=LieAlgebra.derived_series):
-        counts["derived_series"] += 1
-        return _original(self)
-
-    monkeypatch.setattr(LieAlgebra, "derived_series", derived_series)
+    def counts() -> dict:
+        return {name: sum(map(len, calls)) for name, calls in spies.items()}
 
     def run(fx) -> dict:
-        before = dict(counts)
+        before = counts()
         analyze(fx)
-        return {name: counts[name] - before[name] for name in counts}
+        return {name: n - before[name] for name, n in counts().items()}
 
-    first_total = {name: 0 for name in counts}
+    first_total = dict.fromkeys(spies, 0)
     for name in CORPUS_NAMES:
         fx = load_fixture(fixtures_dir / f"{name}.json")
         inputs = [x for x in (fx.algebra, fx.J, fx.omega) if x is not None]
@@ -376,7 +366,7 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
         # a second call on the same objects does the same work: nothing is memoized on them
         assert first == second, name
         assert [vars(x) for x in inputs] == state, name
-        for key in counts:
+        for key in first_total:
             first_total[key] += first[key]
     assert 0 < first_total["charpoly"] <= MAX_CHARPOLY_CALLS
     assert 0 < first_total["_echelon"] <= MAX_ECHELON_CALLS
@@ -389,32 +379,22 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
     assert 0 < first_total["derived_series"] <= MAX_DERIVED_SERIES_CALLS
 
 
-def test_only_analyze_tests_integrability(corpus, monkeypatch):
+def test_only_analyze_tests_integrability(corpus, bench_items, monkeypatch):
     # decide needs no integrable J, so it never runs the Nijenhuis test;
     # analyze runs it once per fixture with J and reports what it read
-    monkeypatch.syspath_prepend(str(FIXTURES_DIR.parent / "perfbench"))
-    import workloads
-
     original = tamecert.forms.is_integrable
-    calls = []
-
-    def counted(g, J):
-        calls.append(g.dim)
-        return original(g, J)
-
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "tamecert"]:
-        if getattr(module, "is_integrable", None) is original:
-            monkeypatch.setattr(module, "is_integrable", counted)
-    items = [(it.algebra, it.J) for it in workloads.build_items("conjugated", 1, FIXTURES_DIR)]
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "tamecert"]
+    calls = [spy(monkeypatch, m, "is_integrable") for m in modules if getattr(m, "is_integrable", None) is original]
+    items = [(it.algebra, it.J) for it in bench_items["conjugated", 1]]
     items.append((corpus["sol3_r_nonint"].algebra, corpus["sol3_r_nonint"].J))
     for g, J in items:
         decide(g, J)
-    assert len(items) == 15 and calls == []
+    assert len(items) == 15 and not any(calls)
     for name, fx in corpus.items():
         if fx.J is None:
             continue
         assert analyze(fx).j_status["integrable"] == original(fx.algebra, fx.J), name
-    assert calls
+    assert any(calls)
 
 
 def _floats(obj) -> list[tuple[float, float]]:

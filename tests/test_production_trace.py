@@ -21,9 +21,8 @@ import tamecert
 from tamecert.cli import main as cli_main
 from tamecert.feasibility import decide
 
-from conftest import FIXTURES_DIR, readme_snippet
+from conftest import FIXTURES_DIR, REPO_ROOT, readme_snippet
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = Path(tamecert.__file__).parent  # as co_filename spells it
 
 ERROR_PATH = "error path"
@@ -155,11 +154,8 @@ def entered(run) -> set[str]:
     return {table[key] for key in keys if key in table}
 
 
-def test_never_entered_functions_are_allowlisted(monkeypatch):
-    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
-    import workloads
-
-    items = [it for name in ("conjugated", "scaling") for it in workloads.build_items(name, 1, FIXTURES_DIR)]
+def test_never_entered_functions_are_allowlisted(bench_items):
+    items = bench_items["conjugated", 1] + bench_items["scaling", 1]
     fixtures = [str(path) for path in sorted(FIXTURES_DIR.glob("*.json"))]
 
     def production():

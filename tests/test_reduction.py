@@ -37,6 +37,7 @@ from conftest import (
     is_subalgebra,
     random_basis_change,
     reference_reduce,
+    spy,
 )
 
 F = Fraction
@@ -170,16 +171,16 @@ def oracle_triples(corpus) -> list[tuple[str, TamedTriple]]:
     aff2 = corpus["aff_r2"]
 
     def aff_r2_plus(fx) -> TamedTriple:  # aff_r2 + fx, with the block-diagonal Omega and J
-        g, J = direct_sum((aff2.algebra, aff2.J), (fx.algebra, fx.J))
+        g, J = direct_sum([(aff2.algebra, aff2.J), (fx.algebra, fx.J)])
         omega = dict(aff2.omega.coeffs)
         omega.update({(i + 4, j + 4): c for (i, j), c in fx.omega.coeffs})
         return TamedTriple.build(g, TwoForm.from_dict(g.dim, omega), J)
 
     rng = random.Random(11)
     t = TamedTriple.build(aff2.algebra, aff2.omega, aff2.J)
-    cases += [(f"aff_r2~P{k}", conjugate_triple(t, random_basis_change(rng, 4))) for k in range(2)]
+    cases += [(f"aff_r2~P{k}", conjugate_triple(t, random_basis_change(4, rng))) for k in range(2)]
     cases.append(("aff_r2+aff_r", aff_r2_plus(corpus["aff_r"])))
-    cases.append(("(aff_r2+aff_r2)~P", conjugate_triple(aff_r2_plus(aff2), random_basis_change(rng, 8))))
+    cases.append(("(aff_r2+aff_r2)~P", conjugate_triple(aff_r2_plus(aff2), random_basis_change(8, rng))))
     return cases
 
 
@@ -211,13 +212,7 @@ def test_reduce_tests_h_perp_by_one_dot_product(corpus, monkeypatch):
     # W xi . v == 0; on every vector it tests down the oracle towers, and on the
     # one that falls outside when h^perp is not a subalgebra, that test agrees
     # with eliminating v against the rows of h^perp
-    calls = []
-
-    def recording_dot(x, y):
-        calls.append((list(x), list(y)))
-        return _dot(x, y)
-
-    monkeypatch.setattr(reduction_mod, "_dot", recording_dot)
+    calls = spy(monkeypatch, reduction_mod, "_dot")
 
     def agreement(t, h):
         """reduce(t, h) or None if it lost taming, and for each vector it tested
@@ -228,7 +223,7 @@ def test_reduce_tests_h_perp_by_one_dot_product(corpus, monkeypatch):
         except TamingLost:
             step = None
         w_xi, perp = t.omega._apply_ints(h.rows[0]), omega_perp(t, h)
-        answers = [(_dot(w_xi, v) == 0, perp._contains_ints(v)) for x, v in calls if x == w_xi]
+        answers = [(_dot(w_xi, v) == 0, perp._contains_ints(v)) for (x, v), _ in calls if list(x) == w_xi]
         return step, answers
 
     checked = 0
