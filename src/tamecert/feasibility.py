@@ -6,8 +6,10 @@ The decision pipeline:
      D = [g, g], and one of them, or their plain sum (the Gram of the closed
      form W_1 + ... + W_m, B_i = W_i / w_i), definite there proves a miss
      with no search.  Otherwise, on subspaces of D defined by g and J alone
-     (each rational weight space of ad g in D, then D cap JD, a kernel), the
-     common radical of those Grams formed on W's own rows; a nonzero v in
+     (first D cap JD, one kernel; then, only when its radical is 0, each
+     rational weight space of ad g in D, the costlier kind, as it takes
+     characteristic polynomials and root isolation), the common radical
+     of those Grams formed on W's own rows; a nonzero v in
      it has B(v, Jv) = 0 for every closed B, so v v^T / |v|^2 is a dual
      certificate and proves infeasibility outright, and caps the maximum of
      step 2 at exactly 0, at c = 0: a hit is returned at once, with no solve;
@@ -183,15 +185,19 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     They are formed first on D = [g, g]'s echelon rows b: if one of them, or
     their sum, is definite (exact leading minors of G or -G), no nonzero v in
     D has B(v, Jv) = 0 for every closed B, and the search ends before any
-    weight space is sought, as it does at once when D = 0.  Otherwise it
-    searches subspaces W of D defined by g and J alone: each rational weight
-    space of ad g in D, sought inside Z cap D (Z the centralizer of D, so no
-    characteristic polynomial is larger than dim D), then D cap JD, the
-    kernel of v -> Jv mod D on b, as rows of g (``linalg._invariant_part``,
-    which also gives the proof trace's v = h^perp cap J h^perp).
+    subspace is sought, as it does at once when D = 0.  Otherwise it
+    searches subspaces W of D defined by g and J alone, the cheaper first:
+    D cap JD, the kernel of v -> Jv mod D on b, as rows of g
+    (``linalg._invariant_part``, which also gives the proof trace's
+    v = h^perp cap J h^perp), one kernel; then, only when that radical is 0,
+    each rational weight space of ad g in D, sought inside Z cap D (Z the
+    centralizer of D, so no characteristic polynomial is larger than dim D)
+    at the cost of a characteristic polynomial and a root isolation per free
+    basis vector.  Either order searches the same subspaces, so it hits on
+    the same inputs; it picks the direction only where both kinds hold one.
     The common radical of the Grams on W's own echelon rows (D's when W = D)
-    is one exact kernel, and on a line the line itself when every 1 x 1
-    Gram is 0.  It transforms with a basis change, so whether the precheck
+    is one exact kernel, and W itself, with no kernel, when every Gram on W
+    is 0.  It transforms with a basis change, so whether the precheck
     hits does not depend on the basis.  The search runs once per problem
     (FeasibilityProblem.degeneracy_direction).
     """
@@ -228,21 +234,22 @@ def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
     if any(map(_definite, grams)) or _definite([list(map(sum, zip(*rows))) for rows in zip(*grams)]):
         return None
 
-    def spaces():  # each subspace W of D by its echelon integer rows in g
+    def spaces():  # each subspace W of D by its echelon integer rows in g: one kernel first, then the charpolys
+        yield _invariant_part(b, scale, derived._pivots, jb), "J-invariant part of [g,g]"
         for space in _weight_spaces(g, derived, derived):
             yield space.rows, "weight space in [g,g]"
-        yield _invariant_part(b, scale, derived._pivots, jb), "J-invariant part of [g,g]"
 
     for rows, provenance in spaces():
         if not rows:
             continue
         # x = s * W's reduced-echelon basis: its Grams are those of that basis times s^2 > 0, D's own when W = D
         x, s = _scaled(rows)
-        restricted = grams if x == b else _grams(p, x, [p.J._apply_ints(v) for v in x])
-        if len(x) == 1:  # the line is its own radical when every 1 x 1 Gram is 0, and else the radical is 0
-            radical, radical_pivots = ([] if any(gram[0][0] for gram in restricted) else [[1]]), [0]
-        else:
-            radical, radical_pivots = _kernel([row for gram in restricted for row in gram], len(x))
+        restricted = grams if x == b else list(_grams(p, x, [p.J._apply_ints(v) for v in x]))
+        if not any(any(map(any, gram)) for gram in restricted):  # W is its own radical: its first row over s
+            return DegeneracyDirection(tuple(Fraction(v, s) for v in x[0]), provenance)
+        if len(x) == 1:  # a line with a nonzero 1 x 1 Gram has radical 0
+            continue
+        radical, radical_pivots = _kernel([row for gram in restricted for row in gram], len(x))
         if radical:
             # the first reduced-echelon radical vector, radical[0] / its pivot, in W's basis x / s
             den = radical[0][radical_pivots[0]] * s

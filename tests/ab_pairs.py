@@ -18,9 +18,10 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints the median and
 quartiles of both sides, the pairs the change wins (strictly better, in the
 metric's direction), and whether the gain rule holds: the change wins at
 least 9 of 10 pairs, and its median beats the base median by more than the
-base's interquartile range.  A metric whose runs read the same value on
-both sides of every pair prints "no change" in place of the wins and the
-gain rule, which tests only a claimed gain.  Each line ends with the
+base's interquartile range.  With fewer than ten pairs it prints "too few
+pairs" in place of that verdict, as the rule needs ten.  A metric whose
+runs read the same value on both sides of every pair prints "no change" in
+place of the wins and the gain rule, which tests only a claimed gain.  Each line ends with the
 no-regression verdict: how much worse the change's median is than the base
 median, relative to the base median, against the metric's ``bound`` in
 ``BENCHMARK.json``; "within" when it is no worse than the bound allows.
@@ -58,6 +59,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COVERAGE = "bench.span_coverage_ratio"
+MIN_PAIRS = 10  # the gain rule is read on at least this many pairs
 
 
 def seed_list(text: str) -> list[int]:
@@ -104,7 +106,8 @@ def summary(base: list[float], change: list[float], higher: bool, bound: float) 
     else:
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         holds = wins >= 0.9 * len(base) and sign * (cm - bm) > b3 - b1
-        gain = f"wins {wins}/{len(base)}  gain rule {'holds' if holds else 'fails'}"
+        rule = "too few pairs" if len(base) < MIN_PAIRS else f"gain rule {'holds' if holds else 'fails'}"
+        gain = f"wins {wins}/{len(base)}  {rule}"
     # the change's shortfall in the metric's direction, as a share of the base median
     worse = sign * (bm - cm) / abs(bm) if bm else (0.0 if sign * (bm - cm) <= 0 else float("inf"))
     verdict = "within" if worse <= bound else "EXCEEDS"

@@ -34,7 +34,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+# perfbench/ is not a package: its module loads as ``workloads``, the name tests/conftest.py imports it by,
+# so that one pytest run loads it once
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from tamecert import cli  # noqa: E402
 from tamecert.algebra import weight_spaces  # noqa: E402
@@ -42,7 +44,7 @@ from tamecert.feasibility import decide  # noqa: E402
 from tamecert.forms import closed_two_forms  # noqa: E402
 from tamecert.fixtures import dumps_report, load_fixture  # noqa: E402
 from tamecert.pipeline import analyze, verdict_to_dict  # noqa: E402
-from perfbench.workloads import build_items  # noqa: E402
+from workloads import build_items  # noqa: E402
 
 SEEDS = (1, 2, 3)
 WORKLOADS = ("conjugated", "scaling")

@@ -43,7 +43,7 @@ from tamecert.feasibility import (
     maximize_lambda_min,
 )
 from tamecert.forms import ComplexStructure, _gram_ints, is_taming, taming_gram
-from tamecert.linalg import Subspace, clear_denominators, leading_minors_positive, mat_inverse, mat_mul
+from tamecert.linalg import Subspace, _cleared, _dot, clear_denominators, leading_minors_positive, mat_inverse, mat_mul
 from tamecert.pipeline import verdict_to_dict
 
 from conftest import (
@@ -216,9 +216,11 @@ def test_precheck_none_for_kaehler_and_aff():
 
 
 def test_precheck_corpus_directions(corpus):
+    # all three hit on [g, g] cap J[g, g], a plane searched before any weight
+    # space; for iwasawa it is all of [g, g]
     expectations = {
         "iwasawa": (F(0),) * 4 + (F(1), F(0)),
-        "sol4_1": (F(0), F(0), F(0), F(1)),
+        "sol4_1": (F(0), F(0), F(1), F(0)),
         "inoue_s0": (F(1), F(0), F(0), F(0)),
     }
     for name, expected in expectations.items():
@@ -227,6 +229,8 @@ def test_precheck_corpus_directions(corpus):
         d = degeneracy_precheck(p)
         assert d is not None, name
         assert d.vector == expected, name
+        assert d.provenance == "J-invariant part of [g,g]", name
+        assert invariant_part(fx.algebra.derived_subalgebra(), fx.J)[1].dim == 2, name
         # a universal degeneracy direction: quadratic form zero on every
         # closed basis form, checked here against the raw forms directly
         jv = fx.J.apply(d.vector)
@@ -286,24 +290,36 @@ def derived_weight_spaces(g) -> list[Subspace]:
 
 
 def test_precheck_searches_weight_spaces_inside_the_derived_algebra(corpus, exact_items, monkeypatch):
-    # the precheck's weight spaces are found inside Z cap [g, g]: a case searches
-    # the nonzero intersections of the public weight spaces with [g, g], in order,
-    # or nothing, and then a closed Gram form or their sum is definite on [g, g]
+    # the precheck's weight spaces are found inside Z cap [g, g], and sought only
+    # after [g, g] cap J[g, g] gave no direction: a case that searched it and did
+    # not hit there searches the nonzero intersections of the public weight spaces
+    # with [g, g], in order; a hit on it searches no weight space; a case that
+    # searched nothing has a closed Gram form, or their sum, definite on [g, g]
     searched = spy(monkeypatch, feas_mod, "_weight_spaces")
+    invariant = spy(monkeypatch, feas_mod, "_invariant_part")
     for name, g, J in precheck_cases(corpus, exact_items):
         searched.clear()
+        invariant.clear()
         p = build_problem(g, J)
-        degeneracy_precheck(p)
-        assert [spaces for _, spaces in searched] == [derived_weight_spaces(g)] or (searched == [] and definite_on_derived(p)), name
+        d = degeneracy_precheck(p)
+        if not invariant:
+            assert searched == [] and definite_on_derived(p), name
+        elif d is not None and d.provenance == "J-invariant part of [g,g]":
+            assert len(invariant) == 1 and searched == [], name
+        else:
+            assert len(invariant) == 1 and [spaces for _, spaces in searched] == [derived_weight_spaces(g)], name
+            assert not definite_on_derived(p), name
 
 
 def test_precheck_workload_misses_search_no_subspace(bench_items, monkeypatch):
     # on the seed-1 items of corpus and conjugated, each of the 9 non-abelian
     # misses is proved on [g, g] before any subspace is sought: no weight space
-    # and no kernel; each of the 12 hits searches its weight spaces as before
+    # and no kernel; each of the 12 hits searches [g, g] cap J[g, g] once, and
+    # its weight spaces only when it did not hit there: the 3 h3_r items, whose
+    # [g, g] cap J[g, g] is 0
     searched = spy(monkeypatch, feas_mod, "_weight_spaces")
     kernels = [spy(monkeypatch, feas_mod, name) for name in ("_kernel", "_invariant_part")]  # the radicals' and D cap JD's
-    misses, hits = [], []
+    misses, hits, on_weights = [], [], []
     for workload in ("corpus", "conjugated"):
         for item in bench_items[workload, 1]:
             for calls in [searched, *kernels]:
@@ -312,19 +328,26 @@ def test_precheck_workload_misses_search_no_subspace(bench_items, monkeypatch):
             label = f"{workload}:{item.name}"
             if direction is not None:
                 hits.append(label)
-                assert [spaces for _, spaces in searched] == [derived_weight_spaces(item.algebra)], label
+                assert len(kernels[1]) == 1, label
+                if direction.provenance == "weight space in [g,g]":
+                    on_weights.append(label)
+                    assert [spaces for _, spaces in searched] == [derived_weight_spaces(item.algebra)], label
+                else:
+                    assert searched == [], label
             elif not item.algebra.is_abelian():
                 misses.append(label)
                 assert searched == [] and kernels == [[], []], label
     assert len(misses) == 9 and len(hits) == 12, (misses, hits)
+    assert on_weights == ["corpus:h3_r", "conjugated:h3_r~P0", "conjugated:h3_r~P1"], on_weights
 
 
 def test_definite_exit_fires_where_the_weighted_sum_did(corpus, exact_items, bench_items, monkeypatch):
     # the exit sums the integer Grams unweighted, the Gram of W_1 + ... + W_m; it
     # fires, by a single Gram or by the sum, exactly where the lcm-weighted sum of
     # the first formulation fired: on every corpus, conjugated and scaling item at
-    # seeds 1-3, on exact_items and on four pool draws per non-abelian fixture
-    searched = spy(monkeypatch, feas_mod, "_weight_spaces")
+    # seeds 1-3, on exact_items and on four pool draws per non-abelian fixture;
+    # the search, when it runs, first takes [g, g] cap J[g, g]
+    searched = spy(monkeypatch, feas_mod, "_invariant_part")
     items = [(f"{w}:{s}:{item.name}", item.algebra, item.J) for (w, s), built in bench_items.items() for item in built]
     workload_count = len(items)
     items += exact_items
@@ -369,16 +392,18 @@ def test_precheck_charpolys_fit_in_the_derived_algebra(corpus, exact_items, monk
         assert max(sizes, default=0) <= g.derived_subalgebra().dim, (name, sizes)
 
 
-def reference_degeneracy_search(p):
-    """The precheck in its first formulation: on each nonzero intersection of a
-    public weight space with [g, g], then on [g, g] cap J[g, g], the kernel of
-    the stacked B S_i B^T, B the reduced-echelon basis of the subspace and S_i
-    the exact Gram forms of gram_basis; the oracle for _degeneracy_search."""
+def reference_degeneracy_search(p, invariant_first: bool = True):
+    """The precheck in its first formulation: on [g, g] cap J[g, g], then on
+    each nonzero intersection of a public weight space with [g, g] (in the
+    other order when invariant_first is False), the kernel of the stacked
+    B S_i B^T, B the reduced-echelon basis of the subspace and S_i the exact
+    Gram forms of gram_basis; the oracle for _degeneracy_search."""
     g = p.algebra
     derived = g.derived_subalgebra()
     spaces = [(w, "weight space in [g,g]") for w in (intersect(s, derived) for s in weight_spaces(g))]
     j_derived = Subspace.from_vectors(g.dim, [p.J.apply(v) for v in derived.basis])
-    spaces.append((intersect(derived, j_derived), "J-invariant part of [g,g]"))
+    invariant = (intersect(derived, j_derived), "J-invariant part of [g,g]")
+    spaces = [invariant] + spaces if invariant_first else spaces + [invariant]
     for w, provenance in spaces:
         basis = w.basis
         rows = [
@@ -406,13 +431,13 @@ def test_precheck_equals_the_restricted_gram_oracle(structures):
 
 def test_precheck_decides_a_line_without_a_kernel(corpus, monkeypatch):
     # on a one-dimensional subspace the radical is the line when every 1 x 1
-    # restricted Gram is 0, and 0 otherwise: h3_r and sol4_1 hit on a line of
-    # [g, g], aff_r and aff_r2 miss on theirs, in the fixture basis and in both
+    # restricted Gram is 0, and 0 otherwise: h3_r hits on a line of [g, g],
+    # aff_r and aff_r2 miss on theirs, in the fixture basis and in both
     # conjugated pool draws, and _kernel, patched to fail, is never reached
     def refused(*args):
         raise AssertionError("the precheck took a kernel on a line")
 
-    for name, hit in (("h3_r", True), ("sol4_1", True), ("aff_r", False), ("aff_r2", False)):
+    for name, hit in (("h3_r", True), ("aff_r", False), ("aff_r2", False)):
         fx = corpus[name]
         for label, (g, J) in [(name, (fx.algebra, fx.J))] + [(f"{name}~P{k}", pool_draw(corpus, name, k)) for k in range(2)]:
             p = build_problem(g, J)
@@ -423,6 +448,56 @@ def test_precheck_decides_a_line_without_a_kernel(corpus, monkeypatch):
             assert found == expected and (found is not None) == hit, label
             if hit:
                 assert found.provenance == "weight space in [g,g]", label
+
+
+def test_precheck_decides_a_zero_gram_subspace_without_a_kernel(corpus, monkeypatch):
+    # a subspace on which every restricted Gram is 0 is its own radical, and its
+    # first echelon row is the direction: iwasawa's [g, g] cap J[g, g] is all of
+    # [g, g], a plane on which each closed Gram vanishes, in the fixture basis and
+    # in both conjugated pool draws, and _kernel, patched to fail, is never reached
+    def refused(*args):
+        raise AssertionError("the precheck took a kernel on a zero-Gram subspace")
+
+    fx = corpus["iwasawa"]
+    for label, (g, J) in [("iwasawa", (fx.algebra, fx.J))] + [(f"iwasawa~P{k}", pool_draw(corpus, "iwasawa", k)) for k in range(2)]:
+        derived = g.derived_subalgebra()
+        assert invariant_part(derived, J)[1] == derived and derived.dim == 2, label
+        p = build_problem(g, J)
+        basis = derived.basis
+        for gram in p.gram_basis:
+            assert all(sum(x[i] * gram[i][j] * y[j] for i in range(g.dim) for j in range(g.dim)) == 0 for x in basis for y in basis), label
+        expected = reference_degeneracy_search(p)
+        with monkeypatch.context() as patched:
+            patched.setattr(feas_mod, "_kernel", refused)
+            found = feas_mod._degeneracy_search(p)
+        assert found == expected and found.provenance == "J-invariant part of [g,g]", label
+        assert found.vector == basis[0], label
+
+
+def test_precheck_directions_are_rank_one_certificates(structures, bench_items):
+    # every precheck hit is a rank-one certificate, checked on the closed forms'
+    # integer coefficients and not through the precheck: a nonzero v with
+    # B(v, Jv) = 0 for every closed B, as a . W J'a = 0 for v's integer
+    # numerators a, J' = den J and B = W / w; and the search order moves no hit:
+    # the oracle, searching [g, g] cap J[g, g] first or last, hits exactly where
+    # the precheck does, on the structures (which hold exact_items) and on every
+    # corpus, conjugated and scaling item at seeds 1-3
+    items = list(structures)
+    items += [(f"{w}:{seed}:{item.name}", item.algebra, item.J) for (w, seed), built in bench_items.items() for item in built]
+    hits = Counter()
+    for name, g, J in items:
+        p = build_problem(g, J)
+        d = degeneracy_precheck(p)
+        for invariant_first in (True, False):
+            assert (reference_degeneracy_search(p, invariant_first) is None) == (d is None), (name, invariant_first)
+        if d is not None:
+            a = _cleared(d.vector)[0]
+            ja = J._apply_ints(a)
+            assert any(a) and all(_dot(a, b._apply_ints(ja)) == 0 for b in p.z2_basis), name
+            hits[d.provenance] += 1
+    # 12 h3_r inputs hit on a weight line, where [g, g] cap J[g, g] = 0; the 36
+    # iwasawa, sol4_1 and inoue_s0 inputs on [g, g] cap J[g, g]
+    assert hits == {"J-invariant part of [g,g]": 36, "weight space in [g,g]": 12}, hits
 
 
 def test_precheck_reads_no_integer_gram_stack(corpus, monkeypatch):
@@ -1215,7 +1290,7 @@ CERTIFICATE_DIGESTS = {
     "inoue_s0": "240901be8347c610",  # infeasible
     "iwasawa": "84b79e99ff99facc",  # infeasible
     "sol3_r_nonint": "e67fefe4987f72ed",  # feasible
-    "sol4_1": "aa82875475d9c006",  # infeasible
+    "sol4_1": "2682bcaa5eebb423",  # infeasible
     "aff_r~P0": "154685d1ff1c8446",  # feasible
     "aff_r~P1": "154685d1ff1c8446",  # feasible
     "aff_r2~P0": "6d3d7557e7f16cfe",  # feasible
@@ -1228,8 +1303,8 @@ CERTIFICATE_DIGESTS = {
     "iwasawa~P1": "5a42647ccd6e0eeb",  # infeasible
     "sol3_r_nonint~P0": "77cc1435dfd4a35d",  # feasible
     "sol3_r_nonint~P1": "e473d7a32796b1aa",  # feasible
-    "sol4_1~P0": "211f317dabace82a",  # infeasible
-    "sol4_1~P1": "73b9f982a59b8b93",  # infeasible
+    "sol4_1~P0": "5150e950e7d9a62b",  # infeasible
+    "sol4_1~P1": "0bd77da8c97d81e6",  # infeasible
     "r10": "04d9be8f2883c1ef",  # feasible
     "r12": "2e1f39e3ae6714c4",  # feasible
     "aff_r2^3": "2e1f39e3ae6714c4",  # feasible

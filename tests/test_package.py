@@ -270,6 +270,19 @@ def test_ab_pairs_reads_its_verdicts():
     assert summary(zero, [1.0] * 10, False, 0.25).endswith("EXCEEDS")
 
 
+def test_ab_pairs_reads_no_gain_off_too_few_pairs():
+    # the gain rule needs ten pairs: below that a better change reads "too few
+    # pairs" in place of the rule's verdict, and at ten the rule is read
+    one = summary([100.0], [120.0], True, 0.25)
+    assert "wins 1/1  too few pairs" in one and "gain rule" not in one and one.endswith("within")
+    nine = [100.0 + k for k in range(9)]
+    assert "wins 9/9  too few pairs" in summary(nine, [x + 20 for x in nine], True, 0.25)
+    ten = [100.0 + k for k in range(10)]
+    assert "wins 10/10  gain rule holds" in summary(ten, [x + 20 for x in ten], True, 0.25)
+    assert "wins 0/1  too few pairs" in summary([100.0], [50.0], True, 0.25)
+    assert summary([100.0], [50.0], True, 0.25).endswith("EXCEEDS")
+
+
 def test_only_the_numeric_module_imports_numpy():
     # one float lane: a single numpy import in the package, in _numeric
     found = []

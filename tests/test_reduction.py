@@ -29,6 +29,7 @@ from tamecert.linalg import _dot, unit_vec
 
 from conftest import (
     TAMED_NAMES,
+    build_items,
     conjugate,
     contains_vector,
     direct_sum,
@@ -441,7 +442,9 @@ def test_structure_digest_is_pinned(monkeypatch):
     differ in their last digits across numpy and BLAS builds, so it stays a
     check to run by hand.  A change that alters exact structure updates this
     constant and names the change in CHANGES.md."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # output_digest prepends the repo root and src/
+    monkeypatch.setattr(sys, "path", list(sys.path))  # output_digest prepends src/ and perfbench/
     import output_digest
 
+    # it reads the benchmark module conftest loaded, under the same name: one load per run
+    assert output_digest.build_items is build_items and "perfbench.workloads" not in sys.modules
     assert output_digest.structure_digest() == STRUCTURE_DIGEST
