@@ -7,6 +7,8 @@ load no numpy.  Floats only search here; ``feasibility`` re-proves exactly.
 
 import numpy as np
 
+from .errors import TamecertError
+
 DAMPED_DECREMENT = 0.25
 STEP_FRACTION = 0.9
 NEWTON_TOL = 1e-6
@@ -16,8 +18,12 @@ MAX_CENTERING_STEPS = 100
 
 
 def gram_stack(gram_basis, n: int) -> np.ndarray:
-    """The exact Gram forms as one float stack, shape (m, n, n)."""
-    return np.array([[[float(x) for x in row] for row in m] for m in gram_basis], dtype=float).reshape(len(gram_basis), n, n)
+    """The exact Gram forms as one float stack, shape (m, n, n); an entry beyond the range of a double
+    raises ``TamecertError``, as no float search can read it."""
+    try:
+        return np.array([[[float(x) for x in row] for row in m] for m in gram_basis], dtype=float).reshape(len(gram_basis), n, n)
+    except OverflowError as exc:
+        raise TamecertError(f"a closed Gram form has an entry beyond the range of a double ({exc})") from exc
 
 
 def projection(grams: np.ndarray) -> np.ndarray:

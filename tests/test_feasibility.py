@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import random
+import struct
 import time
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +33,7 @@ from tamecert.algebra import scale_structure_constants, weight_spaces
 from tamecert.errors import ExactificationFailed, NotAComplexStructure
 from tamecert.feasibility import (
     DEGENERATE_MARGIN,
+    DUAL_DENOMINATOR_BOUND,
     EXACTIFY_DENOMINATOR_BOUND,
     DegeneracyDirection,
     FeasibilityConfig,
@@ -289,12 +291,21 @@ def derived_weight_spaces(g) -> list[Subspace]:
     return [w for w in (intersect(s, derived) for s in weight_spaces(g)) if w.dim]
 
 
+def takes_invariant_kernel(g, J) -> bool:
+    """Whether the precheck takes [g, g] cap J[g, g] by a kernel: [g, g] is neither
+    0, a line nor J-invariant, read off the Zassenhaus oracle."""
+    derived = g.derived_subalgebra()
+    return derived.dim > 1 and invariant_part(derived, J)[1] != derived
+
+
 def test_precheck_searches_weight_spaces_inside_the_derived_algebra(corpus, exact_items, monkeypatch):
-    # the precheck's weight spaces are found inside Z cap [g, g], and sought only
-    # after [g, g] cap J[g, g] gave no direction: a case that searched it and did
-    # not hit there searches the nonzero intersections of the public weight spaces
-    # with [g, g], in order; a hit on it searches no weight space; a case that
-    # searched nothing has a closed Gram form, or their sum, definite on [g, g]
+    # the precheck takes [g, g] cap J[g, g] by a kernel once, exactly when [g, g]
+    # is neither a line (where it is 0) nor J-invariant (where it is [g, g]); its
+    # weight spaces are found inside Z cap [g, g], and sought only after [g, g]
+    # cap J[g, g] gave no direction and no closed Gram form, or their sum, is
+    # definite on [g, g]: then it searches the nonzero intersections of the
+    # public weight spaces with [g, g], in order; a hit on [g, g] cap J[g, g]
+    # searches no weight space, and neither does a definite [g, g]
     searched = spy(monkeypatch, feas_mod, "_weight_spaces")
     invariant = spy(monkeypatch, feas_mod, "_invariant_part")
     for name, g, J in precheck_cases(corpus, exact_items):
@@ -302,43 +313,84 @@ def test_precheck_searches_weight_spaces_inside_the_derived_algebra(corpus, exac
         invariant.clear()
         p = build_problem(g, J)
         d = degeneracy_precheck(p)
-        if not invariant:
-            assert searched == [] and definite_on_derived(p), name
-        elif d is not None and d.provenance == "J-invariant part of [g,g]":
-            assert len(invariant) == 1 and searched == [], name
+        assert len(invariant) == takes_invariant_kernel(g, J), name
+        if d is not None and d.provenance == "J-invariant part of [g,g]":
+            assert searched == [] and not definite_on_derived(p), name
+        elif definite_on_derived(p):
+            assert searched == [] and d is None, name
         else:
-            assert len(invariant) == 1 and [spaces for _, spaces in searched] == [derived_weight_spaces(g)], name
-            assert not definite_on_derived(p), name
+            assert [spaces for _, spaces in searched] == [derived_weight_spaces(g)], name
 
 
 def test_precheck_workload_misses_search_no_subspace(bench_items, monkeypatch):
     # on the seed-1 items of corpus and conjugated, each of the 9 non-abelian
-    # misses is proved on [g, g] before any subspace is sought: no weight space
-    # and no kernel; each of the 12 hits searches [g, g] cap J[g, g] once, and
-    # its weight spaces only when it did not hit there: the 3 h3_r items, whose
-    # [g, g] cap J[g, g] is 0
+    # misses is proved on [g, g] with no weight space and no radical kernel:
+    # the 3 aff_r2 items take [g, g] cap J[g, g] = 0 by a kernel first, while
+    # aff_r's line and sol3_r_nonint's J-invariant [g, g] take none; each of the
+    # 12 hits takes that kernel exactly when [g, g] is neither a line nor
+    # J-invariant, and searches its weight spaces only when it did not hit on
+    # [g, g] cap J[g, g]: the 3 h3_r items, whose [g, g] is a line
     searched = spy(monkeypatch, feas_mod, "_weight_spaces")
     kernels = [spy(monkeypatch, feas_mod, name) for name in ("_kernel", "_invariant_part")]  # the radicals' and D cap JD's
-    misses, hits, on_weights = [], [], []
+    misses, hits, on_weights, missed_kernels = [], [], [], []
     for workload in ("corpus", "conjugated"):
         for item in bench_items[workload, 1]:
             for calls in [searched, *kernels]:
                 calls.clear()
             direction = degeneracy_precheck(build_problem(item.algebra, item.J))
             label = f"{workload}:{item.name}"
+            if item.algebra.is_abelian():
+                assert direction is None and searched == [] and kernels == [[], []], label
+                continue
+            assert len(kernels[1]) == takes_invariant_kernel(item.algebra, item.J), label
             if direction is not None:
                 hits.append(label)
-                assert len(kernels[1]) == 1, label
                 if direction.provenance == "weight space in [g,g]":
                     on_weights.append(label)
                     assert [spaces for _, spaces in searched] == [derived_weight_spaces(item.algebra)], label
                 else:
                     assert searched == [], label
-            elif not item.algebra.is_abelian():
+            else:
                 misses.append(label)
-                assert searched == [] and kernels == [[], []], label
+                assert searched == [] and kernels[0] == [], label
+                assert [result for _, result in kernels[1]] in ([], [[]]), label
+                if kernels[1]:
+                    missed_kernels.append(label)
     assert len(misses) == 9 and len(hits) == 12, (misses, hits)
     assert on_weights == ["corpus:h3_r", "conjugated:h3_r~P0", "conjugated:h3_r~P1"], on_weights
+    assert missed_kernels == ["corpus:aff_r2", "conjugated:aff_r2~P0", "conjugated:aff_r2~P1"], missed_kernels
+
+
+def test_precheck_hits_on_a_proper_invariant_part_before_the_exits(bench_items, monkeypatch):
+    # the 6 seed-1 hits on a proper [g, g] cap J[g, g] (inoue_s0 and sol4_1, in
+    # corpus and conjugated) form every Gram on the rows of that plane, none on
+    # [g, g], and run no definite exit; the 3 h3_r items ([g, g] a line) and the
+    # 3 iwasawa items ([g, g] J-invariant) hit with no _invariant_part call
+    grams = spy(monkeypatch, feas_mod, "_grams")
+    definite = spy(monkeypatch, feas_mod, "_definite")
+    invariant = spy(monkeypatch, feas_mod, "_invariant_part")
+    proper, without_kernel = [], []
+    for workload in ("corpus", "conjugated"):
+        for item in bench_items[workload, 1]:
+            g, J = item.algebra, item.J
+            p = build_problem(g, J)
+            for calls in (grams, definite, invariant):
+                calls.clear()
+            d = feas_mod._degeneracy_search(p)
+            label, derived = f"{workload}:{item.name}", g.derived_subalgebra()
+            fixture = item.name.split("~")[0]
+            if fixture in ("inoue_s0", "sol4_1"):
+                part = invariant_part(derived, J)[1]
+                assert 0 < part.dim < derived.dim and len(invariant) == 1, label
+                assert d is not None and d.provenance == "J-invariant part of [g,g]", label
+                assert grams and all(Subspace._span(g.dim, rows) == part for (_, rows, _), _ in grams), label
+                assert definite == [], label
+                proper.append(label)
+            elif fixture in ("h3_r", "iwasawa"):
+                assert derived.dim == 1 or invariant_part(derived, J)[1] == derived, label
+                assert d is not None and invariant == [], label
+                without_kernel.append(label)
+    assert len(proper) == 6 and len(without_kernel) == 6, (proper, without_kernel)
 
 
 def test_definite_exit_fires_where_the_weighted_sum_did(corpus, exact_items, bench_items, monkeypatch):
@@ -346,8 +398,9 @@ def test_definite_exit_fires_where_the_weighted_sum_did(corpus, exact_items, ben
     # fires, by a single Gram or by the sum, exactly where the lcm-weighted sum of
     # the first formulation fired: on every corpus, conjugated and scaling item at
     # seeds 1-3, on exact_items and on four pool draws per non-abelian fixture;
-    # the search, when it runs, first takes [g, g] cap J[g, g]
-    searched = spy(monkeypatch, feas_mod, "_invariant_part")
+    # it fired when one of the search's _definite calls was true, which ends the
+    # search with no direction, and a hit before the exits makes none
+    exit_tests = spy(monkeypatch, feas_mod, "_definite")
     items = [(f"{w}:{s}:{item.name}", item.algebra, item.J) for (w, s), built in bench_items.items() for item in built]
     workload_count = len(items)
     items += exact_items
@@ -358,9 +411,11 @@ def test_definite_exit_fires_where_the_weighted_sum_did(corpus, exact_items, ben
             continue
         p = build_problem(g, J)
         single, weighted = reference_definite_exit(p)
-        searched.clear()
-        feas_mod._degeneracy_search(p)
-        assert (searched == []) == (single or weighted), label
+        exit_tests.clear()
+        found = feas_mod._degeneracy_search(p)
+        fired = any(result for _, result in exit_tests)
+        assert fired == (single or weighted), label
+        assert not fired or found is None, label
         if k < workload_count:
             exits["single" if single else "sum" if weighted else "search"] += 1
     assert exits == {"single": 24, "sum": 6, "search": 36}, exits
@@ -754,6 +809,37 @@ def test_limit_denominator_rounds_below_a_tenth_of_the_bound_to_zero():
     assert all(F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) == 0 for x in xs)
     # the nearest nonzero p/q within the bound, 1 / bound, is ten times the cut
     assert F(10 * tiny).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) == F(1, EXACTIFY_DENOMINATOR_BOUND)
+
+
+def test_nearest_is_limit_denominator():
+    # _nearest rounds as Fraction(x).limit_denominator(bound) does, at exactify's
+    # and dual_certificate's bounds, on 12,000 seeded floats: uniform on either
+    # side of 0, dyadics, values below 1 / bound, any finite bit pattern; and a
+    # NaN raises ValueError and an infinity OverflowError, as Fraction(x) does.
+    # No finite float is a tie at these bounds: the two candidates are Farey
+    # neighbours a/b and c/d with b + d above the bound, so a dyadic midpoint
+    # needs b = 1 and d a power of 2 at least the bound.  So ties are drawn at
+    # bound 2^10: k +- 1/2^11 lies midway between k and k +- 1/2^10, and the
+    # convergent k wins
+    rng = random.Random(54)
+    xs = [rng.uniform(-1, 1) for _ in range(3000)]
+    xs += [rng.randint(-(2**40), 2**40) / 2 ** rng.randint(0, 60) for _ in range(3000)]
+    xs += [rng.choice((-1, 1)) * rng.uniform(0.01, 1) * 10.0 ** -rng.uniform(3, 320) for _ in range(3000)]
+    bits = (struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(3200))
+    xs += [x for x in bits if math.isfinite(x)][:3000]
+    assert len(xs) == 12_000 and sum(0 < abs(x) < 1e-3 for x in xs) >= 3000
+    for bound in (EXACTIFY_DENOMINATOR_BOUND, DUAL_DENOMINATOR_BOUND):
+        for x in xs:
+            assert feas_mod._nearest(x, bound) == F(x).limit_denominator(bound), (x, bound)
+    for k in range(-500, 500):
+        for x in (k + 1 / 2**11, k - 1 / 2**11):
+            assert feas_mod._nearest(x, 2**10) == F(x).limit_denominator(2**10) == k, x
+    for x, error in ((math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)):
+        for bound in (EXACTIFY_DENOMINATOR_BOUND, DUAL_DENOMINATOR_BOUND):
+            with pytest.raises(error):
+                feas_mod._nearest(x, bound)
+            with pytest.raises(error):
+                F(x).limit_denominator(bound)
 
 
 def test_exactify_fails_on_singular_optimum(monkeypatch):

@@ -40,6 +40,7 @@ from tamecert import (
     standard_complex_structure,
 )
 from tamecert.cli import build_parser, main as cli_main
+from tamecert.errors import TamecertError
 from tamecert.fixtures import MAX_FIXTURE_DIM
 from tamecert.linalg import mat_inverse, mat_mul, unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNKNOWN
@@ -596,6 +597,33 @@ def test_corpus_run_collects_errors(tmp_path, fixtures_dir):
     assert by_name["bad"].error is not None and "'brackets' must be a list" in by_name["bad"].error
     assert by_name["deep"].error is not None and by_name["deep"].report is None
     assert by_name["aff_r"].report is not None
+    assert result.exit_code == EXIT_INPUT_ERROR
+
+
+def test_a_gram_beyond_the_float_range_is_an_input_error(tmp_path, fixtures_dir, capsys):
+    # aff_r with J = [[0, -1/10^400], [10^400, 0]] is a legal fixture whose
+    # closed Gram has an entry past the largest double: decide raises a
+    # TamecertError naming that, not float()'s OverflowError, so tame prints
+    # "error: ..." and exits 1, and a corpus run records the error and still
+    # reports the fixture beside it
+    big = "1" + "0" * 400
+    doc = json.loads((fixtures_dir / "aff_r.json").read_text())
+    doc["J"] = [["0", f"-1/{big}"], [big, "0"]]
+    path = tmp_path / "aff_r.json"
+    path.write_text(json.dumps(doc))
+    (tmp_path / "h3_r.json").write_text((fixtures_dir / "h3_r.json").read_text())
+    assert cli_main(["validate", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    fx = load_fixture(path)
+    with pytest.raises(TamecertError, match="beyond the range of a double") as err:
+        decide(fx.algebra, fx.J)
+    assert isinstance(err.value.__cause__, OverflowError)
+    assert cli_main(["tame", str(path)]) == EXIT_INPUT_ERROR
+    assert re.fullmatch(r"error: a closed Gram form has an entry beyond the range of a double \(.*\)\n", capsys.readouterr().err)
+    result = corpus_run(tmp_path)
+    by_name = {e.name: e for e in result.entries}
+    assert by_name["aff_r"].report is None and "beyond the range of a double" in by_name["aff_r"].error
+    assert by_name["h3_r"].error is None and by_name["h3_r"].report.feasibility.kind == "infeasible"
     assert result.exit_code == EXIT_INPUT_ERROR
 
 
