@@ -40,8 +40,16 @@ from .forms import (
     standard_complex_structure,
 )
 from .linalg import Subspace
-from .pipeline import AnalysisReport, ProofTraceRecord, analyze, corpus_run, proof_trace
-from .reduction import ReductionStep, ReductionTower, TamedTriple, reduce, reduction_tower
+from .pipeline import AnalysisReport, analyze, corpus_run
+from .reduction import (
+    ProofTraceRecord,
+    ReductionStep,
+    ReductionTower,
+    TamedTriple,
+    proof_trace,
+    reduce,
+    reduction_tower,
+)
 
 __version__ = "0.1.0"
 

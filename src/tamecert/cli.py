@@ -76,7 +76,7 @@ def cmd_analyze(args) -> int:
         if v is None:
             print("  feasibility: skipped (no J)")
         elif isinstance(v, Feasible):
-            print(f"  feasibility: FEASIBLE  lambda_min={v.lambda_min:.6g} exact_pd={v.exact_pd}")
+            print(f"  feasibility: FEASIBLE  lambda_min={v.lambda_min:.6g}")
         elif isinstance(v, Infeasible):
             tag = "rank-one" if v.rank_one_direction is not None else "exact"
             print(f"  feasibility: INFEASIBLE ({tag} dual)")
@@ -102,7 +102,6 @@ def cmd_reduce(args) -> int:
                 "ideal_generator": [str(x) for x in step.generator],
                 "perp_dim": step.perp.dim,
                 "reduced_dim": step.reduced.algebra.dim,
-                "verified": step.reduced.verified,
             }
             for step in tower.steps
         ],
@@ -115,8 +114,7 @@ def cmd_reduce(args) -> int:
         print(f"algebra: {fx.name} (dim {fx.algebra.dim})")
         for k, step in enumerate(tower.steps):
             gen = ", ".join(str(x) for x in step.generator)
-            print(f"  step {k+1}: quotient by span({gen}); reduced dim {step.reduced.algebra.dim}; "
-                  f"verified={step.reduced.verified}")
+            print(f"  step {k+1}: quotient by span({gen}); reduced dim {step.reduced.algebra.dim}")
         print(f"  terminal dimension: {tower.terminal_dim}")
     return EXIT_OK
 

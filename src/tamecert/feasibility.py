@@ -81,8 +81,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FeasibilityConfig:
-    """Unread, as decide has no tolerance; kept with FeasibilityProblem.config
-    only because perfbench/spans.py builds FeasibilityProblem positionally."""
+    """Unread, as decide has no tolerance: kept for perfbench/ until ROADMAP item 1's benchmark change."""
 
     eps_feas: float = 1e-7
     eps_dual: float = 1e-8
@@ -95,9 +94,9 @@ class FeasibilityProblem:
     z2_basis: list[TwoForm]
     gram_basis: list[Mat]  # taming_gram of each closed form, the source of grams; no exact lane reads it
     grams: np.ndarray  # float stack, shape (m, n, n)
-    config: FeasibilityConfig  # unread; see FeasibilityConfig
-    # unread, and build_problem leaves it None: analyze tests integrability itself;
-    # kept only because perfbench/spans.py builds FeasibilityProblem positionally
+    # config and j_integrable are unread (analyze tests integrability itself):
+    # kept for perfbench/ until ROADMAP item 1's benchmark change
+    config: FeasibilityConfig = FeasibilityConfig()
     j_integrable: bool | None = None
 
     @property
@@ -128,14 +127,14 @@ class FeasibilityProblem:
 class Feasible:
     omega: TwoForm  # exact rational coefficients
     lambda_min: float  # Gram lambda_min after unit-ball normalization
-    exact_pd: bool  # always True: decide returns Unknown when exactify fails
+    exact_pd: bool = True  # unread: kept for perfbench/ until ROADMAP item 1's benchmark change
     kind: str = field(default="feasible", init=False)
 
 
 @dataclass(frozen=True)
 class Infeasible:
     dual: tuple  # symmetric PSD matrix of exact rationals, trace one
-    residual: float  # always 0.0: the dual meets its constraints exactly
+    residual: float  # always 0.0, unread: kept for perfbench/ until ROADMAP item 1's benchmark change
     rank_one_direction: Vec | None
     best_primal: float  # 0.0 on a rank-one verdict, the exact maximum; else the solve's margin
     kind: str = field(default="infeasible", init=False)
@@ -175,7 +174,6 @@ def build_problem(g: LieAlgebra, J: ComplexStructure) -> FeasibilityProblem:
         z2_basis=basis,
         gram_basis=gram_basis,
         grams=_numeric.gram_stack(gram_basis, g.dim),
-        config=FeasibilityConfig(),
     )
 
 
@@ -382,7 +380,9 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     Returns (certificate, 0.0) when exact leading minors prove the corrected
     matrix positive definite, and None otherwise: when the affine set is
     empty (I lies in span{S_i}) or the optimum sits on the boundary of the
-    PSD cone, so that only a singular dual exists.
+    PSD cone, so that only a singular dual exists.  The 0.0, the residual,
+    is unread in the package: kept for perfbench/ until ROADMAP item 1's
+    benchmark change.
     """
     n = p.algebra.dim
     if n == 0:
@@ -420,13 +420,26 @@ def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:
     and, failing a Feasible, dual_certificate; both re-prove exactly, so no
     threshold picks a verdict.  The one way into these lanes: ``analyze``
     calls it too.  For n >= 1 the closed basis is never empty, as it holds
-    d(g*) when [g, g] != 0 and every 2-form when g is abelian."""
+    d(g*) when [g, g] != 0 and every 2-form when g is abelian.  The float
+    lanes run under one ``np.errstate`` that collects numpy's floating-point
+    errors, logged here once per decision, not warned."""
+    from . import _numeric
     p = build_problem(g, J)
     if g.dim == 0:
-        return Feasible(TwoForm.from_dict(0, {}), float("inf"), True)
+        return Feasible(TwoForm.from_dict(0, {}), float("inf"))
     direction = degeneracy_precheck(p)
     if direction is not None:  # the exact maximum is 0: nothing is left to solve
         return Infeasible(_freeze_matrix(_rank_one_dual(direction.vector)), 0.0, direction.vector, 0.0)
+    errors = set()
+    with _numeric.np.errstate(over="call", divide="call", invalid="call", call=lambda kind, _: errors.add(kind)):
+        verdict = _float_lanes(p)
+    if errors:
+        logger.warning("numpy met a floating-point %s in the float lanes", " and ".join(sorted(errors)))
+    return verdict
+
+
+def _float_lanes(p: FeasibilityProblem) -> FeasibilityVerdict:
+    """decide's lanes after a precheck miss: the projection or the solve, exactify, dual_certificate."""
     c, value = maximize_lambda_min(p, PROJECTION_MARGIN)
     feasible = _exactified(p, c, value)
     if feasible is None:
@@ -438,7 +451,7 @@ def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:
         return feasible
     cert = dual_certificate(p)
     if cert is not None:
-        return Infeasible(_freeze_matrix(cert[0]), cert[1], None, value)
+        return Infeasible(_freeze_matrix(cert[0]), 0.0, None, value)
     # no certificate re-proved exactly; a near-zero supremum is the degenerate boundary case
     degenerate = abs(value) <= DEGENERATE_MARGIN
     logger.warning(
@@ -452,7 +465,7 @@ def _exactified(p: FeasibilityProblem, c: np.ndarray, value: float) -> Feasible 
     if value > 0:
         try:
             omega, lam = exactify(p, c)
-            return Feasible(omega, lam, True)
+            return Feasible(omega, lam)
         except ExactificationFailed:
             pass
     return None

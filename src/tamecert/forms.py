@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import copysign, inf, ldexp, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import LieAlgebra, _bracket_ints, _units
@@ -377,16 +377,29 @@ class TamingResult:
         return self.value
 
 
-def is_taming(omega: TwoForm, J: ComplexStructure, exact: bool = True, tol: float = 1e-9) -> TamingResult:
-    """Strict taming check: Gram positive definite.
+def is_taming(omega: TwoForm, J: ComplexStructure, *, exact: bool = True) -> TamingResult:
+    """Strict taming check: the Gram is positive definite, by exact leading minors.
 
-    Exact mode decides by leading principal minors; numeric mode by
-    lambda_min > tol.  The margin is always reported numerically.
+    The margin, the Gram's lambda_min, is reported as a float (``_margin``).
+    exact is unread: kept for perfbench/ until ROADMAP item 1's benchmark change.
     """
-    from . import _numeric
     gram, d = _gram_ints(omega, J)  # refuses a J of another dimension, for a 0-dim form too
     if not gram:
         return TamingResult(True, float("inf"))
-    margin = _numeric.min_eigenvalue([[x / d for x in row] for row in gram])
-    ok = leading_minors_positive(gram) if exact else margin > tol
-    return TamingResult(ok, margin)
+    return TamingResult(leading_minors_positive(gram), _margin(gram, d))
+
+
+def _margin(gram: list[list[int]], d: int) -> float:
+    """lambda_min(gram / d) as a float.  When an entry is beyond the range of a double, it is
+    2^k lambda_min(gram / (d 2^k)), the shift 2^k bringing the largest entry within a factor 2 of 1,
+    and +-inf when that product is beyond the range too."""
+    from . import _numeric
+    try:
+        return _numeric.min_eigenvalue([[x / d for x in row] for row in gram])
+    except OverflowError:  # int / int beyond the range of a double
+        k = max(abs(x) for row in gram for x in row).bit_length() - d.bit_length()
+        lam = _numeric.min_eigenvalue([[x / (d << k) for x in row] for row in gram])
+    try:
+        return ldexp(lam, k)
+    except OverflowError:
+        return copysign(inf, lam)

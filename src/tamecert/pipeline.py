@@ -1,4 +1,4 @@
-"""End-to-end analysis, proof-trace checks, and corpus aggregation.
+"""End-to-end analysis and corpus aggregation.
 
 The analysis report records structural flags, the feasibility verdict with
 certificates, and a consistency check against the structure theorem: on a
@@ -13,17 +13,10 @@ from __future__ import annotations
 import concurrent.futures
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .algebra import LieAlgebra, _bracket_ints, is_completely_solvable
-from .errors import (
-    FixtureError,
-    NoOneDimIdeal,
-    RelationViolation,
-    TamecertError,
-    TripleVerificationError,
-)
+from .algebra import LieAlgebra, is_completely_solvable
+from .errors import FixtureError, TamecertError, TripleVerificationError
 from .feasibility import (
     Feasible,
     FeasibilityVerdict,
@@ -33,8 +26,7 @@ from .feasibility import (
 )
 from .fixtures import Fixture, load_fixture, rational_str
 from .forms import TwoForm, is_integrable
-from .linalg import Subspace, Vec, _invariant_part, _scaled
-from .reduction import TamedTriple, _dot, find_isotropic_ideal, omega_perp, reduce, reduction_tower
+from .reduction import TamedTriple, reduction_tower
 
 # exit codes: CI-friendly contract
 EXIT_OK = 0
@@ -100,13 +92,11 @@ def verdict_to_dict(v: FeasibilityVerdict | None) -> dict | None:
         return {
             "verdict": "feasible",
             "lambda_min": v.lambda_min,
-            "exact_pd": v.exact_pd,
             "omega": omega_to_entries(v.omega),
         }
     if isinstance(v, Infeasible):
         return {
             "verdict": "infeasible",
-            "residual": v.residual,
             "rank_one_direction": (
                 [rational_str(x) for x in v.rank_one_direction]
                 if v.rank_one_direction is not None
@@ -144,7 +134,6 @@ def analyze(fixture: Fixture) -> AnalysisReport:
     j_present = fixture.J is not None
     j_status = {
         "present": j_present,
-        "j_squared_ok": True if j_present else None,  # enforced by the fixture parser
         "integrable": None,
     }
     feas: FeasibilityVerdict | None = None
@@ -215,123 +204,8 @@ def _reduction_summary(g: LieAlgebra, omega: TwoForm, J, unimodular_in: bool) ->
         "verified": True,
         "steps": len(tower.steps),
         "terminal_dim": tower.terminal_dim,
-        "all_steps_verified": all(step.reduced.verified for step in tower.steps),
         "unimodular_preserved": preserved,
     }
-
-
-# --- proof trace: the bracket relations of the structure argument ---
-
-
-@dataclass(frozen=True)
-class ProofTraceRow:
-    y: Vec
-    a: Fraction
-    b: Fraction
-    z1: Vec
-    residuals: dict
-
-
-@dataclass(frozen=True)
-class ProofTraceRecord:
-    generator: Vec
-    h_scalar: Fraction
-    v_space: Subspace
-    rows: tuple[ProofTraceRow, ...]
-    trace_zero_checked: bool  # trace(ad_Y | v) = sum y_i tr ad_{e_i} = 0, each term by is_unimodular
-    reduced_unimodular: bool | None
-
-
-def _over(v: list[int], d: int) -> Vec:
-    """The integer vector v divided by d, in Fractions."""
-    return tuple(Fraction(x, d) for x in v)
-
-
-def proof_trace(t: TamedTriple) -> ProofTraceRecord:
-    """Check the bracket relations forced on a tamed completely solvable algebra.
-
-    With X spanning a 1-dimensional isotropic ideal and v = the J-invariant
-    complement h^perp cap J(h^perp), every Y in v must satisfy, exactly:
-
-        [X, Y]  = a X,   [X, JY] = b X,
-        [JX, Y] = -2b X - a JX + Z1,   [JX, JY] = 2a X - b JX + J Z1,
-
-    with a = Omega([X,Y], JX) / Omega(X, JX) and b likewise for JY.  Z1 is
-    what the third relation leaves over, [JX, Y] + 2b X + a JX, and the
-    relation holds iff Z1 lies in v.  On a unimodular input trace(ad_Y | v)
-    vanishes: relations 1 and 3 put -a and a on ad_Y's diagonal at X and JX,
-    so it is tr ad_Y = sum y_i tr ad_{e_i}, and is_unimodular has decided
-    that each term is 0.  A nonzero residual is a bug, not a verdict.
-
-    v is spanned by the rows of g that ``linalg._invariant_part``, the
-    precheck's kernel for D cap JD, returns on h^perp's scaled rows.
-
-    Every relation is computed on integer rows.  With Omega = W / w, J = J'/e,
-    c[u, v] from ``_bracket_ints``, x = s_x X the row of h, y = s Y a row of v,
-    q = x.WJ'x, A = c[x, y].WJ'x and B = c[x, J'y].WJ'x: a = A / (c s q) and
-    b = B / (c e s q), and each residual and Z1 is one integer vector over
-    c s s_x q e^k (k = 0, 1, 1, 2 for relations 1 to 4, and 1 for Z1).
-    Fractions are built only for the record and for a ``RelationViolation``.
-    """
-    g = t.algebra
-    if not t.verified:
-        raise TripleVerificationError(["proof_trace requires a verified triple"])
-    if not is_completely_solvable(g):
-        raise NoOneDimIdeal("proof trace requires a completely solvable algebra")
-    h = find_isotropic_ideal(t)
-    c, table = g._int_table
-    e, n = t.J.den, g.dim
-    xi, p = h.rows[0], h._pivots[0]
-    sx, x = xi[p], h.basis[0]
-    j_xi = t.J._apply_ints(xi)  # e s_x JX
-    wj_xi = t.omega._apply_ints(j_xi)
-    q = _dot(xi, wj_xi)  # w e s_x^2 Omega(X, JX)
-
-    bx = _bracket_ints(table, xi, j_xi)  # c e s_x^2 [X, JX]
-    if not h._contains_ints(bx):
-        raise RelationViolation("[X, JX] in span(X)", x, _over(bx, c * e * sx * sx))
-    h_scalar = Fraction(bx[p], c * e * sx * sx)
-
-    perp = omega_perp(t, h)
-    pb, ps = _scaled(perp.rows)
-    vspace = Subspace._span(n, _invariant_part(pb, ps, perp._pivots, [t.J._apply_ints(r) for r in pb]))
-
-    rows = []
-    for y, basis_y, pivot in zip(vspace.rows, vspace.basis, vspace._pivots):
-        s, jy = y[pivot], t.J._apply_ints(y)
-        bxy, bxjy = _bracket_ints(table, xi, y), _bracket_ints(table, xi, jy)
-        big_a, big_b = _dot(bxy, wj_xi), _dot(bxjy, wj_xi)
-        d = c * s * sx * q
-        z1 = [q * u + 2 * big_b * v + big_a * w for u, v, w in zip(_bracket_ints(table, j_xi, y), xi, j_xi)]
-        bjj = zip(_bracket_ints(table, j_xi, jy), xi, j_xi, t.J._apply_ints(z1))
-        r4 = [q * u - 2 * big_a * e * e * v + big_b * w - z for u, v, w, z in bjj]
-        residuals = {
-            "[X,Y] = aX": _over([q * u - big_a * v for u, v in zip(bxy, xi)], d),
-            "[X,JY] = bX": _over([q * u - big_b * v for u, v in zip(bxjy, xi)], d * e),
-            "[JX,Y] = -2bX - aJX + Z1": _over([0] * n if vspace._contains_ints(z1) else z1, d * e),
-            "[JX,JY] = 2aX - bJX + JZ1": _over(r4, d * e * e),
-        }
-        for relation, res in residuals.items():
-            if any(res):
-                raise RelationViolation(relation, basis_y, res)
-        a, b = Fraction(big_a, c * s * q), Fraction(big_b, c * e * s * q)
-        rows.append(ProofTraceRow(y=basis_y, a=a, b=b, z1=_over(z1, d * e), residuals=residuals))
-
-    unimodular, _ = g.is_unimodular()
-    reduced_unimodular = None
-    if unimodular:
-        reduced_unimodular = reduce(t, h).reduced.algebra.is_unimodular()[0]
-        if not reduced_unimodular:
-            raise RelationViolation("reduced algebra unimodular", x, ())
-
-    return ProofTraceRecord(
-        generator=x,
-        h_scalar=h_scalar,
-        v_space=vspace,
-        rows=tuple(rows),
-        trace_zero_checked=bool(unimodular and vspace.dim),
-        reduced_unimodular=reduced_unimodular,
-    )
 
 
 # --- corpus runs ---

@@ -283,6 +283,14 @@ def dense_conjugate(g: LieAlgebra, J: ComplexStructure) -> tuple[LieAlgebra, Com
     return conjugate(g, random_basis_change(g.dim, random.Random(5)), J)
 
 
+def aff_r2_rescaled(k: int) -> tuple[LieAlgebra, ComplexStructure]:
+    """aff_r2 with J conjugated by its automorphism diag(1, 10^k, 1, 10^k), J' = P J P^-1: a basis change
+    of the shipped Kaehler pair, whose Gram entries span 10^-k to 10^k (ROADMAP item 30)."""
+    fx = load_fixture(FIXTURES_DIR / "aff_r2.json")
+    diag = (ONE, Fraction(1, 10**k), ONE, Fraction(1, 10**k))  # P^-1 J P, as conjugate reads P
+    return conjugate(fx.algebra, [[x if i == j else ZERO for j in range(4)] for i, x in enumerate(diag)], fx.J)
+
+
 def pull_back(s: Subspace, P: list[list[Fraction]]) -> Subspace:
     """P^-1 s: the subspace s in the basis given by the columns of P."""
     Pinv = mat_inverse(P)

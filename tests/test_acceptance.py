@@ -30,7 +30,7 @@ from tamecert import (
     standard_complex_structure,
 )
 from tamecert.feasibility import build_problem
-from tamecert.forms import ComplexStructure, closed_two_forms
+from tamecert.forms import ComplexStructure, closed_two_forms, is_taming
 from tamecert.linalg import unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT
 
@@ -50,10 +50,11 @@ def test_criterion_1_torus_direction():
     for n in (1, 2, 3, 4):
         dim = 2 * n
         start = time.perf_counter()
-        v = decide(LieAlgebra.from_brackets(dim, {}), standard_complex_structure(dim))
+        J = standard_complex_structure(dim)
+        v = decide(LieAlgebra.from_brackets(dim, {}), J)
         elapsed = time.perf_counter() - start
         assert isinstance(v, Feasible), f"R^{dim} not Feasible"
-        assert v.exact_pd, f"R^{dim} lacked an exact PD certificate"
+        assert is_taming(v.omega, J), f"R^{dim} lacked an exact PD certificate"
         assert v.lambda_min >= 0.1, f"R^{dim} margin {v.lambda_min} < 0.1"
         assert elapsed < 1.0, f"R^{dim} took {elapsed:.2f}s"
         worst = max(worst or 0.0, elapsed)
@@ -91,7 +92,7 @@ def test_criterion_3_non_unimodular_controls(corpus):
         report = analyze(fx)
         elapsed = time.perf_counter() - start
         v = report.feasibility
-        assert isinstance(v, Feasible) and v.exact_pd, name
+        assert isinstance(v, Feasible) and is_taming(v.omega, fx.J), name
         assert not report.theorem_consistency.applicable, name
         assert report.flags["unimodular_witness"] == witness, name
         assert elapsed < 2.0, f"{name} took {elapsed:.2f}s"

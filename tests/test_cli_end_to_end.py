@@ -2,14 +2,16 @@
 
 import json
 import shutil
+from fractions import Fraction
 
 import tamecert.pipeline as pipeline_mod
-from tamecert import LieAlgebra, corpus_run, decide, standard_complex_structure
+from tamecert import LieAlgebra, TwoForm, corpus_run, decide, standard_complex_structure
 from tamecert.cli import main as cli_main
 from tamecert.errors import ExactificationFailed
+from tamecert.forms import is_taming
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNKNOWN
 
-from conftest import FIXTURES_DIR, SQRT2_ALMOST_ABELIAN, dense_conjugate, direct_sum
+from conftest import FIXTURES_DIR, SQRT2_ALMOST_ABELIAN, aff_r2_rescaled, dense_conjugate, direct_sum
 
 
 def write_fixture(path, g, J) -> str:
@@ -24,6 +26,12 @@ def run_json(capsys, *argv, code=EXIT_OK) -> dict:
     """The report of ``tamecert <argv> --json``, which must exit with code."""
     assert cli_main([*argv, "--json"]) == code
     return json.loads(capsys.readouterr().out)
+
+
+def reported_omega_tames(feasibility: dict, J) -> bool:
+    """Whether the report's omega is re-proved taming J by exact leading minors."""
+    omega = {(e["i"], e["j"]): Fraction(e["v"]) for e in feasibility["omega"]}
+    return feasibility["verdict"] == "feasible" and bool(is_taming(TwoForm.from_dict(J.dim, omega), J))
 
 
 def test_dense_h3_r_4_is_infeasible(corpus, tmp_path, capsys):
@@ -47,10 +55,11 @@ def test_dense_kaehler_sums_are_feasible(corpus, tmp_path, capsys):
     # so the taming Gram, written from J's nonzero entries, sees both densities
     g, J = direct_sum([(aff.algebra, aff.J), dense_conjugate(aff.algebra, aff.J)])
     r = run_json(capsys, "analyze", write_fixture(tmp_path / "aff_r2_mixed.json", g, J))
-    assert r["j_status"]["integrable"] is True and r["feasibility"]["exact_pd"] is True
+    assert r["j_status"]["integrable"] is True and reported_omega_tames(r["feasibility"], J)
     # R^12: d on 2-forms is 220 x 66 zeros and the taming Gram is diagonal 12 x 12
-    path = write_fixture(tmp_path / "r12.json", LieAlgebra.from_brackets(12, {}), standard_complex_structure(12))
-    assert run_json(capsys, "tame", path)["feasibility"]["exact_pd"] is True
+    J = standard_complex_structure(12)
+    path = write_fixture(tmp_path / "r12.json", LieAlgebra.from_brackets(12, {}), J)
+    assert reported_omega_tames(run_json(capsys, "tame", path)["feasibility"], J)
 
 
 def test_feasible_on_a_non_abelian_algebra_is_inconsistent(corpus, tmp_path, capsys, monkeypatch):
@@ -71,7 +80,7 @@ def test_analyze_without_j(tmp_path, capsys):
     assert cli_main(["analyze", str(path)]) == EXIT_OK
     assert "  feasibility: skipped (no J)\n" in capsys.readouterr().out
     r = run_json(capsys, "analyze", str(path))
-    assert r["feasibility"] is None and r["j_status"] == {"present": False, "j_squared_ok": None, "integrable": None}
+    assert r["feasibility"] is None and r["j_status"] == {"present": False, "integrable": None}
     detail = "no complex structure supplied; theorem sweep not applicable"
     assert r["theorem_consistency"] == {"applicable": False, "consistent": True, "detail": detail}
 
@@ -82,7 +91,7 @@ def test_abelian_r8_tower_quotients_by_e1_four_times(capsys):
     r = run_json(capsys, "reduce", str(FIXTURES_DIR / "abelian_r8.json"))
     assert [s["reduced_dim"] for s in r["steps"]] == [6, 4, 2, 0] and r["terminal_dim"] == 0
     for s, dim in zip(r["steps"], (8, 6, 4, 2)):
-        assert s["verified"] and s["ideal_generator"] == ["1"] + ["0"] * (dim - 1)
+        assert s["perp_dim"] == dim - 1 and s["ideal_generator"] == ["1"] + ["0"] * (dim - 1)
 
 
 def test_reduce_refuses_an_open_omega(tmp_path, capsys):
@@ -124,3 +133,14 @@ def test_corpus_reports_an_error_raised_by_analyze(tmp_path, monkeypatch):
     result = corpus_run(tmp_path)
     assert [(e.name, e.report, e.error) for e in result.entries] == [("aff_r", None, "no certificate")]
     assert result.exit_code == EXIT_INPUT_ERROR
+
+
+def test_float_range_inputs_write_no_warning(tmp_path, capsys):
+    # ROADMAP item 30's inputs, aff_r2 with J conjugated by diag(1, 10^k, 1, 10^k): at k = 160
+    # tame exits 3 on an Unknown and writes no warning to stderr (the overflow goes to the log, which
+    # pytest captures), and at k = 310 it exits 1 with the one error line of the float Gram stack
+    assert cli_main(["tame", write_fixture(tmp_path / "aff_r2_160.json", *aff_r2_rescaled(160))]) == EXIT_UNKNOWN
+    assert capsys.readouterr().err == ""
+    assert cli_main(["tame", write_fixture(tmp_path / "aff_r2_310.json", *aff_r2_rescaled(310))]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a closed Gram form has an entry beyond the range of a double")

@@ -40,6 +40,7 @@ from tamecert.reduction import TamedTriple
 from conftest import (
     NON_ABELIAN,
     aff_r,
+    aff_r2_rescaled,
     dense_conjugate,
     direct_sum,
     form_coeff,
@@ -337,6 +338,23 @@ def test_taming_gram_r2():
     bad = TwoForm.from_dict(2, {(0, 1): -1})
     res = is_taming(bad, J)
     assert not res and res.margin == pytest.approx(-1.0)
+
+
+def test_is_taming_margin_beyond_the_float_range(corpus):
+    # aff_r2 with J conjugated by diag(1, 10^310, 1, 10^310) and the fixture's omega: the
+    # Gram is diag(10^310, 10^-310, 10^310, 10^-310), exactly PD, with entries beyond the
+    # range of a double, so its margin is read off the integer Gram shifted by 2^k
+    _, J = aff_r2_rescaled(310)
+    taming = is_taming(corpus["aff_r2"].omega, J)
+    assert taming and math.isfinite(taming.margin)
+    # the shift is exact: Gram diag(2^1030, 2^1030, 2^1000, 2^1000) reads lambda_min 2^1000,
+    # and a lambda_min beyond the range of a double reads +-inf
+    J = standard_complex_structure(4)
+    cases = ((2**1030, 2**1000, 2.0**1000), (2**1030, -(2**1000), -(2.0**1000)), (2**1030, 2**1030, math.inf))
+    for top, low, margin in cases:
+        taming = is_taming(TwoForm.from_dict(4, {(0, 1): top, (2, 3): low}), J)
+        assert (bool(taming), taming.margin) == (margin > 0, margin)
+    assert is_taming(TwoForm.from_dict(4, {(0, 1): -(2**1030), (2, 3): 1}), J).margin == -math.inf
 
 
 def test_taming_gram_aff():

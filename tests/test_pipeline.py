@@ -42,6 +42,7 @@ from tamecert import (
 from tamecert.cli import build_parser, main as cli_main
 from tamecert.errors import TamecertError
 from tamecert.fixtures import MAX_FIXTURE_DIM
+from tamecert.forms import is_taming
 from tamecert.linalg import mat_inverse, mat_mul, unit_vec
 from tamecert.pipeline import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNKNOWN
 
@@ -280,7 +281,6 @@ def test_analyze_reduction_summary(corpus, monkeypatch):
         "verified": True,
         "steps": 2,
         "terminal_dim": 0,
-        "all_steps_verified": True,
         "unimodular_preserved": None,  # input is not unimodular
     }
     # aff_r2's omega plus X1 ^ H2, the pair (1, 2), still tames J but is not closed
@@ -425,11 +425,14 @@ def test_report_field_names_are_stable(corpus):
     d = analyze(corpus["h3_r"]).to_dict()
     assert set(d) == {"name", "flags", "j_status", "feasibility", "theorem_consistency", "reduction"}
     assert {"solvable", "nilpotent", "completely_solvable", "unimodular", "abelian"} <= set(d["flags"])
-    assert set(d["j_status"]) == {"present", "j_squared_ok", "integrable"}
+    assert set(d["j_status"]) == {"present", "integrable"}
     assert set(d["theorem_consistency"]) == {"applicable", "consistent", "detail"}
     assert d["feasibility"]["verdict"] == "infeasible"
+    assert {"verdict", "rank_one_direction", "dual", "best_primal"} == set(d["feasibility"])
     feasible = analyze(corpus["abelian_r4"]).to_dict()["feasibility"]
-    assert {"verdict", "lambda_min", "exact_pd", "omega"} == set(feasible)
+    assert {"verdict", "lambda_min", "omega"} == set(feasible)
+    reduction = analyze(corpus["aff_r2"]).to_dict()["reduction"]
+    assert {"verified", "steps", "terminal_dim", "unimodular_preserved"} == set(reduction)
 
 
 # --- proof trace ---
@@ -677,7 +680,7 @@ def test_theorem_sweep_invariants(fixtures_dir):
         r = e.report
         assert r is not None
         if isinstance(r.feasibility, Feasible):
-            assert r.feasibility.exact_pd, e.name
+            assert is_taming(r.feasibility.omega, load_fixture(e.path).J), e.name
         if r.theorem_consistency.applicable and isinstance(r.feasibility, Feasible):
             assert r.flags["abelian"], e.name
         # converse: abelian fixtures with J are feasible
@@ -771,7 +774,8 @@ def test_cli_tame(fixtures_dir, capsys):
     assert cli_main(["tame", str(fixtures_dir / "abelian_r4.json"), "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["feasibility"]["verdict"] == "feasible"
-    assert doc["feasibility"]["exact_pd"] is True
+    omega = {(e["i"], e["j"]): Fraction(e["v"]) for e in doc["feasibility"]["omega"]}
+    assert is_taming(TwoForm.from_dict(4, omega), load_fixture(fixtures_dir / "abelian_r4.json").J)
 
 
 def test_cli_unknown_verdict_exits_3(capsys):
@@ -795,7 +799,15 @@ def test_cli_reduce(fixtures_dir, capsys):
     assert cli_main(["reduce", str(fixtures_dir / "aff_r2.json"), "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["terminal_dim"] == 0
-    assert len(doc["steps"]) == 2 and all(s["verified"] for s in doc["steps"])
+    assert [(s["perp_dim"], s["reduced_dim"]) for s in doc["steps"]] == [(3, 2), (1, 0)]
+    assert all(set(s) == {"ideal_generator", "perp_dim", "reduced_dim"} for s in doc["steps"])
+    assert cli_main(["reduce", str(fixtures_dir / "aff_r2.json")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert lines == [
+        "  step 1: quotient by span(0, 1, 0, 0); reduced dim 2",
+        "  step 2: quotient by span(0, 1); reduced dim 0",
+        "  terminal dimension: 0",
+    ]
 
 
 def test_cli_refuses_feasibility_flags(fixtures_dir, capsys):

@@ -67,9 +67,9 @@ NEVER_ENTERED = {
     "linalg.unit_vec": PERFBENCH,
     "linalg.vec": PERFBENCH,  # through LieAlgebra.bracket
     "linalg.vec_dot": PERFBENCH,
-    "pipeline._over": README,  # proof_trace's
-    "pipeline.proof_trace": README,
     "reduction.TamedTriple.failed_flags": ERROR_PATH,
+    "reduction._over": README,  # proof_trace's
+    "reduction.proof_trace": README,
 }
 
 

@@ -22,7 +22,7 @@ from tamecert import (
     is_integrable,
     standard_complex_structure,
 )
-from tamecert.forms import closed_two_forms
+from tamecert.forms import closed_two_forms, is_taming
 from tamecert.linalg import unit_vec
 
 from conftest import dense_conjugate, integrable_two_step, random_rational_vector
@@ -90,7 +90,7 @@ def test_verdicts_are_certified_on_random_kaehler_rotations():
         J = ComplexStructure.from_matrix(mat_mul(mat_mul(p, j_std), p_inv))
         v = decide(g, J)
         assert isinstance(v, Feasible)
-        assert v.exact_pd
+        assert is_taming(v.omega, J)
         assert not isinstance(v, Infeasible)
         assert np.isfinite(v.lambda_min) and v.lambda_min > 0
 

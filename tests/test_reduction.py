@@ -430,7 +430,7 @@ def test_abelian_reduce_step_forms_no_bracket(monkeypatch):
     assert step == expected and step.reduced.algebra == LieAlgebra.from_brackets(6, {}, labels=["e3", "e4", "e5", "e6", "e7", "e8"])
 
 
-STRUCTURE_DIGEST = "7e2a55c1e2a0b05bad5f8aa411b77a201e5a5ba3d81dd5b7d504d9ab955e4320"
+STRUCTURE_DIGEST = "4e8724a18802acc1eccb85b617d96460ce39974bd50fcdccb0daedf9b3e22942"
 
 
 def test_structure_digest_is_pinned(monkeypatch):
