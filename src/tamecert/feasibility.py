@@ -4,18 +4,11 @@ The decision pipeline:
 
   1. exact rank-one pre-check: on subspaces W of D = [g, g] defined by g and
      J alone, the common radical of the closed Gram forms formed on W's own
-     rows.  D cap JD comes first: it is 0 when D is a line and D when J maps
-     D into D, and otherwise costs one kernel and is searched before any
-     Gram is formed on D, so that a hit there pays for no miss test.  Then
-     the Grams on D, one of which, or their plain sum (the Gram of the
-     closed form W_1 + ... + W_m, B_i = W_i / w_i), definite there proves a
-     miss, as it leaves no radical in any subspace of D; so no result
-     depends on that order.  Then D itself when it is J-invariant, and each
-     rational weight space of ad g in D, the costliest kind, as it takes
-     characteristic polynomials and root isolation.  A nonzero v in a
-     radical has B(v, Jv) = 0 for every closed B, so v v^T / |v|^2 is a dual
-     certificate and proves infeasibility outright, and caps the maximum of
-     step 2 at exactly 0, at c = 0: a hit is returned at once, with no solve;
+     rows, searched in the order ``degeneracy_precheck`` gives, which moves
+     no hit.  A nonzero v in a radical has B(v, Jv) = 0 for every closed B,
+     so v v^T / |v|^2 is a dual certificate and proves infeasibility
+     outright, and caps the maximum of step 2 at exactly 0, at c = 0: a hit
+     is returned at once, with no solve;
   2. when the pre-check finds nothing, the Frobenius projection of I onto
      span{S_i} (S_i = Gram forms of a closed basis), one least-squares solve
      scaled onto the unit sphere; a lambda_min above PROJECTION_MARGIN goes
@@ -191,7 +184,8 @@ def degeneracy_precheck(p: FeasibilityProblem) -> DegeneracyDirection | None:
     which also gives the proof trace's v = h^perp cap J h^perp), searched
     before any Gram is formed on b, so that a hit there does not pay for the
     miss test.  That test forms the Grams on b: if one of them, or their
-    sum, is definite (exact leading minors of G or -G), no nonzero v in D
+    sum (2 den times the Gram of the closed form W_1 + ... + W_m), is
+    definite (exact leading minors of G or -G), no nonzero v in D
     has B(v, Jv) = 0 for every closed B, so no subspace of D has a radical,
     and the search ends with a miss, as it does at once when D = 0; so
     taking D cap JD first moves no hit, direction or provenance.  Last come
@@ -308,10 +302,11 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     """Round optimizer coefficients to an exact closed form with a PD Gram.
 
     Rounds c / max|c_i|, whose largest entry stays +-1, once by continued
-    fractions at EXACTIFY_DENOMINATOR_BOUND (``_nearest``); an entry below a
-    tenth of 1 / EXACTIFY_DENOMINATOR_BOUND in absolute value is 0 with no
-    continued fraction, as that rounding would give, since every nonzero p/q
-    with q within the bound is at least 1 / bound away from 0.  Sums the
+    fractions at EXACTIFY_DENOMINATOR_BOUND (``Fraction.limit_denominator``);
+    an entry below a tenth of 1 / EXACTIFY_DENOMINATOR_BOUND in absolute
+    value is 0 with no continued fraction, as that rounding would give, since
+    every nonzero p/q with q within the bound is at least 1 / bound away
+    from 0.  Sums the
     nonzero q_i B_i in ints over one common denominator from each form's
     ``TwoForm._ints`` (omega's reduced Fractions do not depend on which),
     builds omega once from that sum, and re-proves its Gram positive
@@ -324,7 +319,7 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     if top == 0.0:
         raise ExactificationFailed("zero coefficient vector")
     tiny = 0.1 / EXACTIFY_DENOMINATOR_BOUND  # a NaN is not below it, and Fraction refuses it
-    q = [ZERO if abs(x) < tiny else _nearest(x, EXACTIFY_DENOMINATOR_BOUND) for x in [v / top for v in c]]
+    q = [ZERO if abs(x) < tiny else Fraction(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in [v / top for v in c]]
     # d sum q_i B_i in ints, B_i = W_i / w_i (``TwoForm._ints``), d the lcm of the w_i q_i.denominator
     # over the nonzero q_i: a zero term adds nothing, and omega's Fractions are reduced either way
     terms = [(qi, b) for qi, b in zip(q, p.z2_basis) if qi]
@@ -340,28 +335,6 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
         raise ExactificationFailed("the rounded Gram is not exactly positive definite")
     norm = sqrt(sum((x.numerator / x.denominator) ** 2 for x in q))  # float(x), with no Rational.__float__
     return omega, taming.margin / norm
-
-
-def _nearest(x: float, bound: int) -> Fraction:
-    """Fraction(x).limit_denominator(bound), in ints: the continued fraction of x.as_integer_ratio() up to
-    the bound, then the nearer of its last convergent and its best semiconvergent within the bound, the
-    convergent on a tie.  A NaN raises ValueError and an infinity OverflowError, as Fraction(x) does."""
-    n, d = x.as_integer_ratio()
-    if d <= bound:
-        return Fraction(n, d)
-    den = d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a, r = divmod(n, d)
-        if q0 + a * q1 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
-        n, d = d, r
-    k = (bound - q0) // q1
-    # the two candidates lie 1 / (q1 (q0 + k q1)) apart on either side of x, and x lies d / (q1 den) from p1 / q1
-    if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
@@ -389,7 +362,7 @@ def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
         return None
     x = p.barrier_path[1]
     x = (x + x.T) / 2.0
-    q, e = clear_denominators([[_nearest(v, DUAL_DENOMINATOR_BOUND) for v in row] for row in x.tolist()])
+    q, e = clear_denominators([[Fraction(v).limit_denominator(DUAL_DENOMINATOR_BOUND) for v in row] for row in x.tolist()])
     q = [v for row in q for v in row]  # e X, flattened
     rows = [[v for row in _gram_ints(b, p.J)[0] for v in row] for b in p.z2_basis]  # d_i S_i
     rows.append([int(i == j) for i in range(n) for j in range(n)])

@@ -3,9 +3,9 @@
 The analysis report records structural flags, the feasibility verdict with
 certificates, and a consistency check against the structure theorem: on a
 unimodular completely solvable algebra with integrable J, a Feasible verdict
-on a non-abelian algebra is an inconsistency (numerical false positive or
-bug) and drives a nonzero exit code; so is any other verdict on an abelian
-algebra, which is Kaehler for every J.
+on a non-abelian algebra is an inconsistency (a bug, as every Feasible form
+is exactly positive definite) and drives a nonzero exit code; so is any
+other verdict on an abelian algebra, which is Kaehler for every J.
 """
 
 from __future__ import annotations

@@ -23,11 +23,14 @@ e_1's line, every 2-form is closed, Jacobi and the ideal test pass, and the
 quotient's brackets are all zero, so an abelian step runs neither the weight
 search, nor d on 2-forms, nor a bracket.
 
-``proof_trace`` checks, exactly and on the same integer forms, the bracket
-relations that the structure argument forces along the line
-``find_isotropic_ideal`` picks, on h^perp cap J h^perp (``omega_perp``, then
-``linalg._invariant_part``), and that ``reduce`` keeps a unimodular input
-unimodular.
+``proof_trace`` checks, exactly, the bracket relations that the structure
+argument forces along the line ``find_isotropic_ideal`` picks, on h^perp cap
+J h^perp (``omega_perp``, then ``linalg._invariant_part``), and that
+``reduce`` keeps a unimodular input unimodular.  It evaluates the relations
+in Fractions through the definitions (``LieAlgebra.bracket``,
+``ComplexStructure.apply``, ``TwoForm.__call__``), not the integer forms: a
+checker of the integer layers shares none of their scale bookkeeping, and
+it runs in no decision, so its cost is not on a verdict's path.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
     DimensionMismatch, NoOneDimIdeal, NotAnIdeal, NotIsotropic, RelationViolation, TamingLost, TripleVerificationError,
 )
 from .forms import ComplexStructure, TwoForm, _d2_ints, _gram_ints, _squares_to_minus_one, is_integrable
-from .linalg import Subspace, Vec, _dot, _invariant_part, _kernel, _scaled, leading_minors_positive
+from .linalg import ZERO, Subspace, Vec, _cleared, _dot, _invariant_part, _kernel, _scaled, leading_minors_positive
 
 
 @dataclass(frozen=True)
@@ -261,11 +264,6 @@ class ProofTraceRecord:
     reduced_unimodular: bool | None
 
 
-def _over(v: list[int], d: int) -> Vec:
-    """The integer vector v divided by d, in Fractions."""
-    return tuple(Fraction(x, d) for x in v)
-
-
 def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     """Check the bracket relations forced on a tamed completely solvable algebra.
 
@@ -285,56 +283,45 @@ def proof_trace(t: TamedTriple) -> ProofTraceRecord:
     v is spanned by the rows of g that ``linalg._invariant_part``, the
     precheck's kernel for D cap JD, returns on h^perp's scaled rows.
 
-    Every relation is computed on integer rows.  With Omega = W / w, J = J'/e,
-    c[u, v] from ``_bracket_ints``, x = s_x X the row of h, y = s Y a row of v,
-    q = x.WJ'x, A = c[x, y].WJ'x and B = c[x, J'y].WJ'x: a = A / (c s q) and
-    b = B / (c e s q), and each residual and Z1 is one integer vector over
-    c s s_x q e^k (k = 0, 1, 1, 2 for relations 1 to 4, and 1 for Z1).
-    Fractions are built only for the record and for a ``RelationViolation``.
+    The relations are evaluated as written, in Fractions, through
+    ``LieAlgebra.bracket``, ``ComplexStructure.apply`` and ``TwoForm.__call__``.
     """
-    g = t.algebra
+    g, omega, J = t.algebra, t.omega, t.J
     if not t.verified:
         raise TripleVerificationError(["proof_trace requires a verified triple"])
     if not is_completely_solvable(g):
         raise NoOneDimIdeal("proof trace requires a completely solvable algebra")
     h = find_isotropic_ideal(t)
-    c, table = g._int_table
-    e, n = t.J.den, g.dim
-    xi, p = h.rows[0], h._pivots[0]
-    sx, x = xi[p], h.basis[0]
-    j_xi = t.J._apply_ints(xi)  # e s_x JX
-    wj_xi = t.omega._apply_ints(j_xi)
-    q = _dot(xi, wj_xi)  # w e s_x^2 Omega(X, JX)
+    n, x = g.dim, h.basis[0]
+    jx = J.apply(x)
+    q = omega(x, jx)
 
-    bx = _bracket_ints(table, xi, j_xi)  # c e s_x^2 [X, JX]
-    if not h._contains_ints(bx):
-        raise RelationViolation("[X, JX] in span(X)", x, _over(bx, c * e * sx * sx))
-    h_scalar = Fraction(bx[p], c * e * sx * sx)
+    bx = g.bracket(x, jx)
+    h_scalar = bx[h._pivots[0]]  # X is 1 at its pivot
+    if bx != tuple(h_scalar * u for u in x):
+        raise RelationViolation("[X, JX] in span(X)", x, bx)
 
     perp = omega_perp(t, h)
     pb, ps = _scaled(perp.rows)
-    vspace = Subspace._span(n, _invariant_part(pb, ps, perp._pivots, [t.J._apply_ints(r) for r in pb]))
+    vspace = Subspace._span(n, _invariant_part(pb, ps, perp._pivots, [J._apply_ints(r) for r in pb]))
 
     rows = []
-    for y, basis_y, pivot in zip(vspace.rows, vspace.basis, vspace._pivots):
-        s, jy = y[pivot], t.J._apply_ints(y)
-        bxy, bxjy = _bracket_ints(table, xi, y), _bracket_ints(table, xi, jy)
-        big_a, big_b = _dot(bxy, wj_xi), _dot(bxjy, wj_xi)
-        d = c * s * sx * q
-        z1 = [q * u + 2 * big_b * v + big_a * w for u, v, w in zip(_bracket_ints(table, j_xi, y), xi, j_xi)]
-        bjj = zip(_bracket_ints(table, j_xi, jy), xi, j_xi, t.J._apply_ints(z1))
-        r4 = [q * u - 2 * big_a * e * e * v + big_b * w - z for u, v, w, z in bjj]
+    for y in vspace.basis:
+        jy = J.apply(y)
+        xy, xjy = g.bracket(x, y), g.bracket(x, jy)
+        a, b = omega(xy, jx) / q, omega(xjy, jx) / q
+        z1 = tuple(u + 2 * b * v + a * w for u, v, w in zip(g.bracket(jx, y), x, jx))
+        r4 = zip(g.bracket(jx, jy), x, jx, J.apply(z1))
         residuals = {
-            "[X,Y] = aX": _over([q * u - big_a * v for u, v in zip(bxy, xi)], d),
-            "[X,JY] = bX": _over([q * u - big_b * v for u, v in zip(bxjy, xi)], d * e),
-            "[JX,Y] = -2bX - aJX + Z1": _over([0] * n if vspace._contains_ints(z1) else z1, d * e),
-            "[JX,JY] = 2aX - bJX + JZ1": _over(r4, d * e * e),
+            "[X,Y] = aX": tuple(u - a * v for u, v in zip(xy, x)),
+            "[X,JY] = bX": tuple(u - b * v for u, v in zip(xjy, x)),
+            "[JX,Y] = -2bX - aJX + Z1": (ZERO,) * n if vspace._contains_ints(_cleared(z1)[0]) else z1,
+            "[JX,JY] = 2aX - bJX + JZ1": tuple(u - 2 * a * v + b * w - z for u, v, w, z in r4),
         }
         for relation, res in residuals.items():
             if any(res):
-                raise RelationViolation(relation, basis_y, res)
-        a, b = Fraction(big_a, c * s * q), Fraction(big_b, c * e * s * q)
-        rows.append(ProofTraceRow(y=basis_y, a=a, b=b, z1=_over(z1, d * e), residuals=residuals))
+                raise RelationViolation(relation, y, res)
+        rows.append(ProofTraceRow(y=y, a=a, b=b, z1=z1, residuals=residuals))
 
     unimodular, _ = g.is_unimodular()
     reduced_unimodular = None

@@ -25,6 +25,10 @@ place of the wins and the gain rule, which tests only a claimed gain.  Each line
 no-regression verdict: how much worse the change's median is than the base
 median, relative to the base median, against the metric's ``bound`` in
 ``BENCHMARK.json``; "within" when it is no worse than the bound allows.
+When the base runs' interquartile range exceeds the bound, relative to the
+base median, noise alone can move the median that far, so the verdict is
+"unresolved" in place of "within" or "EXCEEDS", unless every change run is
+better than every base run, which reads "within".
 
 With ``--items`` the summary also gives, for each item of the workload, the
 median over the pairs of its median scaled time in each run, on both sides,
@@ -41,7 +45,9 @@ replay parts from the direct call.
 
 Every run should read ``"correct": true``.  An incorrect run is marked on its
 pair's line and the pairs go on; after the last pair the script lists the
-incorrect runs and exits 1.  Only the standard library is used, and the name
+incorrect runs and exits 1.  A run that exits nonzero ends the script: it
+prints that run's workload, seed, side and exit code with the last lines of
+its stderr, and exits 1.  Only the standard library is used, and the name
 does not start with ``test_``, so pytest does not collect it.
 """
 
@@ -111,6 +117,8 @@ def summary(base: list[float], change: list[float], higher: bool, bound: float) 
     # the change's shortfall in the metric's direction, as a share of the base median
     worse = sign * (bm - cm) / abs(bm) if bm else (0.0 if sign * (bm - cm) <= 0 else float("inf"))
     verdict = "within" if worse <= bound else "EXCEEDS"
+    if b3 - b1 > bound * abs(bm):  # the base's own spread is wider than the bound
+        verdict = "within" if all(sign * (c - b) > 0 for c in change for b in base) else "unresolved"
     return (f"{bm:.6g} [{b1:.6g}, {b3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]  {gain}  "
             f"worse by {worse:+.1%}, bound {bound:.0%}: {verdict}")
 
@@ -155,7 +163,12 @@ def main(argv=None) -> int:
             for i, seed in enumerate(args.seeds):
                 order = [("base", base_dir), ("change", ROOT)]
                 for side, checkout in order if i % 2 == 0 else order[::-1]:
-                    result = run(checkout, workload, seed, args.seconds, args.trace)
+                    try:
+                        result = run(checkout, workload, seed, args.seconds, args.trace)
+                    except subprocess.CalledProcessError as exc:
+                        tail = "".join(f"\n  {line}" for line in exc.stderr.splitlines()[-20:])
+                        print(f"{workload} seed {seed} {side}: perfbench/run.py exited {exc.returncode}{tail}", flush=True)
+                        return 1
                     results[side].append(result)
                     if not result["correct"]:
                         incorrect.append(f"{workload} seed {seed} {side}")

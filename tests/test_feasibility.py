@@ -5,7 +5,6 @@ import json
 import logging
 import math
 import random
-import struct
 import time
 import warnings
 from collections import Counter
@@ -34,7 +33,6 @@ from tamecert.algebra import scale_structure_constants, weight_spaces
 from tamecert.errors import ExactificationFailed, NotAComplexStructure
 from tamecert.feasibility import (
     DEGENERATE_MARGIN,
-    DUAL_DENOMINATOR_BOUND,
     EXACTIFY_DENOMINATOR_BOUND,
     DegeneracyDirection,
     FeasibilityConfig,
@@ -811,37 +809,6 @@ def test_limit_denominator_rounds_below_a_tenth_of_the_bound_to_zero():
     assert all(F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) == 0 for x in xs)
     # the nearest nonzero p/q within the bound, 1 / bound, is ten times the cut
     assert F(10 * tiny).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) == F(1, EXACTIFY_DENOMINATOR_BOUND)
-
-
-def test_nearest_is_limit_denominator():
-    # _nearest rounds as Fraction(x).limit_denominator(bound) does, at exactify's
-    # and dual_certificate's bounds, on 12,000 seeded floats: uniform on either
-    # side of 0, dyadics, values below 1 / bound, any finite bit pattern; and a
-    # NaN raises ValueError and an infinity OverflowError, as Fraction(x) does.
-    # No finite float is a tie at these bounds: the two candidates are Farey
-    # neighbours a/b and c/d with b + d above the bound, so a dyadic midpoint
-    # needs b = 1 and d a power of 2 at least the bound.  So ties are drawn at
-    # bound 2^10: k +- 1/2^11 lies midway between k and k +- 1/2^10, and the
-    # convergent k wins
-    rng = random.Random(54)
-    xs = [rng.uniform(-1, 1) for _ in range(3000)]
-    xs += [rng.randint(-(2**40), 2**40) / 2 ** rng.randint(0, 60) for _ in range(3000)]
-    xs += [rng.choice((-1, 1)) * rng.uniform(0.01, 1) * 10.0 ** -rng.uniform(3, 320) for _ in range(3000)]
-    bits = (struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(3200))
-    xs += [x for x in bits if math.isfinite(x)][:3000]
-    assert len(xs) == 12_000 and sum(0 < abs(x) < 1e-3 for x in xs) >= 3000
-    for bound in (EXACTIFY_DENOMINATOR_BOUND, DUAL_DENOMINATOR_BOUND):
-        for x in xs:
-            assert feas_mod._nearest(x, bound) == F(x).limit_denominator(bound), (x, bound)
-    for k in range(-500, 500):
-        for x in (k + 1 / 2**11, k - 1 / 2**11):
-            assert feas_mod._nearest(x, 2**10) == F(x).limit_denominator(2**10) == k, x
-    for x, error in ((math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)):
-        for bound in (EXACTIFY_DENOMINATOR_BOUND, DUAL_DENOMINATOR_BOUND):
-            with pytest.raises(error):
-                feas_mod._nearest(x, bound)
-            with pytest.raises(error):
-                F(x).limit_denominator(bound)
 
 
 def test_exactify_fails_on_singular_optimum(monkeypatch):

@@ -6,15 +6,18 @@ verifies, the reduction tower along 1-dimensional isotropic ideals reaches
 dimension 0, and the bracket relations of the structure argument
 (``proof_trace``) hold exactly on it and on every reduced triple.  The
 J-invariant part v = h^perp cap J h^perp that the trace reads equals the
-Zassenhaus intersection on those triples.
+Zassenhaus intersection on those triples.  A direct sum with the block J is
+tamed iff both summands are, and decide reads it so.
 """
+
+from itertools import combinations_with_replacement
 
 import pytest
 
-from tamecert import Feasible, decide, is_completely_solvable, is_integrable, proof_trace
+from tamecert import Feasible, Unknown, decide, is_completely_solvable, is_integrable, proof_trace
 from tamecert.reduction import TamedTriple, find_isotropic_ideal, omega_perp, reduction_tower
 
-from conftest import TAMED_NAMES, invariant_part
+from conftest import TAMED_NAMES, direct_sum, invariant_part
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +69,19 @@ def test_proof_trace_v_is_the_zassenhaus_intersection(corpus, certified):
         kernel, oracle = invariant_part(perp, t.J)
         assert kernel == oracle and proof_trace(t).v_space == oracle, name
     assert len(triples) == len(TAMED_NAMES) + 82
+
+
+def test_direct_sums_decide_as_their_summands(corpus):
+    # a closed form taming the block J on g1 + g2 restricts to one on each summand,
+    # and the sum of the summands' forms tames the block J; so the sum is Feasible
+    # iff both summands are, over every pair of fixtures with J, repeats allowed,
+    # up to dimension 10, and no sum is Unknown
+    with_j = [(name, fx) for name, fx in corpus.items() if fx.J is not None]
+    alone = {name: isinstance(decide(fx.algebra, fx.J), Feasible) for name, fx in with_j}
+    checked = 0
+    for (a, fa), (b, fb) in combinations_with_replacement(with_j, 2):
+        if fa.algebra.dim + fb.algebra.dim <= 10:
+            v = decide(*direct_sum([(fa.algebra, fa.J), (fb.algebra, fb.J)]))
+            assert not isinstance(v, Unknown) and isinstance(v, Feasible) == (alone[a] and alone[b]), (a, b)
+            checked += 1
+    assert checked == 54

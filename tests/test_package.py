@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 import tamecert
 from tamecert import algebra, errors, feasibility, fixtures, forms, linalg, pipeline, reduction
 
+import ab_pairs
 from ab_pairs import seed_list, summary
 from conftest import RESCALE_FACTORS, REPO_ROOT, readme_snippet
 
@@ -268,6 +270,15 @@ def test_ab_pairs_reads_its_verdicts():
     zero = [0.0] * 10
     assert summary(zero, [1.0] * 10, True, 0.25).endswith("within")
     assert summary(zero, [1.0] * 10, False, 0.25).endswith("EXCEEDS")
+    # a base spread wider than the bound: the median can move that far on noise alone,
+    # so no regression verdict is read unless every change run beats every base run
+    noisy = [100.0 + 10 * k for k in range(10)]  # median 145, interquartile range 55, 38%
+    assert summary(noisy, list(noisy), True, 0.25).endswith("unresolved")
+    assert summary(noisy, [x / 2 for x in noisy], True, 0.25).endswith("unresolved")
+    assert summary(noisy, [x + 10 for x in noisy], True, 0.25).endswith("unresolved")
+    assert summary(noisy, [200.0 + k for k in range(10)], True, 0.25).endswith("within")
+    assert summary(noisy, [50.0 + k for k in range(10)], False, 0.25).endswith("within")
+    assert summary(noisy, list(noisy), True, 0.4).endswith("within")
 
 
 def test_ab_pairs_reads_no_gain_off_too_few_pairs():
@@ -281,6 +292,20 @@ def test_ab_pairs_reads_no_gain_off_too_few_pairs():
     assert "wins 10/10  gain rule holds" in summary(ten, [x + 20 for x in ten], True, 0.25)
     assert "wins 0/1  too few pairs" in summary([100.0], [50.0], True, 0.25)
     assert summary([100.0], [50.0], True, 0.25).endswith("EXCEEDS")
+
+
+def test_ab_pairs_shows_why_a_run_crashed(tmp_path, monkeypatch, capsys):
+    # a benchmark run that exits nonzero ends the tool with its workload, seed,
+    # side, exit code and the tail of its stderr, and exit status 1
+    stub = tmp_path / "stub"
+    (stub / "perfbench").mkdir(parents=True)
+    lines = "".join(f"print('line {k}', file=sys.stderr)\n" for k in range(30))
+    (stub / "perfbench" / "run.py").write_text(f"import sys\n{lines}sys.exit(1)\n")
+    monkeypatch.setattr(ab_pairs, "extract", lambda rev, dest: shutil.copytree(stub, dest, dirs_exist_ok=True))
+    assert ab_pairs.main(["--base", "HEAD", "--workload", "corpus", "--seeds", "1", "--seconds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "corpus seed 1 base: perfbench/run.py exited 1" in out
+    assert "line 29" in out and "line 10" in out and "line 9\n" not in out
 
 
 def test_only_the_numeric_module_imports_numpy():

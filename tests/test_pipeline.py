@@ -471,7 +471,7 @@ def test_proof_trace_aff_r(corpus):
 def test_proof_trace_pins_the_z1_scale():
     # d_{4,1/2}: [e0,e1] = e2, [e0,e3] = -e0/2, [e1,e3] = -e1/2, [e2,e3] = -e2, J e1 = e0, J e2 = e3;
     # decide's omega tames J, and both rows of the trace have Z1 != 0.  Under diag(2, 1, 1, 3)
-    # J' = den J has den 6 and the bracket table c = 2, so Z1's denominator c s s_x q e is pinned
+    # J has denominator 6 and the brackets 2, so Z1 is read on non-integral J and brackets too
     F = Fraction
     g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}, (0, 3): {0: F(-1, 2)}, (1, 3): {1: F(-1, 2)}, (2, 3): {2: -1}})
     J = ComplexStructure.from_matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
@@ -512,8 +512,9 @@ def test_proof_trace_reports_relation_violation(corpus):
     # for Y = e1 - e4, Z1 = [JX, Y] + 2bX + aJX = e3 falls outside v.  On
     # sol3_r_nonint, whose J is not integrable either, relation 4 leaves 2 e2
     # over for Y = e1 + e2/3.  Every row of a verified triple has a = b = 0 and
-    # Z1 = 0, so these residuals pin the denominator c s s_x q e^2 of relation
-    # 4: the fixture has c = e = 1, and the basis e_i -> d_i e_i makes c = 2, e = 6
+    # Z1 = 0, so only these residuals read relation 4 off a nonzero value: the
+    # fixture's J and brackets are integral, and the basis e_i -> d_i e_i gives
+    # them denominators 6 and 2
     sol4, sol3 = corpus["sol4_1"], corpus["sol3_r_nonint"]
     coeffs = {(0, 2): -2, (0, 3): 2, (1, 2): 3, (1, 3): -1}
     d = [F(1, 2), F(2), F(3), F(1)]
@@ -535,6 +536,20 @@ def test_proof_trace_reports_relation_violation(corpus):
         assert info.value.generator == tuple(map(F, generator))
         assert info.value.residual == tuple(map(F, residual))
         assert all(isinstance(x, F) for x in info.value.generator + info.value.residual)
+
+
+def test_proof_trace_reads_the_fraction_definitions(corpus, monkeypatch):
+    # the relations are evaluated through LieAlgebra.bracket, not on the integer
+    # table that reduce and the precheck read; aff_r and aff_r2 are not
+    # unimodular, so no closing reduce step brackets on the table either
+    brackets = spy(monkeypatch, LieAlgebra, "bracket")
+    monkeypatch.setattr(tamecert.reduction, "_bracket_ints", lambda *a: pytest.fail("bracketed on the integer table"))
+    for name in ("aff_r", "aff_r2"):
+        fx = corpus[name]
+        t = TamedTriple.build(fx.algebra, fx.omega, fx.J)
+        brackets.clear()
+        proof_trace(t)
+        assert brackets, name
 
 
 def test_reduction_layer_is_float_free(corpus, monkeypatch):

@@ -8,7 +8,9 @@ workloads, built before the profiler starts.  The package functions never
 entered under ``sys.setprofile`` must be exactly those of ``NEVER_ENTERED``,
 each with its reason: a function that newly stops running fails the test,
 and so does an allowlisted one that starts to run.  A "README example" must be
-entered when README's library snippet runs.
+entered when README's library snippet runs, and an "imported by perfbench/"
+entry when the benchmark builds its items, checks certificates and replays
+``analyze`` and ``decide`` with spans.
 """
 
 import ast
@@ -21,7 +23,7 @@ import tamecert
 from tamecert.cli import main as cli_main
 from tamecert.feasibility import decide
 
-from conftest import FIXTURES_DIR, REPO_ROOT, readme_snippet
+from conftest import FIXTURES_DIR, REPO_ROOT, build_items, readme_snippet
 
 PACKAGE_DIR = Path(tamecert.__file__).parent  # as co_filename spells it
 
@@ -68,7 +70,6 @@ NEVER_ENTERED = {
     "linalg.vec": PERFBENCH,  # through LieAlgebra.bracket
     "linalg.vec_dot": PERFBENCH,
     "reduction.TamedTriple.failed_flags": ERROR_PATH,
-    "reduction._over": README,  # proof_trace's
     "reduction.proof_trace": README,
 }
 
@@ -183,3 +184,27 @@ def test_readme_examples_run_in_the_readme_snippet(monkeypatch):
     ran = entered(lambda: exec(code, {}))
     readme = {entry for entry, reason in NEVER_ENTERED.items() if reason == README}
     assert sorted(readme - ran) == []
+
+
+def test_perfbench_entries_run_in_perfbench(corpus, monkeypatch):
+    # an "imported by perfbench/" reason holds only while the benchmark enters the
+    # function: building the conjugated and scaling items, the certificate check's
+    # smoke test, and the traced replays of analyze and decide
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import certcheck
+    import spans
+
+    cases = [(corpus[name].algebra, corpus[name].J) for name in ("aff_r2", "h3_r")]
+    abelian = corpus["abelian_r2"]
+
+    def benchmark():
+        for workload in ("conjugated", "scaling"):
+            build_items(workload, 1, FIXTURES_DIR)
+        feasible, infeasible = ((g, J, decide(g, J)) for g, J in cases)
+        assert certcheck.smoke_test(feasible, infeasible) == []
+        spans.traced_analyze(spans.Recorder(), corpus["aff_r2"])
+        spans.traced_decide(spans.Recorder(), abelian.algebra, abelian.J)
+
+    ran = entered(benchmark)
+    perfbench = {entry for entry, reason in NEVER_ENTERED.items() if reason == PERFBENCH}
+    assert len(perfbench) == 18 and sorted(perfbench - ran) == []
