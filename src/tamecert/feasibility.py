@@ -25,10 +25,14 @@ The decision pipeline:
      rational form whose Gram is re-proved positive definite by principal
      minors (a projection point that fails it gives way to the solve's
      point, rounded the same way); when that gives no Feasible, the
-     solve's own dual iterate X = F^-1 / tr F^-1, rounded to rationals,
-     moved exactly onto the affine set {<S_i, X> = 0, tr X = 1} and
-     re-proved positive definite the same way (the Peyrl-Parrilo pattern,
-     Theor. Comput. Sci. 2008).  A PD closed
+     solve's own dual iterate X = F^-1 / tr F^-1, rounded on the grid
+     1 / DENOMINATOR_BOUND only at the entries that the integer rows of
+     <S_i, X> = 0 leave free, each pivot entry solved exactly from its row,
+     and re-proved positive definite the same way (the Peyrl-Parrilo
+     pattern, Theor. Comput. Sci. 2008).  It needs no trace row, as a PD X
+     is divided by its positive trace, and no exit for an empty affine set
+     {<S_i, X> = 0, tr X = 1}: then every X pairing to zero has trace 0,
+     and the minors reject it.  A PD closed
      Gram and a PSD trace-one matrix pairing to zero with every closed Gram
      cannot both exist, so the lane order can never change a verdict.
 
@@ -52,8 +56,7 @@ from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed, NotAComplexStructure
 from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_taming, taming_gram
 from .linalg import (
-    ZERO, Mat, Vec, _cleared, _dot, _echelon, _invariant_part, _kernel, _scaled, _symmetric, clear_denominators,
-    leading_minors_positive,
+    ZERO, Mat, Vec, _cleared, _dot, _echelon, _invariant_part, _kernel, _scaled, _symmetric, leading_minors_positive,
 )
 
 if TYPE_CHECKING:
@@ -66,8 +69,8 @@ DEGENERATE_MARGIN = 1e-6  # an Unknown margin this near 0 is logged as the degen
 # replays that same call.  It never picks a verdict: exactify re-proves the point
 PROJECTION_MARGIN = 1e-3
 
-EXACTIFY_DENOMINATOR_BOUND = 10**6
-DUAL_DENOMINATOR_BOUND = 1000
+# exactify's continued-fraction bound and the dual lane's rounding grid
+DENOMINATOR_BOUND = 10**6
 
 logger = logging.getLogger(__name__)
 
@@ -302,8 +305,8 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     """Round optimizer coefficients to an exact closed form with a PD Gram.
 
     Rounds c / max|c_i|, whose largest entry stays +-1, once by continued
-    fractions at EXACTIFY_DENOMINATOR_BOUND (``Fraction.limit_denominator``);
-    an entry below a tenth of 1 / EXACTIFY_DENOMINATOR_BOUND in absolute
+    fractions at DENOMINATOR_BOUND (``Fraction.limit_denominator``);
+    an entry below a tenth of 1 / DENOMINATOR_BOUND in absolute
     value is 0 with no continued fraction, as that rounding would give, since
     every nonzero p/q with q within the bound is at least 1 / bound away
     from 0.  Sums the
@@ -318,8 +321,8 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
     top = max(map(abs, c), default=0.0)
     if top == 0.0:
         raise ExactificationFailed("zero coefficient vector")
-    tiny = 0.1 / EXACTIFY_DENOMINATOR_BOUND  # a NaN is not below it, and Fraction refuses it
-    q = [ZERO if abs(x) < tiny else Fraction(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in [v / top for v in c]]
+    tiny = 0.1 / DENOMINATOR_BOUND  # a NaN is not below it, and Fraction refuses it
+    q = [ZERO if abs(x) < tiny else Fraction(x).limit_denominator(DENOMINATOR_BOUND) for x in [v / top for v in c]]
     # d sum q_i B_i in ints, B_i = W_i / w_i (``TwoForm._ints``), d the lcm of the w_i q_i.denominator
     # over the nonzero q_i: a zero term adds nothing, and omega's Fractions are reduced either way
     terms = [(qi, b) for qi, b in zip(q, p.z2_basis) if qi]
@@ -340,46 +343,42 @@ def exactify(p: FeasibilityProblem, c: np.ndarray) -> tuple[TwoForm, float]:
 def dual_certificate(p: FeasibilityProblem) -> tuple[Mat, float] | None:
     """Exact PSD matrix of trace one pairing to zero with every closed Gram form.
 
-    Rounds the dual iterate of the barrier solve to rationals of denominator
-    at most DUAL_DENOMINATOR_BOUND, symmetrizes it, and moves it exactly onto
-    {<S_i, X> = 0, tr X = 1} by the least-squares correction R^T y, with R
-    the rows S_1, ..., S_m, I and (R R^T) y = R X - (0, ..., 0, 1) read off
-    one integer elimination (``linalg._echelon``).  Each S_i is read as
-    d_i S_i in ints off its closed form (``forms._gram_ints``, the kernel of
-    ``taming_gram``), the rounded X is cleared to ints once, and the normal
-    equations are formed on those rows; positive row scales leave the
-    correction, the unique projection onto that affine set, unchanged, and
-    the certificate's positive scale cancels in ``_symmetric``.
-    Returns (certificate, 0.0) when exact leading minors prove the corrected
-    matrix positive definite, and None otherwise: when the affine set is
-    empty (I lies in span{S_i}) or the optimum sits on the boundary of the
-    PSD cone, so that only a singular dual exists.  The 0.0, the residual,
-    is unread in the package: kept for perfbench/ until ROADMAP item 1's
-    benchmark change.
+    Each pairing d_i <S_i, X> is one integer row on X's upper triangle (i <= j),
+    its entries d_i S_i[i][j], doubled off the diagonal (``forms._gram_ints``,
+    the kernel of ``taming_gram``).  One ``linalg._echelon`` puts the rows in
+    reduced echelon form, scaled to one pivot entry f (``_scaled``).  The
+    symmetrized dual iterate of the barrier solve is rounded on the grid
+    1 / DENOMINATOR_BOUND only at the entries those rows leave free, and each
+    pivot entry is solved exactly from its own row, as every free entry of
+    the integer matrix D f X is a multiple of f; so D f X pairs to exactly 0
+    with every closed Gram.  Divided by its trace, positive once exact
+    leading minors prove it positive definite, it has trace one, with no
+    trace row; and when the affine set {<S_i, X> = 0, tr X = 1} is empty
+    (I in span{S_i}), every X pairing to zero has trace 0, so the minors
+    reject it with no separate exit.  Returns (certificate, 0.0) on a PD
+    matrix, and None otherwise, also when the optimum sits on the boundary
+    of the PSD cone, so that only a singular dual exists.  The 0.0, the
+    residual, is unread in the package: kept for perfbench/ until ROADMAP
+    item 1's benchmark change.
     """
     n = p.algebra.dim
     if n == 0:
         return None
     x = p.barrier_path[1]
-    x = (x + x.T) / 2.0
-    q, e = clear_denominators([[Fraction(v).limit_denominator(DUAL_DENOMINATOR_BOUND) for v in row] for row in x.tolist()])
-    q = [v for row in q for v in row]  # e X, flattened
-    rows = [[v for row in _gram_ints(b, p.J)[0] for v in row] for b in p.z2_basis]  # d_i S_i
-    rows.append([int(i == j) for i in range(n) for j in range(n)])
-    rhs = [sum(a * b for a, b in zip(r, q)) for r in rows]
-    rhs[-1] -= e
-    # the reduced echelon form of (R R^T | rhs): a pivot in the last column means no solution;
-    # otherwise y, e times the multipliers of these rows, is row[-1] / f on red scaled to one pivot entry f
-    red, pivots = _echelon([[sum(a * b for a, b in zip(r, t)) for t in rows] + [v] for r, v in zip(rows, rhs)])
-    if pivots and pivots[-1] == len(rows):
-        return None
+    x = ((x + x.T) / 2.0).tolist()
+    cells = [(i, j) for i in range(n) for j in range(i, n)]  # X's upper triangle
+    # d_i <S_i, X> on the upper triangle, whose entries off the diagonal stand for two of X's
+    grams = (_gram_ints(b, p.J)[0] for b in p.z2_basis)
+    red, pivots = _echelon([[(2 if i < j else 1) * gram[i][j] for i, j in cells] for gram in grams])
     red, f = _scaled(red)
-    fy = [(row[-1], rows[k]) for row, k in zip(red, pivots)]  # f y_k, with its row, at each pivot k
-    flat = [f * v - sum(yk * r[k] for yk, r in fy) for k, v in enumerate(q)]  # e f times the certificate
-    cert = [flat[i * n : (i + 1) * n] for i in range(n)]
+    q = [f * round(DENOMINATOR_BOUND * x[i][j]) for i, j in cells]  # D f X at the free entries
+    for row, k in zip(red, pivots):  # row . q = f q[k] + a multiple of f, so the new q[k] zeroes it
+        q[k] -= _dot(row, q) // f
+    entry = dict(zip(cells, q))
+    cert = [[entry[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
     if not leading_minors_positive(cert):
         return None
-    return _symmetric(cert, e * f, ZERO), 0.0
+    return _symmetric(cert, sum(cert[i][i] for i in range(n)), ZERO), 0.0
 
 
 def _rank_one_dual(v: Vec) -> Mat:

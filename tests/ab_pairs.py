@@ -47,7 +47,9 @@ Every run should read ``"correct": true``.  An incorrect run is marked on its
 pair's line and the pairs go on; after the last pair the script lists the
 incorrect runs and exits 1.  A run that exits nonzero ends the script: it
 prints that run's workload, seed, side and exit code with the last lines of
-its stderr, and exits 1.  Only the standard library is used, and the name
+its stderr, and exits 1.  A base that ``git archive`` cannot extract ends
+it the same way, with the rev and git's message, or the error that kept git
+from starting.  Only the standard library is used, and the name
 does not start with ``test_``, so pytest does not collect it.
 """
 
@@ -157,7 +159,15 @@ def main(argv=None) -> int:
     incorrect = []
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         base_dir = Path(tmp)
-        extract(args.base, base_dir)
+        try:
+            extract(args.base, base_dir)
+        except subprocess.CalledProcessError as exc:
+            stderr = exc.stderr.decode(errors="replace").strip()
+            print(f"cannot extract base {args.base}: git archive exited {exc.returncode}: {stderr}", flush=True)
+            return 1
+        except OSError as exc:  # git cannot start
+            print(f"cannot extract base {args.base}: {exc}", flush=True)
+            return 1
         for workload in args.workload:
             results = {"base": [], "change": []}
             for i, seed in enumerate(args.seeds):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -22,7 +23,9 @@ from tamecert.linalg import (
     _root_counts,
     _scaled,
     charpoly,
+    clear_denominators,
     frac,
+    leading_minors_positive,
     mat_inverse,
     mat_mul,
     nullspace,
@@ -39,6 +42,7 @@ FIXTURES_DIR = REPO_ROOT / "fixtures"
 # perfbench/ is not a package, so its directory goes on the path for this import only
 with pytest.MonkeyPatch.context() as patched:
     patched.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import workloads
     from workloads import CORPUS_EXPECTED, NON_ABELIAN, POOL_SEED, RESCALE_FACTORS, build_items, direct_sum, random_basis_change
 
 # R e0 ⋉ R^5 with ad e0 = (M ⊗ C) ⊕ 0, M = [[0, 2], [1, 0]]: the weights ±√2 are
@@ -130,6 +134,70 @@ def pool_draw(corpus, name: str, k: int) -> tuple[LieAlgebra, ComplexStructure]:
     fx = corpus[name]
     P = random_basis_change(fx.algebra.dim, random.Random(f"{POOL_SEED}:{name}:{k}"))
     return conjugate(fx.algebra, P, fx.J)
+
+
+# non-integrable J = P J0 P^-1 on aff_r2 whose verdict comes from the dual lane
+AFF_R2_NONINT_P = [
+    [[2, 1, 2, -1], [2, 0, -2, 0], [-2, 1, 2, -2], [1, 1, 1, -2]],
+    [[1, 2, 1, 1], [2, -2, -2, 1], [-1, 2, 0, -1], [1, 2, 2, -2]],
+    [[1, -1, -1, -2], [0, -1, -2, -2], [0, 0, -2, 0], [2, 1, 2, 0]],
+    [[-2, 0, 0, 2], [2, 1, 0, 2], [-2, 1, -2, 1], [2, -2, 0, 1]],
+    [[2, -1, 1, 2], [0, -1, 1, 1], [0, 2, -1, -1], [0, 1, -1, 2]],
+    [[1, 1, -2, -2], [1, 1, -1, 2], [0, 1, -2, -1], [0, 2, 1, -2]],
+]
+
+
+def non_integrable_j(fx: Fixture, P) -> ComplexStructure:
+    """The different almost complex structure J = P J0 P^-1 on the fixture's algebra."""
+    P = [[Fraction(x) for x in row] for row in P]
+    return ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in fx.J.matrix]), mat_inverse(P)))
+
+
+def is_exact_dual(dual, grams) -> bool:
+    """Whether dual proves exactly that no combination of the Gram forms is positive definite: every
+    entry a ``Fraction``, trace one, positive definite, and pairing to exactly 0 with each Gram."""
+    n = len(dual)
+    return (
+        all(isinstance(x, Fraction) for row in dual for x in row)
+        and sum(dual[i][i] for i in range(n)) == 1
+        and leading_minors_positive(clear_denominators(dual)[0])
+        and all(sum(s[i][j] * dual[i][j] for i in range(n) for j in range(n)) == 0 for s in grams)
+    )
+
+
+# the fixtures a sweep draw picks from, in the order rng.choice reads them
+SWEEP_NAMES = ["aff_r", "aff_r2", "h3_r", "inoue_s0", "sol3_r_nonint", "sol4_1", "iwasawa", "abelian_r2", "abelian_r4"]
+
+
+def sweep_draws(seed: int, count: int) -> Iterator[tuple[int, str, LieAlgebra, ComplexStructure]]:
+    """(index, name, g, J) for the first count draws of ROADMAP item 24's sweep on random.Random(seed).
+
+    Each draw takes rng.choice of SWEEP_NAMES; with rng.random() < 0.3 a second
+    rng.choice, added (``direct_sum``) when the dimension stays at most 8; then
+    P = random_basis_change(n, rng), and with rng.random() < 0.5 (g, J) is
+    conjugated by P (``workloads.conjugate``), else J becomes P J P^-1.
+    """
+    fixtures = {name: load_fixture(FIXTURES_DIR / f"{name}.json") for name in SWEEP_NAMES}
+    rng = random.Random(seed)
+    for index in range(count):
+        name = rng.choice(SWEEP_NAMES)
+        g, J = fixtures[name].algebra, fixtures[name].J
+        if rng.random() < 0.3:
+            other = rng.choice(SWEEP_NAMES)
+            if g.dim + fixtures[other].algebra.dim <= 8:
+                g, J = direct_sum([(g, J), (fixtures[other].algebra, fixtures[other].J)])
+                name = f"{name}+{other}"
+        P = random_basis_change(g.dim, rng)
+        if rng.random() < 0.5:
+            g, J = workloads.conjugate(g, J, P)
+        else:
+            J = ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in J.matrix]), mat_inverse(P)))
+        yield index, name, g, J
+
+
+def largest_entry_bits(m) -> int:
+    """The bit length of the largest numerator or denominator of an exact matrix's entries."""
+    return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length()) for row in m for x in row)
 
 
 # --- oracles that no package code path calls: references for the integer kernels ---

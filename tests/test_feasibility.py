@@ -33,7 +33,7 @@ from tamecert.algebra import scale_structure_constants, weight_spaces
 from tamecert.errors import ExactificationFailed, NotAComplexStructure
 from tamecert.feasibility import (
     DEGENERATE_MARGIN,
-    EXACTIFY_DENOMINATOR_BOUND,
+    DENOMINATOR_BOUND,
     DegeneracyDirection,
     FeasibilityConfig,
     FeasibilityProblem,
@@ -43,11 +43,12 @@ from tamecert.feasibility import (
     exactify,
     maximize_lambda_min,
 )
-from tamecert.forms import ComplexStructure, _gram_ints, is_taming, taming_gram
+from tamecert.forms import ComplexStructure, _gram_ints, closed_two_forms, is_taming, taming_gram
 from tamecert.linalg import Subspace, _cleared, _dot, clear_denominators, leading_minors_positive, mat_inverse, mat_mul
 from tamecert.pipeline import verdict_to_dict
 
 from conftest import (
+    AFF_R2_NONINT_P,
     CORPUS_NAMES,
     NON_ABELIAN,
     aff_r2_rescaled,
@@ -56,6 +57,9 @@ from conftest import (
     identity,
     intersect,
     invariant_part,
+    is_exact_dual,
+    largest_entry_bits,
+    non_integrable_j,
     pool_draw,
     random_basis_change,
     rational_sampler,
@@ -64,6 +68,7 @@ from conftest import (
     reference_kernel,
     solve,
     spy,
+    sweep_draws,
 )
 
 F = Fraction
@@ -158,12 +163,6 @@ def sequential_maximize_lambda_min(p, stop_above=None, restarts=REF_RESTARTS):
         if stop_above is not None and best_val > stop_above:
             break
     return best_c, best_val
-
-
-def non_integrable_j(fx, P):
-    """The different almost complex structure J = P J0 P^-1 on the fixture's algebra."""
-    P = [[F(x) for x in row] for row in P]
-    return ComplexStructure.from_matrix(mat_mul(mat_mul(P, [list(r) for r in fx.J.matrix]), mat_inverse(P)))
 
 
 # --- problem assembly ---
@@ -751,7 +750,7 @@ def test_exactify_aff():
 
 def rounded_fraction_sum(p, c) -> TwoForm:
     """exactify's omega by its definition: every c_i / max|c| through limit_denominator, summed in Fractions."""
-    q = [F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in c / np.max(np.abs(c))]
+    q = [F(x).limit_denominator(DENOMINATOR_BOUND) for x in c / np.max(np.abs(c))]
     coeffs = {}
     for qi, b in zip(q, p.z2_basis):
         for key, v in b.coeffs:
@@ -790,7 +789,7 @@ def test_exactify_form_matches_fraction_sum(corpus, monkeypatch):
     zeros, tiny = [], []
     for (p, c), (omega, _) in calls:
         zeros.extend(x for x in c if x == 0.0)
-        tiny.extend(x for x in c / np.max(np.abs(c)) if 0 < abs(x) < 0.1 / EXACTIFY_DENOMINATOR_BOUND)
+        tiny.extend(x for x in c / np.max(np.abs(c)) if 0 < abs(x) < 0.1 / DENOMINATOR_BOUND)
         reference = rounded_fraction_sum(p, c)
         assert repr(omega) == repr(reference) and omega._ints == reference._ints
     assert len(zeros) >= 30, len(zeros)
@@ -802,13 +801,13 @@ def test_limit_denominator_rounds_below_a_tenth_of_the_bound_to_zero():
     # calls no limit_denominator: 0 is what that call returns there, on seeded
     # x down to the subnormals, on the smallest subnormal and on -0.0
     rng = random.Random(46)
-    tiny = 0.1 / EXACTIFY_DENOMINATOR_BOUND
+    tiny = 0.1 / DENOMINATOR_BOUND
     xs = [rng.choice((-1, 1)) * rng.uniform(0.01, 1) * 10.0 ** -rng.uniform(7, 320) for _ in range(2000)]
     xs += [5e-324, -5e-324, -0.0, 0.0, math.nextafter(tiny, 0.0), -math.nextafter(tiny, 0.0)]
     assert all(abs(x) < tiny for x in xs)
-    assert all(F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) == 0 for x in xs)
+    assert all(F(x).limit_denominator(DENOMINATOR_BOUND) == 0 for x in xs)
     # the nearest nonzero p/q within the bound, 1 / bound, is ten times the cut
-    assert F(10 * tiny).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) == F(1, EXACTIFY_DENOMINATOR_BOUND)
+    assert F(10 * tiny).limit_denominator(DENOMINATOR_BOUND) == F(1, DENOMINATOR_BOUND)
 
 
 def test_exactify_fails_on_singular_optimum(monkeypatch):
@@ -829,8 +828,9 @@ def test_exactify_fails_on_singular_optimum(monkeypatch):
 
 
 def test_dual_certificate_crafted():
-    # e^1 ^ e^2 - e^3 ^ e^4 has the Gram diag(1, 1, -1, -1): the rounded dual
-    # iterate is moved onto {<S, X> = 0, tr X = 1} exactly at I/4
+    # e^1 ^ e^2 - e^3 ^ e^4 has the Gram diag(1, 1, -1, -1), one row with its pivot
+    # at X[0][0]: the dual iterate rounds to I/4 at the free entries, and X[0][0]
+    # solved from the row, X[2][2] + X[3][3] - X[1][1], is 1/4 as well
     p = fake_problem([{(0, 1): 1, (2, 3): -1}], dim=4)
     assert p.gram_basis == [[[F(int(i == j) * (1 if i < 2 else -1)) for j in range(4)] for i in range(4)]]
     assert dual_certificate(p) == ([[F(int(i == j), 4) for j in range(4)] for i in range(4)], 0.0)
@@ -932,17 +932,6 @@ def test_conjugated_inoue_rank_one_certificate(corpus):
         assert sum(u[i] * s[i][j] * u[j] for i in range(4) for j in range(4)) == 0
 
 
-# non-integrable J = P J0 P^-1 on aff_r2 whose verdict comes from the dual lane
-AFF_R2_NONINT_P = [
-    [[2, 1, 2, -1], [2, 0, -2, 0], [-2, 1, 2, -2], [1, 1, 1, -2]],
-    [[1, 2, 1, 1], [2, -2, -2, 1], [-1, 2, 0, -1], [1, 2, 2, -2]],
-    [[1, -1, -1, -2], [0, -1, -2, -2], [0, 0, -2, 0], [2, 1, 2, 0]],
-    [[-2, 0, 0, 2], [2, 1, 0, 2], [-2, 1, -2, 1], [2, -2, 0, 1]],
-    [[2, -1, 1, 2], [0, -1, 1, 1], [0, 2, -1, -1], [0, 1, -1, 2]],
-    [[1, 1, -2, -2], [1, 1, -1, 2], [0, 1, -2, -1], [0, 2, 1, -2]],
-]
-
-
 @pytest.mark.parametrize("P", AFF_R2_NONINT_P)
 def test_exact_dual_certificate_on_aff_r2(corpus, P):
     # a different, non-integrable J = P J0 P^-1 on the same algebra: the
@@ -1040,13 +1029,16 @@ def test_dual_lane_needs_the_rounded_iterate(corpus):
     assert not positive_definite(projection)
 
 
-def test_dual_certificate_on_a_16_dim_sum_is_fast(corpus):
-    # the normal equations of the dual lane are formed on integer rows: on
-    # the sum of aff_r2 under the first four J above (n = 16, m = 36)
-    # dual_certificate took 1.7 s with Fraction rows and takes about 0.05 s
+def sixteen_dim_sum(corpus) -> tuple[LieAlgebra, ComplexStructure]:
+    """aff_r2 + aff_r2 + aff_r2 + aff_r2 with the first four non-integrable J above."""
     fx = corpus["aff_r2"]
-    parts = [(fx.algebra, non_integrable_j(fx, P)) for P in AFF_R2_NONINT_P[:4]]
-    g, J = direct_sum(parts)
+    return direct_sum([(fx.algebra, non_integrable_j(fx, P)) for P in AFF_R2_NONINT_P[:4]])
+
+
+def test_dual_certificate_on_a_16_dim_sum_is_fast(corpus):
+    # on the sum of aff_r2 under the first four J above (n = 16, m = 36) the
+    # dual lane eliminates 36 integer rows of length 136 once, in about 3 ms
+    g, J = sixteen_dim_sum(corpus)
     p = build_problem(g, J)
     assert (g.dim, p.size) == (16, 36) and degeneracy_precheck(p) is None
     p.barrier_path  # solved before the clock starts
@@ -1059,6 +1051,59 @@ def test_dual_certificate_on_a_16_dim_sum_is_fast(corpus):
     for s in p.gram_basis:
         assert sum(s[i][j] * dual[i][j] for i in range(16) for j in range(16)) == 0
     assert elapsed < 0.5, f"dual_certificate took {elapsed:.2f} s"
+
+
+def test_dual_certificate_rounds_only_the_free_entries(corpus, monkeypatch):
+    # the pairings are one integer row each on X's n(n+1)/2 = 10 upper-triangle
+    # entries, eliminated once; the iterate is rounded on a grid, not by continued
+    # fractions, and no normal equations or trace row are formed
+    fx = corpus["aff_r2"]
+    p = build_problem(fx.algebra, non_integrable_j(fx, AFF_R2_NONINT_P[0]))
+    p.barrier_path  # solved before the spies
+    eliminations = spy(monkeypatch, feas_mod, "_echelon")
+    roundings = spy(monkeypatch, Fraction, "limit_denominator")
+    assert dual_certificate(p) is not None
+    assert len(eliminations) == 1 and roundings == []
+    rows = eliminations[0][0][0]
+    assert len(rows) == p.size and all(len(row) == 10 for row in rows)
+
+
+@pytest.mark.parametrize("P", AFF_R2_NONINT_P)
+def test_dual_certificates_on_aff_r2_stay_small(corpus, P):
+    # rounded on the 10^-6 grid at the free entries and solved at the pivots,
+    # every numerator and denominator stays below 2^40 (at most 2^33 here)
+    fx = corpus["aff_r2"]
+    cert = dual_certificate(build_problem(fx.algebra, non_integrable_j(fx, P)))
+    assert cert is not None and largest_entry_bits(cert[0]) <= 40
+
+
+def test_dual_certificate_on_a_16_dim_sum_stays_small(corpus):
+    # on the 16-dim sum every numerator and denominator stays below 2^64 (at most 2^49 here)
+    p = build_problem(*sixteen_dim_sum(corpus))
+    cert = dual_certificate(p)
+    assert cert is not None and is_exact_dual(cert[0], p.gram_basis)
+    assert largest_entry_bits(cert[0]) <= 64
+
+
+# the draws of ROADMAP item 24's sweep on random.Random(12345) that the dual lane decides
+SWEEP_DUAL_DRAWS = (23, 33, 39, 123, 135, 175, 193)
+
+
+def test_sweep_dual_lane_draws_re_prove_exactly():
+    # each is Infeasible by the dual lane, and its dual re-proves against a
+    # fresh closed basis with every numerator and denominator below 2^112
+    # (at most 2^94 here); draw 33's dual has lambda_min about 2.6e-6, so a
+    # coarser grid or a perturbed iterate could lose it
+    decided = []
+    for index, name, g, J in sweep_draws(12345, max(SWEEP_DUAL_DRAWS) + 1):
+        if index in SWEEP_DUAL_DRAWS:
+            v = decide(g, J)
+            assert isinstance(v, Infeasible) and v.rank_one_direction is None, (index, name)
+            grams = [taming_gram(b, J) for b in closed_two_forms(g)]
+            assert is_exact_dual([list(row) for row in v.dual], grams), (index, name)
+            assert largest_entry_bits(v.dual) <= 112, (index, name)
+            decided.append(index)
+    assert tuple(decided) == SWEEP_DUAL_DRAWS
 
 
 # non-integrable J = P J0 P^-1 on sol3_r_nonint whose only duals are singular
@@ -1278,7 +1323,7 @@ def test_exactify_floats_match_the_fraction_gram_path(structures, monkeypatch):
         ints, d = _gram_ints(omega, p.J)
         assert [[(x / d).hex() for x in row] for row in ints] == [[float(x).hex() for x in row] for row in gram]
         margin = float(np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in gram]))[0])
-        q = [F(x).limit_denominator(EXACTIFY_DENOMINATOR_BOUND) for x in c / float(np.max(np.abs(c)))]
+        q = [F(x).limit_denominator(DENOMINATOR_BOUND) for x in c / float(np.max(np.abs(c)))]
         assert lam.hex() == (margin / float(np.sqrt(sum(float(x) ** 2 for x in q)))).hex()
         assert is_taming(omega, p.J).margin.hex() == margin.hex()
 
@@ -1344,9 +1389,10 @@ def certificate_digest(v) -> str:
 
 
 # certificate_digest of decide on each structure.  The solver may move its
-# floats and never an Infeasible certificate; a Feasible omega moves only when
-# the point exactify rounds does (four did when the projection of I replaced
-# the solve's point)
+# floats and never a precheck certificate; a dual-lane certificate (aff_r2~J*)
+# moves when the dual iterate does on the 10^-6 grid, and a Feasible omega
+# only when the point exactify rounds does (four did when the projection of I
+# replaced the solve's point)
 CERTIFICATE_DIGESTS = {
     "abelian_r2": "01e6989d3c848f9d",  # feasible
     "abelian_r4": "c619e2bbdcbfad36",  # feasible
@@ -1376,12 +1422,12 @@ CERTIFICATE_DIGESTS = {
     "r10": "4af9a43cd78e6abb",  # feasible
     "r12": "8245c11996ac5bf7",  # feasible
     "aff_r2^3": "8245c11996ac5bf7",  # feasible
-    "aff_r2~J0": "45293921c389b714",  # infeasible
-    "aff_r2~J1": "400ec58d4aa68320",  # infeasible
-    "aff_r2~J2": "5fb17c9a1548819f",  # infeasible
-    "aff_r2~J3": "57aa8095b1360f02",  # infeasible
-    "aff_r2~J4": "45d83d6447c4aefa",  # infeasible
-    "aff_r2~J5": "b9ff82b7d6787b2e",  # infeasible
+    "aff_r2~J0": "b87d5e3015bca986",  # infeasible
+    "aff_r2~J1": "462d7276bfbae222",  # infeasible
+    "aff_r2~J2": "e65f9f33ed849a93",  # infeasible
+    "aff_r2~J3": "f5dd6e416443cf41",  # infeasible
+    "aff_r2~J4": "c235d7aaef1e8b2d",  # infeasible
+    "aff_r2~J5": "8b985fc2f4f435e6",  # infeasible
     "sol3_r_nonint~J0": "cc93445794e9a336",  # unknown
     "sol3_r_nonint~J1": "cc93445794e9a336",  # unknown
 }

@@ -8,16 +8,35 @@ dimension 0, and the bracket relations of the structure argument
 J-invariant part v = h^perp cap J h^perp that the trace reads equals the
 Zassenhaus intersection on those triples.  A direct sum with the block J is
 tamed iff both summands are, and decide reads it so.
+
+An Infeasible verdict of the dual lane survives the changes that keep the
+problem: a basis change, which moves the closed Gram forms by a congruence,
+and a rescaling of the brackets, which keeps the closed forms.  A dual X of
+g1 padded by zeros, X + 0, pairs to zero with every closed Gram of g1 + g2,
+as each closed form restricts to a closed form on g1.
 """
 
+import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from tamecert import Feasible, Unknown, decide, is_completely_solvable, is_integrable, proof_trace
+from tamecert import Feasible, Infeasible, Unknown, decide, is_completely_solvable, is_integrable, proof_trace
+from tamecert.algebra import scale_structure_constants
+from tamecert.forms import closed_two_forms, taming_gram
 from tamecert.reduction import TamedTriple, find_isotropic_ideal, omega_perp, reduction_tower
 
-from conftest import TAMED_NAMES, direct_sum, invariant_part
+from conftest import (
+    AFF_R2_NONINT_P,
+    TAMED_NAMES,
+    direct_sum,
+    invariant_part,
+    is_exact_dual,
+    non_integrable_j,
+    random_basis_change,
+    workloads,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +104,48 @@ def test_direct_sums_decide_as_their_summands(corpus):
             assert not isinstance(v, Unknown) and isinstance(v, Feasible) == (alone[a] and alone[b]), (a, b)
             checked += 1
     assert checked == 54
+
+
+def dual_lane_verdict(g, J) -> Infeasible:
+    """decide's verdict on (g, J), checked to be the dual lane's Infeasible with an exact dual."""
+    v = decide(g, J)
+    assert isinstance(v, Infeasible) and v.rank_one_direction is None
+    assert is_exact_dual([list(row) for row in v.dual], [taming_gram(b, J) for b in closed_two_forms(g)])
+    return v
+
+
+@pytest.mark.parametrize("P", AFF_R2_NONINT_P)
+def test_dual_lane_verdicts_survive_basis_changes_and_rescaling(corpus, P):
+    # each non-integrable J on aff_r2 stays Infeasible with an exact dual under
+    # five seeded dense basis changes and with its brackets rescaled by 2, 1/3 and 1000
+    fx = corpus["aff_r2"]
+    J = non_integrable_j(fx, P)
+    dual_lane_verdict(fx.algebra, J)
+    for s in range(1, 6):
+        dual_lane_verdict(*workloads.conjugate(fx.algebra, J, random_basis_change(4, random.Random(s))))
+    for t in (Fraction(2), Fraction(1, 3), Fraction(1000)):
+        dual_lane_verdict(scale_structure_constants(fx.algebra, t), J)
+
+
+def test_padded_duals_pair_to_zero_on_direct_sums(corpus):
+    # the dual X of an Infeasible g1, padded to X + 0, pairs to exactly 0 with
+    # every closed Gram of g1 + g2: X from the Infeasible fixtures and the six
+    # dual-lane inputs on aff_r2, g2 every fixture with J, up to dimension 10
+    with_j = [fx for fx in corpus.values() if fx.J is not None]
+    duals = [(fx.algebra, fx.J, decide(fx.algebra, fx.J)) for fx in with_j]
+    aff_r2 = corpus["aff_r2"]
+    duals += [(aff_r2.algebra, J, decide(aff_r2.algebra, J)) for J in (non_integrable_j(aff_r2, P) for P in AFF_R2_NONINT_P)]
+    checked = 0
+    for g1, J1, v in duals:
+        if not isinstance(v, Infeasible):
+            continue
+        for fx in with_j:
+            n = g1.dim + fx.algebra.dim
+            if n > 10:
+                continue
+            g, J = direct_sum([(g1, J1), (fx.algebra, fx.J)])
+            for b in closed_two_forms(g):
+                s = taming_gram(b, J)
+                assert sum(s[i][j] * v.dual[i][j] for i in range(g1.dim) for j in range(g1.dim)) == 0
+            checked += 1
+    assert checked == 98

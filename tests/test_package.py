@@ -308,6 +308,18 @@ def test_ab_pairs_shows_why_a_run_crashed(tmp_path, monkeypatch, capsys):
     assert "line 29" in out and "line 10" in out and "line 9\n" not in out
 
 
+def test_ab_pairs_names_a_base_it_cannot_extract(monkeypatch, capsys):
+    # a rev git archive refuses ends the tool with that rev and git's message,
+    # and a git that cannot start with the error, both with exit status 1
+    args = ["--base", "no-such-rev", "--workload", "corpus", "--seeds", "1", "--seconds", "1"]
+    assert ab_pairs.main(args) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("cannot extract base no-such-rev: git archive exited") and "no-such-rev" in out.split(":", 2)[2]
+    monkeypatch.setenv("PATH", "")
+    assert ab_pairs.main(args) == 1
+    assert capsys.readouterr().out.startswith("cannot extract base no-such-rev: [Errno 2]")
+
+
 def test_only_the_numeric_module_imports_numpy():
     # one float lane: a single numpy import in the package, in _numeric
     found = []

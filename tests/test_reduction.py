@@ -7,7 +7,10 @@ from fractions import Fraction
 import pytest
 
 from tamecert import (
+    ComplexStructure,
     DimensionMismatch,
+    Feasible,
+    Fixture,
     LieAlgebra,
     NoOneDimIdeal,
     NotAnIdeal,
@@ -17,6 +20,10 @@ from tamecert import (
     TamingLost,
     TripleVerificationError,
     TwoForm,
+    analyze,
+    decide,
+    is_completely_solvable,
+    proof_trace,
     reduce,
     reduction_tower,
     standard_complex_structure,
@@ -277,6 +284,25 @@ def test_no_rational_invariant_line():
     )
     with pytest.raises(NoOneDimIdeal):
         find_isotropic_ideal(t)
+
+
+def test_proof_trace_refuses_an_algebra_that_is_not_completely_solvable():
+    # e(2) + R, [e0, e1] = e2 and [e0, e2] = -e1, with J e0 = e3, J e1 = e2 and
+    # omega = e^03 + e^12: a unimodular, non-abelian Kaehler algebra whose ad e0
+    # rotates [g, g], so the theorem's complete-solvability hypothesis is needed,
+    # and the proof trace refuses the triple rather than read the relations on it
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}, (0, 2): {1: -1}})
+    J = ComplexStructure.from_matrix([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+    omega = TwoForm.from_dict(4, {(0, 3): 1, (1, 2): 1})
+    t = TamedTriple.build(g, omega, J)
+    assert t.verified and g.is_unimodular()[0] and not g.is_abelian()
+    cs = is_completely_solvable(g)
+    assert not cs and cs.witness == 0
+    with pytest.raises(NoOneDimIdeal):
+        proof_trace(t)
+    assert isinstance(decide(g, J), Feasible)
+    consistency = analyze(Fixture("e2_r", g, J, omega)).theorem_consistency
+    assert consistency.detail == "not applicable: not completely solvable"
 
 
 def test_isotropic_ideal_falls_back_to_the_first_line():
