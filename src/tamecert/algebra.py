@@ -181,20 +181,20 @@ class LieAlgebra:
         pairs = combinations(a.rows, 2) if a == b else product(a.rows, b.rows)
         return Subspace._span(self.dim, [_bracket_ints(table, x, y) for x, y in pairs])
 
-    def _series(self, left: Subspace | None) -> list[Subspace]:
-        """g, [g, g], [l, [g, g]], ... until it stops shrinking; l is the last term when None."""
-        series, nxt = [Subspace.full(self.dim)], self.derived_subalgebra()
+    def _series(self, derived: Subspace, lower: bool) -> list[Subspace]:
+        """g, derived = [g, g], [l, [g, g]], ... until it stops shrinking; l is g when lower, else the last term."""
+        series, nxt = [Subspace.full(self.dim)], derived
         while nxt.dim < series[-1].dim:
             series.append(nxt)
             if nxt.dim:
-                nxt = self.bracket_subspaces(nxt if left is None else left, nxt)
+                nxt = self.bracket_subspaces(series[0] if lower else nxt, nxt)
         return series
 
     def derived_series(self) -> list[Subspace]:
-        return self._series(None)
+        return self._series(self.derived_subalgebra(), False)
 
     def lower_central_series(self) -> list[Subspace]:
-        return self._series(Subspace.full(self.dim))
+        return self._series(self.derived_subalgebra(), True)
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of the nonzero brackets [e_i, e_j], read off the integer table."""
@@ -235,7 +235,10 @@ def is_completely_solvable(g: LieAlgebra) -> CompleteSolvability:
     combination of those at D's free columns: testing these decides, and D = 0
     at once.  Only if one fails is every e_i scanned, for the first witness.
     """
-    series = g.derived_series()
+    return _completely_solvable(g, g.derived_series())
+
+
+def _completely_solvable(g: LieAlgebra, series: list[Subspace]) -> CompleteSolvability:
     if series[-1].dim or len(series) < 3:  # not solvable; or D = 0, as g is abelian or 0
         return CompleteSolvability(not series[-1].dim, None)
     pivots = series[1]._pivots

@@ -56,7 +56,7 @@ from .algebra import LieAlgebra, _weight_spaces
 from .errors import ExactificationFailed, NotAComplexStructure
 from .forms import ComplexStructure, TwoForm, _gram_ints, closed_two_forms, is_taming, taming_gram
 from .linalg import (
-    ZERO, Mat, Vec, _cleared, _dot, _echelon, _invariant_part, _kernel, _scaled, _symmetric, leading_minors_positive,
+    ZERO, Mat, Subspace, Vec, _cleared, _dot, _echelon, _invariant_part, _kernel, _scaled, _symmetric, leading_minors_positive,
 )
 
 if TYPE_CHECKING:
@@ -98,6 +98,11 @@ class FeasibilityProblem:
     @property
     def size(self) -> int:
         return len(self.z2_basis)
+
+    @cached_property
+    def derived(self) -> Subspace:
+        """[g, g] for the precheck, derived once per problem; decide hands in its own first."""
+        return self.algebra.derived_subalgebra()
 
     @cached_property
     def degeneracy_direction(self) -> DegeneracyDirection | None:
@@ -223,8 +228,7 @@ def _grams(p: FeasibilityProblem, rows: list[list[int]], jrows: list[list[int]])
 
 
 def _degeneracy_search(p: FeasibilityProblem) -> DegeneracyDirection | None:
-    g = p.algebra
-    derived = g.derived_subalgebra()
+    g, derived = p.algebra, p.derived
     if not derived.rows:  # D = 0 holds no v
         return None
     # b = scale * D's reduced-echelon basis in ints, jb = den J b
@@ -391,12 +395,17 @@ def decide(g: LieAlgebra, J: ComplexStructure) -> FeasibilityVerdict:
     """Pre-check, projection or barrier solve, then exactify on a positive margin
     and, failing a Feasible, dual_certificate; both re-prove exactly, so no
     threshold picks a verdict.  The one way into these lanes: ``analyze``
-    calls it too.  For n >= 1 the closed basis is never empty, as it holds
-    d(g*) when [g, g] != 0 and every 2-form when g is abelian.  The float
-    lanes run under one ``np.errstate`` that collects numpy's floating-point
-    errors, logged here once per decision, not warned."""
+    calls ``_decide``, on its [g, g].  For n >= 1 the closed basis is never
+    empty, as it holds d(g*) when [g, g] != 0 and every 2-form when g is
+    abelian.  The float lanes run under one ``np.errstate`` that collects
+    numpy's floating-point errors, logged here once per decision, not warned."""
+    return _decide(g, J, g.derived_subalgebra())
+
+
+def _decide(g: LieAlgebra, J: ComplexStructure, derived: Subspace) -> FeasibilityVerdict:
     from . import _numeric
     p = build_problem(g, J)
+    p.derived = derived
     if g.dim == 0:
         return Feasible(TwoForm.from_dict(0, {}), float("inf"))
     direction = degeneracy_precheck(p)

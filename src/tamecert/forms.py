@@ -264,18 +264,27 @@ class ComplexStructure:
     def _apply_ints(self, u: Sequence[int]) -> list[int]:
         """J'u = den J u for an integer vector u, from J''s nonzero entries; every
         exact layer applies J' through this method."""
-        return [sum(z * u[k] for k, z in row) for row in self._nonzero]
+        out = []
+        for row in self._nonzero:
+            x = 0
+            for k, z in row:
+                x += z * u[k]
+            out.append(x)
+        return out
 
 
 def _squares_to_minus_one(ints: Sequence[Sequence[int]], e: int) -> bool:
-    """J^2 = -I for J = ints / e: each row of ints^2 + e^2 I, summed over the row's nonzero entries, is 0."""
+    """J^2 = -I for J = ints / e: every entry of ints^2 + e^2 I, summed over its row's nonzero entries, is 0."""
     for i, row in enumerate(ints):
-        square = [e * e * (k == i) for k in range(len(row))]
-        for j, x in enumerate(row):
+        for k in range(len(row)):
+            x = e * e if k == i else 0
+            j = 0
+            for z in row:
+                if z:
+                    x += z * ints[j][k]
+                j += 1
             if x:
-                square = [s + x * y for s, y in zip(square, ints[j])]
-        if any(square):
-            return False
+                return False
     return True
 
 

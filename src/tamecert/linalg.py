@@ -144,11 +144,12 @@ def _forward(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]
         r = len(pivots)
         if r == len(m):
             break
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is not None:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            _clear_column(m, r, c, range(r + 1, len(m)))
-            pivots.append(c)
+        for i in range(r, len(m)):  # the first row from r on that is nonzero at c, if any
+            if m[i][c]:
+                m[r], m[i] = m[i], m[r]
+                _clear_column(m, r, c, range(r + 1, len(m)))
+                pivots.append(c)
+                break
     return m[: len(pivots)], pivots
 
 

@@ -15,18 +15,18 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import LieAlgebra, is_completely_solvable
+from .algebra import LieAlgebra, _completely_solvable
 from .errors import FixtureError, TamecertError, TripleVerificationError
 from .feasibility import (
     Feasible,
     FeasibilityVerdict,
     Infeasible,
     Unknown,
-    decide,
+    _decide,
 )
 from .fixtures import Fixture, load_fixture, rational_str
 from .forms import TwoForm, is_integrable
-from .reduction import TamedTriple, reduction_tower
+from .reduction import TamedTriple, _tower
 
 # exit codes: CI-friendly contract
 EXIT_OK = 0
@@ -116,10 +116,11 @@ def verdict_to_dict(v: FeasibilityVerdict | None) -> dict | None:
 
 def analyze(fixture: Fixture) -> AnalysisReport:
     g = fixture.algebra
+    derived = g.derived_subalgebra()  # once, for both series, the precheck and the tower's first search
 
-    cs = is_completely_solvable(g)
+    cs = _completely_solvable(g, g._series(derived, False))
     solvable = bool(cs) or cs.witness is not None  # the witness is None when g is not solvable
-    nilpotent = g.is_nilpotent()
+    nilpotent = g._series(derived, True)[-1].dim == 0
     unimodular, witness = g.is_unimodular()
     abelian = g.is_abelian()
     flags = {
@@ -143,7 +144,7 @@ def analyze(fixture: Fixture) -> AnalysisReport:
         j_status["integrable"] = integrable
         if not integrable:
             logger.warning("J is not integrable; the taming decision still applies")
-        feas = decide(g, fixture.J)
+        feas = _decide(g, fixture.J, derived)
 
     applicable = bool(unimodular and cs and j_present and integrable)
     feasible = isinstance(feas, Feasible)
@@ -176,7 +177,7 @@ def analyze(fixture: Fixture) -> AnalysisReport:
 
     reduction = None
     if fixture.omega is not None and j_present:
-        reduction = _reduction_summary(g, fixture.omega, fixture.J, unimodular)
+        reduction = _reduction_summary(g, fixture.omega, fixture.J, unimodular, derived, integrable)
 
     return AnalysisReport(
         name=fixture.name,
@@ -188,13 +189,13 @@ def analyze(fixture: Fixture) -> AnalysisReport:
     )
 
 
-def _reduction_summary(g: LieAlgebra, omega: TwoForm, J, unimodular_in: bool) -> dict:
+def _reduction_summary(g: LieAlgebra, omega: TwoForm, J, unimodular_in: bool, derived, integrable: bool) -> dict:
     try:
-        triple = TamedTriple.build(g, omega, J)
+        triple = TamedTriple._build(g, omega, J, integrable, True)
     except TripleVerificationError as exc:
         return {"verified": False, "failed_flags": list(exc.failed_flags)}
     try:
-        tower = reduction_tower(triple)
+        tower = _tower(triple, derived)
     except TamecertError as exc:
         return {"verified": True, "error": str(exc)}
     preserved = None

@@ -69,17 +69,18 @@ class TamedTriple:
 
     @classmethod
     def build(cls, algebra: LieAlgebra, omega: TwoForm, J: ComplexStructure) -> "TamedTriple":
-        t = cls.build_unverified(algebra, omega, J)
-        if not t.verified:
-            raise TripleVerificationError(t.failed_flags)
-        return t
+        return cls._build(algebra, omega, J, None, True)
 
     @classmethod
     def build_unverified(cls, algebra: LieAlgebra, omega: TwoForm, J: ComplexStructure) -> "TamedTriple":
-        """The triple with its three flags, none raised on, decided in ints:
-        d Omega = 0 from ``TwoForm._ints`` against c d2 read off the integer
-        bracket table (``forms._d2_ints``), taming on ``forms._gram_ints``.
-        On an empty table every 2-form is closed, and no d2 is built."""
+        return cls._build(algebra, omega, J, None, False)
+
+    @classmethod
+    def _build(cls, algebra: LieAlgebra, omega: TwoForm, J: ComplexStructure, integrable: bool | None, verify: bool):
+        """The triple with its three flags, decided in ints and raised on with verify:
+        d Omega = 0 from ``TwoForm._ints`` against c d2 read off the integer bracket
+        table (``forms._d2_ints``), taming on ``forms._gram_ints``, and the Nijenhuis
+        test unless integrable holds its result.  An empty table closes every 2-form, with no d2."""
         if omega.dim != algebra.dim or J.dim != algebra.dim:
             raise TripleVerificationError(["dimension mismatch"])
         closed = algebra.is_abelian()
@@ -88,9 +89,12 @@ class TamedTriple:
             column = {pair: k for k, pair in enumerate(pairs)}
             coeffs = [(column[key], x) for key, x in omega._ints[1]]  # w Omega
             closed = not any(sum(row[k] * x for k, x in coeffs) for row in rows)
-        integrable = is_integrable(algebra, J)
+        integrable = is_integrable(algebra, J) if integrable is None else integrable
         taming = leading_minors_positive(_gram_ints(omega, J)[0])
-        return cls(algebra, omega, J, closed, integrable, taming)
+        t = cls(algebra, omega, J, closed, integrable, taming)
+        if verify and not t.verified:
+            raise TripleVerificationError(t.failed_flags)
+        return t
 
 
 @dataclass(frozen=True)
@@ -121,10 +125,14 @@ def find_isotropic_ideal(t: TamedTriple) -> Subspace:
     ideal and none lies in [g, g] = 0, so the line of e_1, first in that
     order, is returned with no search.
     """
+    return _isotropic_ideal(t, None)
+
+
+def _isotropic_ideal(t: TamedTriple, derived: Subspace | None) -> Subspace:
     g = t.algebra
     if g.is_abelian() and g.dim:
         return Subspace(g.dim, (tuple(int(i == 0) for i in range(g.dim)),), (0,))
-    derived = g.derived_subalgebra()
+    derived = g.derived_subalgebra() if derived is None else derived
     lines = _one_dim_ideals(g, derived)
     if not lines:
         raise NoOneDimIdeal(
@@ -229,16 +237,20 @@ def reduce(t: TamedTriple, h: Subspace) -> ReductionStep:
 
 def reduction_tower(t: TamedTriple) -> ReductionTower:
     """Iterate reduction until dimension 0 or no rational 1-dim ideal remains."""
+    return _tower(t, None)
+
+
+def _tower(t: TamedTriple, derived: Subspace | None) -> ReductionTower:
     steps: list[ReductionStep] = []
     current = t
     while current.algebra.dim > 0:
         try:
-            h = find_isotropic_ideal(current)
+            h = _isotropic_ideal(current, derived)
         except NoOneDimIdeal:
             break
         step = reduce(current, h)
         steps.append(step)
-        current = step.reduced
+        current, derived = step.reduced, None
     return ReductionTower(tuple(steps), current.algebra)
 
 

@@ -7,7 +7,11 @@ Run from any directory:
     python tests/ab_pairs.py --base HEAD~1 --workload corpus --seeds 101-110 --items
 
 The base commit's files are extracted with ``git archive`` into a temporary
-directory, removed at the end.  For each workload and each seed, one pair
+directory, removed at the end.  Before the first pair, ``src/`` and
+``perfbench/`` of both checkouts are compiled to bytecode (``compileall``
+writes it even under ``PYTHONDONTWRITEBYTECODE``), so that neither side's
+fresh interpreters compile the package on import and bias ``setup_s`` or
+``peak_rss_mb``.  For each workload and each seed, one pair
 runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
 that copy and once in this checkout; the side that runs first alternates
 from pair to pair.  Each pair's line shows both runs' ``attempted`` counts,
@@ -56,6 +60,7 @@ does not start with ``test_``, so pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import compileall
 import io
 import json
 import statistics
@@ -168,6 +173,9 @@ def main(argv=None) -> int:
         except OSError as exc:  # git cannot start
             print(f"cannot extract base {args.base}: {exc}", flush=True)
             return 1
+        for checkout in (base_dir, ROOT):
+            for sub in ("src", "perfbench"):
+                compileall.compile_dir(checkout / sub, quiet=2)
         for workload in args.workload:
             results = {"base": [], "change": []}
             for i, seed in enumerate(args.seeds):

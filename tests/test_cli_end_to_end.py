@@ -66,7 +66,7 @@ def test_feasible_on_a_non_abelian_algebra_is_inconsistent(corpus, tmp_path, cap
     # the paper's direction of the sweep: h3_r is unimodular, completely
     # solvable and not abelian, so the theorem forbids a Feasible verdict there
     feasible = decide(corpus["abelian_r4"].algebra, corpus["abelian_r4"].J)
-    monkeypatch.setattr(pipeline_mod, "decide", lambda g, J: feasible)
+    monkeypatch.setattr(pipeline_mod, "_decide", lambda g, J, derived: feasible)
     shutil.copy(FIXTURES_DIR / "h3_r.json", tmp_path)
     t = run_json(capsys, "analyze", str(tmp_path / "h3_r.json"), code=EXIT_INCONSISTENT)["theorem_consistency"]
     assert t["applicable"] is True and t["consistent"] is False
@@ -125,10 +125,10 @@ def test_corpus_exit_codes_and_text_table(tmp_path, capsys):
 
 
 def test_corpus_reports_an_error_raised_by_analyze(tmp_path, monkeypatch):
-    def fail(g, J):
+    def fail(g, J, derived):
         raise ExactificationFailed("no certificate")
 
-    monkeypatch.setattr(pipeline_mod, "decide", fail)
+    monkeypatch.setattr(pipeline_mod, "_decide", fail)
     shutil.copy(FIXTURES_DIR / "aff_r.json", tmp_path)
     result = corpus_run(tmp_path)
     assert [(e.name, e.report, e.error) for e in result.entries] == [("aff_r", None, "no certificate")]

@@ -28,6 +28,7 @@ from tamecert.forms import (
     _complex_basis,
     _gram_ints,
     _nijenhuis_ints,
+    _squares_to_minus_one,
     closed_two_forms,
     d2_matrix,
     is_taming,
@@ -252,6 +253,26 @@ def test_apply_ints_is_den_j_times_u(corpus):
         assert K == J and hash(K) == hash(J) and repr(K) == repr(J), name
         assert "_nonzero" not in repr(J), name
         assert pickle.loads(pickle.dumps(J))._nonzero == J._nonzero, name
+
+
+def test_j_kernels_match_fraction_arithmetic_on_benchmark_structures(bench_items):
+    # J'u and the J^2 = -I test, which walk J''s entries with no intermediate
+    # list, against J u and J^2 in Fractions on the J of every conjugated item
+    # (dense) and scaling item (block diagonal) at seeds 1-3; one entry moved
+    # off J leaves J^2 != -I, and the test says so
+    rng = random.Random(3)
+    structures = {(it.name, it.J) for (w, _), items in bench_items.items() if w != "corpus" for it in items}
+    assert any(all(all(row) for row in J.ints) for _, J in structures)  # a J with no zero entry
+    for name, J in sorted(structures, key=lambda s: s[0]):
+        n, m = J.dim, J.matrix
+        for u in [[int(i == k) for i in range(n)] for k in range(n)] + [[rng.randint(-9, 9) for _ in range(n)]]:
+            assert J._apply_ints(u) == [J.den * sum(x * y for x, y in zip(row, u)) for row in m], name
+        minus_one = [[-ONE if i == k else ZERO for k in range(n)] for i in range(n)]
+        assert mat_mul(m, m) == minus_one and _squares_to_minus_one(J.ints, J.den), name
+        i, k = rng.randrange(n), rng.randrange(n)
+        off = [[x + (r == i and c == k) for c, x in enumerate(row)] for r, row in enumerate(J.ints)]
+        moved = [[Fraction(x, J.den) for x in row] for row in off]
+        assert mat_mul(moved, moved) != minus_one and not _squares_to_minus_one(off, J.den), (name, i, k)
 
 
 def test_two_form_apply_ints_evaluates_omega(corpus, exact_items):

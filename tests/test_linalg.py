@@ -370,6 +370,27 @@ def test_kernel_is_the_echelon_form_of_the_kernel(seed):
         assert _echelon(rows) == _echelon(m)
 
 
+def test_forward_pivots_and_echelon_match_the_oracle_at_edge_shapes():
+    # the pivot row is the first row from the current one on that is nonzero
+    # in the column: all-zero rows before, between and after the others, zero
+    # columns before and between pivots, a single row, a nonzero row found
+    # only after zero ones, and more columns than the rows can pivot
+    cases = [
+        [[0, 0, 0]],
+        [[0, 3, 0, -6]],
+        [[0, 0, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0], [0, 0, 0, 5], [0, 0, 0, 0]],
+        [[1, 0, 2], [0, 0, 3]],
+        [[0, 0, 0], [0, 0, 0], [4, 0, 0]],
+        [[0, 1, 0], [0, 0, 0], [0, 1, 1]],
+        [[2, 4, 0, 6, 1], [1, 2, 0, 3, 0], [0, 0, 0, 0, 7]],
+        [[1, 2], [3, 4], [5, 6], [0, 0]],
+    ]
+    for m in cases:
+        red, pivots = reference_rref(m)
+        assert _forward(m)[1] == pivots, m
+        assert rref(m) == (red, pivots), m
+
+
 def test_rref_and_nullspace_match_fraction_oracle_on_items(exact_items):
     for m in item_matrices(exact_items):
         assert rref(m) == reference_rref(m)

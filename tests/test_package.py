@@ -308,6 +308,23 @@ def test_ab_pairs_shows_why_a_run_crashed(tmp_path, monkeypatch, capsys):
     assert "line 29" in out and "line 10" in out and "line 9\n" not in out
 
 
+def test_ab_pairs_compiles_the_base_before_its_first_run(tmp_path, monkeypatch, capsys):
+    # the extracted base holds bytecode before any run imports from it, as the
+    # working tree does, so neither side compiles the package in its setup
+    stub = tmp_path / "stub"
+    (stub / "src" / "pkg").mkdir(parents=True)
+    (stub / "src" / "pkg" / "__init__.py").write_text("")
+    (stub / "perfbench").mkdir()
+    (stub / "perfbench" / "helper.py").write_text("")
+    run = "import pathlib, sys\nroot = pathlib.Path(__file__).resolve().parent.parent\n"
+    run += "print('bytecode:', sorted(p.name.split('.')[0] for p in root.rglob('*.pyc')), file=sys.stderr)\nsys.exit(1)\n"
+    (stub / "perfbench" / "run.py").write_text(run)
+    monkeypatch.setattr(ab_pairs, "extract", lambda rev, dest: shutil.copytree(stub, dest, dirs_exist_ok=True))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    assert ab_pairs.main(["--base", "HEAD", "--workload", "corpus", "--seeds", "1", "--seconds", "1"]) == 1
+    assert "bytecode: ['__init__', 'helper', 'run']" in capsys.readouterr().out
+
+
 def test_ab_pairs_names_a_base_it_cannot_extract(monkeypatch, capsys):
     # a rev git archive refuses ends the tool with that rev and git's message,
     # and a git that cannot start with the error, both with exit status 1

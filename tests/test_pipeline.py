@@ -258,7 +258,7 @@ def test_analyze_abelian(corpus):
 def test_analyze_abelian_without_feasible_is_inconsistent(corpus, monkeypatch):
     # an abelian algebra is Kaehler for every J, so the sweep must flag any
     # other verdict there, just as it flags Feasible on a non-abelian one
-    monkeypatch.setattr(pipeline_mod, "decide", lambda g, J: Unknown(best_lambda_min=0.0))
+    monkeypatch.setattr(pipeline_mod, "_decide", lambda g, J, derived: Unknown(best_lambda_min=0.0))
     report = analyze(corpus["abelian_r4"])
     assert report.theorem_consistency.applicable
     assert report.theorem_consistency.consistent is False
@@ -289,10 +289,10 @@ def test_analyze_reduction_summary(corpus, monkeypatch):
     assert analyze(parse_fixture(doc)).reduction == {"verified": False, "failed_flags": ["closed"]}
     # a tower that raises after the triple verified is reported, not propagated
 
-    def lost(triple):
+    def lost(triple, derived):
         raise TamingLost("reduction lost a verified property: taming")
 
-    monkeypatch.setattr(pipeline_mod, "reduction_tower", lost)
+    monkeypatch.setattr(pipeline_mod, "_tower", lost)
     assert analyze(corpus["aff_r2"]).reduction == {
         "verified": True,
         "error": "reduction lost a verified property: taming",
@@ -325,11 +325,16 @@ MAX_CLEARED_CALLS = 25
 # one-row weight branch, Z cap [g, g] of an abelian [g, g] and the radical
 # on a line take none.
 MAX_KERNEL_CALLS = 38
-# one derived series per fixture, inside is_completely_solvable
-MAX_DERIVED_SERIES_CALLS = len(CORPUS_NAMES)
-# one Nijenhuis test per fixture with J, analyze's own for its theorem sweep,
-# plus one per tamed triple, the input's and each reduced one's: 11 + 6 + 13
-MAX_IS_INTEGRABLE_CALLS = 30
+# [g, g], 12: one per fixture, derived by analyze and handed to both series,
+# the precheck and the tower's first search, and one for the one non-abelian
+# tower quotient (aff_r2's first reduced algebra); an abelian step derives none
+MAX_DERIVED_SUBALGEBRA_CALLS = 12
+# LieAlgebra._series, 22: the derived series, for complete solvability, and the
+# lower central series, for nilpotency, of each fixture, both started at that [g, g]
+MAX_SERIES_CALLS = 2 * len(CORPUS_NAMES)
+# one Nijenhuis test per algebra: analyze's own on each fixture with J, which
+# the input's tamed triple reuses, and one per reduced triple: 11 + 13
+MAX_IS_INTEGRABLE_CALLS = 24
 # _d2_ints, 14: one per fixture's closed basis, and one per tamed triple with
 # brackets (aff_r's, aff_r2's and its first reduced one): 11 + 3; an abelian
 # triple is closed without d on 2-forms
@@ -348,7 +353,8 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
     for home, name in homes:
         original = getattr(home, name)
         spies[name] = [spy(monkeypatch, module, name) for module in modules if getattr(module, name, None) is original]
-    spies["derived_series"] = [spy(monkeypatch, LieAlgebra, "derived_series")]
+    for name in ("derived_subalgebra", "_series"):
+        spies[name] = [spy(monkeypatch, LieAlgebra, name)]
 
     def counts() -> dict:
         return {name: sum(map(len, calls)) for name, calls in spies.items()}
@@ -377,7 +383,8 @@ def test_analyze_exact_work_is_bounded_and_uncached(fixtures_dir, monkeypatch):
     assert 0 < first_total["is_integrable"] <= MAX_IS_INTEGRABLE_CALLS
     assert 0 < first_total["_d2_ints"] <= MAX_D2_INTS_CALLS, first_total["_d2_ints"]
     assert 0 < first_total["_weight_spaces"] <= MAX_WEIGHT_SPACES_CALLS, first_total["_weight_spaces"]
-    assert 0 < first_total["derived_series"] <= MAX_DERIVED_SERIES_CALLS
+    assert 0 < first_total["derived_subalgebra"] <= MAX_DERIVED_SUBALGEBRA_CALLS, first_total["derived_subalgebra"]
+    assert 0 < first_total["_series"] <= MAX_SERIES_CALLS, first_total["_series"]
 
 
 def test_only_analyze_tests_integrability(corpus, bench_items, monkeypatch):

@@ -352,16 +352,16 @@ def test_towers():
 def test_tower_stops_where_no_line_is_found(monkeypatch):
     # a step that finds no rational invariant line ends the tower there: with the
     # second search refused, aff_r2's tower keeps its first step and ends at dim 2
-    found = find_isotropic_ideal
+    found = reduction_mod._isotropic_ideal
     calls = []
 
-    def once(t):
+    def once(t, derived):
         calls.append(t.algebra.dim)
         if len(calls) > 1:
             raise NoOneDimIdeal("no rational invariant line")
-        return found(t)
+        return found(t, derived)
 
-    monkeypatch.setattr(reduction_mod, "find_isotropic_ideal", once)
+    monkeypatch.setattr(reduction_mod, "_isotropic_ideal", once)
     tower = reduction_tower(aff_r2_triple())
     assert calls == [4, 2] and len(tower.steps) == 1 and tower.terminal_dim == 2
 
